@@ -18,16 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .affine import AffineScalar, FiberPoint
-from .dynamics import GaugeClassLagrangian, euler_lagrange, legendre, SecondOrderPoint
-from .errors import ChartScheduleError
+from .affine import AffineScalar
+from .dynamics import GaugeClassLagrangian, legendre
 from .exprlang import Binary, Number
 from .geometry import (
     CurveSegment,
     CurveSpec,
+    _affine_integral,
+    _segment_integrals,
     eval_vector,
+    jets_in_t,
     schedule_integral,
-    simpson_panels,
+    simpson_nodes,
 )
 
 
@@ -58,10 +60,11 @@ def gauge_fixed_value(s: AffineScalar) -> float:
     return s.plus.value - s.minus.value
 
 
-def _lagrangian_integrand(lam: GaugeClassLagrangian, curve: CurveSpec):
-    def integrand(seg: CurveSegment, t: float) -> float:
-        x = eval_vector(seg.exprs, {"t": t})
-        return lam.value(x, curve.velocity(t), seg.chart_id)
+def _lagrangian_integrand(lam: GaugeClassLagrangian):
+    """L at the nodes of a segment, through its chart's kernel."""
+
+    def integrand(seg: CurveSegment, t, x, v, a):
+        return lam.engine(seg.chart_id).values(x, v)
 
     return integrand
 
@@ -73,14 +76,27 @@ def action_quadrature(
     applied at chart junctions."""
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    return schedule_integral(curve, lam.atlas, panels, _lagrangian_integrand(lam, curve))
+    return schedule_integral(curve, lam.atlas, panels, _lagrangian_integrand(lam))
+
+
+def _rk4_nodes(t0: float, t1: float, steps: int):
+    """Where RK4 evaluates the right-hand side of s' = f(t): the start,
+    midpoint and end of each step, with weights h/6 * (1, 4, 1).  The
+    last step ends exactly at t1."""
+    h = (t1 - t0) / steps
+    t = t0 + np.arange(steps) * h
+    t_next = t + h
+    t_next[-1] = t1
+    nodes = np.stack([t, 0.5 * (t + t_next), t_next], axis=1).ravel()
+    return nodes, np.tile(np.array([1.0, 4.0, 1.0]) * (h / 6.0), steps)
 
 
 def action_lift(
     lam: GaugeClassLagrangian, curve: CurveSpec, steps: int = 1000
 ) -> AffineScalar:
     """Action via the lifted fiber ODE s'(t) = L(gamma(t), dgamma/dt),
-    integrated by RK4 segment by segment.
+    integrated by RK4 segment by segment.  The right-hand side depends
+    on t alone, so each step adds its RK4 weights times L at three nodes.
 
     Shifting the initial fiber value translates the whole integral
     curve; the endpoint AffineScalar class is unchanged (the lift field
@@ -88,38 +104,8 @@ def action_lift(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    atlas = lam.atlas
-    span = curve.t_end - curve.t_start
-    s = 0.0
-    for idx, seg in enumerate(curve.segments):
-        seg_steps = max(1, round(steps * (seg.t1 - seg.t0) / span))
-        h = (seg.t1 - seg.t0) / seg_steps
-
-        def rate(t, seg=seg):
-            x = eval_vector(seg.exprs, {"t": t})
-            if not atlas.contains(seg.chart_id, x):
-                raise ChartScheduleError(
-                    f"curve leaves chart {seg.chart_id} at t={t} (x={x})"
-                )
-            return lam.value(x, curve.velocity(t), seg.chart_id)
-
-        for k in range(seg_steps):
-            t = seg.t0 + k * h
-            t_next = seg.t1 if k == seg_steps - 1 else t + h
-            k1 = rate(t)
-            k23 = rate(0.5 * (t + t_next))
-            k4 = rate(t_next)
-            s += (h / 6.0) * (k1 + 4.0 * k23 + k4)
-        nxt = curve.segments[idx + 1] if idx + 1 < len(curve.segments) else None
-        if nxt is not None and nxt.chart_id != seg.chart_id:
-            x_end = eval_vector(seg.exprs, {"t": seg.t1})
-            s -= atlas.gauge_offset(x_end, seg.chart_id, nxt.chart_id)
-    first, last = curve.segments[0], curve.segments[-1]
-    x_a = eval_vector(first.exprs, {"t": first.t0})
-    x_b = eval_vector(last.exprs, {"t": last.t1})
-    return AffineScalar(
-        plus=FiberPoint(last.chart_id, tuple(x_b), s),
-        minus=FiberPoint(first.chart_id, tuple(x_a), 0.0),
+    return _affine_integral(
+        curve, lam.atlas, steps, _lagrangian_integrand(lam), _rk4_nodes, CurveSegment.jets
     )
 
 
@@ -143,12 +129,22 @@ def variation_derivative(
     panels: int = 1000,
 ) -> float:
     """Central finite difference of the gauge-fixed action along the
-    one-parameter family gamma + s*w."""
+    one-parameter family gamma + s*w.  The jets of gamma + s*w are those
+    of gamma plus s times those of w, so no kernel is compiled for the
+    perturbed curves."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    s_plus = gauge_fixed_value(action_quadrature(lam, perturbed_curve(curve, w, eps), panels))
-    s_minus = gauge_fixed_value(action_quadrature(lam, perturbed_curve(curve, w, -eps), panels))
-    return (s_plus - s_minus) / (2.0 * eps)
+    integrand = _lagrangian_integrand(lam)
+
+    def action(s):
+        def jets(seg, t):
+            return seg.jets(t) + s * jets_in_t(w.exprs, t)
+
+        return gauge_fixed_value(
+            _affine_integral(curve, lam.atlas, panels, integrand, simpson_nodes, jets)
+        )
+
+    return (action(eps) - action(-eps)) / (2.0 * eps)
 
 
 def variation_pairing(
@@ -170,29 +166,20 @@ def variation_pairing(
     vanishes.  Curve accelerations come from differentiating the curve
     expressions, not from any trajectory discretization.
     """
-    atlas = lam.atlas
-    span = curve.t_end - curve.t_start
-    bulk = 0.0
-    for seg in curve.segments:
-        seg_panels = max(1, round(panels * (seg.t1 - seg.t0) / span))
 
-        def f(t, seg=seg):
-            x = eval_vector(seg.exprs, {"t": t})
-            if not atlas.contains(seg.chart_id, x):
-                raise ChartScheduleError(f"curve leaves chart {seg.chart_id} at t={t}")
-            e = euler_lagrange(
-                lam,
-                SecondOrderPoint.of(x, curve.velocity(t), curve.acceleration(t)),
-                seg.chart_id,
-                backend,
-            )
-            return float(np.dot(e.p, w(t)))
+    def integrand(seg, t, x, v, a):
+        e = lam.engine(seg.chart_id, backend).el_covectors(x, v, a)
+        return np.einsum("ij,ij->i", e, jets_in_t(w.exprs, t)[0])
 
-        bulk += simpson_panels(f, seg.t0, seg.t1, seg_panels)
+    parts = _segment_integrals(
+        curve, lam.atlas, panels, integrand, simpson_nodes, CurveSegment.jets
+    )
+    bulk = sum(parts)  # a covector pairing: no offsets at chart junctions
+
+    def boundary(seg, t):
+        x, v, _a = seg.jets([t])
+        p = legendre(lam, x[0], v[0], seg.chart_id, backend).p
+        return float(np.dot(p, jets_in_t(w.exprs, [t])[0][0]))
 
     first, last = curve.segments[0], curve.segments[-1]
-    a, b = first.t0, last.t1
-    p_b = legendre(lam, curve.position(b), curve.velocity(b), last.chart_id, backend)
-    p_a = legendre(lam, curve.position(a), curve.velocity(a), first.chart_id, backend)
-    boundary = float(np.dot(p_b.p, w(b))) - float(np.dot(p_a.p, w(a)))
-    return boundary + bulk
+    return boundary(last, last.t1) - boundary(first, first.t0) + bulk

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exprlang import ExprAst
 from .geometry import Atlas, ScalarFunction, _overlap_sample_pairs, low_discrepancy_points
-from .kernels import compile_field, default_backend
+from .kernels import compile_field, default_backend, eval_chunked, require_finite
 
 MAX_CONDITION = 1e12
 
@@ -177,7 +177,9 @@ class _ChartEngine:
         self.n = dim
         m = 2 * dim
         self.m = m
-        self.kernel = compile_field(ast, lagrangian_varnames(dim), backend)
+        self.ast = ast
+        self.varnames = lagrangian_varnames(dim)
+        self.kernel = compile_field(ast, self.varnames, backend)
         eye = np.eye(m)
         # rows: n gradient-in-x, n velocity rows (shared by momentum,
         # EL contraction, and the velocity-Hessian columns)
@@ -197,13 +199,6 @@ class _ChartEngine:
         vals[:] = row
         return vals
 
-    def value(self, x, v) -> float:
-        vals = self._point_rows(np.asarray(x, float), np.asarray(v, float), 1)
-        z = np.zeros((1, self.m))
-        out = np.empty((1, 4))
-        self.kernel(vals, z, z, out)
-        return float(out[0, 0])
-
     def gradient(self, x, v):
         """(dL/dx, dL/dv) at (x, v)."""
         n, m = self.n, self.m
@@ -222,6 +217,29 @@ class _ChartEngine:
         out = np.empty((k, 4))
         self.kernel(vals, self._d1_el, d2, out)
         return out[:n, 1] - out[n:, 3]
+
+    def values(self, xs, vs) -> np.ndarray:
+        """L at every point (xs[i], vs[i]): one probe per point."""
+        vals = np.hstack([xs, vs])
+        zero = np.zeros_like(vals)
+        out = eval_chunked(self.kernel, vals, zero, zero)[:, 0]
+        require_finite(out, self.ast, self.varnames, vals, zero, zero)
+        return out
+
+    def el_covectors(self, xs, vs, accs) -> np.ndarray:
+        """el_covector at every point (xs[i], vs[i], accs[i]), in the
+        same 2n-probe layout per point."""
+        n, m, k = self.n, self.m, 2 * self.n
+        points = xs.shape[0]
+        vals = np.repeat(np.hstack([xs, vs]), k, axis=0)
+        d1 = np.tile(self._d1_el, (points, 1))
+        d2 = np.zeros((points, k, m))
+        d2[:, n:] = np.hstack([vs, accs])[:, None, :]
+        d2 = d2.reshape(points * k, m)
+        out = eval_chunked(self.kernel, vals, d1, d2).reshape(points, k, 4)
+        e = out[:, :n, 1] - out[:, n:, 3]
+        require_finite(e, self.ast, self.varnames, vals, d1, d2, k)
+        return e
 
     def momentum(self, x, v) -> np.ndarray:
         n, m = self.n, self.m

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import exprlang
 from .affine import AffineScalar, FiberPoint
-from .autodiff import Hyperdual, gradient
+from .autodiff import gradient
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
+from .kernels import CHUNK, compile_field, eval_chunked, require_finite
 
 _BOX_TOL = 1e-9
 
@@ -168,8 +169,8 @@ class Atlas:
                     x_j = eval_vector(comp.coord_map, coord_env(x))
                     g_ji = self.gauge_offset(x_j, j, i)
                     defect = abs(g_ij + g_ji)
-                    worst = max(worst, defect)
-                    if defect > tol:
+                    worst = np.maximum(worst, defect)
+                    if not defect <= tol:  # NaN fails too
                         raise ValidationError(
                             "gauge antisymmetry g_ij + g_ji = 0",
                             f"charts ({i},{j}) at {x}",
@@ -194,14 +195,14 @@ class Atlas:
                                 continue  # not in the triple overlap
                             g_ij = float(exprlang.evaluate(comp.gauge, coord_env(x)))
                             defect = abs(g_ij + g_jk + g_ki)
-                            worst = max(worst, defect)
-                            if defect > tol:
+                            worst = np.maximum(worst, defect)
+                            if not defect <= tol:
                                 raise ValidationError(
                                     "gauge cocycle g_ij + g_jk + g_ki = 0",
                                     f"charts ({i},{j},{k}) at {x}",
                                     defect,
                                 )
-        return worst
+        return float(worst)
 
 
 def euclidean_atlas(dim: int, half_width: float = 1e6) -> Atlas:
@@ -415,12 +416,36 @@ def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
 # ---------------------------------------------------------------------------
 # Curves
 
+_T = ("t",)
+
+
+def jets_in_t(exprs, t):
+    """Values, first and second t-derivatives of per-coordinate
+    expressions in the parameter t at every node of the array t, each
+    of shape (nodes, coordinates).  One kernel call per coordinate,
+    seeded d1 = d2 = 1, so a probe returns (x, x', x', x'').  Always the
+    numpy backend: variation fields are fresh expressions on every call,
+    which a JIT backend would compile every time."""
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
+    ones = np.ones_like(t)
+    jets = np.empty((3, t.shape[0], len(exprs)))
+    for k, e in enumerate(exprs):
+        out = eval_chunked(compile_field(e, _T, "numpy"), t, ones, ones)[:, [0, 1, 3]]
+        require_finite(out, e, _T, t, ones, ones)
+        jets[:, :, k] = out.T
+    return jets
+
+
 @dataclass(frozen=True)
 class CurveSegment:
     t0: float
     t1: float
     chart_id: str
     exprs: tuple  # per-coordinate ExprAst in the parameter "t"
+
+    def jets(self, t):
+        """(positions, velocities, accelerations) at the nodes t."""
+        return jets_in_t(self.exprs, t)
 
 
 @dataclass
@@ -457,32 +482,19 @@ class CurveSpec:
         return self.segment_at(t).chart_id
 
     def position(self, t: float) -> np.ndarray:
-        seg = self.segment_at(t)
-        return eval_vector(seg.exprs, {"t": t})
+        return self.segment_at(t).jets([t])[0][0]
 
     def velocity(self, t: float) -> np.ndarray:
-        seg = self.segment_at(t)
-        td = Hyperdual(t, 1.0, 0.0)
-        out = np.empty(len(seg.exprs))
-        for k, e in enumerate(seg.exprs):
-            r = exprlang.evaluate(e, {"t": td})
-            out[k] = r.d1 if isinstance(r, Hyperdual) else 0.0
-        return out
+        return self.segment_at(t).jets([t])[1][0]
 
     def acceleration(self, t: float) -> np.ndarray:
-        seg = self.segment_at(t)
-        td = Hyperdual(t, 1.0, 1.0)
-        out = np.empty(len(seg.exprs))
-        for k, e in enumerate(seg.exprs):
-            r = exprlang.evaluate(e, {"t": td})
-            out[k] = r.d12 if isinstance(r, Hyperdual) else 0.0
-        return out
+        return self.segment_at(t).jets([t])[2][0]
 
     def state(self, t: float):
         """(chart_id, x, v) at parameter t."""
         seg = self.segment_at(t)
-        x = eval_vector(seg.exprs, {"t": t})
-        return seg.chart_id, x, self.velocity(t)
+        x, v, _a = seg.jets([t])
+        return seg.chart_id, x[0], v[0]
 
     def validate(self, atlas: Atlas, tol: float = 1e-12):
         for seg in self.segments:
@@ -510,64 +522,77 @@ class CurveSpec:
 # ---------------------------------------------------------------------------
 # Integrals along curves
 
-def simpson_panels(f, t0: float, t1: float, panels: int) -> float:
-    """Composite Simpson rule with `panels` panels (midpoint refinement)."""
+def simpson_nodes(t0: float, t1: float, panels: int):
+    """Composite Simpson rule: nodes a, a + h/2, a + h of each panel,
+    panel after panel, and their weights h/6 * (1, 4, 1)."""
     h = (t1 - t0) / panels
+    a = t0 + np.arange(panels) * h
+    nodes = np.stack([a, a + 0.5 * h, a + h], axis=1).ravel()
+    return nodes, np.tile(np.array([1.0, 4.0, 1.0]) * (h / 6.0), panels)
+
+
+def _segment_integrals(curve: CurveSpec, atlas: Atlas, count: int, integrand, rule, jets):
+    """Quadrature of `integrand(seg, t, x, v, a)` over each segment of the
+    schedule, one value per segment.  `rule(t0, t1, k)` gives nodes and
+    weights for k panels (or steps); segments share `count` in
+    proportion to their length.  `jets(seg, t)` gives the curve's
+    positions, velocities and accelerations at the nodes; the integrand
+    returns its values there.  Nodes go through in chunks of CHUNK, and
+    each chunk is checked to lie in the segment's chart."""
+    span = curve.t_end - curve.t_start
+    parts = []
+    for seg in curve.segments:
+        t, weights = rule(seg.t0, seg.t1, max(1, round(count * (seg.t1 - seg.t0) / span)))
+        box = np.asarray(atlas.chart(seg.chart_id).box, dtype=float)
+        part = 0.0
+        for lo in range(0, t.size, CHUNK):
+            tc = t[lo:lo + CHUNK]
+            x, v, a = jets(seg, tc)
+            inside = np.all((x >= box[:, 0] - _BOX_TOL) & (x <= box[:, 1] + _BOX_TOL), axis=1)
+            if not inside.all():
+                i = int(np.argmin(inside))
+                raise ChartScheduleError(
+                    f"curve leaves chart {seg.chart_id} at t={tc[i]} (x={x[i]})"
+                )
+            part += float(weights[lo:lo + CHUNK] @ integrand(seg, tc, x, v, a))
+        parts.append(part)
+    return parts
+
+
+def _affine_integral(curve: CurveSpec, atlas: Atlas, count: int, integrand, rule, jets):
+    """schedule_integral with the node rule `rule` and the curve points
+    `jets(seg, t)` of _segment_integrals."""
+
+    def point(seg, t):
+        return jets(seg, [t])[0][0]
+
+    segs = list(curve.segments)
     total = 0.0
-    for k in range(panels):
-        a = t0 + k * h
-        total += f(a) + 4.0 * f(a + 0.5 * h) + f(a + h)
-    return total * h / 6.0
+    parts = _segment_integrals(curve, atlas, count, integrand, rule, jets)
+    for seg, nxt, part in zip(segs, segs[1:] + [None], parts):
+        total += part
+        if nxt is not None and nxt.chart_id != seg.chart_id:
+            total -= atlas.gauge_offset(point(seg, seg.t1), seg.chart_id, nxt.chart_id)
+    first, last = segs[0], segs[-1]
+    return AffineScalar(
+        plus=FiberPoint(last.chart_id, tuple(point(last, last.t1)), total),
+        minus=FiberPoint(first.chart_id, tuple(point(first, first.t0)), 0.0),
+    )
 
 
 def schedule_integral(curve: CurveSpec, atlas: Atlas, panels: int, integrand) -> AffineScalar:
-    """Integrate `integrand(segment, t)` along the schedule, converting the
-    accumulated fiber value across chart junctions.
+    """Composite-Simpson integral of `integrand(seg, t, x, v, a)` along
+    the schedule, converting the accumulated fiber value across chart
+    junctions.  The integrand gets the segment, an array of nodes and
+    the curve's positions, velocities and accelerations there (arrays of
+    shape (nodes, n)), and returns the integrand's values at the nodes.
 
     The result is an AffineScalar anchored at the curve endpoints: the
     minus anchor is the zero of the first chart's trivialization over
     gamma(a), the plus anchor carries the accumulated value over
     gamma(b) in the last chart's trivialization.
     """
-    span = curve.t_end - curve.t_start
-    total = 0.0
-    for idx, seg in enumerate(curve.segments):
-        seg_panels = max(1, round(panels * (seg.t1 - seg.t0) / span))
-
-        def f(t, seg=seg):
-            x = eval_vector(seg.exprs, {"t": t})
-            if not atlas.contains(seg.chart_id, x):
-                raise ChartScheduleError(
-                    f"curve leaves chart {seg.chart_id} at t={t} (x={x})"
-                )
-            return integrand(seg, t)
-
-        total += simpson_panels(f, seg.t0, seg.t1, seg_panels)
-        nxt = curve.segments[idx + 1] if idx + 1 < len(curve.segments) else None
-        if nxt is not None and nxt.chart_id != seg.chart_id:
-            x_end = eval_vector(seg.exprs, {"t": seg.t1})
-            total -= atlas.gauge_offset(x_end, seg.chart_id, nxt.chart_id)
-    first, last = curve.segments[0], curve.segments[-1]
-    x_a = eval_vector(first.exprs, {"t": first.t0})
-    x_b = eval_vector(last.exprs, {"t": last.t1})
-    return AffineScalar(
-        plus=FiberPoint(last.chart_id, tuple(x_b), total),
-        minus=FiberPoint(first.chart_id, tuple(x_a), 0.0),
-    )
-
-
-def curve_pullback(sigma: AffineOneForm, curve: CurveSpec, atlas: Atlas) -> Callable:
-    """The integrand t -> <theta_chart(t)(gamma(t)), dgamma/dt> of the
-    affine integral of sigma along the curve."""
-
-    def integrand(t: float) -> float:
-        seg = curve.segment_at(t)
-        x = eval_vector(seg.exprs, {"t": t})
-        if not atlas.contains(seg.chart_id, x):
-            raise ChartScheduleError(f"curve leaves chart {seg.chart_id} at t={t}")
-        return float(np.dot(sigma.components(x, seg.chart_id), curve.velocity(t)))
-
-    return integrand
+    return _affine_integral(curve, atlas, panels, integrand, simpson_nodes, CurveSegment.jets)
 
 
 def integrate_pullback(
@@ -576,8 +601,7 @@ def integrate_pullback(
     """Affine integral of sigma along the curve (Simpson quadrature with
     junction offsets); schedule-independent as an affine scalar."""
 
-    def integrand(seg, t):
-        x = eval_vector(seg.exprs, {"t": t})
-        return float(np.dot(sigma.components(x, seg.chart_id), curve.velocity(t)))
+    def integrand(seg, t, x, v, a):
+        return np.array([np.dot(sigma.components(xi, seg.chart_id), vi) for xi, vi in zip(x, v)])
 
     return schedule_integral(curve, atlas, panels, integrand)

@@ -19,6 +19,10 @@ Kernel signature: kernel(vals, d1, d2, out) with vals/d1/d2 of shape
 expression at point vals[p] with first-order seeds d1[p], d2[p];
 out[p] = (value, directional derivative 1, directional derivative 2,
 mixed second derivative).
+
+Batched callers run a kernel through eval_chunked, in calls of at most
+CHUNK probes, and turn a non-finite output they use into a DomainError
+with require_finite.
 """
 from __future__ import annotations
 
@@ -27,8 +31,9 @@ import os
 
 import numpy as np
 
-from .errors import BackendUnavailableError
-from .exprlang import Binary, Call, ExprAst, Number, Unary, Var, free_variables, to_text
+from .autodiff import Hyperdual
+from .errors import BackendUnavailableError, DomainError
+from .exprlang import Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text
 
 try:  # pragma: no cover - exercised indirectly via backend selection
     import numba
@@ -53,11 +58,26 @@ def default_backend() -> str:
 # ---------------------------------------------------------------------------
 # Code generation
 
+_NONFINITE = {"math.inf": math.inf, "(-math.inf)": -math.inf, "math.nan": math.nan}
+
+
 def _lit(atom):
+    if atom in _NONFINITE:
+        return _NONFINITE[atom]
     try:
         return float(atom)
     except ValueError:
         return None
+
+
+def _num(value: float) -> str:
+    """Source text of a float literal; `repr` of inf or nan is not a
+    Python expression."""
+    if math.isfinite(value):
+        return repr(value)
+    if math.isnan(value):
+        return "math.nan"
+    return "math.inf" if value > 0 else "(-math.inf)"
 
 
 _ZERO = "0.0"
@@ -91,7 +111,7 @@ class _Emitter:
     def neg(self, x):
         lx = _lit(x)
         if lx is not None:
-            return repr(-lx)
+            return _num(-lx)
         return self.tmp(f"-{x}")
 
     def add(self, x, y):
@@ -101,7 +121,7 @@ class _Emitter:
         if ly == 0.0:
             return x
         if lx is not None and ly is not None:
-            return repr(lx + ly)
+            return _num(lx + ly)
         return self.tmp(f"{x} + {y}")
 
     def sub(self, x, y):
@@ -111,7 +131,7 @@ class _Emitter:
         if lx == 0.0:
             return self.neg(y)
         if lx is not None and ly is not None:
-            return repr(lx - ly)
+            return _num(lx - ly)
         return self.tmp(f"{x} - {y}")
 
     def mul(self, x, y):
@@ -123,7 +143,7 @@ class _Emitter:
         if ly == 1.0:
             return x
         if lx is not None and ly is not None:
-            return repr(lx * ly)
+            return _num(lx * ly)
         return self.tmp(f"{x} * {y}")
 
     def div(self, x, y):
@@ -133,7 +153,7 @@ class _Emitter:
         if ly == 1.0:
             return x
         if lx is not None and ly is not None and ly != 0.0:
-            return repr(lx / ly)
+            return _num(lx / ly)
         return self.tmp(f"{x} / {y}")
 
     def powc(self, x, p: float):
@@ -144,10 +164,13 @@ class _Emitter:
             return x
         lx = _lit(x)
         if lx is not None:
-            return repr(lx ** p)
+            try:
+                return _num(math.pow(lx, p))
+            except (ValueError, OverflowError):
+                x = f"({x})"  # out of the real domain: left to runtime
         if p == 2.0:
             return self.tmp(f"{x} * {x}")
-        return self.tmp(f"{x} ** ({p!r})")
+        return self.tmp(f"{x} ** ({_num(p)})")
 
 
 def _quad_is_const(q):
@@ -165,8 +188,8 @@ def _apply_unary(name, u, em: _Emitter):
     lv = _lit(uv)
     if lv is not None and _quad_is_const(u):
         try:
-            return (repr(float(_FOLD[name](lv))), _ZERO, _ZERO, _ZERO)
-        except ValueError:
+            return (_num(float(_FOLD[name](lv))), _ZERO, _ZERO, _ZERO)
+        except (ValueError, OverflowError):
             pass  # leave the domain error to runtime
     v = em.tmp(f"{em.fn(name)}({uv})")
     if _quad_is_const(u):
@@ -204,13 +227,15 @@ def _apply_unary(name, u, em: _Emitter):
 def _apply_pow_const(u, p: float, em: _Emitter):
     uv, ua, ub, uc = u
     v = em.powc(uv, p)
-    if _quad_is_const(u):
+    if p == 0.0 or _quad_is_const(u):
         return (v, _ZERO, _ZERO, _ZERO)
-    d = em.mul(repr(p), em.powc(uv, p - 1.0))
+    d = em.mul(_num(p), em.powc(uv, p - 1.0))
     a = em.mul(d, ua)
     b = em.mul(d, ub)
-    if ua != _ZERO and ub != _ZERO:
-        dd = em.mul(repr(p * (p - 1.0)), em.powc(uv, p - 2.0))
+    # p*(p-1) vanishes for p = 1 (the x^1.0 that _symdiff makes of x^2):
+    # emitting x**(p-2) there would compute a dead, possibly infinite value
+    if ua != _ZERO and ub != _ZERO and p != 1.0:
+        dd = em.mul(_num(p * (p - 1.0)), em.powc(uv, p - 2.0))
         c = em.add(em.mul(d, uc), em.mul(em.mul(dd, ua), ub))
     else:
         c = em.mul(d, uc)
@@ -245,7 +270,7 @@ def _combine_div(u, w, em: _Emitter):
 
 def _walk(ast: ExprAst, em: _Emitter, slots: dict):
     if isinstance(ast, Number):
-        return (repr(float(ast.value)), _ZERO, _ZERO, _ZERO)
+        return (_num(float(ast.value)), _ZERO, _ZERO, _ZERO)
     if isinstance(ast, Var):
         return slots[ast.name]
     if isinstance(ast, Unary):
@@ -351,3 +376,49 @@ def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
     out = np.empty((vals.shape[0], 4))
     kernel(vals, d1, d2, out)
     return out
+
+
+# Probes per kernel call on the batched paths.  The numpy backend keeps
+# one temporary per generated line alive until the call returns, so a
+# call's working set grows with its batch; this caps it.
+CHUNK = 512
+
+
+def eval_chunked(kernel, vals, d1, d2) -> np.ndarray:
+    """eval_batch in calls of at most CHUNK probes.  Floating-point
+    warnings are silenced: callers check the outputs they use and raise
+    DomainError for a non-finite one (see require_finite)."""
+    out = np.empty((vals.shape[0], 4))
+    with np.errstate(all="ignore"):
+        for lo in range(0, vals.shape[0], CHUNK):
+            hi = lo + CHUNK
+            kernel(vals[lo:hi], d1[lo:hi], d2[lo:hi], out[lo:hi])
+    return out
+
+
+def require_finite(result, ast: ExprAst, varnames, vals, d1, d2, rows: int = 1):
+    """Raise DomainError for the first point with a non-finite entry in
+    `result` (one row or block of rows per point), whose kernel probes
+    are rows `rows*i .. rows*(i+1)-1` of vals, d1 and d2.
+
+    Those probes are evaluated again by the interpreter on hyper-dual
+    scalars carrying their seeds; the first domain error it meets is
+    the reason, else the kernel output is reported as non-finite.  The
+    message names the expression and the point."""
+    bad = np.flatnonzero(~np.isfinite(result.reshape(result.shape[0], -1)).all(axis=1))
+    if not bad.size:
+        return
+    probes = range(bad[0] * rows, (bad[0] + 1) * rows)
+    reason = "non-finite kernel output"
+    for p in probes:
+        env = {
+            name: Hyperdual(float(vals[p, j]), float(d1[p, j]), float(d2[p, j]))
+            for j, name in enumerate(varnames)
+        }
+        try:
+            evaluate(ast, env)
+        except (DomainError, ArithmeticError) as exc:
+            reason = str(exc)
+            break
+    point = ", ".join(f"{name}={float(vals[probes[0], j])!r}" for j, name in enumerate(varnames))
+    raise DomainError(f"{reason} in {to_text(ast)} at {point}")

@@ -3,10 +3,21 @@
 The reference evaluator here deliberately shares no code with
 avcalc.exprlang.evaluate: it dispatches through tables of lambdas over
 math-module functions, so agreement between the two is a real check.
+
+The action oracle at the end evaluates one quadrature node at a time
+through the interpreter and Hyperdual scalars, sharing no code with the
+batched kernels the library integrates with.
 """
 import math
 import random
 
+import numpy as np
+
+from avcalc import exprlang
+from avcalc.action import perturbed_curve
+from avcalc.autodiff import Hyperdual
+from avcalc.dynamics import SecondOrderPoint, euler_lagrange, legendre
+from avcalc.errors import ChartScheduleError
 from avcalc.exprlang import Binary, Call, Number, Unary, Var
 
 _UNARY_FNS = {
@@ -105,3 +116,117 @@ def fd_gradient(f, p, step=1e-6):
         lo[i] -= step
         out.append((f(hi) - f(lo)) / (2.0 * step))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-node scalar oracle for the action layer: the interpreter for L and
+# positions, Hyperdual for curve derivatives, one node at a time.
+
+def simpson_panels(f, t0, t1, panels):
+    """Composite Simpson rule with `panels` panels (midpoint refinement)."""
+    h = (t1 - t0) / panels
+    total = 0.0
+    for k in range(panels):
+        a = t0 + k * h
+        total += f(a) + 4.0 * f(a + 0.5 * h) + f(a + h)
+    return total * h / 6.0
+
+
+def _positions(exprs, t):
+    return np.array([exprlang.evaluate(e, {"t": t}) for e in exprs], dtype=float)
+
+
+def _derivatives(exprs, t, slot):
+    """First (slot "d1") or second (slot "d12") t-derivative."""
+    td = Hyperdual(t, 1.0, 1.0)
+    out = []
+    for e in exprs:
+        r = exprlang.evaluate(e, {"t": td})
+        out.append(getattr(r, slot) if isinstance(r, Hyperdual) else 0.0)
+    return np.array(out, dtype=float)
+
+
+def _lagrangian(lam, chart_id, x, v):
+    env = {f"x{j + 1}": x[j] for j in range(len(x))}
+    env.update({f"v{j + 1}": v[j] for j in range(len(v))})
+    return float(exprlang.evaluate(lam.expr(chart_id), env))
+
+
+def _checked_state(lam, seg, t):
+    x = _positions(seg.exprs, t)
+    if not lam.atlas.contains(seg.chart_id, x):
+        raise ChartScheduleError(f"curve leaves chart {seg.chart_id} at t={t} (x={x})")
+    return x, _derivatives(seg.exprs, t, "d1")
+
+
+def _junction_offsets(lam, seg, nxt):
+    if nxt is None or nxt.chart_id == seg.chart_id:
+        return 0.0
+    x_end = _positions(seg.exprs, seg.t1)
+    return lam.atlas.gauge_offset(x_end, seg.chart_id, nxt.chart_id)
+
+
+def _segment_counts(curve, count):
+    span = curve.t_end - curve.t_start
+    segs = list(curve.segments)
+    for seg, nxt in zip(segs, segs[1:] + [None]):
+        yield seg, nxt, max(1, round(count * (seg.t1 - seg.t0) / span))
+
+
+def reference_quadrature(lam, curve, panels):
+    """Gauge-fixed Simpson action, node by node."""
+    total = 0.0
+    for seg, nxt, k in _segment_counts(curve, panels):
+        def f(t, seg=seg):
+            return _lagrangian(lam, seg.chart_id, *_checked_state(lam, seg, t))
+
+        total += simpson_panels(f, seg.t0, seg.t1, k)
+        total -= _junction_offsets(lam, seg, nxt)
+    return total
+
+
+def reference_lift(lam, curve, steps):
+    """Gauge-fixed RK4 lift s' = L(gamma, dgamma/dt), step by step."""
+    s = 0.0
+    for seg, nxt, k in _segment_counts(curve, steps):
+        h = (seg.t1 - seg.t0) / k
+
+        def rate(t, seg=seg):
+            return _lagrangian(lam, seg.chart_id, *_checked_state(lam, seg, t))
+
+        for j in range(k):
+            t = seg.t0 + j * h
+            t_next = seg.t1 if j == k - 1 else t + h
+            s += (h / 6.0) * (rate(t) + 4.0 * rate(0.5 * (t + t_next)) + rate(t_next))
+        s -= _junction_offsets(lam, seg, nxt)
+    return s
+
+
+def reference_derivative(lam, curve, w, eps, panels):
+    """Central difference of reference_quadrature along gamma + s*w."""
+    return (
+        reference_quadrature(lam, perturbed_curve(curve, w, eps), panels)
+        - reference_quadrature(lam, perturbed_curve(curve, w, -eps), panels)
+    ) / (2.0 * eps)
+
+
+def reference_pairing(lam, curve, w, panels, backend="numpy"):
+    """Boundary terms plus the Simpson bulk of <E, w>, node by node, with
+    the pointwise euler_lagrange and legendre operators."""
+    bulk = 0.0
+    for seg, _nxt, k in _segment_counts(curve, panels):
+        def f(t, seg=seg):
+            x, v = _checked_state(lam, seg, t)
+            q = SecondOrderPoint.of(x, v, _derivatives(seg.exprs, t, "d12"))
+            e = euler_lagrange(lam, q, seg.chart_id, backend)
+            return float(np.dot(e.p, _positions(w.exprs, t)))
+
+        bulk += simpson_panels(f, seg.t0, seg.t1, k)
+
+    def boundary(seg, t):
+        p = legendre(lam, _positions(seg.exprs, t), _derivatives(seg.exprs, t, "d1"),
+                     seg.chart_id, backend)
+        return float(np.dot(p.p, _positions(w.exprs, t)))
+
+    first, last = curve.segments[0], curve.segments[-1]
+    return boundary(last, last.t1) - boundary(first, first.t0) + bulk

@@ -11,8 +11,17 @@ from avcalc.action import (
     variation_pairing,
 )
 from avcalc.affine import affine_scalar_diff
-from avcalc.dynamics import GaugeClassLagrangian
-from avcalc.geometry import CurveSpec, euclidean_atlas
+from avcalc.dynamics import GaugeClassLagrangian, gauge_shift
+from avcalc.errors import ChartScheduleError, DomainError
+from avcalc.geometry import CurveSpec, circle_atlas, euclidean_atlas
+from avcalc.systems import bundled_system, bundled_system_names
+
+from helpers_reference import (
+    reference_derivative,
+    reference_lift,
+    reference_pairing,
+    reference_quadrature,
+)
 
 BACKEND = "numpy"
 
@@ -107,3 +116,94 @@ class TestStationarity:
         assert pair == pytest.approx(-1.0, abs=1e-10)
         fd = variation_derivative(lam, curve, w, panels=500)
         assert fd == pytest.approx(-1.0, abs=1e-8)
+
+
+class TestAgainstScalarOracle:
+    """The batched action layer against the per-node scalar loop, on every
+    bundled system (the circle's curve crosses its chart junction).  300
+    panels give 900 nodes on a one-segment curve, more than one chunk."""
+
+    PANELS = 300
+
+    @pytest.fixture(scope="class", params=bundled_system_names())
+    def system(self, request):
+        return bundled_system(request.param)
+
+    @staticmethod
+    def fields(system):
+        a, b = system.curve.t_start, system.curve.t_end
+        poly = [f"(0.2 - {0.1 * (k + 1)}*t + 0.05*t^2)" for k in range(system.dim)]
+        return [
+            VariationField.from_strings([f"(t-({a}))*(({b})-t)*{p}" for p in poly]),
+            VariationField.from_strings(poly),
+        ]
+
+    def test_quadrature_and_lift(self, system):
+        lam, curve, p = system.lagrangian, system.curve, self.PANELS
+        quad = gauge_fixed_value(action_quadrature(lam, curve, p))
+        lift = gauge_fixed_value(action_lift(lam, curve, p))
+        assert abs(quad - reference_quadrature(lam, curve, p)) <= 1e-12
+        assert abs(lift - reference_lift(lam, curve, p)) <= 1e-12
+
+    def test_pairing(self, system):
+        curve, p = system.curve, self.PANELS
+        shifted = gauge_shift(system.lagrangian, system.chis[0])
+        for lam in (system.lagrangian, shifted):
+            for w in self.fields(system):
+                got = variation_pairing(lam, curve, w, p, BACKEND)
+                assert abs(got - reference_pairing(lam, curve, w, p, BACKEND)) <= 1e-12
+
+    def test_derivative(self, system):
+        lam, curve, p = system.lagrangian, system.curve, self.PANELS
+        for w in self.fields(system):
+            got = variation_derivative(lam, curve, w, 1e-5, p)
+            assert abs(got - reference_derivative(lam, curve, w, 1e-5, p)) <= 1e-9
+
+
+class TestErrorPaths:
+    def test_domain_error_from_every_action_function(self):
+        # |v1| = 2 takes L = -sqrt(1 - v1^2) out of the real domain at every node
+        atlas = euclidean_atlas(1)
+        lam = GaugeClassLagrangian.from_exprs(atlas, "-sqrt(1 - v1^2)")
+        curve = CurveSpec.single("0", ["2*t"], 0.0, 1.0)
+        w = VariationField.from_strings(["t*(1-t)"])
+        calls = [
+            lambda: action_quadrature(lam, curve, 50),
+            lambda: action_lift(lam, curve, 50),
+            lambda: variation_derivative(lam, curve, w, 1e-5, 50),
+            lambda: variation_pairing(lam, curve, w, 50, BACKEND),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"sqrt.* at x1=0\.0, v1=2\.0"):
+                call()
+
+    def test_non_finite_value_without_a_domain_error(self, free):
+        # the interpreter computes inf without complaint; the action may not
+        atlas, _lam, curve = free
+        lam = GaugeClassLagrangian.from_exprs(atlas, "1e400*v1^2")
+        with pytest.raises(DomainError, match=r"non-finite kernel output in .* at x1=0\.0, v1=1\.0"):
+            action_quadrature(lam, curve, 10)
+
+    def test_domain_error_in_curve_derivative(self, free):
+        _atlas, lam, _curve = free
+        curve = CurveSpec.single("0", ["sqrt(t)"], 0.0, 1.0)
+        with pytest.raises(DomainError, match=r"sqrt derivative singular at zero .* at t=0\.0"):
+            action_quadrature(lam, curve, 10)
+
+    def test_curve_leaving_its_chart_mid_segment(self):
+        # chart "0" of the circle covers (-pi, pi); the segment runs on to 4
+        circle = circle_atlas("sin(x1)", winding=1.0)
+        lam = GaugeClassLagrangian.from_exprs(circle, "0.5*v1^2")
+        curve = CurveSpec.single("0", ["t"], 0.0, 4.0)
+        w = VariationField.from_strings(["t*(4-t)"])
+        with pytest.raises(ChartScheduleError) as expected:
+            reference_quadrature(lam, curve, 100)
+        calls = [
+            lambda: action_quadrature(lam, curve, 100),
+            lambda: action_lift(lam, curve, 100),
+            lambda: variation_pairing(lam, curve, w, 100, BACKEND),
+        ]
+        for call in calls:
+            with pytest.raises(ChartScheduleError, match="curve leaves chart 0 at t=3.16") as got:
+                call()
+            assert str(got.value) == str(expected.value)

@@ -125,6 +125,32 @@ class TestCompilation:
         assert "for p_ in range" in numba_src
         assert "for p_ in range" not in numpy_src
 
+    def test_unit_exponent_emits_no_power(self):
+        # _symdiff differentiates x1^2 into 2*x1^1.0; p*(p-1) = 0 there,
+        # so no x1**(p-2) may be computed (it is infinite at x1 = 0)
+        ast = exprlang.parse("x1^1.0*v1")
+        assert "**" not in generate_source(ast, ["x1", "v1"], "numpy")
+        vals = np.array([[0.0, 2.0]])
+        with np.errstate(all="raise"):
+            out = eval_batch(compile_field(ast, ["x1", "v1"], "numpy"), vals, np.ones((1, 2)), np.ones((1, 2)))
+        assert out[0].tolist() == [0.0, 2.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_finite_constant(self, backend):
+        # 1e400 parses to inf; the source must spell it so that it executes
+        ast = exprlang.parse("1e400*x1 - 1e400")
+        src = generate_source(ast, ["x1"], backend)
+        ns = {"math": math, "np": np}
+        exec(src, ns)
+        vals, seeds = np.array([[2.0], [-1.0]]), np.ones((2, 1))
+        with np.errstate(invalid="ignore"):  # inf - inf at x1 = 2
+            out = eval_batch(ns["_kernel"], vals, seeds, seeds)
+            if backend == "numpy":
+                compiled = eval_batch(compile_field(ast, ["x1"], backend), vals, seeds, seeds)
+                assert np.array_equal(compiled, out, equal_nan=True)
+        assert math.isnan(out[0, 0]) and out[1, 0] == -math.inf
+        assert out[0, 1] == math.inf and out[1, 1] == math.inf
+
     def test_constant_expression(self):
         kernel = compile_field(exprlang.parse("2.5"), VARNAMES, "numpy")
         out = eval_batch(kernel, np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3)))

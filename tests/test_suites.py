@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from avcalc import suites
@@ -35,6 +38,16 @@ class TestIndividualSuites:
     def test_consistency_suite(self):
         results = suites.consistency_suite(bundled_system("free"))
         assert results and all(r.passed for r in results)
+
+    def test_nan_defect_fails_the_check(self):
+        # the shift by sqrt(x1) has no real EL covector at x1 < 0; the
+        # suite must report that NaN, not drop it in its running maximum
+        system = bundled_system("free")
+        system.chis = ("sqrt(x1)",)
+        with np.errstate(invalid="ignore"):
+            (result,) = suites.gauge_el_suite(system, points=20)
+        assert math.isnan(result.defect)
+        assert not result.passed
 
     def test_suites_skip_when_inputs_missing(self):
         system = bundled_system("free")
