@@ -9,6 +9,7 @@ numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -204,8 +205,9 @@ def cmd_check_gauge(args) -> int:
     )
     results = suites.gauge_el_suite(probe, points=args.points, tol=args.tol_el)
     results += suites.legendre_suite(probe, tol=args.tol_legendre)
-    results += suites.trajectory_gauge_suite(probe, tol=args.tol_trajectory, backend=args.backend)
-    return _print_results(results)
+    code = _print_results(results)  # shown even if the trajectory suite raises
+    traj = suites.trajectory_gauge_suite(probe, tol=args.tol_trajectory, backend=args.backend)
+    return max(code, _print_results(traj))
 
 
 def cmd_check_all(args) -> int:
@@ -219,6 +221,26 @@ def cmd_check_all(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
+
+def _checked(convert, ok, what: str):
+    """argparse `type=` that rejects, as a usage error, text that does
+    not convert or whose value fails `ok`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a positive number")
+
 
 def _add_system(p, required=True):
     p.add_argument("--system", required=required, help="config file or bundled system name")
@@ -253,37 +275,37 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--v0", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
+    p.add_argument("--steps", type=_positive_int, default=1000)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.set_defaults(run=cmd_integrate)
 
     p = sub.add_parser("action", help="both action constructions and their difference")
     _add_system(p)
     p.add_argument("--curve", default=None, help="per-coordinate expressions in t, ';'-separated")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--panels", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
+    p.add_argument("--panels", type=_positive_int, default=1000)
+    p.add_argument("--steps", type=_positive_int, default=1000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(run=cmd_action)
 
     p = sub.add_parser("variation", help="FD action derivative vs the boundary+bulk pairing")
     _add_system(p)
     p.add_argument("--curve", default=None)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
     p.add_argument("--w", required=True, help="variation field expressions in t, ';'-separated")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--panels", type=int, default=1000)
+    p.add_argument("--eps", type=_positive_float, default=1e-5)
+    p.add_argument("--panels", type=_positive_int, default=1000)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(run=cmd_variation)
 
     p = sub.add_parser("check-gauge", help="gauge-invariance suite for a gauge function")
     _add_system(p)
     p.add_argument("--chi", default=None, help="gauge function of x1..xn")
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_positive_int, default=100)
     p.add_argument("--tol-el", type=float, default=1e-9)
     p.add_argument("--tol-legendre", type=float, default=1e-12)
     p.add_argument("--tol-trajectory", type=float, default=1e-9)

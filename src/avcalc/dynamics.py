@@ -181,9 +181,9 @@ class _ChartEngine:
         self.varnames = lagrangian_varnames(dim)
         self.kernel = compile_field(ast, self.varnames, backend)
         eye = np.eye(m)
-        # rows: n gradient-in-x, n velocity rows (shared by momentum,
-        # EL contraction, and the velocity-Hessian columns)
-        self._d1_el = np.vstack([eye[:dim], eye[dim:]])
+        # EL seeds per point: n gradient-in-x rows, then n velocity rows
+        # (the momenta use the velocity rows alone)
+        self._d1_el = eye
         # solve layout: n x-gradient rows, n C.v rows, n*n Hessian rows
         d1_solve = [eye[:dim], eye[dim:]]
         d2_solve = [np.zeros((dim, m)), np.zeros((dim, m))]  # d2 of C rows filled per call
@@ -192,31 +192,6 @@ class _ChartEngine:
             d2_solve.append(np.tile(eye[dim + jcol], (dim, 1)))
         self._d1_solve = np.ascontiguousarray(np.vstack(d1_solve))
         self._d2_solve_fixed = np.vstack(d2_solve)
-
-    def _point_rows(self, x, v, k):
-        row = np.concatenate([x, v])
-        vals = np.empty((k, self.m))
-        vals[:] = row
-        return vals
-
-    def gradient(self, x, v):
-        """(dL/dx, dL/dv) at (x, v)."""
-        n, m = self.n, self.m
-        vals = self._point_rows(x, v, m)
-        out = np.empty((m, 4))
-        self.kernel(vals, np.eye(m), np.zeros((m, m)), out)
-        return out[:n, 1].copy(), out[n:, 1].copy()
-
-    def el_covector(self, x, v, a) -> np.ndarray:
-        """E_i = dL/dx_i - d/dt(dL/dv_i) along the second-order data."""
-        n, m = self.n, self.m
-        k = 2 * n
-        vals = self._point_rows(x, v, k)
-        d2 = np.zeros((k, m))
-        d2[n:] = np.concatenate([v, a])
-        out = np.empty((k, 4))
-        self.kernel(vals, self._d1_el, d2, out)
-        return out[:n, 1] - out[n:, 3]
 
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one probe per point."""
@@ -227,8 +202,8 @@ class _ChartEngine:
         return out
 
     def el_covectors(self, xs, vs, accs) -> np.ndarray:
-        """el_covector at every point (xs[i], vs[i], accs[i]), in the
-        same 2n-probe layout per point."""
+        """E_i = dL/dx_i - d/dt(dL/dv_i) at every point (xs[i], vs[i],
+        accs[i]): 2n probes per point."""
         n, m, k = self.n, self.m, 2 * self.n
         points = xs.shape[0]
         vals = np.repeat(np.hstack([xs, vs]), k, axis=0)
@@ -241,25 +216,37 @@ class _ChartEngine:
         require_finite(e, self.ast, self.varnames, vals, d1, d2, k)
         return e
 
-    def momentum(self, x, v) -> np.ndarray:
-        n, m = self.n, self.m
-        vals = self._point_rows(x, v, n)
-        out = np.empty((n, 4))
-        self.kernel(vals, np.eye(m)[n:].copy(), np.zeros((n, m)), out)
-        return out[:, 1].copy()
+    def momenta(self, xs, vs) -> np.ndarray:
+        """p_i = dL/dv_i at every point (xs[i], vs[i]): n probes per
+        point."""
+        n = self.n
+        points = xs.shape[0]
+        vals = np.repeat(np.hstack([xs, vs]), n, axis=0)
+        d1 = np.tile(self._d1_el[n:], (points, 1))
+        d2 = np.zeros_like(vals)
+        p = eval_chunked(self.kernel, vals, d1, d2)[:, 1].reshape(points, n)
+        require_finite(p, self.ast, self.varnames, vals, d1, d2, n)
+        return p
 
     def solve_terms(self, x, v):
-        """(dL/dx, (d2L/dv dx) . v, velocity Hessian M) at (x, v)."""
+        """(dL/dx, (d2L/dv dx) . v, velocity Hessian M) at (x, v): the
+        unbatched primitive of the sequential RK4 step.  A non-finite
+        term raises DomainError naming the expression and the point."""
         n, m = self.n, self.m
         k = 2 * n + n * n
-        vals = self._point_rows(x, v, k)
+        vals = np.empty((k, m))
+        vals[:] = np.concatenate([x, v])
         d2 = self._d2_solve_fixed.copy()
         d2[n: 2 * n, :n] = v
         out = np.empty((k, 4))
         self.kernel(vals, self._d1_solve, d2, out)
-        gx = out[:n, 1].copy()
-        cv = out[n: 2 * n, 3].copy()
-        hess = out[2 * n:, 3].reshape(n, n).T.copy()  # column j from block j
+        terms = out[:, 3].copy()
+        terms[:n] = out[:n, 1]
+        if not np.isfinite(terms).all():
+            require_finite(terms[None], self.ast, self.varnames, vals, self._d1_solve, d2, k)
+        gx = terms[:n]
+        cv = terms[n: 2 * n]
+        hess = terms[2 * n:].reshape(n, n).T  # column j from block j
         return gx, cv, hess
 
 
@@ -272,8 +259,8 @@ def euler_lagrange(
     """Evaluate the Euler-Lagrange covector at second-order data q."""
     eng = lam.engine(chart_id, backend)
     x = np.asarray(q.x, float)
-    e = eng.el_covector(x, np.asarray(q.v, float), np.asarray(q.a, float))
-    return Covector(tuple(x), tuple(e))
+    e = eng.el_covectors(x[None], np.asarray(q.v, float)[None], np.asarray(q.a, float)[None])
+    return Covector(tuple(x), tuple(e[0]))
 
 
 def legendre(
@@ -282,14 +269,12 @@ def legendre(
     """Momentum map p_i = dL/dv_i in the given trivialization."""
     eng = lam.engine(chart_id, backend)
     x = np.asarray(x, float)
-    p = eng.momentum(x, np.asarray(v, float))
-    return AffineCovector(chart_id, tuple(x), tuple(p))
+    p = eng.momenta(x[None], np.asarray(v, float)[None])
+    return AffineCovector(chart_id, tuple(x), tuple(p[0]))
 
 
 def _accelerations(eng: _ChartEngine, x, v, f) -> np.ndarray:
     gx, cv, hess = eng.solve_terms(x, v)
-    if not np.all(np.isfinite(hess)):
-        raise SingularLagrangianError("velocity Hessian has non-finite entries")
     cond = np.linalg.cond(hess)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SingularLagrangianError(
@@ -329,6 +314,8 @@ def integrate_trajectory(
     """Fixed-step classical RK4 on (x' = v, v' = solve_accelerations)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}")
     if chart_id is None:
         chart_id = lam.atlas.charts[0].id
     eng = lam.engine(chart_id, backend)

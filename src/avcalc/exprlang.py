@@ -242,21 +242,24 @@ def _pow(base, exponent):
         except (ValueError, OverflowError) as exc:
             raise DomainError(str(exc)) from exc
     # autodiff (or mixed) scalars implement their own domain checks
-    return base ** exponent
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise DomainError(f"pow: {exc}") from exc
 
 
 def _apply(name, args):
     if name == "pow":
         return _pow(args[0], args[1])
     x = args[0]
-    if _is_real(x):
-        try:
-            return _REAL_UNARY[name](x)
-        except ValueError as exc:
-            raise DomainError(f"{name}: {exc}") from exc
     if name == "abs":
         return abs(x)
-    return getattr(x, name)()
+    try:
+        if _is_real(x):
+            return _REAL_UNARY[name](x)
+        return getattr(x, name)()
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{name}: {exc}") from exc
 
 
 def evaluate(ast: ExprAst, env: dict):

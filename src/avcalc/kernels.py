@@ -164,10 +164,14 @@ class _Emitter:
             return x
         lx = _lit(x)
         if lx is not None:
+            # a constant power with no real value is NaN, one too large
+            # is +-inf; checked callers turn either into a DomainError
             try:
                 return _num(math.pow(lx, p))
-            except (ValueError, OverflowError):
-                x = f"({x})"  # out of the real domain: left to runtime
+            except ValueError:
+                return _num(math.nan)
+            except OverflowError:
+                return _num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
         if p == 2.0:
             return self.tmp(f"{x} * {x}")
         return self.tmp(f"{x} ** ({_num(p)})")
@@ -337,7 +341,11 @@ def generate_source(ast: ExprAst, varnames, backend: str) -> str:
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
 
-_CACHE = {}
+# compile_field keeps at most CACHE_SIZE kernels and evicts the least
+# recently used.  Engines hold their own kernel, so an eviction never
+# recompiles a kernel that an engine still uses.
+CACHE_SIZE = 256
+_CACHE = {}  # key -> kernel, in order of last use
 
 
 def compile_field(ast: ExprAst, varnames, backend: str = None):
@@ -345,16 +353,17 @@ def compile_field(ast: ExprAst, varnames, backend: str = None):
 
     Returns kernel(vals, d1, d2, out); see the module docstring for the
     array contract.  Compiled kernels are cached per (expression,
-    variable layout, backend).  Raises BackendUnavailableError for
-    "numba" when numba does not import.
+    variable layout, backend), at most CACHE_SIZE of them.  Raises
+    BackendUnavailableError for "numba" when numba does not import.
     """
     if backend is None:
         backend = default_backend()
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend '{backend}'")
     key = (to_text(ast), tuple(varnames), backend)
-    fn = _CACHE.get(key)
+    fn = _CACHE.pop(key, None)
     if fn is not None:
+        _CACHE[key] = fn  # now the most recently used
         return fn
     if backend == "numba" and not _HAVE_NUMBA:
         raise BackendUnavailableError(backend)
@@ -364,6 +373,8 @@ def compile_field(ast: ExprAst, varnames, backend: str = None):
     fn = ns["_kernel"]
     if backend == "numba":
         fn = numba.njit(cache=False)(fn)
+    if len(_CACHE) >= CACHE_SIZE:
+        del _CACHE[next(iter(_CACHE))]  # the least recently used
     _CACHE[key] = fn
     return fn
 

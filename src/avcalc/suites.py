@@ -2,11 +2,13 @@
 
 Each suite function takes a System and returns CheckResults carrying
 the measured worst defect and the tolerance it was held to.  Sweep
-suites (many small evaluations) default to the numpy backend to avoid
-JIT warm-up; trajectory suites use the configured default backend.
+suites draw all their samples first and make one batched chart-engine
+call per Lagrangian; they default to the numpy backend to avoid JIT
+warm-up.  Trajectory suites use the configured default backend.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +24,11 @@ from .action import (
 from .affine import affine_scalar_diff, box_minus
 from .dynamics import (
     GaugeClassLagrangian,
-    SecondOrderPoint,
-    euler_lagrange,
     gauge_shift,
     integrate_trajectory,
-    legendre,
     solve_accelerations,
 )
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .geometry import (
     ScalarFunction,
     affine_differential,
@@ -41,8 +40,8 @@ from .systems import System, bundled_systems, charged_particle, exact_lagrangian
 
 SEED = 20240811
 
-# Worst defects accumulate with np.maximum, which keeps a NaN defect so
-# that CheckResult.passed fails it; max(0.0, nan) is 0.0.
+# Worst defects are taken with np.max / np.maximum, which keep a NaN
+# defect so that CheckResult.passed fails it; max(0.0, nan) is 0.0.
 
 
 @dataclass
@@ -62,16 +61,25 @@ class CheckResult:
         return f"{status}  {self.name}: defect {self.defect:.3e} (tol {self.tol:.0e}){extra}"
 
 
-def _random_points(system: System, rng, count: int):
-    """(x, v, a) samples in [-1,1]^{3n}, velocities capped by the
-    system's sampling half-width (relativistic representatives need
-    |v| < 1)."""
-    n = system.dim
-    for _ in range(count):
-        x = rng.uniform(-1.0, 1.0, n)
-        v = rng.uniform(-system.v_halfwidth, system.v_halfwidth, n)
-        a = rng.uniform(-1.0, 1.0, n)
-        yield x, v, a
+def _uniform_rows(rng, count: int, halfwidths, n: int) -> np.ndarray:
+    """s[k, i] uniform in [-h_k, h_k]^n for h_k = halfwidths[k]: the
+    values, in stream order, that count loops of rng.uniform(-h_k, h_k, n)
+    for k = 0, 1, ... would draw."""
+    h = np.asarray(halfwidths, float)[None, :, None]
+    u = rng.random((count, len(halfwidths), n))
+    return (-h + (2.0 * h) * u).transpose(1, 0, 2)
+
+
+def _random_points(system: System, rng, count: int) -> np.ndarray:
+    """(x, v, a) arrays of shape (count, n) in [-1,1]^{3n}, velocities
+    capped by the system's sampling half-width (relativistic
+    representatives need |v| < 1)."""
+    return _uniform_rows(rng, count, (1.0, system.v_halfwidth, 1.0), system.dim)
+
+
+def _worst(diff) -> float:
+    """Largest |entry|; NaN if any entry is NaN, 0.0 if there is none."""
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def _shifted(system: System, chi: str) -> GaugeClassLagrangian:
@@ -120,16 +128,15 @@ def gauge_el_suite(
     chart = system.default_chart()
     results = []
     for chi in system.chis:
-        shifted = _shifted(system, chi)
-        worst = 0.0
-        for x, v, a in _random_points(system, rng, points):
-            q = SecondOrderPoint.of(x, v, a)
-            e0 = np.asarray(euler_lagrange(system.lagrangian, q, chart, backend).p)
-            e1 = np.asarray(euler_lagrange(shifted, q, chart, backend).p)
-            worst = np.maximum(worst, float(np.max(np.abs(e1 - e0))))
-        results.append(
-            CheckResult(f"{system.name}: EL gauge invariance, chi={chi}", worst, tol)
-        )
+        name = f"{system.name}: EL gauge invariance, chi={chi}"
+        x, v, a = _random_points(system, rng, points)
+        try:
+            e0 = system.lagrangian.engine(chart, backend).el_covectors(x, v, a)
+            e1 = _shifted(system, chi).engine(chart, backend).el_covectors(x, v, a)
+        except DomainError as exc:
+            results.append(CheckResult(name, math.nan, tol, str(exc)))
+            continue
+        results.append(CheckResult(name, _worst(e1 - e0), tol))
     return results
 
 
@@ -143,28 +150,25 @@ def legendre_suite(
     n = system.dim
     results = []
     for chi in system.chis:
-        shifted = _shifted(system, chi)
-        fn = _chi_fn(system, chi)
-        worst_shift = 0.0
-        worst_vdep = 0.0
-        for _ in range(points):
-            x = rng.uniform(-1.0, 1.0, n)
-            dchi = fn.grad(x, chart)
-            diffs = []
-            for _ in range(vels):
-                v = rng.uniform(-system.v_halfwidth, system.v_halfwidth, n)
-                p0 = np.asarray(legendre(system.lagrangian, x, v, chart, backend).p)
-                p1 = np.asarray(legendre(shifted, x, v, chart, backend).p)
-                diffs.append(p1 - p0)
-            diffs = np.asarray(diffs)
-            worst_shift = np.maximum(worst_shift, float(np.max(np.abs(diffs - dchi))))
-            worst_vdep = np.maximum(worst_vdep, float(np.max(np.abs(diffs - diffs[0]))))
-        results.append(
-            CheckResult(f"{system.name}: Legendre shift = d(chi), chi={chi}", worst_shift, tol)
+        names = (
+            f"{system.name}: Legendre shift = d(chi), chi={chi}",
+            f"{system.name}: Legendre shift v-independent, chi={chi}",
         )
-        results.append(
-            CheckResult(f"{system.name}: Legendre shift v-independent, chi={chi}", worst_vdep, tol)
-        )
+        # per point: x, then `vels` velocities at x
+        x, *v = _uniform_rows(rng, points, (1.0,) + (system.v_halfwidth,) * vels, n)
+        xs = np.repeat(x, vels, axis=0)
+        vs = np.stack(v, axis=1).reshape(points * vels, n)
+        try:
+            p0 = system.lagrangian.engine(chart, backend).momenta(xs, vs)
+            p1 = _shifted(system, chi).engine(chart, backend).momenta(xs, vs)
+            fn = _chi_fn(system, chi)  # the Hyperdual gradient is the reference
+            dchi = np.array([fn.grad(xi, chart) for xi in x]).reshape(points, 1, n)
+        except DomainError as exc:
+            results += [CheckResult(name, math.nan, tol, str(exc)) for name in names]
+            continue
+        diffs = (p1 - p0).reshape(points, vels, n)
+        results.append(CheckResult(names[0], _worst(diffs - dchi), tol))
+        results.append(CheckResult(names[1], _worst(diffs - diffs[:, :1]), tol))
     return results
 
 
@@ -174,15 +178,11 @@ def consistency_suite(
     """euler_lagrange at the solved accelerations reproduces the forcing."""
     rng = np.random.default_rng(SEED + 2)
     chart = system.default_chart()
-    worst = 0.0
-    for x, v, _a in _random_points(system, rng, points):
-        f = rng.uniform(-1.0, 1.0, system.dim)
-        a = solve_accelerations(system.lagrangian, x, v, f, chart, backend)
-        e = np.asarray(
-            euler_lagrange(system.lagrangian, SecondOrderPoint.of(x, v, a), chart, backend).p
-        )
-        worst = np.maximum(worst, float(np.max(np.abs(e - f))))
-    return [CheckResult(f"{system.name}: forced EL consistency", worst, tol)]
+    lam = system.lagrangian
+    x, v, _a, f = _uniform_rows(rng, points, (1.0, system.v_halfwidth, 1.0, 1.0), system.dim)
+    a = np.array([solve_accelerations(lam, *xvf, chart, backend) for xvf in zip(x, v, f)])
+    e = lam.engine(chart, backend).el_covectors(x, v, a.reshape(x.shape))
+    return [CheckResult(f"{system.name}: forced EL consistency", _worst(e - f), tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +329,10 @@ def newton_suite(points: int = 30, tol: float = 1e-12, backend: str = "numpy"):
         atlas, "0.5*m*(v1^2+v2^2) - (sin(x1) + 0.5*x2^2)", {"m": m}
     )
     rng = np.random.default_rng(SEED + 6)
-    worst = 0.0
-    for _ in range(points):
-        x = rng.uniform(-1.0, 1.0, 2)
-        v = rng.uniform(-1.0, 1.0, 2)
-        a = rng.uniform(-1.0, 1.0, 2)
-        e = np.asarray(euler_lagrange(lam, SecondOrderPoint.of(x, v, a), "0", backend).p)
-        hand = np.array([-np.cos(x[0]) - m * a[0], -x[1] - m * a[1]])
-        worst = np.maximum(worst, float(np.max(np.abs(e - hand))))
-    return [CheckResult("newton: EL matches hand formula", worst, tol)]
+    x, v, a = _uniform_rows(rng, points, (1.0, 1.0, 1.0), 2)
+    e = lam.engine("0", backend).el_covectors(x, v, a)
+    hand = np.stack([-np.cos(x[:, 0]) - m * a[:, 0], -x[:, 1] - m * a[:, 1]], axis=1)
+    return [CheckResult("newton: EL matches hand formula", _worst(e - hand), tol)]
 
 
 def uniform_field_regression(tol: float = 1e-10, backend: str = None):
@@ -390,12 +385,9 @@ def galilean_suite(points: int = 50, el_tol: float = 1e-12, traj_tol: float = 1e
     free = free_particle()
     boosted = boosted_free()
     rng = np.random.default_rng(SEED + 7)
-    worst = 0.0
-    for x, v, a in _random_points(free, rng, points):
-        q = SecondOrderPoint.of(x, v, a)
-        e0 = np.asarray(euler_lagrange(free.lagrangian, q, "0", "numpy").p)
-        e1 = np.asarray(euler_lagrange(boosted.lagrangian, q, "0", "numpy").p)
-        worst = np.maximum(worst, float(np.max(np.abs(e1 - e0))))
+    x, v, a = _random_points(free, rng, points)
+    e0 = free.lagrangian.engine("0", "numpy").el_covectors(x, v, a)
+    e1 = boosted.lagrangian.engine("0", "numpy").el_covectors(x, v, a)
     x0, v0 = np.array([0.1, -0.2]), np.array([0.4, 0.3])
     tr0 = integrate_trajectory(free.lagrangian, x0, v0, 0.0, 1.0, 1000, backend=backend)
     tr1 = integrate_trajectory(boosted.lagrangian, x0, v0, 0.0, 1.0, 1000, backend=backend)
@@ -404,7 +396,7 @@ def galilean_suite(points: int = 50, el_tol: float = 1e-12, traj_tol: float = 1e
         float(np.max(np.abs(tr0.velocities - tr1.velocities))),
     )
     return [
-        CheckResult("galilean: identical EL outputs", worst, el_tol),
+        CheckResult("galilean: identical EL outputs", _worst(e1 - e0), el_tol),
         CheckResult("galilean: identical trajectories", traj, traj_tol),
     ]
 

@@ -62,6 +62,24 @@ def reference_eval(ast, env):
 _FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs"]
 
 
+def hyperdual_reference(ast, varnames, vals, d1, d2):
+    """Kernel output layout computed row by row through the interpreter
+    on Hyperdual scalars: row p evaluates at vals[p] with seeds d1[p],
+    d2[p]."""
+    out = np.empty((vals.shape[0], 4))
+    for p in range(vals.shape[0]):
+        env = {
+            name: Hyperdual(vals[p, j], d1[p, j], d2[p, j])
+            for j, name in enumerate(varnames)
+        }
+        r = exprlang.evaluate(ast, env)
+        if isinstance(r, Hyperdual):
+            out[p] = (r.val, r.d1, r.d2, r.d12)
+        else:
+            out[p] = (r, 0.0, 0.0, 0.0)
+    return out
+
+
 def _random_ast(rng, varnames, depth):
     if depth <= 0 or rng.random() < 0.25:
         if rng.random() < 0.5:

@@ -99,6 +99,20 @@ class TestExitCodes:
         result = run_cli("frobnicate")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "--x0", "0,0", "--v0", "1,0", "--steps", "0"], "--steps: must be a positive integer"),
+        (["integrate", "--x0", "0,0", "--v0", "1,0", "--t1", "nan"], "--t1: must be a finite number"),
+        (["action", "--panels", "0"], "--panels: must be a positive integer"),
+        (["action", "--steps", "-1"], "--steps: must be a positive integer"),
+        (["variation", "--w", "t;t", "--eps", "0"], "--eps: must be a positive number"),
+        (["check-gauge", "--points", "0"], "--points: must be a positive integer"),
+    ])
+    def test_bad_numeric_argument_is_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--system", "free", "--backend", "numpy", *argv[1:]])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_config_is_1(self, capsys):
         code = main(["el", "--system", "no-such.cfg", "--x", "0", "--v", "0", "--a", "0"])
         assert code == 1

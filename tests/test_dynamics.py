@@ -9,11 +9,15 @@ from avcalc.dynamics import (
     euler_lagrange,
     gauge_shift,
     integrate_trajectory,
+    lagrangian_varnames,
     legendre,
     solve_accelerations,
 )
-from avcalc.errors import ChartExitError, SingularLagrangianError, ValidationError
+from avcalc.errors import ChartExitError, DomainError, SingularLagrangianError, ValidationError
 from avcalc.geometry import Atlas, Chart, circle_atlas, euclidean_atlas
+from avcalc.systems import bundled_system, bundled_system_names
+
+from helpers_reference import hyperdual_reference
 
 BACKEND = "numpy"  # unit tests stay off the JIT path; parity is covered in test_kernels
 
@@ -86,6 +90,65 @@ class TestLegendre:
         assert p1_converted.p[0] == pytest.approx(p1_direct.p[0], abs=1e-14)
 
 
+class TestBatchedOperators:
+    """el_covectors and momenta over a seeded cloud equal a point-by-point
+    evaluation of the same derivatives by the interpreter on Hyperdual
+    scalars."""
+
+    POINTS = 600  # more than kernels.CHUNK probes in each layout, also at n = 1
+
+    @pytest.mark.parametrize("name", bundled_system_names())
+    def test_match_hyperdual_reference(self, name):
+        system = bundled_system(name)
+        n, chart = system.dim, system.default_chart()
+        ast = system.lagrangian.expr(chart)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (self.POINTS, n))
+        v = rng.uniform(-system.v_halfwidth, system.v_halfwidth, (self.POINTS, n))
+        a = rng.uniform(-1.0, 1.0, (self.POINTS, n))
+        ref_e, ref_p = [], []
+        for xi, vi, ai in zip(x, v, a):
+            # E_i: d/dx_i, minus the mixed derivative along (v, a) of d/dv_i
+            d2 = np.zeros((2 * n, 2 * n))
+            d2[n:] = np.concatenate([vi, ai])
+            vals = np.tile(np.concatenate([xi, vi]), (2 * n, 1))
+            out = hyperdual_reference(ast, lagrangian_varnames(n), vals, np.eye(2 * n), d2)
+            ref_e.append(out[:n, 1] - out[n:, 3])
+            ref_p.append(out[n:, 1])
+        eng = system.lagrangian.engine(chart, BACKEND)
+        assert np.max(np.abs(eng.el_covectors(x, v, a) - ref_e)) <= 1e-12
+        assert np.max(np.abs(eng.momenta(x, v) - ref_p)) <= 1e-12
+
+
+class TestDomainContract:
+    """Leaving the real domain raises DomainError naming the reason, the
+    expression and the point, on every operator."""
+
+    SQRT = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 + sqrt(x1)")
+    SQRT_MESSAGE = r"sqrt of a negative value in .*sqrt\(x1\)\) at x1=-1\.0, v1=0\.5"
+
+    def test_euler_lagrange(self):
+        with pytest.raises(DomainError, match=self.SQRT_MESSAGE):
+            euler_lagrange(self.SQRT, q_of([-1.0], [0.5], [0.0]), "0", BACKEND)
+
+    def test_legendre(self):
+        with pytest.raises(DomainError, match=self.SQRT_MESSAGE):
+            legendre(self.SQRT, [-1.0], [0.5], "0", BACKEND)
+
+    def test_solve_accelerations(self):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=self.SQRT_MESSAGE):
+            solve_accelerations(self.SQRT, [-1.0], [0.5], backend=BACKEND)
+
+    def test_relativistic_beyond_light_speed(self):
+        # sqrt(1 - |v|^2) has no real value at |v| = 1.2: a domain error,
+        # not a singular velocity Hessian
+        lam = bundled_system("relativistic").lagrangian
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DomainError, match=r"sqrt of a negative value in .* at x1=0\.0, x2=0\.0, v1=1\.2, v2=0\.0"
+        ):
+            solve_accelerations(lam, [0.0, 0.0], [1.2, 0.0], backend=BACKEND)
+
+
 class TestSolve:
     def test_lorentz_force(self):
         lam = GaugeClassLagrangian.from_exprs(
@@ -132,6 +195,12 @@ class TestTrajectories:
         lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*v1^2")
         with pytest.raises(ChartExitError):
             integrate_trajectory(lam, [0.0], [1.0], 0.0, 2.0, 100, backend=BACKEND)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
+    def test_non_finite_interval_rejected(self, t0, t1):
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_trajectory(lam, [0.0], [1.0], t0, t1, 10, backend=BACKEND)
 
     def test_forcing_callable(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from avcalc import exprlang
+from avcalc.autodiff import Hyperdual
 from avcalc.errors import (
     DomainError,
     ExprSyntaxError,
@@ -75,6 +76,14 @@ class TestErrors:
     def test_domain_errors(self, expr):
         with pytest.raises(DomainError):
             ev(expr)
+
+
+    @pytest.mark.parametrize("expr", ["exp(x1)", "exp(x1)^2", "10^x1"])
+    def test_overflow_is_a_domain_error(self, expr):
+        with pytest.raises(DomainError):
+            ev(expr, x1=1000.0)
+        with pytest.raises(DomainError):
+            exprlang.evaluate(exprlang.parse(expr), {"x1": Hyperdual(1000.0, 1.0)})
 
 
 class TestIntrospection:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from avcalc import exprlang, kernels
-from avcalc.autodiff import Hyperdual
 from avcalc.cli import main
-from avcalc.errors import BackendUnavailableError
+from avcalc.dynamics import GaugeClassLagrangian, SecondOrderPoint, euler_lagrange
+from avcalc.errors import BackendUnavailableError, DomainError
+from avcalc.geometry import euclidean_atlas
 from avcalc.kernels import (
     BACKENDS,
     compile_field,
@@ -16,7 +17,7 @@ from avcalc.kernels import (
     generate_source,
 )
 
-from helpers_reference import random_cases
+from helpers_reference import hyperdual_reference, random_cases
 
 VARNAMES = ["x1", "x2", "x3"]
 AGREE_EXPR = "sin(x1)*cos(x2) + exp(-x3^2)*x1 + sqrt(x2)/x3"
@@ -25,22 +26,6 @@ AGREE_EXPR = "sin(x1)*cos(x2) + exp(-x3^2)*x1 + sqrt(x2)/x3"
 # numba which is installed but fails to import still fails these tests.
 HAVE_NUMBA_PACKAGE = importlib.util.find_spec("numba") is not None
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA_PACKAGE, reason="numba not installed")
-
-
-def hyperdual_reference(ast, vals, d1, d2):
-    """Row-by-row evaluation through the Hyperdual scalar type."""
-    out = np.empty((vals.shape[0], 4))
-    for p in range(vals.shape[0]):
-        env = {
-            name: Hyperdual(vals[p, j], d1[p, j], d2[p, j])
-            for j, name in enumerate(VARNAMES)
-        }
-        r = exprlang.evaluate(ast, env)
-        if isinstance(r, Hyperdual):
-            out[p] = (r.val, r.d1, r.d2, r.d12)
-        else:
-            out[p] = (r, 0.0, 0.0, 0.0)
-    return out
 
 
 def probe_batch(rng, k):
@@ -69,7 +54,7 @@ class TestBackendEquivalence:
         for ast, _env in random_cases(60, varnames=VARNAMES, depth=4, seed=11):
             vals, d1, d2 = probe_batch(rng, 6)
             try:
-                expected = hyperdual_reference(ast, vals, d1, d2)
+                expected = hyperdual_reference(ast, VARNAMES, vals, d1, d2)
             except Exception:
                 continue
             if not np.all(np.isfinite(expected)) or np.max(np.abs(expected)) > 1e8:
@@ -151,11 +136,50 @@ class TestCompilation:
         assert math.isnan(out[0, 0]) and out[1, 0] == -math.inf
         assert out[0, 1] == math.inf and out[1, 1] == math.inf
 
+    @pytest.mark.parametrize("expr, value, reason", [
+        ("(-2)^0.5*x1", math.nan, "fractional power of a negative base"),
+        ("10^400*x1", math.inf, "math range error"),
+    ])
+    def test_constant_power_without_real_value(self, expr, value, reason):
+        # folded to NaN / inf at compile time, not left to Python's ** (a
+        # complex number, or OverflowError inside the kernel)
+        kernel = compile_field(exprlang.parse(expr), ["x1"], "numpy")
+        with np.errstate(invalid="ignore"):
+            out = eval_batch(kernel, np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+        assert np.array_equal(out[0, :1], [value], equal_nan=True)
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), f"0.5*v1^2 + {expr}")
+        q = SecondOrderPoint.of([1.0], [0.0], [0.0])
+        with pytest.raises(DomainError, match=rf"{reason} in .* at x1=1\.0, v1=0\.0"):
+            euler_lagrange(lam, q, "0", "numpy")
+
     def test_constant_expression(self):
         kernel = compile_field(exprlang.parse("2.5"), VARNAMES, "numpy")
         out = eval_batch(kernel, np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3)))
         assert np.allclose(out[:, 0], 2.5)
         assert np.allclose(out[:, 1:], 0.0)
+
+
+class TestCacheBound:
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CACHE", {})
+
+    def test_least_recently_used_is_evicted(self, empty_cache):
+        size = kernels.CACHE_SIZE
+        asts = [exprlang.parse(f"x1 + {k}") for k in range(size + 3)]
+        first, second = (compile_field(ast, ["x1"], "numpy") for ast in asts[:2])
+        for ast in asts[2:size]:
+            compile_field(ast, ["x1"], "numpy")
+        assert compile_field(asts[0], ["x1"], "numpy") is first  # a hit is a use
+        for ast in asts[size:]:
+            compile_field(ast, ["x1"], "numpy")
+        assert len(kernels._CACHE) == size
+        assert compile_field(asts[0], ["x1"], "numpy") is first
+        again = compile_field(asts[1], ["x1"], "numpy")  # evicted: compiled anew
+        assert again is not second
+        for kernel in (second, again):
+            out = eval_batch(kernel, [[2.0]], [[1.0]], [[0.0]])
+            assert out[0].tolist() == [3.0, 1.0, 0.0, 0.0]
 
 
 class TestDefaultBackend:

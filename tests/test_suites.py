@@ -49,6 +49,17 @@ class TestIndividualSuites:
         assert math.isnan(result.defect)
         assert not result.passed
 
+    def test_domain_error_is_a_failed_legendre_check(self):
+        # momenta of the shift by sqrt(x1) have no real value at x1 < 0
+        system = bundled_system("free")
+        system.chis = ("sqrt(x1)",)
+        results = suites.legendre_suite(system)
+        assert len(results) == 2
+        for result in results:
+            assert math.isnan(result.defect) and not result.passed
+            assert "sqrt of a negative value in" in result.detail
+            assert "FAIL" in result.line() and "at x1=-" in result.line()
+
     def test_suites_skip_when_inputs_missing(self):
         system = bundled_system("free")
         system.curve = None
