@@ -1,8 +1,9 @@
 """Compare the numba and numpy kernel backends.
 
 Two workloads:
-  * trajectory integration (many tiny probe batches inside the RK4
-    loop) -- the case the numba backend exists for;
+  * trajectory integration (one call of the fused acceleration-terms
+    function per RK4 stage: @njit compiled under numba, plain Python
+    under numpy);
   * one large batched kernel evaluation -- where vectorized numpy is
     already competitive.
 

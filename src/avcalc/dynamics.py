@@ -13,7 +13,10 @@ second-order forward-mode evaluation of the chart representative
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -28,7 +31,16 @@ from .errors import (
 )
 from .exprlang import ExprAst
 from .geometry import Atlas, ScalarFunction, _overlap_sample_pairs, low_discrepancy_points
-from .kernels import compile_field, default_backend, eval_chunked, require_finite
+from .kernels import (
+    check_declared,
+    compile_field,
+    compile_solve,
+    default_backend,
+    domain_error,
+    eval_chunked,
+    require_finite,
+    resolve_backend,
+)
 
 MAX_CONDITION = 1e12
 
@@ -170,28 +182,26 @@ def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:
 # Per-chart evaluation engine
 
 class _ChartEngine:
-    """Probe assembly around a compiled kernel for one chart
-    representative L(x1..xn, v1..vn)."""
+    """Compiled evaluation of one chart representative L(x1..xn, v1..vn):
+    probe assembly around a batched kernel for the batched operators, and
+    the fused acceleration terms for the RK4 step.  Each is compiled at
+    its first use, so a caller pays only for the one it needs."""
 
     def __init__(self, ast: ExprAst, dim: int, backend: str):
         self.n = dim
-        m = 2 * dim
-        self.m = m
+        self.m = 2 * dim
         self.ast = ast
         self.varnames = lagrangian_varnames(dim)
-        self.kernel = compile_field(ast, self.varnames, backend)
-        eye = np.eye(m)
-        # EL seeds per point: n gradient-in-x rows, then n velocity rows
-        # (the momenta use the velocity rows alone)
-        self._d1_el = eye
-        # solve layout: n x-gradient rows, n C.v rows, n*n Hessian rows
-        d1_solve = [eye[:dim], eye[dim:]]
-        d2_solve = [np.zeros((dim, m)), np.zeros((dim, m))]  # d2 of C rows filled per call
-        for jcol in range(dim):
-            d1_solve.append(eye[dim:])
-            d2_solve.append(np.tile(eye[dim + jcol], (dim, 1)))
-        self._d1_solve = np.ascontiguousarray(np.vstack(d1_solve))
-        self._d2_solve_fixed = np.vstack(d2_solve)
+        self.backend = resolve_backend(backend)
+        check_declared(ast, self.varnames)
+
+    @cached_property
+    def kernel(self):
+        return compile_field(self.ast, self.varnames, self.backend)
+
+    @cached_property
+    def _terms(self):
+        return compile_solve(self.ast, self.varnames, self.backend)
 
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one probe per point."""
@@ -203,51 +213,52 @@ class _ChartEngine:
 
     def el_covectors(self, xs, vs, accs) -> np.ndarray:
         """E_i = dL/dx_i - d/dt(dL/dv_i) at every point (xs[i], vs[i],
-        accs[i]): 2n probes per point."""
+        accs[i]): 2n probes per point.  L itself must be finite there."""
         n, m, k = self.n, self.m, 2 * self.n
         points = xs.shape[0]
         vals = np.repeat(np.hstack([xs, vs]), k, axis=0)
-        d1 = np.tile(self._d1_el, (points, 1))
+        d1 = np.tile(np.eye(m), (points, 1))
         d2 = np.zeros((points, k, m))
         d2[:, n:] = np.hstack([vs, accs])[:, None, :]
         d2 = d2.reshape(points * k, m)
         out = eval_chunked(self.kernel, vals, d1, d2).reshape(points, k, 4)
-        e = out[:, :n, 1] - out[:, n:, 3]
-        require_finite(e, self.ast, self.varnames, vals, d1, d2, k)
+        with np.errstate(invalid="ignore"):  # inf - inf; reported below
+            e = out[:, :n, 1] - out[:, n:, 3]
+        require_finite(np.column_stack([out[:, 0, 0], e]),
+                       self.ast, self.varnames, vals, d1, d2, k)
         return e
 
     def momenta(self, xs, vs) -> np.ndarray:
         """p_i = dL/dv_i at every point (xs[i], vs[i]): n probes per
-        point."""
+        point.  L itself must be finite there."""
         n = self.n
         points = xs.shape[0]
         vals = np.repeat(np.hstack([xs, vs]), n, axis=0)
-        d1 = np.tile(self._d1_el[n:], (points, 1))
+        d1 = np.tile(np.eye(self.m)[n:], (points, 1))
         d2 = np.zeros_like(vals)
-        p = eval_chunked(self.kernel, vals, d1, d2)[:, 1].reshape(points, n)
-        require_finite(p, self.ast, self.varnames, vals, d1, d2, n)
+        out = eval_chunked(self.kernel, vals, d1, d2).reshape(points, n, 4)
+        p = out[:, :, 1]
+        require_finite(np.column_stack([out[:, 0, 0], p]),
+                       self.ast, self.varnames, vals, d1, d2, n)
         return p
 
     def solve_terms(self, x, v):
-        """(dL/dx, (d2L/dv dx) . v, velocity Hessian M) at (x, v): the
-        unbatched primitive of the sequential RK4 step.  A non-finite
-        term raises DomainError naming the expression and the point."""
-        n, m = self.n, self.m
-        k = 2 * n + n * n
-        vals = np.empty((k, m))
-        vals[:] = np.concatenate([x, v])
-        d2 = self._d2_solve_fixed.copy()
-        d2[n: 2 * n, :n] = v
-        out = np.empty((k, 4))
-        self.kernel(vals, self._d1_solve, d2, out)
-        terms = out[:, 3].copy()
-        terms[:n] = out[:n, 1]
-        if not np.isfinite(terms).all():
-            require_finite(terms[None], self.ast, self.varnames, vals, self._d1_solve, d2, k)
-        gx = terms[:n]
-        cv = terms[n: 2 * n]
-        hess = terms[2 * n:].reshape(n, n).T  # column j from block j
-        return gx, cv, hess
+        """(dL/dx, (d2L/dv dx) . v, velocity Hessian) at the float arrays
+        (x, v), as tuples of n, n and n*n (row-major) floats: the unbatched
+        primitive of the sequential RK4 step, one call of the fused
+        function.  L and every term must be finite, else DomainError
+        names the reason, the expression and the point."""
+        n = self.n
+        point = [*x.tolist(), *v.tolist()]
+        try:
+            terms = self._terms(*point)
+        except (ValueError, ArithmeticError):
+            terms = (math.nan,)
+        if not all(map(math.isfinite, terms)):
+            vals = np.array([point])
+            zero = np.zeros_like(vals)
+            raise domain_error(self.ast, self.varnames, vals, zero, zero)
+        return terms[1: n + 1], terms[n + 1: 2 * n + 1], terms[2 * n + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +284,69 @@ def legendre(
     return AffineCovector(chart_id, tuple(x), tuple(p[0]))
 
 
+def _adjugate(h, n):
+    """(adjugate, determinant) of the n x n matrix h (row-major
+    sequence), for n <= 3."""
+    if n == 1:
+        return (1.0,), h[0]
+    if n == 2:
+        a, b, c, d = h
+        return (d, -b, -c, a), a * d - b * c
+    a, b, c, d, e, f, g, k, m = h
+    adj = (e * m - f * k, c * k - b * m, b * f - c * e,
+           f * g - d * m, a * m - c * g, c * d - a * f,
+           d * k - e * g, b * g - a * k, a * e - b * d)
+    return adj, a * adj[0] + b * adj[3] + c * adj[6]
+
+
+def _norm1(h, n):
+    """Largest absolute column sum of the n x n matrix h (row-major
+    sequence), for n <= 3."""
+    h = [*map(abs, h)]
+    if n == 1:
+        return h[0]
+    if n == 2:
+        return max(h[0] + h[2], h[1] + h[3])
+    return max(h[0] + h[3] + h[6], h[1] + h[4] + h[7], h[2] + h[5] + h[8])
+
+
+def _times(h, r, n):
+    """h r for the n x n matrix h (row-major sequence), for n <= 3."""
+    if n == 1:
+        return [h[0] * r[0]]
+    if n == 2:
+        return [h[0] * r[0] + h[1] * r[1], h[2] * r[0] + h[3] * r[1]]
+    r0, r1, r2 = r
+    return [h[0] * r0 + h[1] * r1 + h[2] * r2,
+            h[3] * r0 + h[4] * r1 + h[5] * r2,
+            h[6] * r0 + h[7] * r1 + h[8] * r2]
+
+
 def _accelerations(eng: _ChartEngine, x, v, f) -> np.ndarray:
+    """a solving H a = dL/dx - C.v - f, refusing a numerically singular
+    velocity Hessian H.  For n <= 3 with a normal, finite det H, by the
+    adjugate, refusing n * cond_1(H) > MAX_CONDITION: since cond_2 <=
+    n * cond_1, that refuses every H the SVD guard below refuses."""
     gx, cv, hess = eng.solve_terms(x, v)
+    n = eng.n
+    rhs = [g - c for g, c in zip(gx, cv)]
+    if f is not None:
+        rhs = np.subtract(rhs, f).tolist()
+    if n <= 3:
+        adj, det = _adjugate(hess, n)
+        if sys.float_info.min <= abs(det) < math.inf:
+            cond = n * _norm1(hess, n) * _norm1(adj, n) / abs(det)
+            if not cond <= MAX_CONDITION:
+                raise SingularLagrangianError(
+                    f"velocity Hessian is numerically singular (condition estimate {cond:.3g})"
+                )
+            return np.array(_times(adj, rhs, n)) / det
+    hess = np.reshape(hess, (n, n))
     cond = np.linalg.cond(hess)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SingularLagrangianError(
             f"velocity Hessian is numerically singular (condition {cond:.3g})"
         )
-    rhs = gx - cv
-    if f is not None:
-        rhs = rhs - f
     return np.linalg.solve(hess, rhs)
 
 

@@ -2,13 +2,15 @@
 
 An expression over named variables is compiled once into straight-line
 code that propagates second-order forward-mode components
-(val, d1, d2, d12) for a batch of seed "probes".  Two backends share the
-same generated arithmetic:
+(val, d1, d2, d12).  The emitter renders the same derivative rules in
+two forms:
 
-  * "numba": a scalar loop over probes, @njit compiled -- the hot path
-    for trajectory integration;
-  * "numpy": the same body vectorized over the probe axis -- the
-    dependency-free fallback, and the fast choice for large batches.
+  * vectorized over a batch of seed "probes" (compile_field): with the
+    "numpy" backend the body runs over the probe axis, with "numba" it
+    is a scalar loop over probes compiled by @njit;
+  * as one scalar function (compile_solve) that returns everything a
+    Euler-Lagrange acceleration solve needs at one point, with the
+    probe seeds written into the source as literals.
 
 Select globally with the AVCALC_BACKEND environment variable ("numba"
 or "numpy"); the default is numba when it imports, numpy otherwise.
@@ -62,12 +64,12 @@ _NONFINITE = {"math.inf": math.inf, "(-math.inf)": -math.inf, "math.nan": math.n
 
 
 def _lit(atom):
-    if atom in _NONFINITE:
-        return _NONFINITE[atom]
-    try:
+    """The value of a literal atom; None for a temporary or slot name.
+    Finite literals are `repr` of a float, so they start with a digit
+    or a minus sign, and no name does."""
+    if atom[0].isdigit() or atom[0] == "-":
         return float(atom)
-    except ValueError:
-        return None
+    return _NONFINITE.get(atom)
 
 
 def _num(value: float) -> str:
@@ -85,24 +87,30 @@ _ONE = "1.0"
 
 
 class _Emitter:
-    def __init__(self, backend):
+    """Straight-line code over atoms (literals or names), rendered on
+    numpy arrays (`vector`) or on scalars.  Every line is a pure
+    function of its atoms, so an expression text already emitted is
+    not emitted again: its temporary is reused."""
+
+    def __init__(self, vector: bool):
         self.lines = []
-        self.count = 0
-        self.backend = backend
+        self.names = {}  # expression text -> temporary
+        self.vector = vector
 
     def tmp(self, expr: str) -> str:
-        name = f"t{self.count}"
-        self.count += 1
-        self.lines.append(f"{name} = {expr}")
+        name = self.names.get(expr)
+        if name is None:
+            name = self.names[expr] = f"t{len(self.names)}"
+            self.lines.append(f"{name} = {expr}")
         return name
 
     def fn(self, name: str) -> str:
-        if self.backend == "numpy":
+        if self.vector:
             return {"abs": "np.abs"}.get(name, f"np.{name}")
         return {"abs": "abs"}.get(name, f"math.{name}")
 
     def sign(self, atom: str) -> str:
-        if self.backend == "numpy":
+        if self.vector:
             return self.tmp(f"np.sign({atom})")
         return self.tmp(f"(1.0 if {atom} > 0.0 else (-1.0 if {atom} < 0.0 else 0.0))")
 
@@ -174,6 +182,10 @@ class _Emitter:
                 return _num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
         if p == 2.0:
             return self.tmp(f"{x} * {x}")
+        if not self.vector and not p.is_integer():
+            # a float ** a non-integer is complex for a negative base;
+            # math.pow raises ValueError there
+            return self.tmp(f"math.pow({x}, {_num(p)})")
         return self.tmp(f"{x} ** ({_num(p)})")
 
 
@@ -306,10 +318,19 @@ def _walk(ast: ExprAst, em: _Emitter, slots: dict):
     return _apply_unary(ast.func, _walk(ast.args[0], em, slots), em)
 
 
+def check_declared(ast: ExprAst, varnames) -> set:
+    """The variables `ast` uses; ValueError if one is not in varnames."""
+    used = free_variables(ast)
+    missing = used - set(varnames)
+    if missing:
+        raise ValueError(f"expression uses undeclared variables {sorted(missing)}")
+    return used
+
+
 def generate_source(ast: ExprAst, varnames, backend: str) -> str:
     """Render kernel source text for one backend."""
-    em = _Emitter(backend)
-    used = free_variables(ast)
+    used = check_declared(ast, varnames)
+    em = _Emitter(vector=backend == "numpy")
     slots = {}
     preamble = []
     for j, name in enumerate(varnames):
@@ -324,9 +345,6 @@ def generate_source(ast: ExprAst, varnames, backend: str) -> str:
         b = f"w{j}b"
         preamble += [f"{v} = {vv}", f"{a} = {aa}", f"{b} = {bb}"]
         slots[name] = (v, a, b, _ZERO)
-    missing = used - set(varnames)
-    if missing:
-        raise ValueError(f"expression uses undeclared variables {sorted(missing)}")
     result = _walk(ast, em, slots)
     body = preamble + em.lines
     if backend == "numba":
@@ -339,6 +357,63 @@ def generate_source(ast: ExprAst, varnames, backend: str) -> str:
     body += [f"out[:,{k}] = {result[k]}" for k in range(4)]
     inner = "\n".join("    " + ln for ln in body)
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
+
+
+def generate_solve_source(ast: ExprAst, varnames) -> str:
+    """Source of `_terms(w0, .., w{2n-1})` for a Lagrangian over
+    varnames = (x1..xn, v1..vn), returning the tuple
+
+        (L, dL/dx_i for each i, ((d2L/dv_i dx) . v) for each i,
+         d2L/dv_i dv_j row-major)
+
+    at the point w.  Each entry is one probe of the second-order rules
+    with its seeds as literals (the velocity seed of the C.v probes is
+    the velocity itself), so zero seeds fold away, and the value chain
+    and every derivative shared between probes are computed once."""
+    used = check_declared(ast, varnames)
+    m = len(varnames)
+    n = m // 2
+    em = _Emitter(vector=False)
+    unit = [[_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
+    zero = [_ZERO] * m
+
+    def probe(d1, d2):
+        slots = {name: (f"w{j}", d1[j], d2[j], _ZERO)
+                 for j, name in enumerate(varnames) if name in used}
+        return _walk(ast, em, slots)
+
+    value = probe(zero, zero)[0]
+    gx = [probe(unit[i], zero)[1] for i in range(n)]
+    velocity = [f"w{n + j}" for j in range(n)] + [_ZERO] * n
+    cv = [probe(unit[n + i], velocity)[3] for i in range(n)]
+    hess = [probe(unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]
+    body = em.lines + [f"return ({', '.join([value] + gx + cv + hess)},)"]
+    args = ", ".join(f"w{j}" for j in range(m))
+    return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
+
+
+def resolve_backend(backend: str = None) -> str:
+    """`backend`, or the default one when None.  ValueError for an
+    unknown name; BackendUnavailableError for "numba" when numba does
+    not import."""
+    if backend is None:
+        return default_backend()
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend '{backend}'")
+    if backend == "numba" and not _HAVE_NUMBA:
+        raise BackendUnavailableError(backend)
+    return backend
+
+
+def _build(src: str, name: str, backend: str):
+    """The function `name` defined by generated source; @njit compiled
+    under the numba backend."""
+    ns = {"math": math, "np": np}
+    exec(compile(src, f"<avcalc kernel {backend}>", "exec"), ns)
+    fn = ns[name]
+    if backend == "numba":
+        fn = numba.njit(cache=False)(fn)
+    return fn
 
 
 # compile_field keeps at most CACHE_SIZE kernels and evicts the least
@@ -356,27 +431,25 @@ def compile_field(ast: ExprAst, varnames, backend: str = None):
     variable layout, backend), at most CACHE_SIZE of them.  Raises
     BackendUnavailableError for "numba" when numba does not import.
     """
-    if backend is None:
-        backend = default_backend()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend '{backend}'")
+    backend = resolve_backend(backend)
     key = (to_text(ast), tuple(varnames), backend)
     fn = _CACHE.pop(key, None)
-    if fn is not None:
-        _CACHE[key] = fn  # now the most recently used
-        return fn
-    if backend == "numba" and not _HAVE_NUMBA:
-        raise BackendUnavailableError(backend)
-    src = generate_source(ast, varnames, backend)
-    ns = {"math": math, "np": np}
-    exec(compile(src, f"<avcalc kernel {backend}>", "exec"), ns)
-    fn = ns["_kernel"]
-    if backend == "numba":
-        fn = numba.njit(cache=False)(fn)
-    if len(_CACHE) >= CACHE_SIZE:
-        del _CACHE[next(iter(_CACHE))]  # the least recently used
-    _CACHE[key] = fn
+    if fn is None:
+        fn = _build(generate_source(ast, varnames, backend), "_kernel", backend)
+        if len(_CACHE) >= CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]  # the least recently used
+    _CACHE[key] = fn  # now the most recently used
     return fn
+
+
+def compile_solve(ast: ExprAst, varnames, backend: str = None):
+    """Compile the function of generate_solve_source: called with the
+    2n coordinates of a point as floats, it returns the tuple of
+    1 + 2n + n*n floats described there.  Outside the real domain it
+    returns non-finite entries or raises ValueError or ArithmeticError
+    (Python's math functions raise where numpy returns NaN)."""
+    backend = resolve_backend(backend)
+    return _build(generate_solve_source(ast, varnames), "_terms", backend)
 
 
 def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
@@ -410,18 +483,23 @@ def eval_chunked(kernel, vals, d1, d2) -> np.ndarray:
 def require_finite(result, ast: ExprAst, varnames, vals, d1, d2, rows: int = 1):
     """Raise DomainError for the first point with a non-finite entry in
     `result` (one row or block of rows per point), whose kernel probes
-    are rows `rows*i .. rows*(i+1)-1` of vals, d1 and d2.
+    are rows `rows*i .. rows*(i+1)-1` of vals, d1 and d2."""
+    bad = np.flatnonzero(~np.isfinite(result.reshape(result.shape[0], -1)).all(axis=1))
+    if bad.size:
+        probes = slice(bad[0] * rows, (bad[0] + 1) * rows)
+        raise domain_error(ast, varnames, vals[probes], d1[probes], d2[probes])
 
-    Those probes are evaluated again by the interpreter on hyper-dual
+
+def domain_error(ast: ExprAst, varnames, vals, d1, d2) -> DomainError:
+    """The DomainError for one point whose kernel outputs are not all
+    finite; vals, d1 and d2 hold that point's probes, one per row.
+
+    The probes are evaluated again by the interpreter on hyper-dual
     scalars carrying their seeds; the first domain error it meets is
     the reason, else the kernel output is reported as non-finite.  The
     message names the expression and the point."""
-    bad = np.flatnonzero(~np.isfinite(result.reshape(result.shape[0], -1)).all(axis=1))
-    if not bad.size:
-        return
-    probes = range(bad[0] * rows, (bad[0] + 1) * rows)
     reason = "non-finite kernel output"
-    for p in probes:
+    for p in range(vals.shape[0]):
         env = {
             name: Hyperdual(float(vals[p, j]), float(d1[p, j]), float(d2[p, j]))
             for j, name in enumerate(varnames)
@@ -431,5 +509,5 @@ def require_finite(result, ast: ExprAst, varnames, vals, d1, d2, rows: int = 1):
         except (DomainError, ArithmeticError) as exc:
             reason = str(exc)
             break
-    point = ", ".join(f"{name}={float(vals[probes[0], j])!r}" for j, name in enumerate(varnames))
-    raise DomainError(f"{reason} in {to_text(ast)} at {point}")
+    point = ", ".join(f"{name}={float(vals[0, j])!r}" for j, name in enumerate(varnames))
+    return DomainError(f"{reason} in {to_text(ast)} at {point}")

@@ -28,7 +28,7 @@ from .dynamics import (
     integrate_trajectory,
     solve_accelerations,
 )
-from .errors import DomainError, ValidationError
+from .errors import ChartExitError, DomainError, SingularLagrangianError, ValidationError
 from .geometry import (
     ScalarFunction,
     affine_differential,
@@ -310,14 +310,19 @@ def trajectory_gauge_suite(
     v0 = rng.uniform(-0.5, 0.5, n) * system.v_halfwidth
     chart = system.default_chart()
     chi = system.chis[0]
-    shifted = _shifted(system, chi)
-    tr0 = integrate_trajectory(system.lagrangian, x0, v0, 0.0, t1, steps, chart_id=chart, backend=backend)
-    tr1 = integrate_trajectory(shifted, x0, v0, 0.0, t1, steps, chart_id=chart, backend=backend)
+    name = f"{system.name}: trajectory gauge invariance, chi={chi}"
+    try:
+        tr0, tr1 = (
+            integrate_trajectory(lam, x0, v0, 0.0, t1, steps, chart_id=chart, backend=backend)
+            for lam in (system.lagrangian, _shifted(system, chi))
+        )
+    except (DomainError, ChartExitError, SingularLagrangianError) as exc:
+        return [CheckResult(name, math.nan, tol, str(exc))]
     defect = max(
         float(np.max(np.abs(tr0.positions - tr1.positions))),
         float(np.max(np.abs(tr0.velocities - tr1.velocities))),
     )
-    return [CheckResult(f"{system.name}: trajectory gauge invariance, chi={chi}", defect, tol)]
+    return [CheckResult(name, defect, tol)]
 
 
 def newton_suite(points: int = 30, tol: float = 1e-12, backend: str = "numpy"):

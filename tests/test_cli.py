@@ -89,6 +89,15 @@ class TestCheckGauge:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_trajectory_blow_up_is_a_failed_check(self, capsys):
+        # the shifted Lagrangian's terms overflow along the trajectory
+        code = main(["check-gauge", "--system", cfg("free"), "--backend", "numpy",
+                     "--chi", "exp(1000*x1)", "--points", "25"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        (line,) = [ln for ln in captured.out.splitlines() if "trajectory gauge invariance" in ln]
+        assert line.startswith("FAIL") and "defect nan" in line and " at x1=" in line
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from avcalc.dynamics import (
 )
 from avcalc.errors import ChartExitError, DomainError, SingularLagrangianError, ValidationError
 from avcalc.geometry import Atlas, Chart, circle_atlas, euclidean_atlas
-from avcalc.systems import bundled_system, bundled_system_names
+from avcalc.systems import bundled_system, bundled_system_names, charged_particle
 
 from helpers_reference import hyperdual_reference
 
@@ -149,6 +150,135 @@ class TestDomainContract:
             solve_accelerations(lam, [0.0, 0.0], [1.2, 0.0], backend=BACKEND)
 
 
+class TestDomainContractValue:
+    """Every operator also requires L's own value to be real, though
+    the derivatives it reads may be finite (the derivative of log(x1)
+    is) or folded to zero (those of a constant term are)."""
+
+    @pytest.mark.parametrize("term, reason", [
+        ("log(x1)", "log of a non-positive value"),
+        ("(-2)^0.5", "fractional power of a negative base"),
+        ("x1^1.5", "fractional power of a negative base"),
+    ])
+    @pytest.mark.parametrize("operator", ["euler_lagrange", "legendre", "solve_accelerations"])
+    def test_no_real_value(self, term, reason, operator):
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), f"0.5*v1^2 + {term}")
+        x, v = [-1.0], [0.5]
+        call = {
+            "euler_lagrange": lambda: euler_lagrange(lam, q_of(x, v, [0.0]), "0", BACKEND),
+            "legendre": lambda: legendre(lam, x, v, "0", BACKEND),
+            "solve_accelerations": lambda: solve_accelerations(lam, x, v, backend=BACKEND),
+        }[operator]
+        with pytest.raises(DomainError, match=rf"{reason} in .* at x1=-1\.0, v1=0\.5"):
+            call()
+
+    @pytest.mark.parametrize("lagrangian, x, v", [
+        # sqrt(1 - |v|^2) has no real value
+        (bundled_system("relativistic").lagrangian, [0.0, 0.0], [1.2, 0.0]),
+        # L is finite, its x1-derivatives overflow: inf - inf in the EL covector
+        (gauge_shift(bundled_system("free").lagrangian, "exp(1000*x1)"), [0.7, 0.0], [0.5, 0.0]),
+    ], ids=["relativistic", "exp-shift"])
+    @pytest.mark.parametrize("operator", ["euler_lagrange", "solve_accelerations"])
+    def test_no_runtime_warning_first(self, lagrangian, x, v, operator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r" in .* at x1="):
+                if operator == "euler_lagrange":
+                    euler_lagrange(lagrangian, q_of(x, v, [0.0, 0.0]), "0", BACKEND)
+                else:
+                    solve_accelerations(lagrangian, x, v, backend=BACKEND)
+
+
+def solve_cases():
+    """(id, Lagrangian, chart, velocity half-width) for every bundled
+    system and its shift by its first configured chi, and a 4-D
+    Lagrangian, which takes the n > 3 solve."""
+    cases = []
+    for name in bundled_system_names():
+        system = bundled_system(name)
+        chart = system.default_chart()
+        cases.append((name, system.lagrangian, chart, system.v_halfwidth))
+        cases.append((f"{name}+chi", gauge_shift(system.lagrangian, system.chis[0]), chart,
+                      system.v_halfwidth))
+    four = GaugeClassLagrangian.from_exprs(
+        euclidean_atlas(4),
+        "0.5*(v1^2 + 2*v2^2 + 3*v3^2 + 4*v4^2) + 0.3*v1*v4 + 0.5*(x1*v2 - x2*v1)"
+        " + cos(x3)*v4 - 0.5*x1^2*x4^2",
+    )
+    cases.append(("four-dim", four, "0", 1.0))
+    return cases
+
+
+class TestFusedSolve:
+    """The fused acceleration terms against a probe-by-probe Hyperdual
+    evaluation, and the small closed-form solve against numpy."""
+
+    POINTS = 200
+
+    @pytest.mark.parametrize("case", solve_cases(), ids=lambda c: c[0])
+    def test_terms_match_hyperdual_reference(self, case):
+        _name, lam, chart, halfwidth = case
+        eng = lam.engine(chart, BACKEND)
+        n, names = eng.n, lagrangian_varnames(eng.n)
+        eye = np.eye(2 * n)
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(self.POINTS):
+            x = rng.uniform(-1.0, 1.0, n)
+            v = rng.uniform(-halfwidth, halfwidth, n)
+            # probes: d/dx_i; d/dv_i along (v, 0); d/dv_i along v_j
+            d1 = np.vstack([eye[:n], eye[n:]] + [eye[n:]] * n)
+            d2 = np.zeros_like(d1)
+            d2[n: 2 * n, :n] = v
+            for j in range(n):
+                d2[(2 + j) * n: (3 + j) * n, n + j] = 1.0
+            vals = np.tile(np.concatenate([x, v]), (d1.shape[0], 1))
+            ref = hyperdual_reference(lam.expr(chart), names, vals, d1, d2)
+            expected = np.concatenate([ref[:n, 1], ref[n:, 3]])
+            got = np.concatenate([np.ravel(t) for t in eng.solve_terms(x, v)])
+            # the reference's Hessian blocks are columns; the terms are row-major
+            got[2 * n:] = got[2 * n:].reshape(n, n).T.ravel()
+            worst = max(worst, np.max(np.abs(got - expected)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("case", solve_cases(), ids=lambda c: c[0])
+    def test_accelerations_match_numpy_solve(self, case):
+        _name, lam, chart, halfwidth = case
+        eng = lam.engine(chart, BACKEND)
+        n = eng.n
+        rng = np.random.default_rng(19)
+        for _ in range(self.POINTS):
+            x = rng.uniform(-1.0, 1.0, n)
+            v = rng.uniform(-halfwidth, halfwidth, n)
+            f = rng.uniform(-1.0, 1.0, n)
+            gx, cv, hess = eng.solve_terms(x, v)
+            ref = np.linalg.solve(np.reshape(hess, (n, n)), np.subtract(gx, cv) - f)
+            a = solve_accelerations(lam, x, v, f, chart, BACKEND)
+            assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim, lagrangian", [
+        (2, "0.5*v1^2 + 0.5*1e-13*v2^2"),  # n * cond_1 = 2e13
+        (3, "0.5*(v1^2 + v2^2) + 0.5*1e-12*v3^2 + x1*v3"),  # 3e12
+        (4, "0.5*(v1^2 + v2^2 + v3^2)"),  # exactly singular, n > 3
+    ])
+    def test_ill_conditioned_hessian_rejected(self, dim, lagrangian):
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(dim), lagrangian)
+        with pytest.raises(SingularLagrangianError, match="numerically singular"):
+            solve_accelerations(lam, np.zeros(dim), np.ones(dim), backend=BACKEND)
+
+    def test_undeclared_variable_rejected_at_construction(self):
+        # kernels compile at first use; the variables are checked before
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 + x2")
+        with pytest.raises(ValueError, match=r"undeclared variables \['x2'\]"):
+            lam.engine("0", BACKEND)
+
+    def test_moderately_conditioned_hessian_solved(self):
+        # n * cond_1 = 2e11 is within MAX_CONDITION = 1e12
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*v1^2 + 0.5*1e-11*v2^2 - x2")
+        a = solve_accelerations(lam, [0.0, 0.0], [0.0, 0.0], backend=BACKEND)
+        assert a[0] == 0.0 and a[1] == pytest.approx(-1e11, rel=1e-12)
+
+
 class TestSolve:
     def test_lorentz_force(self):
         lam = GaugeClassLagrangian.from_exprs(
@@ -210,6 +340,30 @@ class TestTrajectories:
             forcing=lambda x, v: np.array([-1.0]), backend=BACKEND,
         )
         assert tr.positions[-1, 0] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestEnergy:
+    """The energy h = <p, v> - L along the Lorentz orbit (|B| = 1, one
+    period in 1000 steps) is |v0|^2/2 up to the RK4 error, and a gauge
+    shift leaves it unchanged, since p -> p + d(chi) and
+    L -> L + <d(chi), v>.  Dropping C.v from the acceleration solve keeps
+    |v| constant for the symmetric gauge but not for the shifted one."""
+
+    STEPS = 1000
+    DRIFT_BOUND = 1e-12  # drift measured before the fused solve: 4.26e-13 on both
+
+    def test_conserved_and_gauge_invariant(self):
+        lam = charged_particle(b=1.0).lagrangian
+        x0, v0 = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        energies = []
+        for l in (lam, gauge_shift(lam, "sin(x1)*cos(x2)")):
+            tr = integrate_trajectory(l, x0, v0, 0.0, 2.0 * math.pi, self.STEPS, backend=BACKEND)
+            eng = l.engine("0", BACKEND)
+            p = eng.momenta(tr.positions, tr.velocities)
+            h = np.sum(p * tr.velocities, axis=1) - eng.values(tr.positions, tr.velocities)
+            assert np.max(np.abs(h - 0.5 * v0 @ v0)) <= self.DRIFT_BOUND
+            energies.append(h)
+        assert np.max(np.abs(energies[1] - energies[0])) <= 1e-9
 
 
 class TestValidation:
