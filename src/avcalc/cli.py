@@ -57,9 +57,12 @@ def _vector(text: str, dim: int, what: str) -> np.ndarray:
     if len(parts) != dim:
         raise AvcalcError(f"{what} needs {dim} components, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError:
+        vec = None
+    if vec is None or not np.all(np.isfinite(vec)):
         raise AvcalcError(f"{what} components must be numbers: {text!r}")
+    return vec
 
 
 def _curve_from_args(args, system: System) -> CurveSpec:
@@ -132,17 +135,21 @@ def cmd_legendre(args) -> int:
 def cmd_integrate(args) -> int:
     system = _load_system(args.system)
     n = system.dim
-    tr = integrate_trajectory(
-        system.lagrangian,
-        _vector(args.x0, n, "--x0"),
-        _vector(args.v0, n, "--v0"),
-        args.t0,
-        args.t1,
-        args.steps,
-        forcing=_forcing_callable(system),
-        chart_id=args.chart or system.default_chart(),
-        backend=args.backend,
-    )
+    x0, v0 = _vector(args.x0, n, "--x0"), _vector(args.v0, n, "--v0")
+    try:
+        tr = integrate_trajectory(
+            system.lagrangian,
+            x0,
+            v0,
+            args.t0,
+            args.t1,
+            args.steps,
+            forcing=_forcing_callable(system),
+            chart_id=args.chart or system.default_chart(),
+            backend=args.backend,
+        )
+    except ValueError as e:  # an input it refuses, e.g. an overflowing step size
+        raise AvcalcError(str(e)) from None
     header = "t," + ",".join(f"x{j}" for j in range(1, n + 1)) + "," + ",".join(
         f"v{j}" for j in range(1, n + 1)
     )

@@ -30,11 +30,18 @@ from .errors import (
     ValidationError,
 )
 from .exprlang import ExprAst
-from .geometry import Atlas, ScalarFunction, _overlap_sample_pairs, low_discrepancy_points
+from .geometry import (
+    _BOX_TOL,
+    Atlas,
+    ScalarFunction,
+    _overlap_sample_pairs,
+    low_discrepancy_points,
+)
 from .kernels import (
     check_declared,
     compile_field,
     compile_solve,
+    compile_step,
     default_backend,
     domain_error,
     eval_chunked,
@@ -203,6 +210,12 @@ class _ChartEngine:
     def _terms(self):
         return compile_solve(self.ast, self.varnames, self.backend)
 
+    @cached_property
+    def rk4(self):
+        """The generated RK4 loop around _terms, for n <= 3; see
+        kernels.generate_step_source for its contract."""
+        return compile_step(self._terms, self.n, MAX_CONDITION)
+
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one probe per point."""
         vals = np.hstack([xs, vs])
@@ -264,13 +277,22 @@ class _ChartEngine:
 # ---------------------------------------------------------------------------
 # Operators
 
+def _finite(name: str, value) -> np.ndarray:
+    """`value` as a float array; ValueError naming `name` if an entry
+    is not finite."""
+    arr = np.asarray(value, float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {arr}")
+    return arr
+
+
 def euler_lagrange(
     lam: GaugeClassLagrangian, q: SecondOrderPoint, chart_id: str, backend: str = None
 ) -> Covector:
     """Evaluate the Euler-Lagrange covector at second-order data q."""
     eng = lam.engine(chart_id, backend)
-    x = np.asarray(q.x, float)
-    e = eng.el_covectors(x[None], np.asarray(q.v, float)[None], np.asarray(q.a, float)[None])
+    x = _finite("x", q.x)
+    e = eng.el_covectors(x[None], _finite("v", q.v)[None], _finite("a", q.a)[None])
     return Covector(tuple(x), tuple(e[0]))
 
 
@@ -279,14 +301,16 @@ def legendre(
 ) -> AffineCovector:
     """Momentum map p_i = dL/dv_i in the given trivialization."""
     eng = lam.engine(chart_id, backend)
-    x = np.asarray(x, float)
-    p = eng.momenta(x[None], np.asarray(v, float)[None])
+    x = _finite("x", x)
+    p = eng.momenta(x[None], _finite("v", v)[None])
     return AffineCovector(chart_id, tuple(x), tuple(p[0]))
 
 
 def _adjugate(h, n):
     """(adjugate, determinant) of the n x n matrix h (row-major
-    sequence), for n <= 3."""
+    sequence), for n <= 3.  kernels.generate_step_source renders this,
+    _norm1, _times and the guard of _accelerations as source text, in
+    the same operation order: change them together."""
     if n == 1:
         return (1.0,), h[0]
     if n == 2:
@@ -357,8 +381,8 @@ def solve_accelerations(
     if chart_id is None:
         chart_id = lam.atlas.charts[0].id
     eng = lam.engine(chart_id, backend)
-    fvec = None if f is None else np.asarray(f.p if isinstance(f, Covector) else f, float)
-    return _accelerations(eng, np.asarray(x, float), np.asarray(v, float), fvec)
+    fvec = None if f is None else _finite("f", f.p if isinstance(f, Covector) else f)
+    return _accelerations(eng, _finite("x", x), _finite("v", v), fvec)
 
 
 ForcingLike = Optional[Union[np.ndarray, Callable]]
@@ -375,37 +399,62 @@ def integrate_trajectory(
     chart_id: str = None,
     backend: str = None,
 ) -> Trajectory:
-    """Fixed-step classical RK4 on (x' = v, v' = solve_accelerations)."""
+    """Fixed-step classical RK4 on (x' = v, v' = solve_accelerations).
+
+    For n <= 3 without a callable forcing, the engine's generated loop
+    (kernels.generate_step_source) takes the steps, and _rk4_steps takes
+    over from the first step it hands back; otherwise _rk4_steps takes
+    them all.  Both give the same bits, and every error comes from
+    _rk4_steps."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}")
+    h = (t1 - t0) / steps
+    if not math.isfinite(h):
+        raise ValueError(f"step size (t1 - t0)/steps must be finite, got {h} "
+                         f"for t0={t0}, t1={t1}, steps={steps}")
     if chart_id is None:
         chart_id = lam.atlas.charts[0].id
     eng = lam.engine(chart_id, backend)
     atlas = lam.atlas
+    n = atlas.dim
+    x0 = _finite("x0", x0)
+    v0 = _finite("v0", v0)
 
     if forcing is None:
         force = None
     elif callable(forcing):
         force = forcing
     else:
-        fconst = np.asarray(forcing, float)
+        fconst = _finite("forcing", forcing)
         force = lambda x, v: fconst
 
     def acc(x, v):
         f = None if force is None else np.asarray(force(x, v), float)
         return _accelerations(eng, x, v, f)
 
-    n = atlas.dim
-    h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
     xs = np.empty((steps + 1, n))
     vs = np.empty((steps + 1, n))
-    x = np.asarray(x0, float).copy()
-    v = np.asarray(v0, float).copy()
-    xs[0], vs[0] = x, v
-    for k in range(steps):
+    xs[0], vs[0] = x0, v0
+    done = 0
+    if n <= 3 and not callable(forcing):
+        # x - 0.0 is x, so a zero forcing changes no bit of the solve
+        f = [0.0] * n if forcing is None else np.broadcast_to(fconst, (n,)).tolist()
+        box = [b for lo, hi in atlas.chart(chart_id).box for b in (lo - _BOX_TOL, hi + _BOX_TOL)]
+        done = eng.rk4(*xs[0].tolist(), *vs[0].tolist(), h, steps, *box, *f, xs, vs)
+    if done < steps:
+        _rk4_steps(acc, atlas, chart_id, h, times, xs, vs, done)
+    return Trajectory(chart_id, times, xs, vs)
+
+
+def _rk4_steps(acc, atlas: Atlas, chart_id: str, h: float, times, xs, vs, start: int):
+    """RK4 steps start.. into rows start + 1.. of xs and vs, from the
+    state in row `start`; accelerations from acc(x, v)."""
+    x = xs[start].copy()
+    v = vs[start].copy()
+    for k in range(start, xs.shape[0] - 1):
         a1 = acc(x, v)
         x2 = x + 0.5 * h * v
         v2 = v + 0.5 * h * a1
@@ -423,4 +472,3 @@ def integrate_trajectory(
                 f"trajectory left chart {chart_id} at t={times[k + 1]:.6g} (x={x})"
             )
         xs[k + 1], vs[k + 1] = x, v
-    return Trajectory(chart_id, times, xs, vs)

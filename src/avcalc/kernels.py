@@ -2,15 +2,22 @@
 
 An expression over named variables is compiled once into straight-line
 code that propagates second-order forward-mode components
-(val, d1, d2, d12).  The emitter renders the same derivative rules in
-two forms:
+(val, d1, d2, d12).  There are three renderings:
 
-  * vectorized over a batch of seed "probes" (compile_field): with the
-    "numpy" backend the body runs over the probe axis, with "numba" it
-    is a scalar loop over probes compiled by @njit;
-  * as one scalar function (compile_solve) that returns everything a
-    Euler-Lagrange acceleration solve needs at one point, with the
-    probe seeds written into the source as literals.
+  * the derivative rules vectorized over a batch of seed "probes"
+    (compile_field): with the "numpy" backend the body runs over the
+    probe axis, with "numba" it is a scalar loop over probes compiled
+    by @njit;
+  * the same rules as one scalar function (compile_solve) that returns
+    everything a Euler-Lagrange acceleration solve needs at one point,
+    with the probe seeds written into the source as literals and the
+    lines nothing reads pruned;
+  * the whole classical RK4 loop for n <= 3 around that function
+    (compile_step), with the state in scalar locals.  It runs for
+    dynamics.integrate_trajectory when the forcing is absent or
+    constant, and gives bit-identical trajectories.  On any alarm it
+    returns the last good step, and the caller's numpy loop repeats
+    that step and raises the error, if there is one.
 
 Select globally with the AVCALC_BACKEND environment variable ("numba"
 or "numpy"); the default is numba when it imports, numpy otherwise.
@@ -30,6 +37,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import sys
 
 import numpy as np
 
@@ -387,9 +396,141 @@ def generate_solve_source(ast: ExprAst, varnames) -> str:
     velocity = [f"w{n + j}" for j in range(n)] + [_ZERO] * n
     cv = [probe(unit[n + i], velocity)[3] for i in range(n)]
     hess = [probe(unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]
-    body = em.lines + [f"return ({', '.join([value] + gx + cv + hess)},)"]
+    results = [value] + gx + cv + hess
+    body = _prune(em.lines, results) + [f"return ({', '.join(results)},)"]
     args = ", ".join(f"w{j}" for j in range(m))
     return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
+
+
+def _adjugate_text(n):
+    """(adjugate entries, determinant) of the n x n matrix m0..m{n*n-1}
+    as source text over the names m* and j* (the adjugate entries), in
+    the operation order of dynamics._adjugate."""
+    if n == 1:
+        return ["1.0"], "m0"
+    if n == 2:
+        return ["m3", "-m1", "-m2", "m0"], "m0 * m3 - m1 * m2"
+    a, b, c, d, e, f, g, k, m = (f"m{i}" for i in range(9))
+    adj = [f"{e} * {m} - {f} * {k}", f"{c} * {k} - {b} * {m}", f"{b} * {f} - {c} * {e}",
+           f"{f} * {g} - {d} * {m}", f"{a} * {m} - {c} * {g}", f"{c} * {d} - {a} * {f}",
+           f"{d} * {k} - {e} * {g}", f"{b} * {g} - {a} * {k}", f"{a} * {e} - {b} * {d}"]
+    return adj, f"{a} * j0 + {b} * j3 + {c} * j6"
+
+
+def _norm1_text(prefix, n):
+    """Source text of dynamics._norm1 of the n x n matrix
+    prefix0..prefix{n*n-1}."""
+    cols = [" + ".join(f"abs({prefix}{r * n + c})" for r in range(n)) for c in range(n)]
+    return cols[0] if n == 1 else f"max({', '.join(cols)})"
+
+
+def _stage_text(n, xs, vs, acc, max_condition):
+    """Lines solving H a = dL/dx - C.v - f at (xs, vs) into the names
+    `acc` as dynamics._accelerations does for n <= 3, with `return k`
+    wherever that would raise or take its numpy solve instead."""
+    nn = n * n
+    unpack = ["_"] + [f"g{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
+    unpack += [f"m{i}" for i in range(nn)]
+    adj, det = _adjugate_text(n)
+    lines = [
+        f"t = _terms({', '.join(xs + vs)})",
+        "if not _isfinite(_sum(t)):",
+        "    return k",
+        f"{', '.join(unpack)} = t",
+    ]
+    lines += [f"r{i} = g{i} - c{i} - f{i}" for i in range(n)]
+    lines += [f"j{i} = {e}" for i, e in enumerate(adj)]
+    lines += [
+        f"det = {det}",
+        "ad = abs(det)",
+        f"if not {_num(sys.float_info.min)} <= ad < _inf:",
+        "    return k",
+        f"if not {n} * {_norm1_text('m', n)} * {_norm1_text('j', n)} / ad <= {_num(max_condition)}:",
+        "    return k",
+    ]
+    lines += [f"{acc[i]} = ({' + '.join(f'j{i * n + j} * r{j}' for j in range(n))}) / det"
+              for i in range(n)]
+    return lines
+
+
+def generate_step_source(n: int, max_condition: float) -> str:
+    """Source of the whole classical RK4 loop for n <= 3,
+
+        _run(x0, .., v0, .., h, steps, lo0, hi0, .., f0, .., xs, vs)
+
+    from the position x and velocity v, with step size h, the chart box
+    lo_i <= x_i <= hi_i (its tolerance included), the constant forcing
+    f, and C-contiguous (steps + 1, n) float arrays xs and vs whose row 0
+    holds the start.  The state stays in scalar locals.  Each stage calls the fused
+    `_terms` of generate_solve_source once and solves by the unrolled
+    adjugate, refusing n * cond_1(H) > max_condition; every operation
+    is that of dynamics' RK4 step and its acceleration solve, in the
+    same order, so the results are bit-identical.  Step k writes rows
+    k + 1 of xs and vs once the new position lies in the box.
+
+    Returns `steps` when every step succeeds.  Otherwise it returns the
+    index k of the step that failed, with rows 0..k good: when `_terms`
+    raises ValueError or ArithmeticError, when the sum of its outputs
+    is not finite (it is not whenever one output is not; an overflowing
+    sum is only a false alarm), when det H is zero, subnormal or not
+    finite, when the condition guard fails, or when the new position
+    leaves the box.  The caller repeats step k on its own path, which
+    raises the error or takes the solve this loop does not."""
+    if not 1 <= n <= 3:
+        raise ValueError(f"the generated RK4 loop needs 1 <= n <= 3, got {n}")
+    idx = range(n)
+    x = [f"x{i}" for i in idx]
+    v = [f"v{i}" for i in idx]
+    stage_x = [x] + [[f"x{i}_{s}" for i in idx] for s in (2, 3, 4)]
+    stage_v = [v] + [[f"v{i}_{s}" for i in idx] for s in (2, 3, 4)]
+    acc = [[f"a{i}_{s}" for i in idx] for s in (1, 2, 3, 4)]
+    body = []
+    for s in range(4):
+        if s:
+            step = "hh" if s < 3 else "h"
+            body += [f"{stage_x[s][i]} = x{i} + {step} * {stage_v[s - 1][i]}" for i in idx]
+            body += [f"{stage_v[s][i]} = v{i} + {step} * {acc[s - 1][i]}" for i in idx]
+        body += _stage_text(n, stage_x[s], stage_v[s], acc[s], max_condition)
+    body += [f"x{i} = x{i} + h6 * (v{i} + 2.0 * v{i}_2 + 2.0 * v{i}_3 + v{i}_4)" for i in idx]
+    body += [f"v{i} = v{i} + h6 * (a{i}_1 + 2.0 * a{i}_2 + 2.0 * a{i}_3 + a{i}_4)" for i in idx]
+    inside = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in idx)
+    body += [f"if not ({inside}):", "    return k",
+             "at = k + 1" if n == 1 else f"at = {n} * k + {n}"]
+    body += [f"{rows}[at{f' + {i}' if i else ''}] = {name}{i}"
+             for rows, name in (("xm", "x"), ("vm", "v")) for i in idx]
+    box = ", ".join(f"lo{i}, hi{i}" for i in idx)
+    forcing = ", ".join(f"f{i}" for i in idx)
+    # flat views of the C-contiguous rows: a float stored through a
+    # memoryview costs a third of a numpy item assignment
+    head = (f"def _run({', '.join(x + v)}, h, steps, {box}, {forcing}, xs, vs):\n"
+            "    xm = memoryview(xs).cast('B').cast('d')\n"
+            "    vm = memoryview(vs).cast('B').cast('d')\n"
+            "    hh = 0.5 * h\n"
+            "    h6 = h / 6.0\n"
+            "    for k in range(steps):\n"
+            "        try:\n")
+    tail = ("        except (ValueError, ArithmeticError):\n"
+            "            return k\n"
+            "    return steps\n")
+    return head + "\n".join(" " * 12 + ln for ln in body) + "\n" + tail
+
+
+_TEMP = re.compile(r"\bt\d+\b")
+
+
+def _prune(lines, results):
+    """`lines` without those whose temporary no later line and no atom
+    of `results` reads: one backward liveness pass.  Probes share the
+    value chain, but a probe's unread components (the first-order parts
+    of a velocity-seeded probe, say) are still emitted."""
+    live = set(results)
+    kept = []
+    for line in reversed(lines):
+        name, expr = line.split(" = ", 1)
+        if name in live:
+            kept.append(line)
+            live.update(_TEMP.findall(expr))
+    return kept[::-1]
 
 
 def resolve_backend(backend: str = None) -> str:
@@ -405,10 +546,10 @@ def resolve_backend(backend: str = None) -> str:
     return backend
 
 
-def _build(src: str, name: str, backend: str):
-    """The function `name` defined by generated source; @njit compiled
-    under the numba backend."""
-    ns = {"math": math, "np": np}
+def _build(src: str, name: str, backend: str, **env):
+    """The function `name` defined by generated source, with the names
+    `env` in its globals; @njit compiled under the numba backend."""
+    ns = {"math": math, "np": np, **env}
     exec(compile(src, f"<avcalc kernel {backend}>", "exec"), ns)
     fn = ns[name]
     if backend == "numba":
@@ -450,6 +591,16 @@ def compile_solve(ast: ExprAst, varnames, backend: str = None):
     (Python's math functions raise where numpy returns NaN)."""
     backend = resolve_backend(backend)
     return _build(generate_solve_source(ast, varnames), "_terms", backend)
+
+
+def compile_step(terms, n: int, max_condition: float):
+    """Compile the RK4 loop of generate_step_source around `terms`, a
+    function of compile_solve for n <= 3.  The loop is plain Python
+    under either backend: it spends its time in `terms` and in scalar
+    arithmetic."""
+    src = generate_step_source(n, max_condition)
+    return _build(src, "_run", "numpy", _terms=terms, _isfinite=math.isfinite,
+                  _sum=sum, _inf=math.inf)
 
 
 def eval_batch(kernel, vals, d1, d2) -> np.ndarray:

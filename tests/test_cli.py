@@ -122,6 +122,21 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_vector_component_is_1(self, component, capsys):
+        code = main(["el", "--system", "free", "--backend", "numpy",
+                     "--x", f"0,{component}", "--v", "1,0", "--a", "0,0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --x components must be numbers: '0,{component}'\n"
+
+    def test_overflowing_step_size_is_1(self, capsys):
+        code = main(["integrate", "--system", "free", "--backend", "numpy", "--x0", "0,0",
+                     "--v0", "1,0", "--t0=-1e308", "--t1=1e308", "--steps", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: step size (t1 - t0)/steps must be finite")
+
     def test_missing_config_is_1(self, capsys):
         code = main(["el", "--system", "no-such.cfg", "--x", "0", "--v", "0", "--a", "0"])
         assert code == 1

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from avcalc import dynamics
 from avcalc.dynamics import (
     GaugeClassLagrangian,
     SecondOrderPoint,
@@ -340,6 +341,152 @@ class TestTrajectories:
             forcing=lambda x, v: np.array([-1.0]), backend=BACKEND,
         )
         assert tr.positions[-1, 0] == pytest.approx(0.5, abs=1e-12)
+
+
+    def test_overflowing_step_size_rejected(self):
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")
+        with pytest.raises(ValueError, match=r"step size \(t1 - t0\)/steps must be finite"):
+            integrate_trajectory(lam, [0.0], [1.0], -1e308, 1e308, 2, backend=BACKEND)
+
+
+class TestNonFiniteInputs:
+    """A non-finite input is a ValueError naming the argument, not a
+    result computed from it or an error of the computation."""
+
+    LAM = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2 + v2^2)")
+    GOOD = {"x": [0.0, 0.0], "v": [1.0, 0.0], "a": [0.0, 0.0], "f": [0.0, 0.0]}
+    CALLS = {
+        "euler_lagrange": lambda lam, x, v, a, f: euler_lagrange(lam, q_of(x, v, a), "0", BACKEND),
+        "legendre": lambda lam, x, v, a, f: legendre(lam, x, v, "0", BACKEND),
+        "solve_accelerations": lambda lam, x, v, a, f: solve_accelerations(
+            lam, x, v, f, backend=BACKEND),
+        "integrate_trajectory": lambda lam, x, v, a, f: integrate_trajectory(
+            lam, x, v, 0.0, 1.0, 10, forcing=f, backend=BACKEND),
+    }
+    ARGS = {"euler_lagrange": ("x", "v", "a"), "legendre": ("x", "v"),
+            "solve_accelerations": ("x", "v", "f"), "integrate_trajectory": ("x0", "v0", "forcing")}
+
+    @pytest.mark.parametrize("operator, arg", [
+        (op, arg) for op, args in ARGS.items() for arg in args
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_naming_the_argument(self, operator, arg, bad):
+        values = dict(self.GOOD)
+        key = {"x0": "x", "v0": "v", "forcing": "f"}.get(arg, arg)
+        values[key] = [0.0, bad]
+        with pytest.raises(ValueError, match=rf"^{arg} must be finite"):
+            self.CALLS[operator](self.LAM, **values)
+
+
+def orbit_cases():
+    """(id, Lagrangian, chart, velocity half-width, dim) for every bundled
+    system and its shift by its first configured chi; all have n <= 3."""
+    return [(*case, case[1].atlas.dim) for case in solve_cases() if case[0] != "four-dim"]
+
+
+@pytest.fixture
+def existing_loop_starts(monkeypatch):
+    """The steps at which integrate_trajectory entered its existing
+    loop (dynamics._rk4_steps), call by call."""
+    starts = []
+    real = dynamics._rk4_steps
+
+    def spy(*args):
+        starts.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    return starts
+
+
+def zero_forcing(x, v):
+    """A callable forcing always takes the existing loop: the oracle."""
+    return np.zeros(len(x))
+
+
+def outcome(call):
+    """The trajectory arrays of call(), or its exception's class and text."""
+    try:
+        tr = call()
+    except Exception as exc:  # compared between the two loops
+        return type(exc), str(exc)
+    return tr.positions, tr.velocities
+
+
+class TestGeneratedLoop:
+    """The generated RK4 loop (n <= 3, no callable forcing) against the
+    existing loop: the same bits, and on every hand-back the same error."""
+
+    STEPS = 300
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "constant-forcing"])
+    @pytest.mark.parametrize("case", orbit_cases(), ids=lambda c: c[0])
+    def test_bit_identical_to_existing_loop(self, case, forced, existing_loop_starts):
+        _name, lam, chart, halfwidth, n = case
+        rng = np.random.default_rng(23)
+        x0 = rng.uniform(-0.5, 0.5, n)
+        v0 = rng.uniform(-0.5, 0.5, n) * halfwidth
+        f = rng.uniform(-0.5, 0.5, n) if forced else None
+        fast = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS, forcing=f,
+                                    chart_id=chart, backend=BACKEND)
+        assert existing_loop_starts == []  # the generated loop took every step
+        oracle = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS,
+                                      forcing=zero_forcing if f is None else (lambda x, v: f),
+                                      chart_id=chart, backend=BACKEND)
+        assert existing_loop_starts == [0]
+        assert fast.positions.tobytes() == oracle.positions.tobytes()
+        assert fast.velocities.tobytes() == oracle.velocities.tobytes()
+        assert fast.times.tobytes() == oracle.times.tobytes()
+
+    @pytest.mark.parametrize("lagrangian, dim, x0, v0, t1, steps, forcing, error, handback", [
+        # the relativistic particle driven past |v| = 1
+        (bundled_system("relativistic").lagrangian, 2, [0.0, 0.0], [0.0, 0.0], 1.0, 10,
+         [-11.0, 0.0], DomainError, 1),
+        # the circle leaving chart "0" at x1 = pi
+        (bundled_system("circle").lagrangian, 1, [0.0], [1.0], 10.0, 1000, None,
+         ChartExitError, 314),
+        # L itself is infinite; its derivatives are finite
+        ("0.5*v1^2 + 1e308*10", 1, [0.0], [1.0], 1.0, 10, None, DomainError, 0),
+        # a zero velocity Hessian
+        ("0.5*v1^2*0 + x1*v1", 1, [0.0], [1.0], 1.0, 10, None, SingularLagrangianError, 0),
+        # n * cond_1 grows past MAX_CONDITION as x1 falls from 2e-6 to 1e-6
+        ("0.5*v1^2 + 0.5*x1^2*v2^2", 2, [2e-6, 0.0], [-1e-6, 0.0], 1.0, 10, None,
+         SingularLagrangianError, 5),
+    ], ids=["relativistic-past-light", "circle-chart-exit", "infinite-value", "zero-hessian",
+        "condition-guard"])
+    def test_hand_back_raises_the_existing_error(self, lagrangian, dim, x0, v0, t1, steps,
+                                                 forcing, error, handback, existing_loop_starts):
+        if isinstance(lagrangian, str):
+            lagrangian = GaugeClassLagrangian.from_exprs(euclidean_atlas(dim), lagrangian)
+        fast = outcome(lambda: integrate_trajectory(lagrangian, x0, v0, 0.0, t1, steps,
+                                                    forcing=forcing, backend=BACKEND))
+        assert existing_loop_starts == [handback]
+        oracle_forcing = zero_forcing if forcing is None else (lambda x, v: np.array(forcing))
+        oracle = outcome(lambda: integrate_trajectory(lagrangian, x0, v0, 0.0, t1, steps,
+                                                      forcing=oracle_forcing, backend=BACKEND))
+        assert fast[0] is error and fast == oracle
+
+    def test_subnormal_determinant_takes_the_existing_solve(self, existing_loop_starts):
+        # det H = 1e-310 is subnormal: the existing loop solves by LU
+        lam = GaugeClassLagrangian.from_exprs(
+            euclidean_atlas(2), "0.5e-155*(v1^2 + v2^2) - 0.3e-155*(x1^2 + x1*x2)")
+        runs = [integrate_trajectory(lam, [0.3, -0.2], [0.1, 0.4], 0.0, 1.0, 20,
+                                     forcing=forcing, backend=BACKEND)
+                for forcing in (None, zero_forcing)]
+        assert existing_loop_starts == [0, 0]
+        assert runs[0].positions.tobytes() == runs[1].positions.tobytes()
+        assert runs[0].velocities.tobytes() == runs[1].velocities.tobytes()
+
+    def test_four_dimensions_take_the_existing_loop(self, existing_loop_starts):
+        (_name, lam, chart, _halfwidth), = [c for c in solve_cases() if c[0] == "four-dim"]
+        x0, v0 = np.full(4, 0.1), np.array([0.2, -0.1, 0.3, 0.05])
+        tr = integrate_trajectory(lam, x0, v0, 0.0, 0.5, 50, chart_id=chart, backend=BACKEND)
+        assert existing_loop_starts == [0]
+        assert "rk4" not in vars(lam.engine(chart, BACKEND))  # never compiled
+        a0 = solve_accelerations(lam, x0, v0, chart_id=chart, backend=BACKEND)
+        # RK4 is exact to second order: x(h) = x0 + h v0 + h^2 a0 / 2 + O(h^3)
+        h = 0.01
+        assert np.allclose(tr.positions[1], x0 + h * v0 + 0.5 * h * h * a0, atol=1e-5)
 
 
 class TestEnergy:

@@ -1,12 +1,19 @@
 import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
 
 from avcalc import exprlang, kernels
 from avcalc.cli import main
-from avcalc.dynamics import GaugeClassLagrangian, SecondOrderPoint, euler_lagrange
+from avcalc.dynamics import (
+    GaugeClassLagrangian,
+    SecondOrderPoint,
+    euler_lagrange,
+    gauge_shift,
+    lagrangian_varnames,
+)
 from avcalc.errors import BackendUnavailableError, DomainError
 from avcalc.geometry import euclidean_atlas
 from avcalc.kernels import (
@@ -14,8 +21,11 @@ from avcalc.kernels import (
     compile_field,
     default_backend,
     eval_batch,
+    generate_solve_source,
     generate_source,
+    generate_step_source,
 )
+from avcalc.systems import bundled_system, bundled_system_names
 
 from helpers_reference import hyperdual_reference, random_cases
 
@@ -157,6 +167,73 @@ class TestCompilation:
         out = eval_batch(kernel, np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3)))
         assert np.allclose(out[:, 0], 2.5)
         assert np.allclose(out[:, 1:], 0.0)
+
+
+def fused_cases():
+    """(id, expression, dim) for every bundled system's default-chart
+    Lagrangian and its shift by its first configured chi."""
+    cases = []
+    for name in bundled_system_names():
+        system = bundled_system(name)
+        chart = system.default_chart()
+        cases.append((name, system.lagrangian.expr(chart), system.dim))
+        shifted = gauge_shift(system.lagrangian, system.chis[0])
+        cases.append((f"{name}+chi", shifted.expr(chart), system.dim))
+    return cases
+
+
+def build_terms(src):
+    ns = {"math": math}
+    exec(src, ns)
+    return ns["_terms"]
+
+
+class TestFusedSourcePruning:
+    """The fused acceleration source keeps only the lines its result
+    reads, and pruning changes none of its outputs."""
+
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
+    def test_every_temporary_is_read(self, case):
+        _name, ast, dim = case
+        lines = generate_solve_source(ast, lagrangian_varnames(dim)).splitlines()[1:]
+        for i, line in enumerate(lines[:-1]):
+            name = line.split(" = ", 1)[0].strip()
+            later = "\n".join(lines[i + 1:])
+            assert re.search(rf"\b{name}\b", later), f"{name} is never read"
+
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
+    def test_outputs_bit_identical_to_unpruned(self, case, monkeypatch):
+        _name, ast, dim = case
+        names = lagrangian_varnames(dim)
+        pruned_src = generate_solve_source(ast, names)
+        monkeypatch.setattr(kernels, "_prune", lambda lines, results: lines)
+        full_src = generate_solve_source(ast, names)
+        assert len(pruned_src.splitlines()) <= len(full_src.splitlines())
+        pruned, full = build_terms(pruned_src), build_terms(full_src)
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            point = [*rng.uniform(-1.0, 1.0, dim), *rng.uniform(-0.5, 0.5, dim)]
+            assert [*map(float.hex, pruned(*point))] == [*map(float.hex, full(*point))]
+
+    def test_charged_twin_loses_its_dead_lines(self, monkeypatch):
+        (_name, ast, dim), = [c for c in fused_cases() if c[0] == "charged+chi"]
+        pruned = generate_solve_source(ast, lagrangian_varnames(dim))
+        monkeypatch.setattr(kernels, "_prune", lambda lines, results: lines)
+        full = generate_solve_source(ast, lagrangian_varnames(dim))
+        assert len(pruned.splitlines()) < len(full.splitlines())
+
+
+class TestStepSource:
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_only_small_dimensions(self, n):
+        with pytest.raises(ValueError, match="1 <= n <= 3"):
+            generate_step_source(n, 1e12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_compiles_with_one_terms_call_per_stage(self, n):
+        src = generate_step_source(n, 1e12)
+        compile(src, "<step>", "exec")
+        assert src.count("_terms(") == 4
 
 
 class TestCacheBound:
