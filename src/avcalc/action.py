@@ -152,7 +152,6 @@ def variation_pairing(
     curve: CurveSpec,
     w: VariationField,
     panels: int = 1000,
-    backend: str = None,
 ) -> float:
     """Boundary-plus-bulk representation of the action differential:
 
@@ -168,7 +167,7 @@ def variation_pairing(
     """
 
     def integrand(seg, t, x, v, a):
-        e = lam.engine(seg.chart_id, backend).el_covectors(x, v, a)
+        e = lam.engine(seg.chart_id).el_covectors(x, v, a)
         return np.einsum("ij,ij->i", e, jets_in_t(w.exprs, t)[0])
 
     parts = _segment_integrals(
@@ -178,7 +177,7 @@ def variation_pairing(
 
     def boundary(seg, t):
         x, v, _a = seg.jets([t])
-        p = legendre(lam, x[0], v[0], seg.chart_id, backend).p
+        p = legendre(lam, x[0], v[0], seg.chart_id).p
         return float(np.dot(p, jets_in_t(w.exprs, [t])[0][0]))
 
     first, last = curve.segments[0], curve.segments[-1]

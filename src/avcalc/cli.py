@@ -113,7 +113,7 @@ def cmd_el(args) -> int:
     q = SecondOrderPoint.of(
         _vector(args.x, n, "--x"), _vector(args.v, n, "--v"), _vector(args.a, n, "--a")
     )
-    cov = euler_lagrange(system.lagrangian, q, args.chart or system.default_chart(), args.backend)
+    cov = euler_lagrange(system.lagrangian, q, args.chart or system.default_chart())
     print(_fmt_vec(cov.p))
     return 0
 
@@ -126,7 +126,6 @@ def cmd_legendre(args) -> int:
         _vector(args.x, n, "--x"),
         _vector(args.v, n, "--v"),
         args.chart or system.default_chart(),
-        args.backend,
     )
     print(_fmt_vec(cov.p))
     return 0
@@ -146,7 +145,6 @@ def cmd_integrate(args) -> int:
             args.steps,
             forcing=_forcing_callable(system),
             chart_id=args.chart or system.default_chart(),
-            backend=args.backend,
         )
     except ValueError as e:  # an input it refuses, e.g. an overflowing step size
         raise AvcalcError(str(e)) from None
@@ -190,7 +188,7 @@ def cmd_variation(args) -> int:
             raise AvcalcError(f"variation field uses unknown variable '{extra[0]}'")
     w = VariationField.from_strings(exprs, system.constants)
     fd = variation_derivative(system.lagrangian, curve, w, args.eps, args.panels)
-    pair = variation_pairing(system.lagrangian, curve, w, args.panels, args.backend)
+    pair = variation_pairing(system.lagrangian, curve, w, args.panels)
     gap = abs(fd - pair)
     print(f"variation_derivative = {_fmt(fd)}")
     print(f"variation_pairing    = {_fmt(pair)}")
@@ -213,7 +211,7 @@ def cmd_check_gauge(args) -> int:
     results = suites.gauge_el_suite(probe, points=args.points, tol=args.tol_el)
     results += suites.legendre_suite(probe, tol=args.tol_legendre)
     code = _print_results(results)  # shown even if the trajectory suite raises
-    traj = suites.trajectory_gauge_suite(probe, tol=args.tol_trajectory, backend=args.backend)
+    traj = suites.trajectory_gauge_suite(probe, tol=args.tol_trajectory)
     return max(code, _print_results(traj))
 
 
@@ -251,9 +249,6 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a pos
 
 def _add_system(p, required=True):
     p.add_argument("--system", required=required, help="config file or bundled system name")
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                   help="kernel backend (default: AVCALC_BACKEND, else numba "
-                   "when importable, else numpy)")
     p.add_argument("--chart", default=None, help="chart id (default: first chart)")
 
 
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=_finite_float, default=1.0)
     p.add_argument("--panels", type=_positive_int, default=1000)
     p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.set_defaults(run=cmd_action)
 
     p = sub.add_parser("variation", help="FD action derivative vs the boundary+bulk pairing")
@@ -306,16 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="variation field expressions in t, ';'-separated")
     p.add_argument("--eps", type=_positive_float, default=1e-5)
     p.add_argument("--panels", type=_positive_int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.set_defaults(run=cmd_variation)
 
     p = sub.add_parser("check-gauge", help="gauge-invariance suite for a gauge function")
     _add_system(p)
     p.add_argument("--chi", default=None, help="gauge function of x1..xn")
     p.add_argument("--points", type=_positive_int, default=100)
-    p.add_argument("--tol-el", type=float, default=1e-9)
-    p.add_argument("--tol-legendre", type=float, default=1e-12)
-    p.add_argument("--tol-trajectory", type=float, default=1e-9)
+    p.add_argument("--tol-el", type=_positive_float, default=1e-9)
+    p.add_argument("--tol-legendre", type=_positive_float, default=1e-12)
+    p.add_argument("--tol-trajectory", type=_positive_float, default=1e-9)
     p.set_defaults(run=cmd_check_gauge)
 
     p = sub.add_parser("check-all", help="run every invariant suite")

@@ -42,11 +42,10 @@ from .kernels import (
     compile_field,
     compile_solve,
     compile_step,
-    default_backend,
     domain_error,
     eval_chunked,
     require_finite,
-    resolve_backend,
+    require_numpy_backend,
 )
 
 MAX_CONDITION = 1e12
@@ -143,13 +142,14 @@ class GaugeClassLagrangian:
         env.update({f"v{j + 1}": v[j] for j in range(len(v))})
         return float(exprlang.evaluate(self.chart_exprs[chart_id], env))
 
-    def engine(self, chart_id: str, backend: str = None) -> "_ChartEngine":
-        backend = backend or default_backend()
-        key = (chart_id, backend)
-        eng = self._engines.get(key)
+    def engine(self, chart_id: str) -> "_ChartEngine":
+        """The compiled engine of chart `chart_id`'s representative;
+        ChartDisjointError if the atlas has no such chart."""
+        eng = self._engines.get(chart_id)
         if eng is None:
-            eng = _ChartEngine(self.chart_exprs[chart_id], self.atlas.dim, backend)
-            self._engines[key] = eng
+            self.atlas.chart(chart_id)
+            eng = _ChartEngine(self.chart_exprs[chart_id], self.atlas.dim)
+            self._engines[chart_id] = eng
         return eng
 
     def validate(self, samples: int = 32, tol: float = 1e-10):
@@ -194,21 +194,20 @@ class _ChartEngine:
     the fused acceleration terms for the RK4 step.  Each is compiled at
     its first use, so a caller pays only for the one it needs."""
 
-    def __init__(self, ast: ExprAst, dim: int, backend: str):
+    def __init__(self, ast: ExprAst, dim: int):
         self.n = dim
         self.m = 2 * dim
         self.ast = ast
         self.varnames = lagrangian_varnames(dim)
-        self.backend = resolve_backend(backend)
         check_declared(ast, self.varnames)
 
     @cached_property
     def kernel(self):
-        return compile_field(self.ast, self.varnames, self.backend)
+        return compile_field(self.ast, self.varnames)
 
     @cached_property
     def _terms(self):
-        return compile_solve(self.ast, self.varnames, self.backend)
+        return compile_solve(self.ast, self.varnames)
 
     @cached_property
     def rk4(self):
@@ -287,20 +286,20 @@ def _finite(name: str, value) -> np.ndarray:
 
 
 def euler_lagrange(
-    lam: GaugeClassLagrangian, q: SecondOrderPoint, chart_id: str, backend: str = None
+    lam: GaugeClassLagrangian, q: SecondOrderPoint, chart_id: str, backend: str = "numpy"
 ) -> Covector:
-    """Evaluate the Euler-Lagrange covector at second-order data q."""
-    eng = lam.engine(chart_id, backend)
+    """Evaluate the Euler-Lagrange covector at second-order data q.
+    `backend` must be "numpy" (see kernels.require_numpy_backend)."""
+    require_numpy_backend(backend)
+    eng = lam.engine(chart_id)
     x = _finite("x", q.x)
     e = eng.el_covectors(x[None], _finite("v", q.v)[None], _finite("a", q.a)[None])
     return Covector(tuple(x), tuple(e[0]))
 
 
-def legendre(
-    lam: GaugeClassLagrangian, x, v, chart_id: str, backend: str = None
-) -> AffineCovector:
+def legendre(lam: GaugeClassLagrangian, x, v, chart_id: str) -> AffineCovector:
     """Momentum map p_i = dL/dv_i in the given trivialization."""
-    eng = lam.engine(chart_id, backend)
+    eng = lam.engine(chart_id)
     x = _finite("x", x)
     p = eng.momenta(x[None], _finite("v", v)[None])
     return AffineCovector(chart_id, tuple(x), tuple(p[0]))
@@ -375,12 +374,12 @@ def _accelerations(eng: _ChartEngine, x, v, f) -> np.ndarray:
 
 
 def solve_accelerations(
-    lam: GaugeClassLagrangian, x, v, f=None, chart_id: str = None, backend: str = None
+    lam: GaugeClassLagrangian, x, v, f=None, chart_id: str = None
 ) -> np.ndarray:
     """Accelerations a with E(lam)(x, v, a) = f (f = 0 when omitted)."""
     if chart_id is None:
         chart_id = lam.atlas.charts[0].id
-    eng = lam.engine(chart_id, backend)
+    eng = lam.engine(chart_id)
     fvec = None if f is None else _finite("f", f.p if isinstance(f, Covector) else f)
     return _accelerations(eng, _finite("x", x), _finite("v", v), fvec)
 
@@ -397,7 +396,6 @@ def integrate_trajectory(
     steps: int,
     forcing: ForcingLike = None,
     chart_id: str = None,
-    backend: str = None,
 ) -> Trajectory:
     """Fixed-step classical RK4 on (x' = v, v' = solve_accelerations).
 
@@ -416,7 +414,7 @@ def integrate_trajectory(
                          f"for t0={t0}, t1={t1}, steps={steps}")
     if chart_id is None:
         chart_id = lam.atlas.charts[0].id
-    eng = lam.engine(chart_id, backend)
+    eng = lam.engine(chart_id)
     atlas = lam.atlas
     n = atlas.dim
     x0 = _finite("x0", x0)

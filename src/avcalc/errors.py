@@ -40,19 +40,6 @@ class DomainError(AvcalcError):
     division by zero, fractional power of a negative base)."""
 
 
-class BackendUnavailableError(AvcalcError):
-    """A kernel backend was requested whose package does not import."""
-
-    def __init__(self, backend):
-        super().__init__(
-            f"kernel backend '{backend}' is unavailable: the {backend} package "
-            f"does not import; install the '{backend}' extra "
-            f"(pip install -e .[{backend}]) or use AVCALC_BACKEND=numpy / "
-            f"--backend numpy"
-        )
-        self.backend = backend
-
-
 class BaseMismatchError(AvcalcError):
     """Fiber operation on points whose base points differ."""
 

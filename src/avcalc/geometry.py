@@ -423,14 +423,12 @@ def jets_in_t(exprs, t):
     """Values, first and second t-derivatives of per-coordinate
     expressions in the parameter t at every node of the array t, each
     of shape (nodes, coordinates).  One kernel call per coordinate,
-    seeded d1 = d2 = 1, so a probe returns (x, x', x', x'').  Always the
-    numpy backend: variation fields are fresh expressions on every call,
-    which a JIT backend would compile every time."""
+    seeded d1 = d2 = 1, so a probe returns (x, x', x', x'')."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     ones = np.ones_like(t)
     jets = np.empty((3, t.shape[0], len(exprs)))
     for k, e in enumerate(exprs):
-        out = eval_chunked(compile_field(e, _T, "numpy"), t, ones, ones)[:, [0, 1, 3]]
+        out = eval_chunked(compile_field(e, _T), t, ones, ones)[:, [0, 1, 3]]
         require_finite(out, e, _T, t, ones, ones)
         jets[:, :, k] = out.T
     return jets

@@ -5,9 +5,8 @@ code that propagates second-order forward-mode components
 (val, d1, d2, d12).  There are three renderings:
 
   * the derivative rules vectorized over a batch of seed "probes"
-    (compile_field): with the "numpy" backend the body runs over the
-    probe axis, with "numba" it is a scalar loop over probes compiled
-    by @njit;
+    (compile_field): the body runs on numpy arrays along the probe
+    axis;
   * the same rules as one scalar function (compile_solve) that returns
     everything a Euler-Lagrange acceleration solve needs at one point,
     with the probe seeds written into the source as literals and the
@@ -18,10 +17,6 @@ code that propagates second-order forward-mode components
     constant, and gives bit-identical trajectories.  On any alarm it
     returns the last good step, and the caller's numpy loop repeats
     that step and raises the error, if there is one.
-
-Select globally with the AVCALC_BACKEND environment variable ("numba"
-or "numpy"); the default is numba when it imports, numpy otherwise.
-Asking for numba when it does not import raises BackendUnavailableError.
 
 Kernel signature: kernel(vals, d1, d2, out) with vals/d1/d2 of shape
 (probes, nvars) and out of shape (probes, 4).  Row p evaluates the
@@ -36,34 +31,31 @@ with require_finite.
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
 
 import numpy as np
 
 from .autodiff import Hyperdual
-from .errors import BackendUnavailableError, DomainError
+from .errors import DomainError
 from .exprlang import Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text
 
-try:  # pragma: no cover - exercised indirectly via backend selection
-    import numba
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
-
-BACKENDS = ("numba", "numpy")
+# There is one kernel backend.  BACKENDS, default_backend and the
+# `backend` parameters checked by require_numpy_backend are kept for the
+# avbench harness, which reads or passes them.
+BACKENDS = ("numpy",)
 
 
 def default_backend() -> str:
-    env = os.environ.get("AVCALC_BACKEND", "").strip().lower()
-    if env in BACKENDS:
-        if env == "numba" and not _HAVE_NUMBA:
-            raise BackendUnavailableError(env)
-        return env
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """The one kernel backend, "numpy"."""
+    return "numpy"
+
+
+def require_numpy_backend(backend: str) -> None:
+    """Accept the avbench harness's "numpy" argument; any other value
+    is a ValueError."""
+    if backend != "numpy":
+        raise ValueError(f"unknown backend {backend!r}: the only one is 'numpy'")
 
 
 # ---------------------------------------------------------------------------
@@ -336,34 +328,24 @@ def check_declared(ast: ExprAst, varnames) -> set:
     return used
 
 
-def generate_source(ast: ExprAst, varnames, backend: str) -> str:
-    """Render kernel source text for one backend."""
+def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
+    """Source text of the batched kernel of compile_field.  `backend`
+    must be "numpy" (see require_numpy_backend)."""
+    require_numpy_backend(backend)
     used = check_declared(ast, varnames)
-    em = _Emitter(vector=backend == "numpy")
+    em = _Emitter(vector=True)
     slots = {}
     preamble = []
     for j, name in enumerate(varnames):
         if name not in used:
             continue
-        if backend == "numba":
-            vv, aa, bb = f"vals[p_,{j}]", f"d1[p_,{j}]", f"d2[p_,{j}]"
-        else:
-            vv, aa, bb = f"vals[:,{j}]", f"d1[:,{j}]", f"d2[:,{j}]"
         v = f"w{j}"
         a = f"w{j}a"
         b = f"w{j}b"
-        preamble += [f"{v} = {vv}", f"{a} = {aa}", f"{b} = {bb}"]
+        preamble += [f"{v} = vals[:,{j}]", f"{a} = d1[:,{j}]", f"{b} = d2[:,{j}]"]
         slots[name] = (v, a, b, _ZERO)
     result = _walk(ast, em, slots)
-    body = preamble + em.lines
-    if backend == "numba":
-        body += [f"out[p_,{k}] = {result[k]}" for k in range(4)]
-        inner = "\n".join("        " + ln for ln in body)
-        return (
-            "def _kernel(vals, d1, d2, out):\n"
-            "    for p_ in range(vals.shape[0]):\n" + inner + "\n"
-        )
-    body += [f"out[:,{k}] = {result[k]}" for k in range(4)]
+    body = preamble + em.lines + [f"out[:,{k}] = {result[k]}" for k in range(4)]
     inner = "\n".join("    " + ln for ln in body)
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
@@ -533,28 +515,12 @@ def _prune(lines, results):
     return kept[::-1]
 
 
-def resolve_backend(backend: str = None) -> str:
-    """`backend`, or the default one when None.  ValueError for an
-    unknown name; BackendUnavailableError for "numba" when numba does
-    not import."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend '{backend}'")
-    if backend == "numba" and not _HAVE_NUMBA:
-        raise BackendUnavailableError(backend)
-    return backend
-
-
-def _build(src: str, name: str, backend: str, **env):
+def _build(src: str, name: str, **env):
     """The function `name` defined by generated source, with the names
-    `env` in its globals; @njit compiled under the numba backend."""
+    `env` in its globals."""
     ns = {"math": math, "np": np, **env}
-    exec(compile(src, f"<avcalc kernel {backend}>", "exec"), ns)
-    fn = ns[name]
-    if backend == "numba":
-        fn = numba.njit(cache=False)(fn)
-    return fn
+    exec(compile(src, "<avcalc kernel>", "exec"), ns)
+    return ns[name]
 
 
 # compile_field keeps at most CACHE_SIZE kernels and evicts the least
@@ -564,42 +530,37 @@ CACHE_SIZE = 256
 _CACHE = {}  # key -> kernel, in order of last use
 
 
-def compile_field(ast: ExprAst, varnames, backend: str = None):
+def compile_field(ast: ExprAst, varnames):
     """Compile an expression into a batched second-order evaluator.
 
     Returns kernel(vals, d1, d2, out); see the module docstring for the
     array contract.  Compiled kernels are cached per (expression,
-    variable layout, backend), at most CACHE_SIZE of them.  Raises
-    BackendUnavailableError for "numba" when numba does not import.
+    variable layout), at most CACHE_SIZE of them.
     """
-    backend = resolve_backend(backend)
-    key = (to_text(ast), tuple(varnames), backend)
+    key = (to_text(ast), tuple(varnames))
     fn = _CACHE.pop(key, None)
     if fn is None:
-        fn = _build(generate_source(ast, varnames, backend), "_kernel", backend)
+        fn = _build(generate_source(ast, varnames), "_kernel")
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]  # the least recently used
     _CACHE[key] = fn  # now the most recently used
     return fn
 
 
-def compile_solve(ast: ExprAst, varnames, backend: str = None):
+def compile_solve(ast: ExprAst, varnames):
     """Compile the function of generate_solve_source: called with the
     2n coordinates of a point as floats, it returns the tuple of
     1 + 2n + n*n floats described there.  Outside the real domain it
     returns non-finite entries or raises ValueError or ArithmeticError
     (Python's math functions raise where numpy returns NaN)."""
-    backend = resolve_backend(backend)
-    return _build(generate_solve_source(ast, varnames), "_terms", backend)
+    return _build(generate_solve_source(ast, varnames), "_terms")
 
 
 def compile_step(terms, n: int, max_condition: float):
     """Compile the RK4 loop of generate_step_source around `terms`, a
-    function of compile_solve for n <= 3.  The loop is plain Python
-    under either backend: it spends its time in `terms` and in scalar
-    arithmetic."""
+    function of compile_solve for n <= 3."""
     src = generate_step_source(n, max_condition)
-    return _build(src, "_run", "numpy", _terms=terms, _isfinite=math.isfinite,
+    return _build(src, "_run", _terms=terms, _isfinite=math.isfinite,
                   _sum=sum, _inf=math.inf)
 
 
@@ -613,9 +574,9 @@ def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
     return out
 
 
-# Probes per kernel call on the batched paths.  The numpy backend keeps
-# one temporary per generated line alive until the call returns, so a
-# call's working set grows with its batch; this caps it.
+# Probes per kernel call on the batched paths.  A kernel keeps one
+# temporary per generated line alive until the call returns, so a call's
+# working set grows with its batch; this caps it.
 CHUNK = 512
 
 

@@ -3,8 +3,7 @@
 Each suite function takes a System and returns CheckResults carrying
 the measured worst defect and the tolerance it was held to.  Sweep
 suites draw all their samples first and make one batched chart-engine
-call per Lagrangian; they default to the numpy backend to avoid JIT
-warm-up.  Trajectory suites use the configured default backend.
+call per Lagrangian.
 """
 from __future__ import annotations
 
@@ -120,9 +119,7 @@ def commutation_suite(system: System, panels: int = 1000, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 # Gauge suites
 
-def gauge_el_suite(
-    system: System, points: int = 100, tol: float = 1e-9, backend: str = "numpy"
-):
+def gauge_el_suite(system: System, points: int = 100, tol: float = 1e-9):
     """E(L + <d chi, v>) = E(L) at random second-order data."""
     rng = np.random.default_rng(SEED)
     chart = system.default_chart()
@@ -131,8 +128,8 @@ def gauge_el_suite(
         name = f"{system.name}: EL gauge invariance, chi={chi}"
         x, v, a = _random_points(system, rng, points)
         try:
-            e0 = system.lagrangian.engine(chart, backend).el_covectors(x, v, a)
-            e1 = _shifted(system, chi).engine(chart, backend).el_covectors(x, v, a)
+            e0 = system.lagrangian.engine(chart).el_covectors(x, v, a)
+            e1 = _shifted(system, chi).engine(chart).el_covectors(x, v, a)
         except DomainError as exc:
             results.append(CheckResult(name, math.nan, tol, str(exc)))
             continue
@@ -140,10 +137,7 @@ def gauge_el_suite(
     return results
 
 
-def legendre_suite(
-    system: System, points: int = 10, vels: int = 10, tol: float = 1e-12,
-    backend: str = "numpy",
-):
+def legendre_suite(system: System, points: int = 10, vels: int = 10, tol: float = 1e-12):
     """P(L + <d chi, v>) - P(L) = d chi, independently of the velocity."""
     rng = np.random.default_rng(SEED + 1)
     chart = system.default_chart()
@@ -159,8 +153,8 @@ def legendre_suite(
         xs = np.repeat(x, vels, axis=0)
         vs = np.stack(v, axis=1).reshape(points * vels, n)
         try:
-            p0 = system.lagrangian.engine(chart, backend).momenta(xs, vs)
-            p1 = _shifted(system, chi).engine(chart, backend).momenta(xs, vs)
+            p0 = system.lagrangian.engine(chart).momenta(xs, vs)
+            p1 = _shifted(system, chi).engine(chart).momenta(xs, vs)
             fn = _chi_fn(system, chi)  # the Hyperdual gradient is the reference
             dchi = np.array([fn.grad(xi, chart) for xi in x]).reshape(points, 1, n)
         except DomainError as exc:
@@ -172,16 +166,14 @@ def legendre_suite(
     return results
 
 
-def consistency_suite(
-    system: System, points: int = 20, tol: float = 1e-10, backend: str = "numpy"
-):
+def consistency_suite(system: System, points: int = 20, tol: float = 1e-10):
     """euler_lagrange at the solved accelerations reproduces the forcing."""
     rng = np.random.default_rng(SEED + 2)
     chart = system.default_chart()
     lam = system.lagrangian
     x, v, _a, f = _uniform_rows(rng, points, (1.0, system.v_halfwidth, 1.0, 1.0), system.dim)
-    a = np.array([solve_accelerations(lam, *xvf, chart, backend) for xvf in zip(x, v, f)])
-    e = lam.engine(chart, backend).el_covectors(x, v, a.reshape(x.shape))
+    a = np.array([solve_accelerations(lam, *xvf, chart) for xvf in zip(x, v, f)])
+    e = lam.engine(chart).el_covectors(x, v, a.reshape(x.shape))
     return [CheckResult(f"{system.name}: forced EL consistency", _worst(e - f), tol)]
 
 
@@ -233,7 +225,6 @@ def variation_suite(
     panels: int = 1000,
     eps: float = 1e-5,
     tol: float = 1e-4,
-    backend: str = "numpy",
 ):
     """Finite-difference action derivative vs the boundary+bulk pairing,
     for random polynomial variation fields with and without endpoint
@@ -248,7 +239,7 @@ def variation_suite(
         vanishing = k % 2 == 0
         w = _random_variation(rng, system.dim, a, b, vanishing)
         fd = variation_derivative(system.lagrangian, curve, w, eps, panels)
-        pair = variation_pairing(system.lagrangian, curve, w, panels, backend)
+        pair = variation_pairing(system.lagrangian, curve, w, panels)
         worst[vanishing] = np.maximum(worst[vanishing], abs(fd - pair))
     return [
         CheckResult(f"{system.name}: variational identity (endpoint-vanishing w)", worst[True], tol),
@@ -256,9 +247,7 @@ def variation_suite(
     ]
 
 
-def action_gauge_suite(
-    system: System, panels: int = 1000, tol: float = 1e-9, backend: str = "numpy"
-):
+def action_gauge_suite(system: System, panels: int = 1000, tol: float = 1e-9):
     """Gauge behavior of the action: the fixed-trivialization value
     shifts by chi(end) - chi(start); the pairing with endpoint-vanishing
     variations does not shift at all."""
@@ -281,8 +270,8 @@ def action_gauge_suite(
     ]
     rng = np.random.default_rng(SEED + 4)
     w = _random_variation(rng, system.dim, curve.t_start, curve.t_end, vanishing=True)
-    p0 = variation_pairing(system.lagrangian, curve, w, panels, backend)
-    p1 = variation_pairing(shifted, curve, w, panels, backend)
+    p0 = variation_pairing(system.lagrangian, curve, w, panels)
+    p1 = variation_pairing(shifted, curve, w, panels)
     out.append(
         CheckResult(
             f"{system.name}: pairing gauge-invariant (vanishing w)", abs(p1 - p0), tol
@@ -295,11 +284,7 @@ def action_gauge_suite(
 # Trajectory suites
 
 def trajectory_gauge_suite(
-    system: System,
-    t1: float = 1.0,
-    steps: int = 1000,
-    tol: float = 1e-9,
-    backend: str = None,
+    system: System, t1: float = 1.0, steps: int = 1000, tol: float = 1e-9
 ):
     """Trajectories are unchanged by a gauge shift of the Lagrangian."""
     if not system.chis:
@@ -313,7 +298,7 @@ def trajectory_gauge_suite(
     name = f"{system.name}: trajectory gauge invariance, chi={chi}"
     try:
         tr0, tr1 = (
-            integrate_trajectory(lam, x0, v0, 0.0, t1, steps, chart_id=chart, backend=backend)
+            integrate_trajectory(lam, x0, v0, 0.0, t1, steps, chart_id=chart)
             for lam in (system.lagrangian, _shifted(system, chi))
         )
     except (DomainError, ChartExitError, SingularLagrangianError) as exc:
@@ -325,7 +310,7 @@ def trajectory_gauge_suite(
     return [CheckResult(name, defect, tol)]
 
 
-def newton_suite(points: int = 30, tol: float = 1e-12, backend: str = "numpy"):
+def newton_suite(points: int = 30, tol: float = 1e-12):
     """For L = m|v|^2/2 - V(x), the EL covector matches Newton's
     -dV/dx - m*a by hand."""
     atlas = euclidean_atlas(2)
@@ -335,24 +320,23 @@ def newton_suite(points: int = 30, tol: float = 1e-12, backend: str = "numpy"):
     )
     rng = np.random.default_rng(SEED + 6)
     x, v, a = _uniform_rows(rng, points, (1.0, 1.0, 1.0), 2)
-    e = lam.engine("0", backend).el_covectors(x, v, a)
+    e = lam.engine("0").el_covectors(x, v, a)
     hand = np.stack([-np.cos(x[:, 0]) - m * a[:, 0], -x[:, 1] - m * a[:, 1]], axis=1)
     return [CheckResult("newton: EL matches hand formula", _worst(e - hand), tol)]
 
 
-def uniform_field_regression(tol: float = 1e-10, backend: str = None):
+def uniform_field_regression(tol: float = 1e-10):
     """Closed form x(t) = x0 + v0*t - t^2/2 for L = v^2/2 - x."""
     atlas = euclidean_atlas(1)
     lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*v1^2 - x1")
     x0, v0 = 0.2, 0.8
-    tr = integrate_trajectory(lam, [x0], [v0], 0.0, 1.0, 100, backend=backend)
+    tr = integrate_trajectory(lam, [x0], [v0], 0.0, 1.0, 100)
     exact = x0 + v0 * tr.times - 0.5 * tr.times**2
     defect = float(np.max(np.abs(tr.positions[:, 0] - exact)))
     return [CheckResult("uniform field: closed-form trajectory (h=1e-2)", defect, tol)]
 
 
-def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9,
-                  backend: str = None):
+def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9):
     """Charged particle in |B| = 1: unit-radius circle with period 2*pi,
     reproduced identically after the gauge change A -> A + d(chi)."""
     system = charged_particle(b=1.0)
@@ -361,7 +345,7 @@ def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9
     x0 = np.array([0.0, 0.0, 0.0])
     v0 = np.array([1.0, 0.0, 0.0])
     center = np.array([0.0, -1.0, 0.0])  # x0 + (v0 x B)/|...|, radius 1
-    tr = integrate_trajectory(system.lagrangian, x0, v0, 0.0, period, steps, backend=backend)
+    tr = integrate_trajectory(system.lagrangian, x0, v0, 0.0, period, steps)
     radii = np.linalg.norm(tr.positions - center, axis=1)
     radius_defect = float(np.max(np.abs(radii - 1.0)))
     period_defect = max(
@@ -369,7 +353,7 @@ def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9
         float(np.max(np.abs(tr.velocities[-1] - v0))),
     )
     shifted = gauge_shift(system.lagrangian, "sin(x1)*cos(x2)")
-    tr2 = integrate_trajectory(shifted, x0, v0, 0.0, period, steps, backend=backend)
+    tr2 = integrate_trajectory(shifted, x0, v0, 0.0, period, steps)
     gauge_defect = max(
         float(np.max(np.abs(tr.positions - tr2.positions))),
         float(np.max(np.abs(tr.velocities - tr2.velocities))),
@@ -381,8 +365,7 @@ def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9
     ]
 
 
-def galilean_suite(points: int = 50, el_tol: float = 1e-12, traj_tol: float = 1e-9,
-                   backend: str = None):
+def galilean_suite(points: int = 50, el_tol: float = 1e-12, traj_tol: float = 1e-9):
     """Free particle vs its boosted representative: identical EL outputs
     and identical trajectories."""
     from .systems import boosted_free
@@ -391,11 +374,11 @@ def galilean_suite(points: int = 50, el_tol: float = 1e-12, traj_tol: float = 1e
     boosted = boosted_free()
     rng = np.random.default_rng(SEED + 7)
     x, v, a = _random_points(free, rng, points)
-    e0 = free.lagrangian.engine("0", "numpy").el_covectors(x, v, a)
-    e1 = boosted.lagrangian.engine("0", "numpy").el_covectors(x, v, a)
+    e0 = free.lagrangian.engine("0").el_covectors(x, v, a)
+    e1 = boosted.lagrangian.engine("0").el_covectors(x, v, a)
     x0, v0 = np.array([0.1, -0.2]), np.array([0.4, 0.3])
-    tr0 = integrate_trajectory(free.lagrangian, x0, v0, 0.0, 1.0, 1000, backend=backend)
-    tr1 = integrate_trajectory(boosted.lagrangian, x0, v0, 0.0, 1.0, 1000, backend=backend)
+    tr0 = integrate_trajectory(free.lagrangian, x0, v0, 0.0, 1.0, 1000)
+    tr1 = integrate_trajectory(boosted.lagrangian, x0, v0, 0.0, 1.0, 1000)
     traj = max(
         float(np.max(np.abs(tr0.positions - tr1.positions))),
         float(np.max(np.abs(tr0.velocities - tr1.velocities))),

@@ -228,7 +228,7 @@ def reference_derivative(lam, curve, w, eps, panels):
     ) / (2.0 * eps)
 
 
-def reference_pairing(lam, curve, w, panels, backend="numpy"):
+def reference_pairing(lam, curve, w, panels):
     """Boundary terms plus the Simpson bulk of <E, w>, node by node, with
     the pointwise euler_lagrange and legendre operators."""
     bulk = 0.0
@@ -236,14 +236,14 @@ def reference_pairing(lam, curve, w, panels, backend="numpy"):
         def f(t, seg=seg):
             x, v = _checked_state(lam, seg, t)
             q = SecondOrderPoint.of(x, v, _derivatives(seg.exprs, t, "d12"))
-            e = euler_lagrange(lam, q, seg.chart_id, backend)
+            e = euler_lagrange(lam, q, seg.chart_id)
             return float(np.dot(e.p, _positions(w.exprs, t)))
 
         bulk += simpson_panels(f, seg.t0, seg.t1, k)
 
     def boundary(seg, t):
         p = legendre(lam, _positions(seg.exprs, t), _derivatives(seg.exprs, t, "d1"),
-                     seg.chart_id, backend)
+                     seg.chart_id)
         return float(np.dot(p.p, _positions(w.exprs, t)))
 
     first, last = curve.segments[0], curve.segments[-1]

@@ -23,8 +23,6 @@ from helpers_reference import (
     reference_quadrature,
 )
 
-BACKEND = "numpy"
-
 
 @pytest.fixture(scope="module")
 def free():
@@ -84,7 +82,7 @@ class TestPerturbation:
         _atlas, lam, curve = free
         w = VariationField.from_strings(["0"])
         assert variation_derivative(lam, curve, w) == pytest.approx(0.0, abs=1e-12)
-        assert variation_pairing(lam, curve, w, backend=BACKEND) == pytest.approx(0.0, abs=1e-12)
+        assert variation_pairing(lam, curve, w) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestStationarity:
@@ -94,7 +92,7 @@ class TestStationarity:
         _atlas, lam, curve = free
         w = VariationField.from_strings(["t*(1-t)"])
         assert abs(variation_derivative(lam, curve, w)) < 1e-6
-        assert abs(variation_pairing(lam, curve, w, backend=BACKEND)) < 1e-8
+        assert abs(variation_pairing(lam, curve, w)) < 1e-8
 
     def test_identity_for_non_solution_curve(self):
         atlas = euclidean_atlas(1)
@@ -102,7 +100,7 @@ class TestStationarity:
         curve = CurveSpec.single("0", ["0.3*t + 0.2*t^2"], 0.0, 1.0)
         w = VariationField.from_strings(["0.1 + 0.2*t"])  # not endpoint-vanishing
         fd = variation_derivative(lam, curve, w, eps=1e-5, panels=1000)
-        pair = variation_pairing(lam, curve, w, panels=1000, backend=BACKEND)
+        pair = variation_pairing(lam, curve, w, panels=1000)
         assert fd == pytest.approx(pair, abs=1e-8)
 
     def test_forced_uniform_field_boundary_term(self):
@@ -111,7 +109,7 @@ class TestStationarity:
         lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*v1^2 - x1")
         curve = CurveSpec.single("0", ["0.2 + 0.8*t - 0.5*t^2"], 0.0, 1.0)
         w = VariationField.from_strings(["1"])
-        pair = variation_pairing(lam, curve, w, panels=500, backend=BACKEND)
+        pair = variation_pairing(lam, curve, w, panels=500)
         # <p(1), 1> - <p(0), 1> = (0.8 - 1.0) - 0.8 = -1.0
         assert pair == pytest.approx(-1.0, abs=1e-10)
         fd = variation_derivative(lam, curve, w, panels=500)
@@ -150,8 +148,8 @@ class TestAgainstScalarOracle:
         shifted = gauge_shift(system.lagrangian, system.chis[0])
         for lam in (system.lagrangian, shifted):
             for w in self.fields(system):
-                got = variation_pairing(lam, curve, w, p, BACKEND)
-                assert abs(got - reference_pairing(lam, curve, w, p, BACKEND)) <= 1e-12
+                got = variation_pairing(lam, curve, w, p)
+                assert abs(got - reference_pairing(lam, curve, w, p)) <= 1e-12
 
     def test_derivative(self, system):
         lam, curve, p = system.lagrangian, system.curve, self.PANELS
@@ -171,7 +169,7 @@ class TestErrorPaths:
             lambda: action_quadrature(lam, curve, 50),
             lambda: action_lift(lam, curve, 50),
             lambda: variation_derivative(lam, curve, w, 1e-5, 50),
-            lambda: variation_pairing(lam, curve, w, 50, BACKEND),
+            lambda: variation_pairing(lam, curve, w, 50),
         ]
         for call in calls:
             with pytest.raises(DomainError, match=r"sqrt.* at x1=0\.0, v1=2\.0"):
@@ -201,7 +199,7 @@ class TestErrorPaths:
         calls = [
             lambda: action_quadrature(lam, curve, 100),
             lambda: action_lift(lam, curve, 100),
-            lambda: variation_pairing(lam, curve, w, 100, BACKEND),
+            lambda: variation_pairing(lam, curve, w, 100),
         ]
         for call in calls:
             with pytest.raises(ChartScheduleError, match="curve leaves chart 0 at t=3.16") as got:

@@ -7,7 +7,6 @@ import pytest
 from avcalc.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-ENV = {**os.environ, "AVCALC_BACKEND": "numpy"}
 
 
 def cfg(name):
@@ -17,33 +16,33 @@ def cfg(name):
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "avcalc.cli", *argv],
-        capture_output=True, text=True, env=ENV,
+        capture_output=True, text=True,
     )
 
 
 class TestEl:
     def test_free_particle_zero(self, capsys):
-        code = main(["el", "--system", cfg("free"), "--backend", "numpy",
+        code = main(["el", "--system", cfg("free"),
                      "--x", "0,0", "--v", "1,0", "--a", "0,0"])
         out = capsys.readouterr().out.split()
         assert code == 0
         assert [float(c) for c in out] == [0.0, 0.0]
 
     def test_bundled_name(self, capsys):
-        code = main(["el", "--system", "uniform", "--backend", "numpy",
+        code = main(["el", "--system", "uniform",
                      "--x", "0", "--v", "0", "--a", "0"])
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(-1.0)
 
     def test_wrong_dimension(self, capsys):
-        code = main(["el", "--system", "free", "--backend", "numpy",
+        code = main(["el", "--system", "free",
                      "--x", "0", "--v", "0", "--a", "0"])
         assert code == 1
 
 
 class TestLegendre:
     def test_momentum(self, capsys):
-        code = main(["legendre", "--system", cfg("charged"), "--backend", "numpy",
+        code = main(["legendre", "--system", cfg("charged"),
                      "--x", "1,0,0", "--v", "0,1,0"])
         assert code == 0
         vals = [float(c) for c in capsys.readouterr().out.split()]
@@ -69,7 +68,7 @@ class TestAction:
 
 class TestVariation:
     def test_gap_small(self, capsys):
-        code = main(["variation", "--system", cfg("uniform"), "--backend", "numpy",
+        code = main(["variation", "--system", cfg("uniform"),
                      "--w", "t*(1-t)", "--panels", "400"])
         out = capsys.readouterr().out
         assert code == 0
@@ -83,7 +82,7 @@ class TestVariation:
 
 class TestCheckGauge:
     def test_charged_system_passes(self, capsys):
-        code = main(["check-gauge", "--system", cfg("charged"), "--backend", "numpy",
+        code = main(["check-gauge", "--system", cfg("charged"),
                      "--chi", "sin(x1)*cos(x2)", "--points", "25"])
         out = capsys.readouterr().out
         assert code == 0
@@ -91,7 +90,7 @@ class TestCheckGauge:
 
     def test_trajectory_blow_up_is_a_failed_check(self, capsys):
         # the shifted Lagrangian's terms overflow along the trajectory
-        code = main(["check-gauge", "--system", cfg("free"), "--backend", "numpy",
+        code = main(["check-gauge", "--system", cfg("free"),
                      "--chi", "exp(1000*x1)", "--points", "25"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == ""
@@ -115,27 +114,43 @@ class TestExitCodes:
         (["action", "--steps", "-1"], "--steps: must be a positive integer"),
         (["variation", "--w", "t;t", "--eps", "0"], "--eps: must be a positive number"),
         (["check-gauge", "--points", "0"], "--points: must be a positive integer"),
+        (["action", "--tol", "nan"], "--tol: must be a positive number"),
+        (["variation", "--w", "t;t", "--tol", "-1"], "--tol: must be a positive number"),
+        (["check-gauge", "--tol-el", "nan"], "--tol-el: must be a positive number"),
+        (["check-gauge", "--tol-legendre", "-1"], "--tol-legendre: must be a positive number"),
+        (["check-gauge", "--tol-trajectory", "inf"], "--tol-trajectory: must be a positive number"),
+        (["check-gauge", "--tol-el", "0"], "--tol-el: must be a positive number"),
     ])
     def test_bad_numeric_argument_is_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([argv[0], "--system", "free", "--backend", "numpy", *argv[1:]])
+            main([argv[0], "--system", "free", *argv[1:]])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_vector_component_is_1(self, component, capsys):
-        code = main(["el", "--system", "free", "--backend", "numpy",
+        code = main(["el", "--system", "free",
                      "--x", f"0,{component}", "--v", "1,0", "--a", "0,0"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: --x components must be numbers: '0,{component}'\n"
 
     def test_overflowing_step_size_is_1(self, capsys):
-        code = main(["integrate", "--system", "free", "--backend", "numpy", "--x0", "0,0",
+        code = main(["integrate", "--system", "free", "--x0", "0,0",
                      "--v0", "1,0", "--t0=-1e308", "--t1=1e308", "--steps", "2"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: step size (t1 - t0)/steps must be finite")
+
+    @pytest.mark.parametrize("argv, chart", [
+        (["el", "--system", "free", "--chart", "7", "--x", "0,0", "--v", "1,0", "--a", "0,0"], "7"),
+        (["integrate", "--system", "circle", "--chart", "9", "--x0", "0", "--v0", "1"], "9"),
+    ])
+    def test_unknown_chart_is_1(self, argv, chart, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: no chart '{chart}' in atlas\n"
 
     def test_missing_config_is_1(self, capsys):
         code = main(["el", "--system", "no-such.cfg", "--x", "0", "--v", "0", "--a", "0"])
@@ -152,7 +167,7 @@ class TestExitCodes:
 class TestCsv:
     def test_schema_and_determinism(self, tmp_path):
         args = [
-            "integrate", "--system", cfg("uniform"), "--backend", "numpy",
+            "integrate", "--system", cfg("uniform"),
             "--x0", "0.2", "--v0", "0.8", "--t0", "0", "--t1", "1", "--steps", "50",
         ]
         out_a = tmp_path / "a.csv"
@@ -170,7 +185,7 @@ class TestCsv:
 
     def test_stdout_default(self, capsys):
         code = main([
-            "integrate", "--system", cfg("free"), "--backend", "numpy",
+            "integrate", "--system", cfg("free"),
             "--x0", "0,0", "--v0", "1,0", "--steps", "2",
         ])
         out = capsys.readouterr().out

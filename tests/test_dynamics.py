@@ -15,13 +15,18 @@ from avcalc.dynamics import (
     legendre,
     solve_accelerations,
 )
-from avcalc.errors import ChartExitError, DomainError, SingularLagrangianError, ValidationError
+from avcalc.errors import (
+    ChartDisjointError,
+    ChartExitError,
+    DomainError,
+    SingularLagrangianError,
+    ValidationError,
+)
 from avcalc.geometry import Atlas, Chart, circle_atlas, euclidean_atlas
 from avcalc.systems import bundled_system, bundled_system_names, charged_particle
 
 from helpers_reference import hyperdual_reference
 
-BACKEND = "numpy"  # unit tests stay off the JIT path; parity is covered in test_kernels
 
 
 def q_of(x, v, a):
@@ -31,30 +36,30 @@ def q_of(x, v, a):
 class TestEulerLagrange:
     def test_free_particle(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2+v2^2)")
-        e = euler_lagrange(lam, q_of([0.3, 0.1], [1.0, -2.0], [0.5, 0.25]), "0", BACKEND)
+        e = euler_lagrange(lam, q_of([0.3, 0.1], [1.0, -2.0], [0.5, 0.25]), "0")
         assert np.allclose(e.p, [-0.5, -0.25])
 
     def test_uniform_field(self):
         # L = v^2/2 - x: E = -1 - a; at rest the covector is the force
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 - x1")
-        e = euler_lagrange(lam, q_of([0.0], [0.0], [0.0]), "0", BACKEND)
+        e = euler_lagrange(lam, q_of([0.0], [0.0], [0.0]), "0")
         assert e.p[0] == pytest.approx(-1.0)
-        e = euler_lagrange(lam, q_of([0.2], [0.7], [0.3]), "0", BACKEND)
+        e = euler_lagrange(lam, q_of([0.2], [0.7], [0.3]), "0")
         assert e.p[0] == pytest.approx(-1.0 - 0.3)
 
     def test_velocity_position_cross_terms(self):
         # L = x1 * v1^2: E = v1^2 - d/dt(2 x1 v1) = v1^2 - 2 v1^2 - 2 x1 a1
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "x1*v1^2")
         x, v, a = 0.8, 1.3, -0.4
-        e = euler_lagrange(lam, q_of([x], [v], [a]), "0", BACKEND)
+        e = euler_lagrange(lam, q_of([x], [v], [a]), "0")
         assert e.p[0] == pytest.approx(-v * v - 2 * x * a)
 
     def test_gauge_shift_preserves_el(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2+v2^2) - x1*x2")
         shifted = gauge_shift(lam, "sin(x1)*cos(x2)")
         q = q_of([0.4, -0.3], [1.1, 0.2], [-0.6, 0.9])
-        e0 = euler_lagrange(lam, q, "0", BACKEND)
-        e1 = euler_lagrange(shifted, q, "0", BACKEND)
+        e0 = euler_lagrange(lam, q, "0")
+        e1 = euler_lagrange(shifted, q, "0")
         assert np.allclose(e0.p, e1.p, atol=1e-14)
 
 
@@ -66,15 +71,15 @@ class TestLegendre:
         )
         x = [1.0, 2.0, 0.5]
         v = [0.3, -0.1, 0.8]
-        p = legendre(lam, x, v, "0", BACKEND)
+        p = legendre(lam, x, v, "0")
         assert np.allclose(p.p, [0.3 - 1.0, -0.1 + 0.5, 0.8])
 
     def test_gauge_shift_moves_momenta_by_dchi(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2+v2^2)")
         shifted = gauge_shift(lam, "x1*x2")
         x, v = [0.7, -0.4], [1.0, 2.0]
-        p0 = np.asarray(legendre(lam, x, v, "0", BACKEND).p)
-        p1 = np.asarray(legendre(shifted, x, v, "0", BACKEND).p)
+        p0 = np.asarray(legendre(lam, x, v, "0").p)
+        p1 = np.asarray(legendre(shifted, x, v, "0").p)
         assert np.allclose(p1 - p0, [-0.4, 0.7])  # d(x1*x2) = (x2, x1)
 
     def test_affine_covector_conversion_on_circle(self):
@@ -85,8 +90,8 @@ class TestLegendre:
             atlas, {"0": "0.5*v1^2 + cos(x1)*v1", "1": "0.5*v1^2"}
         )
         x, v = [0.5], [1.2]
-        p0 = legendre(lam, x, v, "0", BACKEND)
-        p1_direct = legendre(lam, x, v, "1", BACKEND)
+        p0 = legendre(lam, x, v, "0")
+        p1_direct = legendre(lam, x, v, "1")
         p1_converted = p0.convert(atlas, "1")
         assert p1_converted.p[0] == pytest.approx(p0.p[0] - math.cos(0.5))
         assert p1_converted.p[0] == pytest.approx(p1_direct.p[0], abs=1e-14)
@@ -117,7 +122,7 @@ class TestBatchedOperators:
             out = hyperdual_reference(ast, lagrangian_varnames(n), vals, np.eye(2 * n), d2)
             ref_e.append(out[:n, 1] - out[n:, 3])
             ref_p.append(out[n:, 1])
-        eng = system.lagrangian.engine(chart, BACKEND)
+        eng = system.lagrangian.engine(chart)
         assert np.max(np.abs(eng.el_covectors(x, v, a) - ref_e)) <= 1e-12
         assert np.max(np.abs(eng.momenta(x, v) - ref_p)) <= 1e-12
 
@@ -131,15 +136,15 @@ class TestDomainContract:
 
     def test_euler_lagrange(self):
         with pytest.raises(DomainError, match=self.SQRT_MESSAGE):
-            euler_lagrange(self.SQRT, q_of([-1.0], [0.5], [0.0]), "0", BACKEND)
+            euler_lagrange(self.SQRT, q_of([-1.0], [0.5], [0.0]), "0")
 
     def test_legendre(self):
         with pytest.raises(DomainError, match=self.SQRT_MESSAGE):
-            legendre(self.SQRT, [-1.0], [0.5], "0", BACKEND)
+            legendre(self.SQRT, [-1.0], [0.5], "0")
 
     def test_solve_accelerations(self):
         with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=self.SQRT_MESSAGE):
-            solve_accelerations(self.SQRT, [-1.0], [0.5], backend=BACKEND)
+            solve_accelerations(self.SQRT, [-1.0], [0.5])
 
     def test_relativistic_beyond_light_speed(self):
         # sqrt(1 - |v|^2) has no real value at |v| = 1.2: a domain error,
@@ -148,7 +153,7 @@ class TestDomainContract:
         with np.errstate(invalid="ignore"), pytest.raises(
             DomainError, match=r"sqrt of a negative value in .* at x1=0\.0, x2=0\.0, v1=1\.2, v2=0\.0"
         ):
-            solve_accelerations(lam, [0.0, 0.0], [1.2, 0.0], backend=BACKEND)
+            solve_accelerations(lam, [0.0, 0.0], [1.2, 0.0])
 
 
 class TestDomainContractValue:
@@ -166,9 +171,9 @@ class TestDomainContractValue:
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), f"0.5*v1^2 + {term}")
         x, v = [-1.0], [0.5]
         call = {
-            "euler_lagrange": lambda: euler_lagrange(lam, q_of(x, v, [0.0]), "0", BACKEND),
-            "legendre": lambda: legendre(lam, x, v, "0", BACKEND),
-            "solve_accelerations": lambda: solve_accelerations(lam, x, v, backend=BACKEND),
+            "euler_lagrange": lambda: euler_lagrange(lam, q_of(x, v, [0.0]), "0"),
+            "legendre": lambda: legendre(lam, x, v, "0"),
+            "solve_accelerations": lambda: solve_accelerations(lam, x, v),
         }[operator]
         with pytest.raises(DomainError, match=rf"{reason} in .* at x1=-1\.0, v1=0\.5"):
             call()
@@ -185,9 +190,9 @@ class TestDomainContractValue:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r" in .* at x1="):
                 if operator == "euler_lagrange":
-                    euler_lagrange(lagrangian, q_of(x, v, [0.0, 0.0]), "0", BACKEND)
+                    euler_lagrange(lagrangian, q_of(x, v, [0.0, 0.0]), "0")
                 else:
-                    solve_accelerations(lagrangian, x, v, backend=BACKEND)
+                    solve_accelerations(lagrangian, x, v)
 
 
 def solve_cases():
@@ -219,7 +224,7 @@ class TestFusedSolve:
     @pytest.mark.parametrize("case", solve_cases(), ids=lambda c: c[0])
     def test_terms_match_hyperdual_reference(self, case):
         _name, lam, chart, halfwidth = case
-        eng = lam.engine(chart, BACKEND)
+        eng = lam.engine(chart)
         n, names = eng.n, lagrangian_varnames(eng.n)
         eye = np.eye(2 * n)
         rng = np.random.default_rng(17)
@@ -245,7 +250,7 @@ class TestFusedSolve:
     @pytest.mark.parametrize("case", solve_cases(), ids=lambda c: c[0])
     def test_accelerations_match_numpy_solve(self, case):
         _name, lam, chart, halfwidth = case
-        eng = lam.engine(chart, BACKEND)
+        eng = lam.engine(chart)
         n = eng.n
         rng = np.random.default_rng(19)
         for _ in range(self.POINTS):
@@ -254,7 +259,7 @@ class TestFusedSolve:
             f = rng.uniform(-1.0, 1.0, n)
             gx, cv, hess = eng.solve_terms(x, v)
             ref = np.linalg.solve(np.reshape(hess, (n, n)), np.subtract(gx, cv) - f)
-            a = solve_accelerations(lam, x, v, f, chart, BACKEND)
+            a = solve_accelerations(lam, x, v, f, chart)
             assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dim, lagrangian", [
@@ -265,18 +270,18 @@ class TestFusedSolve:
     def test_ill_conditioned_hessian_rejected(self, dim, lagrangian):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(dim), lagrangian)
         with pytest.raises(SingularLagrangianError, match="numerically singular"):
-            solve_accelerations(lam, np.zeros(dim), np.ones(dim), backend=BACKEND)
+            solve_accelerations(lam, np.zeros(dim), np.ones(dim))
 
     def test_undeclared_variable_rejected_at_construction(self):
         # kernels compile at first use; the variables are checked before
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 + x2")
         with pytest.raises(ValueError, match=r"undeclared variables \['x2'\]"):
-            lam.engine("0", BACKEND)
+            lam.engine("0")
 
     def test_moderately_conditioned_hessian_solved(self):
         # n * cond_1 = 2e11 is within MAX_CONDITION = 1e12
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*v1^2 + 0.5*1e-11*v2^2 - x2")
-        a = solve_accelerations(lam, [0.0, 0.0], [0.0, 0.0], backend=BACKEND)
+        a = solve_accelerations(lam, [0.0, 0.0], [0.0, 0.0])
         assert a[0] == 0.0 and a[1] == pytest.approx(-1e11, rel=1e-12)
 
 
@@ -286,38 +291,38 @@ class TestSolve:
             euclidean_atlas(3), "0.5*(v1^2+v2^2+v3^2) + 0.5*(x1*v2-x2*v1)"
         )
         v = np.array([0.4, -0.2, 0.9])
-        a = solve_accelerations(lam, [0.3, 0.1, -0.5], v, backend=BACKEND)
+        a = solve_accelerations(lam, [0.3, 0.1, -0.5], v)
         b = np.array([0.0, 0.0, 1.0])
         assert np.allclose(a, np.cross(v, b), atol=1e-13)
 
     def test_forcing(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2+v2^2)")
         f = np.array([0.3, -0.7])
-        a = solve_accelerations(lam, [0.0, 0.0], [0.0, 0.0], f, backend=BACKEND)
+        a = solve_accelerations(lam, [0.0, 0.0], [0.0, 0.0], f)
         # E = -a, so E = f means a = -f
         assert np.allclose(a, -f)
 
     def test_singular_lagrangian_rejected(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "v1")
         with pytest.raises(SingularLagrangianError):
-            solve_accelerations(lam, [0.0], [1.0], backend=BACKEND)
+            solve_accelerations(lam, [0.0], [1.0])
 
     def test_partially_degenerate_rejected(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*v1^2")
         with pytest.raises(SingularLagrangianError):
-            solve_accelerations(lam, [0.0, 0.0], [1.0, 1.0], backend=BACKEND)
+            solve_accelerations(lam, [0.0, 0.0], [1.0, 1.0])
 
 
 class TestTrajectories:
     def test_free_particle_exact(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2+v2^2)")
-        tr = integrate_trajectory(lam, [0.0, 1.0], [1.0, -0.5], 0.0, 2.0, 50, backend=BACKEND)
+        tr = integrate_trajectory(lam, [0.0, 1.0], [1.0, -0.5], 0.0, 2.0, 50)
         assert np.allclose(tr.positions[-1], [2.0, 0.0], atol=1e-12)
         assert np.allclose(tr.velocities[-1], [1.0, -0.5], atol=1e-12)
 
     def test_uniform_field_closed_form(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 - x1")
-        tr = integrate_trajectory(lam, [0.2], [0.8], 0.0, 1.0, 100, backend=BACKEND)
+        tr = integrate_trajectory(lam, [0.2], [0.8], 0.0, 1.0, 100)
         exact = 0.2 + 0.8 * tr.times - 0.5 * tr.times**2
         assert np.max(np.abs(tr.positions[:, 0] - exact)) < 1e-10
 
@@ -325,20 +330,20 @@ class TestTrajectories:
         atlas = Atlas(dim=1, charts=[Chart("0", ((-1.0, 1.0),))], transitions={})
         lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*v1^2")
         with pytest.raises(ChartExitError):
-            integrate_trajectory(lam, [0.0], [1.0], 0.0, 2.0, 100, backend=BACKEND)
+            integrate_trajectory(lam, [0.0], [1.0], 0.0, 2.0, 100)
 
     @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
     def test_non_finite_interval_rejected(self, t0, t1):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")
         with pytest.raises(ValueError, match="must be finite"):
-            integrate_trajectory(lam, [0.0], [1.0], t0, t1, 10, backend=BACKEND)
+            integrate_trajectory(lam, [0.0], [1.0], t0, t1, 10)
 
     def test_forcing_callable(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")
         # E = -a = f  =>  a = -f; constant f = -1 gives uniform acceleration 1
         tr = integrate_trajectory(
             lam, [0.0], [0.0], 0.0, 1.0, 100,
-            forcing=lambda x, v: np.array([-1.0]), backend=BACKEND,
+            forcing=lambda x, v: np.array([-1.0]),
         )
         assert tr.positions[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -346,7 +351,21 @@ class TestTrajectories:
     def test_overflowing_step_size_rejected(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")
         with pytest.raises(ValueError, match=r"step size \(t1 - t0\)/steps must be finite"):
-            integrate_trajectory(lam, [0.0], [1.0], -1e308, 1e308, 2, backend=BACKEND)
+            integrate_trajectory(lam, [0.0], [1.0], -1e308, 1e308, 2)
+
+
+class TestUnknownChart:
+    """A chart id the atlas lacks is a ChartDisjointError naming it."""
+
+    def test_euler_lagrange(self):
+        lam = bundled_system("free").lagrangian
+        with pytest.raises(ChartDisjointError, match="no chart '7' in atlas"):
+            euler_lagrange(lam, q_of([0.0, 0.0], [1.0, 0.0], [0.0, 0.0]), "7")
+
+    def test_integrate_trajectory(self):
+        lam = bundled_system("circle").lagrangian
+        with pytest.raises(ChartDisjointError, match="no chart '9' in atlas"):
+            integrate_trajectory(lam, [0.0], [1.0], 0.0, 1.0, 10, chart_id="9")
 
 
 class TestNonFiniteInputs:
@@ -356,12 +375,12 @@ class TestNonFiniteInputs:
     LAM = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2 + v2^2)")
     GOOD = {"x": [0.0, 0.0], "v": [1.0, 0.0], "a": [0.0, 0.0], "f": [0.0, 0.0]}
     CALLS = {
-        "euler_lagrange": lambda lam, x, v, a, f: euler_lagrange(lam, q_of(x, v, a), "0", BACKEND),
-        "legendre": lambda lam, x, v, a, f: legendre(lam, x, v, "0", BACKEND),
+        "euler_lagrange": lambda lam, x, v, a, f: euler_lagrange(lam, q_of(x, v, a), "0"),
+        "legendre": lambda lam, x, v, a, f: legendre(lam, x, v, "0"),
         "solve_accelerations": lambda lam, x, v, a, f: solve_accelerations(
-            lam, x, v, f, backend=BACKEND),
+            lam, x, v, f),
         "integrate_trajectory": lambda lam, x, v, a, f: integrate_trajectory(
-            lam, x, v, 0.0, 1.0, 10, forcing=f, backend=BACKEND),
+            lam, x, v, 0.0, 1.0, 10, forcing=f),
     }
     ARGS = {"euler_lagrange": ("x", "v", "a"), "legendre": ("x", "v"),
             "solve_accelerations": ("x", "v", "f"), "integrate_trajectory": ("x0", "v0", "forcing")}
@@ -428,11 +447,11 @@ class TestGeneratedLoop:
         v0 = rng.uniform(-0.5, 0.5, n) * halfwidth
         f = rng.uniform(-0.5, 0.5, n) if forced else None
         fast = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS, forcing=f,
-                                    chart_id=chart, backend=BACKEND)
+                                    chart_id=chart)
         assert existing_loop_starts == []  # the generated loop took every step
         oracle = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS,
                                       forcing=zero_forcing if f is None else (lambda x, v: f),
-                                      chart_id=chart, backend=BACKEND)
+                                      chart_id=chart)
         assert existing_loop_starts == [0]
         assert fast.positions.tobytes() == oracle.positions.tobytes()
         assert fast.velocities.tobytes() == oracle.velocities.tobytes()
@@ -459,11 +478,11 @@ class TestGeneratedLoop:
         if isinstance(lagrangian, str):
             lagrangian = GaugeClassLagrangian.from_exprs(euclidean_atlas(dim), lagrangian)
         fast = outcome(lambda: integrate_trajectory(lagrangian, x0, v0, 0.0, t1, steps,
-                                                    forcing=forcing, backend=BACKEND))
+                                                    forcing=forcing))
         assert existing_loop_starts == [handback]
         oracle_forcing = zero_forcing if forcing is None else (lambda x, v: np.array(forcing))
         oracle = outcome(lambda: integrate_trajectory(lagrangian, x0, v0, 0.0, t1, steps,
-                                                      forcing=oracle_forcing, backend=BACKEND))
+                                                      forcing=oracle_forcing))
         assert fast[0] is error and fast == oracle
 
     def test_subnormal_determinant_takes_the_existing_solve(self, existing_loop_starts):
@@ -471,7 +490,7 @@ class TestGeneratedLoop:
         lam = GaugeClassLagrangian.from_exprs(
             euclidean_atlas(2), "0.5e-155*(v1^2 + v2^2) - 0.3e-155*(x1^2 + x1*x2)")
         runs = [integrate_trajectory(lam, [0.3, -0.2], [0.1, 0.4], 0.0, 1.0, 20,
-                                     forcing=forcing, backend=BACKEND)
+                                     forcing=forcing)
                 for forcing in (None, zero_forcing)]
         assert existing_loop_starts == [0, 0]
         assert runs[0].positions.tobytes() == runs[1].positions.tobytes()
@@ -480,10 +499,10 @@ class TestGeneratedLoop:
     def test_four_dimensions_take_the_existing_loop(self, existing_loop_starts):
         (_name, lam, chart, _halfwidth), = [c for c in solve_cases() if c[0] == "four-dim"]
         x0, v0 = np.full(4, 0.1), np.array([0.2, -0.1, 0.3, 0.05])
-        tr = integrate_trajectory(lam, x0, v0, 0.0, 0.5, 50, chart_id=chart, backend=BACKEND)
+        tr = integrate_trajectory(lam, x0, v0, 0.0, 0.5, 50, chart_id=chart)
         assert existing_loop_starts == [0]
-        assert "rk4" not in vars(lam.engine(chart, BACKEND))  # never compiled
-        a0 = solve_accelerations(lam, x0, v0, chart_id=chart, backend=BACKEND)
+        assert "rk4" not in vars(lam.engine(chart))  # never compiled
+        a0 = solve_accelerations(lam, x0, v0, chart_id=chart)
         # RK4 is exact to second order: x(h) = x0 + h v0 + h^2 a0 / 2 + O(h^3)
         h = 0.01
         assert np.allclose(tr.positions[1], x0 + h * v0 + 0.5 * h * h * a0, atol=1e-5)
@@ -504,8 +523,8 @@ class TestEnergy:
         x0, v0 = np.zeros(3), np.array([1.0, 0.0, 0.0])
         energies = []
         for l in (lam, gauge_shift(lam, "sin(x1)*cos(x2)")):
-            tr = integrate_trajectory(l, x0, v0, 0.0, 2.0 * math.pi, self.STEPS, backend=BACKEND)
-            eng = l.engine("0", BACKEND)
+            tr = integrate_trajectory(l, x0, v0, 0.0, 2.0 * math.pi, self.STEPS)
+            eng = l.engine("0")
             p = eng.momenta(tr.positions, tr.velocities)
             h = np.sum(p * tr.velocities, axis=1) - eng.values(tr.positions, tr.velocities)
             assert np.max(np.abs(h - 0.5 * v0 @ v0)) <= self.DRIFT_BOUND

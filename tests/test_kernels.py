@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import re
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from avcalc import exprlang, kernels
-from avcalc.cli import main
 from avcalc.dynamics import (
     GaugeClassLagrangian,
     SecondOrderPoint,
@@ -14,7 +12,7 @@ from avcalc.dynamics import (
     gauge_shift,
     lagrangian_varnames,
 )
-from avcalc.errors import BackendUnavailableError, DomainError
+from avcalc.errors import DomainError
 from avcalc.geometry import euclidean_atlas
 from avcalc.kernels import (
     BACKENDS,
@@ -32,11 +30,6 @@ from helpers_reference import hyperdual_reference, random_cases
 VARNAMES = ["x1", "x2", "x3"]
 AGREE_EXPR = "sin(x1)*cos(x2) + exp(-x3^2)*x1 + sqrt(x2)/x3"
 
-# Gated on the package itself, not on avcalc's own import flag, so that a
-# numba which is installed but fails to import still fails these tests.
-HAVE_NUMBA_PACKAGE = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA_PACKAGE, reason="numba not installed")
-
 
 def probe_batch(rng, k):
     return (
@@ -46,19 +39,8 @@ def probe_batch(rng, k):
     )
 
 
-def interpreted_kernel(backend):
-    """The kernel source for `backend` run by CPython, without JIT."""
-    src = generate_source(exprlang.parse(AGREE_EXPR), VARNAMES, backend)
-    ns = {"math": math, "np": np}
-    exec(src, ns)
-    return ns["_kernel"]
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize(
-        "backend", [pytest.param(b, marks=needs_numba) if b == "numba" else b for b in BACKENDS]
-    )
-    def test_matches_hyperdual_reference(self, backend):
+class TestAgainstHyperdual:
+    def test_matches_hyperdual_reference(self):
         rng = np.random.default_rng(42)
         checked = 0
         for ast, _env in random_cases(60, varnames=VARNAMES, depth=4, seed=11):
@@ -69,7 +51,7 @@ class TestBackendEquivalence:
                 continue
             if not np.all(np.isfinite(expected)) or np.max(np.abs(expected)) > 1e8:
                 continue
-            kernel = compile_field(ast, VARNAMES, backend)
+            kernel = compile_field(ast, VARNAMES)
             got = eval_batch(kernel, vals, d1, d2)
             scale = np.maximum(1.0, np.abs(expected))
             assert np.max(np.abs(got - expected) / scale) < 1e-12
@@ -78,71 +60,35 @@ class TestBackendEquivalence:
                 break
         assert checked >= 25
 
-    def test_backends_agree_with_each_other(self):
-        """Every backend's rendering of the shared emitter computes the
-        same arithmetic as the numpy kernel."""
-        rng = np.random.default_rng(3)
-        vals, d1, d2 = probe_batch(rng, 40)
-        reference = eval_batch(
-            compile_field(exprlang.parse(AGREE_EXPR), VARNAMES, "numpy"), vals, d1, d2
-        )
-        for b in BACKENDS:
-            got = eval_batch(interpreted_kernel(b), vals, d1, d2)
-            assert np.allclose(got, reference, rtol=1e-14, atol=1e-14), b
-
-    @needs_numba
-    def test_numba_kernel_agrees_with_numpy(self):
-        ast = exprlang.parse(AGREE_EXPR)
-        rng = np.random.default_rng(3)
-        vals, d1, d2 = probe_batch(rng, 40)
-        outs = [
-            eval_batch(compile_field(ast, VARNAMES, b), vals, d1, d2)
-            for b in ("numba", "numpy")
-        ]
-        assert np.allclose(outs[0], outs[1], rtol=1e-14, atol=1e-14)
-
 
 class TestCompilation:
     def test_cache_returns_same_kernel(self):
         ast = exprlang.parse("x1^2 + x2")
-        k1 = compile_field(ast, VARNAMES, "numpy")
-        k2 = compile_field(exprlang.parse("x1^2 + x2"), VARNAMES, "numpy")
+        k1 = compile_field(ast, VARNAMES)
+        k2 = compile_field(exprlang.parse("x1^2 + x2"), VARNAMES)
         assert k1 is k2
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            compile_field(exprlang.parse("x1"), VARNAMES, "fortran")
-
-    def test_source_shapes(self):
-        ast = exprlang.parse("sin(x1) + x2*x3")
-        numba_src = generate_source(ast, VARNAMES, "numba")
-        numpy_src = generate_source(ast, VARNAMES, "numpy")
-        assert "for p_ in range" in numba_src
-        assert "for p_ in range" not in numpy_src
 
     def test_unit_exponent_emits_no_power(self):
         # _symdiff differentiates x1^2 into 2*x1^1.0; p*(p-1) = 0 there,
         # so no x1**(p-2) may be computed (it is infinite at x1 = 0)
         ast = exprlang.parse("x1^1.0*v1")
-        assert "**" not in generate_source(ast, ["x1", "v1"], "numpy")
+        assert "**" not in generate_source(ast, ["x1", "v1"])
         vals = np.array([[0.0, 2.0]])
         with np.errstate(all="raise"):
-            out = eval_batch(compile_field(ast, ["x1", "v1"], "numpy"), vals, np.ones((1, 2)), np.ones((1, 2)))
+            out = eval_batch(compile_field(ast, ["x1", "v1"]), vals, np.ones((1, 2)), np.ones((1, 2)))
         assert out[0].tolist() == [0.0, 2.0, 2.0, 2.0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_non_finite_constant(self, backend):
+    def test_non_finite_constant(self):
         # 1e400 parses to inf; the source must spell it so that it executes
         ast = exprlang.parse("1e400*x1 - 1e400")
-        src = generate_source(ast, ["x1"], backend)
+        src = generate_source(ast, ["x1"])
         ns = {"math": math, "np": np}
         exec(src, ns)
         vals, seeds = np.array([[2.0], [-1.0]]), np.ones((2, 1))
         with np.errstate(invalid="ignore"):  # inf - inf at x1 = 2
             out = eval_batch(ns["_kernel"], vals, seeds, seeds)
-            if backend == "numpy":
-                compiled = eval_batch(compile_field(ast, ["x1"], backend), vals, seeds, seeds)
-                assert np.array_equal(compiled, out, equal_nan=True)
+            compiled = eval_batch(compile_field(ast, ["x1"]), vals, seeds, seeds)
+            assert np.array_equal(compiled, out, equal_nan=True)
         assert math.isnan(out[0, 0]) and out[1, 0] == -math.inf
         assert out[0, 1] == math.inf and out[1, 1] == math.inf
 
@@ -153,17 +99,17 @@ class TestCompilation:
     def test_constant_power_without_real_value(self, expr, value, reason):
         # folded to NaN / inf at compile time, not left to Python's ** (a
         # complex number, or OverflowError inside the kernel)
-        kernel = compile_field(exprlang.parse(expr), ["x1"], "numpy")
+        kernel = compile_field(exprlang.parse(expr), ["x1"])
         with np.errstate(invalid="ignore"):
             out = eval_batch(kernel, np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
         assert np.array_equal(out[0, :1], [value], equal_nan=True)
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), f"0.5*v1^2 + {expr}")
         q = SecondOrderPoint.of([1.0], [0.0], [0.0])
         with pytest.raises(DomainError, match=rf"{reason} in .* at x1=1\.0, v1=0\.0"):
-            euler_lagrange(lam, q, "0", "numpy")
+            euler_lagrange(lam, q, "0")
 
     def test_constant_expression(self):
-        kernel = compile_field(exprlang.parse("2.5"), VARNAMES, "numpy")
+        kernel = compile_field(exprlang.parse("2.5"), VARNAMES)
         out = eval_batch(kernel, np.zeros((3, 3)), np.ones((3, 3)), np.ones((3, 3)))
         assert np.allclose(out[:, 0], 2.5)
         assert np.allclose(out[:, 1:], 0.0)
@@ -244,59 +190,42 @@ class TestCacheBound:
     def test_least_recently_used_is_evicted(self, empty_cache):
         size = kernels.CACHE_SIZE
         asts = [exprlang.parse(f"x1 + {k}") for k in range(size + 3)]
-        first, second = (compile_field(ast, ["x1"], "numpy") for ast in asts[:2])
+        first, second = (compile_field(ast, ["x1"]) for ast in asts[:2])
         for ast in asts[2:size]:
-            compile_field(ast, ["x1"], "numpy")
-        assert compile_field(asts[0], ["x1"], "numpy") is first  # a hit is a use
+            compile_field(ast, ["x1"])
+        assert compile_field(asts[0], ["x1"]) is first  # a hit is a use
         for ast in asts[size:]:
-            compile_field(ast, ["x1"], "numpy")
+            compile_field(ast, ["x1"])
         assert len(kernels._CACHE) == size
-        assert compile_field(asts[0], ["x1"], "numpy") is first
-        again = compile_field(asts[1], ["x1"], "numpy")  # evicted: compiled anew
+        assert compile_field(asts[0], ["x1"]) is first
+        again = compile_field(asts[1], ["x1"])  # evicted: compiled anew
         assert again is not second
         for kernel in (second, again):
             out = eval_batch(kernel, [[2.0]], [[1.0]], [[0.0]])
             assert out[0].tolist() == [3.0, 1.0, 0.0, 0.0]
 
 
-class TestDefaultBackend:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("AVCALC_BACKEND", "numpy")
-        assert default_backend() == "numpy"
+class TestAvbenchSurface:
+    """The backend names the avbench harness still reads: one backend,
+    "numpy", whatever the environment says, and any other name is a
+    ValueError."""
 
-    def test_default_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv("AVCALC_BACKEND", raising=False)
-        assert default_backend() == ("numba" if HAVE_NUMBA_PACKAGE else "numpy")
+    LAM = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 - cos(x1)")
+    Q = SecondOrderPoint.of([0.3], [0.5], [0.1])
 
-
-class TestUnavailableBackend:
-    """Asking for numba where it does not import names the cause."""
-
-    @pytest.fixture
-    def no_numba(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-        monkeypatch.setattr(kernels, "numba", None)
-        monkeypatch.setattr(kernels, "_CACHE", {})
-
-    def test_compile_field_raises(self, no_numba):
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            compile_field(exprlang.parse("x1"), ["x1"], "numba")
-
-    def test_default_backend_env_raises(self, no_numba, monkeypatch):
+    def test_one_backend(self, monkeypatch):
         monkeypatch.setenv("AVCALC_BACKEND", "numba")
-        with pytest.raises(BackendUnavailableError, match="AVCALC_BACKEND=numpy"):
-            default_backend()
-
-    def test_default_backend_falls_back_to_numpy(self, no_numba, monkeypatch):
-        monkeypatch.delenv("AVCALC_BACKEND", raising=False)
+        assert BACKENDS == ("numpy",)
         assert default_backend() == "numpy"
 
-    def test_cli_reports_one_error_line(self, no_numba, capsys):
-        code = main(["el", "--system", "free", "--backend", "numba",
-                     "--x", "0,0", "--v", "1,0", "--a", "0,0"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "numba" in lines[0]
+    def test_numpy_argument_changes_nothing(self):
+        ast = exprlang.parse(AGREE_EXPR)
+        assert generate_source(ast, VARNAMES, "numpy") == generate_source(ast, VARNAMES)
+        el = euler_lagrange(self.LAM, self.Q, "0")
+        assert euler_lagrange(self.LAM, self.Q, "0", "numpy") == el
+
+    def test_other_backend_rejected(self):
+        with pytest.raises(ValueError, match="numba"):
+            generate_source(exprlang.parse("x1"), ["x1"], "numba")
+        with pytest.raises(ValueError, match="numba"):
+            euler_lagrange(self.LAM, self.Q, "0", "numba")

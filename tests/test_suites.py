@@ -28,7 +28,7 @@ class TestIndividualSuites:
         assert all(r.passed for r in results)
 
     def test_uniform_field_regression(self):
-        results = suites.uniform_field_regression(backend="numpy")
+        results = suites.uniform_field_regression()
         assert all(r.passed for r in results)
 
     def test_atlas_suite_circle(self):
