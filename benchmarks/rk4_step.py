@@ -5,13 +5,17 @@ shifted by its first configured gauge function chi, one trajectory of
 --steps steps is integrated twice per repeat:
 
   * generated: integrate_trajectory without forcing, which takes the
-    generated scalar loop (kernels.generate_step_source) for n <= 3;
+    generated scalar loop (kernels.generate_step_source) for n <= 3:
+    each RK4 stage is the fused terms' straight-line body inlined, and
+    a constant velocity Hessian (the charged particle and its twin) is
+    adjugated and guarded when the loop is generated;
   * existing:  the same call with a callable zero forcing, which always
-    takes the existing numpy loop: the oracle.
+    takes the existing numpy loop around the fused function: the oracle.
 
 The table gives the best of --repeats for each, after one untimed run
 that compiles.  The script exits 1 if the two trajectories differ in a
-single bit of a position or velocity.
+single bit of a position or velocity; the test suite runs it with
+--steps 50 --repeats 1 for that check.
 
 Run:  PYTHONPATH=src python benchmarks/rk4_step.py [--steps N] [--repeats N]
 """

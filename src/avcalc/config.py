@@ -211,7 +211,6 @@ def load_config(path: str) -> SystemConfig:
     }
 
     atlas = _build_atlas(sections.get("atlas", {}), dim)
-    chart_ids = {c.id for c in atlas.charts}
 
     coords = {f"x{j}" for j in range(1, dim + 1)}
     vels = {f"v{j}" for j in range(1, dim + 1)}
@@ -221,22 +220,14 @@ def load_config(path: str) -> SystemConfig:
         ast = _parse_expr(system_sec["lagrangian"], "system.lagrangian")
         ast = exprlang.substitute_constants(ast, constants)
         _check_free_vars(ast, coords | vels, "system.lagrangian")
-        lag_exprs = {cid: ast for cid in chart_ids}
+        lag_exprs = {c.id: ast for c in atlas.charts}
     for key, value in system_sec.items():
         if not key.startswith("lagrangian_"):
             continue
-        cid = key[len("lagrangian_"):]
-        if cid not in chart_ids:
-            raise ValidationError("lagrangian chart", f"no chart '{cid}' for {key}", float("inf"))
         ast = exprlang.substitute_constants(_parse_expr(value, key), constants)
         _check_free_vars(ast, coords | vels, key)
-        lag_exprs[cid] = ast
-    if set(lag_exprs) != chart_ids:
-        missing = sorted(chart_ids - set(lag_exprs))
-        raise ValidationError(
-            "lagrangian coverage", f"no Lagrangian for chart '{missing[0]}'", float("inf")
-        )
-    lam = GaugeClassLagrangian(atlas, lag_exprs)
+        lag_exprs[key[len("lagrangian_"):]] = ast
+    lam = GaugeClassLagrangian(atlas, lag_exprs)  # checks that the charts match
     if atlas.transitions:
         lam.validate()
 

@@ -14,7 +14,6 @@ second-order forward-mode evaluation of the chart representative
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -38,6 +37,9 @@ from .geometry import (
     low_discrepancy_points,
 )
 from .kernels import (
+    _adjugate,
+    _condition,
+    _times,
     check_declared,
     compile_field,
     compile_solve,
@@ -122,6 +124,17 @@ class GaugeClassLagrangian:
     chart_exprs: dict  # chart_id -> ExprAst
     _engines: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self):
+        """ValidationError unless there is one representative per chart."""
+        charts = [c.id for c in self.atlas.charts]
+        for cid in self.chart_exprs:
+            if cid not in charts:
+                raise ValidationError("lagrangian chart", f"no chart '{cid}' in atlas", math.inf)
+        for cid in charts:
+            if cid not in self.chart_exprs:
+                raise ValidationError("lagrangian coverage", f"no Lagrangian for chart '{cid}'",
+                                      math.inf)
+
     @classmethod
     def from_exprs(cls, atlas: Atlas, exprs: Union[str, dict], constants=None):
         if not isinstance(exprs, dict):
@@ -190,9 +203,10 @@ def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:
 
 class _ChartEngine:
     """Compiled evaluation of one chart representative L(x1..xn, v1..vn):
-    probe assembly around a batched kernel for the batched operators, and
-    the fused acceleration terms for the RK4 step.  Each is compiled at
-    its first use, so a caller pays only for the one it needs."""
+    probe assembly around a batched kernel for the batched operators,
+    the fused acceleration terms for the numpy RK4 step, and the
+    generated RK4 loop for n <= 3.  Each is compiled at its first use,
+    so a caller pays only for the one it needs."""
 
     def __init__(self, ast: ExprAst, dim: int):
         self.n = dim
@@ -211,9 +225,9 @@ class _ChartEngine:
 
     @cached_property
     def rk4(self):
-        """The generated RK4 loop around _terms, for n <= 3; see
-        kernels.generate_step_source for its contract."""
-        return compile_step(self._terms, self.n, MAX_CONDITION)
+        """The generated RK4 loop, for n <= 3, with the fused terms
+        inlined; see kernels.generate_step_source for its contract."""
+        return compile_step(self.ast, self.varnames, MAX_CONDITION)
 
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one probe per point."""
@@ -305,46 +319,6 @@ def legendre(lam: GaugeClassLagrangian, x, v, chart_id: str) -> AffineCovector:
     return AffineCovector(chart_id, tuple(x), tuple(p[0]))
 
 
-def _adjugate(h, n):
-    """(adjugate, determinant) of the n x n matrix h (row-major
-    sequence), for n <= 3.  kernels.generate_step_source renders this,
-    _norm1, _times and the guard of _accelerations as source text, in
-    the same operation order: change them together."""
-    if n == 1:
-        return (1.0,), h[0]
-    if n == 2:
-        a, b, c, d = h
-        return (d, -b, -c, a), a * d - b * c
-    a, b, c, d, e, f, g, k, m = h
-    adj = (e * m - f * k, c * k - b * m, b * f - c * e,
-           f * g - d * m, a * m - c * g, c * d - a * f,
-           d * k - e * g, b * g - a * k, a * e - b * d)
-    return adj, a * adj[0] + b * adj[3] + c * adj[6]
-
-
-def _norm1(h, n):
-    """Largest absolute column sum of the n x n matrix h (row-major
-    sequence), for n <= 3."""
-    h = [*map(abs, h)]
-    if n == 1:
-        return h[0]
-    if n == 2:
-        return max(h[0] + h[2], h[1] + h[3])
-    return max(h[0] + h[3] + h[6], h[1] + h[4] + h[7], h[2] + h[5] + h[8])
-
-
-def _times(h, r, n):
-    """h r for the n x n matrix h (row-major sequence), for n <= 3."""
-    if n == 1:
-        return [h[0] * r[0]]
-    if n == 2:
-        return [h[0] * r[0] + h[1] * r[1], h[2] * r[0] + h[3] * r[1]]
-    r0, r1, r2 = r
-    return [h[0] * r0 + h[1] * r1 + h[2] * r2,
-            h[3] * r0 + h[4] * r1 + h[5] * r2,
-            h[6] * r0 + h[7] * r1 + h[8] * r2]
-
-
 def _accelerations(eng: _ChartEngine, x, v, f) -> np.ndarray:
     """a solving H a = dL/dx - C.v - f, refusing a numerically singular
     velocity Hessian H.  For n <= 3 with a normal, finite det H, by the
@@ -357,8 +331,8 @@ def _accelerations(eng: _ChartEngine, x, v, f) -> np.ndarray:
         rhs = np.subtract(rhs, f).tolist()
     if n <= 3:
         adj, det = _adjugate(hess, n)
-        if sys.float_info.min <= abs(det) < math.inf:
-            cond = n * _norm1(hess, n) * _norm1(adj, n) / abs(det)
+        cond = _condition(hess, adj, det, n)
+        if cond is not None:
             if not cond <= MAX_CONDITION:
                 raise SingularLagrangianError(
                     f"velocity Hessian is numerically singular (condition estimate {cond:.3g})"

@@ -11,8 +11,12 @@ code that propagates second-order forward-mode components
     everything a Euler-Lagrange acceleration solve needs at one point,
     with the probe seeds written into the source as literals and the
     lines nothing reads pruned;
-  * the whole classical RK4 loop for n <= 3 around that function
-    (compile_step), with the state in scalar locals.  It runs for
+  * the whole classical RK4 loop for n <= 3 (compile_step), with the
+    state in scalar locals and that function's straight-line body
+    inlined into each stage.  A velocity Hessian whose entries are all
+    literals (a gauge shift adds <d(chi), v>, linear in v, so it never
+    changes the Hessian) is adjugated and guarded once, at codegen
+    time, and only the solve is rendered.  The loop runs for
     dynamics.integrate_trajectory when the forcing is absent or
     constant, and gives bit-identical trajectories.  On any alarm it
     returns the last good step, and the caller's numpy loop repeats
@@ -350,17 +354,18 @@ def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
 
-def generate_solve_source(ast: ExprAst, varnames) -> str:
-    """Source of `_terms(w0, .., w{2n-1})` for a Lagrangian over
-    varnames = (x1..xn, v1..vn), returning the tuple
+def _fused_terms(ast: ExprAst, varnames):
+    """(lines, atoms) of the straight-line terms
 
         (L, dL/dx_i for each i, ((d2L/dv_i dx) . v) for each i,
          d2L/dv_i dv_j row-major)
 
-    at the point w.  Each entry is one probe of the second-order rules
-    with its seeds as literals (the velocity seed of the C.v probes is
-    the velocity itself), so zero seeds fold away, and the value chain
-    and every derivative shared between probes are computed once."""
+    of a Lagrangian over varnames = (x1..xn, v1..vn) at the point
+    w0..w{2n-1}, without the lines nothing reads.  Each entry is one
+    probe of the second-order rules with its seeds as literals (the
+    velocity seed of the C.v probes is the velocity itself), so zero
+    seeds fold away, and the value chain and every derivative shared
+    between probes are computed once."""
     used = check_declared(ast, varnames)
     m = len(varnames)
     n = m // 2
@@ -379,85 +384,187 @@ def generate_solve_source(ast: ExprAst, varnames) -> str:
     cv = [probe(unit[n + i], velocity)[3] for i in range(n)]
     hess = [probe(unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]
     results = [value] + gx + cv + hess
-    body = _prune(em.lines, results) + [f"return ({', '.join(results)},)"]
-    args = ", ".join(f"w{j}" for j in range(m))
+    return _prune(em.lines, results), results
+
+
+def generate_solve_source(ast: ExprAst, varnames) -> str:
+    """Source of `_terms(w0, .., w{2n-1})` for a Lagrangian over
+    varnames = (x1..xn, v1..vn), returning the tuple of the terms of
+    _fused_terms."""
+    lines, results = _fused_terms(ast, varnames)
+    args = ", ".join(f"w{j}" for j in range(len(varnames)))
+    body = lines + [f"return ({', '.join(results)},)"]
     return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
 
 
-def _adjugate_text(n):
-    """(adjugate entries, determinant) of the n x n matrix m0..m{n*n-1}
-    as source text over the names m* and j* (the adjugate entries), in
-    the operation order of dynamics._adjugate."""
+def _adjugate(h, n):
+    """(adjugate, determinant) of the n x n matrix h (row-major
+    sequence), for n <= 3.  dynamics._accelerations solves with this,
+    _condition and _times; generate_step_source evaluates them at
+    codegen time for a literal velocity Hessian and otherwise renders
+    them as source text (_adjugate_text, _norm1_text), in the same
+    operation order: change them together."""
     if n == 1:
-        return ["1.0"], "m0"
+        return (1.0,), h[0]
     if n == 2:
-        return ["m3", "-m1", "-m2", "m0"], "m0 * m3 - m1 * m2"
-    a, b, c, d, e, f, g, k, m = (f"m{i}" for i in range(9))
+        a, b, c, d = h
+        return (d, -b, -c, a), a * d - b * c
+    a, b, c, d, e, f, g, k, m = h
+    adj = (e * m - f * k, c * k - b * m, b * f - c * e,
+           f * g - d * m, a * m - c * g, c * d - a * f,
+           d * k - e * g, b * g - a * k, a * e - b * d)
+    return adj, a * adj[0] + b * adj[3] + c * adj[6]
+
+
+def _norm1(h, n):
+    """Largest absolute column sum of the n x n matrix h (row-major
+    sequence), for n <= 3."""
+    h = [*map(abs, h)]
+    if n == 1:
+        return h[0]
+    if n == 2:
+        return max(h[0] + h[2], h[1] + h[3])
+    return max(h[0] + h[3] + h[6], h[1] + h[4] + h[7], h[2] + h[5] + h[8])
+
+
+def _condition(h, adj, det, n):
+    """n * cond_1(h) from h's adjugate and determinant, or None when
+    det is zero, subnormal or not finite (the solve then needs LU)."""
+    if not sys.float_info.min <= abs(det) < math.inf:
+        return None
+    return n * _norm1(h, n) * _norm1(adj, n) / abs(det)
+
+
+def _times(h, r, n):
+    """h r for the n x n matrix h (row-major sequence), for n <= 3."""
+    if n == 1:
+        return [h[0] * r[0]]
+    if n == 2:
+        return [h[0] * r[0] + h[1] * r[1], h[2] * r[0] + h[3] * r[1]]
+    r0, r1, r2 = r
+    return [h[0] * r0 + h[1] * r1 + h[2] * r2,
+            h[3] * r0 + h[4] * r1 + h[5] * r2,
+            h[6] * r0 + h[7] * r1 + h[8] * r2]
+
+
+def _adjugate_text(h):
+    """(adjugate entries, determinant) of _adjugate for the n x n matrix
+    of atoms h, as source text over those atoms and the names j* (the
+    adjugate entries)."""
+    if len(h) == 1:
+        return [_ONE], h[0]
+    if len(h) == 4:
+        return [h[3], f"-{h[1]}", f"-{h[2]}", h[0]], f"{h[0]} * {h[3]} - {h[1]} * {h[2]}"
+    a, b, c, d, e, f, g, k, m = h
     adj = [f"{e} * {m} - {f} * {k}", f"{c} * {k} - {b} * {m}", f"{b} * {f} - {c} * {e}",
            f"{f} * {g} - {d} * {m}", f"{a} * {m} - {c} * {g}", f"{c} * {d} - {a} * {f}",
            f"{d} * {k} - {e} * {g}", f"{b} * {g} - {a} * {k}", f"{a} * {e} - {b} * {d}"]
     return adj, f"{a} * j0 + {b} * j3 + {c} * j6"
 
 
-def _norm1_text(prefix, n):
-    """Source text of dynamics._norm1 of the n x n matrix
-    prefix0..prefix{n*n-1}."""
-    cols = [" + ".join(f"abs({prefix}{r * n + c})" for r in range(n)) for c in range(n)]
+def _norm1_text(h, n):
+    """Source text of _norm1 of the n x n matrix of atoms h."""
+    cols = [" + ".join(f"abs({h[r * n + c]})" for r in range(n)) for c in range(n)]
     return cols[0] if n == 1 else f"max({', '.join(cols)})"
 
 
-def _stage_text(n, xs, vs, acc, max_condition):
-    """Lines solving H a = dL/dx - C.v - f at (xs, vs) into the names
-    `acc` as dynamics._accelerations does for n <= 3, with `return k`
-    wherever that would raise or take its numpy solve instead."""
-    nn = n * n
-    unpack = ["_"] + [f"g{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
-    unpack += [f"m{i}" for i in range(nn)]
-    adj, det = _adjugate_text(n)
-    lines = [
-        f"t = _terms({', '.join(xs + vs)})",
-        "if not _isfinite(_sum(t)):",
-        "    return k",
-        f"{', '.join(unpack)} = t",
-    ]
-    lines += [f"r{i} = g{i} - c{i} - f{i}" for i in range(n)]
-    lines += [f"j{i} = {e}" for i, e in enumerate(adj)]
+_INPUT = re.compile(r"\bw(\d+)\b")
+
+
+def _stage_lines(terms, inputs, acc, max_condition):
+    """Lines solving H a = dL/dx - C.v - f into the names `acc` as
+    dynamics._accelerations does for n <= 3, with `return k` wherever
+    that would raise or take its LU solve instead.  The terms are those
+    of _fused_terms, inlined with the stage's position and velocity
+    `inputs` in place of w0..w{2n-1}.
+
+    The finiteness of the terms is screened by one sum of their
+    non-literal atoms (non-finite whenever one of them is; an
+    overflowing sum is only a false alarm); a non-finite literal term
+    hands back unconditionally.  A velocity Hessian of literals is
+    adjugated and guarded here, at codegen time, and only the solve is
+    rendered, with the folds that are exact for every float: 1.0 * r
+    is r, / 1.0 and - 0.0 are dropped, and literals combine.  0.0 * r
+    stays, as it is -0.0 or NaN for some r."""
+    def at_inputs(text):
+        return _INPUT.sub(lambda w: inputs[int(w.group(1))], text)
+
+    n = len(inputs) // 2
+    lines, results = terms
+    results = [at_inputs(atom) for atom in results]
+    lits = [_lit(atom) for atom in results]
+    if not all(math.isfinite(lit) for lit in lits if lit is not None):
+        return ["return k"]
+    gx, cv, hess = results[1:n + 1], results[n + 1:2 * n + 1], results[2 * n + 1:]
+    hvals = lits[2 * n + 1:]
+    literal = None not in hvals
+    if literal:
+        adj, det = _adjugate(hvals, n)
+        cond = _condition(hvals, adj, det, n)
+        if cond is None or not cond <= max_condition:
+            return ["return k"]
+    # stages reuse the temporaries' names: each reads only its own
+    lines = [at_inputs(ln) for ln in lines]
+    screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
+    if screen:
+        lines += [f"if not _isfinite({' + '.join(screen)}):", "    return k"]
+    for i, (g, c) in enumerate(zip(gx, cv)):
+        lg, lc = _lit(g), _lit(c)
+        if lg is not None and lc is not None:
+            g = _num(lg - lc)
+        elif c != _ZERO:
+            g = f"{g} - {c}"
+        lines.append(f"r{i} = {g} - f{i}")
+    if literal:
+        for i in range(n):
+            row = " + ".join(f"r{j}" if adj[i * n + j] == 1.0 else f"{_num(adj[i * n + j])} * r{j}"
+                             for j in range(n))
+            lines.append(f"{acc[i]} = {row}" if det == 1.0 else f"{acc[i]} = ({row}) / {_num(det)}")
+        return lines
+    adj, det = _adjugate_text(hess)
+    names = [f"j{i}" for i in range(n * n)]
+    lines += [f"{name} = {e}" for name, e in zip(names, adj)]
     lines += [
         f"det = {det}",
         "ad = abs(det)",
         f"if not {_num(sys.float_info.min)} <= ad < _inf:",
         "    return k",
-        f"if not {n} * {_norm1_text('m', n)} * {_norm1_text('j', n)} / ad <= {_num(max_condition)}:",
+        f"if not {n} * {_norm1_text(hess, n)} * {_norm1_text(names, n)} / ad"
+        f" <= {_num(max_condition)}:",
         "    return k",
     ]
-    lines += [f"{acc[i]} = ({' + '.join(f'j{i * n + j} * r{j}' for j in range(n))}) / det"
+    lines += [f"{acc[i]} = ({' + '.join(f'j{i * n + c} * r{c}' for c in range(n))}) / det"
               for i in range(n)]
     return lines
 
 
-def generate_step_source(n: int, max_condition: float) -> str:
-    """Source of the whole classical RK4 loop for n <= 3,
+def generate_step_source(ast: ExprAst, varnames, max_condition: float) -> str:
+    """Source of the whole classical RK4 loop for a Lagrangian over
+    varnames = (x1..xn, v1..vn) with n <= 3,
 
         _run(x0, .., v0, .., h, steps, lo0, hi0, .., f0, .., xs, vs)
 
     from the position x and velocity v, with step size h, the chart box
     lo_i <= x_i <= hi_i (its tolerance included), the constant forcing
     f, and C-contiguous (steps + 1, n) float arrays xs and vs whose row 0
-    holds the start.  The state stays in scalar locals.  Each stage calls the fused
-    `_terms` of generate_solve_source once and solves by the unrolled
-    adjugate, refusing n * cond_1(H) > max_condition; every operation
-    is that of dynamics' RK4 step and its acceleration solve, in the
-    same order, so the results are bit-identical.  Step k writes rows
-    k + 1 of xs and vs once the new position lies in the box.
+    holds the start.  The state stays in scalar locals.  Each stage is
+    the straight-line body of the fused terms (_fused_terms, walked
+    once) on that stage's position and velocity, then the solve by the
+    adjugate, refusing n * cond_1(H) > max_condition; a velocity
+    Hessian of literals is adjugated and guarded once, here (see
+    _stage_lines).
+    Every operation is that of dynamics' RK4 step and its acceleration
+    solve, in the same order, so the results are bit-identical.  Step k
+    writes rows k + 1 of xs and vs once the new position lies in the box.
 
     Returns `steps` when every step succeeds.  Otherwise it returns the
-    index k of the step that failed, with rows 0..k good: when `_terms`
-    raises ValueError or ArithmeticError, when the sum of its outputs
-    is not finite (it is not whenever one output is not; an overflowing
-    sum is only a false alarm), when det H is zero, subnormal or not
-    finite, when the condition guard fails, or when the new position
-    leaves the box.  The caller repeats step k on its own path, which
-    raises the error or takes the solve this loop does not."""
+    index k of the step that failed, with rows 0..k good: when a term
+    raises ValueError or ArithmeticError, when the screen finds a term
+    not finite, when det H is zero, subnormal or not finite, when the
+    condition guard fails, or when the new position leaves the box.
+    The caller repeats step k on its own path, which raises the error
+    or takes the solve this loop does not."""
+    n = len(varnames) // 2
     if not 1 <= n <= 3:
         raise ValueError(f"the generated RK4 loop needs 1 <= n <= 3, got {n}")
     idx = range(n)
@@ -466,13 +573,14 @@ def generate_step_source(n: int, max_condition: float) -> str:
     stage_x = [x] + [[f"x{i}_{s}" for i in idx] for s in (2, 3, 4)]
     stage_v = [v] + [[f"v{i}_{s}" for i in idx] for s in (2, 3, 4)]
     acc = [[f"a{i}_{s}" for i in idx] for s in (1, 2, 3, 4)]
+    terms = _fused_terms(ast, varnames)
     body = []
     for s in range(4):
         if s:
             step = "hh" if s < 3 else "h"
             body += [f"{stage_x[s][i]} = x{i} + {step} * {stage_v[s - 1][i]}" for i in idx]
             body += [f"{stage_v[s][i]} = v{i} + {step} * {acc[s - 1][i]}" for i in idx]
-        body += _stage_text(n, stage_x[s], stage_v[s], acc[s], max_condition)
+        body += _stage_lines(terms, stage_x[s] + stage_v[s], acc[s], max_condition)
     body += [f"x{i} = x{i} + h6 * (v{i} + 2.0 * v{i}_2 + 2.0 * v{i}_3 + v{i}_4)" for i in idx]
     body += [f"v{i} = v{i} + h6 * (a{i}_1 + 2.0 * a{i}_2 + 2.0 * a{i}_3 + a{i}_4)" for i in idx]
     inside = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in idx)
@@ -556,12 +664,11 @@ def compile_solve(ast: ExprAst, varnames):
     return _build(generate_solve_source(ast, varnames), "_terms")
 
 
-def compile_step(terms, n: int, max_condition: float):
-    """Compile the RK4 loop of generate_step_source around `terms`, a
-    function of compile_solve for n <= 3."""
-    src = generate_step_source(n, max_condition)
-    return _build(src, "_run", _terms=terms, _isfinite=math.isfinite,
-                  _sum=sum, _inf=math.inf)
+def compile_step(ast: ExprAst, varnames, max_condition: float):
+    """Compile the RK4 loop of generate_step_source for a Lagrangian
+    over varnames = (x1..xn, v1..vn) with n <= 3."""
+    src = generate_step_source(ast, varnames, max_condition)
+    return _build(src, "_run", _isfinite=math.isfinite, _inf=math.inf)
 
 
 def eval_batch(kernel, vals, d1, d2) -> np.ndarray:

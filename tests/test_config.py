@@ -125,7 +125,16 @@ class TestValidation:
             '[system]\nname = "c"\ndim = "1"\nlagrangian_0 = "0.5*v1^2"\n'
             '[atlas]\ntype = "circle"\ngauge = "0"\n',
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no Lagrangian for chart '1'"):
+            load_config(path)
+
+    def test_unknown_chart_lagrangian(self, tmp_path):
+        path = write(
+            tmp_path,
+            '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
+            'lagrangian_7 = "0.5*v1^2"\n[atlas]\ntype = "circle"\ngauge = "0"\n',
+        )
+        with pytest.raises(ValidationError, match="lagrangian chart at no chart '7' in atlas"):
             load_config(path)
 
     def test_bad_dim(self, tmp_path):

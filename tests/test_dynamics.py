@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,8 +475,13 @@ class TestGeneratedLoop:
         # n * cond_1 grows past MAX_CONDITION as x1 falls from 2e-6 to 1e-6
         ("0.5*v1^2 + 0.5*x1^2*v2^2", 2, [2e-6, 0.0], [-1e-6, 0.0], 1.0, 10, None,
          SingularLagrangianError, 5),
+        # a literal Hessian with n * cond_1 = 2e13, refused at codegen time
+        ("0.5*v1^2 + 0.5e-13*v2^2", 2, [0.0, 0.0], [1.0, 1.0], 1.0, 10, None,
+         SingularLagrangianError, 0),
+        # a literal infinite Hessian
+        ("0.5*1e308*10*v1^2", 1, [0.0], [1.0], 1.0, 10, None, DomainError, 0),
     ], ids=["relativistic-past-light", "circle-chart-exit", "infinite-value", "zero-hessian",
-        "condition-guard"])
+        "condition-guard", "literal-condition-guard", "literal-infinite-hessian"])
     def test_hand_back_raises_the_existing_error(self, lagrangian, dim, x0, v0, t1, steps,
                                                  forcing, error, handback, existing_loop_starts):
         if isinstance(lagrangian, str):
@@ -484,6 +493,36 @@ class TestGeneratedLoop:
         oracle = outcome(lambda: integrate_trajectory(lagrangian, x0, v0, 0.0, t1, steps,
                                                       forcing=oracle_forcing))
         assert fast[0] is error and fast == oracle
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "signed-zero-forcing"])
+    @pytest.mark.parametrize("system", ["free", "charged"])
+    def test_signed_zeros_bit_identical(self, system, forced, existing_loop_starts):
+        # the literal-Hessian solve keeps every 0.0 * r term: on the
+        # charged particle, dropping them changes sign bits here
+        lam = bundled_system(system).lagrangian
+        n = lam.atlas.dim
+        x0 = [-0.0, -0.0, -0.0][:n]
+        v0 = [0.0, -0.0, -0.0][:n]
+        f = [-0.0] + [0.0] * (n - 1) if forced else None
+        fast = integrate_trajectory(lam, x0, v0, 0.0, 1.0, 10, forcing=f)
+        oracle = integrate_trajectory(lam, x0, v0, 0.0, 1.0, 10,
+                                      forcing=zero_forcing if f is None
+                                      else (lambda x, v: np.array(f)))
+        assert existing_loop_starts == [0]
+        assert fast.positions.tobytes() == oracle.positions.tobytes()
+        assert fast.velocities.tobytes() == oracle.velocities.tobytes()
+
+    def test_rk4_step_script_finds_bit_identical_trajectories(self):
+        # benchmarks/rk4_step.py exits 1 if the generated and the existing
+        # loop differ in one bit on any of its four orbits
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "rk4_step.py"),
+             "--steps", "50", "--repeats", "1"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert run.stdout.count("bit-identical") == 4
 
     def test_subnormal_determinant_takes_the_existing_solve(self, existing_loop_starts):
         # det H = 1e-310 is subnormal: the existing loop solves by LU
@@ -539,6 +578,18 @@ class TestValidation:
             atlas, {"0": "0.5*v1^2 + cos(x1)*v1", "1": "0.5*v1^2"}
         )
         lam.validate()
+
+    def test_missing_chart_representative(self):
+        atlas = circle_atlas("sin(x1)", winding=1.0)
+        with pytest.raises(ValidationError,
+                           match="lagrangian coverage at no Lagrangian for chart '1'"):
+            GaugeClassLagrangian.from_exprs(atlas, {"0": "0.5*v1^2"})
+
+    def test_unknown_chart_representative(self):
+        atlas = circle_atlas("sin(x1)", winding=1.0)
+        with pytest.raises(ValidationError, match="lagrangian chart at no chart '7' in atlas"):
+            GaugeClassLagrangian.from_exprs(
+                atlas, {"0": "0.5*v1^2", "1": "0.5*v1^2", "7": "0.5*v1^2"})
 
     def test_incompatible_circle_lagrangian(self):
         atlas = circle_atlas("sin(x1)", winding=1.0)

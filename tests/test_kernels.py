@@ -170,16 +170,30 @@ class TestFusedSourcePruning:
 
 
 class TestStepSource:
+    """The generated RK4 loop inlines the fused terms, and a velocity
+    Hessian of literals is adjugated and guarded at codegen time."""
+
     @pytest.mark.parametrize("n", [0, 4])
     def test_only_small_dimensions(self, n):
         with pytest.raises(ValueError, match="1 <= n <= 3"):
-            generate_step_source(n, 1e12)
+            generate_step_source(exprlang.parse("1"), lagrangian_varnames(n), 1e12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_compiles_with_one_terms_call_per_stage(self, n):
-        src = generate_step_source(n, 1e12)
+    def test_compiles_without_a_terms_call(self, n):
+        names = lagrangian_varnames(n)
+        text = " + ".join(f"(1 + x{i}^2)*v{i}^2 - cos(x{i})*v1" for i in range(1, n + 1))
+        src = generate_step_source(exprlang.parse(text), names, 1e12)
         compile(src, "<step>", "exec")
-        assert src.count("_terms(") == 4
+        assert "_terms(" not in src
+
+    @pytest.mark.parametrize("case, literal", [
+        ("charged", True), ("charged+chi", True), ("free", True), ("relativistic", False),
+    ])
+    def test_literal_hessian_has_no_runtime_guard(self, case, literal):
+        (_name, ast, dim), = [c for c in fused_cases() if c[0] == case]
+        src = generate_step_source(ast, lagrangian_varnames(dim), 1e12)
+        guarded = [bool(re.search(r"\bdet\b", src)), "abs(" in src]
+        assert guarded == [not literal] * 2
 
 
 class TestCacheBound:
