@@ -1,0 +1,118 @@
+"""Batched kernel cost per probe at batch sizes 1, 16, 512 and 10^4.
+
+For the charged particle's Lagrangian and its twin shifted by its first
+configured gauge function chi, the batched kernel of
+kernels.compile_field is called on one seeded batch of probes per size
+(x and v uniform in [-1, 1], both seeds uniform in [-1, 1]).  Each row
+gives, for one kernel and one batch size:
+
+  * us/call:    microseconds per kernel call, best of --repeats;
+  * ns/probe:   the same per probe;
+  * peak B/probe: bytes allocated at the peak of one call, traced by
+    tracemalloc, per probe: the temporaries the kernel keeps alive.
+
+The header line of each kernel gives its generated lines and the
+distinct temporaries they use (names are reused once a value's last
+reader has run, see kernels._reuse_names).
+
+The script exits 1 if an output differs from the Hyperdual interpreter
+(exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by
+more than 1e-12 relative to max(1, |reference|); the test suite runs it
+with --sizes 1 16 --repeats 1 for that check.
+
+Run:  PYTHONPATH=src python benchmarks/kernel_batch.py [--sizes N ...] [--repeats N]
+"""
+import argparse
+import re
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from avcalc import exprlang, kernels
+from avcalc.autodiff import Hyperdual
+from avcalc.dynamics import gauge_shift, lagrangian_varnames
+from avcalc.systems import bundled_system
+
+TOLERANCE = 1e-12
+
+
+def cases():
+    """(label, expression, variable names) of the charged particle's
+    Lagrangian and of its twin."""
+    system = bundled_system("charged")
+    chart = system.default_chart()
+    names = lagrangian_varnames(system.dim)
+    yield "charged", system.lagrangian.expr(chart), names
+    yield "charged twin", gauge_shift(system.lagrangian, system.chis[0]).expr(chart), names
+
+
+def interpreter(ast, names, vals, d1, d2):
+    """Kernel outputs computed probe by probe on Hyperdual scalars."""
+    out = np.empty((vals.shape[0], 4))
+    for p in range(vals.shape[0]):
+        env = {name: Hyperdual(vals[p, j], d1[p, j], d2[p, j]) for j, name in enumerate(names)}
+        r = exprlang.evaluate(ast, env)
+        out[p] = (r.val, r.d1, r.d2, r.d12) if isinstance(r, Hyperdual) else (r, 0.0, 0.0, 0.0)
+    return out
+
+
+def best_seconds_per_call(kernel, args, repeats: int) -> float:
+    """Best over `repeats` of the mean time of a block of calls holding
+    about 2000 probes (at least 3 calls)."""
+    calls = max(3, 2000 // args[0].shape[0])
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            kernel(*args)
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
+def traced_peak_bytes(kernel, args) -> int:
+    """Bytes allocated at the peak of one call."""
+    tracemalloc.start()
+    try:
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[1, 16, 512, 10_000],
+                    help="probes per kernel call")
+    ap.add_argument("--repeats", type=int, default=7, help="timed blocks; the best is reported")
+    args = ap.parse_args()
+
+    rng = np.random.default_rng(2026)
+    agree = True
+    print(f"batched kernel, best of {args.repeats}")
+    for label, ast, names in cases():
+        src = kernels.generate_source(ast, names)
+        temps = len(set(re.findall(r"\bt\d+\b", src)))
+        print(f"{label}: {len(src.splitlines()) - 1} lines, {temps} temporaries")
+        print(f"{'probes':>8} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
+              f"vs interpreter")
+        kernel = kernels.compile_field(ast, names)
+        for size in args.sizes:
+            vals, d1, d2 = (rng.uniform(-1.0, 1.0, (size, len(names))) for _ in range(3))
+            out = np.empty((size, 4))
+            call = (vals, d1, d2, out)
+            kernel(*call)
+            ref = interpreter(ast, names, vals, d1, d2)
+            err = float(np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref))))
+            ok = err <= TOLERANCE
+            agree &= ok
+            seconds = best_seconds_per_call(kernel, call, args.repeats)
+            peak = traced_peak_bytes(kernel, call)
+            print(f"{size:8d} {1e6 * seconds:10.2f} {1e9 * seconds / size:10.1f} "
+                  f"{peak / size:13.0f}  {'ok' if ok else 'DIFFER'} ({err:.1e})")
+    return 0 if agree else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

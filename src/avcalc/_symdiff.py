@@ -110,8 +110,11 @@ def partial(ast: ExprAst, name: str) -> ExprAst:
     elif ast.func == "sqrt":
         return div(du, mul(Number(2.0), Call("sqrt", (u,))))
     elif ast.func == "abs":
-        # sign(u) * du, with the kink at 0 handled by evaluation
-        outer = div(u, Call("abs", (u,)))
+        # sign(u) * du, defined at u = 0 too: abs'(0) = 0, as in the
+        # interpreter and the kernels
+        outer = Call("sign", (u,))
+    elif ast.func == "sign":
+        return _ZERO
     else:
         raise DomainError(f"cannot differentiate call to '{ast.func}'")
     return mul(outer, du)

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .exprlang import sign
 
 
 class Hyperdual:
@@ -125,6 +126,10 @@ class Hyperdual:
         s = math.copysign(1.0, self.val) if self.val != 0.0 else 0.0
         # abs'(0) := 0 by convention; second derivative vanishes a.e.
         return Hyperdual(abs(self.val), s * self.d1, s * self.d2, s * self.d12)
+
+    def sign(self):
+        # abs', so sign' := 0 everywhere, at 0 too
+        return Hyperdual(sign(self.val))
 
     # -- elementary functions -----------------------------------------------
 

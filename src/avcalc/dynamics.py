@@ -177,7 +177,7 @@ class GaugeClassLagrangian:
                 defect = abs(
                     self.value(x_i, v, i) - self.value(x_j, jac @ v, j) - float(dg @ v)
                 )
-                if defect > tol:
+                if not defect <= tol:  # NaN fails too
                     raise ValidationError(
                         "lagrangian compatibility L_i - L_j = <dg_ij, v>",
                         f"charts ({i},{j}) at x={x_i}, v={v}",

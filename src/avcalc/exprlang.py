@@ -10,11 +10,14 @@ Grammar, loosest binding first:
 
 Numbers are decimal literals with optional fraction and exponent.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*.  Builtins are sin, cos, tan,
-exp, log, sqrt, abs (unary) and pow (binary).
+exp, log, sqrt, abs, sign (unary) and pow (binary).  sign(x) is 1 or -1
+by the sign of x and 0 at either zero; its derivative is 0 everywhere,
+as it is abs' with abs'(0) = 0.
 
 Evaluation is generic over the scalar type: plain floats use math.*,
 any other scalar is expected to provide sin/cos/tan/exp/log/sqrt
-methods plus the usual arithmetic dunders (see autodiff.Hyperdual).
+methods plus sign and the usual arithmetic dunders (see
+autodiff.Hyperdual).
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ BUILTIN_ARITY = {
     "log": 1,
     "sqrt": 1,
     "abs": 1,
+    "sign": 1,
     "pow": 2,
 }
 
@@ -216,6 +220,17 @@ def parse(src: str) -> ExprAst:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+
+def sign(x: float) -> float:
+    """1.0 or -1.0 by the sign of x, 0.0 at either zero, NaN at NaN (as
+    np.sign)."""
+    if x > 0.0:
+        return 1.0
+    if x < 0.0:
+        return -1.0
+    return x + 0.0  # -0.0 + 0.0 is 0.0
+
+
 _REAL_UNARY = {
     "sin": math.sin,
     "cos": math.cos,
@@ -224,6 +239,7 @@ _REAL_UNARY = {
     "log": math.log,
     "sqrt": math.sqrt,
     "abs": abs,
+    "sign": sign,
 }
 
 

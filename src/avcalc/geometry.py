@@ -310,7 +310,7 @@ class ScalarFunction:
     def validate(self, samples: int = 32, tol: float = 1e-12):
         for i, j, x_i, x_j, _g in _overlap_sample_pairs(self.atlas, samples):
             defect = abs(self(x_i, i) - self(x_j, j))
-            if defect > tol:
+            if not defect <= tol:  # NaN fails too
                 raise ValidationError(
                     "scalar function chart agreement", f"charts ({i},{j}) at {x_i}", defect
                 )
@@ -333,7 +333,7 @@ class AVSection:
     def validate(self, samples: int = 32, tol: float = 1e-12):
         for i, j, x_i, x_j, g in _overlap_sample_pairs(self.atlas, samples):
             defect = abs(self.value(x_i, i) - self.value(x_j, j) - g)
-            if defect > tol:
+            if not defect <= tol:  # NaN fails too
                 raise ValidationError(
                     "section compatibility phi_i - phi_j = g_ij",
                     f"charts ({i},{j}) at {x_i}",

@@ -6,7 +6,9 @@ code that propagates second-order forward-mode components
 
   * the derivative rules vectorized over a batch of seed "probes"
     (compile_field): the body runs on numpy arrays along the probe
-    axis;
+    axis, and a temporary's name is reused once its value's last
+    reader has run (_reuse_names), so a call holds only the arrays
+    still live, not one per line;
   * the same rules as one scalar function (compile_solve) that returns
     everything a Euler-Lagrange acceleration solve needs at one point,
     with the probe seeds written into the source as literals and the
@@ -34,6 +36,7 @@ with require_finite.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -42,7 +45,9 @@ import numpy as np
 
 from .autodiff import Hyperdual
 from .errors import DomainError
-from .exprlang import Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text
+from .exprlang import (
+    Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, sign, to_text,
+)
 
 # There is one kernel backend.  BACKENDS, default_backend and the
 # `backend` parameters checked by require_numpy_backend are kept for the
@@ -93,21 +98,29 @@ _ONE = "1.0"
 
 class _Emitter:
     """Straight-line code over atoms (literals or names), rendered on
-    numpy arrays (`vector`) or on scalars.  Every line is a pure
-    function of its atoms, so an expression text already emitted is
-    not emitted again: its temporary is reused."""
+    numpy arrays (`vector`) or on scalars.  Line i assigns the
+    temporary t{i} one operation: a `template` filled with the atoms it
+    reads, both kept as the line's key in `names`.  Every line is a
+    pure function of its atoms, so an operation already emitted on the
+    same atoms (the same expression text) is not emitted again: its
+    temporary is reused."""
 
     def __init__(self, vector: bool):
-        self.lines = []
-        self.names = {}  # expression text -> temporary
+        self.names = {}  # (template, atoms) -> temporary, in line order
         self.vector = vector
 
-    def tmp(self, expr: str) -> str:
-        name = self.names.get(expr)
+    def tmp(self, template: str, *atoms: str) -> str:
+        op = (template, atoms)
+        name = self.names.get(op)
         if name is None:
-            name = self.names[expr] = f"t{len(self.names)}"
-            self.lines.append(f"{name} = {expr}")
+            name = self.names[op] = f"t{len(self.names)}"
         return name
+
+    @property
+    def lines(self):
+        """The lines as source text, one temporary each."""
+        return [f"{name} = {template.format(*atoms)}"
+                for (template, atoms), name in self.names.items()]
 
     def fn(self, name: str) -> str:
         if self.vector:
@@ -115,9 +128,11 @@ class _Emitter:
         return {"abs": "abs"}.get(name, f"math.{name}")
 
     def sign(self, atom: str) -> str:
+        """sign(atom), as np.sign: 1.0, -1.0, 0.0 at either zero, NaN
+        at NaN (-0.0 + 0.0 is 0.0)."""
         if self.vector:
-            return self.tmp(f"np.sign({atom})")
-        return self.tmp(f"(1.0 if {atom} > 0.0 else (-1.0 if {atom} < 0.0 else 0.0))")
+            return self.tmp("np.sign({})", atom)
+        return self.tmp("(1.0 if {0} > 0.0 else (-1.0 if {0} < 0.0 else {0} + 0.0))", atom)
 
     # folding arithmetic on atoms (literals or temp names)
 
@@ -125,7 +140,7 @@ class _Emitter:
         lx = _lit(x)
         if lx is not None:
             return _num(-lx)
-        return self.tmp(f"-{x}")
+        return self.tmp("-{}", x)
 
     def add(self, x, y):
         lx, ly = _lit(x), _lit(y)
@@ -135,7 +150,7 @@ class _Emitter:
             return x
         if lx is not None and ly is not None:
             return _num(lx + ly)
-        return self.tmp(f"{x} + {y}")
+        return self.tmp("{} + {}", x, y)
 
     def sub(self, x, y):
         lx, ly = _lit(x), _lit(y)
@@ -145,7 +160,7 @@ class _Emitter:
             return self.neg(y)
         if lx is not None and ly is not None:
             return _num(lx - ly)
-        return self.tmp(f"{x} - {y}")
+        return self.tmp("{} - {}", x, y)
 
     def mul(self, x, y):
         lx, ly = _lit(x), _lit(y)
@@ -157,7 +172,7 @@ class _Emitter:
             return x
         if lx is not None and ly is not None:
             return _num(lx * ly)
-        return self.tmp(f"{x} * {y}")
+        return self.tmp("{} * {}", x, y)
 
     def div(self, x, y):
         lx, ly = _lit(x), _lit(y)
@@ -167,7 +182,7 @@ class _Emitter:
             return x
         if lx is not None and ly is not None and ly != 0.0:
             return _num(lx / ly)
-        return self.tmp(f"{x} / {y}")
+        return self.tmp("{} / {}", x, y)
 
     def powc(self, x, p: float):
         """x**p for a compile-time real exponent."""
@@ -186,12 +201,12 @@ class _Emitter:
             except OverflowError:
                 return _num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
         if p == 2.0:
-            return self.tmp(f"{x} * {x}")
+            return self.tmp("{} * {}", x, x)
         if not self.vector and not p.is_integer():
             # a float ** a non-integer is complex for a negative base;
             # math.pow raises ValueError there
-            return self.tmp(f"math.pow({x}, {_num(p)})")
-        return self.tmp(f"{x} ** ({_num(p)})")
+            return self.tmp("math.pow({}, {})", x, _num(p))
+        return self.tmp("{} ** ({})", x, _num(p))
 
 
 def _quad_is_const(q):
@@ -200,7 +215,7 @@ def _quad_is_const(q):
 
 _FOLD = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "log": math.log, "sqrt": math.sqrt, "abs": abs,
+    "log": math.log, "sqrt": math.sqrt, "abs": abs, "sign": sign,
 }
 
 
@@ -212,15 +227,17 @@ def _apply_unary(name, u, em: _Emitter):
             return (_num(float(_FOLD[name](lv))), _ZERO, _ZERO, _ZERO)
         except (ValueError, OverflowError):
             pass  # leave the domain error to runtime
-    v = em.tmp(f"{em.fn(name)}({uv})")
+    if name == "sign":  # its derivatives vanish, at 0 too
+        return (em.sign(uv), _ZERO, _ZERO, _ZERO)
+    v = em.tmp(em.fn(name) + "({})", uv)
     if _quad_is_const(u):
         return (v, _ZERO, _ZERO, _ZERO)
     need_dd = ua != _ZERO and ub != _ZERO
     if name == "sin":
-        d = em.tmp(f"{em.fn('cos')}({uv})")
+        d = em.tmp(em.fn("cos") + "({})", uv)
         dd = em.neg(v) if need_dd else _ZERO
     elif name == "cos":
-        d = em.neg(em.tmp(f"{em.fn('sin')}({uv})"))
+        d = em.neg(em.tmp(em.fn("sin") + "({})", uv))
         dd = em.neg(v) if need_dd else _ZERO
     elif name == "tan":
         d = em.add(_ONE, em.mul(v, v))
@@ -332,9 +349,47 @@ def check_declared(ast: ExprAst, varnames) -> set:
     return used
 
 
+def _reuse_names(names, results):
+    """(lines, results) of the lines of an _Emitter's `names` with
+    every temporary renamed so that a name is reused once the last line
+    reading its value has run; the `results` are read at the end.  The
+    lines, their order and their operands are unchanged, so the values
+    are too, but a kernel keeps only its live temporaries instead of
+    one array per line.
+
+    One backward pass: a temporary takes a name at its last reader (the
+    name freed last, or a new one) and gives it back at its own line,
+    where the line's operands may take it.  Temporaries are the atoms
+    that start with "t"; slots start with "w" and literals with a
+    digit, "-", "(" or "math."."""
+    fresh = map("t{}".format, itertools.count())
+    live = {}  # emitted temporary -> its name, from its last reader back to its line
+    for atom in results:
+        if atom[0] == "t" and atom not in live:
+            live[atom] = next(fresh)
+    results = [live.get(atom, atom) for atom in results]
+    free = []
+    lines = []
+    for (template, atoms), temp in reversed(names.items()):
+        name = live.pop(temp, None)
+        if name is None:  # nothing reads it: it borrows a free name
+            name = free.pop() if free else next(fresh)
+        free.append(name)
+        args = []
+        for atom in atoms:
+            if atom[0] == "t" and atom not in live:
+                live[atom] = free.pop() if free else next(fresh)
+            args.append(live.get(atom, atom))
+        lines.append(f"{name} = {template.format(*args)}")
+    lines.reverse()
+    return lines, results
+
+
 def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
-    """Source text of the batched kernel of compile_field.  `backend`
-    must be "numpy" (see require_numpy_backend)."""
+    """Source text of the batched kernel of compile_field: the lines
+    of the second-order rules with their temporaries' names reused
+    (_reuse_names).  `backend` must be "numpy" (see
+    require_numpy_backend)."""
     require_numpy_backend(backend)
     used = check_declared(ast, varnames)
     em = _Emitter(vector=True)
@@ -348,8 +403,8 @@ def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
         b = f"w{j}b"
         preamble += [f"{v} = vals[:,{j}]", f"{a} = d1[:,{j}]", f"{b} = d2[:,{j}]"]
         slots[name] = (v, a, b, _ZERO)
-    result = _walk(ast, em, slots)
-    body = preamble + em.lines + [f"out[:,{k}] = {result[k]}" for k in range(4)]
+    lines, result = _reuse_names(em.names, _walk(ast, em, slots))
+    body = preamble + lines + [f"out[:,{k}] = {result[k]}" for k in range(4)]
     inner = "\n".join("    " + ln for ln in body)
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
@@ -681,9 +736,9 @@ def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
     return out
 
 
-# Probes per kernel call on the batched paths.  A kernel keeps one
-# temporary per generated line alive until the call returns, so a call's
-# working set grows with its batch; this caps it.
+# Probes per kernel call on the batched paths.  A kernel holds one array
+# per live temporary (at most 20 for the bundled systems and their gauge
+# twins), so a call's working set still grows with its batch; this caps it.
 CHUNK = 512
 
 

@@ -26,7 +26,7 @@ from avcalc.errors import (
     SingularLagrangianError,
     ValidationError,
 )
-from avcalc.geometry import Atlas, Chart, circle_atlas, euclidean_atlas
+from avcalc.geometry import Atlas, Chart, ScalarFunction, circle_atlas, euclidean_atlas
 from avcalc.systems import bundled_system, bundled_system_names, charged_particle
 
 from helpers_reference import hyperdual_reference
@@ -85,6 +85,23 @@ class TestLegendre:
         p0 = np.asarray(legendre(lam, x, v, "0").p)
         p1 = np.asarray(legendre(shifted, x, v, "0").p)
         assert np.allclose(p1 - p0, [-0.4, 0.7])  # d(x1*x2) = (x2, x1)
+
+    def test_abs_shift_at_its_kink(self):
+        # d|x1| = sign(x1) dx1, with abs'(0) = 0 as ScalarFunction.grad
+        # takes it; u/abs(u) divided by zero here
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 - cos(x1)")
+        shifted = gauge_shift(lam, "abs(x1)")
+        dchi = ScalarFunction.from_common(euclidean_atlas(1), "abs(x1)").grad([0.0], "0")
+        assert dchi.tolist() == [0.0]
+        for x in (0.0, -0.0):
+            q = q_of([x], [0.7], [0.2])
+            assert euler_lagrange(shifted, q, "0") == euler_lagrange(lam, q, "0")
+            p0 = legendre(lam, [x], [0.7], "0").p
+            assert legendre(shifted, [x], [0.7], "0").p == (p0[0] + dchi[0],)
+        x, v = [-0.5], [0.7]
+        assert legendre(shifted, x, v, "0").p == (legendre(lam, x, v, "0").p[0] - 1.0,)
+        # sign itself differentiates to 0
+        assert gauge_shift(lam, "sign(x1) + x1").expr("0") == gauge_shift(lam, "x1").expr("0")
 
     def test_affine_covector_conversion_on_circle(self):
         # identity coordinate change on the primary component:
@@ -595,4 +612,11 @@ class TestValidation:
         atlas = circle_atlas("sin(x1)", winding=1.0)
         lam = GaugeClassLagrangian.from_exprs(atlas, {"0": "0.5*v1^2", "1": "0.5*v1^2"})
         with pytest.raises(ValidationError):
+            lam.validate()
+
+    def test_nan_defect_fails(self):
+        # inf*x1 - inf*x1 is NaN at every x1
+        lam = GaugeClassLagrangian.from_exprs(
+            circle_atlas("0"), "0.5*v1^2 + 1e308*10*x1 - 1e308*10*x1")
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="defect nan"):
             lam.validate()

@@ -43,6 +43,13 @@ class TestParsing:
         assert abs(ev("exp(log(5))") - 5.0) < 1e-14
         assert ev("abs(-3)") == 3.0
 
+    def test_sign(self):
+        signs = [ev("sign(x1)", x1=x) for x in (-2.5, -0.0, 0.0, 3.0)]
+        assert [*map(float.hex, signs)] == [*map(float.hex, (-1.0, 0.0, 0.0, 1.0))]
+        assert exprlang.to_text(exprlang.parse("sign(x1 - 1)")) == "sign((x1-1.0))"
+        with pytest.raises(ExprSyntaxError):
+            exprlang.parse("sign(x1, x2)")
+
     def test_variables(self):
         assert ev("x1 + 2*v1", x1=1.0, v1=2.5) == 6.0
 

@@ -21,6 +21,10 @@ from avcalc.geometry import (
 )
 
 
+# NaN wherever sin(x1) != 0: 1e308*10 overflows to inf
+NAN_SIN = "1e308*10*sin(x1) - 1e308*10*sin(x1)"
+
+
 @pytest.fixture(scope="module")
 def circle():
     return circle_atlas("sin(x1)", winding=1.0)
@@ -89,6 +93,13 @@ class TestScalarFunction:
         with pytest.raises(ValidationError):
             fn.validate()
 
+    def test_nan_defect_fails(self):
+        # inf*sin(x1) - inf*sin(x1) is NaN wherever sin(x1) != 0
+        fn = ScalarFunction.from_common(circle_atlas("0"), NAN_SIN)
+        assert math.isnan(fn([1.0], "0"))
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="defect nan"):
+            fn.validate()
+
     def test_grad(self):
         atlas = euclidean_atlas(2)
         fn = ScalarFunction.from_common(atlas, "x1*x2^2")
@@ -104,6 +115,12 @@ class TestAVSection:
     def test_incompatible_section(self, circle):
         phi = AVSection(circle, {"0": exprlang.parse("x1"), "1": exprlang.parse("x1")})
         with pytest.raises(ValidationError):
+            phi.validate()
+
+    def test_nan_defect_fails(self):
+        atlas = circle_atlas("0")
+        phi = AVSection(atlas, {c.id: exprlang.parse(NAN_SIN) for c in atlas.charts})
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="defect nan"):
             phi.validate()
 
     def test_gauge_transform_keeps_compatibility(self, circle):

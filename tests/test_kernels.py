@@ -1,10 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avcalc import exprlang, kernels
+from avcalc.autodiff import Hyperdual
 from avcalc.dynamics import (
     GaugeClassLagrangian,
     SecondOrderPoint,
@@ -167,6 +173,146 @@ class TestFusedSourcePruning:
         monkeypatch.setattr(kernels, "_prune", lambda lines, results: lines)
         full = generate_solve_source(ast, lagrangian_varnames(dim))
         assert len(pruned.splitlines()) < len(full.splitlines())
+
+
+def plain_source(ast, varnames):
+    """generate_source without the renaming: one temporary per _Emitter
+    line, as the emitter numbers them (the oracle of TestReusedNames)."""
+    def one_name_per_line(names, results):
+        return [f"{name} = {template.format(*atoms)}"
+                for (template, atoms), name in names.items()], results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_reuse_names", one_name_per_line)
+        return generate_source(ast, varnames)
+
+
+TEMP = re.compile(r"\bt\d+\b")
+
+
+def temporaries(src):
+    return set(TEMP.findall(src))
+
+
+def most_live(plain):
+    """The fewest names a kernel with the lines of the one-name-per-line
+    source `plain` can use: at each line, the values it reads, and the
+    value it assigns beside every earlier one read later."""
+    lines = [line.strip().split(" = ", 1) for line in plain.splitlines()[1:]]
+    last = {name: i for i, (_target, expr) in enumerate(lines) for name in TEMP.findall(expr)}
+    defs = [(i, target) for i, (target, _expr) in enumerate(lines) if TEMP.fullmatch(target)]
+    most = 0
+    for i, _target in defs:
+        earlier = [last.get(name, -1) for d, name in defs if d < i]
+        most = max(most, sum(r >= i for r in earlier), 1 + sum(r > i for r in earlier))
+    return most
+
+
+class TestReusedNames:
+    """The batched kernel reuses a temporary's name once its value's last
+    reader has run; the operations, their order and their operands are
+    those of the emitter, so the outputs are too."""
+
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
+    def test_outputs_identical_to_one_name_per_line(self, case):
+        _name, ast, dim = case
+        names = lagrangian_varnames(dim)
+        plain_src = plain_source(ast, names)
+        assert len(temporaries(generate_source(ast, names))) < len(temporaries(plain_src))
+        plain = kernels._build(plain_src, "_kernel")
+        rng = np.random.default_rng(61)
+        vals = np.hstack([rng.uniform(-1.0, 1.0, (600, dim)), rng.uniform(-0.5, 0.5, (600, dim))])
+        d1, d2 = rng.uniform(-1.0, 1.0, (2, 600, 2 * dim))
+        got = eval_batch(compile_field(ast, names), vals, d1, d2)
+        assert got.tobytes() == eval_batch(plain, vals, d1, d2).tobytes()
+
+    @pytest.mark.parametrize("case", fused_cases() + [
+        (f"random{k}", ast, None) for k, (ast, _env) in enumerate(
+            random_cases(40, varnames=VARNAMES, depth=5, seed=83))
+    ], ids=lambda c: c[0])
+    def test_no_value_read_after_its_name_is_reassigned(self, case):
+        # line by line the two sources hold the same operation; each name
+        # a renamed line reads must still hold the value that the plain
+        # source's temporary at that place holds
+        _name, ast, dim = case
+        names = VARNAMES if dim is None else lagrangian_varnames(dim)
+        renamed = generate_source(ast, names).splitlines()[1:]
+        plain = plain_source(ast, names).splitlines()[1:]
+        assert len(renamed) == len(plain)
+        holds = {}  # name in the renamed source -> plain temporary
+        for line, oracle in zip(renamed, plain):
+            target, expr = line.strip().split(" = ", 1)
+            plain_target, plain_expr = oracle.strip().split(" = ", 1)
+            assert TEMP.sub("t", expr) == TEMP.sub("t", plain_expr)
+            for name, value in zip(TEMP.findall(expr), TEMP.findall(plain_expr), strict=True):
+                assert holds.get(name) == value, f"{line.strip()!r}: {name} no longer holds {value}"
+            if TEMP.fullmatch(target):
+                holds[target] = plain_target
+
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
+    def test_peak_memory_is_the_live_temporaries(self, case):
+        # the kernel uses the fewest names its values allow, and at 4096
+        # probes, where every temporary is a 32 KiB array, one call's
+        # traced peak is at most one array per live value plus four
+        _name, ast, dim = case
+        names = lagrangian_varnames(dim)
+        live = most_live(plain_source(ast, names))
+        assert len(temporaries(generate_source(ast, names))) == live
+        kernel = compile_field(ast, names)
+        rng = np.random.default_rng(5)
+        probes = 4096
+        vals = np.hstack([rng.uniform(-1.0, 1.0, (probes, dim)),
+                          rng.uniform(-0.5, 0.5, (probes, dim))])
+        d1, d2 = rng.uniform(-1.0, 1.0, (2, probes, 2 * dim))
+        out = np.empty((probes, 4))
+        kernel(vals, d1, d2, out)  # first call: nothing left to set up
+        tracemalloc.start()
+        try:
+            kernel(vals, d1, d2, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (live + 4) * 8 * probes
+
+
+class TestSign:
+    """sign(x): 1.0, -1.0, 0.0 at either zero and NaN at NaN, with zero
+    derivatives, from the interpreter on reals and on Hyperdual scalars,
+    the batched kernel and the fused function."""
+
+    @pytest.mark.parametrize("x, expected", [
+        (-1.0, -1.0), (-0.0, 0.0), (0.0, 0.0), (2.0, 1.0), (math.nan, math.nan),
+    ])
+    def test_one_answer(self, x, expected):
+        ast = exprlang.parse("sign(x1)")
+        interpreted = exprlang.evaluate(ast, {"x1": x})
+        dual = exprlang.evaluate(ast, {"x1": Hyperdual(x, 1.0, 1.0)})
+        out = eval_batch(compile_field(ast, ["x1"]), [[x]], [[1.0]], [[1.0]])
+        terms = kernels.compile_solve(exprlang.parse("sign(x1)*v1"), ["x1", "v1"])(x, 1.0)
+        quads = [(interpreted, 0.0, 0.0, 0.0), (dual.val, dual.d1, dual.d2, dual.d12),
+                 tuple(out[0]), terms]  # terms: L, dL/dx1, C.v, d2L/dv1^2
+        for quad in quads:
+            assert [*map(float.hex, quad)] == [*map(float.hex, (expected, 0.0, 0.0, 0.0))]
+
+    def test_folds_a_constant(self):
+        ast = exprlang.parse("sign(-3)*x1")
+        assert "sign" not in generate_source(ast, ["x1"])
+        out = eval_batch(compile_field(ast, ["x1"]), [[2.0]], [[1.0]], [[0.0]])
+        assert out[0].tolist() == [-2.0, -1.0, 0.0, 0.0]
+
+
+class TestKernelBatchScript:
+    def test_agrees_with_the_interpreter(self):
+        # benchmarks/kernel_batch.py exits 1 if a kernel output differs
+        # from the Hyperdual interpreter by more than 1e-12 relative
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "kernel_batch.py"),
+             "--sizes", "1", "16", "--repeats", "1"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert run.stdout.count(" ok (") == 4
 
 
 class TestStepSource:
