@@ -13,7 +13,7 @@ gives, for one kernel and one batch size:
 
 The header line of each kernel gives its generated lines and the
 distinct temporaries they use (names are reused once a value's last
-reader has run, see kernels._reuse_names).
+reader has run, see kernels._render).
 
 The script exits 1 if an output differs from the Hyperdual interpreter
 (exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by

@@ -31,12 +31,14 @@ from .kernels import CHUNK, compile_field, eval_chunked, require_finite
 _BOX_TOL = 1e-9
 
 
-def coord_names(dim: int):
-    return [f"x{j}" for j in range(1, dim + 1)]
-
-
 def coord_env(x) -> dict:
     return {f"x{j + 1}": x[j] for j in range(len(x))}
+
+
+def _expr_gradient(expr: ExprAst, x) -> np.ndarray:
+    """The gradient of an expression over x1..xn at the point x, by
+    autodiff."""
+    return gradient(lambda args: exprlang.evaluate(expr, coord_env(args)), x)
 
 
 def eval_vector(exprs, env) -> np.ndarray:
@@ -135,23 +137,14 @@ class Atlas:
         """d g_{src,dst} at x (source coordinates), by autodiff."""
         if src == dst:
             return np.zeros(self.dim)
-        comp = self._component(x, src, dst)
-        return gradient(
-            lambda args, e=comp.gauge: exprlang.evaluate(
-                e, {f"x{j + 1}": args[j] for j in range(self.dim)}
-            ),
-            x,
-        )
+        return _expr_gradient(self._component(x, src, dst).gauge, x)
 
     def jacobian(self, x, src: str, dst: str) -> np.ndarray:
         """J[k, j] = d x'_k / d x_j of the coordinate change at x."""
         comp = self._component(x, src, dst)
         jac = np.empty((self.dim, self.dim))
         for k, expr in enumerate(comp.coord_map):
-            jac[k] = gradient(
-                lambda args, e=expr: exprlang.evaluate(e, {f"x{j + 1}": args[j] for j in range(self.dim)}),
-                x,
-            )
+            jac[k] = _expr_gradient(expr, x)
         return jac
 
     # -- structural invariants ---------------------------------------------
@@ -301,11 +294,7 @@ class ScalarFunction:
         return float(exprlang.evaluate(self.chart_exprs[chart_id], coord_env(x)))
 
     def grad(self, x, chart_id: str) -> np.ndarray:
-        expr = self.chart_exprs[chart_id]
-        return gradient(
-            lambda args: exprlang.evaluate(expr, {f"x{j + 1}": args[j] for j in range(len(x))}),
-            x,
-        )
+        return _expr_gradient(self.chart_exprs[chart_id], x)
 
     def validate(self, samples: int = 32, tol: float = 1e-12):
         for i, j, x_i, x_j, _g in _overlap_sample_pairs(self.atlas, samples):
@@ -388,15 +377,10 @@ class AffineOneForm:
                     env = coord_env(x)
                     x_j = eval_vector(comp.coord_map, env)
                     jac = atlas.jacobian(x, i, j)
-                    dg = gradient(
-                        lambda args, e=comp.gauge: exprlang.evaluate(
-                            e, {f"x{d + 1}": args[d] for d in range(atlas.dim)}
-                        ),
-                        x,
-                    )
+                    dg = _expr_gradient(comp.gauge, x)
                     defect = self.components(x, i) - jac.T @ self.components(x_j, j) - dg
-                    worst = max(worst, float(np.max(np.abs(defect))))
-        return worst
+                    worst = np.maximum(worst, np.max(np.abs(defect)))  # NaN stays
+        return float(worst)
 
 
 def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
@@ -404,12 +388,7 @@ def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
     the representative (computed by autodiff at evaluation points)."""
     comps = {}
     for cid, expr in phi.chart_exprs.items():
-        def comp(x, e=expr, dim=atlas.dim):
-            return gradient(
-                lambda args: exprlang.evaluate(e, {f"x{j + 1}": args[j] for j in range(dim)}),
-                x,
-            )
-        comps[cid] = comp
+        comps[cid] = lambda x, e=expr: _expr_gradient(e, x)
     return AffineOneForm(atlas, comps)
 
 
@@ -511,7 +490,7 @@ class CurveSpec:
             if a.chart_id != b.chart_id:
                 x_end = atlas.convert_point(x_end, a.chart_id, b.chart_id)
             defect = float(np.max(np.abs(x_end - x_next)))
-            if defect > tol:
+            if not defect <= tol:  # NaN fails too
                 raise ChartScheduleError(
                     f"junction mismatch between charts {a.chart_id} and {b.chart_id}: {defect:.3g}"
                 )

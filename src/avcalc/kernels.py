@@ -6,13 +6,10 @@ code that propagates second-order forward-mode components
 
   * the derivative rules vectorized over a batch of seed "probes"
     (compile_field): the body runs on numpy arrays along the probe
-    axis, and a temporary's name is reused once its value's last
-    reader has run (_reuse_names), so a call holds only the arrays
-    still live, not one per line;
+    axis;
   * the same rules as one scalar function (compile_solve) that returns
     everything a Euler-Lagrange acceleration solve needs at one point,
-    with the probe seeds written into the source as literals and the
-    lines nothing reads pruned;
+    with the probe seeds written into the source as literals;
   * the whole classical RK4 loop for n <= 3 (compile_step), with the
     state in scalar locals and that function's straight-line body
     inlined into each stage.  A velocity Hessian whose entries are all
@@ -23,6 +20,11 @@ code that propagates second-order forward-mode components
     constant, and gives bit-identical trajectories.  On any alarm it
     returns the last good step, and the caller's numpy loop repeats
     that step and raises the error, if there is one.
+
+All three turn the emitter's lines into source by one backward pass
+(_render): it drops the lines nothing reads and reuses a temporary's
+name once its value's last reader has run, so the code holds only the
+values still live, not one per line.
 
 Kernel signature: kernel(vals, d1, d2, out) with vals/d1/d2 of shape
 (probes, nvars) and out of shape (probes, 4).  Row p evaluates the
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import sys
 
 import numpy as np
@@ -46,7 +47,7 @@ import numpy as np
 from .autodiff import Hyperdual
 from .errors import DomainError
 from .exprlang import (
-    Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, sign, to_text,
+    _REAL_UNARY, Binary, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text,
 )
 
 # There is one kernel backend.  BACKENDS, default_backend and the
@@ -115,12 +116,6 @@ class _Emitter:
         if name is None:
             name = self.names[op] = f"t{len(self.names)}"
         return name
-
-    @property
-    def lines(self):
-        """The lines as source text, one temporary each."""
-        return [f"{name} = {template.format(*atoms)}"
-                for (template, atoms), name in self.names.items()]
 
     def fn(self, name: str) -> str:
         if self.vector:
@@ -213,18 +208,12 @@ def _quad_is_const(q):
     return q[1] == _ZERO and q[2] == _ZERO and q[3] == _ZERO
 
 
-_FOLD = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "log": math.log, "sqrt": math.sqrt, "abs": abs, "sign": sign,
-}
-
-
 def _apply_unary(name, u, em: _Emitter):
     uv, ua, ub, uc = u
     lv = _lit(uv)
     if lv is not None and _quad_is_const(u):
         try:
-            return (_num(float(_FOLD[name](lv))), _ZERO, _ZERO, _ZERO)
+            return (_num(float(_REAL_UNARY[name](lv))), _ZERO, _ZERO, _ZERO)
         except (ValueError, OverflowError):
             pass  # leave the domain error to runtime
     if name == "sign":  # its derivatives vanish, at 0 too
@@ -349,21 +338,25 @@ def check_declared(ast: ExprAst, varnames) -> set:
     return used
 
 
-def _reuse_names(names, results):
-    """(lines, results) of the lines of an _Emitter's `names` with
-    every temporary renamed so that a name is reused once the last line
-    reading its value has run; the `results` are read at the end.  The
-    lines, their order and their operands are unchanged, so the values
-    are too, but a kernel keeps only its live temporaries instead of
-    one array per line.
+def _render(names, results, inputs=()):
+    """(lines, results) of the lines of an _Emitter's `names` that the
+    `results` need, read at the end, with every slot atom w{j} replaced
+    by inputs[j] if `inputs` are given.  The kept lines, their order and
+    their operands are unchanged, so the values are too, but a line
+    nothing reads is dropped and a temporary's name is reused once the
+    last line reading its value has run: the code holds only its live
+    temporaries instead of one value per line.
 
     One backward pass: a temporary takes a name at its last reader (the
     name freed last, or a new one) and gives it back at its own line,
-    where the line's operands may take it.  Temporaries are the atoms
-    that start with "t"; slots start with "w" and literals with a
-    digit, "-", "(" or "math."."""
+    where the line's operands may take it; a line whose temporary has
+    no name is dead.  Temporaries are the atoms that start with "t";
+    slots start with "w" and literals with a digit, "-", "(" or
+    "math."."""
     fresh = map("t{}".format, itertools.count())
-    live = {}  # emitted temporary -> its name, from its last reader back to its line
+    # atom -> its text: a slot's input, or an emitted temporary's name
+    # from its last reader back to its line
+    live = {f"w{j}": atom for j, atom in enumerate(inputs)}
     for atom in results:
         if atom[0] == "t" and atom not in live:
             live[atom] = next(fresh)
@@ -372,8 +365,8 @@ def _reuse_names(names, results):
     lines = []
     for (template, atoms), temp in reversed(names.items()):
         name = live.pop(temp, None)
-        if name is None:  # nothing reads it: it borrows a free name
-            name = free.pop() if free else next(fresh)
+        if name is None:
+            continue  # nothing reads it
         free.append(name)
         args = []
         for atom in atoms:
@@ -387,9 +380,9 @@ def _reuse_names(names, results):
 
 def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
     """Source text of the batched kernel of compile_field: the lines
-    of the second-order rules with their temporaries' names reused
-    (_reuse_names).  `backend` must be "numpy" (see
-    require_numpy_backend)."""
+    of the second-order rules that its outputs read, with their
+    temporaries' names reused (_render).  `backend` must be "numpy"
+    (see require_numpy_backend)."""
     require_numpy_backend(backend)
     used = check_declared(ast, varnames)
     em = _Emitter(vector=True)
@@ -403,24 +396,26 @@ def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
         b = f"w{j}b"
         preamble += [f"{v} = vals[:,{j}]", f"{a} = d1[:,{j}]", f"{b} = d2[:,{j}]"]
         slots[name] = (v, a, b, _ZERO)
-    lines, result = _reuse_names(em.names, _walk(ast, em, slots))
+    lines, result = _render(em.names, _walk(ast, em, slots))
     body = preamble + lines + [f"out[:,{k}] = {result[k]}" for k in range(4)]
     inner = "\n".join("    " + ln for ln in body)
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
 
 def _fused_terms(ast: ExprAst, varnames):
-    """(lines, atoms) of the straight-line terms
+    """(names, atoms) of the straight-line terms
 
         (L, dL/dx_i for each i, ((d2L/dv_i dx) . v) for each i,
          d2L/dv_i dv_j row-major)
 
     of a Lagrangian over varnames = (x1..xn, v1..vn) at the point
-    w0..w{2n-1}, without the lines nothing reads.  Each entry is one
-    probe of the second-order rules with its seeds as literals (the
-    velocity seed of the C.v probes is the velocity itself), so zero
-    seeds fold away, and the value chain and every derivative shared
-    between probes are computed once."""
+    w0..w{2n-1}: the emitter's records and the terms' atoms, for
+    _render.  Each entry is one probe of the second-order rules with its
+    seeds as literals (the velocity seed of the C.v probes is the
+    velocity itself), so zero seeds fold away, and the value chain and
+    every derivative shared between probes are computed once; a probe's
+    unread components (the first-order parts of a velocity-seeded probe,
+    say) are emitted, and _render drops them."""
     used = check_declared(ast, varnames)
     m = len(varnames)
     n = m // 2
@@ -438,15 +433,14 @@ def _fused_terms(ast: ExprAst, varnames):
     velocity = [f"w{n + j}" for j in range(n)] + [_ZERO] * n
     cv = [probe(unit[n + i], velocity)[3] for i in range(n)]
     hess = [probe(unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]
-    results = [value] + gx + cv + hess
-    return _prune(em.lines, results), results
+    return em.names, [value] + gx + cv + hess
 
 
 def generate_solve_source(ast: ExprAst, varnames) -> str:
     """Source of `_terms(w0, .., w{2n-1})` for a Lagrangian over
     varnames = (x1..xn, v1..vn), returning the tuple of the terms of
     _fused_terms."""
-    lines, results = _fused_terms(ast, varnames)
+    lines, results = _render(*_fused_terms(ast, varnames))
     args = ", ".join(f"w{j}" for j in range(len(varnames)))
     body = lines + [f"return ({', '.join(results)},)"]
     return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
@@ -523,14 +517,11 @@ def _norm1_text(h, n):
     return cols[0] if n == 1 else f"max({', '.join(cols)})"
 
 
-_INPUT = re.compile(r"\bw(\d+)\b")
-
-
 def _stage_lines(terms, inputs, acc, max_condition):
     """Lines solving H a = dL/dx - C.v - f into the names `acc` as
     dynamics._accelerations does for n <= 3, with `return k` wherever
     that would raise or take its LU solve instead.  The terms are those
-    of _fused_terms, inlined with the stage's position and velocity
+    of _fused_terms, rendered with the stage's position and velocity
     `inputs` in place of w0..w{2n-1}.
 
     The finiteness of the terms is screened by one sum of their
@@ -541,12 +532,9 @@ def _stage_lines(terms, inputs, acc, max_condition):
     rendered, with the folds that are exact for every float: 1.0 * r
     is r, / 1.0 and - 0.0 are dropped, and literals combine.  0.0 * r
     stays, as it is -0.0 or NaN for some r."""
-    def at_inputs(text):
-        return _INPUT.sub(lambda w: inputs[int(w.group(1))], text)
-
     n = len(inputs) // 2
-    lines, results = terms
-    results = [at_inputs(atom) for atom in results]
+    # stages reuse the temporaries' names: each reads only its own
+    lines, results = _render(*terms, inputs)
     lits = [_lit(atom) for atom in results]
     if not all(math.isfinite(lit) for lit in lits if lit is not None):
         return ["return k"]
@@ -558,8 +546,6 @@ def _stage_lines(terms, inputs, acc, max_condition):
         cond = _condition(hvals, adj, det, n)
         if cond is None or not cond <= max_condition:
             return ["return k"]
-    # stages reuse the temporaries' names: each reads only its own
-    lines = [at_inputs(ln) for ln in lines]
     screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
     if screen:
         lines += [f"if not _isfinite({' + '.join(screen)}):", "    return k"]
@@ -658,24 +644,6 @@ def generate_step_source(ast: ExprAst, varnames, max_condition: float) -> str:
             "            return k\n"
             "    return steps\n")
     return head + "\n".join(" " * 12 + ln for ln in body) + "\n" + tail
-
-
-_TEMP = re.compile(r"\bt\d+\b")
-
-
-def _prune(lines, results):
-    """`lines` without those whose temporary no later line and no atom
-    of `results` reads: one backward liveness pass.  Probes share the
-    value chain, but a probe's unread components (the first-order parts
-    of a velocity-seeded probe, say) are still emitted."""
-    live = set(results)
-    kept = []
-    for line in reversed(lines):
-        name, expr = line.split(" = ", 1)
-        if name in live:
-            kept.append(line)
-            live.update(_TEMP.findall(expr))
-    return kept[::-1]
 
 
 def _build(src: str, name: str, **env):

@@ -7,6 +7,7 @@ from avcalc import exprlang
 from avcalc.affine import affine_scalar_diff, box_minus
 from avcalc.errors import ChartDisjointError, ChartScheduleError, ValidationError
 from avcalc.geometry import (
+    AffineOneForm,
     AVSection,
     CurveSegment,
     CurveSpec,
@@ -157,6 +158,14 @@ class TestCurves:
         with pytest.raises(ChartScheduleError):
             bad.validate(circle)
 
+    def test_nan_junction_mismatch_fails(self, circle):
+        # inf*t - inf*t is NaN at the junction t = 1.5
+        t = exprlang.parse("t")
+        nan = exprlang.parse("t + 1e308*10*t - 1e308*10*t")
+        curve = CurveSpec((CurveSegment(-1.0, 1.5, "0", (t,)), CurveSegment(1.5, 2.5, "1", (nan,))))
+        with pytest.raises(ChartScheduleError, match="junction mismatch .*: nan"):
+            curve.validate(circle)
+
     def test_parameter_gap_rejected(self, circle):
         t = exprlang.parse("t")
         gappy = CurveSpec((CurveSegment(-1.0, 1.0, "0", (t,)), CurveSegment(1.2, 2.5, "1", (t,))))
@@ -191,3 +200,10 @@ class TestIntegration:
         phi = AVSection(circle, {"0": exprlang.parse("x1 + sin(x1)"), "1": exprlang.parse("x1")})
         sigma = affine_differential(phi, circle)
         assert sigma.compatibility_defect() < 1e-10
+
+    def test_nan_compatibility_defect(self, circle):
+        # d(x1 + sin(x1)) in chart "0" plus inf*x1 - inf*x1, NaN off x1 = 0
+        sigma = AffineOneForm.from_expressions(
+            circle, {"0": ["1 + cos(x1) + 1e308*10*x1 - 1e308*10*x1"], "1": ["1"]})
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(sigma.compatibility_defect())

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,26 +141,88 @@ def build_terms(src):
     return ns["_terms"]
 
 
+TEMP = re.compile(r"\bt\d+\b")
+
+
+def temporaries(src):
+    return set(TEMP.findall(src))
+
+
+def prune(lines, results):
+    """`lines` without those whose temporary no later line and no atom
+    of `results` reads: a liveness pass over the text, independent of
+    kernels._render."""
+    live = set(results)
+    kept = []
+    for line in reversed(lines):
+        name, expr = line.split(" = ", 1)
+        if name in live:
+            kept.append(line)
+            live.update(TEMP.findall(expr))
+    return kept[::-1]
+
+
+def oracle_source(generate, ast, varnames, *args, dead_lines=False):
+    """generate(ast, varnames, *args) with kernels._render replaced by
+    the oracle: one temporary per _Emitter line, as the emitter numbers
+    them, the slot atoms w{j} replaced by the inputs, and the dead lines
+    dropped by `prune` unless dead_lines."""
+    def one_name_per_line(names, results, inputs=()):
+        slots = {f"w{j}": atom for j, atom in enumerate(inputs)}
+        lines = [f"{name} = {template.format(*(slots.get(a, a) for a in atoms))}"
+                 for (template, atoms), name in names.items()]
+        results = [slots.get(a, a) for a in results]
+        return (lines if dead_lines else prune(lines, results)), results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_render", one_name_per_line)
+        return generate(ast, varnames, *args)
+
+
+def plain_source(ast, varnames):
+    """generate_source with one temporary per _Emitter line and no dead
+    line (the oracle of TestReusedNames)."""
+    return oracle_source(generate_source, ast, varnames)
+
+
+def unread_values(src):
+    """(line, name) of every value assigned to a temporary in the body
+    of generated source `src` that no line reads before its name is
+    assigned again or the body ends."""
+    unread = {}  # temporary -> the line of its value not yet read
+    found = []
+    for i, line in enumerate(src.splitlines()[1:], 1):
+        target, assigns, expr = line.strip().partition(" = ")
+        for name in TEMP.findall(expr if assigns else target):
+            unread.pop(name, None)
+        if assigns and TEMP.fullmatch(target):
+            if target in unread:
+                found.append((unread[target], target))
+            unread[target] = i
+    return found + sorted((i, name) for name, i in unread.items())
+
+
 class TestFusedSourcePruning:
-    """The fused acceleration source keeps only the lines its result
-    reads, and pruning changes none of its outputs."""
+    """No rendering emits a line that nothing reads, and dropping the
+    dead lines changes none of the fused function's outputs."""
 
     @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
     def test_every_temporary_is_read(self, case):
+        # names are reused, so each value must be read before its name
+        # is assigned again: the batched kernel, the fused function and
+        # the generated RK4 loop
         _name, ast, dim = case
-        lines = generate_solve_source(ast, lagrangian_varnames(dim)).splitlines()[1:]
-        for i, line in enumerate(lines[:-1]):
-            name = line.split(" = ", 1)[0].strip()
-            later = "\n".join(lines[i + 1:])
-            assert re.search(rf"\b{name}\b", later), f"{name} is never read"
+        names = lagrangian_varnames(dim)
+        for src in (generate_source(ast, names), generate_solve_source(ast, names),
+                    generate_step_source(ast, names, 1e12)):
+            assert unread_values(src) == []
 
     @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
-    def test_outputs_bit_identical_to_unpruned(self, case, monkeypatch):
+    def test_outputs_bit_identical_to_unpruned(self, case):
         _name, ast, dim = case
         names = lagrangian_varnames(dim)
         pruned_src = generate_solve_source(ast, names)
-        monkeypatch.setattr(kernels, "_prune", lambda lines, results: lines)
-        full_src = generate_solve_source(ast, names)
+        full_src = oracle_source(generate_solve_source, ast, names, dead_lines=True)
         assert len(pruned_src.splitlines()) <= len(full_src.splitlines())
         pruned, full = build_terms(pruned_src), build_terms(full_src)
         rng = np.random.default_rng(29)
@@ -167,31 +230,24 @@ class TestFusedSourcePruning:
             point = [*rng.uniform(-1.0, 1.0, dim), *rng.uniform(-0.5, 0.5, dim)]
             assert [*map(float.hex, pruned(*point))] == [*map(float.hex, full(*point))]
 
-    def test_charged_twin_loses_its_dead_lines(self, monkeypatch):
+    def test_charged_twin_loses_its_dead_lines(self):
         (_name, ast, dim), = [c for c in fused_cases() if c[0] == "charged+chi"]
-        pruned = generate_solve_source(ast, lagrangian_varnames(dim))
-        monkeypatch.setattr(kernels, "_prune", lambda lines, results: lines)
-        full = generate_solve_source(ast, lagrangian_varnames(dim))
+        names = lagrangian_varnames(dim)
+        pruned = generate_solve_source(ast, names)
+        full = oracle_source(generate_solve_source, ast, names, dead_lines=True)
         assert len(pruned.splitlines()) < len(full.splitlines())
 
-
-def plain_source(ast, varnames):
-    """generate_source without the renaming: one temporary per _Emitter
-    line, as the emitter numbers them (the oracle of TestReusedNames)."""
-    def one_name_per_line(names, results):
-        return [f"{name} = {template.format(*atoms)}"
-                for (template, atoms), name in names.items()], results
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_reuse_names", one_name_per_line)
-        return generate_source(ast, varnames)
-
-
-TEMP = re.compile(r"\bt\d+\b")
-
-
-def temporaries(src):
-    return set(TEMP.findall(src))
+    def test_batched_kernel_loses_its_dead_lines(self):
+        # u^0.0 is 1.0 whatever u is: sqrt(-x2) is dead, and at x2 = 1
+        # computing it would warn of an invalid value
+        ast = exprlang.parse("sqrt(-x2)^0.0 + x1")
+        names = ["x1", "x2"]
+        assert "sqrt" not in generate_source(ast, names)
+        assert "sqrt" in oracle_source(generate_source, ast, names, dead_lines=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = eval_batch(compile_field(ast, names), [[0.5, 1.0]], [[1.0, 0.0]], [[0.0, 1.0]])
+        assert out[0].tolist() == [1.5, 1.0, 0.0, 0.0]
 
 
 def most_live(plain):
@@ -211,7 +267,7 @@ def most_live(plain):
 class TestReusedNames:
     """The batched kernel reuses a temporary's name once its value's last
     reader has run; the operations, their order and their operands are
-    those of the emitter, so the outputs are too."""
+    those of the emitter's live lines, so the outputs are too."""
 
     @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
     def test_outputs_identical_to_one_name_per_line(self, case):
