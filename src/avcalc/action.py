@@ -20,14 +20,12 @@ import numpy as np
 from . import exprlang
 from .affine import AffineScalar
 from .dynamics import GaugeClassLagrangian, legendre
-from .exprlang import Binary, Number
 from .geometry import (
-    CurveSegment,
     CurveSpec,
+    SegmentNodes,
     _affine_integral,
     _segment_integrals,
     eval_vector,
-    jets_in_t,
     schedule_integral,
     simpson_nodes,
 )
@@ -63,7 +61,7 @@ def gauge_fixed_value(s: AffineScalar) -> float:
 def _lagrangian_integrand(lam: GaugeClassLagrangian):
     """L at the nodes of a segment, through its chart's kernel."""
 
-    def integrand(seg: CurveSegment, t, x, v, a):
+    def integrand(seg: SegmentNodes, sl, x, v, a):
         return lam.engine(seg.chart_id).values(x, v)
 
     return integrand
@@ -104,21 +102,7 @@ def action_lift(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return _affine_integral(
-        curve, lam.atlas, steps, _lagrangian_integrand(lam), _rk4_nodes, CurveSegment.jets
-    )
-
-
-def perturbed_curve(curve: CurveSpec, w: VariationField, s: float) -> CurveSpec:
-    """gamma_s(t) = gamma(t) + s * w(t), chart by chart."""
-    shift = Number(float(s))
-    segments = []
-    for seg in curve.segments:
-        exprs = tuple(
-            Binary("+", e, Binary("*", shift, we)) for e, we in zip(seg.exprs, w.exprs)
-        )
-        segments.append(CurveSegment(seg.t0, seg.t1, seg.chart_id, exprs))
-    return CurveSpec(tuple(segments))
+    return _affine_integral(curve.plan(steps, _rk4_nodes), lam.atlas, _lagrangian_integrand(lam))
 
 
 def variation_derivative(
@@ -130,19 +114,17 @@ def variation_derivative(
 ) -> float:
     """Central finite difference of the gauge-fixed action along the
     one-parameter family gamma + s*w.  The jets of gamma + s*w are those
-    of gamma plus s times those of w, so no kernel is compiled for the
+    of gamma, from the curve's Simpson plan, plus s times those of w,
+    evaluated once for both signs; no kernel is compiled for the
     perturbed curves."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    plan = curve.plan(panels, simpson_nodes)
+    w_jets = plan.field_jets(w.exprs)
     integrand = _lagrangian_integrand(lam)
 
     def action(s):
-        def jets(seg, t):
-            return seg.jets(t) + s * jets_in_t(w.exprs, t)
-
-        return gauge_fixed_value(
-            _affine_integral(curve, lam.atlas, panels, integrand, simpson_nodes, jets)
-        )
+        return gauge_fixed_value(_affine_integral(plan.shifted(w_jets, s), lam.atlas, integrand))
 
     return (action(eps) - action(-eps)) / (2.0 * eps)
 
@@ -163,22 +145,23 @@ def variation_pairing(
     chart formula E_i = dL/dx_i - d/dt(dL/dv_i); on solutions of
     E = 0 with endpoint-vanishing variations the whole expression
     vanishes.  Curve accelerations come from differentiating the curve
-    expressions, not from any trajectory discretization.
+    expressions, not from any trajectory discretization.  The curve's
+    jets come from its Simpson plan, the field's from one evaluation.
     """
+    plan = curve.plan(panels, simpson_nodes)
+    w_jets = dict(zip(plan.segments, plan.field_jets(w.exprs)))
 
-    def integrand(seg, t, x, v, a):
+    def integrand(seg, sl, x, v, a):
         e = lam.engine(seg.chart_id).el_covectors(x, v, a)
-        return np.einsum("ij,ij->i", e, jets_in_t(w.exprs, t)[0])
+        return np.einsum("ij,ij->i", e, w_jets[seg][0][0, sl])
 
-    parts = _segment_integrals(
-        curve, lam.atlas, panels, integrand, simpson_nodes, CurveSegment.jets
-    )
+    parts = _segment_integrals(plan, lam.atlas, integrand)
     bulk = sum(parts)  # a covector pairing: no offsets at chart junctions
 
-    def boundary(seg, t):
-        x, v, _a = seg.jets([t])
-        p = legendre(lam, x[0], v[0], seg.chart_id).p
-        return float(np.dot(p, jets_in_t(w.exprs, [t])[0][0]))
+    def boundary(seg, end):
+        """<p, w> at the segment's start (end 0) or its end (end 1)."""
+        p = legendre(lam, seg.ends[0, end], seg.ends[1, end], seg.chart_id).p
+        return float(np.dot(p, w_jets[seg][1][0, end]))
 
-    first, last = curve.segments[0], curve.segments[-1]
-    return boundary(last, last.t1) - boundary(first, first.t0) + bulk
+    first, last = plan.segments[0], plan.segments[-1]
+    return boundary(last, 1) - boundary(first, 0) + bulk

@@ -151,11 +151,9 @@ def cmd_integrate(args) -> int:
     header = "t," + ",".join(f"x{j}" for j in range(1, n + 1)) + "," + ",".join(
         f"v{j}" for j in range(1, n + 1)
     )
-    lines = [header]
-    for k in range(tr.times.shape[0]):
-        row = [tr.times[k], *tr.positions[k], *tr.velocities[k]]
-        lines.append(",".join(_fmt(c) for c in row))
-    text = "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * (1 + 2 * n))  # _fmt of each value
+    table = np.column_stack([tr.times, tr.positions, tr.velocities]).tolist()
+    text = "\n".join([header, *(row % tuple(r) for r in table)]) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

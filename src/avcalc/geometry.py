@@ -16,7 +16,7 @@ coordinates and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,13 +26,18 @@ from .affine import AffineScalar, FiberPoint
 from .autodiff import gradient
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
-from .kernels import CHUNK, compile_field, eval_chunked, require_finite
+from .kernels import compile_field, eval_chunked, require_finite
 
 _BOX_TOL = 1e-9
 
 
 def coord_env(x) -> dict:
-    return {f"x{j + 1}": x[j] for j in range(len(x))}
+    """The interpreter's environment x1..xn for the point x.  numpy
+    scalars become Python floats, so an overflow or an invalid
+    operation is a silent inf or NaN on every path, as it is on floats;
+    autodiff scalars pass through."""
+    return {f"x{j + 1}": float(c) if isinstance(c, np.floating) else c
+            for j, c in enumerate(x)}
 
 
 def _expr_gradient(expr: ExprAst, x) -> np.ndarray:
@@ -425,11 +430,13 @@ class CurveSegment:
         return jets_in_t(self.exprs, t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveSpec:
-    """Parameterized curve with an explicit chart schedule."""
+    """Parameterized curve with an explicit chart schedule.  Frozen, so
+    the node plans cached on it (see plan) cannot go stale."""
 
     segments: tuple
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def single(cls, chart_id: str, exprs, t0: float, t1: float, constants=None):
@@ -455,8 +462,15 @@ class CurveSpec:
                 return seg
         raise ChartScheduleError(f"parameter {t} outside [{self.t_start}, {self.t_end}]")
 
-    def chart_at(self, t: float) -> str:
-        return self.segment_at(t).chart_id
+    def plan(self, count: int, rule) -> "NodePlan":
+        """The NodePlan of `rule` with `count` panels (or steps) along
+        the schedule.  The curve keeps one plan per rule, the one of the
+        most recent count."""
+        plan = self._plans.get(rule)
+        if plan is None or plan.count != count:
+            plan = NodePlan.of(self, count, rule)
+            self._plans[rule] = plan
+        return plan
 
     def position(self, t: float) -> np.ndarray:
         return self.segment_at(t).jets([t])[0][0]
@@ -508,68 +522,133 @@ def simpson_nodes(t0: float, t1: float, panels: int):
     return nodes, np.tile(np.array([1.0, 4.0, 1.0]) * (h / 6.0), panels)
 
 
-def _segment_integrals(curve: CurveSpec, atlas: Atlas, count: int, integrand, rule, jets):
-    """Quadrature of `integrand(seg, t, x, v, a)` over each segment of the
-    schedule, one value per segment.  `rule(t0, t1, k)` gives nodes and
-    weights for k panels (or steps); segments share `count` in
-    proportion to their length.  `jets(seg, t)` gives the curve's
-    positions, velocities and accelerations at the nodes; the integrand
-    returns its values there.  Nodes go through in chunks of CHUNK, and
-    each chunk is checked to lie in the segment's chart."""
-    span = curve.t_end - curve.t_start
+@dataclass(frozen=True, eq=False)
+class SegmentNodes:
+    """One segment of a NodePlan: the rule's nodes t and weights on it,
+    the curve's jets at the nodes, of shape (3, nodes, n) for positions,
+    velocities and accelerations, and the same at exactly t0 and t1, of
+    shape (3, 2, n): the rule's last node need not be t1 to the bit.
+    Compared and hashed by identity."""
+
+    segment: CurveSegment
+    t: np.ndarray
+    weights: np.ndarray
+    jets: np.ndarray
+    ends: np.ndarray
+
+    @property
+    def chart_id(self) -> str:
+        return self.segment.chart_id
+
+
+def _jets_and_ends(exprs, seg: CurveSegment, t):
+    """jets_in_t of `exprs` at the nodes t, and at seg.t0 and seg.t1,
+    from one evaluation, read-only: a plan hands them to every caller."""
+    jets = jets_in_t(exprs, np.append(t, (seg.t0, seg.t1)))
+    jets.flags.writeable = False
+    return jets[:, :-2], jets[:, -2:]
+
+
+@dataclass(frozen=True, eq=False)
+class NodePlan:
+    """A node rule laid along a curve's chart schedule, with the curve's
+    Taylor jets evaluated once at every node and segment end, so every
+    functional of the curve reads them instead of evaluating the curve
+    again (Griewank & Walther, Evaluating Derivatives, ch. 13).  Build
+    one with CurveSpec.plan, which caches it."""
+
+    count: int
+    segments: tuple  # of SegmentNodes
+
+    @classmethod
+    def of(cls, curve: CurveSpec, count: int, rule) -> "NodePlan":
+        """`rule(t0, t1, k)` gives nodes and weights for k panels (or
+        steps); segments share `count` in proportion to their length."""
+        span = curve.t_end - curve.t_start
+        segments = []
+        for seg in curve.segments:
+            t, weights = rule(seg.t0, seg.t1, max(1, round(count * (seg.t1 - seg.t0) / span)))
+            segments.append(SegmentNodes(seg, t, weights, *_jets_and_ends(seg.exprs, seg, t)))
+        return cls(count, tuple(segments))
+
+    def field_jets(self, exprs) -> list:
+        """Per segment, the (node jets, end jets) of other per-coordinate
+        expressions in t, such as a variation field, on this plan."""
+        return [_jets_and_ends(exprs, s.segment, s.t) for s in self.segments]
+
+    def shifted(self, w_jets, s: float) -> "NodePlan":
+        """The plan of the curve gamma + s*w, given w_jets = field_jets
+        of w: the jets of a sum are the sums of the jets."""
+        return NodePlan(self.count, tuple(
+            replace(seg, jets=seg.jets + s * jets, ends=seg.ends + s * ends)
+            for seg, (jets, ends) in zip(self.segments, w_jets)
+        ))
+
+
+# Nodes per summed chunk of a segment.  Each chunk adds weights @ f to
+# the segment's sum, so this fixes the order of summation and with it
+# the last bits of every schedule integral.
+CHUNK = 512
+
+
+def _segment_integrals(plan: NodePlan, atlas: Atlas, integrand):
+    """Quadrature of `integrand(seg, sl, x, v, a)` over each segment of
+    the plan, one value per segment.  The integrand gets the plan's
+    segment (its chart_id; its nodes seg.t[sl]) and the curve's
+    positions, velocities and accelerations at those nodes, and returns
+    its values there.  Nodes go through in chunks of CHUNK.  A chunk
+    holding a node outside the segment's chart raises ChartScheduleError
+    at the first such node, before the integrand sees the chunk."""
     parts = []
-    for seg in curve.segments:
-        t, weights = rule(seg.t0, seg.t1, max(1, round(count * (seg.t1 - seg.t0) / span)))
+    for seg in plan.segments:
         box = np.asarray(atlas.chart(seg.chart_id).box, dtype=float)
+        x = seg.jets[0]
+        inside = (x >= box[:, 0] - _BOX_TOL) & (x <= box[:, 1] + _BOX_TOL)
+        # the first node outside the chart, if there is one
+        leaves = math.inf if inside.all() else int(np.argmin(inside.all(axis=1)))
         part = 0.0
-        for lo in range(0, t.size, CHUNK):
-            tc = t[lo:lo + CHUNK]
-            x, v, a = jets(seg, tc)
-            inside = np.all((x >= box[:, 0] - _BOX_TOL) & (x <= box[:, 1] + _BOX_TOL), axis=1)
-            if not inside.all():
-                i = int(np.argmin(inside))
+        for lo in range(0, seg.t.size, CHUNK):
+            if leaves < lo + CHUNK:
                 raise ChartScheduleError(
-                    f"curve leaves chart {seg.chart_id} at t={tc[i]} (x={x[i]})"
+                    f"curve leaves chart {seg.chart_id} at t={seg.t[leaves]} (x={x[leaves]})"
                 )
-            part += float(weights[lo:lo + CHUNK] @ integrand(seg, tc, x, v, a))
+            sl = slice(lo, lo + CHUNK)
+            part += float(seg.weights[sl] @ integrand(seg, sl, *seg.jets[:, sl]))
         parts.append(part)
     return parts
 
 
-def _affine_integral(curve: CurveSpec, atlas: Atlas, count: int, integrand, rule, jets):
-    """schedule_integral with the node rule `rule` and the curve points
-    `jets(seg, t)` of _segment_integrals."""
-
-    def point(seg, t):
-        return jets(seg, [t])[0][0]
-
-    segs = list(curve.segments)
+def _affine_integral(plan: NodePlan, atlas: Atlas, integrand) -> AffineScalar:
+    """schedule_integral over the nodes of `plan`."""
+    segs = plan.segments
     total = 0.0
-    parts = _segment_integrals(curve, atlas, count, integrand, rule, jets)
-    for seg, nxt, part in zip(segs, segs[1:] + [None], parts):
+    parts = _segment_integrals(plan, atlas, integrand)
+    for seg, nxt, part in zip(segs, segs[1:] + (None,), parts):
         total += part
         if nxt is not None and nxt.chart_id != seg.chart_id:
-            total -= atlas.gauge_offset(point(seg, seg.t1), seg.chart_id, nxt.chart_id)
+            total -= atlas.gauge_offset(seg.ends[0, 1], seg.chart_id, nxt.chart_id)
     first, last = segs[0], segs[-1]
     return AffineScalar(
-        plus=FiberPoint(last.chart_id, tuple(point(last, last.t1)), total),
-        minus=FiberPoint(first.chart_id, tuple(point(first, first.t0)), 0.0),
+        plus=FiberPoint(last.chart_id, tuple(last.ends[0, 1]), total),
+        minus=FiberPoint(first.chart_id, tuple(first.ends[0, 0]), 0.0),
     )
 
 
 def schedule_integral(curve: CurveSpec, atlas: Atlas, panels: int, integrand) -> AffineScalar:
-    """Composite-Simpson integral of `integrand(seg, t, x, v, a)` along
+    """Composite-Simpson integral of `integrand(seg, sl, x, v, a)` along
     the schedule, converting the accumulated fiber value across chart
-    junctions.  The integrand gets the segment, an array of nodes and
-    the curve's positions, velocities and accelerations there (arrays of
-    shape (nodes, n)), and returns the integrand's values at the nodes.
+    junctions.  The nodes and the curve's jets come from the curve's
+    cached Simpson plan; the integrand gets a segment of it, the slice
+    sl of its nodes and the curve's positions, velocities and
+    accelerations there (arrays of shape (nodes, n)), and returns the
+    integrand's values at those nodes (see _segment_integrals).
 
     The result is an AffineScalar anchored at the curve endpoints: the
     minus anchor is the zero of the first chart's trivialization over
     gamma(a), the plus anchor carries the accumulated value over
     gamma(b) in the last chart's trivialization.
     """
-    return _affine_integral(curve, atlas, panels, integrand, simpson_nodes, CurveSegment.jets)
+    return _affine_integral(curve.plan(panels, simpson_nodes), atlas, integrand)
 
 
 def integrate_pullback(
@@ -578,7 +657,7 @@ def integrate_pullback(
     """Affine integral of sigma along the curve (Simpson quadrature with
     junction offsets); schedule-independent as an affine scalar."""
 
-    def integrand(seg, t, x, v, a):
+    def integrand(seg, sl, x, v, a):
         return np.array([np.dot(sigma.components(xi, seg.chart_id), vi) for xi, vi in zip(x, v)])
 
     return schedule_integral(curve, atlas, panels, integrand)

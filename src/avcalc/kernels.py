@@ -33,7 +33,7 @@ out[p] = (value, directional derivative 1, directional derivative 2,
 mixed second derivative).
 
 Batched callers run a kernel through eval_chunked, in calls of at most
-CHUNK probes, and turn a non-finite output they use into a DomainError
+BATCH probes, and turn a non-finite output they use into a DomainError
 with require_finite.
 """
 from __future__ import annotations
@@ -706,18 +706,22 @@ def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
 
 # Probes per kernel call on the batched paths.  A kernel holds one array
 # per live temporary (at most 20 for the bundled systems and their gauge
-# twins), so a call's working set still grows with its batch; this caps it.
-CHUNK = 512
+# twins), so a call's working set grows with its batch; this caps it, at
+# about 0.7 MB for the charged twin.  4096 probes are the Euler-Lagrange
+# covectors of one 512-node chunk of a schedule integral (geometry.CHUNK)
+# in one call for n <= 4; benchmarks/kernel_batch.py measures the cost
+# per probe against the batch size.
+BATCH = 4096
 
 
 def eval_chunked(kernel, vals, d1, d2) -> np.ndarray:
-    """eval_batch in calls of at most CHUNK probes.  Floating-point
+    """eval_batch in calls of at most BATCH probes.  Floating-point
     warnings are silenced: callers check the outputs they use and raise
     DomainError for a non-finite one (see require_finite)."""
     out = np.empty((vals.shape[0], 4))
     with np.errstate(all="ignore"):
-        for lo in range(0, vals.shape[0], CHUNK):
-            hi = lo + CHUNK
+        for lo in range(0, vals.shape[0], BATCH):
+            hi = lo + BATCH
             kernel(vals[lo:hi], d1[lo:hi], d2[lo:hi], out[lo:hi])
     return out
 

@@ -14,11 +14,11 @@ import random
 import numpy as np
 
 from avcalc import exprlang
-from avcalc.action import perturbed_curve
 from avcalc.autodiff import Hyperdual
 from avcalc.dynamics import SecondOrderPoint, euler_lagrange, legendre
 from avcalc.errors import ChartScheduleError
 from avcalc.exprlang import Binary, Call, Number, Unary, Var
+from avcalc.geometry import CurveSegment, CurveSpec
 
 _UNARY_FNS = {
     "sin": math.sin,
@@ -218,6 +218,18 @@ def reference_lift(lam, curve, steps):
             s += (h / 6.0) * (rate(t) + 4.0 * rate(0.5 * (t + t_next)) + rate(t_next))
         s -= _junction_offsets(lam, seg, nxt)
     return s
+
+
+def perturbed_curve(curve, w, s):
+    """gamma_s(t) = gamma(t) + s * w(t), chart by chart, as expressions."""
+    shift = Number(float(s))
+    segments = []
+    for seg in curve.segments:
+        exprs = tuple(
+            Binary("+", e, Binary("*", shift, we)) for e, we in zip(seg.exprs, w.exprs)
+        )
+        segments.append(CurveSegment(seg.t0, seg.t1, seg.chart_id, exprs))
+    return CurveSpec(tuple(segments))
 
 
 def reference_derivative(lam, curve, w, eps, panels):

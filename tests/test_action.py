@@ -1,22 +1,30 @@
+import os
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from avcalc import geometry, kernels
 from avcalc.action import (
     VariationField,
+    _rk4_nodes,
     action_lift,
     action_quadrature,
     gauge_fixed_value,
-    perturbed_curve,
     variation_derivative,
     variation_pairing,
 )
 from avcalc.affine import affine_scalar_diff
 from avcalc.dynamics import GaugeClassLagrangian, gauge_shift
 from avcalc.errors import ChartScheduleError, DomainError
-from avcalc.geometry import CurveSpec, circle_atlas, euclidean_atlas
+from avcalc.geometry import CurveSpec, circle_atlas, euclidean_atlas, jets_in_t, simpson_nodes
 from avcalc.systems import bundled_system, bundled_system_names
 
 from helpers_reference import (
+    perturbed_curve,
     reference_derivative,
     reference_lift,
     reference_pairing,
@@ -119,7 +127,8 @@ class TestStationarity:
 class TestAgainstScalarOracle:
     """The batched action layer against the per-node scalar loop, on every
     bundled system (the circle's curve crosses its chart junction).  300
-    panels give 900 nodes on a one-segment curve, more than one chunk."""
+    panels give 900 nodes on a one-segment curve, more than one
+    geometry.CHUNK of nodes."""
 
     PANELS = 300
 
@@ -205,3 +214,121 @@ class TestErrorPaths:
             with pytest.raises(ChartScheduleError, match="curve leaves chart 0 at t=3.16") as got:
                 call()
             assert str(got.value) == str(expected.value)
+        # the finite difference meets gamma + eps*w first, which leaves at the same node
+        with pytest.raises(ChartScheduleError) as expected:
+            reference_quadrature(lam, perturbed_curve(curve, w, 1e-5), 100)
+        with pytest.raises(ChartScheduleError, match="curve leaves chart 0 at t=3.16") as got:
+            variation_derivative(lam, curve, w, 1e-5, 100)
+        assert str(got.value) == str(expected.value)
+
+    def test_only_the_perturbed_curve_leaving_its_chart(self):
+        # gamma(t) = t stays in chart "0" = (-pi, pi) up to t = 3; gamma + 0.1*w
+        # with w = 2t is 1.2t and leaves it between the nodes 2.61 and 2.625
+        circle = circle_atlas("sin(x1)", winding=1.0)
+        lam = GaugeClassLagrangian.from_exprs(circle, "0.5*v1^2")
+        curve = CurveSpec.single("0", ["t"], 0.0, 3.0)
+        w = VariationField.from_strings(["2*t"])
+        action_quadrature(lam, curve, 100)
+        variation_pairing(lam, curve, w, 100)
+        with pytest.raises(ChartScheduleError) as expected:
+            reference_quadrature(lam, perturbed_curve(curve, w, 0.1), 100)
+        with pytest.raises(ChartScheduleError, match=r"curve leaves chart 0 at t=2\.625 ") as got:
+            variation_derivative(lam, curve, w, 0.1, 100)
+        assert str(got.value) == str(expected.value)
+
+
+class TestNodePlan:
+    """A curve evaluates its jets once per node rule and count, and
+    every functional of it reads them from its cached plan."""
+
+    @pytest.fixture
+    def circle(self):
+        """The two-chart circle system with a fresh curve (no plan yet)."""
+        system = bundled_system("circle")
+        return system.lagrangian, CurveSpec(system.curve.segments)
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        """The expressions handed to geometry.jets_in_t and to
+        compile_field, from here on."""
+        seen, lookups = [], []
+        real_jets, real_compile = geometry.jets_in_t, geometry.compile_field
+
+        def jets(exprs, t):
+            seen.append(exprs)
+            return real_jets(exprs, t)
+
+        def compile_field(ast, varnames):
+            lookups.append(ast)
+            return real_compile(ast, varnames)
+
+        monkeypatch.setattr(geometry, "jets_in_t", jets)
+        monkeypatch.setattr(geometry, "compile_field", compile_field)
+        return seen, lookups
+
+    def test_second_quadrature_evaluates_no_curve_jets(self, circle, monkeypatch):
+        lam, curve = circle
+        seen, lookups = self.count_evaluations(monkeypatch)
+        first = action_quadrature(lam, curve, 200)
+        assert len(seen) == len(curve.segments) and lookups
+        seen.clear()
+        lookups.clear()
+        again = action_quadrature(lam, curve, 200)
+        assert seen == [] and lookups == []
+        assert again == first
+
+    def test_derivative_and_pairing_evaluate_only_the_field(self, circle, monkeypatch):
+        lam, curve = circle
+        w = VariationField.from_strings(["(t+1)*(2.5-t)"])
+        action_quadrature(lam, curve, 200)
+        seen, _lookups = self.count_evaluations(monkeypatch)
+        variation_derivative(lam, curve, w, 1e-5, 200)
+        variation_pairing(lam, curve, w, 200)
+        # one evaluation of the field per segment and call
+        assert seen == [w.exprs] * (2 * len(curve.segments))
+
+    def test_one_plan_per_rule(self, circle):
+        lam, curve = circle
+        action_quadrature(lam, curve, 10)
+        action_lift(lam, curve, 10)
+        action_quadrature(lam, curve, 20)
+        assert set(curve._plans) == {simpson_nodes, _rk4_nodes}
+        assert curve._plans[simpson_nodes].count == 20
+        assert curve._plans[_rk4_nodes].count == 10
+        assert curve.plan(20, simpson_nodes) is curve._plans[simpson_nodes]
+
+    def test_curve_and_plan_jets_are_read_only(self, circle):
+        lam, curve = circle
+        with pytest.raises(FrozenInstanceError):
+            curve.segments = ()
+        action_quadrature(lam, curve, 10)
+        seg = curve.plan(10, simpson_nodes).segments[0]
+        with pytest.raises(ValueError, match="read-only"):
+            seg.jets[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            seg.ends[0, 0, 0] = 1.0
+
+    def test_action_ops_script_finds_warm_calls_bit_identical(self):
+        # benchmarks/action_ops.py exits 1 if a call on a cached plan and
+        # one on a fresh curve differ in one bit
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "action_ops.py"), "--repeats", "1"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert run.stdout.count("bit-identical") == 12
+
+    def test_jets_equal_a_chunk_by_chunk_evaluation(self):
+        # the plan evaluates a segment's nodes in one call of more than
+        # kernels.BATCH probes; jets are element-wise, so they equal an
+        # evaluation chunk by chunk, as the integrals sum them
+        curve = CurveSpec.single("0", ["sin(3*t)", "t^3 - t"], 0.0, 2.0)
+        panels = kernels.BATCH // 3 + 7
+        seg = curve.plan(panels, simpson_nodes).segments[0]
+        assert seg.t.size > kernels.BATCH
+        chunks = [jets_in_t(curve.segments[0].exprs, seg.t[lo:lo + geometry.CHUNK])
+                  for lo in range(0, seg.t.size, geometry.CHUNK)]
+        assert seg.jets.tobytes() == np.concatenate(chunks, axis=1).tobytes()
+        ends = jets_in_t(curve.segments[0].exprs, [0.0, 2.0])
+        assert seg.ends.tobytes() == ends.tobytes()

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from avcalc.cli import main
+from avcalc.cli import _fmt, main
+from avcalc.dynamics import integrate_trajectory
+from avcalc.systems import bundled_system
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -182,6 +184,20 @@ class TestCsv:
         t, x, v = (float(c) for c in lines[-1].split(","))
         assert t == pytest.approx(1.0)
         assert x == pytest.approx(0.2 + 0.8 - 0.5, abs=1e-10)
+
+    def test_rows_match_value_by_value_formatting(self, capsys):
+        # the rows are formatted a row at a time; the text must be that of
+        # _fmt applied to every value, joined by commas
+        system = bundled_system("charged")
+        x0, v0 = [0.1, -0.2, 0.3], [1.0 / 3.0, 0.7, -1e-7]
+        assert main(["integrate", "--system", "charged", "--x0", "0.1,-0.2,0.3",
+                     "--v0", f"{v0[0]!r},0.7,-1e-7", "--t1", "2", "--steps", "40"]) == 0
+        tr = integrate_trajectory(system.lagrangian, x0, v0, 0.0, 2.0, 40)
+        lines = ["t,x1,x2,x3,v1,v2,v3"]
+        for k in range(tr.times.shape[0]):
+            row = [tr.times[k], *tr.positions[k], *tr.velocities[k]]
+            lines.append(",".join(_fmt(c) for c in row))
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_stdout_default(self, capsys):
         code = main([

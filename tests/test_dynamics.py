@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcalc import dynamics
+from avcalc import dynamics, kernels
 from avcalc.dynamics import (
     GaugeClassLagrangian,
     SecondOrderPoint,
@@ -119,23 +119,54 @@ class TestLegendre:
 
 
 class TestBatchedOperators:
-    """el_covectors and momenta over a seeded cloud equal a point-by-point
-    evaluation of the same derivatives by the interpreter on Hyperdual
-    scalars."""
+    """el_covectors and momenta over a seeded cloud.  The cloud needs
+    more than kernels.BATCH probes in each layout, also at n = 1, so
+    each call crosses a batch boundary; at n = 3 a point's six EL probes
+    straddle one.  Every output equals, bit for bit, the same operator
+    called on blocks of points that fit one kernel call each, and equals
+    a point-by-point evaluation of the same derivatives by the
+    interpreter on Hyperdual scalars at every STRIDE-th point and at the
+    points on each side of every batch boundary."""
 
-    POINTS = 600  # more than kernels.CHUNK probes in each layout, also at n = 1
+    POINTS = kernels.BATCH + 100
+    STRIDE = 8
+
+    @staticmethod
+    def blockwise(op, size, *arrays):
+        """op over blocks of `size` points, concatenated."""
+        points = arrays[0].shape[0]
+        return np.concatenate([op(*(arr[lo:lo + size] for arr in arrays))
+                               for lo in range(0, points, size)])
+
+    def reference_points(self, n):
+        """Every STRIDE-th point, and the points beside each boundary
+        between two kernel calls in the EL (2n probes per point) and the
+        momentum (n per point) layouts."""
+        rows = set(range(0, self.POINTS, self.STRIDE)) | {self.POINTS - 1}
+        for probes in (2 * n, n):
+            for edge in range(kernels.BATCH, probes * self.POINTS, kernels.BATCH):
+                rows |= {(edge - 1) // probes, edge // probes}
+        return sorted(rows)
 
     @pytest.mark.parametrize("name", bundled_system_names())
     def test_match_hyperdual_reference(self, name):
         system = bundled_system(name)
         n, chart = system.dim, system.default_chart()
+        assert n * self.POINTS > kernels.BATCH
         ast = system.lagrangian.expr(chart)
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, (self.POINTS, n))
         v = rng.uniform(-system.v_halfwidth, system.v_halfwidth, (self.POINTS, n))
         a = rng.uniform(-1.0, 1.0, (self.POINTS, n))
+        eng = system.lagrangian.engine(chart)
+        e, p = eng.el_covectors(x, v, a), eng.momenta(x, v)
+        e_blocks = self.blockwise(eng.el_covectors, kernels.BATCH // (2 * n), x, v, a)
+        p_blocks = self.blockwise(eng.momenta, kernels.BATCH // n, x, v)
+        assert e.tobytes() == e_blocks.tobytes()
+        assert p.tobytes() == p_blocks.tobytes()
+        rows = self.reference_points(n)
         ref_e, ref_p = [], []
-        for xi, vi, ai in zip(x, v, a):
+        for xi, vi, ai in zip(x[rows], v[rows], a[rows]):
             # E_i: d/dx_i, minus the mixed derivative along (v, a) of d/dv_i
             d2 = np.zeros((2 * n, 2 * n))
             d2[n:] = np.concatenate([vi, ai])
@@ -143,9 +174,8 @@ class TestBatchedOperators:
             out = hyperdual_reference(ast, lagrangian_varnames(n), vals, np.eye(2 * n), d2)
             ref_e.append(out[:n, 1] - out[n:, 3])
             ref_p.append(out[n:, 1])
-        eng = system.lagrangian.engine(chart)
-        assert np.max(np.abs(eng.el_covectors(x, v, a) - ref_e)) <= 1e-12
-        assert np.max(np.abs(eng.momenta(x, v) - ref_p)) <= 1e-12
+        assert np.max(np.abs(e[rows] - ref_e)) <= 1e-12
+        assert np.max(np.abs(p[rows] - ref_p)) <= 1e-12
 
 
 class TestDomainContract:
