@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     ExprSyntaxError,
     SingularLagrangianError,
+    UnboundVariableError,
     ValidationError,
 )
 from .action import (
@@ -97,6 +98,7 @@ __all__ = [
     "System",
     "SystemConfig",
     "Trajectory",
+    "UnboundVariableError",
     "ValidationError",
     "VariationField",
     "action_lift",

@@ -40,13 +40,7 @@ class VariationField:
 
     @classmethod
     def from_strings(cls, exprs, constants=None):
-        parsed = []
-        for e in exprs:
-            ast = exprlang.parse(e) if isinstance(e, str) else e
-            if constants:
-                ast = exprlang.substitute_constants(ast, constants)
-            parsed.append(ast)
-        return cls(tuple(parsed))
+        return cls(tuple(exprlang.expression(e, ("t",), constants) for e in exprs))
 
     def __call__(self, t: float) -> np.ndarray:
         return eval_vector(self.exprs, {"t": t})

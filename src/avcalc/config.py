@@ -25,17 +25,27 @@ config can describe an inconsistent atlas (validation then fails with
 the measured defect).  Optional sections: [forcing] with keys f1..fn,
 and [curve] with either `t0`/`t1`/`exprs` for one segment or
 `segment_1 = "chart : t0 : t1 : e1; e2; ..."` lines for a schedule.
+
+Every expression goes through exprlang.expression with [constants]
+folded in.  Gauges take x1..xn, Lagrangians and forcing x and v, curves
+t; any other variable is a ValidationError naming it, malformed text a
+ConfigSyntaxError.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import exprlang
-from .dynamics import GaugeClassLagrangian
-from .errors import ConfigSyntaxError, ExprSyntaxError, ValidationError
-from .geometry import CurveSegment, CurveSpec, circle_atlas, euclidean_atlas
+from .dynamics import GaugeClassLagrangian, lagrangian_varnames
+from .errors import (
+    ConfigSyntaxError,
+    ExprSyntaxError,
+    UnboundVariableError,
+    UnknownFunctionError,
+    ValidationError,
+)
+from .geometry import CurveSegment, CurveSpec, circle_atlas, coord_names, euclidean_atlas
 from .systems import System, chi_set
 
 _SECTION_RE = re.compile(r"^\s*\[([A-Za-z_][\w-]*)\]\s*$")
@@ -97,19 +107,16 @@ def _parse_lines(text: str, path: str) -> dict:
     return sections
 
 
-def _parse_expr(text: str, where: str):
+def _expr(text: str, variables, constants: dict, where: str):
+    """exprlang.expression of `text`, its failures as config errors."""
     try:
-        return exprlang.parse(text)
-    except ExprSyntaxError as e:
+        return exprlang.expression(text, variables, constants)
+    except (ExprSyntaxError, UnknownFunctionError) as e:
         raise ConfigSyntaxError(f"bad expression in {where}: {e}", 0, e.offset + 1) from e
-
-
-def _check_free_vars(ast, allowed, where: str):
-    extra = sorted(exprlang.free_variables(ast) - allowed)
-    if extra:
+    except UnboundVariableError as e:
         raise ValidationError(
-            "expression variables", f"unbound variable '{extra[0]}' in {where}", float("inf")
-        )
+            "expression variables", f"unbound variable '{e.name}' in {where}", float("inf")
+        ) from e
 
 
 def split_top_level(text: str, seps=(";", ",")):
@@ -136,7 +143,7 @@ def _float(sections_value: str, where: str) -> float:
         raise ValidationError("numeric value", f"{where} = \"{sections_value}\"", float("inf"))
 
 
-def _build_atlas(atlas_sec: dict, dim: int):
+def _build_atlas(atlas_sec: dict, dim: int, constants: dict):
     kind = atlas_sec.get("type", "rn")
     if kind == "rn":
         half = _float(atlas_sec.get("half_width", "1e6"), "atlas.half_width")
@@ -144,10 +151,12 @@ def _build_atlas(atlas_sec: dict, dim: int):
     if kind == "circle":
         if dim != 1:
             raise ValidationError("atlas dimension", "circle atlas needs dim = 1", float(dim))
+        reverse = atlas_sec.get("gauge_10")
         return circle_atlas(
-            atlas_sec.get("gauge", "0"),
+            _expr(atlas_sec.get("gauge", "0"), ("x1",), constants, "atlas.gauge"),
             winding=_float(atlas_sec.get("winding", "0"), "atlas.winding"),
-            gauge_reverse_a=atlas_sec.get("gauge_10"),
+            gauge_reverse_a=None if reverse is None
+            else _expr(reverse, ("x1",), constants, "atlas.gauge_10"),
             validate=True,
         )
     raise ValidationError("atlas type", f"unknown atlas type '{kind}'", float("inf"))
@@ -164,20 +173,14 @@ def _build_curve(curve_sec: dict, constants: dict) -> CurveSpec:
                     "curve segment", f"{key} needs 'chart : t0 : t1 : exprs'", float("inf")
                 )
             chart, t0, t1, exprs = fields
-            parsed = []
-            for e in split_top_level(exprs):
-                ast = exprlang.substitute_constants(_parse_expr(e, key), constants)
-                _check_free_vars(ast, {"t"}, key)
-                parsed.append(ast)
+            parsed = [_expr(e, ("t",), constants, key) for e in split_top_level(exprs)]
             segments.append(
                 CurveSegment(_float(t0, key), _float(t1, key), chart, tuple(parsed))
             )
         return CurveSpec(tuple(segments))
-    parsed = []
-    for e in split_top_level(curve_sec["exprs"]):
-        ast = exprlang.substitute_constants(_parse_expr(e, "curve.exprs"), constants)
-        _check_free_vars(ast, {"t"}, "curve.exprs")
-        parsed.append(ast)
+    parsed = [
+        _expr(e, ("t",), constants, "curve.exprs") for e in split_top_level(curve_sec["exprs"])
+    ]
     return CurveSpec(
         (
             CurveSegment(
@@ -210,43 +213,33 @@ def load_config(path: str) -> SystemConfig:
         k: _float(v, f"constants.{k}") for k, v in sections.get("constants", {}).items()
     }
 
-    atlas = _build_atlas(sections.get("atlas", {}), dim)
+    atlas = _build_atlas(sections.get("atlas", {}), dim, constants)
 
-    coords = {f"x{j}" for j in range(1, dim + 1)}
-    vels = {f"v{j}" for j in range(1, dim + 1)}
+    coords, states = coord_names(dim), lagrangian_varnames(dim)
 
     lag_exprs = {}
     if "lagrangian" in system_sec:
-        ast = _parse_expr(system_sec["lagrangian"], "system.lagrangian")
-        ast = exprlang.substitute_constants(ast, constants)
-        _check_free_vars(ast, coords | vels, "system.lagrangian")
+        ast = _expr(system_sec["lagrangian"], states, constants, "system.lagrangian")
         lag_exprs = {c.id: ast for c in atlas.charts}
     for key, value in system_sec.items():
-        if not key.startswith("lagrangian_"):
-            continue
-        ast = exprlang.substitute_constants(_parse_expr(value, key), constants)
-        _check_free_vars(ast, coords | vels, key)
-        lag_exprs[key[len("lagrangian_"):]] = ast
+        if key.startswith("lagrangian_"):
+            lag_exprs[key[len("lagrangian_"):]] = _expr(value, states, constants, key)
     lam = GaugeClassLagrangian(atlas, lag_exprs)  # checks that the charts match
     if atlas.transitions:
         lam.validate()
 
     chis = []
     for value in sections.get("gauge", {}).values():
-        ast = exprlang.substitute_constants(_parse_expr(value, "gauge"), constants)
-        _check_free_vars(ast, coords, "gauge")
+        _expr(value, coords, constants, "gauge")
         chis.append(value)
 
     forcing = None
     forcing_sec = sections.get("forcing")
     if forcing_sec:
-        comps = []
-        for j in range(1, dim + 1):
-            e = forcing_sec.get(f"f{j}", "0")
-            ast = exprlang.substitute_constants(_parse_expr(e, f"forcing.f{j}"), constants)
-            _check_free_vars(ast, coords | vels, f"forcing.f{j}")
-            comps.append(ast)
-        forcing = tuple(comps)
+        forcing = tuple(
+            _expr(forcing_sec.get(f"f{j}", "0"), states, constants, f"forcing.f{j}")
+            for j in range(1, dim + 1)
+        )
 
     curve = None
     if "curve" in sections:

@@ -139,13 +139,9 @@ class GaugeClassLagrangian:
     def from_exprs(cls, atlas: Atlas, exprs: Union[str, dict], constants=None):
         if not isinstance(exprs, dict):
             exprs = {c.id: exprs for c in atlas.charts}
-        parsed = {}
-        for cid, e in exprs.items():
-            ast = exprlang.parse(e) if isinstance(e, str) else e
-            if constants:
-                ast = exprlang.substitute_constants(ast, constants)
-            parsed[cid] = ast
-        return cls(atlas, parsed)
+        names = lagrangian_varnames(atlas.dim)
+        return cls(atlas, {cid: exprlang.expression(e, names, constants)
+                           for cid, e in exprs.items()})
 
     def expr(self, chart_id: str) -> ExprAst:
         return self.chart_exprs[chart_id]

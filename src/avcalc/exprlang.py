@@ -1,4 +1,6 @@
 """Scalar expression language: parser, evaluator, canonical printer.
+`expression` is the front door for user text: it parses, folds named
+constants and rejects undeclared variables.
 
 Grammar, loosest binding first:
 
@@ -217,6 +219,20 @@ def parse(src: str) -> ExprAst:
     return _Parser(src).parse()
 
 
+def expression(src, variables, constants=None) -> ExprAst:
+    """The checked AST of `src`, text (parsed) or an AST, with the named
+    `constants` (name -> number) folded in as literals.  Raises
+    UnboundVariableError naming the first free variable, in sorted
+    order, that is not in `variables`."""
+    ast = parse(src) if isinstance(src, str) else src
+    if constants:
+        ast = substitute(ast, {k: Number(float(c)) for k, c in constants.items()})
+    unbound = sorted(free_variables(ast) - set(variables))
+    if unbound:
+        raise UnboundVariableError(unbound[0])
+    return ast
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -355,21 +371,4 @@ def substitute(ast: ExprAst, mapping: dict) -> ExprAst:
         return Binary(ast.op, substitute(ast.left, mapping), substitute(ast.right, mapping))
     if isinstance(ast, Call):
         return Call(ast.func, tuple(substitute(a, mapping) for a in ast.args))
-    return ast
-
-
-def substitute_constants(ast: ExprAst, constants: dict) -> ExprAst:
-    """Replace named constants with Number nodes, leaving other Vars."""
-    if isinstance(ast, Var) and ast.name in constants:
-        return Number(float(constants[ast.name]))
-    if isinstance(ast, Unary):
-        return Unary(ast.op, substitute_constants(ast.child, constants))
-    if isinstance(ast, Binary):
-        return Binary(
-            ast.op,
-            substitute_constants(ast.left, constants),
-            substitute_constants(ast.right, constants),
-        )
-    if isinstance(ast, Call):
-        return Call(ast.func, tuple(substitute_constants(a, constants) for a in ast.args))
     return ast

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +28,11 @@ from .exprlang import Binary, ExprAst, Number, Unary, Var
 from .kernels import compile_field, eval_chunked, require_finite
 
 _BOX_TOL = 1e-9
+
+
+def coord_names(dim: int) -> list:
+    """The coordinate names x1..xn of an n-dimensional chart."""
+    return [f"x{j}" for j in range(1, dim + 1)]
 
 
 def coord_env(x) -> dict:
@@ -132,11 +136,7 @@ class Atlas:
 
     def convert_fiber(self, x, value: float, src: str, dst: str):
         """Re-chart a fiber coordinate: value_dst = value_src - g_{src,dst}(x)."""
-        if src == dst:
-            return np.asarray(x, dtype=float), value
-        comp = self._component(x, src, dst)
-        x_dst = eval_vector(comp.coord_map, coord_env(x))
-        return x_dst, value - float(exprlang.evaluate(comp.gauge, coord_env(x)))
+        return self.convert_point(x, src, dst), value - self.gauge_offset(x, src, dst)
 
     def gauge_gradient(self, x, src: str, dst: str) -> np.ndarray:
         """d g_{src,dst} at x (source coordinates), by autodiff."""
@@ -157,49 +157,28 @@ class Atlas:
     def validate(self, samples: int = 32, tol: float = 1e-12) -> float:
         """Check antisymmetry and the cocycle identity at sampled overlap
         points.  Returns the worst defect; raises ValidationError above tol."""
-        worst = 0.0
-        for (i, j), comps in self.transitions.items():
+        for i, j in self.transitions:
             if (j, i) not in self.transitions:
                 raise ValidationError("transition antisymmetry", f"missing {j} -> {i}", math.inf)
-            for comp in comps:
-                for x in low_discrepancy_points(comp.box, samples):
-                    g_ij = float(exprlang.evaluate(comp.gauge, coord_env(x)))
-                    x_j = eval_vector(comp.coord_map, coord_env(x))
-                    g_ji = self.gauge_offset(x_j, j, i)
-                    defect = abs(g_ij + g_ji)
-                    worst = np.maximum(worst, defect)
-                    if not defect <= tol:  # NaN fails too
-                        raise ValidationError(
-                            "gauge antisymmetry g_ij + g_ji = 0",
-                            f"charts ({i},{j}) at {x}",
-                            defect,
-                        )
-        # cocycle g_ij + g_jk + g_ki = 0 on triple overlaps
+        worst = 0.0
         ids = [c.id for c in self.charts]
-        for i in ids:
-            for j in ids:
-                for k in ids:
-                    if len({i, j, k}) < 3:
-                        continue
-                    if (i, j) not in self.transitions or (i, k) not in self.transitions:
-                        continue
-                    for comp in self.transitions[(i, j)]:
-                        for x in low_discrepancy_points(comp.box, samples):
-                            try:
-                                x_j = self.convert_point(x, i, j)
-                                g_jk = self.gauge_offset(x_j, j, k)
-                                g_ki = self.gauge_offset(self.convert_point(x_j, j, k), k, i)
-                            except ChartDisjointError:
-                                continue  # not in the triple overlap
-                            g_ij = float(exprlang.evaluate(comp.gauge, coord_env(x)))
-                            defect = abs(g_ij + g_jk + g_ki)
-                            worst = np.maximum(worst, defect)
-                            if not defect <= tol:
-                                raise ValidationError(
-                                    "gauge cocycle g_ij + g_jk + g_ki = 0",
-                                    f"charts ({i},{j},{k}) at {x}",
-                                    defect,
-                                )
+        for i, j, x, x_j, g_ij in _overlap_sample_pairs(self, samples):
+            sums = [("gauge antisymmetry g_ij + g_ji = 0", (i, j),
+                     g_ij + self.gauge_offset(x_j, j, i))]
+            for k in ids:  # the cocycle, where x is in a triple overlap
+                if k in (i, j):
+                    continue
+                try:
+                    x_k = self.convert_point(x_j, j, k)
+                    g_jk, g_ki = self.gauge_offset(x_j, j, k), self.gauge_offset(x_k, k, i)
+                except ChartDisjointError:
+                    continue  # not in the triple overlap
+                sums.append(("gauge cocycle g_ij + g_jk + g_ki = 0", (i, j, k), g_ij + g_jk + g_ki))
+            for invariant, charts, total in sums:
+                defect = abs(total)
+                worst = np.maximum(worst, defect)
+                if not defect <= tol:  # NaN fails too
+                    raise ValidationError(invariant, f"charts ({','.join(charts)}) at {x}", defect)
         return float(worst)
 
 
@@ -213,9 +192,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def circle_atlas(
-    gauge: str = "0",
+    gauge="0",
     winding: float = 0.0,
-    gauge_reverse_a: Optional[str] = None,
+    gauge_reverse_a=None,
     validate: bool = True,
 ) -> Atlas:
     """Two angle charts on the circle.
@@ -225,13 +204,14 @@ def circle_atlas(
     two coordinates agree) the cochain g_01 is the given expression, on
     the secondary one it is the same expression shifted by -2*pi*winding.
     A nonzero winding makes 1-forms like "d angle" exact in the affine
-    sense while no global section exists chart-wise.
+    sense while no global section exists chart-wise.  Both gauges are
+    text or ASTs over x1.
 
     `gauge_reverse_a` overrides g_10 on the primary component; it exists
     so configuration files can build deliberately inconsistent atlases
     and exercise validation.
     """
-    g = exprlang.parse(gauge)
+    g = exprlang.expression(gauge, ("x1",))
     shift = _TWO_PI * winding
     g_b = g if shift == 0.0 else Binary("-", g, Number(shift))
 
@@ -240,7 +220,8 @@ def circle_atlas(
     minus2pi = (Binary("-", x, Number(_TWO_PI)),)
     identity = (x,)
 
-    neg_g_a = exprlang.parse(gauge_reverse_a) if gauge_reverse_a is not None else Unary("-", g)
+    neg_g_a = (Unary("-", g) if gauge_reverse_a is None
+               else exprlang.expression(gauge_reverse_a, ("x1",)))
     # g_10 on the secondary component lives on angles in (pi, 2*pi);
     # rewrite g_b in those coordinates and negate
     g_b_in_chart1 = exprlang.substitute(g_b, {"x1": minus2pi[0]})
@@ -290,9 +271,7 @@ class ScalarFunction:
 
     @classmethod
     def from_common(cls, atlas: Atlas, expr, constants=None):
-        ast = exprlang.parse(expr) if isinstance(expr, str) else expr
-        if constants:
-            ast = exprlang.substitute_constants(ast, constants)
+        ast = exprlang.expression(expr, coord_names(atlas.dim), constants)
         return cls(atlas, {c.id: ast for c in atlas.charts})
 
     def __call__(self, x, chart_id: str) -> float:
@@ -361,9 +340,10 @@ class AffineOneForm:
 
     @classmethod
     def from_expressions(cls, atlas: Atlas, chart_exprs: dict):
+        names = coord_names(atlas.dim)
         comps = {}
         for cid, exprs in chart_exprs.items():
-            parsed = tuple(exprlang.parse(e) if isinstance(e, str) else e for e in exprs)
+            parsed = tuple(exprlang.expression(e, names) for e in exprs)
             comps[cid] = (lambda x, ps=parsed: eval_vector(ps, coord_env(x)))
         return cls(atlas, comps)
 
@@ -374,17 +354,13 @@ class AffineOneForm:
         """Worst |theta_i - J^T theta_j - grad g_ij| over sampled overlaps."""
         worst = 0.0
         atlas = self.atlas
-        for (i, j), comps in atlas.transitions.items():
+        for i, j, x, x_j, _g in _overlap_sample_pairs(atlas, samples):
             if i not in self.chart_components or j not in self.chart_components:
                 continue
-            for comp in comps:
-                for x in low_discrepancy_points(comp.box, samples):
-                    env = coord_env(x)
-                    x_j = eval_vector(comp.coord_map, env)
-                    jac = atlas.jacobian(x, i, j)
-                    dg = _expr_gradient(comp.gauge, x)
-                    defect = self.components(x, i) - jac.T @ self.components(x_j, j) - dg
-                    worst = np.maximum(worst, np.max(np.abs(defect)))  # NaN stays
+            jac = atlas.jacobian(x, i, j)
+            dg = atlas.gauge_gradient(x, i, j)
+            defect = self.components(x, i) - jac.T @ self.components(x_j, j) - dg
+            worst = np.maximum(worst, np.max(np.abs(defect)))  # NaN stays
         return float(worst)
 
 
@@ -440,13 +416,8 @@ class CurveSpec:
 
     @classmethod
     def single(cls, chart_id: str, exprs, t0: float, t1: float, constants=None):
-        parsed = []
-        for e in exprs:
-            ast = exprlang.parse(e) if isinstance(e, str) else e
-            if constants:
-                ast = exprlang.substitute_constants(ast, constants)
-            parsed.append(ast)
-        return cls((CurveSegment(float(t0), float(t1), chart_id, tuple(parsed)),))
+        parsed = tuple(exprlang.expression(e, _T, constants) for e in exprs)
+        return cls((CurveSegment(float(t0), float(t1), chart_id, parsed),))
 
     @property
     def t_start(self) -> float:
@@ -489,6 +460,7 @@ class CurveSpec:
 
     def validate(self, atlas: Atlas, tol: float = 1e-12):
         for seg in self.segments:
+            atlas.chart(seg.chart_id)  # ChartDisjointError if there is none
             if len(seg.exprs) != atlas.dim:
                 raise ChartScheduleError(
                     f"segment in chart {seg.chart_id} has {len(seg.exprs)} coordinates, "

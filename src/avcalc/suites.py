@@ -82,11 +82,11 @@ def _worst(diff) -> float:
 
 
 def _shifted(system: System, chi: str) -> GaugeClassLagrangian:
-    return gauge_shift(system.lagrangian, chi)
+    return gauge_shift(system.lagrangian, _chi_fn(system, chi))
 
 
 def _chi_fn(system: System, chi: str) -> ScalarFunction:
-    return ScalarFunction.from_common(system.atlas, chi)
+    return ScalarFunction.from_common(system.atlas, chi, system.constants)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,24 @@ class TestCheckGauge:
         assert line.startswith("FAIL") and "defect nan" in line and " at x1=" in line
 
 
+    def test_unbound_variable_in_chi_is_one_error_line(self, capsys):
+        code = main(["check-gauge", "--system", "free", "--chi", "x1*y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err == "error: unbound variable 'y'\n"
+
+    def test_config_constants_fold_into_chi(self, tmp_path, capsys):
+        path = tmp_path / "k.cfg"
+        path.write_text(
+            '[system]\nname = "k"\ndim = "1"\nlagrangian = "0.5*v1^2 - x1"\n'
+            '[constants]\nk = "2"\n[gauge]\nchi = "sin(k*x1)"\n'
+        )
+        code = main(["check-gauge", "--system", str(path), "--points", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PASS" in out and "FAIL" not in out
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         result = run_cli("el", "--system")

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from avcalc.config import load_config, split_top_level
-from avcalc.errors import ConfigSyntaxError, ValidationError
+from avcalc.errors import ChartDisjointError, ConfigSyntaxError, ValidationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -90,6 +90,11 @@ class TestSyntaxErrors:
         with pytest.raises(ConfigSyntaxError):
             load_config(path)
 
+    def test_unknown_function_names_the_key(self, tmp_path):
+        path = write(tmp_path, '[system]\nname = "x"\ndim = "1"\nlagrangian = "foo(v1)"\n')
+        with pytest.raises(ConfigSyntaxError, match="in system.lagrangian: unknown function 'foo'"):
+            load_config(path)
+
 
 class TestValidation:
     def test_unbound_variable_named(self, tmp_path):
@@ -150,6 +155,43 @@ class TestValidation:
         )
         with pytest.raises(ValidationError):
             load_config(path)
+
+    def test_curve_chart_must_exist(self, tmp_path):
+        path = write(
+            tmp_path,
+            '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
+            '[curve]\nchart = "7"\nexprs = "t"\n',
+        )
+        with pytest.raises(ChartDisjointError, match="no chart '7'"):
+            load_config(path)
+
+
+CIRCLE = '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n[atlas]\ntype = "circle"\n'
+
+
+class TestAtlasGauge:
+    def test_syntax_error_is_a_config_error(self, tmp_path):
+        path = write(tmp_path, CIRCLE + 'gauge = "sin(x1"\n')
+        with pytest.raises(ConfigSyntaxError, match="bad expression in atlas.gauge"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["gauge", "gauge_10"])
+    def test_unbound_variable_named(self, tmp_path, key):
+        path = write(tmp_path, CIRCLE + f'{key} = "sin(y)"\n')
+        with pytest.raises(ValidationError, match=f"unbound variable 'y' in atlas.{key}"):
+            load_config(path)
+
+    def test_constants_folded(self, tmp_path):
+        # the chart Lagrangians are compatible only if k = 2 is folded in
+        path = write(
+            tmp_path,
+            '[system]\nname = "c"\ndim = "1"\nlagrangian_0 = "0.5*v1^2 + k*cos(k*x1)*v1"\n'
+            'lagrangian_1 = "0.5*v1^2"\n[constants]\nk = "2"\n'
+            '[atlas]\ntype = "circle"\ngauge = "sin(k*x1)"\n',
+        )
+        atlas = load_config(path).system.atlas
+        assert atlas.gauge_offset([0.5], "0", "1") == math.sin(2.0 * 0.5)
+        assert atlas.gauge_offset([0.5], "1", "0") == -math.sin(2.0 * 0.5)
 
 
 class TestSplitting:

@@ -24,8 +24,10 @@ from avcalc.errors import (
     ChartExitError,
     DomainError,
     SingularLagrangianError,
+    UnboundVariableError,
     ValidationError,
 )
+from avcalc.exprlang import parse
 from avcalc.geometry import Atlas, Chart, ScalarFunction, circle_atlas, euclidean_atlas
 from avcalc.systems import bundled_system, bundled_system_names, charged_particle
 
@@ -324,10 +326,18 @@ class TestFusedSolve:
             solve_accelerations(lam, np.zeros(dim), np.ones(dim))
 
     def test_undeclared_variable_rejected_at_construction(self):
-        # kernels compile at first use; the variables are checked before
-        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 + x2")
+        # an AST built in code reaches the engine unchecked; kernels
+        # compile at first use, the variables are checked before
+        lam = GaugeClassLagrangian(euclidean_atlas(1), {"0": parse("0.5*v1^2 + x2")})
         with pytest.raises(ValueError, match=r"undeclared variables \['x2'\]"):
             lam.engine("0")
+        with pytest.raises(UnboundVariableError, match="'x2'"):
+            GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 + x2")
+
+    def test_gauge_function_variables_checked(self):
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2+v2^2)")
+        with pytest.raises(UnboundVariableError, match="'y'"):
+            gauge_shift(lam, "y")
 
     def test_moderately_conditioned_hessian_solved(self):
         # n * cond_1 = 2e11 is within MAX_CONDITION = 1e12

@@ -99,10 +99,23 @@ class TestIntrospection:
         assert exprlang.free_variables(ast) == {"x1", "v2", "q"}
 
     def test_substitute_constants(self):
-        ast = exprlang.parse("m*v1^2 + g")
-        folded = exprlang.substitute_constants(ast, {"m": 2.0, "g": 9.8})
+        folded = exprlang.expression("m*v1^2 + g", ("v1",), {"m": 2.0, "g": 9.8})
         assert exprlang.free_variables(folded) == {"v1"}
         assert exprlang.evaluate(folded, {"v1": 3.0}) == pytest.approx(2.0 * 9.0 + 9.8)
+
+    def test_expression_takes_text_or_ast(self):
+        ast = exprlang.parse("k*x1 + x2")
+        assert exprlang.expression("k*x1 + x2", ("x1", "x2", "k")) == ast
+        assert exprlang.expression(ast, ("x1", "x2", "k")) is ast
+        folded = exprlang.expression(ast, ("x1", "x2"), {"k": 3})
+        assert folded == exprlang.parse("3.0*x1 + x2")
+
+    def test_expression_names_first_unbound_variable(self):
+        with pytest.raises(UnboundVariableError, match="'b'") as exc:
+            exprlang.expression("c + b*x1 + a", ("x1", "a"))
+        assert exc.value.name == "b"
+        with pytest.raises(UnboundVariableError, match="'k'"):
+            exprlang.expression("sin(k*x1)", ("x1",), {"m": 1.0})
 
     def test_substitute_expressions(self):
         ast = exprlang.parse("x1 + x1^2")

@@ -6,10 +6,17 @@ import pytest
 
 from avcalc import exprlang
 from avcalc.affine import affine_scalar_diff, box_minus
-from avcalc.errors import ChartDisjointError, ChartScheduleError, ValidationError
+from avcalc.errors import (
+    ChartDisjointError,
+    ChartScheduleError,
+    UnboundVariableError,
+    ValidationError,
+)
 from avcalc.geometry import (
     AffineOneForm,
+    Atlas,
     AVSection,
+    Chart,
     CurveSegment,
     CurveSpec,
     ScalarFunction,
@@ -19,12 +26,31 @@ from avcalc.geometry import (
     gauge_transform_section,
     integrate_pullback,
     low_discrepancy_points,
+    OverlapComponent,
     simpson_nodes,
 )
 
 
 # NaN wherever sin(x1) != 0: 1e308*10 overflows to inf
 NAN_SIN = "1e308*10*sin(x1) - 1e308*10*sin(x1)"
+
+
+def three_chart_line(offset):
+    """Charts a, b, c on the line with g_ij = f_i - f_j; `offset` is
+    added to g_ac and taken from g_ca, which keeps antisymmetry and
+    breaks the cocycle on the triple overlap (0, 1)."""
+    f = {"a": "sin(x1)", "b": "x1^2", "c": "0.5*x1"}
+    box = {"a": (-3.0, 1.0), "b": (-1.0, 3.0), "c": (0.0, 4.0)}
+    shift = {("a", "c"): offset, ("c", "a"): -offset}
+    transitions = {
+        (i, j): (OverlapComponent(
+            ((max(box[i][0], box[j][0]), min(box[i][1], box[j][1])),),
+            (exprlang.parse("x1"),),
+            exprlang.parse(f"({f[i]}) - ({f[j]}) + {shift.get((i, j), 0.0)}"),
+        ),)
+        for i in f for j in f if i != j
+    }
+    return Atlas(1, [Chart(c, (box[c],)) for c in f], transitions)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +92,14 @@ class TestAtlas:
         assert circle.contains("0", [3.0])
         assert not circle.contains("0", [3.3])
 
+    def test_three_chart_cocycle(self):
+        assert three_chart_line(0.0).validate() < 1e-15
+
+    def test_broken_three_chart_cocycle_fails(self):
+        with pytest.raises(ValidationError, match="gauge cocycle") as exc:
+            three_chart_line(0.1).validate()
+        assert exc.value.defect == pytest.approx(0.1, rel=1e-12)
+
     def test_euclidean_single_chart(self):
         atlas = euclidean_atlas(3)
         assert len(atlas.charts) == 1
@@ -102,6 +136,10 @@ class TestScalarFunction:
         with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="defect nan"):
             fn.validate()
 
+    def test_variables_checked(self):
+        with pytest.raises(UnboundVariableError, match="'x3'"):
+            ScalarFunction.from_common(euclidean_atlas(2), "x3")
+
     def test_grad(self):
         atlas = euclidean_atlas(2)
         fn = ScalarFunction.from_common(atlas, "x1*x2^2")
@@ -134,6 +172,12 @@ class TestAVSection:
 
 
 class TestCurves:
+    def test_variables_checked(self):
+        with pytest.raises(UnboundVariableError, match="'s'"):
+            CurveSpec.single("0", ["t", "s"], 0.0, 1.0)
+        curve = CurveSpec.single("0", ["k*t"], 0.0, 1.0, {"k": 2.0})
+        assert curve.position(0.5)[0] == 1.0
+
     def test_velocity_and_acceleration(self):
         curve = CurveSpec.single("0", ["sin(t)", "t^3"], 0.0, 2.0)
         t = 0.8
@@ -211,3 +255,7 @@ class TestIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(sigma.compatibility_defect())
+
+    def test_one_form_variables_checked(self, circle):
+        with pytest.raises(UnboundVariableError, match="'x2'"):
+            AffineOneForm.from_expressions(circle, {"0": ["x2"], "1": ["1"]})
