@@ -3,8 +3,8 @@
 Used only to materialize derived expressions the library needs as
 first-class ASTs -- gauge coupling terms <d(chi), v> and Lagrangians of
 the form <d(phi), v> built from a section phi.  Not a public symbolic
-differentiation API; numeric derivatives everywhere else come from
-forward-mode autodiff.
+differentiation API; numeric values and derivatives everywhere else
+come from the compiled kernels (kernels.py).
 """
 from __future__ import annotations
 

@@ -50,7 +50,11 @@ from .systems import System, chi_set
 
 _SECTION_RE = re.compile(r"^\s*\[([A-Za-z_][\w-]*)\]\s*$")
 _PAIR_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*\"([^\"]*)\"\s*$")
-_KNOWN_SECTIONS = {"system", "constants", "atlas", "gauge", "forcing", "curve"}
+# the sections, and the keys each takes (as a regular expression)
+_KEYS = {"system": r"name|dim|lagrangian|lagrangian_\w+|v_halfwidth|description",
+         "constants": r"\w+", "gauge": r"\w+", "forcing": r"f[1-9]\d*",
+         "atlas": r"type|half_width|gauge|winding|gauge_10",
+         "curve": r"t0|t1|chart|exprs|segment_\w+"}
 
 
 @dataclass
@@ -73,8 +77,9 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def _parse_lines(text: str, path: str) -> dict:
-    sections = {}
+def _parse_lines(text: str, path: str):
+    """(section -> {key: raw value}, (section, key) -> line number)."""
+    sections, lines = {}, {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -83,11 +88,11 @@ def _parse_lines(text: str, path: str) -> dict:
         m = _SECTION_RE.match(line)
         if m:
             name = m.group(1)
-            if name not in _KNOWN_SECTIONS:
+            if name not in _KEYS:
                 raise ConfigSyntaxError(
                     f"{path}: unknown section [{name}]", lineno, line.index("[") + 1
                 )
-            current = sections.setdefault(name, {})
+            section, current = name, sections.setdefault(name, {})
             continue
         m = _PAIR_RE.match(line)
         if m:
@@ -98,13 +103,16 @@ def _parse_lines(text: str, path: str) -> dict:
             key = m.group(1)
             if key in current:
                 raise ConfigSyntaxError(f"{path}: duplicate key '{key}'", lineno, 1)
+            if not re.fullmatch(_KEYS[section], key):
+                raise ConfigSyntaxError(f"{path}: unknown key '{key}' in [{section}]", lineno, 1)
             current[key] = m.group(2)
+            lines[section, key] = lineno
             continue
         col = len(line) - len(line.lstrip()) + 1
         raise ConfigSyntaxError(
             f"{path}: expected [section] or key = \"value\"", lineno, col
         )
-    return sections
+    return sections, lines
 
 
 def _expr(text: str, variables, constants: dict, where: str):
@@ -197,7 +205,7 @@ def load_config(path: str) -> SystemConfig:
     """Parse and validate a system definition file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    sections = _parse_lines(text, path)
+    sections, lines = _parse_lines(text, path)
 
     system_sec = sections.get("system")
     if not system_sec:
@@ -236,6 +244,10 @@ def load_config(path: str) -> SystemConfig:
     forcing = None
     forcing_sec = sections.get("forcing")
     if forcing_sec:
+        for key in forcing_sec:
+            if int(key[1:]) > dim:
+                raise ConfigSyntaxError(f"{path}: unknown key '{key}' in [forcing] for dim {dim}",
+                                        lines["forcing", key], 1)
         forcing = tuple(
             _expr(forcing_sec.get(f"f{j}", "0"), states, constants, f"forcing.f{j}")
             for j in range(1, dim + 1)

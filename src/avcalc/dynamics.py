@@ -33,7 +33,8 @@ from .geometry import (
     _BOX_TOL,
     Atlas,
     ScalarFunction,
-    _overlap_sample_pairs,
+    _overlap_samples,
+    _require_within,
     low_discrepancy_points,
 )
 from .kernels import (
@@ -147,9 +148,8 @@ class GaugeClassLagrangian:
         return self.chart_exprs[chart_id]
 
     def value(self, x, v, chart_id: str) -> float:
-        env = {f"x{j + 1}": x[j] for j in range(len(x))}
-        env.update({f"v{j + 1}": v[j] for j in range(len(v))})
-        return float(exprlang.evaluate(self.chart_exprs[chart_id], env))
+        xs, vs = np.asarray([x], float), np.asarray([v], float)
+        return float(self.engine(chart_id).values(xs, vs)[0])
 
     def engine(self, chart_id: str) -> "_ChartEngine":
         """The compiled engine of chart `chart_id`'s representative;
@@ -162,23 +162,18 @@ class GaugeClassLagrangian:
         return eng
 
     def validate(self, samples: int = 32, tol: float = 1e-10):
-        """Sampled overlap compatibility L_i - L_j = <d g_ij, v>."""
-        atlas = self.atlas
-        n = atlas.dim
-        v_samples = low_discrepancy_points([(-1.0, 1.0)] * n, 5)
-        for i, j, x_i, x_j, _g in _overlap_sample_pairs(atlas, samples):
-            jac = atlas.jacobian(x_i, i, j)
-            dg = atlas.gauge_gradient(x_i, i, j)
-            for v in v_samples:
-                defect = abs(
-                    self.value(x_i, v, i) - self.value(x_j, jac @ v, j) - float(dg @ v)
-                )
-                if not defect <= tol:  # NaN fails too
-                    raise ValidationError(
-                        "lagrangian compatibility L_i - L_j = <dg_ij, v>",
-                        f"charts ({i},{j}) at x={x_i}, v={v}",
-                        defect,
-                    )
+        """Sampled overlap compatibility L_i - L_j = <d g_ij, v>, each chart's
+        L at every (point, velocity) pair of a component in one call."""
+        v = low_discrepancy_points([(-1.0, 1.0)] * self.atlas.dim, 5)
+        nv = len(v)
+        for i, j, comp, x_i, x_j, _g in _overlap_samples(self.atlas, samples):
+            d = comp.transition(x_i, grad=True)  # Jacobian rows, then dg
+            jv = np.einsum("pkj,vj->pvk", d[:, :-1], v).reshape(-1, v.shape[1])
+            defect = (self.engine(i).values(np.repeat(x_i, nv, axis=0), np.tile(v, (len(x_i), 1)))
+                      - self.engine(j).values(np.repeat(x_j, nv, axis=0), jv)
+                      - (d[:, -1] @ v.T).ravel())
+            _require_within("lagrangian compatibility L_i - L_j = <dg_ij, v>", np.abs(defect), tol,
+                            lambda r: f"charts ({i},{j}) at x={x_i[r // nv]}, v={v[r % nv]}")
 
 
 def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:

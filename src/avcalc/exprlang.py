@@ -16,10 +16,10 @@ exp, log, sqrt, abs, sign (unary) and pow (binary).  sign(x) is 1 or -1
 by the sign of x and 0 at either zero; its derivative is 0 everywhere,
 as it is abs' with abs'(0) = 0.
 
-Evaluation is generic over the scalar type: plain floats use math.*,
-any other scalar is expected to provide sin/cos/tan/exp/log/sqrt
-methods plus sign and the usual arithmetic dunders (see
-autodiff.Hyperdual).
+`evaluate` is generic over the scalar type: floats use math.*, other
+scalars (autodiff.Hyperdual) provide the functions, sign and arithmetic.
+It serves the CLI's forcing and, as the kernels' oracle, the tests and
+kernels.domain_error; the library evaluates through compiled kernels.
 """
 from __future__ import annotations
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import exprlang
 from .affine import AffineScalar, FiberPoint
-from .autodiff import gradient
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
 from .kernels import compile_field, eval_chunked, require_finite
@@ -35,23 +35,43 @@ def coord_names(dim: int) -> list:
     return [f"x{j}" for j in range(1, dim + 1)]
 
 
-def coord_env(x) -> dict:
-    """The interpreter's environment x1..xn for the point x.  numpy
-    scalars become Python floats, so an overflow or an invalid
-    operation is a silent inf or NaN on every path, as it is on floats;
-    autodiff scalars pass through."""
-    return {f"x{j + 1}": float(c) if isinstance(c, np.floating) else c
-            for j, c in enumerate(x)}
+def _probe(exprs, names, vals, d1, d2, cols, rows=1, kernels=None) -> np.ndarray:
+    """Columns `cols` of the expressions' kernel outputs (`kernels`, or
+    compile_field's) at the probes, of shape (cols, probes, exprs); a
+    non-finite one raises DomainError for its point (`rows` probes)."""
+    out = np.empty((len(cols), vals.shape[0], len(exprs)))
+    for k, e in enumerate(exprs):
+        kernel = kernels[k] if kernels else compile_field(e, names)
+        res = eval_chunked(kernel, vals, d1, d2)[:, cols]
+        require_finite(res.reshape(-1, rows * len(cols)), e, names, vals, d1, d2, rows)
+        out[:, :, k] = res.T
+    return out
 
 
-def _expr_gradient(expr: ExprAst, x) -> np.ndarray:
-    """The gradient of an expression over x1..xn at the point x, by
-    autodiff."""
-    return gradient(lambda args: exprlang.evaluate(expr, coord_env(args)), x)
+def eval_rows(exprs, names, xs, grad=False, kernels=None) -> np.ndarray:
+    """The expressions over the variables `names` at every row of xs, of
+    shape (rows, exprs), or with grad their gradients, (rows, exprs,
+    names).  With jets_in_t, geometry's one route to expression values."""
+    xs = np.asarray(xs, dtype=float)
+    m = len(names) if grad else 1
+    vals = np.repeat(xs, m, axis=0)
+    d1 = np.tile(np.eye(m), (len(xs), 1)) if grad else np.zeros_like(vals)
+    out = _probe(exprs, names, vals, d1, np.zeros_like(vals), [int(grad)], m, kernels)[0]
+    return out.reshape(len(xs), m, len(exprs)).transpose(0, 2, 1) if grad else out
 
 
 def eval_vector(exprs, env) -> np.ndarray:
-    return np.array([exprlang.evaluate(e, env) for e in exprs], dtype=float)
+    """The expressions at the one point `env` (variable name -> value)."""
+    return eval_rows(exprs, tuple(env), [list(env.values())])[0]
+
+
+def _require_within(invariant: str, defects, tol: float, where) -> float:
+    """The worst of the sampled defects; ValidationError(invariant, where(k),
+    defect) at the first sample k whose defect is not <= tol (NaN too)."""
+    bad = np.flatnonzero(~(defects <= tol))
+    if bad.size:
+        raise ValidationError(invariant, where(bad[0]), float(defects[bad[0]]))
+    return float(np.max(defects, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +112,18 @@ class OverlapComponent:
     coord_map: tuple  # target coordinates as ExprAst over x1..xn
     gauge: ExprAst  # g_ij over source coordinates
 
+    @cached_property
+    def _kernels(self) -> list:
+        """coord_map's and the gauge's kernels, held once compiled."""
+        names = coord_names(len(self.box))
+        return [compile_field(e, names) for e in self.coord_map + (self.gauge,)]
+
+    def transition(self, xs, grad=False) -> np.ndarray:
+        """The target coordinates and g_ij at every row of xs, out[:, :n] and
+        out[:, n], or with grad their gradients, of shape (rows, n + 1, n)."""
+        exprs = self.coord_map + (self.gauge,)
+        return eval_rows(exprs, coord_names(len(self.box)), xs, grad, self._kernels)
+
 
 @dataclass
 class Atlas:
@@ -110,47 +142,49 @@ class Atlas:
         box = self.chart(chart_id).box
         return all(lo - tol <= xi <= hi + tol for xi, (lo, hi) in zip(x, box))
 
-    def _component(self, x, src: str, dst: str) -> OverlapComponent:
-        key = (src, dst)
-        if key not in self.transitions:
+    def _transition(self, xs, src: str, dst: str, grad=False, strict=True) -> np.ndarray:
+        """OverlapComponent.transition of src -> dst at every row of xs, by the
+        first component holding it; ChartDisjointError, or NaN if not strict."""
+        if (src, dst) not in self.transitions:
             raise ChartDisjointError(f"no transition {src} -> {dst}")
-        for comp in self.transitions[key]:
-            if all(lo - _BOX_TOL <= xi <= hi + _BOX_TOL for xi, (lo, hi) in zip(x, comp.box)):
-                return comp
-        raise ChartDisjointError(
-            f"point {np.asarray(x)} outside every overlap component of {src} -> {dst}"
-        )
+        xs = np.asarray(xs, dtype=float)
+        out = np.full((len(xs), self.dim + 1) + ((self.dim,) if grad else ()), np.nan)
+        todo = np.ones(len(xs), dtype=bool)
+        for comp in self.transitions[src, dst]:
+            box = np.asarray(comp.box, dtype=float)
+            rows = todo & np.all((xs >= box[:, 0] - _BOX_TOL) & (xs <= box[:, 1] + _BOX_TOL), 1)
+            if rows.any():
+                out[rows] = comp.transition(xs[rows], grad)
+                todo &= ~rows
+        if strict and todo.any():
+            raise ChartDisjointError(
+                f"point {xs[todo][0]} outside every overlap component of {src} -> {dst}")
+        return out
 
     def convert_point(self, x, src: str, dst: str) -> np.ndarray:
         if src == dst:
             return np.asarray(x, dtype=float)
-        comp = self._component(x, src, dst)
-        return eval_vector(comp.coord_map, coord_env(x))
+        return self._transition([x], src, dst)[0, :-1]
 
     def gauge_offset(self, x, src: str, dst: str) -> float:
         """g_{src,dst} evaluated at x (source coordinates)."""
         if src == dst:
             return 0.0
-        comp = self._component(x, src, dst)
-        return float(exprlang.evaluate(comp.gauge, coord_env(x)))
+        return float(self._transition([x], src, dst)[0, -1])
 
     def convert_fiber(self, x, value: float, src: str, dst: str):
         """Re-chart a fiber coordinate: value_dst = value_src - g_{src,dst}(x)."""
         return self.convert_point(x, src, dst), value - self.gauge_offset(x, src, dst)
 
     def gauge_gradient(self, x, src: str, dst: str) -> np.ndarray:
-        """d g_{src,dst} at x (source coordinates), by autodiff."""
+        """d g_{src,dst} at x (source coordinates)."""
         if src == dst:
             return np.zeros(self.dim)
-        return _expr_gradient(self._component(x, src, dst).gauge, x)
+        return self._transition([x], src, dst, grad=True)[0, -1]
 
     def jacobian(self, x, src: str, dst: str) -> np.ndarray:
         """J[k, j] = d x'_k / d x_j of the coordinate change at x."""
-        comp = self._component(x, src, dst)
-        jac = np.empty((self.dim, self.dim))
-        for k, expr in enumerate(comp.coord_map):
-            jac[k] = _expr_gradient(expr, x)
-        return jac
+        return self._transition([x], src, dst, grad=True)[0, :-1]
 
     # -- structural invariants ---------------------------------------------
 
@@ -161,25 +195,20 @@ class Atlas:
             if (j, i) not in self.transitions:
                 raise ValidationError("transition antisymmetry", f"missing {j} -> {i}", math.inf)
         worst = 0.0
-        ids = [c.id for c in self.charts]
-        for i, j, x, x_j, g_ij in _overlap_sample_pairs(self, samples):
+        for i, j, _comp, x, x_j, g_ij in _overlap_samples(self, samples):
             sums = [("gauge antisymmetry g_ij + g_ji = 0", (i, j),
-                     g_ij + self.gauge_offset(x_j, j, i))]
-            for k in ids:  # the cocycle, where x is in a triple overlap
-                if k in (i, j):
+                     g_ij + self._transition(x_j, j, i)[:, -1])]
+            for k in [c.id for c in self.charts]:  # the cocycle, on triple overlaps
+                if k in (i, j) or (j, k) not in self.transitions or (k, i) not in self.transitions:
                     continue
-                try:
-                    x_k = self.convert_point(x_j, j, k)
-                    g_jk, g_ki = self.gauge_offset(x_j, j, k), self.gauge_offset(x_k, k, i)
-                except ChartDisjointError:
-                    continue  # not in the triple overlap
-                sums.append(("gauge cocycle g_ij + g_jk + g_ki = 0", (i, j, k), g_ij + g_jk + g_ki))
+                jk = self._transition(x_j, j, k, strict=False)
+                total = g_ij + jk[:, -1] + self._transition(jk[:, :-1], k, i, strict=False)[:, -1]
+                sums.append(("gauge cocycle g_ij + g_jk + g_ki = 0", (i, j, k),
+                             np.where(np.isnan(total), 0.0, total)))  # NaN: x not in it
             for invariant, charts, total in sums:
-                defect = abs(total)
-                worst = np.maximum(worst, defect)
-                if not defect <= tol:  # NaN fails too
-                    raise ValidationError(invariant, f"charts ({','.join(charts)}) at {x}", defect)
-        return float(worst)
+                worst = max(worst, _require_within(invariant, np.abs(total), tol, lambda r:
+                                                   f"charts ({','.join(charts)}) at {x[r]}"))
+        return worst
 
 
 def euclidean_atlas(dim: int, half_width: float = 1e6) -> Atlas:
@@ -251,23 +280,38 @@ def circle_atlas(
 # ---------------------------------------------------------------------------
 # Sections and scalar functions
 
-def _overlap_sample_pairs(atlas: Atlas, samples: int):
-    """Yield (i, j, x_i, x_j, g_ij(x_i)) over sampled overlap points."""
+def _overlap_samples(atlas: Atlas, samples: int):
+    """Yield (i, j, component, x_i, x_j, g_ij(x_i)) per overlap
+    component, over its sampled points, one row each."""
     for (i, j), comps in atlas.transitions.items():
         for comp in comps:
-            for x in low_discrepancy_points(comp.box, samples):
-                env = coord_env(x)
-                x_j = eval_vector(comp.coord_map, env)
-                yield i, j, x, x_j, float(exprlang.evaluate(comp.gauge, env))
+            x = low_discrepancy_points(comp.box, samples)
+            out = comp.transition(x)
+            yield i, j, comp, x, out[:, :-1], out[:, -1]
 
 
 @dataclass
-class ScalarFunction:
-    """A global real function, one representative expression per chart
-    (representatives must agree on overlaps)."""
+class _ChartExprs:
+    """One expression over x1..xn per chart."""
 
     atlas: Atlas
     chart_exprs: dict  # chart_id -> ExprAst
+
+    def _rows(self, xs, chart_id: str, grad=False) -> np.ndarray:
+        return eval_rows((self.chart_exprs[chart_id],), coord_names(self.atlas.dim), xs, grad)[:, 0]
+
+    def _agreement(self, invariant: str, gauge: bool, samples: int, tol: float):
+        """Validate f_i - f_j = g_ij (with gauge) or f_i = f_j on overlaps."""
+        for i, j, _comp, x_i, x_j, g in _overlap_samples(self.atlas, samples):
+            defect = self._rows(x_i, i) - self._rows(x_j, j)
+            _require_within(invariant, np.abs(defect - g if gauge else defect), tol,
+                            lambda r: f"charts ({i},{j}) at {x_i[r]}")
+
+
+@dataclass
+class ScalarFunction(_ChartExprs):
+    """A global real function, one representative expression per chart
+    (representatives must agree on overlaps)."""
 
     @classmethod
     def from_common(cls, atlas: Atlas, expr, constants=None):
@@ -275,43 +319,28 @@ class ScalarFunction:
         return cls(atlas, {c.id: ast for c in atlas.charts})
 
     def __call__(self, x, chart_id: str) -> float:
-        return float(exprlang.evaluate(self.chart_exprs[chart_id], coord_env(x)))
+        return float(self._rows([x], chart_id)[0])
 
     def grad(self, x, chart_id: str) -> np.ndarray:
-        return _expr_gradient(self.chart_exprs[chart_id], x)
+        return self._rows([x], chart_id, grad=True)[0]
 
     def validate(self, samples: int = 32, tol: float = 1e-12):
-        for i, j, x_i, x_j, _g in _overlap_sample_pairs(self.atlas, samples):
-            defect = abs(self(x_i, i) - self(x_j, j))
-            if not defect <= tol:  # NaN fails too
-                raise ValidationError(
-                    "scalar function chart agreement", f"charts ({i},{j}) at {x_i}", defect
-                )
+        self._agreement("scalar function chart agreement", False, samples, tol)
 
 
 @dataclass
-class AVSection:
+class AVSection(_ChartExprs):
     """Section of the value bundle: per-chart representative expressions
     satisfying phi_i - phi_j = g_ij on overlaps."""
 
-    atlas: Atlas
-    chart_exprs: dict  # chart_id -> ExprAst
-
     def value(self, x, chart_id: str) -> float:
-        return float(exprlang.evaluate(self.chart_exprs[chart_id], coord_env(x)))
+        return float(self._rows([x], chart_id)[0])
 
     def at(self, x, chart_id: str) -> FiberPoint:
         return FiberPoint(chart_id, tuple(np.asarray(x, dtype=float)), self.value(x, chart_id))
 
     def validate(self, samples: int = 32, tol: float = 1e-12):
-        for i, j, x_i, x_j, g in _overlap_sample_pairs(self.atlas, samples):
-            defect = abs(self.value(x_i, i) - self.value(x_j, j) - g)
-            if not defect <= tol:  # NaN fails too
-                raise ValidationError(
-                    "section compatibility phi_i - phi_j = g_ij",
-                    f"charts ({i},{j}) at {x_i}",
-                    defect,
-                )
+        self._agreement("section compatibility phi_i - phi_j = g_ij", True, samples, tol)
 
 
 def gauge_transform_section(phi: AVSection, f) -> AVSection:
@@ -331,12 +360,12 @@ class AffineOneForm:
     """Per-chart ordinary 1-form components with the affine compatibility
     rule theta_i - J^T theta_j = d g_ij on overlaps.
 
-    Components are stored as evaluators x -> R^n; use from_expressions
-    for the expression-backed form.
+    Components are stored as row-wise evaluators, (points, n) -> (points,
+    n); use from_expressions for the expression-backed form.
     """
 
     atlas: Atlas
-    chart_components: dict  # chart_id -> Callable[[ndarray], ndarray]
+    chart_components: dict  # chart_id -> Callable[[ndarray], ndarray], row-wise
 
     @classmethod
     def from_expressions(cls, atlas: Atlas, chart_exprs: dict):
@@ -344,33 +373,33 @@ class AffineOneForm:
         comps = {}
         for cid, exprs in chart_exprs.items():
             parsed = tuple(exprlang.expression(e, names) for e in exprs)
-            comps[cid] = (lambda x, ps=parsed: eval_vector(ps, coord_env(x)))
+            comps[cid] = (lambda xs, ps=parsed: eval_rows(ps, names, xs))
         return cls(atlas, comps)
 
     def components(self, x, chart_id: str) -> np.ndarray:
-        return self.chart_components[chart_id](np.asarray(x, dtype=float))
+        return self.chart_components[chart_id](np.asarray([x], dtype=float))[0]
 
     def compatibility_defect(self, samples: int = 16) -> float:
         """Worst |theta_i - J^T theta_j - grad g_ij| over sampled overlaps."""
         worst = 0.0
-        atlas = self.atlas
-        for i, j, x, x_j, _g in _overlap_sample_pairs(atlas, samples):
-            if i not in self.chart_components or j not in self.chart_components:
+        theta = self.chart_components
+        for i, j, comp, x, x_j, _g in _overlap_samples(self.atlas, samples):
+            if i not in theta or j not in theta:
                 continue
-            jac = atlas.jacobian(x, i, j)
-            dg = atlas.gauge_gradient(x, i, j)
-            defect = self.components(x, i) - jac.T @ self.components(x_j, j) - dg
+            d = comp.transition(x, grad=True)  # Jacobian rows, then dg
+            defect = theta[i](x) - np.einsum("rkj,rk->rj", d[:, :-1], theta[j](x_j)) - d[:, -1]
             worst = np.maximum(worst, np.max(np.abs(defect)))  # NaN stays
         return float(worst)
 
 
 def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
     """The affine differential d(phi): per chart, the ordinary gradient of
-    the representative (computed by autodiff at evaluation points)."""
-    comps = {}
-    for cid, expr in phi.chart_exprs.items():
-        comps[cid] = lambda x, e=expr: _expr_gradient(e, x)
-    return AffineOneForm(atlas, comps)
+    the representative, from its kernel at the points it is given."""
+    names = coord_names(atlas.dim)
+    return AffineOneForm(atlas, {
+        cid: (lambda xs, e=expr: eval_rows((e,), names, xs, grad=True)[:, 0])
+        for cid, expr in phi.chart_exprs.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +415,7 @@ def jets_in_t(exprs, t):
     seeded d1 = d2 = 1, so a probe returns (x, x', x', x'')."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     ones = np.ones_like(t)
-    jets = np.empty((3, t.shape[0], len(exprs)))
-    for k, e in enumerate(exprs):
-        out = eval_chunked(compile_field(e, _T), t, ones, ones)[:, [0, 1, 3]]
-        require_finite(out, e, _T, t, ones, ones)
-        jets[:, :, k] = out.T
-    return jets
+    return _probe(exprs, _T, t, ones, ones, [0, 1, 3])
 
 
 @dataclass(frozen=True)
@@ -473,8 +497,7 @@ class CurveSpec:
                 raise ChartScheduleError("chart schedule has a parameter gap")
             x_end = eval_vector(a.exprs, {"t": a.t1})
             x_next = eval_vector(b.exprs, {"t": b.t0})
-            if a.chart_id != b.chart_id:
-                x_end = atlas.convert_point(x_end, a.chart_id, b.chart_id)
+            x_end = atlas.convert_point(x_end, a.chart_id, b.chart_id)
             defect = float(np.max(np.abs(x_end - x_next)))
             if not defect <= tol:  # NaN fails too
                 raise ChartScheduleError(
@@ -630,6 +653,6 @@ def integrate_pullback(
     junction offsets); schedule-independent as an affine scalar."""
 
     def integrand(seg, sl, x, v, a):
-        return np.array([np.dot(sigma.components(xi, seg.chart_id), vi) for xi, vi in zip(x, v)])
+        return np.einsum("ij,ij->i", sigma.chart_components[seg.chart_id](x), v)
 
     return schedule_integral(curve, atlas, panels, integrand)

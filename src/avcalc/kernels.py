@@ -32,9 +32,11 @@ expression at point vals[p] with first-order seeds d1[p], d2[p];
 out[p] = (value, directional derivative 1, directional derivative 2,
 mixed second derivative).
 
-Batched callers run a kernel through eval_chunked, in calls of at most
-BATCH probes, and turn a non-finite output they use into a DomainError
-with require_finite.
+The library evaluates expressions through these kernels (the CLI's
+forcing aside).  Batched callers run one through eval_chunked, in calls
+of at most BATCH probes, and turn a non-finite output they use into a
+DomainError (require_finite).  The folds are exact: a literal 0 times or
+over u is 0, and u^0 is 1, for any u; so 1^u, exp(u * log 1), is 1 too.
 """
 from __future__ import annotations
 
@@ -175,8 +177,8 @@ class _Emitter:
             return _ZERO
         if ly == 1.0:
             return x
-        if lx is not None and ly is not None and ly != 0.0:
-            return _num(lx / ly)
+        if lx is not None and ly is not None:  # x / +-0 is x * +-inf, as in IEEE
+            return _num(lx / ly if ly != 0.0 else lx * math.copysign(math.inf, ly))
         return self.tmp("{} / {}", x, y)
 
     def powc(self, x, p: float):

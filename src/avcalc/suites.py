@@ -31,8 +31,9 @@ from .errors import ChartExitError, DomainError, SingularLagrangianError, Valida
 from .geometry import (
     ScalarFunction,
     affine_differential,
-    eval_vector,
+    coord_names,
     euclidean_atlas,
+    eval_rows,
     integrate_pullback,
 )
 from .systems import System, bundled_systems, charged_particle, exact_lagrangian, free_particle
@@ -89,6 +90,13 @@ def _chi_fn(system: System, chi: str) -> ScalarFunction:
     return ScalarFunction.from_common(system.atlas, chi, system.constants)
 
 
+def _section_change(system: System):
+    """box_minus of the system's section over its curve's end and start."""
+    curve, phi = system.curve, system.section
+    return box_minus(phi.at(curve.position(curve.t_end), curve.segments[-1].chart_id),
+                     phi.at(curve.position(curve.t_start), curve.segments[0].chart_id))
+
+
 # ---------------------------------------------------------------------------
 # Structure suites
 
@@ -105,14 +113,10 @@ def commutation_suite(system: System, panels: int = 1000, tol: float = 1e-8):
     endpoint fiber difference of the section (pull-back commutes with d)."""
     if system.section is None or system.curve is None:
         return []
-    phi, curve, atlas = system.section, system.curve, system.atlas
-    sigma = affine_differential(phi, atlas)
-    integral = integrate_pullback(sigma, curve, atlas, panels)
-    first, last = curve.segments[0], curve.segments[-1]
-    x_a = eval_vector(first.exprs, {"t": first.t0})
-    x_b = eval_vector(last.exprs, {"t": last.t1})
-    exact = box_minus(phi.at(x_b, last.chart_id), phi.at(x_a, first.chart_id))
-    defect = abs(affine_scalar_diff(integral, exact, atlas))
+    atlas = system.atlas
+    sigma = affine_differential(system.section, atlas)
+    integral = integrate_pullback(sigma, system.curve, atlas, panels)
+    defect = abs(affine_scalar_diff(integral, _section_change(system), atlas))
     return [CheckResult(f"{system.name}: pull-back/differential commutation", defect, tol)]
 
 
@@ -152,11 +156,12 @@ def legendre_suite(system: System, points: int = 10, vels: int = 10, tol: float 
         x, *v = _uniform_rows(rng, points, (1.0,) + (system.v_halfwidth,) * vels, n)
         xs = np.repeat(x, vels, axis=0)
         vs = np.stack(v, axis=1).reshape(points * vels, n)
+        fn = _chi_fn(system, chi)
         try:
             p0 = system.lagrangian.engine(chart).momenta(xs, vs)
-            p1 = _shifted(system, chi).engine(chart).momenta(xs, vs)
-            fn = _chi_fn(system, chi)  # the Hyperdual gradient is the reference
-            dchi = np.array([fn.grad(xi, chart) for xi in x]).reshape(points, 1, n)
+            p1 = gauge_shift(system.lagrangian, fn).engine(chart).momenta(xs, vs)
+            # the reference is chi's own kernel, not the <d chi, v> under test
+            dchi = eval_rows((fn.chart_exprs[chart],), coord_names(n), x, grad=True)
         except DomainError as exc:
             results += [CheckResult(name, math.nan, tol, str(exc)) for name in names]
             continue
@@ -197,14 +202,8 @@ def exact_action_suite(system: System, panels: int = 1000, tol: float = 1e-8):
     fiber difference of phi."""
     if system.section is None or system.curve is None:
         return []
-    lam = exact_lagrangian(system.section)
-    curve, atlas = system.curve, system.atlas
-    act = action_quadrature(lam, curve, panels)
-    first, last = curve.segments[0], curve.segments[-1]
-    x_a = eval_vector(first.exprs, {"t": first.t0})
-    x_b = eval_vector(last.exprs, {"t": last.t1})
-    exact = box_minus(system.section.at(x_b, last.chart_id), system.section.at(x_a, first.chart_id))
-    defect = abs(affine_scalar_diff(act, exact, atlas))
+    act = action_quadrature(exact_lagrangian(system.section), system.curve, panels)
+    defect = abs(affine_scalar_diff(act, _section_change(system), system.atlas))
     return [CheckResult(f"{system.name}: exact-Lagrangian action", defect, tol)]
 
 
@@ -253,16 +252,13 @@ def action_gauge_suite(system: System, panels: int = 1000, tol: float = 1e-9):
     variations does not shift at all."""
     if system.curve is None or not system.chis:
         return []
-    chi = system.chis[0]
-    shifted = _shifted(system, chi)
-    fn = _chi_fn(system, chi)
+    fn = _chi_fn(system, system.chis[0])
+    shifted = gauge_shift(system.lagrangian, fn)
     curve = system.curve
     s0 = gauge_fixed_value(action_quadrature(system.lagrangian, curve, panels))
     s1 = gauge_fixed_value(action_quadrature(shifted, curve, panels))
-    first, last = curve.segments[0], curve.segments[-1]
-    x_a = eval_vector(first.exprs, {"t": first.t0})
-    x_b = eval_vector(last.exprs, {"t": last.t1})
-    expected = fn(x_b, last.chart_id) - fn(x_a, first.chart_id)
+    expected = (fn(curve.position(curve.t_end), curve.segments[-1].chart_id)
+                - fn(curve.position(curve.t_start), curve.segments[0].chart_id))
     out = [
         CheckResult(
             f"{system.name}: action gauge shift = chi(b)-chi(a)", abs(s1 - s0 - expected), tol

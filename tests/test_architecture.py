@@ -1,0 +1,78 @@
+"""One evaluation engine in the library.
+
+avcalc evaluates and differentiates expressions through the compiled
+kernels only.  The tree-walking interpreter (exprlang.evaluate) and the
+Hyperdual scalars (autodiff.Hyperdual, gradient, hessian_vector) are
+the kernels' oracles: outside their own modules, only
+kernels.domain_error, which finds the reason for a non-finite output,
+the package's re-exports and the CLI's forcing callable, which
+evaluates one point per RK4 stage, may import or use them.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "avcalc"
+ORACLES = {"exprlang": {"evaluate"}, "autodiff": {"Hyperdual", "gradient", "hessian_vector"}}
+DEFINING = {"exprlang.py", "autodiff.py"}
+# file -> the functions that may use an oracle (None: imports only)
+ALLOWED = {"kernels.py": {"domain_error"}, "__init__.py": set(), "cli.py": {"_forcing_callable"}}
+
+
+def oracle_uses(source: str, filename: str) -> list:
+    """(line, name) of every import or use of an oracle in `source` that
+    ALLOWED does not permit for `filename`."""
+    tree = ast.parse(source)
+    modules, names = {}, {}  # local name -> oracle module, or -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if alias.name in ORACLES:  # from . import exprlang
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name in ORACLES.get(module, ()):
+                    names[alias.asname or alias.name] = f"{module}.{alias.name}"
+    allowed = ALLOWED.get(filename)
+    found = []
+
+    def visit(node, functions):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = functions + (node.name,)
+        used = None
+        if isinstance(node, ast.ImportFrom):
+            used = next((names[a.asname or a.name] for a in node.names
+                         if (a.asname or a.name) in names), None)
+            if used and allowed is not None and not functions:
+                used = None  # an import where its use is allowed
+        elif isinstance(node, ast.Name) and node.id in names:
+            used = names[node.id]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr in ORACLES[modules[node.value.id]]):
+            used = f"{modules[node.value.id]}.{node.attr}"
+        if used and not (allowed and allowed & set(functions)):
+            found.append((node.lineno, used))
+        for child in ast.iter_child_nodes(node):
+            visit(child, functions)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name not in DEFINING))
+def test_no_oracle_in_the_library(path):
+    assert oracle_uses((SRC / path).read_text(), path) == []
+
+
+@pytest.mark.parametrize("source, filename, expected", [
+    ("from .autodiff import gradient\n", "geometry.py", [(1, "autodiff.gradient")]),
+    ("from . import exprlang\ndef f(e):\n    return exprlang.evaluate(e, {})\n", "dynamics.py",
+     [(3, "exprlang.evaluate")]),
+    ("from .exprlang import evaluate as ev\ndef domain_error():\n    ev(1, {})\n"
+     "def other():\n    ev(1, {})\n", "kernels.py", [(5, "exprlang.evaluate")]),
+    ("from .autodiff import Hyperdual, gradient\n", "__init__.py", []),
+    ("from .exprlang import evaluate\ndef _forcing_callable():\n    def force():\n"
+     "        return evaluate(1, {})\n", "cli.py", []),
+])
+def test_guard_sees_imports_and_uses(source, filename, expected):
+    assert oracle_uses(source, filename) == expected

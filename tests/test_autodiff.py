@@ -96,6 +96,12 @@ class TestPowers:
         assert y.val == pytest.approx(t**t)
         assert y.d1 == pytest.approx(t**t * (math.log(t) + 1.0))
 
+    def test_varying_exponent_with_zero_seeds(self):
+        # a Hyperdual exponent varies whatever its seeds, as in the
+        # kernels: x^x at 0 has no real derivative, even unseeded
+        with pytest.raises(DomainError, match="varying exponent"):
+            Hyperdual(0.0) ** Hyperdual(0.0)
+
 
 class TestFunctions:
     def test_abs_convention_at_zero(self):

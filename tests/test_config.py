@@ -85,6 +85,24 @@ class TestSyntaxErrors:
         with pytest.raises(ConfigSyntaxError):
             load_config(path)
 
+    def test_misspelt_key_names_key_section_and_line(self, tmp_path):
+        # v_halfwidth misspelt used to load with the default 1.0, and
+        # check-gauge then sampled |v| up to 1 for sqrt(1 - v^2)
+        with open(os.path.join(CONFIG_DIR, "relativistic.cfg")) as fh:
+            text = fh.read().replace("v_halfwidth", "v_halfwidht")
+        with pytest.raises(ConfigSyntaxError, match=r"unknown key 'v_halfwidht' in \[system\]") as exc:
+            load_config(write(tmp_path, text))
+        assert exc.value.line == text.splitlines().index('v_halfwidht = "0.5"') + 1
+
+    @pytest.mark.parametrize("section, key", [("atlas", "bogus"), ("curve", "segment"),
+                                              ("forcing", "g1"), ("forcing", "f3")])
+    def test_unknown_key(self, tmp_path, section, key):
+        path = write(tmp_path, '[system]\nname = "x"\ndim = "2"\nlagrangian = "v1^2+v2^2"\n'
+                               f'[{section}]\n{key} = "1"\n')
+        with pytest.raises(ConfigSyntaxError, match=rf"unknown key '{key}' in \[{section}\]") as exc:
+            load_config(path)
+        assert exc.value.line == 6
+
     def test_bad_expression(self, tmp_path):
         path = write(tmp_path, '[system]\nname = "x"\ndim = "1"\nlagrangian = "v1 +"\n')
         with pytest.raises(ConfigSyntaxError):

@@ -102,10 +102,12 @@ class TestCompilation:
     @pytest.mark.parametrize("expr, value, reason", [
         ("(-2)^0.5*x1", math.nan, "fractional power of a negative base"),
         ("10^400*x1", math.inf, "math range error"),
+        ("(1/0)*x1", math.inf, "division by zero"),
     ])
     def test_constant_power_without_real_value(self, expr, value, reason):
-        # folded to NaN / inf at compile time, not left to Python's ** (a
-        # complex number, or OverflowError inside the kernel)
+        # folded to NaN / inf at compile time, not left to Python's ** or
+        # / (a complex number, or OverflowError or ZeroDivisionError
+        # inside the kernel)
         kernel = compile_field(exprlang.parse(expr), ["x1"])
         with np.errstate(invalid="ignore"):
             out = eval_batch(kernel, np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
