@@ -1,4 +1,5 @@
-"""Batched kernel cost per probe at batch sizes 1, 16, 512 and 10^4.
+"""Batched kernel cost per probe at batch sizes 1, 16, 512 and 10^4,
+and the cost of building one.
 
 For the charged particle's Lagrangian and its twin shifted by its first
 configured gauge function chi, the batched kernel of
@@ -13,7 +14,16 @@ gives, for one kernel and one batch size:
 
 The header line of each kernel gives its generated lines and the
 distinct temporaries they use (names are reused once a value's last
-reader has run, see kernels._render).
+reader has run, see kernels._render), and two figures of building it,
+each over fresh expressions of its shape (compile_field misses its
+cache on each): the Lagrangian plus a seeded constant, and the
+Lagrangian shifted by c times the configured chi for a seeded c:
+
+  * build us:   microseconds of one compile_field call, best of
+                BUILDS;
+  * retained B: bytes that stay allocated per kernel built, traced by
+                tracemalloc over 20 builds: the kernel and its cache
+                entry, key included.
 
 The script exits 1 if an output differs from the Hyperdual interpreter
 (exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by
@@ -36,16 +46,22 @@ from avcalc.dynamics import gauge_shift, lagrangian_varnames
 from avcalc.systems import bundled_system
 
 TOLERANCE = 1e-12
+BUILDS = 30  # fresh expressions built per kernel for the build time
 
 
 def cases():
-    """(label, expression, variable names) of the charged particle's
-    Lagrangian and of its twin."""
+    """(label, expression, variable names, fresh) of the charged
+    particle's Lagrangian and of its twin; fresh(c) is a new expression
+    of the same shape for the number c."""
     system = bundled_system("charged")
     chart = system.default_chart()
     names = lagrangian_varnames(system.dim)
-    yield "charged", system.lagrangian.expr(chart), names
-    yield "charged twin", gauge_shift(system.lagrangian, system.chis[0]).expr(chart), names
+    lagrangian = system.lagrangian.expr(chart)
+    yield ("charged", lagrangian, names,
+           lambda c: exprlang.Binary("+", lagrangian, exprlang.Number(c)))
+    chi = system.chis[0]
+    yield ("charged twin", gauge_shift(system.lagrangian, chi).expr(chart), names,
+           lambda c: gauge_shift(system.lagrangian, f"{c!r}*({chi})").expr(chart))
 
 
 def interpreter(ast, names, vals, d1, d2):
@@ -71,6 +87,29 @@ def best_seconds_per_call(kernel, args, repeats: int) -> float:
     return best
 
 
+def best_build_seconds(asts, names) -> float:
+    """Best time of one compile_field call over the fresh `asts`."""
+    best = float("inf")
+    for ast in asts:
+        t0 = time.perf_counter()
+        kernels.compile_field(ast, names)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def retained_bytes(asts, names) -> float:
+    """Traced bytes still allocated per compile_field call over the
+    fresh `asts`, once every call has returned."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for ast in asts:
+            kernels.compile_field(ast, names)
+        return (tracemalloc.get_traced_memory()[0] - before) / len(asts)
+    finally:
+        tracemalloc.stop()
+
+
 def traced_peak_bytes(kernel, args) -> int:
     """Bytes allocated at the peak of one call."""
     tracemalloc.start()
@@ -91,10 +130,14 @@ def main() -> int:
     rng = np.random.default_rng(2026)
     agree = True
     print(f"batched kernel, best of {args.repeats}")
-    for label, ast, names in cases():
+    for label, ast, names, fresh in cases():
         src = kernels.generate_source(ast, names)
         temps = len(set(re.findall(r"\bt\d+\b", src)))
-        print(f"{label}: {len(src.splitlines()) - 1} lines, {temps} temporaries")
+        asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, BUILDS + 20)]
+        build = best_build_seconds(asts[:BUILDS], names)
+        kept = retained_bytes(asts[BUILDS:], names)
+        print(f"{label}: {len(src.splitlines()) - 1} lines, {temps} temporaries, "
+              f"build {1e6 * build:.0f} us, retained {kept:.0f} B")
         print(f"{'probes':>8} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
               f"vs interpreter")
         kernel = kernels.compile_field(ast, names)

@@ -408,14 +408,15 @@ def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
 _T = ("t",)
 
 
-def jets_in_t(exprs, t):
+def jets_in_t(exprs, t, kernels=None):
     """Values, first and second t-derivatives of per-coordinate
     expressions in the parameter t at every node of the array t, each
-    of shape (nodes, coordinates).  One kernel call per coordinate,
-    seeded d1 = d2 = 1, so a probe returns (x, x', x', x'')."""
+    of shape (nodes, coordinates).  One kernel call per coordinate
+    (`kernels`, or compile_field's), seeded d1 = d2 = 1, so a probe
+    returns (x, x', x', x'')."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     ones = np.ones_like(t)
-    return _probe(exprs, _T, t, ones, ones, [0, 1, 3])
+    return _probe(exprs, _T, t, ones, ones, [0, 1, 3], kernels=kernels)
 
 
 @dataclass(frozen=True)
@@ -536,10 +537,10 @@ class SegmentNodes:
         return self.segment.chart_id
 
 
-def _jets_and_ends(exprs, seg: CurveSegment, t):
+def _jets_and_ends(exprs, seg: CurveSegment, t, kernels=None):
     """jets_in_t of `exprs` at the nodes t, and at seg.t0 and seg.t1,
     from one evaluation, read-only: a plan hands them to every caller."""
-    jets = jets_in_t(exprs, np.append(t, (seg.t0, seg.t1)))
+    jets = jets_in_t(exprs, np.append(t, (seg.t0, seg.t1)), kernels)
     jets.flags.writeable = False
     return jets[:, :-2], jets[:, -2:]
 
@@ -566,10 +567,11 @@ class NodePlan:
             segments.append(SegmentNodes(seg, t, weights, *_jets_and_ends(seg.exprs, seg, t)))
         return cls(count, tuple(segments))
 
-    def field_jets(self, exprs) -> list:
+    def field_jets(self, exprs, kernels) -> list:
         """Per segment, the (node jets, end jets) of other per-coordinate
-        expressions in t, such as a variation field, on this plan."""
-        return [_jets_and_ends(exprs, s.segment, s.t) for s in self.segments]
+        expressions in t, such as a variation field, on this plan,
+        through their compiled `kernels` (see jets_in_t)."""
+        return [_jets_and_ends(exprs, s.segment, s.t, kernels) for s in self.segments]
 
     def shifted(self, w_jets, s: float) -> "NodePlan":
         """The plan of the curve gamma + s*w, given w_jets = field_jets

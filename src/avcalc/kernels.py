@@ -6,7 +6,7 @@ code that propagates second-order forward-mode components
 
   * the derivative rules vectorized over a batch of seed "probes"
     (compile_field): the body runs on numpy arrays along the probe
-    axis;
+    axis, as an op tape (see below), with no Python compile;
   * the same rules as one scalar function (compile_solve) that returns
     everything a Euler-Lagrange acceleration solve needs at one point,
     with the probe seeds written into the source as literals;
@@ -21,10 +21,26 @@ code that propagates second-order forward-mode components
     returns the last good step, and the caller's numpy loop repeats
     that step and raises the error, if there is one.
 
-All three turn the emitter's lines into source by one backward pass
-(_render): it drops the lines nothing reads and reuses a temporary's
-name once its value's last reader has run, so the code holds only the
-values still live, not one per line.
+All three turn the emitter's lines into records (name, template,
+operands) by one backward pass (_render): it drops the lines nothing
+reads and reuses a temporary's name once its value's last reader has
+run, so the code holds only the values still live, not one per line.
+The scalar renderings format the records as source and compile it.
+The batched kernel runs them as an op tape (Griewank & Walther,
+Evaluating Derivatives, ch. 3): per record, the numpy ufunc its
+template's operator calls, on the same operands in the same order,
+writing into the register of its name, f(x, y, reg).  The registers
+are the rows of one (names, probes) array allocated per call, so no
+array is allocated per line, and the literals are 0-d arrays made
+once; generate_source is the text of the same operations.  The outputs
+equal those of that text run by exec bit for bit, with one exception
+numpy makes: on a single probe, an add whose output register is its
+first operand runs numpy's reduction loop, which can return the other
+operand's NaN, with the other sign bit.  A cached kernel holds only
+its tape, a tuple of ufuncs, uint16 arrays of slots and its literals:
+the charged particle's gauge twin retains about 4.9 KB with its cache
+entry (benchmarks/kernel_batch.py), so the CACHE_SIZE cache holds at
+most about 1.3 MB of such kernels.
 
 Kernel signature: kernel(vals, d1, d2, out) with vals/d1/d2 of shape
 (probes, nvars) and out of shape (probes, 4).  Row p evaluates the
@@ -43,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 
 import numpy as np
 
@@ -341,20 +358,24 @@ def check_declared(ast: ExprAst, varnames) -> set:
 
 
 def _render(names, results, inputs=()):
-    """(lines, results) of the lines of an _Emitter's `names` that the
+    """(records, results) of the lines of an _Emitter's `names` that the
     `results` need, read at the end, with every slot atom w{j} replaced
-    by inputs[j] if `inputs` are given.  The kept lines, their order and
-    their operands are unchanged, so the values are too, but a line
-    nothing reads is dropped and a temporary's name is reused once the
-    last line reading its value has run: the code holds only its live
-    temporaries instead of one value per line.
+    by inputs[j] if `inputs` are given.  A record (name, template, args)
+    assigns to `name` the operation `template` on the atoms `args`
+    (_text renders it as a line of source).  The kept lines, their
+    order and their operands are unchanged, so the values are too, but
+    a line nothing reads is dropped and a temporary's name is reused
+    once the last line reading its value has run: the code holds only
+    its live temporaries instead of one value per line.
 
     One backward pass: a temporary takes a name at its last reader (the
     name freed last, or a new one) and gives it back at its own line,
     where the line's operands may take it; a line whose temporary has
-    no name is dead.  Temporaries are the atoms that start with "t";
-    slots start with "w" and literals with a digit, "-", "(" or
-    "math."."""
+    no name is dead.  Names are t0, t1, .. in the order the pass first
+    takes them, so records with k names use exactly t0..t{k-1} (the
+    op tape's registers).  Temporaries are the
+    atoms that start with "t"; slots start with "w" and literals with a
+    digit, "-", "(" or "math."."""
     fresh = map("t{}".format, itertools.count())
     # atom -> its text: a slot's input, or an emitted temporary's name
     # from its last reader back to its line
@@ -364,7 +385,7 @@ def _render(names, results, inputs=()):
             live[atom] = next(fresh)
     results = [live.get(atom, atom) for atom in results]
     free = []
-    lines = []
+    records = []
     for (template, atoms), temp in reversed(names.items()):
         name = live.pop(temp, None)
         if name is None:
@@ -375,31 +396,45 @@ def _render(names, results, inputs=()):
             if atom[0] == "t" and atom not in live:
                 live[atom] = free.pop() if free else next(fresh)
             args.append(live.get(atom, atom))
-        lines.append(f"{name} = {template.format(*args)}")
-    lines.reverse()
-    return lines, results
+        records.append((name, template, args))
+    records.reverse()
+    return records, results
 
 
-def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
-    """Source text of the batched kernel of compile_field: the lines
-    of the second-order rules that its outputs read, with their
-    temporaries' names reused (_render).  `backend` must be "numpy"
-    (see require_numpy_backend)."""
-    require_numpy_backend(backend)
+def _text(records) -> list:
+    """The source line of each record of _render."""
+    return [f"{name} = {template.format(*args)}" for name, template, args in records]
+
+
+_ARRAYS = ("vals", "d1", "d2")
+
+
+def _batched(ast: ExprAst, varnames):
+    """(inputs, records, results) of the batched kernel: its slot atoms,
+    each mapped to (k, j) for column j of the k-th argument (vals, d1,
+    d2), in order of variable; the records of the second-order rules its
+    outputs read (_render); and its four output atoms."""
     used = check_declared(ast, varnames)
     em = _Emitter(vector=True)
     slots = {}
-    preamble = []
+    inputs = {}
     for j, name in enumerate(varnames):
-        if name not in used:
-            continue
-        v = f"w{j}"
-        a = f"w{j}a"
-        b = f"w{j}b"
-        preamble += [f"{v} = vals[:,{j}]", f"{a} = d1[:,{j}]", f"{b} = d2[:,{j}]"]
-        slots[name] = (v, a, b, _ZERO)
-    lines, result = _render(em.names, _walk(ast, em, slots))
-    body = preamble + lines + [f"out[:,{k}] = {result[k]}" for k in range(4)]
+        if name in used:
+            slot = (f"w{j}", f"w{j}a", f"w{j}b")
+            inputs.update((atom, (k, j)) for k, atom in enumerate(slot))
+            slots[name] = (*slot, _ZERO)
+    return (inputs, *_render(em.names, _walk(ast, em, slots)))
+
+
+def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
+    """Source text of the batched kernel of compile_field, which runs
+    the same operations as an op tape: the lines of the second-order
+    rules that its outputs read, with their temporaries' names reused
+    (_render).  `backend` must be "numpy" (see require_numpy_backend)."""
+    require_numpy_backend(backend)
+    inputs, records, results = _batched(ast, varnames)
+    preamble = [f"{atom} = {_ARRAYS[k]}[:,{j}]" for atom, (k, j) in inputs.items()]
+    body = preamble + _text(records) + [f"out[:,{k}] = {atom}" for k, atom in enumerate(results)]
     inner = "\n".join("    " + ln for ln in body)
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
@@ -442,9 +477,9 @@ def generate_solve_source(ast: ExprAst, varnames) -> str:
     """Source of `_terms(w0, .., w{2n-1})` for a Lagrangian over
     varnames = (x1..xn, v1..vn), returning the tuple of the terms of
     _fused_terms."""
-    lines, results = _render(*_fused_terms(ast, varnames))
+    records, results = _render(*_fused_terms(ast, varnames))
     args = ", ".join(f"w{j}" for j in range(len(varnames)))
-    body = lines + [f"return ({', '.join(results)},)"]
+    body = _text(records) + [f"return ({', '.join(results)},)"]
     return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
 
 
@@ -536,7 +571,8 @@ def _stage_lines(terms, inputs, acc, max_condition):
     stays, as it is -0.0 or NaN for some r."""
     n = len(inputs) // 2
     # stages reuse the temporaries' names: each reads only its own
-    lines, results = _render(*terms, inputs)
+    records, results = _render(*terms, inputs)
+    lines = _text(records)
     lits = [_lit(atom) for atom in results]
     if not all(math.isfinite(lit) for lit in lits if lit is not None):
         return ["return k"]
@@ -649,11 +685,73 @@ def generate_step_source(ast: ExprAst, varnames, max_condition: float) -> str:
 
 
 def _build(src: str, name: str, **env):
-    """The function `name` defined by generated source, with the names
-    `env` in its globals."""
-    ns = {"math": math, "np": np, **env}
+    """The function `name` defined by generated scalar source, with the
+    names `env` in its globals."""
+    ns = {"math": math, **env}
     exec(compile(src, "<avcalc kernel>", "exec"), ns)
     return ns[name]
+
+
+# The ufunc each template of the batched rendering calls.  An operator
+# on an ndarray calls its ufunc on the operands in their order (2.0 * t
+# is np.multiply(2.0, t)), and t ** (p) is np.power(t, p) bit for bit.
+_UFUNCS = {
+    "-{}": np.negative, "{} + {}": np.add, "{} - {}": np.subtract,
+    "{} * {}": np.multiply, "{} / {}": np.divide, "{} ** ({})": np.power,
+    **{f"np.{name}({{}})": getattr(np, name)
+       for name in ("sign", "sin", "cos", "tan", "exp", "log", "sqrt", "abs")},
+}
+_UNARY = 0xFFFF  # the second operand slot of a one-operand op
+
+
+def _tape(inputs, records, results):
+    """kernel(vals, d1, d2, out) running the records of _batched as an
+    op tape: per record, its ufunc on its operands' slots into its
+    name's register, f(x, y, reg), in the records' order.
+
+    A call's slots are the registers, one row each of a (registers,
+    probes) array allocated per call (a name t{r} is register r); then
+    the column views of vals, d1 and d2 that the records read; then the
+    literals, each once, as read-only 0-d float64 arrays made when the
+    tape is built.  A ufunc turns a Python float operand into such an
+    array on every call, so the values are the same and the tape saves
+    that conversion.  The ops are kept as parallel sequences: a tuple
+    of ufuncs and uint16 arrays of operand and register slots.  The
+    outputs are written as the text writes them, out[:, k] = slot."""
+    registers = len({name for name, _template, _args in records})
+    atoms = dict.fromkeys(a for _name, _template, args in records for a in args if a[0] != "t")
+    atoms.update((a, None) for a in results if a[0] != "t")
+    views = [a for a in atoms if a in inputs]
+    literals = [a for a in atoms if a not in inputs]
+    slot = {f"t{r}": r for r in range(registers)}
+    slot.update((a, i) for i, a in enumerate(views + literals, registers))
+    if len(slot) > _UNARY:
+        raise ValueError(f"an op tape has at most {_UNARY} slots, this one needs {len(slot)}")
+    sources = array("H", [inputs[a][0] for a in views])
+    columns = array("H", [inputs[a][1] for a in views])
+    literals = tuple(map(np.array, map(_lit, literals)))
+    for value in literals:
+        value.flags.writeable = False
+    ufuncs = tuple([_UFUNCS[template] for _name, template, _args in records])
+    first = array("H", [slot[args[0]] for _name, _template, args in records])
+    second = array("H", [slot[args[1]] if len(args) > 1 else _UNARY
+                         for _name, _template, args in records])
+    dest = array("H", [slot[name] for name, _template, _args in records])
+    outputs = tuple([slot[a] for a in results])
+
+    def kernel(vals, d1, d2, out):
+        arrays = (vals.T, d1.T, d2.T)
+        x = [*np.empty((registers, vals.shape[0])),
+             *[arrays[k][j] for k, j in zip(sources, columns)], *literals]
+        for f, a, b, r in zip(ufuncs, first, second, dest):
+            if b == _UNARY:
+                f(x[a], x[r])
+            else:
+                f(x[a], x[b], x[r])
+        for k, i in enumerate(outputs):
+            out[:, k] = x[i]
+
+    return kernel
 
 
 # compile_field keeps at most CACHE_SIZE kernels and evicts the least
@@ -673,7 +771,7 @@ def compile_field(ast: ExprAst, varnames):
     key = (to_text(ast), tuple(varnames))
     fn = _CACHE.pop(key, None)
     if fn is None:
-        fn = _build(generate_source(ast, varnames), "_kernel")
+        fn = _tape(*_batched(ast, varnames))
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]  # the least recently used
     _CACHE[key] = fn  # now the most recently used

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcalc import geometry, kernels
+from avcalc import action, geometry, kernels
 from avcalc.action import (
     VariationField,
     _rk4_nodes,
@@ -250,13 +250,13 @@ class TestNodePlan:
     @staticmethod
     def count_evaluations(monkeypatch):
         """The expressions handed to geometry.jets_in_t and to
-        compile_field, from here on."""
+        compile_field (geometry's and action's), from here on."""
         seen, lookups = [], []
         real_jets, real_compile = geometry.jets_in_t, geometry.compile_field
 
-        def jets(exprs, t):
+        def jets(exprs, t, kernels=None):
             seen.append(exprs)
-            return real_jets(exprs, t)
+            return real_jets(exprs, t, kernels)
 
         def compile_field(ast, varnames):
             lookups.append(ast)
@@ -264,6 +264,7 @@ class TestNodePlan:
 
         monkeypatch.setattr(geometry, "jets_in_t", jets)
         monkeypatch.setattr(geometry, "compile_field", compile_field)
+        monkeypatch.setattr(action, "compile_field", compile_field)
         return seen, lookups
 
     def test_second_quadrature_evaluates_no_curve_jets(self, circle, monkeypatch):
@@ -286,6 +287,23 @@ class TestNodePlan:
         variation_pairing(lam, curve, w, 200)
         # one evaluation of the field per segment and call
         assert seen == [w.exprs] * (2 * len(curve.segments))
+
+    def test_field_holds_its_kernels(self, circle, monkeypatch):
+        lam, curve = circle
+        w = VariationField.from_strings(["(t+1)*(2.5-t)"])
+        with pytest.raises(FrozenInstanceError):
+            w.exprs = VariationField.from_strings(["t"]).exprs  # would leave its kernels stale
+        first = variation_derivative(lam, curve, w, 1e-5, 200)
+        pairing = variation_pairing(lam, curve, w, 200)
+        _seen, lookups = self.count_evaluations(monkeypatch)
+        assert variation_derivative(lam, curve, w, 1e-5, 200) == first
+        assert variation_pairing(lam, curve, w, 200) == pairing
+        assert lookups == []
+        # a field of the same expressions compiles nothing either, but
+        # looks its kernels up once, on its first use
+        again = VariationField.from_strings(["(t+1)*(2.5-t)"])
+        assert variation_pairing(lam, curve, again, 200) == pairing
+        assert lookups == list(again.exprs)
 
     def test_one_plan_per_rule(self, circle):
         lam, curve = circle

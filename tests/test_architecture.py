@@ -76,3 +76,36 @@ def test_no_oracle_in_the_library(path):
 ])
 def test_guard_sees_imports_and_uses(source, filename, expected):
     assert oracle_uses(source, filename) == expected
+
+
+def test_compile_field_compiles_no_python(monkeypatch):
+    """The batched kernel is an op tape: building one for a fresh
+    expression neither compiles nor execs source, while the scalar
+    renderings (compile_solve, compile_step) still build theirs."""
+    from avcalc import exprlang, kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_field compiled or exec'd source")
+
+    built = []
+    real_build = kernels._build
+    monkeypatch.setattr(kernels, "_CACHE", {})
+    monkeypatch.setattr(kernels, "_build", refuse)
+    for name in ("compile", "exec"):
+        monkeypatch.setattr(kernels, name, refuse, raising=False)
+    ast = exprlang.parse("0.5*v1^2 + sin(x1)*v1 - exp(-x1^2)")
+    names = ["x1", "v1"]
+    kernel = kernels.compile_field(ast, names)
+    assert kernels.eval_batch(kernel, [[0.0, 2.0]], [[0.0, 1.0]], [[0.0, 1.0]]).tolist() == [
+        [1.0, 2.0, 2.0, 1.0]]
+    for name in ("compile", "exec"):
+        monkeypatch.delattr(kernels, name)
+
+    def build(src, name, **env):
+        built.append(name)
+        return real_build(src, name, **env)
+
+    monkeypatch.setattr(kernels, "_build", build)
+    kernels.compile_solve(ast, names)
+    kernels.compile_step(ast, names, 1e12)
+    assert built == ["_terms", "_run"]

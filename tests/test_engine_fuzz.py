@@ -2,6 +2,9 @@
 kernels of compile_field, against its oracle, the interpreter on
 Hyperdual scalars (McKeeman, "Differential Testing for Software", 1998).
 
+Each drawn tree's kernel also gives the same bits as exec of
+generate_source's text, the operations the kernel runs as an op tape.
+
 Contract: where the interpreter returns finite (value, d1, d2, d12),
 the kernel returns the same within 1e-12 of max(1, |reference|); where
 the interpreter raises DomainError or ArithmeticError, or returns a
@@ -26,7 +29,7 @@ from avcalc.autodiff import Hyperdual
 from avcalc.errors import DomainError
 from avcalc.exprlang import Binary, Call, Number, Unary, Var, free_variables
 from avcalc.geometry import eval_rows
-from avcalc.kernels import compile_field, eval_chunked
+from avcalc.kernels import compile_field, eval_chunked, generate_source
 
 VARNAMES = ("x1", "x2")
 # domain edges: zero, negatives, and +-1 (the edge of sqrt(1 - v^2))
@@ -130,9 +133,15 @@ def oracle(ast, row):
 # found by this fuzz: a literal over a literal 0 raised ZeroDivisionError
 @example(Binary("+", Var("x1"), Binary("/", Number(1.0), Number(0.0))))
 def kernel_matches_hyperdual_interpreter(ast):
+    got = eval_chunked(compile_field(ast, VARNAMES), ROWS[:, :2], ROWS[:, 2:4], ROWS[:, 4:])
+    # the op tape runs the operations of generate_source's text: the
+    # same bits as that text run by exec, NaNs and infinities included
+    ns = {"math": math, "np": np}
+    exec(generate_source(ast, VARNAMES), ns)
+    text = eval_chunked(ns["_kernel"], ROWS[:, :2], ROWS[:, 2:4], ROWS[:, 4:])
+    assert got.tobytes() == text.tobytes(), exprlang.to_text(ast)
     if drops_an_operand(ast):
         return
-    got = eval_chunked(compile_field(ast, VARNAMES), ROWS[:, :2], ROWS[:, 2:4], ROWS[:, 4:])
     for row, out in zip(ROWS, got):
         ref = oracle(ast, row)
         if ref is None or not all(map(math.isfinite, ref)):

@@ -88,12 +88,10 @@ class TestCompilation:
     def test_non_finite_constant(self):
         # 1e400 parses to inf; the source must spell it so that it executes
         ast = exprlang.parse("1e400*x1 - 1e400")
-        src = generate_source(ast, ["x1"])
-        ns = {"math": math, "np": np}
-        exec(src, ns)
+        text = exec_kernel(generate_source(ast, ["x1"]))
         vals, seeds = np.array([[2.0], [-1.0]]), np.ones((2, 1))
         with np.errstate(invalid="ignore"):  # inf - inf at x1 = 2
-            out = eval_batch(ns["_kernel"], vals, seeds, seeds)
+            out = eval_batch(text, vals, seeds, seeds)
             compiled = eval_batch(compile_field(ast, ["x1"]), vals, seeds, seeds)
             assert np.array_equal(compiled, out, equal_nan=True)
         assert math.isnan(out[0, 0]) and out[1, 0] == -math.inf
@@ -150,17 +148,16 @@ def temporaries(src):
     return set(TEMP.findall(src))
 
 
-def prune(lines, results):
-    """`lines` without those whose temporary no later line and no atom
-    of `results` reads: a liveness pass over the text, independent of
+def prune(records, results):
+    """`records` without those whose temporary no later record and no
+    atom of `results` reads: a liveness pass independent of
     kernels._render."""
     live = set(results)
     kept = []
-    for line in reversed(lines):
-        name, expr = line.split(" = ", 1)
+    for name, template, args in reversed(records):
         if name in live:
-            kept.append(line)
-            live.update(TEMP.findall(expr))
+            kept.append((name, template, args))
+            live.update(args)
     return kept[::-1]
 
 
@@ -171,14 +168,22 @@ def oracle_source(generate, ast, varnames, *args, dead_lines=False):
     dropped by `prune` unless dead_lines."""
     def one_name_per_line(names, results, inputs=()):
         slots = {f"w{j}": atom for j, atom in enumerate(inputs)}
-        lines = [f"{name} = {template.format(*(slots.get(a, a) for a in atoms))}"
-                 for (template, atoms), name in names.items()]
+        records = [(name, template, [slots.get(a, a) for a in atoms])
+                   for (template, atoms), name in names.items()]
         results = [slots.get(a, a) for a in results]
-        return (lines if dead_lines else prune(lines, results)), results
+        return (records if dead_lines else prune(records, results)), results
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_render", one_name_per_line)
         return generate(ast, varnames, *args)
+
+
+def exec_kernel(src):
+    """The batched kernel `_kernel` that generated source text defines,
+    run by exec: the oracle of the op tape."""
+    ns = {"math": math, "np": np}
+    exec(src, ns)
+    return ns["_kernel"]
 
 
 def plain_source(ast, varnames):
@@ -277,7 +282,7 @@ class TestReusedNames:
         names = lagrangian_varnames(dim)
         plain_src = plain_source(ast, names)
         assert len(temporaries(generate_source(ast, names))) < len(temporaries(plain_src))
-        plain = kernels._build(plain_src, "_kernel")
+        plain = exec_kernel(plain_src)
         rng = np.random.default_rng(61)
         vals = np.hstack([rng.uniform(-1.0, 1.0, (600, dim)), rng.uniform(-0.5, 0.5, (600, dim))])
         d1, d2 = rng.uniform(-1.0, 1.0, (2, 600, 2 * dim))
@@ -331,6 +336,104 @@ class TestReusedNames:
         finally:
             tracemalloc.stop()
         assert peak <= (live + 4) * 8 * probes
+
+
+def gauge_cases():
+    """(id, expression, system) for the Lagrangian of every bundled
+    system and each of its gauge twins (one per configured chi), in
+    every chart."""
+    cases = []
+    for name in bundled_system_names():
+        system = bundled_system(name)
+        twins = [gauge_shift(system.lagrangian, chi) for chi in system.chis]
+        for chart in system.atlas.charts:
+            for k, lam in enumerate([system.lagrangian] + twins):
+                cases.append((f"{name}/{chart.id}/{f'chi{k}' if k else 'L'}",
+                              lam.expr(chart.id), system))
+    return cases
+
+
+class TestOpTape:
+    """compile_field runs the records that generate_source formats as
+    text: its outputs are those of the text run by exec, bit for bit."""
+
+    @staticmethod
+    def both(ast, names, vals, d1, d2):
+        """The outputs of compile_field's kernel and of exec of
+        generate_source's text on the same probes."""
+        tape, text = np.empty((2, vals.shape[0], 4))
+        compile_field(ast, names)(vals, d1, d2, tape)
+        exec_kernel(generate_source(ast, names))(vals, d1, d2, text)
+        return tape, text
+
+    @pytest.mark.parametrize("case", gauge_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("probes", [1, 16, 4096])
+    def test_bitwise_equal_to_the_text(self, case, probes):
+        _name, ast, system = case
+        n = system.dim
+        names = lagrangian_varnames(n)
+        rng = np.random.default_rng(probes)
+        vals = np.hstack([rng.uniform(-1.0, 1.0, (probes, n)),
+                          rng.uniform(-system.v_halfwidth, system.v_halfwidth, (probes, n))])
+        d1, d2 = rng.uniform(-1.0, 1.0, (2, probes, 2 * n))
+        tape, text = self.both(ast, names, vals, d1, d2)
+        assert np.isfinite(text).all()
+        assert tape.tobytes() == text.tobytes()
+
+    @pytest.mark.parametrize("p", [0.5, -1.0, 2.0, 3.0, 1.0 / 3.0])
+    def test_power_at_zeros_infinities_and_nan(self, p):
+        # x^p is np.power(x, p), the ufunc that the text's ** calls,
+        # in one call on every point and in one call per point
+        ast = exprlang.expression(f"x1^{p!r}", ["x1"])
+        x = np.array([[0.0], [-0.0], [math.inf], [-math.inf], [math.nan], [2.0], [-2.0]])
+        seeds = np.ones_like(x)
+        with np.errstate(all="ignore"):
+            tape, text = self.both(ast, ["x1"], x, seeds, seeds)
+            assert tape[:, 0].tobytes() == np.power(x[:, 0], p).tobytes()
+            assert tape.tobytes() == text.tobytes()
+            for row in range(len(x)):
+                one = slice(row, row + 1)
+                tape, text = self.both(ast, ["x1"], x[one], seeds[one], seeds[one])
+                assert tape.tobytes() == text.tobytes()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2.5", [2.5, 0.0, 0.0, 0.0]),  # every output a literal
+        ("x2", [3.0, 0.5, -2.0, 0.0]),  # outputs the bare slots w1, w1a, w1b
+    ])
+    def test_outputs_without_an_op(self, text, expected):
+        ast = exprlang.parse(text)
+        vals, d1, d2 = (np.array([row] * 3) for row in ([1.0, 3.0], [1.0, 0.5], [0.0, -2.0]))
+        assert kernels._batched(ast, ["x1", "x2"])[1] == []
+        tape, text_out = self.both(ast, ["x1", "x2"], vals, d1, d2)
+        assert tape.tolist() == [expected] * 3
+        assert tape.tobytes() == text_out.tobytes()
+
+    def test_output_register_shared_with_an_operand(self):
+        # t0 = t0 * x reads and writes one register, in place on the tape
+        ast = exprlang.parse("sin(x1)*x2 + cos(x1)/x2")
+        _inputs, records, _results = kernels._batched(ast, ["x1", "x2"])
+        assert any(name in args for name, _template, args in records)
+        rng = np.random.default_rng(3)
+        for probes in (1, 16, 4096):
+            vals, d1, d2 = rng.uniform(0.5, 2.0, (3, probes, 2))
+            tape, text = self.both(ast, ["x1", "x2"], vals, d1, d2)
+            assert tape.tobytes() == text.tobytes()
+
+    def test_in_place_add_on_one_probe_keeps_nan(self):
+        # the one difference numpy makes: an add into its first
+        # operand's register runs numpy's reduction loop on a single
+        # probe, which can return the other operand's NaN (here +NaN for
+        # the text's -NaN, on numpy 2.4); on two probes it does not
+        ast = exprlang.parse("sqrt(x1)*x2 + x2*x2")
+        _inputs, records, _results = kernels._batched(ast, ["x1", "x2"])
+        assert ("t0", "{} + {}", ["t0", "t7"]) in records
+        vals, seeds = np.array([[-1.0, math.nan]] * 2), np.zeros((2, 2))
+        with np.errstate(all="ignore"):
+            tape, text = self.both(ast, ["x1", "x2"], vals, seeds, seeds)
+            assert tape.tobytes() == text.tobytes()
+            tape, text = self.both(ast, ["x1", "x2"], vals[:1], seeds[:1], seeds[:1])
+        assert np.isnan(tape[0, 0]) and np.isnan(text[0, 0])
+        assert np.array_equal(tape, text, equal_nan=True)
 
 
 class TestSign:
