@@ -2,10 +2,12 @@
 and the cost of building one.
 
 For the charged particle's Lagrangian and its twin shifted by its first
-configured gauge function chi, the batched kernel of
-kernels.compile_field is called on one seeded batch of probes per size
-(x and v uniform in [-1, 1], both seeds uniform in [-1, 1]).  Each row
-gives, for one kernel and one batch size:
+configured gauge function chi, the batched kernels of
+kernels.compile_field are called on one seeded batch of probes per size
+(x and v uniform in [-1, 1], both seeds uniform in [-1, 1]): the full
+kernel (reads "all") and those of the columns the library reads, (0, 1,
+3) for Euler-Lagrange covectors and curve jets, (0, 1) for momenta and
+(0,) for values.  Each row gives, for one kernel and one batch size:
 
   * us/call:    microseconds per kernel call, best of --repeats;
   * ns/probe:   the same per probe;
@@ -14,7 +16,8 @@ gives, for one kernel and one batch size:
 
 The header line of each kernel gives its generated lines and the
 distinct temporaries they use (names are reused once a value's last
-reader has run, see kernels._render), and two figures of building it,
+reader has run, see kernels._render), the records each kernel of the
+rows runs, and two figures of building the full kernel,
 each over fresh expressions of its shape (compile_field misses its
 cache on each): the Lagrangian plus a seeded constant, and the
 Lagrangian shifted by c times the configured chi for a seeded c:
@@ -25,7 +28,7 @@ Lagrangian shifted by c times the configured chi for a seeded c:
                 tracemalloc over 20 builds: the kernel and its cache
                 entry, key included.
 
-The script exits 1 if an output differs from the Hyperdual interpreter
+The script exits 1 if a column differs from the Hyperdual interpreter
 (exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by
 more than 1e-12 relative to max(1, |reference|); the test suite runs it
 with --sizes 1 16 --repeats 1 for that check.
@@ -47,6 +50,11 @@ from avcalc.systems import bundled_system
 
 TOLERANCE = 1e-12
 BUILDS = 30  # fresh expressions built per kernel for the build time
+READS = (kernels.FULL, (0, 1, 3), (0, 1), (0,))
+
+
+def label(reads) -> str:
+    return "all" if reads == kernels.FULL else ",".join(map(str, reads))
 
 
 def cases():
@@ -130,30 +138,36 @@ def main() -> int:
     rng = np.random.default_rng(2026)
     agree = True
     print(f"batched kernel, best of {args.repeats}")
-    for label, ast, names, fresh in cases():
+    for name, ast, names, fresh in cases():
         src = kernels.generate_source(ast, names)
         temps = len(set(re.findall(r"\bt\d+\b", src)))
         asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, BUILDS + 20)]
         build = best_build_seconds(asts[:BUILDS], names)
         kept = retained_bytes(asts[BUILDS:], names)
-        print(f"{label}: {len(src.splitlines()) - 1} lines, {temps} temporaries, "
+        tape = kernels._Tape(*kernels._batched(ast, names))
+        records = " / ".join(str(sum(tape.live(reads))) for reads in READS)
+        print(f"{name}: {len(src.splitlines()) - 1} lines, {temps} temporaries, records "
+              f"{records} for reads {' / '.join(map(label, READS))}, "
               f"build {1e6 * build:.0f} us, retained {kept:.0f} B")
-        print(f"{'probes':>8} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
+        print(f"{'probes':>8} {'reads':>6} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
               f"vs interpreter")
-        kernel = kernels.compile_field(ast, names)
+        compiled = [(reads, kernels.compile_field(ast, names, reads=reads)) for reads in READS]
         for size in args.sizes:
             vals, d1, d2 = (rng.uniform(-1.0, 1.0, (size, len(names))) for _ in range(3))
-            out = np.empty((size, 4))
-            call = (vals, d1, d2, out)
-            kernel(*call)
             ref = interpreter(ast, names, vals, d1, d2)
-            err = float(np.max(np.abs(out - ref) / np.maximum(1.0, np.abs(ref))))
-            ok = err <= TOLERANCE
-            agree &= ok
-            seconds = best_seconds_per_call(kernel, call, args.repeats)
-            peak = traced_peak_bytes(kernel, call)
-            print(f"{size:8d} {1e6 * seconds:10.2f} {1e9 * seconds / size:10.1f} "
-                  f"{peak / size:13.0f}  {'ok' if ok else 'DIFFER'} ({err:.1e})")
+            for reads, kernel in compiled:
+                out = np.empty((size, len(reads)))
+                call = (vals, d1, d2, out)
+                kernel(*call)
+                want = ref[:, reads]
+                err = float(np.max(np.abs(out - want) / np.maximum(1.0, np.abs(want))))
+                ok = err <= TOLERANCE
+                agree &= ok
+                seconds = best_seconds_per_call(kernel, call, args.repeats)
+                peak = traced_peak_bytes(kernel, call)
+                print(f"{size:8d} {label(reads):>6} {1e6 * seconds:10.2f} "
+                      f"{1e9 * seconds / size:10.1f} {peak / size:13.0f}  "
+                      f"{'ok' if ok else 'DIFFER'} ({err:.1e})")
     return 0 if agree else 1
 
 

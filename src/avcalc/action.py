@@ -22,6 +22,7 @@ from . import exprlang
 from .affine import AffineScalar
 from .dynamics import GaugeClassLagrangian, legendre
 from .geometry import (
+    JET_READS,
     CurveSpec,
     SegmentNodes,
     _affine_integral,
@@ -47,9 +48,10 @@ class VariationField:
 
     @cached_property
     def kernels(self) -> tuple:
-        """The coordinates' kernels in t, held once compiled, so the
-        derivative and pairing along this field look none up."""
-        return tuple(compile_field(e, ("t",)) for e in self.exprs)
+        """The coordinates' kernels in t of geometry.jets_in_t's reads,
+        held once compiled, so the derivative and pairing along this
+        field look none up."""
+        return tuple(compile_field(e, ("t",), reads=JET_READS) for e in self.exprs)
 
     def __call__(self, t: float) -> np.ndarray:
         return eval_vector(self.exprs, {"t": t})

@@ -49,6 +49,7 @@ from .kernels import (
     eval_chunked,
     require_finite,
     require_numpy_backend,
+    unit_seeds,
 )
 
 MAX_CONDITION = 1e12
@@ -207,8 +208,16 @@ class _ChartEngine:
         check_declared(ast, self.varnames)
 
     @cached_property
-    def kernel(self):
-        return compile_field(self.ast, self.varnames)
+    def _value_kernel(self):
+        return compile_field(self.ast, self.varnames, reads=(0,))
+
+    @cached_property
+    def _momentum_kernel(self):
+        return compile_field(self.ast, self.varnames, reads=(0, 1))
+
+    @cached_property
+    def _el_kernel(self):
+        return compile_field(self.ast, self.varnames, reads=(0, 1, 3))
 
     @cached_property
     def _terms(self):
@@ -221,42 +230,39 @@ class _ChartEngine:
         return compile_step(self.ast, self.varnames, MAX_CONDITION)
 
     def values(self, xs, vs) -> np.ndarray:
-        """L at every point (xs[i], vs[i]): one probe per point."""
-        vals = np.hstack([xs, vs])
-        zero = np.zeros_like(vals)
-        out = eval_chunked(self.kernel, vals, zero, zero)[:, 0]
-        require_finite(out, self.ast, self.varnames, vals, zero, zero)
+        """L at every point (xs[i], vs[i]): one unseeded probe per point."""
+        vals = np.concatenate((xs, vs), axis=1)
+        out = eval_chunked(self._value_kernel, vals, None, None, 1)[:, 0]
+        require_finite((out,), self.ast, self.varnames, vals)
         return out
 
     def el_covectors(self, xs, vs, accs) -> np.ndarray:
         """E_i = dL/dx_i - d/dt(dL/dv_i) at every point (xs[i], vs[i],
-        accs[i]): 2n probes per point.  L itself must be finite there."""
+        accs[i]): 2n probes per point, seeded d1 = e_j for j < 2n and,
+        on the last n, d2 = (v, a).  L itself must be finite there."""
         n, m, k = self.n, self.m, 2 * self.n
         points = xs.shape[0]
-        vals = np.repeat(np.hstack([xs, vs]), k, axis=0)
-        d1 = np.tile(np.eye(m), (points, 1))
+        vals = np.concatenate((xs, vs), axis=1).repeat(k, axis=0)
+        d1 = unit_seeds(m, points * k)
         d2 = np.zeros((points, k, m))
-        d2[:, n:] = np.hstack([vs, accs])[:, None, :]
+        d2[:, n:] = np.concatenate((vs, accs), axis=1)[:, None]
         d2 = d2.reshape(points * k, m)
-        out = eval_chunked(self.kernel, vals, d1, d2).reshape(points, k, 4)
+        out = eval_chunked(self._el_kernel, vals, d1, d2, 3, k).reshape(points, k, 3)
         with np.errstate(invalid="ignore"):  # inf - inf; reported below
-            e = out[:, :n, 1] - out[:, n:, 3]
-        require_finite(np.column_stack([out[:, 0, 0], e]),
-                       self.ast, self.varnames, vals, d1, d2, k)
+            e = out[:, :n, 1] - out[:, n:, 2]
+        require_finite((out[:, 0, 0], e), self.ast, self.varnames, vals, d1, d2, k)
         return e
 
     def momenta(self, xs, vs) -> np.ndarray:
         """p_i = dL/dv_i at every point (xs[i], vs[i]): n probes per
-        point.  L itself must be finite there."""
+        point, seeded d1 = e_{n+i}.  L itself must be finite there."""
         n = self.n
         points = xs.shape[0]
-        vals = np.repeat(np.hstack([xs, vs]), n, axis=0)
-        d1 = np.tile(np.eye(self.m)[n:], (points, 1))
-        d2 = np.zeros_like(vals)
-        out = eval_chunked(self.kernel, vals, d1, d2).reshape(points, n, 4)
+        vals = np.concatenate((xs, vs), axis=1).repeat(n, axis=0)
+        d1 = unit_seeds(self.m, points * n, n)
+        out = eval_chunked(self._momentum_kernel, vals, d1, None, 2, n).reshape(points, n, 2)
         p = out[:, :, 1]
-        require_finite(np.column_stack([out[:, 0, 0], p]),
-                       self.ast, self.varnames, vals, d1, d2, n)
+        require_finite((out[:, 0, 0], p), self.ast, self.varnames, vals, d1, None, n)
         return p
 
     def solve_terms(self, x, v):

@@ -25,7 +25,7 @@ from . import exprlang
 from .affine import AffineScalar, FiberPoint
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
-from .kernels import compile_field, eval_chunked, require_finite
+from .kernels import compile_field, eval_chunked, require_finite, unit_seeds
 
 _BOX_TOL = 1e-9
 
@@ -35,15 +35,16 @@ def coord_names(dim: int) -> list:
     return [f"x{j}" for j in range(1, dim + 1)]
 
 
-def _probe(exprs, names, vals, d1, d2, cols, rows=1, kernels=None) -> np.ndarray:
-    """Columns `cols` of the expressions' kernel outputs (`kernels`, or
-    compile_field's) at the probes, of shape (cols, probes, exprs); a
-    non-finite one raises DomainError for its point (`rows` probes)."""
-    out = np.empty((len(cols), vals.shape[0], len(exprs)))
+def _probe(exprs, names, vals, d1, d2, reads, rows=1, kernels=None) -> np.ndarray:
+    """The outputs `reads` of the expressions' kernels (`kernels`, or
+    compile_field's of those reads) at the probes, of shape (reads,
+    probes, exprs); a non-finite one raises DomainError for its point
+    (`rows` probes).  Seeds are given as eval_chunked takes them."""
+    out = np.empty((len(reads), vals.shape[0], len(exprs)))
     for k, e in enumerate(exprs):
-        kernel = kernels[k] if kernels else compile_field(e, names)
-        res = eval_chunked(kernel, vals, d1, d2)[:, cols]
-        require_finite(res.reshape(-1, rows * len(cols)), e, names, vals, d1, d2, rows)
+        kernel = kernels[k] if kernels else compile_field(e, names, reads=reads)
+        res = eval_chunked(kernel, vals, d1, d2, len(reads), rows)
+        require_finite((res.reshape(-1, rows * len(reads)),), e, names, vals, d1, d2, rows)
         out[:, :, k] = res.T
     return out
 
@@ -51,13 +52,16 @@ def _probe(exprs, names, vals, d1, d2, cols, rows=1, kernels=None) -> np.ndarray
 def eval_rows(exprs, names, xs, grad=False, kernels=None) -> np.ndarray:
     """The expressions over the variables `names` at every row of xs, of
     shape (rows, exprs), or with grad their gradients, (rows, exprs,
-    names).  With jets_in_t, geometry's one route to expression values."""
+    names); `kernels` are the expressions' compile_field kernels of
+    reads (0,), or with grad (1,).  With jets_in_t, geometry's one route
+    to expression values."""
     xs = np.asarray(xs, dtype=float)
-    m = len(names) if grad else 1
+    if not grad:
+        return _probe(exprs, names, xs, None, None, (0,), 1, kernels)[0]
+    m = len(names)
     vals = np.repeat(xs, m, axis=0)
-    d1 = np.tile(np.eye(m), (len(xs), 1)) if grad else np.zeros_like(vals)
-    out = _probe(exprs, names, vals, d1, np.zeros_like(vals), [int(grad)], m, kernels)[0]
-    return out.reshape(len(xs), m, len(exprs)).transpose(0, 2, 1) if grad else out
+    out = _probe(exprs, names, vals, unit_seeds(m, len(vals)), None, (1,), m, kernels)[0]
+    return out.reshape(len(xs), m, len(exprs)).transpose(0, 2, 1)
 
 
 def eval_vector(exprs, env) -> np.ndarray:
@@ -112,17 +116,26 @@ class OverlapComponent:
     coord_map: tuple  # target coordinates as ExprAst over x1..xn
     gauge: ExprAst  # g_ij over source coordinates
 
-    @cached_property
-    def _kernels(self) -> list:
-        """coord_map's and the gauge's kernels, held once compiled."""
+    def _compile(self, reads) -> list:
         names = coord_names(len(self.box))
-        return [compile_field(e, names) for e in self.coord_map + (self.gauge,)]
+        return [compile_field(e, names, reads=reads) for e in self.coord_map + (self.gauge,)]
+
+    @cached_property
+    def _value_kernels(self) -> list:
+        """coord_map's and the gauge's value kernels, held once compiled."""
+        return self._compile((0,))
+
+    @cached_property
+    def _gradient_kernels(self) -> list:
+        """coord_map's and the gauge's gradient kernels, held once compiled."""
+        return self._compile((1,))
 
     def transition(self, xs, grad=False) -> np.ndarray:
         """The target coordinates and g_ij at every row of xs, out[:, :n] and
         out[:, n], or with grad their gradients, of shape (rows, n + 1, n)."""
         exprs = self.coord_map + (self.gauge,)
-        return eval_rows(exprs, coord_names(len(self.box)), xs, grad, self._kernels)
+        kernels = self._gradient_kernels if grad else self._value_kernels
+        return eval_rows(exprs, coord_names(len(self.box)), xs, grad, kernels)
 
 
 @dataclass
@@ -408,15 +421,20 @@ def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
 _T = ("t",)
 
 
+# The kernel outputs jets_in_t reads: value, d1 and d12.
+JET_READS = (0, 1, 3)
+
+
 def jets_in_t(exprs, t, kernels=None):
     """Values, first and second t-derivatives of per-coordinate
     expressions in the parameter t at every node of the array t, each
     of shape (nodes, coordinates).  One kernel call per coordinate
-    (`kernels`, or compile_field's), seeded d1 = d2 = 1, so a probe
-    returns (x, x', x', x'')."""
+    (`kernels`, or compile_field's, of reads JET_READS), seeded
+    d1 = d2 = 1, so a probe returns (x, x', x', x'') and the kernel
+    reads (x, x', x'')."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
-    ones = np.ones_like(t)
-    return _probe(exprs, _T, t, ones, ones, [0, 1, 3], kernels=kernels)
+    ones = unit_seeds(1, len(t))
+    return _probe(exprs, _T, t, ones, ones, JET_READS, kernels=kernels)
 
 
 @dataclass(frozen=True)

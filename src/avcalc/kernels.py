@@ -36,11 +36,7 @@ once; generate_source is the text of the same operations.  The outputs
 equal those of that text run by exec bit for bit, with one exception
 numpy makes: on a single probe, an add whose output register is its
 first operand runs numpy's reduction loop, which can return the other
-operand's NaN, with the other sign bit.  A cached kernel holds only
-its tape, a tuple of ufuncs, uint16 arrays of slots and its literals:
-the charged particle's gauge twin retains about 4.9 KB with its cache
-entry (benchmarks/kernel_batch.py), so the CACHE_SIZE cache holds at
-most about 1.3 MB of such kernels.
+operand's NaN, with the other sign bit.
 
 Kernel signature: kernel(vals, d1, d2, out) with vals/d1/d2 of shape
 (probes, nvars) and out of shape (probes, 4).  Row p evaluates the
@@ -48,11 +44,31 @@ expression at point vals[p] with first-order seeds d1[p], d2[p];
 out[p] = (value, directional derivative 1, directional derivative 2,
 mixed second derivative).
 
+A caller that reads only some of these outputs asks for them when it
+compiles: compile_field(ast, varnames, reads=r), for increasing columns
+r of FULL = (0, 1, 2, 3), gives a kernel with the same signature whose
+out has len(r) columns, column c holding output r[c].  It runs only the
+records those outputs depend on (one backward liveness pass, _Tape),
+in the same order on the same registers and operands, so each column
+is the full kernel's bit for bit; it reads only the arguments they
+need (a kernel of (0,) reads neither d1 nor d2, one of (0, 1) no d2,
+and the caller may pass None for them).  The library asks for (0,)
+for values, (0, 1) for momenta, (0, 1, 3) for Euler-Lagrange
+covectors and curve jets, and (0,) or (1,) for values or gradients of
+geometry's expressions.  The cache holds one walk of the expression per
+text and variable layout (its tape), and that tape's kernel per reads:
+a second reads costs one tape filter, not a second walk.  The charged
+particle's gauge twin retains about 3.3 KB for its tape with its cache
+entry, and 1.5 KB (reads (0,)) to 3.5 KB (FULL) per kernel built from
+it, measured by tracemalloc as benchmarks/kernel_batch.py does.
+
 The library evaluates expressions through these kernels (the CLI's
 forcing aside).  Batched callers run one through eval_chunked, in calls
-of at most BATCH probes, and turn a non-finite output they use into a
-DomainError (require_finite).  The folds are exact: a literal 0 times or
-over u is 0, and u^0 is 1, for any u; so 1^u, exp(u * log 1), is 1 too.
+of at most BATCH probes that hold whole points, with unit seeds taken
+from read-only cached blocks (unit_seeds), and turn a non-finite output
+they use into a DomainError (require_finite).  The folds are exact: a
+literal 0 times or over u is 0, and u^0 is 1, for any u; so 1^u,
+exp(u * log 1), is 1 too.
 """
 from __future__ import annotations
 
@@ -123,11 +139,14 @@ class _Emitter:
     reads, both kept as the line's key in `names`.  Every line is a
     pure function of its atoms, so an operation already emitted on the
     same atoms (the same expression text) is not emitted again: its
-    temporary is reused."""
+    temporary is reused.  `lits` maps each literal atom the emitter
+    makes (num) to its value, so the folds read it back without parsing
+    the atom."""
 
     def __init__(self, vector: bool):
         self.names = {}  # (template, atoms) -> temporary, in line order
         self.vector = vector
+        self.lits = {_ZERO: 0.0, _ONE: 1.0, "2.0": 2.0, "0.5": 0.5}
 
     def tmp(self, template: str, *atoms: str) -> str:
         op = (template, atoms)
@@ -135,6 +154,13 @@ class _Emitter:
         if name is None:
             name = self.names[op] = f"t{len(self.names)}"
         return name
+
+    def num(self, value: float) -> str:
+        """The literal atom of `value` (_num), its value kept in `lits`;
+        every NaN is the one atom math.nan, read back as math.nan."""
+        atom = _num(value)
+        self.lits[atom] = math.nan if atom == "math.nan" else value
+        return atom
 
     def fn(self, name: str) -> str:
         if self.vector:
@@ -151,33 +177,33 @@ class _Emitter:
     # folding arithmetic on atoms (literals or temp names)
 
     def neg(self, x):
-        lx = _lit(x)
+        lx = self.lits.get(x)
         if lx is not None:
-            return _num(-lx)
+            return self.num(-lx)
         return self.tmp("-{}", x)
 
     def add(self, x, y):
-        lx, ly = _lit(x), _lit(y)
+        lx, ly = self.lits.get(x), self.lits.get(y)
         if lx == 0.0:
             return y
         if ly == 0.0:
             return x
         if lx is not None and ly is not None:
-            return _num(lx + ly)
+            return self.num(lx + ly)
         return self.tmp("{} + {}", x, y)
 
     def sub(self, x, y):
-        lx, ly = _lit(x), _lit(y)
+        lx, ly = self.lits.get(x), self.lits.get(y)
         if ly == 0.0:
             return x
         if lx == 0.0:
             return self.neg(y)
         if lx is not None and ly is not None:
-            return _num(lx - ly)
+            return self.num(lx - ly)
         return self.tmp("{} - {}", x, y)
 
     def mul(self, x, y):
-        lx, ly = _lit(x), _lit(y)
+        lx, ly = self.lits.get(x), self.lits.get(y)
         if lx == 0.0 or ly == 0.0:
             return _ZERO
         if lx == 1.0:
@@ -185,17 +211,17 @@ class _Emitter:
         if ly == 1.0:
             return x
         if lx is not None and ly is not None:
-            return _num(lx * ly)
+            return self.num(lx * ly)
         return self.tmp("{} * {}", x, y)
 
     def div(self, x, y):
-        lx, ly = _lit(x), _lit(y)
+        lx, ly = self.lits.get(x), self.lits.get(y)
         if lx == 0.0:
             return _ZERO
         if ly == 1.0:
             return x
         if lx is not None and ly is not None:  # x / +-0 is x * +-inf, as in IEEE
-            return _num(lx / ly if ly != 0.0 else lx * math.copysign(math.inf, ly))
+            return self.num(lx / ly if ly != 0.0 else lx * math.copysign(math.inf, ly))
         return self.tmp("{} / {}", x, y)
 
     def powc(self, x, p: float):
@@ -204,23 +230,23 @@ class _Emitter:
             return _ONE
         if p == 1.0:
             return x
-        lx = _lit(x)
+        lx = self.lits.get(x)
         if lx is not None:
             # a constant power with no real value is NaN, one too large
             # is +-inf; checked callers turn either into a DomainError
             try:
-                return _num(math.pow(lx, p))
+                return self.num(math.pow(lx, p))
             except ValueError:
-                return _num(math.nan)
+                return self.num(math.nan)
             except OverflowError:
-                return _num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
+                return self.num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
         if p == 2.0:
             return self.tmp("{} * {}", x, x)
         if not self.vector and not p.is_integer():
             # a float ** a non-integer is complex for a negative base;
             # math.pow raises ValueError there
-            return self.tmp("math.pow({}, {})", x, _num(p))
-        return self.tmp("{} ** ({})", x, _num(p))
+            return self.tmp("math.pow({}, {})", x, self.num(p))
+        return self.tmp("{} ** ({})", x, self.num(p))
 
 
 def _quad_is_const(q):
@@ -229,10 +255,10 @@ def _quad_is_const(q):
 
 def _apply_unary(name, u, em: _Emitter):
     uv, ua, ub, uc = u
-    lv = _lit(uv)
+    lv = em.lits.get(uv)
     if lv is not None and _quad_is_const(u):
         try:
-            return (_num(float(_REAL_UNARY[name](lv))), _ZERO, _ZERO, _ZERO)
+            return (em.num(float(_REAL_UNARY[name](lv))), _ZERO, _ZERO, _ZERO)
         except (ValueError, OverflowError):
             pass  # leave the domain error to runtime
     if name == "sign":  # its derivatives vanish, at 0 too
@@ -275,13 +301,13 @@ def _apply_pow_const(u, p: float, em: _Emitter):
     v = em.powc(uv, p)
     if p == 0.0 or _quad_is_const(u):
         return (v, _ZERO, _ZERO, _ZERO)
-    d = em.mul(_num(p), em.powc(uv, p - 1.0))
+    d = em.mul(em.num(p), em.powc(uv, p - 1.0))
     a = em.mul(d, ua)
     b = em.mul(d, ub)
     # p*(p-1) vanishes for p = 1 (the x^1.0 that _symdiff makes of x^2):
     # emitting x**(p-2) there would compute a dead, possibly infinite value
     if ua != _ZERO and ub != _ZERO and p != 1.0:
-        dd = em.mul(_num(p * (p - 1.0)), em.powc(uv, p - 2.0))
+        dd = em.mul(em.num(p * (p - 1.0)), em.powc(uv, p - 2.0))
         c = em.add(em.mul(d, uc), em.mul(em.mul(dd, ua), ub))
     else:
         c = em.mul(d, uc)
@@ -316,7 +342,7 @@ def _combine_div(u, w, em: _Emitter):
 
 def _walk(ast: ExprAst, em: _Emitter, slots: dict):
     if isinstance(ast, Number):
-        return (_num(float(ast.value)), _ZERO, _ZERO, _ZERO)
+        return (em.num(float(ast.value)), _ZERO, _ZERO, _ZERO)
     if isinstance(ast, Var):
         return slots[ast.name]
     if isinstance(ast, Unary):
@@ -328,8 +354,8 @@ def _walk(ast: ExprAst, em: _Emitter, slots: dict):
             if isinstance(ast.right, Number):
                 return _apply_pow_const(u, float(ast.right.value), em)
             w = _walk(ast.right, em, slots)
-            if _quad_is_const(w) and _lit(w[0]) is not None:
-                return _apply_pow_const(u, _lit(w[0]), em)
+            if _quad_is_const(w) and w[0] in em.lits:
+                return _apply_pow_const(u, em.lits[w[0]], em)
             # general exponent: exp(w * log(u))
             lg = _apply_unary("log", u, em)
             return _apply_unary("exp", _combine_mul(w, lg, em), em)
@@ -702,80 +728,157 @@ _UFUNCS = {
        for name in ("sign", "sin", "cos", "tan", "exp", "log", "sqrt", "abs")},
 }
 _UNARY = 0xFFFF  # the second operand slot of a one-operand op
+# a tape stores each op's ufunc as its index in _OPS
+_OPS = tuple(_UFUNCS.values())
+_CODES = {template: code for code, template in enumerate(_UFUNCS)}
 
 
-def _tape(inputs, records, results):
-    """kernel(vals, d1, d2, out) running the records of _batched as an
-    op tape: per record, its ufunc on its operands' slots into its
-    name's register, f(x, y, reg), in the records' order.
+# The output columns of a kernel: value, d1, d2, d12.  A kernel of
+# compile_field(..., reads=r) writes column c of its `out` from output
+# r[c]; FULL is every output, the full contract.
+FULL = (0, 1, 2, 3)
 
-    A call's slots are the registers, one row each of a (registers,
-    probes) array allocated per call (a name t{r} is register r); then
-    the column views of vals, d1 and d2 that the records read; then the
+
+class _Tape:
+    """The records of _batched as an op tape, and the kernel of each
+    tuple of output columns asked of it (kernel).
+
+    Per record a kernel runs its ufunc on its operands' slots into its
+    name's register, f(x, y, reg), in the records' order.  A call's
+    slots are the registers, one row each of a (registers, probes)
+    array allocated per call (a name t{r} is register r); then the
+    column views of vals, d1 and d2 that the records read; then the
     literals, each once, as read-only 0-d float64 arrays made when the
     tape is built.  A ufunc turns a Python float operand into such an
     array on every call, so the values are the same and the tape saves
-    that conversion.  The ops are kept as parallel sequences: a tuple
-    of ufuncs and uint16 arrays of operand and register slots.  The
-    outputs are written as the text writes them, out[:, k] = slot."""
-    registers = len({name for name, _template, _args in records})
-    atoms = dict.fromkeys(a for _name, _template, args in records for a in args if a[0] != "t")
-    atoms.update((a, None) for a in results if a[0] != "t")
-    views = [a for a in atoms if a in inputs]
-    literals = [a for a in atoms if a not in inputs]
-    slot = {f"t{r}": r for r in range(registers)}
-    slot.update((a, i) for i, a in enumerate(views + literals, registers))
-    if len(slot) > _UNARY:
-        raise ValueError(f"an op tape has at most {_UNARY} slots, this one needs {len(slot)}")
-    sources = array("H", [inputs[a][0] for a in views])
-    columns = array("H", [inputs[a][1] for a in views])
-    literals = tuple(map(np.array, map(_lit, literals)))
-    for value in literals:
-        value.flags.writeable = False
-    ufuncs = tuple([_UFUNCS[template] for _name, template, _args in records])
-    first = array("H", [slot[args[0]] for _name, _template, args in records])
-    second = array("H", [slot[args[1]] if len(args) > 1 else _UNARY
-                         for _name, _template, args in records])
-    dest = array("H", [slot[name] for name, _template, _args in records])
-    outputs = tuple([slot[a] for a in results])
+    that conversion.  A kernel keeps its ops as parallel sequences: a
+    tuple of ufuncs and uint16 arrays of operand and register slots;
+    the tape keeps the ufuncs as one byte each (their index in _OPS).
+    The outputs are written as the text writes them, out[:, c] = slot."""
 
-    def kernel(vals, d1, d2, out):
-        arrays = (vals.T, d1.T, d2.T)
-        x = [*np.empty((registers, vals.shape[0])),
-             *[arrays[k][j] for k, j in zip(sources, columns)], *literals]
-        for f, a, b, r in zip(ufuncs, first, second, dest):
-            if b == _UNARY:
-                f(x[a], x[r])
-            else:
-                f(x[a], x[b], x[r])
-        for k, i in enumerate(outputs):
-            out[:, k] = x[i]
+    __slots__ = ("registers", "sources", "columns", "literals", "outputs", "masks", "codes",
+                 "first", "second", "dest", "kernels")
 
-    return kernel
+    def __init__(self, inputs, records, results):
+        registers = self.registers = len({name for name, _template, _args in records})
+        slot = {f"t{r}": r for r in range(registers)}
+        atoms = dict.fromkeys(itertools.chain.from_iterable(args for _n, _t, args in records))
+        atoms.update(dict.fromkeys(results))
+        views = [a for a in atoms if a in inputs]
+        literals = [a for a in atoms if a not in inputs and a not in slot]
+        slot.update(zip(views + literals, itertools.count(registers)))
+        if len(slot) > _UNARY:
+            raise ValueError(f"an op tape has at most {_UNARY} slots, this one needs {len(slot)}")
+        self.sources = array("H", [inputs[a][0] for a in views])
+        self.columns = array("H", [inputs[a][1] for a in views])
+        self.literals = tuple(map(np.array, map(_lit, literals)))
+        for value in self.literals:
+            value.flags.writeable = False
+        slot[None] = _UNARY
+        first = [slot[args[0]] for _name, _template, args in records]
+        second = [slot[args[1] if len(args) > 1 else None] for _name, _template, args in records]
+        dest = [slot[name] for name, _template, _args in records]
+        self.outputs = tuple([slot[a] for a in results])
+        # one backward liveness pass: bit c of masks[i] is set when
+        # output c depends on record i (a later record that depends on
+        # it reads its register before the register is written again)
+        pending = {}
+        for c, s in enumerate(self.outputs):
+            pending[s] = pending.get(s, 0) | 1 << c
+        masks = []
+        for r, a, b in zip(reversed(dest), reversed(first), reversed(second)):
+            m = pending.pop(r, 0)
+            masks.append(m)
+            pending[a] = pending.get(a, 0) | m
+            pending[b] = pending.get(b, 0) | m
+        self.masks = bytes(reversed(masks))
+        self.codes = bytes([_CODES[template] for _name, template, _args in records])
+        self.first, self.second, self.dest = (array("H", a) for a in (first, second, dest))
+        self.kernels = {}  # reads -> kernel
+
+    def kernel(self, reads):
+        """kernel(vals, d1, d2, out) writing out[:, c] = output reads[c],
+        for increasing columns `reads` of FULL, built at its first use."""
+        fn = self.kernels.get(reads)
+        if fn is None:
+            if not reads or list(reads) != sorted(set(reads)) or not set(reads) <= set(FULL):
+                raise ValueError(f"reads must be increasing columns of {FULL}, got {reads!r}")
+            fn = self.kernels[reads] = self._build(reads)
+        return fn
+
+    def live(self, reads) -> list:
+        """Per record, whether the outputs `reads` depend on it (activity
+        analysis, Griewank & Walther, Evaluating Derivatives, ch. 6)."""
+        mask = sum(1 << c for c in reads)
+        return [m & mask != 0 for m in self.masks]
+
+    def _build(self, reads):
+        """The kernel of the records live for `reads`, with their order,
+        registers and operands, so each column it writes is bit-identical
+        to the full kernel's.  It allocates the registers up to the
+        highest it writes, and reads only the views and literals its
+        records or outputs read: a kernel of the value alone reads no
+        seed column, and one of the value and d1 reads no d2."""
+        kept = self.live(reads)
+        first = list(itertools.compress(self.first, kept))
+        second = list(itertools.compress(self.second, kept))
+        dest = array("H", itertools.compress(self.dest, kept))
+        outputs = [self.outputs[c] for c in reads]
+        registers = 1 + max(dest, default=-1)
+        # a register keeps its slot; the views and literals read move
+        # down to follow the registers, in order
+        other = sorted({*first, *second, *outputs}.difference(range(self.registers), (_UNARY,)))
+        slot = dict(zip(other, itertools.count(registers)))
+        nviews = len(self.sources)
+        views = [s - self.registers for s in other if s < self.registers + nviews]
+        sources = array("H", [self.sources[v] for v in views])
+        columns = array("H", [self.columns[v] for v in views])
+        literals = tuple([self.literals[s - self.registers - nviews] for s in other[len(views):]])
+        arguments = 1 + max(sources, default=-1)  # of vals, d1, d2, those read
+        ufuncs = tuple(map(_OPS.__getitem__, itertools.compress(self.codes, kept)))
+        first = array("H", map(slot.get, first, first))
+        second = array("H", map(slot.get, second, second))
+        outputs = tuple(map(slot.get, outputs, outputs))
+
+        def kernel(vals, d1, d2, out):
+            arrays = [a.T for a in (vals, d1, d2)[:arguments]]
+            x = [*np.empty((registers, vals.shape[0])),
+                 *[arrays[k][j] for k, j in zip(sources, columns)], *literals]
+            for f, a, b, r in zip(ufuncs, first, second, dest):
+                if b == _UNARY:
+                    f(x[a], x[r])
+                else:
+                    f(x[a], x[b], x[r])
+            for c, i in enumerate(outputs):
+                out[:, c] = x[i]
+
+        return kernel
 
 
-# compile_field keeps at most CACHE_SIZE kernels and evicts the least
-# recently used.  Engines hold their own kernel, so an eviction never
-# recompiles a kernel that an engine still uses.
+# compile_field keeps the tapes of at most CACHE_SIZE expressions and
+# evicts the least recently used.  Engines hold their own kernels, so an
+# eviction never rebuilds a kernel that an engine still uses.
 CACHE_SIZE = 256
-_CACHE = {}  # key -> kernel, in order of last use
+_CACHE = {}  # (text, variables) -> _Tape, in order of last use
 
 
-def compile_field(ast: ExprAst, varnames):
+def compile_field(ast: ExprAst, varnames, *, reads=FULL):
     """Compile an expression into a batched second-order evaluator.
 
-    Returns kernel(vals, d1, d2, out); see the module docstring for the
-    array contract.  Compiled kernels are cached per (expression,
-    variable layout), at most CACHE_SIZE of them.
+    Returns kernel(vals, d1, d2, out) writing out[:, c] = output
+    reads[c] of the module docstring's contract, so `out` has
+    len(reads) columns; it runs only the records those outputs depend
+    on.  The cache holds one walk of the expression per (text, variable
+    layout), at most CACHE_SIZE of them, with its kernel per `reads`.
     """
     key = (to_text(ast), tuple(varnames))
-    fn = _CACHE.pop(key, None)
-    if fn is None:
-        fn = _tape(*_batched(ast, varnames))
+    tape = _CACHE.pop(key, None)
+    if tape is None:
+        tape = _Tape(*_batched(ast, varnames))
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]  # the least recently used
-    _CACHE[key] = fn  # now the most recently used
-    return fn
+    _CACHE[key] = tape  # now the most recently used
+    return tape.kernel(reads)
 
 
 def compile_solve(ast: ExprAst, varnames):
@@ -794,12 +897,12 @@ def compile_step(ast: ExprAst, varnames, max_condition: float):
     return _build(src, "_run", _isfinite=math.isfinite, _inf=math.inf)
 
 
-def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
-    """Convenience wrapper allocating the output array."""
-    vals = np.ascontiguousarray(vals, dtype=float)
-    d1 = np.ascontiguousarray(d1, dtype=float)
-    d2 = np.ascontiguousarray(d2, dtype=float)
-    out = np.empty((vals.shape[0], 4))
+def eval_batch(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:
+    """Convenience wrapper allocating the output array, of `width`
+    columns: len(reads) of the kernel's compile_field."""
+    vals, d1, d2 = (a if a is None else np.ascontiguousarray(a, dtype=float)
+                    for a in (vals, d1, d2))
+    out = np.empty((vals.shape[0], width))
     kernel(vals, d1, d2, out)
     return out
 
@@ -814,26 +917,73 @@ def eval_batch(kernel, vals, d1, d2) -> np.ndarray:
 BATCH = 4096
 
 
-def eval_chunked(kernel, vals, d1, d2) -> np.ndarray:
-    """eval_batch in calls of at most BATCH probes.  Floating-point
-    warnings are silenced: callers check the outputs they use and raise
-    DomainError for a non-finite one (see require_finite)."""
-    out = np.empty((vals.shape[0], 4))
+def _call_probes(rows: int) -> int:
+    """Probes per eval_chunked call for points of `rows` probes: the
+    most whole points in BATCH probes, at least one."""
+    return max(rows, BATCH - BATCH % rows)
+
+
+_UNIT = {}  # (width, first) -> read-only block of unit seeds
+
+
+def unit_seeds(width: int, probes: int, first: int = 0) -> np.ndarray:
+    """The seeds np.tile(np.eye(width)[first:], (points, 1)) of `probes`
+    probes, width - first per point, as a read-only view of a cached
+    block: all of them, or the rows of one eval_chunked call if there
+    are more, which repeat (eval_chunked's `rows` is width - first).
+    The block grows to the most rows asked for, at most BATCH."""
+    period = width - first
+    rows = min(probes, _call_probes(period))
+    block = _UNIT.get((width, first))
+    if block is None or len(block) < rows:
+        block = np.tile(np.eye(width)[first:], (-(-rows // period), 1))
+        block.flags.writeable = False
+        _UNIT[width, first] = block
+    return block[:rows]
+
+
+def _seed_rows(seed, probes: int, lo: int, hi: int):
+    """Probes lo..hi-1 of a seed argument of eval_chunked: its rows
+    lo..hi-1, or the first hi - lo rows of a repeating block (lo is a
+    whole number of points); None stays None."""
+    if seed is None:
+        return None
+    return seed[lo:hi] if len(seed) == probes else seed[:hi - lo]
+
+
+def eval_chunked(kernel, vals, d1, d2, width: int = 4, rows: int = 1) -> np.ndarray:
+    """eval_batch in calls of at most BATCH probes, each call whole
+    points of `rows` probes.  A seed argument is an array with a row per
+    probe, a block whose rows repeat every call (unit_seeds), or None
+    where the kernel reads no seed.  Floating-point warnings are
+    silenced: callers check the outputs they use and raise DomainError
+    for a non-finite one (see require_finite)."""
+    probes = vals.shape[0]
+    out = np.empty((probes, width))
+    step = _call_probes(rows)
     with np.errstate(all="ignore"):
-        for lo in range(0, vals.shape[0], BATCH):
-            hi = lo + BATCH
-            kernel(vals[lo:hi], d1[lo:hi], d2[lo:hi], out[lo:hi])
+        for lo in range(0, probes, step):
+            hi = min(lo + step, probes)
+            kernel(vals[lo:hi], _seed_rows(d1, probes, lo, hi), _seed_rows(d2, probes, lo, hi),
+                   out[lo:hi])
     return out
 
 
-def require_finite(result, ast: ExprAst, varnames, vals, d1, d2, rows: int = 1):
+def require_finite(results, ast: ExprAst, varnames, vals, d1=None, d2=None, rows: int = 1):
     """Raise DomainError for the first point with a non-finite entry in
-    `result` (one row or block of rows per point), whose kernel probes
-    are rows `rows*i .. rows*(i+1)-1` of vals, d1 and d2."""
-    bad = np.flatnonzero(~np.isfinite(result.reshape(result.shape[0], -1)).all(axis=1))
-    if bad.size:
-        probes = slice(bad[0] * rows, (bad[0] + 1) * rows)
-        raise domain_error(ast, varnames, vals[probes], d1[probes], d2[probes])
+    one of `results` (arrays with one row or block of rows per point),
+    whose kernel probes are rows rows*i .. rows*(i+1)-1 of vals, d1 and
+    d2, given as eval_chunked takes them (None: zero seeds).  One flat
+    check passes finite results; only a failure looks for the point."""
+    if all(np.isfinite(r).all() for r in results):
+        return
+    finite = np.logical_and.reduce([np.isfinite(r.reshape(len(r), -1)).all(axis=1)
+                                    for r in results])
+    lo = int(np.argmin(finite)) * rows
+    probes = vals.shape[0]
+    seeds = [np.zeros((rows, vals.shape[1])) if s is None else _seed_rows(s, probes, lo, lo + rows)
+             for s in (d1, d2)]
+    raise domain_error(ast, varnames, vals[lo:lo + rows], *seeds)
 
 
 def domain_error(ast: ExprAst, varnames, vals, d1, d2) -> DomainError:

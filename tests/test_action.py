@@ -258,9 +258,9 @@ class TestNodePlan:
             seen.append(exprs)
             return real_jets(exprs, t, kernels)
 
-        def compile_field(ast, varnames):
+        def compile_field(ast, varnames, **reads):
             lookups.append(ast)
-            return real_compile(ast, varnames)
+            return real_compile(ast, varnames, **reads)
 
         monkeypatch.setattr(geometry, "jets_in_t", jets)
         monkeypatch.setattr(geometry, "compile_field", compile_field)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -123,8 +124,9 @@ class TestLegendre:
 class TestBatchedOperators:
     """el_covectors and momenta over a seeded cloud.  The cloud needs
     more than kernels.BATCH probes in each layout, also at n = 1, so
-    each call crosses a batch boundary; at n = 3 a point's six EL probes
-    straddle one.  Every output equals, bit for bit, the same operator
+    each call crosses a boundary between two kernel calls; a call holds
+    whole points, so at n = 3 one holds fewer than BATCH probes.  Every
+    output equals, bit for bit, the same operator
     called on blocks of points that fit one kernel call each, and equals
     a point-by-point evaluation of the same derivatives by the
     interpreter on Hyperdual scalars at every STRIDE-th point and at the
@@ -146,7 +148,8 @@ class TestBatchedOperators:
         momentum (n per point) layouts."""
         rows = set(range(0, self.POINTS, self.STRIDE)) | {self.POINTS - 1}
         for probes in (2 * n, n):
-            for edge in range(kernels.BATCH, probes * self.POINTS, kernels.BATCH):
+            step = kernels.BATCH - kernels.BATCH % probes
+            for edge in range(step, probes * self.POINTS, step):
                 rows |= {(edge - 1) // probes, edge // probes}
         return sorted(rows)
 
@@ -246,6 +249,34 @@ class TestDomainContractValue:
                     euler_lagrange(lagrangian, q_of(x, v, [0.0, 0.0]), "0")
                 else:
                     solve_accelerations(lagrangian, x, v)
+
+
+class TestFiniteCheck:
+    """The batched operators check their outputs by one flat test and
+    look for the point only when it fails: a single non-finite entry,
+    in the last point's last column read, still raises DomainError
+    naming that point, and of several bad points the first is named."""
+
+    @pytest.mark.parametrize("bad", [[6], [3, 6]], ids=["last", "first-of-two"])
+    @pytest.mark.parametrize("operator, term, v2, reason", [
+        ("values", "log(x2)", 0.5, "log of a non-positive value"),  # L itself
+        ("momenta", "sqrt(v2)", 0.0, "sqrt derivative singular at zero"),  # p2
+        ("el_covectors", "sqrt(x2)", 0.5, "sqrt derivative singular at zero"),  # E2
+    ])
+    def test_names_the_first_bad_point(self, operator, term, v2, reason, bad):
+        eng = GaugeClassLagrangian.from_exprs(
+            euclidean_atlas(2), f"0.5*v1^2 + 0.5*v2^2 + {term}").engine("0")
+        points = 7
+        xs = np.column_stack([np.linspace(-0.6, 0.6, points), np.linspace(2.0, 1.0, points)])
+        vs = np.column_stack([np.linspace(0.1, 0.7, points), np.full(points, 0.5)])
+        xs[bad, 1], vs[bad, 1] = 0.0, v2
+        args = (xs, vs, np.ones_like(xs)) if operator == "el_covectors" else (xs, vs)
+        good = getattr(eng, operator)(*(a[:bad[0]] for a in args))
+        assert np.isfinite(good).all()
+        x1, v1 = float(xs[bad[0], 0]), float(vs[bad[0], 0])
+        point = re.escape(f"x1={x1!r}, x2=0.0, v1={v1!r}, v2={v2!r}")
+        with pytest.raises(DomainError, match=rf"{reason} in .* at {point}$"):
+            getattr(eng, operator)(*args)
 
 
 def solve_cases():

@@ -3,7 +3,9 @@ kernels of compile_field, against its oracle, the interpreter on
 Hyperdual scalars (McKeeman, "Differential Testing for Software", 1998).
 
 Each drawn tree's kernel also gives the same bits as exec of
-generate_source's text, the operations the kernel runs as an op tape.
+generate_source's text, the operations the kernel runs as an op tape,
+and its kernels of the columns (0,), (0, 1) and (0, 1, 3) give the same
+bits as those columns of its full kernel.
 
 Contract: where the interpreter returns finite (value, d1, d2, d12),
 the kernel returns the same within 1e-12 of max(1, |reference|); where
@@ -140,6 +142,12 @@ def kernel_matches_hyperdual_interpreter(ast):
     exec(generate_source(ast, VARNAMES), ns)
     text = eval_chunked(ns["_kernel"], ROWS[:, :2], ROWS[:, 2:4], ROWS[:, 4:])
     assert got.tobytes() == text.tobytes(), exprlang.to_text(ast)
+    # a kernel of some columns writes the full kernel's, bit for bit
+    for reads in ((0,), (0, 1), (0, 1, 3)):
+        part = eval_chunked(compile_field(ast, VARNAMES, reads=reads),
+                            ROWS[:, :2], ROWS[:, 2:4], ROWS[:, 4:], len(reads))
+        assert part.tobytes() == np.ascontiguousarray(got[:, reads]).tobytes(), (
+            exprlang.to_text(ast), reads)
     if drops_an_operand(ast):
         return
     for row, out in zip(ROWS, got):

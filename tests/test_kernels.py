@@ -436,6 +436,116 @@ class TestOpTape:
         assert np.array_equal(tape, text, equal_nan=True)
 
 
+# the columns the library reads: values, momenta, Euler-Lagrange
+# covectors and jets_in_t, and gradients (eval_rows)
+LIBRARY_READS = [(0,), (0, 1), (0, 1, 3), (1,)]
+
+
+def probes_with_non_finite_rows(rng, system, probes):
+    """vals, d1, d2 of `probes` seeded probes of a system's Lagrangian;
+    from 16 probes on, every fourth row holds a NaN or an infinity, and
+    every seventh a velocity off the domain of the relativistic L."""
+    n = system.dim
+    vals = np.hstack([rng.uniform(-1.0, 1.0, (probes, n)),
+                      rng.uniform(-system.v_halfwidth, system.v_halfwidth, (probes, n))])
+    d1, d2 = rng.uniform(-1.0, 1.0, (2, probes, 2 * n))
+    if probes >= 16:
+        bad = np.arange(0, probes, 4)
+        vals[bad, rng.integers(0, 2 * n, bad.size)] = rng.choice([math.nan, math.inf, -math.inf],
+                                                                  bad.size)
+        vals[np.arange(3, probes, 7), n] = 2.0
+    return vals, d1, d2
+
+
+class TestReads:
+    """compile_field(..., reads=r) runs only the records the outputs r
+    depend on, and each column it writes is the full kernel's, bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", gauge_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("probes", [1, 16, 4096])
+    def test_bitwise_equal_to_the_full_kernel(self, case, probes):
+        _name, ast, system = case
+        names = lagrangian_varnames(system.dim)
+        rng = np.random.default_rng(probes + 7)
+        batches = [probes_with_non_finite_rows(rng, system, probes)]
+        if probes == 1:  # one probe on its own, off the domain
+            vals, d1, d2 = probes_with_non_finite_rows(rng, system, 1)
+            vals[0, 0] = math.nan
+            batches.append((vals, d1, d2))
+        for vals, d1, d2 in batches:
+            full = np.empty((probes, 4))
+            with np.errstate(all="ignore"):
+                compile_field(ast, names)(vals, d1, d2, full)
+                for reads in LIBRARY_READS:
+                    out = np.empty((probes, len(reads)))
+                    compile_field(ast, names, reads=reads)(vals, d1, d2, out)
+                    assert out.tobytes() == np.ascontiguousarray(full[:, reads]).tobytes(), reads
+
+    @pytest.mark.parametrize("system, chi, counts", [
+        ("charged", None, [62, 47, 29, 11]),
+        ("charged", "(-0.745873181125018)*sin((-0.32868146675533627)*x2)*cos(x3)"
+                    " + (-0.4888506996347092)*x2*x3", [174, 151, 76, 30]),
+        ("relativistic", None, [67, 56, 29, 11]),
+        ("circle", None, [34, 28, 15, 5]),
+    ])
+    def test_records_kept(self, system, chi, counts):
+        # the full kernel, then the columns of el_covectors, momenta
+        # and values
+        system = bundled_system(system)
+        lam = system.lagrangian if chi is None else gauge_shift(system.lagrangian, chi)
+        ast = lam.expr(system.default_chart())
+        names = lagrangian_varnames(system.dim)
+        tape = kernels._Tape(*kernels._batched(ast, names))
+        all_reads = [kernels.FULL, (0, 1, 3), (0, 1), (0,)]
+        assert [sum(tape.live(reads)) for reads in all_reads] == counts
+        # the same counts from prune on the emitter's lines, one name each
+        lines = {}
+
+        def capture(emitted, results, inputs=()):
+            lines["records"] = [(name, template, atoms)
+                                for (template, atoms), name in emitted.items()]
+            lines["results"] = results
+            return [], results
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_render", capture)
+            kernels._batched(ast, names)
+        assert [len(prune(lines["records"], [lines["results"][c] for c in reads]))
+                for reads in all_reads] == counts
+
+    def test_value_kernel_reads_no_seed(self):
+        # a kernel of the value reads neither seed argument, and one of
+        # the value and d1 does not read d2
+        ast = exprlang.parse(AGREE_EXPR)
+        vals = np.array([[0.5, 1.5, 2.0], [1.0, 0.25, -1.0]])
+        d1 = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 1.0]])
+        full = eval_batch(compile_field(ast, VARNAMES), vals, d1, d1)
+        value = eval_batch(compile_field(ast, VARNAMES, reads=(0,)), vals, None, None, 1)
+        first = eval_batch(compile_field(ast, VARNAMES, reads=(0, 1)), vals, d1, None, 2)
+        assert value.tobytes() == np.ascontiguousarray(full[:, :1]).tobytes()
+        assert first.tobytes() == np.ascontiguousarray(full[:, :2]).tobytes()
+
+    def test_one_walk_per_text(self, monkeypatch):
+        # every reads of one text shares its tape: the expression is
+        # walked once, and each reads is built once
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        walks = []
+        real = kernels._batched
+        monkeypatch.setattr(kernels, "_batched", lambda *a: walks.append(a) or real(*a))
+        ast = exprlang.parse(AGREE_EXPR)
+        kernel = compile_field(ast, VARNAMES, reads=(0, 1))
+        compile_field(exprlang.parse(AGREE_EXPR), VARNAMES, reads=(0,))
+        assert compile_field(ast, VARNAMES, reads=(0, 1)) is kernel
+        assert compile_field(ast, VARNAMES) is not kernel
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("reads", [(), (1, 0), (0, 0), (4,), (0, 1, 2, 3, 4)])
+    def test_reads_must_be_increasing_columns(self, reads):
+        with pytest.raises(ValueError, match="reads must be increasing columns"):
+            compile_field(exprlang.parse("x1"), ["x1"], reads=reads)
+
+
 class TestSign:
     """sign(x): 1.0, -1.0, 0.0 at either zero and NaN at NaN, with zero
     derivatives, from the interpreter on reals and on Hyperdual scalars,
@@ -464,8 +574,9 @@ class TestSign:
 
 class TestKernelBatchScript:
     def test_agrees_with_the_interpreter(self):
-        # benchmarks/kernel_batch.py exits 1 if a kernel output differs
-        # from the Hyperdual interpreter by more than 1e-12 relative
+        # benchmarks/kernel_batch.py exits 1 if a column of a kernel of
+        # any reads differs from the Hyperdual interpreter by more than
+        # 1e-12 relative
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "kernel_batch.py"),
@@ -473,7 +584,7 @@ class TestKernelBatchScript:
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout + run.stderr
-        assert run.stdout.count(" ok (") == 4
+        assert run.stdout.count(" ok (") == 16  # 2 kernels, 2 sizes, 4 reads
 
 
 class TestStepSource:
