@@ -171,16 +171,6 @@ class Hyperdual:
         return self._lift1(s, d, -0.5 * d / self.val)
 
 
-def lift_const(c: float) -> Hyperdual:
-    """(c, 0, 0, 0)."""
-    return Hyperdual(c)
-
-
-def lift_seed(c: float, s1: float, s2: float) -> Hyperdual:
-    """(c, s1, s2, 0)."""
-    return Hyperdual(c, s1, s2)
-
-
 def _component(x, name):
     # f may collapse to a plain real when it ignores its arguments
     return getattr(x, name) if isinstance(x, Hyperdual) else 0.0

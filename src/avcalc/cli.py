@@ -9,6 +9,7 @@ numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -193,15 +194,7 @@ def cmd_variation(args) -> int:
 def cmd_check_gauge(args) -> int:
     system = _load_system(args.system)
     chis = (args.chi,) if args.chi else (system.chis or tuple(chi_set(system.dim)))
-    probe = System(
-        name=system.name,
-        atlas=system.atlas,
-        lagrangian=system.lagrangian,
-        constants=system.constants,
-        curve=system.curve,
-        chis=tuple(chis),
-        v_halfwidth=system.v_halfwidth,
-    )
+    probe = dataclasses.replace(system, chis=tuple(chis))
     results = suites.gauge_el_suite(probe, points=args.points, tol=args.tol_el)
     results += suites.legendre_suite(probe, tol=args.tol_legendre)
     code = _print_results(results)  # shown even if the trajectory suite raises
@@ -282,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default=None, help="per-coordinate expressions in t, ';'-separated")
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--t1", type=_finite_float, default=1.0)
-    p.add_argument("--panels", type=_positive_int, default=1000)
-    p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--panels", type=_positive_int, default=suites.PANELS)
+    p.add_argument("--steps", type=_positive_int, default=suites.STEPS)
+    p.add_argument("--tol", type=_positive_float, default=suites.INTEGRAL_TOL)
     p.set_defaults(run=cmd_action)
 
     p = sub.add_parser("variation", help="FD action derivative vs the boundary+bulk pairing")
@@ -293,18 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--t1", type=_finite_float, default=1.0)
     p.add_argument("--w", required=True, help="variation field expressions in t, ';'-separated")
-    p.add_argument("--eps", type=_positive_float, default=1e-5)
-    p.add_argument("--panels", type=_positive_int, default=1000)
-    p.add_argument("--tol", type=_positive_float, default=1e-4)
+    p.add_argument("--eps", type=_positive_float, default=suites.EPS)
+    p.add_argument("--panels", type=_positive_int, default=suites.PANELS)
+    p.add_argument("--tol", type=_positive_float, default=suites.VARIATION_TOL)
     p.set_defaults(run=cmd_variation)
 
     p = sub.add_parser("check-gauge", help="gauge-invariance suite for a gauge function")
     _add_system(p)
     p.add_argument("--chi", default=None, help="gauge function of x1..xn")
-    p.add_argument("--points", type=_positive_int, default=100)
-    p.add_argument("--tol-el", type=_positive_float, default=1e-9)
-    p.add_argument("--tol-legendre", type=_positive_float, default=1e-12)
-    p.add_argument("--tol-trajectory", type=_positive_float, default=1e-9)
+    p.add_argument("--points", type=_positive_int, default=suites.POINTS)
+    p.add_argument("--tol-el", type=_positive_float, default=suites.GAUGE_TOL)
+    p.add_argument("--tol-legendre", type=_positive_float, default=suites.LEGENDRE_TOL)
+    p.add_argument("--tol-trajectory", type=_positive_float, default=suites.GAUGE_TOL)
     p.set_defaults(run=cmd_check_gauge)
 
     p = sub.add_parser("check-all", help="run every invariant suite")

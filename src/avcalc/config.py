@@ -165,7 +165,6 @@ def _build_atlas(atlas_sec: dict, dim: int, constants: dict):
             winding=_float(atlas_sec.get("winding", "0"), "atlas.winding"),
             gauge_reverse_a=None if reverse is None
             else _expr(reverse, ("x1",), constants, "atlas.gauge_10"),
-            validate=True,
         )
     raise ValidationError("atlas type", f"unknown atlas type '{kind}'", float("inf"))
 

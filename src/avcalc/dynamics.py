@@ -31,6 +31,7 @@ from .errors import (
 from .exprlang import ExprAst
 from .geometry import (
     _BOX_TOL,
+    VALIDATION_SAMPLES,
     Atlas,
     ScalarFunction,
     _overlap_samples,
@@ -38,6 +39,7 @@ from .geometry import (
     low_discrepancy_points,
 )
 from .kernels import (
+    MAX_CONDITION,
     _adjugate,
     _condition,
     _times,
@@ -51,8 +53,6 @@ from .kernels import (
     require_numpy_backend,
     unit_seeds,
 )
-
-MAX_CONDITION = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +162,19 @@ class GaugeClassLagrangian:
             self._engines[chart_id] = eng
         return eng
 
-    def validate(self, samples: int = 32, tol: float = 1e-10):
-        """Sampled overlap compatibility L_i - L_j = <d g_ij, v>, each chart's
-        L at every (point, velocity) pair of a component in one call."""
+    def validate(self):
+        """Sampled overlap compatibility L_i - L_j = <d g_ij, v> to 1e-10, each
+        chart's L at every (point, velocity) pair of a component in one call."""
         v = low_discrepancy_points([(-1.0, 1.0)] * self.atlas.dim, 5)
         nv = len(v)
-        for i, j, comp, x_i, x_j, _g in _overlap_samples(self.atlas, samples):
+        for i, j, comp, x_i, x_j, _g in _overlap_samples(self.atlas, VALIDATION_SAMPLES):
             d = comp.transition(x_i, grad=True)  # Jacobian rows, then dg
             jv = np.einsum("pkj,vj->pvk", d[:, :-1], v).reshape(-1, v.shape[1])
             defect = (self.engine(i).values(np.repeat(x_i, nv, axis=0), np.tile(v, (len(x_i), 1)))
                       - self.engine(j).values(np.repeat(x_j, nv, axis=0), jv)
                       - (d[:, -1] @ v.T).ravel())
-            _require_within("lagrangian compatibility L_i - L_j = <dg_ij, v>", np.abs(defect), tol,
-                            lambda r: f"charts ({i},{j}) at x={x_i[r // nv]}, v={v[r % nv]}")
+            _require_within("lagrangian compatibility L_i - L_j = <dg_ij, v>", np.abs(defect),
+                            1e-10, lambda r: f"charts ({i},{j}) at x={x_i[r // nv]}, v={v[r % nv]}")
 
 
 def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:
@@ -227,7 +227,7 @@ class _ChartEngine:
     def rk4(self):
         """The generated RK4 loop, for n <= 3, with the fused terms
         inlined; see kernels.generate_step_source for its contract."""
-        return compile_step(self.ast, self.varnames, MAX_CONDITION)
+        return compile_step(self.ast, self.varnames)
 
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one unseeded probe per point."""

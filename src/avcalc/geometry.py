@@ -28,6 +28,11 @@ from .exprlang import Binary, ExprAst, Number, Unary, Var
 from .kernels import compile_field, eval_chunked, require_finite, unit_seeds
 
 _BOX_TOL = 1e-9
+# The structural checks (validate) sample VALIDATION_SAMPLES points per
+# overlap component; those here hold each defect, and each curve
+# junction's, to VALIDATION_TOL.
+VALIDATION_SAMPLES = 32
+VALIDATION_TOL = 1e-12
 
 
 def coord_names(dim: int) -> list:
@@ -151,9 +156,9 @@ class Atlas:
                 return c
         raise ChartDisjointError(f"no chart '{chart_id}' in atlas")
 
-    def contains(self, chart_id: str, x, tol: float = _BOX_TOL) -> bool:
+    def contains(self, chart_id: str, x) -> bool:
         box = self.chart(chart_id).box
-        return all(lo - tol <= xi <= hi + tol for xi, (lo, hi) in zip(x, box))
+        return all(lo - _BOX_TOL <= xi <= hi + _BOX_TOL for xi, (lo, hi) in zip(x, box))
 
     def _transition(self, xs, src: str, dst: str, grad=False, strict=True) -> np.ndarray:
         """OverlapComponent.transition of src -> dst at every row of xs, by the
@@ -201,14 +206,15 @@ class Atlas:
 
     # -- structural invariants ---------------------------------------------
 
-    def validate(self, samples: int = 32, tol: float = 1e-12) -> float:
+    def validate(self) -> float:
         """Check antisymmetry and the cocycle identity at sampled overlap
-        points.  Returns the worst defect; raises ValidationError above tol."""
+        points.  Returns the worst defect; raises ValidationError above
+        VALIDATION_TOL."""
         for i, j in self.transitions:
             if (j, i) not in self.transitions:
                 raise ValidationError("transition antisymmetry", f"missing {j} -> {i}", math.inf)
         worst = 0.0
-        for i, j, _comp, x, x_j, g_ij in _overlap_samples(self, samples):
+        for i, j, _comp, x, x_j, g_ij in _overlap_samples(self, VALIDATION_SAMPLES):
             sums = [("gauge antisymmetry g_ij + g_ji = 0", (i, j),
                      g_ij + self._transition(x_j, j, i)[:, -1])]
             for k in [c.id for c in self.charts]:  # the cocycle, on triple overlaps
@@ -219,8 +225,9 @@ class Atlas:
                 sums.append(("gauge cocycle g_ij + g_jk + g_ki = 0", (i, j, k),
                              np.where(np.isnan(total), 0.0, total)))  # NaN: x not in it
             for invariant, charts, total in sums:
-                worst = max(worst, _require_within(invariant, np.abs(total), tol, lambda r:
-                                                   f"charts ({','.join(charts)}) at {x[r]}"))
+                worst = max(worst, _require_within(
+                    invariant, np.abs(total), VALIDATION_TOL,
+                    lambda r: f"charts ({','.join(charts)}) at {x[r]}"))
         return worst
 
 
@@ -233,13 +240,8 @@ def euclidean_atlas(dim: int, half_width: float = 1e6) -> Atlas:
 _TWO_PI = 2.0 * math.pi
 
 
-def circle_atlas(
-    gauge="0",
-    winding: float = 0.0,
-    gauge_reverse_a=None,
-    validate: bool = True,
-) -> Atlas:
-    """Two angle charts on the circle.
+def circle_atlas(gauge="0", winding: float = 0.0, gauge_reverse_a=None) -> Atlas:
+    """Two angle charts on the circle, validated (Atlas.validate).
 
     Chart "0" covers (-pi, pi), chart "1" covers (0, 2*pi).  The overlap
     has two components; on the primary one (angles in (0, pi), where the
@@ -285,8 +287,7 @@ def circle_atlas(
             ),
         },
     )
-    if validate:
-        atlas.validate()
+    atlas.validate()
     return atlas
 
 
@@ -313,11 +314,11 @@ class _ChartExprs:
     def _rows(self, xs, chart_id: str, grad=False) -> np.ndarray:
         return eval_rows((self.chart_exprs[chart_id],), coord_names(self.atlas.dim), xs, grad)[:, 0]
 
-    def _agreement(self, invariant: str, gauge: bool, samples: int, tol: float):
+    def _agreement(self, invariant: str, gauge: bool):
         """Validate f_i - f_j = g_ij (with gauge) or f_i = f_j on overlaps."""
-        for i, j, _comp, x_i, x_j, g in _overlap_samples(self.atlas, samples):
+        for i, j, _comp, x_i, x_j, g in _overlap_samples(self.atlas, VALIDATION_SAMPLES):
             defect = self._rows(x_i, i) - self._rows(x_j, j)
-            _require_within(invariant, np.abs(defect - g if gauge else defect), tol,
+            _require_within(invariant, np.abs(defect - g if gauge else defect), VALIDATION_TOL,
                             lambda r: f"charts ({i},{j}) at {x_i[r]}")
 
 
@@ -337,8 +338,8 @@ class ScalarFunction(_ChartExprs):
     def grad(self, x, chart_id: str) -> np.ndarray:
         return self._rows([x], chart_id, grad=True)[0]
 
-    def validate(self, samples: int = 32, tol: float = 1e-12):
-        self._agreement("scalar function chart agreement", False, samples, tol)
+    def validate(self):
+        self._agreement("scalar function chart agreement", False)
 
 
 @dataclass
@@ -352,8 +353,8 @@ class AVSection(_ChartExprs):
     def at(self, x, chart_id: str) -> FiberPoint:
         return FiberPoint(chart_id, tuple(np.asarray(x, dtype=float)), self.value(x, chart_id))
 
-    def validate(self, samples: int = 32, tol: float = 1e-12):
-        self._agreement("section compatibility phi_i - phi_j = g_ij", True, samples, tol)
+    def validate(self):
+        self._agreement("section compatibility phi_i - phi_j = g_ij", True)
 
 
 def gauge_transform_section(phi: AVSection, f) -> AVSection:
@@ -392,11 +393,12 @@ class AffineOneForm:
     def components(self, x, chart_id: str) -> np.ndarray:
         return self.chart_components[chart_id](np.asarray([x], dtype=float))[0]
 
-    def compatibility_defect(self, samples: int = 16) -> float:
-        """Worst |theta_i - J^T theta_j - grad g_ij| over sampled overlaps."""
+    def compatibility_defect(self) -> float:
+        """Worst |theta_i - J^T theta_j - grad g_ij| over 16 sampled
+        points per overlap component."""
         worst = 0.0
         theta = self.chart_components
-        for i, j, comp, x, x_j, _g in _overlap_samples(self.atlas, samples):
+        for i, j, comp, x, x_j, _g in _overlap_samples(self.atlas, 16):
             if i not in theta or j not in theta:
                 continue
             d = comp.transition(x, grad=True)  # Jacobian rows, then dg
@@ -470,9 +472,9 @@ class CurveSpec:
     def t_end(self) -> float:
         return self.segments[-1].t1
 
-    def segment_at(self, t: float, tol: float = 1e-9) -> CurveSegment:
+    def segment_at(self, t: float) -> CurveSegment:
         for seg in self.segments:
-            if seg.t0 - tol <= t <= seg.t1 + tol:
+            if seg.t0 - 1e-9 <= t <= seg.t1 + 1e-9:
                 return seg
         raise ChartScheduleError(f"parameter {t} outside [{self.t_start}, {self.t_end}]")
 
@@ -501,7 +503,7 @@ class CurveSpec:
         x, v, _a = seg.jets([t])
         return seg.chart_id, x[0], v[0]
 
-    def validate(self, atlas: Atlas, tol: float = 1e-12):
+    def validate(self, atlas: Atlas):
         for seg in self.segments:
             atlas.chart(seg.chart_id)  # ChartDisjointError if there is none
             if len(seg.exprs) != atlas.dim:
@@ -518,7 +520,7 @@ class CurveSpec:
             x_next = eval_vector(b.exprs, {"t": b.t0})
             x_end = atlas.convert_point(x_end, a.chart_id, b.chart_id)
             defect = float(np.max(np.abs(x_end - x_next)))
-            if not defect <= tol:  # NaN fails too
+            if not defect <= VALIDATION_TOL:  # NaN fails too
                 raise ChartScheduleError(
                     f"junction mismatch between charts {a.chart_id} and {b.chart_id}: {defect:.3g}"
                 )

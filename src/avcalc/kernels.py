@@ -539,6 +539,9 @@ def _norm1(h, n):
     return max(h[0] + h[3] + h[6], h[1] + h[4] + h[7], h[2] + h[5] + h[8])
 
 
+MAX_CONDITION = 1e12  # the largest velocity-Hessian condition an acceleration solve accepts
+
+
 def _condition(h, adj, det, n):
     """n * cond_1(h) from h's adjugate and determinant, or None when
     det is zero, subnormal or not finite (the solve then needs LU)."""
@@ -580,7 +583,7 @@ def _norm1_text(h, n):
     return cols[0] if n == 1 else f"max({', '.join(cols)})"
 
 
-def _stage_lines(terms, inputs, acc, max_condition):
+def _stage_lines(terms, inputs, acc):
     """Lines solving H a = dL/dx - C.v - f into the names `acc` as
     dynamics._accelerations does for n <= 3, with `return k` wherever
     that would raise or take its LU solve instead.  The terms are those
@@ -608,7 +611,7 @@ def _stage_lines(terms, inputs, acc, max_condition):
     if literal:
         adj, det = _adjugate(hvals, n)
         cond = _condition(hvals, adj, det, n)
-        if cond is None or not cond <= max_condition:
+        if cond is None or not cond <= MAX_CONDITION:
             return ["return k"]
     screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
     if screen:
@@ -635,7 +638,7 @@ def _stage_lines(terms, inputs, acc, max_condition):
         f"if not {_num(sys.float_info.min)} <= ad < _inf:",
         "    return k",
         f"if not {n} * {_norm1_text(hess, n)} * {_norm1_text(names, n)} / ad"
-        f" <= {_num(max_condition)}:",
+        f" <= {_num(MAX_CONDITION)}:",
         "    return k",
     ]
     lines += [f"{acc[i]} = ({' + '.join(f'j{i * n + c} * r{c}' for c in range(n))}) / det"
@@ -643,7 +646,7 @@ def _stage_lines(terms, inputs, acc, max_condition):
     return lines
 
 
-def generate_step_source(ast: ExprAst, varnames, max_condition: float) -> str:
+def generate_step_source(ast: ExprAst, varnames) -> str:
     """Source of the whole classical RK4 loop for a Lagrangian over
     varnames = (x1..xn, v1..vn) with n <= 3,
 
@@ -655,7 +658,7 @@ def generate_step_source(ast: ExprAst, varnames, max_condition: float) -> str:
     holds the start.  The state stays in scalar locals.  Each stage is
     the straight-line body of the fused terms (_fused_terms, walked
     once) on that stage's position and velocity, then the solve by the
-    adjugate, refusing n * cond_1(H) > max_condition; a velocity
+    adjugate, refusing n * cond_1(H) > MAX_CONDITION; a velocity
     Hessian of literals is adjugated and guarded once, here (see
     _stage_lines).
     Every operation is that of dynamics' RK4 step and its acceleration
@@ -685,7 +688,7 @@ def generate_step_source(ast: ExprAst, varnames, max_condition: float) -> str:
             step = "hh" if s < 3 else "h"
             body += [f"{stage_x[s][i]} = x{i} + {step} * {stage_v[s - 1][i]}" for i in idx]
             body += [f"{stage_v[s][i]} = v{i} + {step} * {acc[s - 1][i]}" for i in idx]
-        body += _stage_lines(terms, stage_x[s] + stage_v[s], acc[s], max_condition)
+        body += _stage_lines(terms, stage_x[s] + stage_v[s], acc[s])
     body += [f"x{i} = x{i} + h6 * (v{i} + 2.0 * v{i}_2 + 2.0 * v{i}_3 + v{i}_4)" for i in idx]
     body += [f"v{i} = v{i} + h6 * (a{i}_1 + 2.0 * a{i}_2 + 2.0 * a{i}_3 + a{i}_4)" for i in idx]
     inside = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in idx)
@@ -890,10 +893,10 @@ def compile_solve(ast: ExprAst, varnames):
     return _build(generate_solve_source(ast, varnames), "_terms")
 
 
-def compile_step(ast: ExprAst, varnames, max_condition: float):
+def compile_step(ast: ExprAst, varnames):
     """Compile the RK4 loop of generate_step_source for a Lagrangian
     over varnames = (x1..xn, v1..vn) with n <= 3."""
-    src = generate_step_source(ast, varnames, max_condition)
+    src = generate_step_source(ast, varnames)
     return _build(src, "_run", _isfinite=math.isfinite, _inf=math.inf)
 
 

@@ -29,6 +29,7 @@ from .dynamics import (
 )
 from .errors import ChartExitError, DomainError, SingularLagrangianError, ValidationError
 from .geometry import (
+    VALIDATION_TOL,
     ScalarFunction,
     affine_differential,
     coord_names,
@@ -36,9 +37,27 @@ from .geometry import (
     eval_rows,
     integrate_pullback,
 )
-from .systems import System, bundled_systems, charged_particle, exact_lagrangian, free_particle
+from .systems import (
+    System,
+    boosted_free,
+    bundled_systems,
+    charged_particle,
+    exact_lagrangian,
+    free_particle,
+)
 
 SEED = 20240811
+
+# Sizes and tolerances of the checks, which the check-gauge, action and
+# variation commands take as their flags' defaults.
+POINTS = 100  # random second-order points per chi in gauge_el_suite
+PANELS = 1000  # Simpson panels of every integral along a curve
+STEPS = 1000  # RK4 steps of the action lift and of each trajectory pair on [0, 1]
+EPS = 1e-5  # step of the finite-difference action derivative
+GAUGE_TOL = 1e-9  # E, trajectories and the action against their gauge twins'
+LEGENDRE_TOL = 1e-12  # the momentum shift against d(chi)
+INTEGRAL_TOL = 1e-8  # integrals along a curve against each other or their end values
+VARIATION_TOL = 1e-4  # the finite-difference action derivative against the pairing
 
 # Worst defects are taken with np.max / np.maximum, which keep a NaN
 # defect so that CheckResult.passed fails it; max(0.0, nan) is 0.0.
@@ -82,6 +101,12 @@ def _worst(diff) -> float:
     return float(np.max(np.abs(diff), initial=0.0))
 
 
+def _trajectory_gap(tr0, tr1) -> float:
+    """max(max |x0 - x1|, max |v0 - v1|) of two trajectories on one grid."""
+    return float(np.maximum(_worst(tr0.positions - tr1.positions),
+                            _worst(tr0.velocities - tr1.velocities)))
+
+
 def _shifted(system: System, chi: str) -> GaugeClassLagrangian:
     return gauge_shift(system.lagrangian, _chi_fn(system, chi))
 
@@ -100,30 +125,31 @@ def _section_change(system: System):
 # ---------------------------------------------------------------------------
 # Structure suites
 
-def atlas_suite(system: System, samples: int = 32, tol: float = 1e-12):
+def atlas_suite(system: System):
+    name = f"{system.name}: atlas antisymmetry+cocycle"
     try:
-        worst = system.atlas.validate(samples=samples, tol=tol)
+        worst = system.atlas.validate()
     except ValidationError as e:
-        return [CheckResult(f"{system.name}: atlas antisymmetry+cocycle", e.defect, tol, e.invariant)]
-    return [CheckResult(f"{system.name}: atlas antisymmetry+cocycle", worst, tol)]
+        return [CheckResult(name, e.defect, VALIDATION_TOL, e.invariant)]
+    return [CheckResult(name, worst, VALIDATION_TOL)]
 
 
-def commutation_suite(system: System, panels: int = 1000, tol: float = 1e-8):
+def commutation_suite(system: System):
     """Integral of the affine differential along a curve equals the
     endpoint fiber difference of the section (pull-back commutes with d)."""
     if system.section is None or system.curve is None:
         return []
     atlas = system.atlas
     sigma = affine_differential(system.section, atlas)
-    integral = integrate_pullback(sigma, system.curve, atlas, panels)
+    integral = integrate_pullback(sigma, system.curve, atlas, PANELS)
     defect = abs(affine_scalar_diff(integral, _section_change(system), atlas))
-    return [CheckResult(f"{system.name}: pull-back/differential commutation", defect, tol)]
+    return [CheckResult(f"{system.name}: pull-back/differential commutation", defect, INTEGRAL_TOL)]
 
 
 # ---------------------------------------------------------------------------
 # Gauge suites
 
-def gauge_el_suite(system: System, points: int = 100, tol: float = 1e-9):
+def gauge_el_suite(system: System, points: int = POINTS, tol: float = GAUGE_TOL):
     """E(L + <d chi, v>) = E(L) at random second-order data."""
     rng = np.random.default_rng(SEED)
     chart = system.default_chart()
@@ -141,8 +167,9 @@ def gauge_el_suite(system: System, points: int = 100, tol: float = 1e-9):
     return results
 
 
-def legendre_suite(system: System, points: int = 10, vels: int = 10, tol: float = 1e-12):
+def legendre_suite(system: System, tol: float = LEGENDRE_TOL):
     """P(L + <d chi, v>) - P(L) = d chi, independently of the velocity."""
+    points, vels = 10, 10
     rng = np.random.default_rng(SEED + 1)
     chart = system.default_chart()
     n = system.dim
@@ -171,40 +198,38 @@ def legendre_suite(system: System, points: int = 10, vels: int = 10, tol: float 
     return results
 
 
-def consistency_suite(system: System, points: int = 20, tol: float = 1e-10):
+def consistency_suite(system: System):
     """euler_lagrange at the solved accelerations reproduces the forcing."""
     rng = np.random.default_rng(SEED + 2)
     chart = system.default_chart()
     lam = system.lagrangian
-    x, v, _a, f = _uniform_rows(rng, points, (1.0, system.v_halfwidth, 1.0, 1.0), system.dim)
+    x, v, _a, f = _uniform_rows(rng, 20, (1.0, system.v_halfwidth, 1.0, 1.0), system.dim)
     a = np.array([solve_accelerations(lam, *xvf, chart) for xvf in zip(x, v, f)])
     e = lam.engine(chart).el_covectors(x, v, a.reshape(x.shape))
-    return [CheckResult(f"{system.name}: forced EL consistency", _worst(e - f), tol)]
+    return [CheckResult(f"{system.name}: forced EL consistency", _worst(e - f), 1e-10)]
 
 
 # ---------------------------------------------------------------------------
 # Action suites
 
-def action_equality_suite(
-    system: System, panels: int = 1000, steps: int = 1000, tol: float = 1e-8
-):
+def action_equality_suite(system: System):
     """Quadrature and lift constructions of the action agree."""
     if system.curve is None:
         return []
-    a = action_quadrature(system.lagrangian, system.curve, panels)
-    b = action_lift(system.lagrangian, system.curve, steps)
+    a = action_quadrature(system.lagrangian, system.curve, PANELS)
+    b = action_lift(system.lagrangian, system.curve, STEPS)
     defect = abs(affine_scalar_diff(a, b, system.atlas))
-    return [CheckResult(f"{system.name}: action quadrature = lift", defect, tol)]
+    return [CheckResult(f"{system.name}: action quadrature = lift", defect, INTEGRAL_TOL)]
 
 
-def exact_action_suite(system: System, panels: int = 1000, tol: float = 1e-8):
+def exact_action_suite(system: System):
     """For the exact Lagrangian <d(phi), v>, the action is the endpoint
     fiber difference of phi."""
     if system.section is None or system.curve is None:
         return []
-    act = action_quadrature(exact_lagrangian(system.section), system.curve, panels)
+    act = action_quadrature(exact_lagrangian(system.section), system.curve, PANELS)
     defect = abs(affine_scalar_diff(act, _section_change(system), system.atlas))
-    return [CheckResult(f"{system.name}: exact-Lagrangian action", defect, tol)]
+    return [CheckResult(f"{system.name}: exact-Lagrangian action", defect, INTEGRAL_TOL)]
 
 
 def _random_variation(rng, dim: int, a: float, b: float, vanishing: bool) -> VariationField:
@@ -218,13 +243,7 @@ def _random_variation(rng, dim: int, a: float, b: float, vanishing: bool) -> Var
     return VariationField.from_strings(exprs)
 
 
-def variation_suite(
-    system: System,
-    fields: int = 10,
-    panels: int = 1000,
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-):
+def variation_suite(system: System):
     """Finite-difference action derivative vs the boundary+bulk pairing,
     for random polynomial variation fields with and without endpoint
     vanishing."""
@@ -234,19 +253,20 @@ def variation_suite(
     curve = system.curve
     a, b = curve.t_start, curve.t_end
     worst = {True: 0.0, False: 0.0}
-    for k in range(fields):
+    for k in range(10):
         vanishing = k % 2 == 0
         w = _random_variation(rng, system.dim, a, b, vanishing)
-        fd = variation_derivative(system.lagrangian, curve, w, eps, panels)
-        pair = variation_pairing(system.lagrangian, curve, w, panels)
+        fd = variation_derivative(system.lagrangian, curve, w, EPS, PANELS)
+        pair = variation_pairing(system.lagrangian, curve, w, PANELS)
         worst[vanishing] = np.maximum(worst[vanishing], abs(fd - pair))
+    name = f"{system.name}: variational identity"
     return [
-        CheckResult(f"{system.name}: variational identity (endpoint-vanishing w)", worst[True], tol),
-        CheckResult(f"{system.name}: variational identity (general w)", worst[False], tol),
+        CheckResult(f"{name} (endpoint-vanishing w)", worst[True], VARIATION_TOL),
+        CheckResult(f"{name} (general w)", worst[False], VARIATION_TOL),
     ]
 
 
-def action_gauge_suite(system: System, panels: int = 1000, tol: float = 1e-9):
+def action_gauge_suite(system: System):
     """Gauge behavior of the action: the fixed-trivialization value
     shifts by chi(end) - chi(start); the pairing with endpoint-vanishing
     variations does not shift at all."""
@@ -255,22 +275,23 @@ def action_gauge_suite(system: System, panels: int = 1000, tol: float = 1e-9):
     fn = _chi_fn(system, system.chis[0])
     shifted = gauge_shift(system.lagrangian, fn)
     curve = system.curve
-    s0 = gauge_fixed_value(action_quadrature(system.lagrangian, curve, panels))
-    s1 = gauge_fixed_value(action_quadrature(shifted, curve, panels))
+    s0 = gauge_fixed_value(action_quadrature(system.lagrangian, curve, PANELS))
+    s1 = gauge_fixed_value(action_quadrature(shifted, curve, PANELS))
     expected = (fn(curve.position(curve.t_end), curve.segments[-1].chart_id)
                 - fn(curve.position(curve.t_start), curve.segments[0].chart_id))
     out = [
         CheckResult(
-            f"{system.name}: action gauge shift = chi(b)-chi(a)", abs(s1 - s0 - expected), tol
+            f"{system.name}: action gauge shift = chi(b)-chi(a)", abs(s1 - s0 - expected),
+            GAUGE_TOL,
         )
     ]
     rng = np.random.default_rng(SEED + 4)
     w = _random_variation(rng, system.dim, curve.t_start, curve.t_end, vanishing=True)
-    p0 = variation_pairing(system.lagrangian, curve, w, panels)
-    p1 = variation_pairing(shifted, curve, w, panels)
+    p0 = variation_pairing(system.lagrangian, curve, w, PANELS)
+    p1 = variation_pairing(shifted, curve, w, PANELS)
     out.append(
         CheckResult(
-            f"{system.name}: pairing gauge-invariant (vanishing w)", abs(p1 - p0), tol
+            f"{system.name}: pairing gauge-invariant (vanishing w)", abs(p1 - p0), GAUGE_TOL
         )
     )
     return out
@@ -279,9 +300,7 @@ def action_gauge_suite(system: System, panels: int = 1000, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 # Trajectory suites
 
-def trajectory_gauge_suite(
-    system: System, t1: float = 1.0, steps: int = 1000, tol: float = 1e-9
-):
+def trajectory_gauge_suite(system: System, tol: float = GAUGE_TOL):
     """Trajectories are unchanged by a gauge shift of the Lagrangian."""
     if not system.chis:
         return []
@@ -294,19 +313,15 @@ def trajectory_gauge_suite(
     name = f"{system.name}: trajectory gauge invariance, chi={chi}"
     try:
         tr0, tr1 = (
-            integrate_trajectory(lam, x0, v0, 0.0, t1, steps, chart_id=chart)
+            integrate_trajectory(lam, x0, v0, 0.0, 1.0, STEPS, chart_id=chart)
             for lam in (system.lagrangian, _shifted(system, chi))
         )
     except (DomainError, ChartExitError, SingularLagrangianError) as exc:
         return [CheckResult(name, math.nan, tol, str(exc))]
-    defect = max(
-        float(np.max(np.abs(tr0.positions - tr1.positions))),
-        float(np.max(np.abs(tr0.velocities - tr1.velocities))),
-    )
-    return [CheckResult(name, defect, tol)]
+    return [CheckResult(name, _trajectory_gap(tr0, tr1), tol)]
 
 
-def newton_suite(points: int = 30, tol: float = 1e-12):
+def newton_suite():
     """For L = m|v|^2/2 - V(x), the EL covector matches Newton's
     -dV/dx - m*a by hand."""
     atlas = euclidean_atlas(2)
@@ -315,13 +330,13 @@ def newton_suite(points: int = 30, tol: float = 1e-12):
         atlas, "0.5*m*(v1^2+v2^2) - (sin(x1) + 0.5*x2^2)", {"m": m}
     )
     rng = np.random.default_rng(SEED + 6)
-    x, v, a = _uniform_rows(rng, points, (1.0, 1.0, 1.0), 2)
+    x, v, a = _uniform_rows(rng, 30, (1.0, 1.0, 1.0), 2)
     e = lam.engine("0").el_covectors(x, v, a)
     hand = np.stack([-np.cos(x[:, 0]) - m * a[:, 0], -x[:, 1] - m * a[:, 1]], axis=1)
-    return [CheckResult("newton: EL matches hand formula", _worst(e - hand), tol)]
+    return [CheckResult("newton: EL matches hand formula", _worst(e - hand), 1e-12)]
 
 
-def uniform_field_regression(tol: float = 1e-10):
+def uniform_field_regression():
     """Closed form x(t) = x0 + v0*t - t^2/2 for L = v^2/2 - x."""
     atlas = euclidean_atlas(1)
     lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*v1^2 - x1")
@@ -329,15 +344,15 @@ def uniform_field_regression(tol: float = 1e-10):
     tr = integrate_trajectory(lam, [x0], [v0], 0.0, 1.0, 100)
     exact = x0 + v0 * tr.times - 0.5 * tr.times**2
     defect = float(np.max(np.abs(tr.positions[:, 0] - exact)))
-    return [CheckResult("uniform field: closed-form trajectory (h=1e-2)", defect, tol)]
+    return [CheckResult("uniform field: closed-form trajectory (h=1e-2)", defect, 1e-10)]
 
 
-def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9):
+def lorentz_suite():
     """Charged particle in |B| = 1: unit-radius circle with period 2*pi,
     reproduced identically after the gauge change A -> A + d(chi)."""
     system = charged_particle(b=1.0)
     period = 2.0 * np.pi
-    steps = round(period / step)
+    steps = round(period / 1e-4)
     x0 = np.array([0.0, 0.0, 0.0])
     v0 = np.array([1.0, 0.0, 0.0])
     center = np.array([0.0, -1.0, 0.0])  # x0 + (v0 x B)/|...|, radius 1
@@ -350,38 +365,29 @@ def lorentz_suite(step: float = 1e-4, tol: float = 1e-6, gauge_tol: float = 1e-9
     )
     shifted = gauge_shift(system.lagrangian, "sin(x1)*cos(x2)")
     tr2 = integrate_trajectory(shifted, x0, v0, 0.0, period, steps)
-    gauge_defect = max(
-        float(np.max(np.abs(tr.positions - tr2.positions))),
-        float(np.max(np.abs(tr.velocities - tr2.velocities))),
-    )
     return [
-        CheckResult("lorentz: orbit radius = 1", radius_defect, tol),
-        CheckResult("lorentz: period = 2*pi", period_defect, tol),
-        CheckResult("lorentz: gauge-shifted trajectory identical", gauge_defect, gauge_tol),
+        CheckResult("lorentz: orbit radius = 1", radius_defect, 1e-6),
+        CheckResult("lorentz: period = 2*pi", period_defect, 1e-6),
+        CheckResult("lorentz: gauge-shifted trajectory identical", _trajectory_gap(tr, tr2),
+                    GAUGE_TOL),
     ]
 
 
-def galilean_suite(points: int = 50, el_tol: float = 1e-12, traj_tol: float = 1e-9):
+def galilean_suite():
     """Free particle vs its boosted representative: identical EL outputs
     and identical trajectories."""
-    from .systems import boosted_free
-
     free = free_particle()
     boosted = boosted_free()
     rng = np.random.default_rng(SEED + 7)
-    x, v, a = _random_points(free, rng, points)
+    x, v, a = _random_points(free, rng, 50)
     e0 = free.lagrangian.engine("0").el_covectors(x, v, a)
     e1 = boosted.lagrangian.engine("0").el_covectors(x, v, a)
     x0, v0 = np.array([0.1, -0.2]), np.array([0.4, 0.3])
-    tr0 = integrate_trajectory(free.lagrangian, x0, v0, 0.0, 1.0, 1000)
-    tr1 = integrate_trajectory(boosted.lagrangian, x0, v0, 0.0, 1.0, 1000)
-    traj = max(
-        float(np.max(np.abs(tr0.positions - tr1.positions))),
-        float(np.max(np.abs(tr0.velocities - tr1.velocities))),
-    )
+    tr0 = integrate_trajectory(free.lagrangian, x0, v0, 0.0, 1.0, STEPS)
+    tr1 = integrate_trajectory(boosted.lagrangian, x0, v0, 0.0, 1.0, STEPS)
     return [
-        CheckResult("galilean: identical EL outputs", _worst(e1 - e0), el_tol),
-        CheckResult("galilean: identical trajectories", traj, traj_tol),
+        CheckResult("galilean: identical EL outputs", _worst(e1 - e0), 1e-12),
+        CheckResult("galilean: identical trajectories", _trajectory_gap(tr0, tr1), GAUGE_TOL),
     ]
 
 

@@ -44,30 +44,33 @@ def test_criterion_02_legendre_affine_covariance(systems):
 
 
 def test_criterion_03_action_curve_independence(systems):
+    assert (suites.PANELS, suites.STEPS) == (1000, 1000)
     results = []
     for system in systems:
-        results.extend(suites.action_equality_suite(system, panels=1000, steps=1000))
+        results.extend(suites.action_equality_suite(system))
     names = " ".join(r.name.split(":")[0] for r in results)
     assert "circle" in names  # includes the junction-crossing curve
     report(3, "action quadrature = lift (incl. circle junction)", worst_of(results), 1e-8)
 
 
 def test_criterion_04_exact_lagrangian_action(systems):
+    assert suites.PANELS == 1000
     results = []
     for system in systems:
-        results.extend(suites.exact_action_suite(system, panels=1000))
+        results.extend(suites.exact_action_suite(system))
     report(4, "exact-Lagrangian action = fiber difference of phi", worst_of(results), 1e-8)
 
 
 def test_criterion_05_variational_identity(systems):
+    assert (suites.PANELS, suites.EPS) == (1000, 1e-5)
     results = []
     for system in systems:
-        results.extend(suites.variation_suite(system, fields=10, panels=1000, eps=1e-5))
+        results.extend(suites.variation_suite(system))
     report(5, "FD action derivative = boundary+bulk pairing", worst_of(results), 1e-4)
 
 
 def test_criterion_06_lorentz_regression():
-    results = suites.lorentz_suite(step=1e-4)
+    results = suites.lorentz_suite()
     radius, period, gauge = results
     report(6, "Lorentz circle: radius and period", max(radius.defect, period.defect), 1e-6)
     assert gauge.defect <= 1e-9, f"gauge-shifted trajectory defect {gauge.defect:.3e}"
@@ -81,8 +84,9 @@ def test_criterion_07_galilean_frame_independence():
 
 def test_criterion_08_atlas_integrity(systems):
     circle = next(s for s in systems if s.name == "circle")
-    atlas_results = suites.atlas_suite(circle, samples=32)
-    commutation = suites.commutation_suite(circle, panels=1000)
+    assert suites.PANELS == 1000
+    atlas_results = suites.atlas_suite(circle)
+    commutation = suites.commutation_suite(circle)
     report(8, "circle atlas antisymmetry + cocycle", worst_of(atlas_results), 1e-12)
     assert worst_of(commutation) <= 1e-8
 

@@ -9,6 +9,7 @@ the package's re-exports and the CLI's forcing callable, which
 evaluates one point per RK4 stage, may import or use them.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -107,5 +108,35 @@ def test_compile_field_compiles_no_python(monkeypatch):
 
     monkeypatch.setattr(kernels, "_build", build)
     kernels.compile_solve(ast, names)
-    kernels.compile_step(ast, names, 1e12)
+    kernels.compile_step(ast, names)
     assert built == ["_terms", "_run"]
+
+
+def test_checks_run_at_fixed_sizes_and_tolerances():
+    """The suites take no size or tolerance parameter beyond the ones the
+    check-gauge flags set, and those parameters and the command-line
+    defaults are the suites' constants."""
+    from avcalc import cli, suites
+
+    defaulted = {
+        (suite.__name__, name): param.default
+        for suite in suites.PER_SYSTEM_SUITES + suites.GLOBAL_SUITES
+        for name, param in inspect.signature(suite).parameters.items()
+        if param.default is not param.empty
+    }
+    assert defaulted == {("gauge_el_suite", "points"): suites.POINTS,
+                         ("gauge_el_suite", "tol"): suites.GAUGE_TOL,
+                         ("legendre_suite", "tol"): suites.LEGENDRE_TOL,
+                         ("trajectory_gauge_suite", "tol"): suites.GAUGE_TOL}
+    expected = {
+        ("check-gauge",): {"points": suites.POINTS, "tol_el": suites.GAUGE_TOL,
+                           "tol_legendre": suites.LEGENDRE_TOL,
+                           "tol_trajectory": suites.GAUGE_TOL},
+        ("action",): {"panels": suites.PANELS, "steps": suites.STEPS,
+                      "tol": suites.INTEGRAL_TOL},
+        ("variation", "--w", "t"): {"eps": suites.EPS, "panels": suites.PANELS,
+                                    "tol": suites.VARIATION_TOL},
+    }
+    for argv, flags in expected.items():
+        args = vars(cli.build_parser().parse_args([*argv, "--system", "free"]))
+        assert {flag: args[flag] for flag in flags} == flags

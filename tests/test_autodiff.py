@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avcalc import exprlang
-from avcalc.autodiff import Hyperdual, gradient, hessian_vector, lift_const, lift_seed
+from avcalc.autodiff import Hyperdual, gradient, hessian_vector
 from avcalc.errors import DomainError
 
 from helpers_reference import fd_gradient, random_cases, reference_eval
@@ -19,9 +19,9 @@ def expr_fn(ast, varnames):
 
 class TestArithmetic:
     def test_seed_slots(self):
-        x = lift_seed(2.0, 1.0, 3.0)
+        x = Hyperdual(2.0, 1.0, 3.0)
         assert (x.val, x.d1, x.d2, x.d12) == (2.0, 1.0, 3.0, 0.0)
-        c = lift_const(5.0)
+        c = Hyperdual(5.0)
         assert (c.val, c.d1, c.d2, c.d12) == (5.0, 0.0, 0.0, 0.0)
 
     def test_product_rule(self):

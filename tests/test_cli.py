@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from avcalc.cli import _fmt, main
+from avcalc.config import load_config
 from avcalc.dynamics import integrate_trajectory
 from avcalc.systems import bundled_system
 
@@ -225,3 +227,37 @@ class TestCsv:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0] == "t,x1,x2,v1,v2"
+
+
+class TestForcedIntegrate:
+    """`integrate` on a config with a [forcing] section."""
+
+    def write(self, tmp_path, forcing):
+        path = tmp_path / "forced.cfg"
+        path.write_text('[system]\nname = "forced"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
+                        f'[forcing]\nf1 = "{forcing}"\n')
+        return str(path)
+
+    def test_csv_matches_a_numpy_forcing(self, tmp_path):
+        # + - * only: the interpreter and numpy round every operation alike
+        path = self.write(tmp_path, "-0.5*v1 - x1")
+        out = tmp_path / "forced.csv"
+        assert main(["integrate", "--system", path, "--x0", "1", "--v0", "0.25",
+                     "--t1", "3", "--steps", "60", "--output", str(out)]) == 0
+        system = load_config(path).system
+        tr = integrate_trajectory(system.lagrangian, [1.0], [0.25], 0.0, 3.0, 60,
+                                  forcing=lambda x, v: np.array([-0.5 * v[0] - x[0]]))
+        free = integrate_trajectory(system.lagrangian, [1.0], [0.25], 0.0, 3.0, 60)
+        assert tr.positions[-1, 0] != free.positions[-1, 0]  # the forcing acts
+        lines = ["t,x1,v1"]
+        for k in range(tr.times.shape[0]):
+            lines.append(",".join(_fmt(c) for c in (tr.times[k], tr.positions[k, 0],
+                                                    tr.velocities[k, 0])))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_forcing_outside_its_domain_is_1(self, tmp_path, capsys):
+        path = self.write(tmp_path, "sqrt(x1)")
+        code = main(["integrate", "--system", path, "--x0", "-1", "--v0", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -221,7 +221,7 @@ class TestFusedSourcePruning:
         _name, ast, dim = case
         names = lagrangian_varnames(dim)
         for src in (generate_source(ast, names), generate_solve_source(ast, names),
-                    generate_step_source(ast, names, 1e12)):
+                    generate_step_source(ast, names)):
             assert unread_values(src) == []
 
     @pytest.mark.parametrize("case", fused_cases(), ids=lambda c: c[0])
@@ -594,13 +594,13 @@ class TestStepSource:
     @pytest.mark.parametrize("n", [0, 4])
     def test_only_small_dimensions(self, n):
         with pytest.raises(ValueError, match="1 <= n <= 3"):
-            generate_step_source(exprlang.parse("1"), lagrangian_varnames(n), 1e12)
+            generate_step_source(exprlang.parse("1"), lagrangian_varnames(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_compiles_without_a_terms_call(self, n):
         names = lagrangian_varnames(n)
         text = " + ".join(f"(1 + x{i}^2)*v{i}^2 - cos(x{i})*v1" for i in range(1, n + 1))
-        src = generate_step_source(exprlang.parse(text), names, 1e12)
+        src = generate_step_source(exprlang.parse(text), names)
         compile(src, "<step>", "exec")
         assert "_terms(" not in src
 
@@ -609,7 +609,7 @@ class TestStepSource:
     ])
     def test_literal_hessian_has_no_runtime_guard(self, case, literal):
         (_name, ast, dim), = [c for c in fused_cases() if c[0] == case]
-        src = generate_step_source(ast, lagrangian_varnames(dim), 1e12)
+        src = generate_step_source(ast, lagrangian_varnames(dim))
         guarded = [bool(re.search(r"\bdet\b", src)), "abs(" in src]
         assert guarded == [not literal] * 2
 
