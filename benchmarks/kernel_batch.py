@@ -17,16 +17,21 @@ kernel (reads "all") and those of the columns the library reads, (0, 1,
 The header line of each kernel gives its generated lines and the
 distinct temporaries they use (names are reused once a value's last
 reader has run, see kernels._render), the records each kernel of the
-rows runs, and two figures of building the full kernel,
+rows runs, two figures of building the full kernel,
 each over fresh expressions of its shape (compile_field misses its
 cache on each): the Lagrangian plus a seeded constant, and the
-Lagrangian shifted by c times the configured chi for a seeded c:
+Lagrangian shifted by c times the configured chi for a seeded c,
+and one of finding it:
 
   * build us:   microseconds of one compile_field call, best of
                 BUILDS;
   * retained B: bytes that stay allocated per kernel built, traced by
                 tracemalloc over 20 builds: the kernel and its cache
-                entry, key included.
+                entry, key included, and the text that the fresh
+                expression's nodes render for the key and keep;
+  * hit us:     microseconds of one compile_field call that finds its
+                cache entry, the mean over HITS calls on the kernel's
+                own expression, best of --repeats.
 
 The script exits 1 if a column differs from the Hyperdual interpreter
 (exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by
@@ -50,6 +55,7 @@ from avcalc.systems import bundled_system
 
 TOLERANCE = 1e-12
 BUILDS = 30  # fresh expressions built per kernel for the build time
+HITS = 1000  # cache hits per timed block
 READS = (kernels.FULL, (0, 1, 3), (0, 1), (0,))
 
 
@@ -105,6 +111,19 @@ def best_build_seconds(asts, names) -> float:
     return best
 
 
+def best_hit_seconds(ast, names, repeats: int) -> float:
+    """Best over `repeats` of the mean time of HITS compile_field calls
+    that find the full kernel of `ast` in the cache."""
+    kernels.compile_field(ast, names)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(HITS):
+            kernels.compile_field(ast, names)
+        best = min(best, (time.perf_counter() - t0) / HITS)
+    return best
+
+
 def retained_bytes(asts, names) -> float:
     """Traced bytes still allocated per compile_field call over the
     fresh `asts`, once every call has returned."""
@@ -144,11 +163,12 @@ def main() -> int:
         asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, BUILDS + 20)]
         build = best_build_seconds(asts[:BUILDS], names)
         kept = retained_bytes(asts[BUILDS:], names)
+        hit = best_hit_seconds(ast, names, args.repeats)
         tape = kernels._Tape(*kernels._batched(ast, names))
         records = " / ".join(str(sum(tape.live(reads))) for reads in READS)
         print(f"{name}: {len(src.splitlines()) - 1} lines, {temps} temporaries, records "
               f"{records} for reads {' / '.join(map(label, READS))}, "
-              f"build {1e6 * build:.0f} us, retained {kept:.0f} B")
+              f"build {1e6 * build:.0f} us, retained {kept:.0f} B, hit {1e6 * hit:.2f} us")
         print(f"{'probes':>8} {'reads':>6} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
               f"vs interpreter")
         compiled = [(reads, kernels.compile_field(ast, names, reads=reads)) for reads in READS]

@@ -14,7 +14,6 @@ shifts by chi(end) - chi(start) under a gauge change of the Lagrangian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from . import exprlang
 from .affine import AffineScalar
 from .dynamics import GaugeClassLagrangian, legendre
 from .geometry import (
-    JET_READS,
     CurveSpec,
     SegmentNodes,
     _affine_integral,
@@ -31,27 +29,19 @@ from .geometry import (
     schedule_integral,
     simpson_nodes,
 )
-from .kernels import compile_field
 
 
 @dataclass(frozen=True)
 class VariationField:
     """Variation vector field along a curve: per-coordinate expressions
-    of the parameter t (components in the scheduled chart).  Frozen, as
-    it holds the kernels compiled from its expressions."""
+    of the parameter t (components in the scheduled chart).  Frozen: a
+    field is a value, like the curve it varies."""
 
     exprs: tuple
 
     @classmethod
     def from_strings(cls, exprs, constants=None):
         return cls(tuple(exprlang.expression(e, ("t",), constants) for e in exprs))
-
-    @cached_property
-    def kernels(self) -> tuple:
-        """The coordinates' kernels in t of geometry.jets_in_t's reads,
-        held once compiled, so the derivative and pairing along this
-        field look none up."""
-        return tuple(compile_field(e, ("t",), reads=JET_READS) for e in self.exprs)
 
     def __call__(self, t: float) -> np.ndarray:
         return eval_vector(self.exprs, {"t": t})
@@ -125,7 +115,7 @@ def variation_derivative(
     if eps <= 0:
         raise ValueError("eps must be positive")
     plan = curve.plan(panels, simpson_nodes)
-    w_jets = plan.field_jets(w.exprs, w.kernels)
+    w_jets = plan.field_jets(w.exprs)
     integrand = _lagrangian_integrand(lam)
 
     def action(s):
@@ -154,7 +144,7 @@ def variation_pairing(
     jets come from its Simpson plan, the field's from one evaluation.
     """
     plan = curve.plan(panels, simpson_nodes)
-    w_jets = dict(zip(plan.segments, plan.field_jets(w.exprs, w.kernels)))
+    w_jets = dict(zip(plan.segments, plan.field_jets(w.exprs)))
 
     def integrand(seg, sl, x, v, a):
         e = lam.engine(seg.chart_id).el_covectors(x, v, a)

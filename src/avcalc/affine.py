@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BaseMismatchError
 
-_BASE_TOL = 1e-9
+_BASE_TOL = 1e-9  # absolute, at any coordinate scale
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,14 @@ def fiber_diff(z1: FiberPoint, z2: FiberPoint, atlas) -> float:
     on the charts the two points happen to be written in.
     """
     if z1.chart_id == z2.chart_id:
-        if not np.allclose(as_base_array(z1.base), as_base_array(z2.base), atol=_BASE_TOL):
+        base1, base2 = as_base_array(z1.base), as_base_array(z2.base)
+        if not np.allclose(base1, base2, atol=_BASE_TOL, rtol=0):
             raise BaseMismatchError(
                 f"base points differ: {z1.base} vs {z2.base} in chart {z1.chart_id}"
             )
         return z1.value - z2.value
     x2, v2 = atlas.convert_fiber(as_base_array(z2.base), z2.value, z2.chart_id, z1.chart_id)
-    if not np.allclose(as_base_array(z1.base), x2, atol=_BASE_TOL):
+    if not np.allclose(as_base_array(z1.base), x2, atol=_BASE_TOL, rtol=0):
         raise BaseMismatchError(
             f"base points differ: {z1.base} (chart {z1.chart_id}) vs "
             f"{z2.base} (chart {z2.chart_id})"

@@ -28,8 +28,8 @@ from .action import (
 from .affine import affine_scalar_diff
 from .config import load_config, split_top_level
 from .dynamics import SecondOrderPoint, euler_lagrange, integrate_trajectory, legendre
-from .errors import AvcalcError
-from .exprlang import evaluate
+from .errors import AvcalcError, DomainError
+from .exprlang import evaluate, to_text
 from .geometry import CurveSpec
 from .systems import System, bundled_system, bundled_system_names, chi_set
 
@@ -90,9 +90,16 @@ def _forcing_callable(system: System):
     exprs = system.forcing
 
     def force(x, v):
-        env = {f"x{j + 1}": x[j] for j in range(n)}
-        env.update({f"v{j + 1}": v[j] for j in range(n)})
-        return np.array([float(evaluate(e, env)) for e in exprs])
+        env = {f"x{j + 1}": float(x[j]) for j in range(n)}
+        env.update({f"v{j + 1}": float(v[j]) for j in range(n)})
+        out = []
+        for e in exprs:
+            try:
+                out.append(float(evaluate(e, env)))
+            except DomainError as exc:
+                point = ", ".join(f"{name}={value!r}" for name, value in env.items())
+                raise DomainError(f"{exc} in {to_text(e)} at {point}") from None
+        return np.array(out)
 
     return force
 

@@ -195,29 +195,18 @@ def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:
 
 class _ChartEngine:
     """Compiled evaluation of one chart representative L(x1..xn, v1..vn):
-    probe assembly around a batched kernel for the batched operators,
-    the fused acceleration terms for the numpy RK4 step, and the
-    generated RK4 loop for n <= 3.  Each is compiled at its first use,
-    so a caller pays only for the one it needs."""
+    probe assembly around compile_field's kernels, looked up in its cache
+    by each call, for the batched operators; the fused acceleration terms
+    for the numpy RK4 step, and the generated RK4 loop for n <= 3, each
+    compiled at its first use and held, so a caller pays only for the
+    one it needs."""
 
     def __init__(self, ast: ExprAst, dim: int):
         self.n = dim
         self.m = 2 * dim
         self.ast = ast
-        self.varnames = lagrangian_varnames(dim)
+        self.varnames = tuple(lagrangian_varnames(dim))
         check_declared(ast, self.varnames)
-
-    @cached_property
-    def _value_kernel(self):
-        return compile_field(self.ast, self.varnames, reads=(0,))
-
-    @cached_property
-    def _momentum_kernel(self):
-        return compile_field(self.ast, self.varnames, reads=(0, 1))
-
-    @cached_property
-    def _el_kernel(self):
-        return compile_field(self.ast, self.varnames, reads=(0, 1, 3))
 
     @cached_property
     def _terms(self):
@@ -232,7 +221,8 @@ class _ChartEngine:
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one unseeded probe per point."""
         vals = np.concatenate((xs, vs), axis=1)
-        out = eval_chunked(self._value_kernel, vals, None, None, 1)[:, 0]
+        kernel = compile_field(self.ast, self.varnames, reads=(0,))
+        out = eval_chunked(kernel, vals, None, None, 1)[:, 0]
         require_finite((out,), self.ast, self.varnames, vals)
         return out
 
@@ -247,7 +237,8 @@ class _ChartEngine:
         d2 = np.zeros((points, k, m))
         d2[:, n:] = np.concatenate((vs, accs), axis=1)[:, None]
         d2 = d2.reshape(points * k, m)
-        out = eval_chunked(self._el_kernel, vals, d1, d2, 3, k).reshape(points, k, 3)
+        kernel = compile_field(self.ast, self.varnames, reads=(0, 1, 3))
+        out = eval_chunked(kernel, vals, d1, d2, 3, k).reshape(points, k, 3)
         with np.errstate(invalid="ignore"):  # inf - inf; reported below
             e = out[:, :n, 1] - out[:, n:, 2]
         require_finite((out[:, 0, 0], e), self.ast, self.varnames, vals, d1, d2, k)
@@ -260,7 +251,8 @@ class _ChartEngine:
         points = xs.shape[0]
         vals = np.concatenate((xs, vs), axis=1).repeat(n, axis=0)
         d1 = unit_seeds(self.m, points * n, n)
-        out = eval_chunked(self._momentum_kernel, vals, d1, None, 2, n).reshape(points, n, 2)
+        kernel = compile_field(self.ast, self.varnames, reads=(0, 1))
+        out = eval_chunked(kernel, vals, d1, None, 2, n).reshape(points, n, 2)
         p = out[:, :, 1]
         require_finite((out[:, 0, 0], p), self.ast, self.varnames, vals, d1, None, n)
         return p

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -48,31 +49,41 @@ BUILTIN_ARITY = {
 }
 
 
+class _Node:
+    """An AST node renders its canonical text (to_text) at its first use,
+    from its children's kept texts, and keeps it.  The text is not a
+    field, so == and hash are unchanged."""
+
+    @cached_property
+    def text(self) -> str:
+        return _render(self)
+
+
 @dataclass(frozen=True)
-class Number:
+class Number(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # only "-"
     child: "ExprAst"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # one of + - * / ^
     left: "ExprAst"
     right: "ExprAst"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     args: tuple
 
@@ -347,7 +358,12 @@ def free_variables(ast: ExprAst) -> set:
 
 def to_text(ast: ExprAst) -> str:
     """Canonical, fully parenthesized rendering; re-parsing it yields a
-    structurally identical AST."""
+    structurally identical AST.  Rendered once per node (_Node)."""
+    return ast.text
+
+
+def _render(ast: ExprAst) -> str:
+    """The text of one node, from its children's kept texts."""
     if isinstance(ast, Number):
         text = repr(ast.value)
         # parenthesize so a negative base binds correctly under '^'
@@ -355,10 +371,10 @@ def to_text(ast: ExprAst) -> str:
     if isinstance(ast, Var):
         return ast.name
     if isinstance(ast, Unary):
-        return f"(-{to_text(ast.child)})"
+        return f"(-{ast.child.text})"
     if isinstance(ast, Binary):
-        return f"({to_text(ast.left)}{ast.op}{to_text(ast.right)})"
-    return f"{ast.func}({','.join(to_text(a) for a in ast.args)})"
+        return f"({ast.left.text}{ast.op}{ast.right.text})"
+    return f"{ast.func}({','.join(a.text for a in ast.args)})"
 
 
 def substitute(ast: ExprAst, mapping: dict) -> ExprAst:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -40,32 +39,30 @@ def coord_names(dim: int) -> list:
     return [f"x{j}" for j in range(1, dim + 1)]
 
 
-def _probe(exprs, names, vals, d1, d2, reads, rows=1, kernels=None) -> np.ndarray:
-    """The outputs `reads` of the expressions' kernels (`kernels`, or
-    compile_field's of those reads) at the probes, of shape (reads,
-    probes, exprs); a non-finite one raises DomainError for its point
-    (`rows` probes).  Seeds are given as eval_chunked takes them."""
+def _probe(exprs, names, vals, d1, d2, reads, rows=1) -> np.ndarray:
+    """The outputs `reads` of the expressions' kernels (compile_field's
+    of those reads) at the probes, of shape (reads, probes, exprs); a
+    non-finite one raises DomainError for its point (`rows` probes).
+    Seeds are given as eval_chunked takes them."""
     out = np.empty((len(reads), vals.shape[0], len(exprs)))
     for k, e in enumerate(exprs):
-        kernel = kernels[k] if kernels else compile_field(e, names, reads=reads)
-        res = eval_chunked(kernel, vals, d1, d2, len(reads), rows)
+        res = eval_chunked(compile_field(e, names, reads=reads), vals, d1, d2, len(reads), rows)
         require_finite((res.reshape(-1, rows * len(reads)),), e, names, vals, d1, d2, rows)
         out[:, :, k] = res.T
     return out
 
 
-def eval_rows(exprs, names, xs, grad=False, kernels=None) -> np.ndarray:
+def eval_rows(exprs, names, xs, grad=False) -> np.ndarray:
     """The expressions over the variables `names` at every row of xs, of
     shape (rows, exprs), or with grad their gradients, (rows, exprs,
-    names); `kernels` are the expressions' compile_field kernels of
-    reads (0,), or with grad (1,).  With jets_in_t, geometry's one route
-    to expression values."""
+    names), through their kernels of reads (0,), or with grad (1,).
+    With jets_in_t, geometry's one route to expression values."""
     xs = np.asarray(xs, dtype=float)
     if not grad:
-        return _probe(exprs, names, xs, None, None, (0,), 1, kernels)[0]
+        return _probe(exprs, names, xs, None, None, (0,))[0]
     m = len(names)
     vals = np.repeat(xs, m, axis=0)
-    out = _probe(exprs, names, vals, unit_seeds(m, len(vals)), None, (1,), m, kernels)[0]
+    out = _probe(exprs, names, vals, unit_seeds(m, len(vals)), None, (1,), m)[0]
     return out.reshape(len(xs), m, len(exprs)).transpose(0, 2, 1)
 
 
@@ -121,26 +118,11 @@ class OverlapComponent:
     coord_map: tuple  # target coordinates as ExprAst over x1..xn
     gauge: ExprAst  # g_ij over source coordinates
 
-    def _compile(self, reads) -> list:
-        names = coord_names(len(self.box))
-        return [compile_field(e, names, reads=reads) for e in self.coord_map + (self.gauge,)]
-
-    @cached_property
-    def _value_kernels(self) -> list:
-        """coord_map's and the gauge's value kernels, held once compiled."""
-        return self._compile((0,))
-
-    @cached_property
-    def _gradient_kernels(self) -> list:
-        """coord_map's and the gauge's gradient kernels, held once compiled."""
-        return self._compile((1,))
-
     def transition(self, xs, grad=False) -> np.ndarray:
         """The target coordinates and g_ij at every row of xs, out[:, :n] and
         out[:, n], or with grad their gradients, of shape (rows, n + 1, n)."""
         exprs = self.coord_map + (self.gauge,)
-        kernels = self._gradient_kernels if grad else self._value_kernels
-        return eval_rows(exprs, coord_names(len(self.box)), xs, grad, kernels)
+        return eval_rows(exprs, coord_names(len(self.box)), xs, grad)
 
 
 @dataclass
@@ -427,16 +409,15 @@ _T = ("t",)
 JET_READS = (0, 1, 3)
 
 
-def jets_in_t(exprs, t, kernels=None):
+def jets_in_t(exprs, t):
     """Values, first and second t-derivatives of per-coordinate
     expressions in the parameter t at every node of the array t, each
-    of shape (nodes, coordinates).  One kernel call per coordinate
-    (`kernels`, or compile_field's, of reads JET_READS), seeded
-    d1 = d2 = 1, so a probe returns (x, x', x', x'') and the kernel
-    reads (x, x', x'')."""
+    of shape (nodes, coordinates).  One kernel call per coordinate (of
+    reads JET_READS), seeded d1 = d2 = 1, so a probe returns
+    (x, x', x', x'') and the kernel reads (x, x', x'')."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     ones = unit_seeds(1, len(t))
-    return _probe(exprs, _T, t, ones, ones, JET_READS, kernels=kernels)
+    return _probe(exprs, _T, t, ones, ones, JET_READS)
 
 
 @dataclass(frozen=True)
@@ -557,10 +538,10 @@ class SegmentNodes:
         return self.segment.chart_id
 
 
-def _jets_and_ends(exprs, seg: CurveSegment, t, kernels=None):
+def _jets_and_ends(exprs, seg: CurveSegment, t):
     """jets_in_t of `exprs` at the nodes t, and at seg.t0 and seg.t1,
     from one evaluation, read-only: a plan hands them to every caller."""
-    jets = jets_in_t(exprs, np.append(t, (seg.t0, seg.t1)), kernels)
+    jets = jets_in_t(exprs, np.append(t, (seg.t0, seg.t1)))
     jets.flags.writeable = False
     return jets[:, :-2], jets[:, -2:]
 
@@ -587,11 +568,11 @@ class NodePlan:
             segments.append(SegmentNodes(seg, t, weights, *_jets_and_ends(seg.exprs, seg, t)))
         return cls(count, tuple(segments))
 
-    def field_jets(self, exprs, kernels) -> list:
+    def field_jets(self, exprs) -> list:
         """Per segment, the (node jets, end jets) of other per-coordinate
-        expressions in t, such as a variation field, on this plan,
-        through their compiled `kernels` (see jets_in_t)."""
-        return [_jets_and_ends(exprs, s.segment, s.t, kernels) for s in self.segments]
+        expressions in t, such as a variation field, on this plan (see
+        jets_in_t)."""
+        return [_jets_and_ends(exprs, s.segment, s.t) for s in self.segments]
 
     def shifted(self, w_jets, s: float) -> "NodePlan":
         """The plan of the curve gamma + s*w, given w_jets = field_jets

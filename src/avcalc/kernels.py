@@ -55,12 +55,19 @@ need (a kernel of (0,) reads neither d1 nor d2, one of (0, 1) no d2,
 and the caller may pass None for them).  The library asks for (0,)
 for values, (0, 1) for momenta, (0, 1, 3) for Euler-Lagrange
 covectors and curve jets, and (0,) or (1,) for values or gradients of
-geometry's expressions.  The cache holds one walk of the expression per
-text and variable layout (its tape), and that tape's kernel per reads:
-a second reads costs one tape filter, not a second walk.  The charged
-particle's gauge twin retains about 3.3 KB for its tape with its cache
-entry, and 1.5 KB (reads (0,)) to 3.5 KB (FULL) per kernel built from
-it, measured by tracemalloc as benchmarks/kernel_batch.py does.
+geometry's expressions.
+
+compile_field's cache is the one place that keeps kernels and decides
+their reuse and memory: no library object holds one, each caller asks
+compile_field where it runs it.  The cache holds one walk of the
+expression per text and variable layout (its tape), and that tape's
+kernel per reads: a second reads costs one tape filter, not a second
+walk.  The key is the text each node renders once and keeps
+(exprlang._Node), so a hit is a dict probe ("hit us" in
+benchmarks/kernel_batch.py) and a gauge twin renders only the nodes the
+shift adds.  The charged particle's gauge twin retains about 3.3 KB for
+its tape with its cache entry, and 1.5 KB (reads (0,)) to 3.5 KB (FULL)
+per kernel built from it, measured by tracemalloc as that script does.
 
 The library evaluates expressions through these kernels (the CLI's
 forcing aside).  Batched callers run one through eval_chunked, in calls
@@ -859,8 +866,10 @@ class _Tape:
 
 
 # compile_field keeps the tapes of at most CACHE_SIZE expressions and
-# evicts the least recently used.  Engines hold their own kernels, so an
-# eviction never rebuilds a kernel that an engine still uses.
+# evicts the least recently used.  Measured on the avbench workloads, a
+# pass adds 12 entries (action's fresh variation fields) or 6
+# (gauge_scan's fresh twins), orbit and cloud none after set-up, and
+# every pass uses each entry used again: no eviction takes a tape in use.
 CACHE_SIZE = 256
 _CACHE = {}  # (text, variables) -> _Tape, in order of last use
 
@@ -872,7 +881,8 @@ def compile_field(ast: ExprAst, varnames, *, reads=FULL):
     reads[c] of the module docstring's contract, so `out` has
     len(reads) columns; it runs only the records those outputs depend
     on.  The cache holds one walk of the expression per (text, variable
-    layout), at most CACHE_SIZE of them, with its kernel per `reads`.
+    layout), at most CACHE_SIZE of them, with its kernel per `reads`;
+    the text is the node's kept one, so a hit renders nothing.
     """
     key = (to_text(ast), tuple(varnames))
     tape = _CACHE.pop(key, None)

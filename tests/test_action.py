@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcalc import action, geometry, kernels
+from avcalc import geometry, kernels
 from avcalc.action import (
     VariationField,
     _rk4_nodes,
@@ -249,61 +249,60 @@ class TestNodePlan:
 
     @staticmethod
     def count_evaluations(monkeypatch):
-        """The expressions handed to geometry.jets_in_t and to
-        compile_field (geometry's and action's), from here on."""
-        seen, lookups = [], []
-        real_jets, real_compile = geometry.jets_in_t, geometry.compile_field
+        """The expressions handed to geometry.jets_in_t, and the
+        (expression, variables) of each kernel walk (kernels._batched,
+        one per expression a cache miss compiles), from here on, with
+        the kernel cache emptied."""
+        seen, walks = [], []
+        real_jets, real_walk = geometry.jets_in_t, kernels._batched
 
-        def jets(exprs, t, kernels=None):
+        def jets(exprs, t):
             seen.append(exprs)
-            return real_jets(exprs, t, kernels)
-
-        def compile_field(ast, varnames, **reads):
-            lookups.append(ast)
-            return real_compile(ast, varnames, **reads)
+            return real_jets(exprs, t)
 
         monkeypatch.setattr(geometry, "jets_in_t", jets)
-        monkeypatch.setattr(geometry, "compile_field", compile_field)
-        monkeypatch.setattr(action, "compile_field", compile_field)
-        return seen, lookups
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(kernels, "_batched", lambda *a: walks.append(a) or real_walk(*a))
+        return seen, walks
 
     def test_second_quadrature_evaluates_no_curve_jets(self, circle, monkeypatch):
         lam, curve = circle
-        seen, lookups = self.count_evaluations(monkeypatch)
+        seen, walks = self.count_evaluations(monkeypatch)
         first = action_quadrature(lam, curve, 200)
-        assert len(seen) == len(curve.segments) and lookups
+        assert len(seen) == len(curve.segments) and walks
         seen.clear()
-        lookups.clear()
+        walks.clear()
         again = action_quadrature(lam, curve, 200)
-        assert seen == [] and lookups == []
+        assert seen == [] and walks == []
         assert again == first
 
     def test_derivative_and_pairing_evaluate_only_the_field(self, circle, monkeypatch):
         lam, curve = circle
         w = VariationField.from_strings(["(t+1)*(2.5-t)"])
         action_quadrature(lam, curve, 200)
-        seen, _lookups = self.count_evaluations(monkeypatch)
+        seen, _walks = self.count_evaluations(monkeypatch)
         variation_derivative(lam, curve, w, 1e-5, 200)
         variation_pairing(lam, curve, w, 200)
         # one evaluation of the field per segment and call
         assert seen == [w.exprs] * (2 * len(curve.segments))
 
-    def test_field_holds_its_kernels(self, circle, monkeypatch):
+    def test_field_compiles_once(self, circle, monkeypatch):
         lam, curve = circle
         w = VariationField.from_strings(["(t+1)*(2.5-t)"])
         with pytest.raises(FrozenInstanceError):
-            w.exprs = VariationField.from_strings(["t"]).exprs  # would leave its kernels stale
+            w.exprs = VariationField.from_strings(["t"]).exprs
+        _seen, walks = self.count_evaluations(monkeypatch)
         first = variation_derivative(lam, curve, w, 1e-5, 200)
         pairing = variation_pairing(lam, curve, w, 200)
-        _seen, lookups = self.count_evaluations(monkeypatch)
+        assert [a for a in walks if a[0] in w.exprs] == [(w.exprs[0], ("t",))]
+        walks.clear()
         assert variation_derivative(lam, curve, w, 1e-5, 200) == first
         assert variation_pairing(lam, curve, w, 200) == pairing
-        assert lookups == []
-        # a field of the same expressions compiles nothing either, but
-        # looks its kernels up once, on its first use
+        assert walks == []
+        # a field of the same expressions compiles nothing either
         again = VariationField.from_strings(["(t+1)*(2.5-t)"])
         assert variation_pairing(lam, curve, again, 200) == pairing
-        assert lookups == list(again.exprs)
+        assert walks == []
 
     def test_one_plan_per_rule(self, circle):
         lam, curve = circle

@@ -43,6 +43,20 @@ class TestFiberDiff:
         with pytest.raises(BaseMismatchError):
             fiber_diff(FiberPoint("0", (0.0,), 1.0), FiberPoint("0", (1.0,), 1.0), atlas)
 
+    @pytest.mark.parametrize("x, gap", [(1.0, 5e-6), (100.0, 5e-4), (0.0, 2e-9)])
+    def test_base_tolerance_is_absolute(self, x, gap):
+        # the bases may differ by 1e-9 at any scale, not by a relative 1e-5
+        atlas = euclidean_atlas(1)
+        near = FiberPoint("0", (x + 0.5e-9,), 1.0)
+        assert fiber_diff(FiberPoint("0", (x,), 3.0), near, atlas) == 2.0
+        with pytest.raises(BaseMismatchError):
+            fiber_diff(FiberPoint("0", (x,), 3.0), FiberPoint("0", (x + gap,), 1.0), atlas)
+
+    def test_cross_chart_base_tolerance_is_absolute(self, circle):
+        # 4e-6 apart at x = 0.5 is within numpy's default relative 1e-5
+        with pytest.raises(BaseMismatchError):
+            fiber_diff(FiberPoint("0", (0.5,), 2.0), FiberPoint("1", (0.5 + 4e-6,), 0.3), circle)
+
     def test_cross_chart_on_circle(self, circle):
         # same geometric point, x = 0.5 in both charts (primary overlap
         # component, identical coordinates); chart-1 value converts to

@@ -636,6 +636,72 @@ class TestCacheBound:
             out = eval_batch(kernel, [[2.0]], [[1.0]], [[0.0]])
             assert out[0].tolist() == [3.0, 1.0, 0.0, 0.0]
 
+    def test_evicted_engine_tape_is_rebuilt(self, empty_cache, monkeypatch):
+        # no engine holds a kernel: after an eviction its operators walk
+        # the expression again, once for all their reads, and give the
+        # same bytes
+        walks = []
+        real = kernels._batched
+        monkeypatch.setattr(kernels, "_batched", lambda *a: walks.append(a) or real(*a))
+        system = bundled_system("charged")
+        eng = gauge_shift(system.lagrangian, system.chis[0]).engine(system.default_chart())
+        rng = np.random.default_rng(17)
+        x, v, a = (rng.uniform(-1.0, 1.0, (700, 3)) for _ in range(3))
+
+        def outputs():
+            return [eng.values(x, v).tobytes(), eng.momenta(x, v).tobytes(),
+                    eng.el_covectors(x, v, a).tobytes()]
+
+        first = outputs()
+        assert walks == [(eng.ast, eng.varnames)]
+        kernels._CACHE.clear()
+        assert outputs() == first
+        assert walks == [(eng.ast, eng.varnames)] * 2
+
+
+def nodes(ast):
+    """Every node of the tree, the root first."""
+    yield ast
+    for child in (getattr(ast, "child", None), getattr(ast, "left", None),
+                  getattr(ast, "right", None), *getattr(ast, "args", ())):
+        if child is not None:
+            yield from nodes(child)
+
+
+class TestCacheKey:
+    """The cache key is the expression's text, which each node renders
+    once and keeps."""
+
+    def test_a_hit_renders_no_text(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        rendered = []
+        real = exprlang._render
+        monkeypatch.setattr(exprlang, "_render", lambda ast: rendered.append(id(ast)) or real(ast))
+        system = bundled_system("charged")  # a fresh tree, never rendered
+        names = lagrangian_varnames(system.dim)
+        lagrangian = system.lagrangian.expr(system.default_chart())
+        own = {id(node) for node in nodes(lagrangian)}
+        kernel = compile_field(lagrangian, names, reads=(0, 1))
+        assert sorted(rendered) == sorted(own)  # each node once
+        rendered.clear()
+        assert compile_field(lagrangian, names, reads=(0, 1)) is kernel
+        compile_field(lagrangian, names)
+        assert rendered == []
+        # the twin L + <d(chi), v> renders the nodes the shift adds, and
+        # reads the Lagrangian's kept text for its subtree
+        twin = gauge_shift(system.lagrangian, system.chis[0]).expr(system.default_chart())
+        compile_field(twin, names)
+        assert any(node is lagrangian for node in nodes(twin))
+        assert rendered and own.isdisjoint(rendered)
+
+    def test_text_is_no_field(self):
+        ast = exprlang.parse("sin(x1)*x2 - 2")
+        fresh = exprlang.parse("sin(x1)*x2 - 2")
+        exprlang.to_text(ast)
+        assert "text" in vars(ast) and "text" not in vars(fresh)
+        assert ast == fresh and hash(ast) == hash(fresh) and repr(ast) == repr(fresh)
+        assert exprlang.to_text(fresh) == exprlang.to_text(ast) == "((sin(x1)*x2)-2.0)"
+
 
 class TestAvbenchSurface:
     """The backend names the avbench harness still reads: one backend,
