@@ -5,9 +5,10 @@ the ratio NEW / OLD and a flag when the median moved by more than the
 older record's interquartile range (IQR): "better" or "WORSE" by the
 metric's direction in BENCHMARK.json, else "-" (within the older runs'
 own spread).  Failed operation counts are printed beside them, and the
-check-all best wall time with its ratio, or FAILED when a check-all run
-of either record exited non-zero.  A flag is a move to look at,
-not a verdict: the gates are avbench's own bounds and pair counts.
+best wall time with its ratio of check-all and, when both records have
+it, of the long orbit, or FAILED when a run of either record exited
+non-zero.  A flag is a move to look at, not a verdict: the gates are
+avbench's own bounds and pair counts.
 
 Run:  python benchmarks/compare.py OLD.json NEW.json
 Exit status 0, or 2 when a file cannot be read.
@@ -65,17 +66,24 @@ def main(argv) -> int:
         if after is not None:
             print(f"{workload:<12} failed {before['failed']}/{before['attempted']}"
                   f" -> {after['failed']}/{after['attempted']}")
-    a, b = old.get("check_all"), new.get("check_all")
-    if a and b:
-        if a["best_s"] is None or b["best_s"] is None:
-            print(f"check-all    FAILED: exit status {a.get('returncodes')} -> {b.get('returncodes')}")
-            return 0
-        same = a["output_sha256"] == b["output_sha256"]
-        print(f"check-all    best {a['best_s']:.3f} s -> {b['best_s']:.3f} s"
-              f" ({b['best_s'] / a['best_s']:.3f}),"
-              f" PASS lines {a['pass_lines']} -> {b['pass_lines']},"
-              f" output {'identical' if same else 'DIFFERS'}")
+    for key, label in (("check_all", "check-all"), ("long_orbit", "long orbit")):
+        a, b = old.get(key), new.get(key)
+        if a and b:
+            print(command_line(label, a, b))
     return 0
+
+
+def command_line(label: str, a: dict, b: dict) -> str:
+    """The best wall times of one command in two records, their ratio and
+    whether the outputs agree (and check-all's PASS lines)."""
+    if a["best_s"] is None or b["best_s"] is None:
+        return f"{label:<12} FAILED: exit status {a.get('returncodes')} -> {b.get('returncodes')}"
+    same = a["output_sha256"] == b["output_sha256"]
+    passes = (f" PASS lines {a['pass_lines']} -> {b['pass_lines']},"
+              if "pass_lines" in a and "pass_lines" in b else "")
+    return (f"{label:<12} best {a['best_s']:.3f} s -> {b['best_s']:.3f} s"
+            f" ({b['best_s'] / a['best_s']:.3f}),{passes}"
+            f" output {'identical' if same else 'DIFFERS'}")
 
 
 if __name__ == "__main__":

@@ -15,9 +15,11 @@ workload:
 With them go the machine (nproc, machine speed of every run), the
 Python and numpy versions, the checkout's git SHA and whether its
 tracked files differ from it, a hash of the measured program files, and
-the wall time of `avcalc check-all`, best of 3 runs, with the number
-of its PASS lines, a hash of its output and each run's exit status;
-a failed run leaves no best time.
+two end-to-end commands, each the best wall time of 3 runs with each
+run's exit status and a hash of its output (a failed run leaves no best
+time): `avcalc check-all`, with the number of its PASS lines, and a
+long orbit, `avcalc integrate` of the charged particle over one Lorentz
+period in ORBIT_STEPS steps, hashed by the CSV it writes.
 
 Every process starts from the same bytecode state: __pycache__
 directories under the checkout's src/ and avbench/ are removed first
@@ -31,6 +33,7 @@ Compare two records with benchmarks/compare.py.
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -38,6 +41,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,7 +50,10 @@ import numpy
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("norm_work_per_s", "peak_rss_mb", "setup_s")
 SEEDS = (1, 2, 3, 4, 5)
-CHECK_ALL = "import sys; from avcalc.cli import main; sys.exit(main(['check-all']))"
+CLI = "import sys; from avcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+ORBIT_STEPS = 62832  # one period 2*pi at h of about 1e-4, as suites.lorentz_suite takes it
+ORBIT = ["integrate", "--system", "charged", "--x0", "0,0,0", "--v0", "1,0,0",
+         "--t1", repr(2.0 * math.pi), "--steps", str(ORBIT_STEPS)]
 
 
 def quartiles(values) -> dict:
@@ -103,27 +110,46 @@ def run_workload(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def check_all(tree: Path, runs: int) -> dict:
-    """Wall seconds and exit status of `avcalc check-all` per run, its
-    PASS lines and the hash of its output (which must not differ between
-    runs).  best_s is None unless every run exited with status 0."""
+def time_cli(tree: Path, argv, runs: int, output: Path = None):
+    """Wall seconds and exit status of `avcalc argv` per run, and the hash
+    of its output, which is its stdout, or with `output` the file it
+    writes there (which must not differ between runs).  best_s is None
+    unless every run exited with status 0.  Returns the record and the
+    output's text."""
     walls, codes, outputs = [], [], set()
     for _ in range(runs):
+        if output is not None:
+            output.unlink(missing_ok=True)
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", CHECK_ALL], cwd=tree, env=child_env(tree),
+        proc = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=tree, env=child_env(tree),
                               capture_output=True, text=True)
         walls.append(time.perf_counter() - t0)
         codes.append(proc.returncode)
-        outputs.add(proc.stdout)
+        if output is None:
+            outputs.add(proc.stdout)
+        else:
+            outputs.add(output.read_text() if output.exists() else "")
     text = outputs.pop() if len(outputs) == 1 else ""
     return {
         "best_s": min(walls) if not any(codes) else None,
         "wall_s": walls,
         "returncodes": codes,
-        "pass_lines": sum("PASS" in line for line in text.splitlines()),
         "output_sha256": hashlib.sha256(text.encode()).hexdigest() if text else None,
         "identical_runs": not outputs,
-    }
+    }, text
+
+
+def check_all(tree: Path, runs: int) -> dict:
+    """time_cli of `avcalc check-all`, with its PASS lines."""
+    record, text = time_cli(tree, ["check-all"], runs)
+    return {**record, "pass_lines": sum("PASS" in line for line in text.splitlines())}
+
+
+def long_orbit(tree: Path, runs: int) -> dict:
+    """time_cli of the long orbit ORBIT, hashed by the CSV it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "orbit.csv"
+        return time_cli(tree, [*ORBIT, "--output", str(csv)], runs, csv)[0]
 
 
 def git(tree: Path, *args) -> str:
@@ -164,6 +190,11 @@ def main() -> int:
         print(f"check-all    FAILED, exit status {checks['returncodes']}")
     else:
         print(f"check-all    best {checks['best_s']:.3f} s, {checks['pass_lines']} PASS lines")
+    orbit = long_orbit(tree, 3)
+    if orbit["best_s"] is None:
+        print(f"long orbit   FAILED, exit status {orbit['returncodes']}")
+    else:
+        print(f"long orbit   best {orbit['best_s']:.3f} s, CSV sha256 {orbit['output_sha256'][:12]}")
     record = {
         "tree": {"sha": git(tree, "rev-parse", "HEAD"),
                  "dirty": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
@@ -174,6 +205,7 @@ def main() -> int:
                      "PYTHONDONTWRITEBYTECODE": "1"},
         "workloads": {w: {**summarize(r), "runs": r} for w, r in runs.items()},
         "check_all": checks,
+        "long_orbit": orbit,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

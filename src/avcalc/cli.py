@@ -30,7 +30,7 @@ from .config import load_config, split_top_level
 from .dynamics import SecondOrderPoint, euler_lagrange, integrate_trajectory, legendre
 from .errors import AvcalcError, DomainError
 from .exprlang import evaluate, to_text
-from .geometry import CurveSpec
+from .geometry import CurveSpec, ScalarFunction
 from .systems import System, bundled_system, bundled_system_names, chi_set
 
 
@@ -179,7 +179,7 @@ def cmd_action(args) -> int:
     print(f"action_quadrature = {_fmt(gauge_fixed_value(quad))}")
     print(f"action_lift       = {_fmt(gauge_fixed_value(lift))}")
     print(f"difference        = {_fmt(gap)}")
-    return 0 if gap <= args.tol else 1
+    return 0 if gap <= suites.INTEGRAL_TOL else 1
 
 
 def cmd_variation(args) -> int:
@@ -195,17 +195,18 @@ def cmd_variation(args) -> int:
     print(f"variation_derivative = {_fmt(fd)}")
     print(f"variation_pairing    = {_fmt(pair)}")
     print(f"gap                  = {_fmt(gap)}")
-    return 0 if gap <= args.tol else 1
+    return 0 if gap <= suites.VARIATION_TOL else 1
 
 
 def cmd_check_gauge(args) -> int:
     system = _load_system(args.system)
     chis = (args.chi,) if args.chi else (system.chis or tuple(chi_set(system.dim)))
+    for chi in chis:  # each must be one function on M
+        ScalarFunction.from_common(system.atlas, chi, system.constants).validate()
     probe = dataclasses.replace(system, chis=tuple(chis))
-    results = suites.gauge_el_suite(probe, points=args.points, tol=args.tol_el)
-    results += suites.legendre_suite(probe, tol=args.tol_legendre)
+    results = suites.gauge_el_suite(probe) + suites.legendre_suite(probe)
     code = _print_results(results)  # shown even if the trajectory suite raises
-    traj = suites.trajectory_gauge_suite(probe, tol=args.tol_trajectory)
+    traj = suites.trajectory_gauge_suite(probe)
     return max(code, _print_results(traj))
 
 
@@ -241,9 +242,11 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a positive number")
 
 
-def _add_system(p, required=True):
+def _add_system(p, required=True, chart=True):
+    """--system, and --chart for a command that reads it."""
     p.add_argument("--system", required=required, help="config file or bundled system name")
-    p.add_argument("--chart", default=None, help="chart id (default: first chart)")
+    if chart:
+        p.add_argument("--chart", default=None, help="chart id (default: first chart)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=_finite_float, default=1.0)
     p.add_argument("--panels", type=_positive_int, default=suites.PANELS)
     p.add_argument("--steps", type=_positive_int, default=suites.STEPS)
-    p.add_argument("--tol", type=_positive_float, default=suites.INTEGRAL_TOL)
     p.set_defaults(run=cmd_action)
 
     p = sub.add_parser("variation", help="FD action derivative vs the boundary+bulk pairing")
@@ -295,20 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True, help="variation field expressions in t, ';'-separated")
     p.add_argument("--eps", type=_positive_float, default=suites.EPS)
     p.add_argument("--panels", type=_positive_int, default=suites.PANELS)
-    p.add_argument("--tol", type=_positive_float, default=suites.VARIATION_TOL)
     p.set_defaults(run=cmd_variation)
 
     p = sub.add_parser("check-gauge", help="gauge-invariance suite for a gauge function")
-    _add_system(p)
+    _add_system(p, chart=False)
     p.add_argument("--chi", default=None, help="gauge function of x1..xn")
-    p.add_argument("--points", type=_positive_int, default=suites.POINTS)
-    p.add_argument("--tol-el", type=_positive_float, default=suites.GAUGE_TOL)
-    p.add_argument("--tol-legendre", type=_positive_float, default=suites.LEGENDRE_TOL)
-    p.add_argument("--tol-trajectory", type=_positive_float, default=suites.GAUGE_TOL)
     p.set_defaults(run=cmd_check_gauge)
 
     p = sub.add_parser("check-all", help="run every invariant suite")
-    _add_system(p, required=False)
+    _add_system(p, required=False, chart=False)
     p.set_defaults(run=cmd_check_all)
 
     return parser

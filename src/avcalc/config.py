@@ -45,7 +45,14 @@ from .errors import (
     UnknownFunctionError,
     ValidationError,
 )
-from .geometry import CurveSegment, CurveSpec, circle_atlas, coord_names, euclidean_atlas
+from .geometry import (
+    CurveSegment,
+    CurveSpec,
+    ScalarFunction,
+    circle_atlas,
+    coord_names,
+    euclidean_atlas,
+)
 from .systems import System, chi_set
 
 _SECTION_RE = re.compile(r"^\s*\[([A-Za-z_][\w-]*)\]\s*$")
@@ -127,11 +134,12 @@ def _expr(text: str, variables, constants: dict, where: str):
         ) from e
 
 
-def split_top_level(text: str, seps=(";", ",")):
-    """Split on separators at parenthesis depth zero (so 'pow(a,b)'
-    survives comma-separated coordinate lists)."""
+def split_top_level(text: str):
+    """Split on ';', or on ',' if the text has no ';', at parenthesis
+    depth zero (so 'pow(a,b)' survives comma-separated coordinate
+    lists)."""
     parts, depth, start = [], 0, 0
-    sep = ";" if ";" in text else seps[-1]
+    sep = ";" if ";" in text else ","
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
@@ -237,7 +245,8 @@ def load_config(path: str) -> SystemConfig:
 
     chis = []
     for value in sections.get("gauge", {}).values():
-        _expr(value, coords, constants, "gauge")
+        # each must be one function on M
+        ScalarFunction.from_common(atlas, _expr(value, coords, constants, "gauge")).validate()
         chis.append(value)
 
     forcing = None

@@ -24,6 +24,7 @@ from . import exprlang
 from ._symdiff import add as _ast_add
 from ._symdiff import velocity_coupling
 from .errors import (
+    ChartDisjointError,
     ChartExitError,
     SingularLagrangianError,
     ValidationError,
@@ -91,10 +92,9 @@ class AffineCovector:
             return self
         x = np.asarray(self.x, float)
         p = np.asarray(self.p, float)
-        jac = atlas.jacobian(x, self.chart_id, dst)
-        dg = atlas.gauge_gradient(x, self.chart_id, dst)
+        d = atlas._transition([x], self.chart_id, dst, grad=True)[0]  # Jacobian rows, then dg
         # p_src = J^T p_dst + dg_src_dst
-        p_dst = np.linalg.solve(jac.T, p - dg)
+        p_dst = np.linalg.solve(d[:-1].T, p - d[-1])
         x_dst = atlas.convert_point(x, self.chart_id, dst)
         return AffineCovector(dst, tuple(x_dst), tuple(p_dst))
 
@@ -288,6 +288,15 @@ def _finite(name: str, value) -> np.ndarray:
     return arr
 
 
+def _chart_point(atlas: Atlas, chart_id: str, name: str, x) -> np.ndarray:
+    """_finite(name, x), which must lie in chart `chart_id` (to within
+    _BOX_TOL): ChartDisjointError naming the point and the chart if not."""
+    x = _finite(name, x)
+    if not atlas.contains(chart_id, x):
+        raise ChartDisjointError(f"{name}={x} is outside chart {chart_id}")
+    return x
+
+
 def euler_lagrange(
     lam: GaugeClassLagrangian, q: SecondOrderPoint, chart_id: str, backend: str = "numpy"
 ) -> Covector:
@@ -295,7 +304,7 @@ def euler_lagrange(
     `backend` must be "numpy" (see kernels.require_numpy_backend)."""
     require_numpy_backend(backend)
     eng = lam.engine(chart_id)
-    x = _finite("x", q.x)
+    x = _chart_point(lam.atlas, chart_id, "x", q.x)
     e = eng.el_covectors(x[None], _finite("v", q.v)[None], _finite("a", q.a)[None])
     return Covector(tuple(x), tuple(e[0]))
 
@@ -303,7 +312,7 @@ def euler_lagrange(
 def legendre(lam: GaugeClassLagrangian, x, v, chart_id: str) -> AffineCovector:
     """Momentum map p_i = dL/dv_i in the given trivialization."""
     eng = lam.engine(chart_id)
-    x = _finite("x", x)
+    x = _chart_point(lam.atlas, chart_id, "x", x)
     p = eng.momenta(x[None], _finite("v", v)[None])
     return AffineCovector(chart_id, tuple(x), tuple(p[0]))
 
@@ -344,7 +353,7 @@ def solve_accelerations(
         chart_id = lam.atlas.charts[0].id
     eng = lam.engine(chart_id)
     fvec = None if f is None else _finite("f", f.p if isinstance(f, Covector) else f)
-    return _accelerations(eng, _finite("x", x), _finite("v", v), fvec)
+    return _accelerations(eng, _chart_point(lam.atlas, chart_id, "x", x), _finite("v", v), fvec)
 
 
 ForcingLike = Optional[Union[np.ndarray, Callable]]
@@ -380,7 +389,7 @@ def integrate_trajectory(
     eng = lam.engine(chart_id)
     atlas = lam.atlas
     n = atlas.dim
-    x0 = _finite("x0", x0)
+    x0 = _chart_point(atlas, chart_id, "x0", x0)
     v0 = _finite("v0", v0)
 
     if forcing is None:

@@ -173,8 +173,12 @@ class Atlas:
         return float(self._transition([x], src, dst)[0, -1])
 
     def convert_fiber(self, x, value: float, src: str, dst: str):
-        """Re-chart a fiber coordinate: value_dst = value_src - g_{src,dst}(x)."""
-        return self.convert_point(x, src, dst), value - self.gauge_offset(x, src, dst)
+        """(x in dst coordinates, value_dst = value_src - g_{src,dst}(x)), from
+        one evaluation of the transition."""
+        if src == dst:
+            return np.asarray(x, dtype=float), value
+        out = self._transition([x], src, dst)[0]
+        return out[:-1], value - float(out[-1])
 
     def gauge_gradient(self, x, src: str, dst: str) -> np.ndarray:
         """d g_{src,dst} at x (source coordinates)."""

@@ -48,8 +48,9 @@ from .systems import (
 
 SEED = 20240811
 
-# Sizes and tolerances of the checks, which the check-gauge, action and
-# variation commands take as their flags' defaults.
+# Sizes and tolerances of the checks.  The action and variation
+# commands hold the user's curve to INTEGRAL_TOL and VARIATION_TOL, and
+# take PANELS, STEPS and EPS as their flags' defaults.
 POINTS = 100  # random second-order points per chi in gauge_el_suite
 PANELS = 1000  # Simpson panels of every integral along a curve
 STEPS = 1000  # RK4 steps of the action lift and of each trajectory pair on [0, 1]
@@ -149,25 +150,25 @@ def commutation_suite(system: System):
 # ---------------------------------------------------------------------------
 # Gauge suites
 
-def gauge_el_suite(system: System, points: int = POINTS, tol: float = GAUGE_TOL):
+def gauge_el_suite(system: System):
     """E(L + <d chi, v>) = E(L) at random second-order data."""
     rng = np.random.default_rng(SEED)
     chart = system.default_chart()
     results = []
     for chi in system.chis:
         name = f"{system.name}: EL gauge invariance, chi={chi}"
-        x, v, a = _random_points(system, rng, points)
+        x, v, a = _random_points(system, rng, POINTS)
         try:
             e0 = system.lagrangian.engine(chart).el_covectors(x, v, a)
             e1 = _shifted(system, chi).engine(chart).el_covectors(x, v, a)
         except DomainError as exc:
-            results.append(CheckResult(name, math.nan, tol, str(exc)))
+            results.append(CheckResult(name, math.nan, GAUGE_TOL, str(exc)))
             continue
-        results.append(CheckResult(name, _worst(e1 - e0), tol))
+        results.append(CheckResult(name, _worst(e1 - e0), GAUGE_TOL))
     return results
 
 
-def legendre_suite(system: System, tol: float = LEGENDRE_TOL):
+def legendre_suite(system: System):
     """P(L + <d chi, v>) - P(L) = d chi, independently of the velocity."""
     points, vels = 10, 10
     rng = np.random.default_rng(SEED + 1)
@@ -190,11 +191,11 @@ def legendre_suite(system: System, tol: float = LEGENDRE_TOL):
             # the reference is chi's own kernel, not the <d chi, v> under test
             dchi = eval_rows((fn.chart_exprs[chart],), coord_names(n), x, grad=True)
         except DomainError as exc:
-            results += [CheckResult(name, math.nan, tol, str(exc)) for name in names]
+            results += [CheckResult(name, math.nan, LEGENDRE_TOL, str(exc)) for name in names]
             continue
         diffs = (p1 - p0).reshape(points, vels, n)
-        results.append(CheckResult(names[0], _worst(diffs - dchi), tol))
-        results.append(CheckResult(names[1], _worst(diffs - diffs[:, :1]), tol))
+        results.append(CheckResult(names[0], _worst(diffs - dchi), LEGENDRE_TOL))
+        results.append(CheckResult(names[1], _worst(diffs - diffs[:, :1]), LEGENDRE_TOL))
     return results
 
 
@@ -300,7 +301,7 @@ def action_gauge_suite(system: System):
 # ---------------------------------------------------------------------------
 # Trajectory suites
 
-def trajectory_gauge_suite(system: System, tol: float = GAUGE_TOL):
+def trajectory_gauge_suite(system: System):
     """Trajectories are unchanged by a gauge shift of the Lagrangian."""
     if not system.chis:
         return []
@@ -317,8 +318,8 @@ def trajectory_gauge_suite(system: System, tol: float = GAUGE_TOL):
             for lam in (system.lagrangian, _shifted(system, chi))
         )
     except (DomainError, ChartExitError, SingularLagrangianError) as exc:
-        return [CheckResult(name, math.nan, tol, str(exc))]
-    return [CheckResult(name, _trajectory_gap(tr0, tr1), tol)]
+        return [CheckResult(name, math.nan, GAUGE_TOL, str(exc))]
+    return [CheckResult(name, _trajectory_gap(tr0, tr1), GAUGE_TOL)]
 
 
 def newton_suite():
@@ -350,7 +351,7 @@ def uniform_field_regression():
 def lorentz_suite():
     """Charged particle in |B| = 1: unit-radius circle with period 2*pi,
     reproduced identically after the gauge change A -> A + d(chi)."""
-    system = charged_particle(b=1.0)
+    system = charged_particle()
     period = 2.0 * np.pi
     steps = round(period / 1e-4)
     x0 = np.array([0.0, 0.0, 0.0])

@@ -84,11 +84,11 @@ def uniform_field() -> System:
     )
 
 
-def charged_particle(b: float = 1.0, q: float = 1.0, m: float = 1.0) -> System:
+def charged_particle() -> System:
     # constant magnetic field along the third axis, A = 0.5 * B x r,
     # so <A, v> = 0.5 * b * (x1*v2 - x2*v1)
     atlas = euclidean_atlas(3)
-    constants = {"b": b, "q": q, "m": m}
+    constants = {"b": 1.0, "q": 1.0, "m": 1.0}
     lam = GaugeClassLagrangian.from_exprs(
         atlas,
         "0.5*m*(v1^2+v2^2+v3^2) + 0.5*q*b*(x1*v2-x2*v1)",
@@ -102,9 +102,9 @@ def charged_particle(b: float = 1.0, q: float = 1.0, m: float = 1.0) -> System:
     )
 
 
-def relativistic_charged(b: float = 0.5) -> System:
+def relativistic_charged() -> System:
     atlas = euclidean_atlas(2)
-    constants = {"b": b, "q": 1.0, "m": 1.0}
+    constants = {"b": 0.5, "q": 1.0, "m": 1.0}
     lam = GaugeClassLagrangian.from_exprs(
         atlas,
         "-m*sqrt(1-v1^2-v2^2) + 0.5*q*b*(x1*v2-x2*v1)",
@@ -119,11 +119,11 @@ def relativistic_charged(b: float = 0.5) -> System:
     )
 
 
-def boosted_free(u1: float = 0.3, u2: float = -0.2) -> System:
+def boosted_free() -> System:
     # free particle seen from a frame moving with -u: the representative
     # shifts by <u, v> + |u|^2/2, a gauge change by <u, x> plus a constant
     atlas = euclidean_atlas(2)
-    constants = {"u1": u1, "u2": u2}
+    constants = {"u1": 0.3, "u2": -0.2}
     lam = GaugeClassLagrangian.from_exprs(
         atlas,
         "0.5*(v1^2+v2^2) + u1*v1 + u2*v2 + 0.5*(u1^2+u2^2)",

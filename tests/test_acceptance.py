@@ -32,7 +32,7 @@ def worst_of(results):
 def test_criterion_01_el_gauge_invariance(systems):
     results = []
     for system in systems:
-        results.extend(suites.gauge_el_suite(system, points=100))
+        results.extend(suites.gauge_el_suite(system))
     report(1, "Euler-Lagrange gauge invariance (all systems x gauge set)", worst_of(results), 1e-9)
 
 

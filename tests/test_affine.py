@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from avcalc.affine import (
@@ -10,8 +11,9 @@ from avcalc.affine import (
     fiber_diff,
     fiber_translate,
 )
+from avcalc.dynamics import AffineCovector
 from avcalc.errors import BaseMismatchError
-from avcalc.geometry import circle_atlas, euclidean_atlas
+from avcalc.geometry import Atlas, circle_atlas, euclidean_atlas
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,42 @@ class TestFiberDiff:
         z0 = FiberPoint("0", (x0,), 1.0)
         z1 = FiberPoint("1", (x1,), 1.0)
         assert fiber_diff(z0, z1, circle) == pytest.approx(1.0 - (1.0 + g))
+
+
+class TestOneTransitionEvaluation:
+    """A conversion evaluates the overlap transition once for values and
+    once for gradients, with the bits of evaluating each piece apart."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = Atlas._transition
+
+        def spy(atlas, *args, **kwargs):
+            seen.append(kwargs.get("grad", False))
+            return real(atlas, *args, **kwargs)
+
+        monkeypatch.setattr(Atlas, "_transition", spy)
+        return seen
+
+    @pytest.mark.parametrize("x", [0.5, -1.0])  # the two overlap components
+    def test_convert_fiber(self, circle, calls, x):
+        expected = (circle.convert_point([x], "0", "1").tolist(),
+                    1.2 - circle.gauge_offset([x], "0", "1"))
+        calls.clear()
+        x1, v1 = circle.convert_fiber([x], 1.2, "0", "1")
+        assert calls == [False]
+        assert (x1.tolist(), v1) == expected
+
+    @pytest.mark.parametrize("x", [0.5, -1.0])
+    def test_affine_covector_convert(self, circle, calls, x):
+        p = np.array([0.7])
+        jac, dg = circle.jacobian([x], "0", "1"), circle.gauge_gradient([x], "0", "1")
+        expected = AffineCovector(
+            "1", tuple(circle.convert_point([x], "0", "1")), tuple(np.linalg.solve(jac.T, p - dg)))
+        calls.clear()
+        assert AffineCovector("0", (x,), tuple(p)).convert(circle, "1") == expected
+        assert sorted(calls) == [False, True]
 
 
 class TestAffineScalarDiff:

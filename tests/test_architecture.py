@@ -8,6 +8,7 @@ kernels.domain_error, which finds the reason for a non-finite output,
 the package's re-exports and the CLI's forcing callable, which
 evaluates one point per RK4 stage, may import or use them.
 """
+import argparse
 import ast
 import inspect
 from pathlib import Path
@@ -113,30 +114,32 @@ def test_compile_field_compiles_no_python(monkeypatch):
 
 
 def test_checks_run_at_fixed_sizes_and_tolerances():
-    """The suites take no size or tolerance parameter beyond the ones the
-    check-gauge flags set, and those parameters and the command-line
-    defaults are the suites' constants."""
-    from avcalc import cli, suites
+    """No verdict can be moved: the suites and the bundled systems take
+    no defaulted parameter, no command takes a tolerance or a sample
+    count, check-gauge and check-all take no --chart they would ignore,
+    and the sizes the action and variation commands take for the user's
+    own curve default to the suites' constants."""
+    from avcalc import cli, suites, systems
 
-    defaulted = {
-        (suite.__name__, name): param.default
+    defaulted = [
+        (suite.__name__, name)
         for suite in suites.PER_SYSTEM_SUITES + suites.GLOBAL_SUITES
         for name, param in inspect.signature(suite).parameters.items()
         if param.default is not param.empty
-    }
-    assert defaulted == {("gauge_el_suite", "points"): suites.POINTS,
-                         ("gauge_el_suite", "tol"): suites.GAUGE_TOL,
-                         ("legendre_suite", "tol"): suites.LEGENDRE_TOL,
-                         ("trajectory_gauge_suite", "tol"): suites.GAUGE_TOL}
+    ]
+    assert defaulted == []
+    assert [name for name, build in systems._BUILDERS.items()
+            if inspect.signature(build).parameters] == []
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {name: {a.dest for a in p._actions} for name, p in commands.items()}
+    assert {name: sorted(d for d in flags if d.startswith("tol") or d == "points")
+            for name, flags in dests.items()} == {name: [] for name in commands}
+    assert "chart" not in dests["check-gauge"] | dests["check-all"]
     expected = {
-        ("check-gauge",): {"points": suites.POINTS, "tol_el": suites.GAUGE_TOL,
-                           "tol_legendre": suites.LEGENDRE_TOL,
-                           "tol_trajectory": suites.GAUGE_TOL},
-        ("action",): {"panels": suites.PANELS, "steps": suites.STEPS,
-                      "tol": suites.INTEGRAL_TOL},
-        ("variation", "--w", "t"): {"eps": suites.EPS, "panels": suites.PANELS,
-                                    "tol": suites.VARIATION_TOL},
+        ("action",): {"panels": suites.PANELS, "steps": suites.STEPS},
+        ("variation", "--w", "t"): {"eps": suites.EPS, "panels": suites.PANELS},
     }
     for argv, flags in expected.items():
-        args = vars(cli.build_parser().parse_args([*argv, "--system", "free"]))
+        args = vars(parser.parse_args([*argv, "--system", "free"]))
         assert {flag: args[flag] for flag in flags} == flags

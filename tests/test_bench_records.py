@@ -1,5 +1,6 @@
 """benchmarks/record.py summaries and benchmarks/compare.py flags, on
 synthetic records."""
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -92,6 +93,42 @@ def test_failed_check_all_has_no_best_time(tmp_path, capsys):
     assert compare.main([str(old), str(new)]) == 0
     out = capsys.readouterr().out
     assert "check-all    FAILED: exit status None -> [1, 1]" in out
+
+
+def test_long_orbit_hashes_its_csv(tmp_path):
+    # a checkout whose integrate writes its arguments as the CSV
+    package = tmp_path / "src" / "avcalc"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "def main(argv):\n"
+        "    with open(argv[argv.index('--output') + 1], 'w') as fh:\n"
+        "        fh.write(' '.join(argv[:-2]))\n"
+        "    return 0\n")
+    orbit = record.long_orbit(tmp_path, 2)
+    text = " ".join(record.ORBIT)
+    assert orbit["returncodes"] == [0, 0] and orbit["best_s"] == min(orbit["wall_s"])
+    assert orbit["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert "--steps 62832" in text and "--t1 6.283185307179586" in text
+
+
+def orbit(best_s):
+    return {"best_s": best_s, "returncodes": [0, 0, 0], "output_sha256": "y"}
+
+
+def test_long_orbit_ratio_only_when_both_records_have_it(tmp_path):
+    paths = {name: tmp_path / f"{name}.json" for name in ("plain", "old", "new")}
+    paths["plain"].write_text(json.dumps(OLD))  # as records before the long orbit
+    paths["old"].write_text(json.dumps({**OLD, "long_orbit": orbit(0.8)}))
+    paths["new"].write_text(json.dumps({**NEW, "long_orbit": orbit(0.6)}))
+
+    def out(old, new):
+        return subprocess.run([sys.executable, str(BENCHMARKS / "compare.py"), str(paths[old]),
+                               str(paths[new])], capture_output=True, text=True, check=True).stdout
+
+    assert "long orbit   best 0.800 s -> 0.600 s (0.750), output identical" in out("old", "new")
+    assert "long orbit" not in out("plain", "new")
+    assert "check-all    best 2.000 s -> 2.000 s" in out("plain", "new")
 
 
 @pytest.mark.parametrize("args", [[], ["only-one.json"], ["missing.json", "missing.json"]])

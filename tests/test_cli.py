@@ -87,7 +87,7 @@ class TestVariation:
 class TestCheckGauge:
     def test_charged_system_passes(self, capsys):
         code = main(["check-gauge", "--system", cfg("charged"),
-                     "--chi", "sin(x1)*cos(x2)", "--points", "25"])
+                     "--chi", "sin(x1)*cos(x2)"])
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
@@ -95,7 +95,7 @@ class TestCheckGauge:
     def test_trajectory_blow_up_is_a_failed_check(self, capsys):
         # the shifted Lagrangian's terms overflow along the trajectory
         code = main(["check-gauge", "--system", cfg("free"),
-                     "--chi", "exp(1000*x1)", "--points", "25"])
+                     "--chi", "exp(1000*x1)"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == ""
         (line,) = [ln for ln in captured.out.splitlines() if "trajectory gauge invariance" in ln]
@@ -108,13 +108,21 @@ class TestCheckGauge:
         assert code == 1
         assert captured.out == "" and captured.err == "error: unbound variable 'y'\n"
 
+    def test_chi_must_be_a_function_on_the_manifold(self, capsys):
+        # x1 jumps by 2*pi between the circle's charts
+        code = main(["check-gauge", "--system", "circle", "--chi", "x1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: validation failed: scalar function chart agreement")
+        assert captured.err.endswith("(defect 6.28319)\n") and captured.err.count("\n") == 1
+
     def test_config_constants_fold_into_chi(self, tmp_path, capsys):
         path = tmp_path / "k.cfg"
         path.write_text(
             '[system]\nname = "k"\ndim = "1"\nlagrangian = "0.5*v1^2 - x1"\n'
             '[constants]\nk = "2"\n[gauge]\nchi = "sin(k*x1)"\n'
         )
-        code = main(["check-gauge", "--system", str(path), "--points", "10"])
+        code = main(["check-gauge", "--system", str(path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
@@ -135,19 +143,42 @@ class TestExitCodes:
         (["action", "--panels", "0"], "--panels: must be a positive integer"),
         (["action", "--steps", "-1"], "--steps: must be a positive integer"),
         (["variation", "--w", "t;t", "--eps", "0"], "--eps: must be a positive number"),
-        (["check-gauge", "--points", "0"], "--points: must be a positive integer"),
-        (["action", "--tol", "nan"], "--tol: must be a positive number"),
-        (["variation", "--w", "t;t", "--tol", "-1"], "--tol: must be a positive number"),
-        (["check-gauge", "--tol-el", "nan"], "--tol-el: must be a positive number"),
-        (["check-gauge", "--tol-legendre", "-1"], "--tol-legendre: must be a positive number"),
-        (["check-gauge", "--tol-trajectory", "inf"], "--tol-trajectory: must be a positive number"),
-        (["check-gauge", "--tol-el", "0"], "--tol-el: must be a positive number"),
     ])
     def test_bad_numeric_argument_is_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--system", "free", *argv[1:]])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-gauge", "--chart", "1"],
+        ["check-gauge", "--points", "25"],
+        ["check-gauge", "--tol-el", "1"],
+        ["check-gauge", "--tol-legendre", "1"],
+        ["check-gauge", "--tol-trajectory", "1"],
+        ["check-all", "--chart", "0"],
+        ["action", "--tol", "1"],
+        ["variation", "--w", "t;t", "--tol", "1"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_removed_flag_is_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--system", "free", *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, point", [
+        (["legendre", "--system", "circle", "--x", "3.5", "--v", "1"], "x=[3.5]"),
+        (["el", "--system", "circle", "--chart", "1", "--x", "-1", "--v", "1", "--a", "0"],
+         "x=[-1.]"),
+        (["integrate", "--system", "circle", "--x0", "3.5", "--v0", "1", "--steps", "3"],
+         "x0=[3.5]"),
+    ])
+    def test_point_outside_its_chart_is_1(self, argv, point, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        chart = "1" if "--chart" in argv else "0"
+        assert captured.err == f"error: {point} is outside chart {chart}\n"
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_vector_component_is_1(self, component, capsys):

@@ -211,6 +211,15 @@ class TestAtlasGauge:
         assert atlas.gauge_offset([0.5], "0", "1") == math.sin(2.0 * 0.5)
         assert atlas.gauge_offset([0.5], "1", "0") == -math.sin(2.0 * 0.5)
 
+    def test_gauge_function_must_be_one_function_on_the_circle(self, tmp_path):
+        assert load_config(write(tmp_path, CIRCLE + '[gauge]\nchi = "sin(x1)"\n')).system.chis == (
+            "sin(x1)",)
+        # x1 jumps by 2*pi between the charts
+        path = write(tmp_path, CIRCLE + '[gauge]\nchi = "x1"\n')
+        with pytest.raises(ValidationError, match="scalar function chart agreement") as exc:
+            load_config(path)
+        assert exc.value.defect == pytest.approx(2.0 * math.pi)
+
 
 class TestSplitting:
     def test_semicolon_preferred(self):

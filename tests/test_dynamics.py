@@ -460,6 +460,29 @@ class TestUnknownChart:
             integrate_trajectory(lam, [0.0], [1.0], 0.0, 1.0, 10, chart_id="9")
 
 
+class TestOutsideChart:
+    """A point outside the chart it is given in, by more than the box
+    tolerance, is a ChartDisjointError naming the point and the chart."""
+
+    LAM = bundled_system("circle").lagrangian  # chart "0" covers (-pi, pi)
+    CALLS = {
+        "euler_lagrange": lambda lam, x: euler_lagrange(lam, q_of(x, [-1.0], [0.0]), "0"),
+        "legendre": lambda lam, x: legendre(lam, x, [-1.0], "0"),
+        "solve_accelerations": lambda lam, x: solve_accelerations(lam, x, [-1.0], chart_id="0"),
+        "integrate_trajectory": lambda lam, x: integrate_trajectory(lam, x, [-1.0], 0.0, 1.0, 3),
+    }
+
+    @pytest.mark.parametrize("operator", list(CALLS))
+    def test_refused_naming_point_and_chart(self, operator):
+        name = "x0" if operator == "integrate_trajectory" else "x"
+        with pytest.raises(ChartDisjointError, match=rf"^{name}=\[3\.5\] is outside chart 0$"):
+            self.CALLS[operator](self.LAM, [3.5])
+
+    @pytest.mark.parametrize("operator", list(CALLS))
+    def test_box_tolerance_is_inside(self, operator):
+        self.CALLS[operator](self.LAM, [math.pi + 1e-10])
+
+
 class TestNonFiniteInputs:
     """A non-finite input is a ValueError naming the argument, not a
     result computed from it or an error of the computation."""
@@ -646,7 +669,7 @@ class TestEnergy:
     DRIFT_BOUND = 1e-12  # drift measured before the fused solve: 4.26e-13 on both
 
     def test_conserved_and_gauge_invariant(self):
-        lam = charged_particle(b=1.0).lagrangian
+        lam = charged_particle().lagrangian
         x0, v0 = np.zeros(3), np.array([1.0, 0.0, 0.0])
         energies = []
         for l in (lam, gauge_shift(lam, "sin(x1)*cos(x2)")):

@@ -45,7 +45,7 @@ class TestIndividualSuites:
         system = bundled_system("free")
         system.chis = ("sqrt(x1)",)
         with np.errstate(invalid="ignore"):
-            (result,) = suites.gauge_el_suite(system, points=20)
+            (result,) = suites.gauge_el_suite(system)
         assert math.isnan(result.defect)
         assert not result.passed
 
