@@ -26,7 +26,7 @@ from .action import (
     variation_pairing,
 )
 from .affine import affine_scalar_diff
-from .config import load_config, split_top_level
+from .config import load_config, parse_segment, split_top_level
 from .dynamics import SecondOrderPoint, euler_lagrange, integrate_trajectory, legendre
 from .errors import AvcalcError, DomainError
 from .exprlang import evaluate, to_text
@@ -67,14 +67,9 @@ def _vector(text: str, dim: int, what: str) -> np.ndarray:
 
 
 def _curve_from_args(args, system: System) -> CurveSpec:
-    if args.curve is not None:
-        exprs = split_top_level(args.curve)
-        if len(exprs) != system.dim:
-            raise AvcalcError(f"--curve needs {system.dim} coordinate expressions")
-        curve = CurveSpec.single(
-            args.chart or system.default_chart(), exprs, args.t0, args.t1,
-            system.constants,
-        )
+    if args.curve:
+        curve = CurveSpec(tuple(parse_segment(text, system.constants, "--curve")
+                                for text in args.curve))
     elif system.curve is not None:
         curve = system.curve
     else:
@@ -95,10 +90,13 @@ def _forcing_callable(system: System):
         out = []
         for e in exprs:
             try:
-                out.append(float(evaluate(e, env)))
+                value = float(evaluate(e, env))
+                if not math.isfinite(value):
+                    raise DomainError(f"non-finite forcing value {value}")
             except DomainError as exc:
                 point = ", ".join(f"{name}={value!r}" for name, value in env.items())
                 raise DomainError(f"{exc} in {to_text(e)} at {point}") from None
+            out.append(value)
         return np.array(out)
 
     return force
@@ -249,6 +247,10 @@ def _add_system(p, required=True, chart=True):
         p.add_argument("--chart", default=None, help="chart id (default: first chart)")
 
 
+_CURVE_HELP = ("curve segment 'chart : t0 : t1 : e1; e2; ...' in t; repeat for a chart "
+               "schedule (default: the system's curve)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avcalc",
@@ -281,19 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_integrate)
 
     p = sub.add_parser("action", help="both action constructions and their difference")
-    _add_system(p)
-    p.add_argument("--curve", default=None, help="per-coordinate expressions in t, ';'-separated")
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, default=1.0)
+    _add_system(p, chart=False)
+    p.add_argument("--curve", action="append", help=_CURVE_HELP)
     p.add_argument("--panels", type=_positive_int, default=suites.PANELS)
     p.add_argument("--steps", type=_positive_int, default=suites.STEPS)
     p.set_defaults(run=cmd_action)
 
     p = sub.add_parser("variation", help="FD action derivative vs the boundary+bulk pairing")
-    _add_system(p)
-    p.add_argument("--curve", default=None)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, default=1.0)
+    _add_system(p, chart=False)
+    p.add_argument("--curve", action="append", help=_CURVE_HELP)
     p.add_argument("--w", required=True, help="variation field expressions in t, ';'-separated")
     p.add_argument("--eps", type=_positive_float, default=suites.EPS)
     p.add_argument("--panels", type=_positive_int, default=suites.PANELS)

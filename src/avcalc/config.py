@@ -17,14 +17,15 @@ The format is sectioned plain text, one `key = "value"` pair per line:
     [gauge]
     chi = "sin(x1)*cos(x2)"
 
+    [curve]
+    segment_1 = "0 : 0 : 1 : 0.3+0.5*t; 0.8*t-0.2"
+
 Multi-chart Lagrangians use `lagrangian_<chart> = "..."` keys in
-[system].  The circle atlas takes `gauge`, `winding` and an optional
-`gauge_10` override in [atlas]; the override replaces the reverse
-cochain on the shared-coordinate overlap component, which is how a
-config can describe an inconsistent atlas (validation then fails with
-the measured defect).  Optional sections: [forcing] with keys f1..fn,
-and [curve] with either `t0`/`t1`/`exprs` for one segment or
-`segment_1 = "chart : t0 : t1 : e1; e2; ..."` lines for a schedule.
+[system].  The circle atlas takes `gauge` and `winding` in [atlas].
+Optional sections: [forcing] with keys f1..fn, and [curve] with keys
+segment_1, segment_2, ..., each one `chart : t0 : t1 : e1; e2; ...`
+piece of the chart schedule, in the order of their numbers (the CLI's
+--curve takes the same text, see parse_segment).
 
 Every expression goes through exprlang.expression with [constants]
 folded in.  Gauges take x1..xn, Lagrangians and forcing x and v, curves
@@ -33,6 +34,7 @@ ConfigSyntaxError.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -58,10 +60,9 @@ from .systems import System, chi_set
 _SECTION_RE = re.compile(r"^\s*\[([A-Za-z_][\w-]*)\]\s*$")
 _PAIR_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*\"([^\"]*)\"\s*$")
 # the sections, and the keys each takes (as a regular expression)
-_KEYS = {"system": r"name|dim|lagrangian|lagrangian_\w+|v_halfwidth|description",
+_KEYS = {"system": r"name|dim|lagrangian|lagrangian_\w+|v_halfwidth",
          "constants": r"\w+", "gauge": r"\w+", "forcing": r"f[1-9]\d*",
-         "atlas": r"type|half_width|gauge|winding|gauge_10",
-         "curve": r"t0|t1|chart|exprs|segment_\w+"}
+         "atlas": r"type|gauge|winding", "curve": r"segment_[1-9]\d*"}
 
 
 @dataclass
@@ -152,60 +153,41 @@ def split_top_level(text: str):
     return [p.strip() for p in parts]
 
 
-def _float(sections_value: str, where: str) -> float:
+def _float(value: str, where: str) -> float:
     try:
-        return float(sections_value)
+        number = float(value)
     except ValueError:
-        raise ValidationError("numeric value", f"{where} = \"{sections_value}\"", float("inf"))
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError("numeric value", f"{where} = \"{value}\"", float("inf"))
+    return number
 
 
 def _build_atlas(atlas_sec: dict, dim: int, constants: dict):
     kind = atlas_sec.get("type", "rn")
     if kind == "rn":
-        half = _float(atlas_sec.get("half_width", "1e6"), "atlas.half_width")
-        return euclidean_atlas(dim, half)
+        return euclidean_atlas(dim)
     if kind == "circle":
         if dim != 1:
             raise ValidationError("atlas dimension", "circle atlas needs dim = 1", float(dim))
-        reverse = atlas_sec.get("gauge_10")
         return circle_atlas(
             _expr(atlas_sec.get("gauge", "0"), ("x1",), constants, "atlas.gauge"),
             winding=_float(atlas_sec.get("winding", "0"), "atlas.winding"),
-            gauge_reverse_a=None if reverse is None
-            else _expr(reverse, ("x1",), constants, "atlas.gauge_10"),
         )
     raise ValidationError("atlas type", f"unknown atlas type '{kind}'", float("inf"))
 
 
-def _build_curve(curve_sec: dict, constants: dict) -> CurveSpec:
-    seg_keys = sorted(k for k in curve_sec if k.startswith("segment"))
-    if seg_keys:
-        segments = []
-        for key in seg_keys:
-            fields = [p.strip() for p in curve_sec[key].split(":")]
-            if len(fields) != 4:
-                raise ValidationError(
-                    "curve segment", f"{key} needs 'chart : t0 : t1 : exprs'", float("inf")
-                )
-            chart, t0, t1, exprs = fields
-            parsed = [_expr(e, ("t",), constants, key) for e in split_top_level(exprs)]
-            segments.append(
-                CurveSegment(_float(t0, key), _float(t1, key), chart, tuple(parsed))
-            )
-        return CurveSpec(tuple(segments))
-    parsed = [
-        _expr(e, ("t",), constants, "curve.exprs") for e in split_top_level(curve_sec["exprs"])
-    ]
-    return CurveSpec(
-        (
-            CurveSegment(
-                _float(curve_sec.get("t0", "0"), "curve.t0"),
-                _float(curve_sec.get("t1", "1"), "curve.t1"),
-                curve_sec.get("chart", "0"),
-                tuple(parsed),
-            ),
-        )
-    )
+def parse_segment(text: str, constants: dict, where: str) -> CurveSegment:
+    """One piece of a chart schedule, written `chart : t0 : t1 : e1; e2; ...`
+    (a config's segment_<k>, the CLI's --curve); `where` names the key or
+    flag in errors."""
+    fields = [p.strip() for p in text.split(":")]
+    if len(fields) != 4:
+        raise ValidationError("curve segment", f"{where} needs 'chart : t0 : t1 : exprs'",
+                              float("inf"))
+    chart, t0, t1, exprs = fields
+    parsed = tuple(_expr(e, ("t",), constants, where) for e in split_top_level(exprs))
+    return CurveSegment(_float(t0, where), _float(t1, where), chart, parsed)
 
 
 def load_config(path: str) -> SystemConfig:
@@ -263,7 +245,8 @@ def load_config(path: str) -> SystemConfig:
 
     curve = None
     if "curve" in sections:
-        curve = _build_curve(sections["curve"], constants)
+        keys = sorted(sections["curve"], key=lambda k: int(k[len("segment_"):]))
+        curve = CurveSpec(tuple(parse_segment(sections["curve"][k], constants, k) for k in keys))
         curve.validate(atlas)
 
     system = System(
@@ -275,6 +258,5 @@ def load_config(path: str) -> SystemConfig:
         chis=tuple(chis) or tuple(chi_set(dim) if not atlas.transitions else ()),
         forcing=forcing,
         v_halfwidth=_float(system_sec.get("v_halfwidth", "1.0"), "system.v_halfwidth"),
-        description=system_sec.get("description", ""),
     )
     return SystemConfig(path=path, sections=sections, system=system)

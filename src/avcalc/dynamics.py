@@ -149,7 +149,8 @@ class GaugeClassLagrangian:
         return self.chart_exprs[chart_id]
 
     def value(self, x, v, chart_id: str) -> float:
-        xs, vs = np.asarray([x], float), np.asarray([v], float)
+        n = self.atlas.dim
+        xs, vs = _finite("x", x, n)[None], _finite("v", v, n)[None]
         return float(self.engine(chart_id).values(xs, vs)[0])
 
     def engine(self, chart_id: str) -> "_ChartEngine":
@@ -279,19 +280,22 @@ class _ChartEngine:
 # ---------------------------------------------------------------------------
 # Operators
 
-def _finite(name: str, value) -> np.ndarray:
-    """`value` as a float array; ValueError naming `name` if an entry
-    is not finite."""
+def _finite(name: str, value, n: int, scalar=False) -> np.ndarray:
+    """`value` as a float array of n entries (or, with `scalar`, a single
+    number); ValueError naming `name` if it has another shape or an
+    entry is not finite."""
     arr = np.asarray(value, float)
+    if arr.shape != (n,) and not (scalar and arr.ndim == 0):
+        raise ValueError(f"{name} must be a vector of dimension {n}, got {arr.tolist()}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
     return arr
 
 
 def _chart_point(atlas: Atlas, chart_id: str, name: str, x) -> np.ndarray:
-    """_finite(name, x), which must lie in chart `chart_id` (to within
+    """_finite(name, x, n), which must lie in chart `chart_id` (to within
     _BOX_TOL): ChartDisjointError naming the point and the chart if not."""
-    x = _finite(name, x)
+    x = _finite(name, x, atlas.dim)
     if not atlas.contains(chart_id, x):
         raise ChartDisjointError(f"{name}={x} is outside chart {chart_id}")
     return x
@@ -305,7 +309,8 @@ def euler_lagrange(
     require_numpy_backend(backend)
     eng = lam.engine(chart_id)
     x = _chart_point(lam.atlas, chart_id, "x", q.x)
-    e = eng.el_covectors(x[None], _finite("v", q.v)[None], _finite("a", q.a)[None])
+    n = eng.n
+    e = eng.el_covectors(x[None], _finite("v", q.v, n)[None], _finite("a", q.a, n)[None])
     return Covector(tuple(x), tuple(e[0]))
 
 
@@ -313,7 +318,7 @@ def legendre(lam: GaugeClassLagrangian, x, v, chart_id: str) -> AffineCovector:
     """Momentum map p_i = dL/dv_i in the given trivialization."""
     eng = lam.engine(chart_id)
     x = _chart_point(lam.atlas, chart_id, "x", x)
-    p = eng.momenta(x[None], _finite("v", v)[None])
+    p = eng.momenta(x[None], _finite("v", v, eng.n)[None])
     return AffineCovector(chart_id, tuple(x), tuple(p[0]))
 
 
@@ -352,8 +357,10 @@ def solve_accelerations(
     if chart_id is None:
         chart_id = lam.atlas.charts[0].id
     eng = lam.engine(chart_id)
-    fvec = None if f is None else _finite("f", f.p if isinstance(f, Covector) else f)
-    return _accelerations(eng, _chart_point(lam.atlas, chart_id, "x", x), _finite("v", v), fvec)
+    n = eng.n
+    f = f.p if isinstance(f, Covector) else f
+    fvec = None if f is None else _finite("f", f, n, scalar=True)
+    return _accelerations(eng, _chart_point(lam.atlas, chart_id, "x", x), _finite("v", v, n), fvec)
 
 
 ForcingLike = Optional[Union[np.ndarray, Callable]]
@@ -390,14 +397,14 @@ def integrate_trajectory(
     atlas = lam.atlas
     n = atlas.dim
     x0 = _chart_point(atlas, chart_id, "x0", x0)
-    v0 = _finite("v0", v0)
+    v0 = _finite("v0", v0, n)
 
     if forcing is None:
         force = None
     elif callable(forcing):
         force = forcing
     else:
-        fconst = _finite("forcing", forcing)
+        fconst = _finite("forcing", forcing, n, scalar=True)
         force = lambda x, v: fconst
 
     def acc(x, v):

@@ -217,16 +217,16 @@ class Atlas:
         return worst
 
 
-def euclidean_atlas(dim: int, half_width: float = 1e6) -> Atlas:
-    """Single global chart on R^n."""
-    box = tuple((-half_width, half_width) for _ in range(dim))
+def euclidean_atlas(dim: int) -> Atlas:
+    """Single global chart on R^n, the box |x_i| <= 1e6."""
+    box = ((-1e6, 1e6),) * dim
     return Atlas(dim=dim, charts=[Chart("0", box)], transitions={})
 
 
 _TWO_PI = 2.0 * math.pi
 
 
-def circle_atlas(gauge="0", winding: float = 0.0, gauge_reverse_a=None) -> Atlas:
+def circle_atlas(gauge="0", winding: float = 0.0) -> Atlas:
     """Two angle charts on the circle, validated (Atlas.validate).
 
     Chart "0" covers (-pi, pi), chart "1" covers (0, 2*pi).  The overlap
@@ -236,10 +236,6 @@ def circle_atlas(gauge="0", winding: float = 0.0, gauge_reverse_a=None) -> Atlas
     A nonzero winding makes 1-forms like "d angle" exact in the affine
     sense while no global section exists chart-wise.  Both gauges are
     text or ASTs over x1.
-
-    `gauge_reverse_a` overrides g_10 on the primary component; it exists
-    so configuration files can build deliberately inconsistent atlases
-    and exercise validation.
     """
     g = exprlang.expression(gauge, ("x1",))
     shift = _TWO_PI * winding
@@ -250,8 +246,6 @@ def circle_atlas(gauge="0", winding: float = 0.0, gauge_reverse_a=None) -> Atlas
     minus2pi = (Binary("-", x, Number(_TWO_PI)),)
     identity = (x,)
 
-    neg_g_a = (Unary("-", g) if gauge_reverse_a is None
-               else exprlang.expression(gauge_reverse_a, ("x1",)))
     # g_10 on the secondary component lives on angles in (pi, 2*pi);
     # rewrite g_b in those coordinates and negate
     g_b_in_chart1 = exprlang.substitute(g_b, {"x1": minus2pi[0]})
@@ -268,7 +262,7 @@ def circle_atlas(gauge="0", winding: float = 0.0, gauge_reverse_a=None) -> Atlas
                 OverlapComponent(((-math.pi, 0.0),), plus2pi, g_b),
             ),
             ("1", "0"): (
-                OverlapComponent(((0.0, math.pi),), identity, neg_g_a),
+                OverlapComponent(((0.0, math.pi),), identity, Unary("-", g)),
                 OverlapComponent(((math.pi, _TWO_PI),), minus2pi, Unary("-", g_b_in_chart1)),
             ),
         },
@@ -489,6 +483,8 @@ class CurveSpec:
         return seg.chart_id, x[0], v[0]
 
     def validate(self, atlas: Atlas):
+        if not self.segments:
+            raise ChartScheduleError("curve has no segments")
         for seg in self.segments:
             atlas.chart(seg.chart_id)  # ChartDisjointError if there is none
             if len(seg.exprs) != atlas.dim:

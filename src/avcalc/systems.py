@@ -2,7 +2,8 @@
 
 Each system packages an atlas, a Lagrangian, a default curve for the
 action and variation checks, and gauge test functions appropriate to
-its dimension.  The same systems exist as config files under configs/.
+its dimension.  configs/ holds a config file for each; those give one
+gauge function and no section.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ class System:
     v_halfwidth: float = 1.0  # sampling width for random velocities
     section: Optional[AVSection] = None
     forcing: Optional[tuple] = None
-    description: str = ""
 
     @property
     def dim(self) -> int:
@@ -61,27 +61,21 @@ def exact_lagrangian(section: AVSection) -> GaugeClassLagrangian:
 
 
 def free_particle() -> System:
+    # the default curve, a straight line, solves E = 0
     atlas = euclidean_atlas(2)
     lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*(v1^2+v2^2)")
     curve = CurveSpec.single("0", ["0.3+0.5*t", "0.8*t-0.2"], 0.0, 1.0)
     section = AVSection(atlas, {"0": exprlang.parse("sin(x1)*x2 + 0.3*x1")})
-    return System(
-        "free", atlas, lam,
-        curve=curve, chis=CHI_2D, section=section,
-        description="free particle on the plane; the default curve solves E = 0",
-    )
+    return System("free", atlas, lam, curve=curve, chis=CHI_2D, section=section)
 
 
 def uniform_field() -> System:
+    # the curve solves E = 0 for g = 1
     atlas = euclidean_atlas(1)
     constants = {"g": 1.0}
     lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*v1^2 - g*x1", constants)
     curve = CurveSpec.single("0", ["0.2+0.8*t-0.5*t^2"], 0.0, 1.0)
-    return System(
-        "uniform", atlas, lam, constants,
-        curve=curve, chis=CHI_1D,
-        description="particle in a uniform field; curve solves E = 0 for g = 1",
-    )
+    return System("uniform", atlas, lam, constants, curve=curve, chis=CHI_1D)
 
 
 def charged_particle() -> System:
@@ -95,11 +89,7 @@ def charged_particle() -> System:
         constants,
     )
     curve = CurveSpec.single("0", ["sin(t)", "cos(t)-1", "0.3*t"], 0.0, 1.0)
-    return System(
-        "charged", atlas, lam, constants,
-        curve=curve, chis=CHI_3D,
-        description="charged particle in a constant magnetic field (symmetric gauge)",
-    )
+    return System("charged", atlas, lam, constants, curve=curve, chis=CHI_3D)
 
 
 def relativistic_charged() -> System:
@@ -115,7 +105,6 @@ def relativistic_charged() -> System:
         "relativistic", atlas, lam, constants,
         curve=curve, chis=CHI_2D,
         v_halfwidth=0.5,  # chart representative needs |v| < 1
-        description="relativistic charged particle, planar motion",
     )
 
 
@@ -130,14 +119,11 @@ def boosted_free() -> System:
         constants,
     )
     curve = CurveSpec.single("0", ["0.3+0.5*t", "0.8*t-0.2"], 0.0, 1.0)
-    return System(
-        "boosted", atlas, lam, constants,
-        curve=curve, chis=CHI_2D,
-        description="Galilean-boosted representative of the free particle",
-    )
+    return System("boosted", atlas, lam, constants, curve=curve, chis=CHI_2D)
 
 
 def circle_system() -> System:
+    # the curve crosses the junction from chart "0" into chart "1"
     atlas = circle_atlas("sin(x1)", winding=1.0)
     lam = GaugeClassLagrangian.from_exprs(
         atlas, {"0": "0.5*v1^2 + cos(x1)*v1", "1": "0.5*v1^2"}
@@ -152,11 +138,7 @@ def circle_system() -> System:
     section = AVSection(
         atlas, {"0": exprlang.parse("x1 + sin(x1)"), "1": exprlang.parse("x1")}
     )
-    return System(
-        "circle", atlas, lam,
-        curve=curve, chis=("sin(x1)",), section=section,
-        description="two-chart circle with winding gauge; curve crosses the junction",
-    )
+    return System("circle", atlas, lam, curve=curve, chis=("sin(x1)",), section=section)
 
 
 _BUILDERS = {

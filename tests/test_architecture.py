@@ -117,9 +117,13 @@ def test_checks_run_at_fixed_sizes_and_tolerances():
     """No verdict can be moved: the suites and the bundled systems take
     no defaulted parameter, no command takes a tolerance or a sample
     count, check-gauge and check-all take no --chart they would ignore,
-    and the sizes the action and variation commands take for the user's
-    own curve default to the suites' constants."""
-    from avcalc import cli, suites, systems
+    action and variation take their curve only as --curve segments, no
+    config key sets a value nothing varies or reads, and the sizes the
+    action and variation commands take for the user's own curve default
+    to the suites' constants."""
+    import re
+
+    from avcalc import cli, config, suites, systems
 
     defaulted = [
         (suite.__name__, name)
@@ -136,6 +140,10 @@ def test_checks_run_at_fixed_sizes_and_tolerances():
     assert {name: sorted(d for d in flags if d.startswith("tol") or d == "points")
             for name, flags in dests.items()} == {name: [] for name in commands}
     assert "chart" not in dests["check-gauge"] | dests["check-all"]
+    assert {"chart", "t0", "t1"} & (dests["action"] | dests["variation"]) == set()
+    removed = [("curve", "t0"), ("curve", "t1"), ("curve", "chart"), ("curve", "exprs"),
+               ("atlas", "half_width"), ("atlas", "gauge_10"), ("system", "description")]
+    assert [key for section, key in removed if re.fullmatch(config._KEYS[section], key)] == []
     expected = {
         ("action",): {"panels": suites.PANELS, "steps": suites.STEPS},
         ("variation", "--w", "t"): {"eps": suites.EPS, "panels": suites.PANELS},

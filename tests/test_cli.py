@@ -55,8 +55,7 @@ class TestLegendre:
 
 class TestAction:
     def test_half_for_unit_speed_line(self, capsys):
-        code = main(["action", "--system", cfg("free"), "--curve", "t;0",
-                     "--t0", "0", "--t1", "1"])
+        code = main(["action", "--system", cfg("free"), "--curve", "0 : 0 : 1 : t;0"])
         out = capsys.readouterr().out
         assert code == 0
         lines = dict(
@@ -68,6 +67,26 @@ class TestAction:
     def test_config_curve_used_when_flag_missing(self, capsys):
         code = main(["action", "--system", cfg("circle"), "--panels", "400", "--steps", "400"])
         assert code == 0
+
+    @pytest.mark.parametrize("command", [["action"], ["variation", "--w", "sin(t)"]])
+    def test_schedule_on_the_command_line(self, command, capsys):
+        # the circle config's two segments, crossing from chart 0 into chart 1
+        assert main([*command, "--system", cfg("circle")]) == 0
+        expected = capsys.readouterr().out
+        assert main([*command, "--system", "circle", "--curve", "0 : -1.0 : 1.5 : t",
+                     "--curve", "1 : 1.5 : 2.5 : t"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_ten_segments_in_numeric_order(self, tmp_path, capsys):
+        # segment_10 sorts before segment_2 by name, which left a gap
+        path = tmp_path / "ten.cfg"
+        path.write_text('[system]\nname = "ten"\ndim = "1"\nlagrangian = "0.5*v1^2"\n[curve]\n'
+                        + "".join(f'segment_{k} = "0 : {k - 1} : {k} : t"\n' for k in range(1, 11)))
+        curve = load_config(str(path)).system.curve
+        assert [(seg.t0, seg.t1) for seg in curve.segments] == [(k - 1.0, k) for k in range(1, 11)]
+        assert main(["action", "--system", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]  # the action of v = 1 over [0, 10]
+        assert float(first.split("=")[1]) == pytest.approx(5.0, abs=1e-12)
 
 
 class TestVariation:
@@ -159,6 +178,12 @@ class TestExitCodes:
         ["check-all", "--chart", "0"],
         ["action", "--tol", "1"],
         ["variation", "--w", "t;t", "--tol", "1"],
+        ["action", "--chart", "0"],
+        ["action", "--t0", "0"],
+        ["action", "--t1", "1"],
+        ["variation", "--w", "t;t", "--chart", "0"],
+        ["variation", "--w", "t;t", "--t0", "0"],
+        ["variation", "--w", "t;t", "--t1", "1"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_removed_flag_is_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -293,3 +318,11 @@ class TestForcedIntegrate:
         assert code == 1 and captured.out == ""
         # named as the kernel paths name it: the reason, the expression, the point
         assert captured.err == "error: sqrt: math domain error in sqrt(x1) at x1=-1.0, v1=0.0\n"
+
+    def test_overflowing_forcing_is_blamed_on_the_forcing(self, tmp_path, capsys):
+        path = self.write(tmp_path, "1e308*10*x1")
+        code = main(["integrate", "--system", path, "--x0", "1", "--v0", "0", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: non-finite forcing value inf in ((1e+308*10.0)*x1) "
+                                "at x1=1.0, v1=0.0\n")

@@ -1,10 +1,18 @@
 import math
 import os
+import re
 
 import pytest
 
 from avcalc.config import load_config, split_top_level
-from avcalc.errors import ChartDisjointError, ConfigSyntaxError, ValidationError
+from avcalc.errors import (
+    ChartDisjointError,
+    ChartScheduleError,
+    ConfigSyntaxError,
+    ValidationError,
+)
+from avcalc.exprlang import to_text
+from avcalc.systems import bundled_system
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -23,6 +31,24 @@ class TestBundledConfigs:
         cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"))
         assert cfg.system.name == name
         assert cfg.system.curve is not None
+
+    # (chart, t0, t1, coordinate texts) of each config's curve, as loaded
+    # when the single-segment configs still wrote t0, t1 and exprs
+    SEGMENTS = {
+        "free": [("0", 0.0, 1.0, ["(0.3+(0.5*t))", "((0.8*t)-0.2)"])],
+        "uniform": [("0", 0.0, 1.0, ["((0.2+(0.8*t))-(0.5*(t^2.0)))"])],
+        "charged": [("0", 0.0, 1.0, ["sin(t)", "(cos(t)-1.0)", "(0.3*t)"])],
+        "relativistic": [("0", 0.0, 1.0, ["(0.3*sin(t))", "(0.3*t)"])],
+        "boosted": [("0", 0.0, 1.0, ["(0.3+(0.5*t))", "((0.8*t)-0.2)"])],
+        "circle": [("0", -1.0, 1.5, ["t"]), ("1", 1.5, 2.5, ["t"])],
+    }
+
+    @pytest.mark.parametrize("name", list(SEGMENTS))
+    def test_curve_segments_unchanged(self, name):
+        curve = load_config(os.path.join(CONFIG_DIR, f"{name}.cfg")).system.curve
+        assert [(seg.chart_id, seg.t0, seg.t1, [to_text(e) for e in seg.exprs])
+                for seg in curve.segments] == self.SEGMENTS[name]
+        assert curve == bundled_system(name).curve
 
     def test_circle_config_builds_two_charts(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "circle.cfg"))
@@ -94,8 +120,13 @@ class TestSyntaxErrors:
             load_config(write(tmp_path, text))
         assert exc.value.line == text.splitlines().index('v_halfwidht = "0.5"') + 1
 
-    @pytest.mark.parametrize("section, key", [("atlas", "bogus"), ("curve", "segment"),
-                                              ("forcing", "g1"), ("forcing", "f3")])
+    @pytest.mark.parametrize("section, key", [
+        ("atlas", "bogus"), ("curve", "segment"), ("forcing", "g1"), ("forcing", "f3"),
+        # keys a config no longer takes: a curve is written only as segment_<k> keys
+        ("curve", "t0"), ("curve", "t1"), ("curve", "chart"), ("curve", "exprs"),
+        ("curve", "segment_0"), ("atlas", "half_width"), ("atlas", "gauge_10"),
+        ("system", "description"),
+    ])
     def test_unknown_key(self, tmp_path, section, key):
         path = write(tmp_path, '[system]\nname = "x"\ndim = "2"\nlagrangian = "v1^2+v2^2"\n'
                                f'[{section}]\n{key} = "1"\n')
@@ -120,17 +151,6 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             load_config(path)
         assert "v9" in str(exc.value)
-
-    def test_defective_circle_cocycle(self, tmp_path):
-        path = write(
-            tmp_path,
-            '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
-            '[atlas]\ntype = "circle"\ngauge = "sin(x1)"\nwinding = "1.0"\n'
-            'gauge_10 = "-sin(x1)+0.1"\n',
-        )
-        with pytest.raises(ValidationError) as exc:
-            load_config(path)
-        assert exc.value.defect == pytest.approx(0.1, rel=1e-9)
 
     def test_incompatible_chart_lagrangians(self, tmp_path):
         path = write(
@@ -178,9 +198,27 @@ class TestValidation:
         path = write(
             tmp_path,
             '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
-            '[curve]\nchart = "7"\nexprs = "t"\n',
+            '[curve]\nsegment_1 = "7 : 0 : 1 : t"\n',
         )
         with pytest.raises(ChartDisjointError, match="no chart '7'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("segment, message", [
+        ("0 : 0 : 1", "curve segment at segment_1 needs 'chart : t0 : t1 : exprs'"),
+        ("0 : 0 : inf : t", 'numeric value at segment_1 = "inf"'),
+        ("0 : nan : 1 : t", 'numeric value at segment_1 = "nan"'),
+        ("0 : 0 : 1 : t; t", "segment in chart 0 has 2 coordinates, atlas dimension is 1"),
+    ])
+    def test_malformed_segment(self, tmp_path, segment, message):
+        path = write(tmp_path, '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
+                               f'[curve]\nsegment_1 = "{segment}"\n')
+        with pytest.raises((ValidationError, ChartScheduleError), match=re.escape(message)):
+            load_config(path)
+
+    def test_curve_needs_a_segment(self, tmp_path):
+        path = write(tmp_path, '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
+                               '[curve]\n')
+        with pytest.raises(ChartScheduleError, match="curve has no segments"):
             load_config(path)
 
 
@@ -193,7 +231,7 @@ class TestAtlasGauge:
         with pytest.raises(ConfigSyntaxError, match="bad expression in atlas.gauge"):
             load_config(path)
 
-    @pytest.mark.parametrize("key", ["gauge", "gauge_10"])
+    @pytest.mark.parametrize("key", ["gauge"])
     def test_unbound_variable_named(self, tmp_path, key):
         path = write(tmp_path, CIRCLE + f'{key} = "sin(y)"\n')
         with pytest.raises(ValidationError, match=f"unbound variable 'y' in atlas.{key}"):
@@ -232,7 +270,7 @@ class TestSplitting:
         path = write(
             tmp_path,
             '[system]\nname = "c"\ndim = "1"\nlagrangian = "0.5*v1^2"\n'
-            '[curve]\nt0 = "0"\nt1 = "2"\nexprs = "0.5*t"\n',
+            '[curve]\nsegment_1 = "0 : 0 : 2 : 0.5*t"\n',
         )
         system = load_config(path).system
         assert system.curve.t_end == 2.0

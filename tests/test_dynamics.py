@@ -512,6 +512,39 @@ class TestNonFiniteInputs:
             self.CALLS[operator](self.LAM, **values)
 
 
+class TestWrongLength:
+    """An argument without n components is a ValueError naming it and n,
+    not a result read from the wrong entries; f and a constant forcing
+    may also be one number, applied to every component."""
+
+    LAM = TestNonFiniteInputs.LAM  # n = 2
+    GOOD = TestNonFiniteInputs.GOOD
+    CALLS = {**TestNonFiniteInputs.CALLS,
+             "value": lambda lam, x, v, a, f: lam.value(x, v, "0")}
+    ARGS = {**TestNonFiniteInputs.ARGS, "value": ("x", "v")}
+
+    @pytest.mark.parametrize("operator, arg", [
+        (op, arg) for op, args in ARGS.items() for arg in args
+    ])
+    @pytest.mark.parametrize("bad", [[0.0], [0.0, 0.0, 99.0], [[0.0, 0.0]]])
+    def test_rejected_naming_the_argument(self, operator, arg, bad):
+        values = dict(self.GOOD)
+        key = {"x0": "x", "v0": "v", "forcing": "f"}.get(arg, arg)
+        values[key] = bad
+        with pytest.raises(ValueError, match=rf"^{arg} must be a vector of dimension 2, got"):
+            self.CALLS[operator](self.LAM, **values)
+
+    def test_scalar_forcing_applies_to_every_component(self):
+        x, v = [0.1, 0.2], [1.0, -0.5]
+        assert np.array_equal(solve_accelerations(self.LAM, x, v, 0.5),
+                              solve_accelerations(self.LAM, x, v, [0.5, 0.5]))
+        one = integrate_trajectory(self.LAM, x, v, 0.0, 1.0, 10, forcing=0.5)
+        both = integrate_trajectory(self.LAM, x, v, 0.0, 1.0, 10, forcing=[0.5, 0.5])
+        assert np.array_equal(one.positions, both.positions)
+        free = integrate_trajectory(self.LAM, x, v, 0.0, 1.0, 10)
+        assert one.positions[-1, 0] != free.positions[-1, 0]  # the forcing acts
+
+
 def orbit_cases():
     """(id, Lagrangian, chart, velocity half-width, dim) for every bundled
     system and its shift by its first configured chi; all have n <= 3."""

@@ -64,9 +64,13 @@ class TestAtlas:
     def test_circle_validates(self, circle):
         assert circle.validate() <= 1e-12
 
-    def test_defective_atlas_fails(self):
+    def test_defective_atlas_fails(self, circle):
+        # the circle with g_10 off by 0.1 on the overlap where the charts agree
+        primary, secondary = circle.transitions["1", "0"]
+        off = OverlapComponent(primary.box, primary.coord_map, exprlang.parse("-sin(x1)+0.1"))
+        atlas = Atlas(1, circle.charts, {**circle.transitions, ("1", "0"): (off, secondary)})
         with pytest.raises(ValidationError) as exc:
-            circle_atlas("sin(x1)", winding=1.0, gauge_reverse_a="-sin(x1)+0.1")
+            atlas.validate()
         assert exc.value.defect == pytest.approx(0.1, rel=1e-9)
 
     def test_convert_point_components(self, circle):
