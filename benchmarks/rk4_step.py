@@ -1,20 +1,28 @@
-"""Microseconds per RK4 step: the generated loop against the existing one.
+"""Microseconds per RK4 step: the generated loop in Python and in C
+against the existing one.
 
 For the charged and the relativistic particle, and each one's twin
 shifted by its first configured gauge function chi, one trajectory of
---steps steps is integrated twice per repeat:
+--steps steps is integrated three times per repeat:
 
-  * generated: integrate_trajectory without forcing, which takes the
-    generated scalar loop (kernels.generate_step_source) for n <= 3:
-    each RK4 stage is the fused terms' straight-line body inlined, and
-    a constant velocity Hessian (the charged particle and its twin) is
+  * python: integrate_trajectory without forcing, with the generated
+    scalar loop (kernels.generate_step_source) in Python: each RK4
+    stage is the fused terms' straight-line body inlined, and a
+    constant velocity Hessian (the charged particle and its twin) is
     adjugated and guarded when the loop is generated;
-  * existing:  the same call with a callable zero forcing, which always
+  * native: the same call with the same loop in C
+    (native.compile_step), which integrate_trajectory takes
+    once an engine has been asked for dynamics.NATIVE_STEPS steps; this
+    script sets that threshold to 0 for this column and beyond reach
+    for the python column;
+  * numpy: the same call with a callable zero forcing, which always
     takes the existing numpy loop around the fused function: the oracle.
 
 The table gives the best of --repeats for each, after one untimed run
-that compiles.  The script exits 1 if the two trajectories differ in a
-single bit of a position or velocity; the test suite runs it with
+that compiles (the C compiler's time is not in the native column).  The
+script exits 1 if the native or the python trajectory differs from the
+numpy one, or the two from each other, in a single bit of a position or
+velocity, or if no C loop could be built; the test suite runs it with
 --steps 50 --repeats 1 for that check.
 
 Run:  PYTHONPATH=src python benchmarks/rk4_step.py [--steps N] [--repeats N]
@@ -26,6 +34,7 @@ import time
 
 import numpy as np
 
+from avcalc import dynamics
 from avcalc.dynamics import gauge_shift, integrate_trajectory
 from avcalc.systems import bundled_system
 
@@ -66,25 +75,33 @@ def main() -> int:
     args = ap.parse_args()
 
     print(f"RK4 step, {args.steps} steps, best of {args.repeats} (us per step)")
-    print(f"{'system':<20} {'generated':>10} {'existing':>10} {'ratio':>7}  trajectories")
+    print(f"{'system':<20} {'python':>9} {'native':>9} {'numpy':>9} {'py/native':>10}  "
+          "trajectories")
     identical = True
     for label, lam, x0, v0, t1 in cases():
         n = x0.size
 
-        def generated():
-            return integrate_trajectory(lam, x0, v0, 0.0, t1, args.steps)
+        def generated(threshold):
+            def run():
+                dynamics.NATIVE_STEPS = threshold
+                return integrate_trajectory(lam, x0, v0, 0.0, t1, args.steps)
+            return run
 
         def existing():
             return integrate_trajectory(lam, x0, v0, 0.0, t1, args.steps,
                                         forcing=lambda x, v: np.zeros(n))
 
-        fast_us, fast = best_us_per_step(generated, args.steps, args.repeats)
-        slow_us, slow = best_us_per_step(existing, args.steps, args.repeats)
-        same = (fast.positions.tobytes() == slow.positions.tobytes()
-                and fast.velocities.tobytes() == slow.velocities.tobytes())
+        python_us, python = best_us_per_step(generated(math.inf), args.steps, args.repeats)
+        native_us, native = best_us_per_step(generated(0), args.steps, args.repeats)
+        numpy_us, oracle = best_us_per_step(existing, args.steps, args.repeats)
+        built = lam.engine(lam.atlas.charts[0].id).native_rk4 is not None
+        same = built and all(
+            tr.positions.tobytes() == oracle.positions.tobytes()
+            and tr.velocities.tobytes() == oracle.velocities.tobytes() for tr in (python, native))
         identical &= same
-        print(f"{label:<20} {fast_us:10.1f} {slow_us:10.1f} {slow_us / fast_us:6.2f}x  "
-              f"{'bit-identical' if same else 'DIFFER'}")
+        verdict = "bit-identical" if same else ("DIFFER" if built else "NO C LOOP")
+        print(f"{label:<20} {python_us:9.2f} {native_us:9.3f} {numpy_us:9.1f} "
+              f"{python_us / native_us:9.1f}x  {verdict}")
     return 0 if identical else 1
 
 

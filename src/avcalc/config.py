@@ -86,7 +86,8 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_lines(text: str, path: str):
-    """(section -> {key: raw value}, (section, key) -> line number)."""
+    """(section -> {key: raw value}, (section, key) -> (line number,
+    index of the value's first character in that line))."""
     sections, lines = {}, {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,7 +115,7 @@ def _parse_lines(text: str, path: str):
             if not re.fullmatch(_KEYS[section], key):
                 raise ConfigSyntaxError(f"{path}: unknown key '{key}' in [{section}]", lineno, 1)
             current[key] = m.group(2)
-            lines[section, key] = lineno
+            lines[section, key] = (lineno, m.start(2))
             continue
         col = len(line) - len(line.lstrip()) + 1
         raise ConfigSyntaxError(
@@ -123,12 +124,20 @@ def _parse_lines(text: str, path: str):
     return sections, lines
 
 
-def _expr(text: str, variables, constants: dict, where: str):
-    """exprlang.expression of `text`, its failures as config errors."""
+def _expr(text: str, variables, constants: dict, where: str, at=(None, 0)):
+    """exprlang.expression of `text`, its failures as config errors.
+    `at` is (line, index) of the text's first character: a syntax error
+    names its line and column, or with line None (text given outside a
+    file, the CLI's --curve), its offset from index 0."""
     try:
         return exprlang.expression(text, variables, constants)
     except (ExprSyntaxError, UnknownFunctionError) as e:
-        raise ConfigSyntaxError(f"bad expression in {where}: {e}", 0, e.offset + 1) from e
+        line, index = at
+        index += e.offset
+        message = f"bad expression in {where}: {e.reason}"
+        if line is None:
+            raise ConfigSyntaxError(message, None, offset=index) from e
+        raise ConfigSyntaxError(message, line, index + 1) from e
     except UnboundVariableError as e:
         raise ValidationError(
             "expression variables", f"unbound variable '{e.name}' in {where}", float("inf")
@@ -139,6 +148,12 @@ def split_top_level(text: str):
     """Split on ';', or on ',' if the text has no ';', at parenthesis
     depth zero (so 'pow(a,b)' survives comma-separated coordinate
     lists)."""
+    return [part for _index, part in _top_level_parts(text)]
+
+
+def _top_level_parts(text: str):
+    """(index, part) of each part of split_top_level(text): the part,
+    stripped, and the index of its first character in `text`."""
     parts, depth, start = [], 0, 0
     sep = ";" if ";" in text else ","
     for i, ch in enumerate(text):
@@ -147,10 +162,10 @@ def split_top_level(text: str):
         elif ch == ")":
             depth -= 1
         elif ch == sep and depth == 0:
-            parts.append(text[start:i])
+            parts.append((start, text[start:i]))
             start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
+    parts.append((start, text[start:]))
+    return [(i + len(p) - len(p.lstrip()), p.strip()) for i, p in parts]
 
 
 def _float(value: str, where: str) -> float:
@@ -163,7 +178,7 @@ def _float(value: str, where: str) -> float:
     return number
 
 
-def _build_atlas(atlas_sec: dict, dim: int, constants: dict):
+def _build_atlas(atlas_sec: dict, dim: int, constants: dict, lines: dict):
     kind = atlas_sec.get("type", "rn")
     if kind == "rn":
         return euclidean_atlas(dim)
@@ -171,22 +186,26 @@ def _build_atlas(atlas_sec: dict, dim: int, constants: dict):
         if dim != 1:
             raise ValidationError("atlas dimension", "circle atlas needs dim = 1", float(dim))
         return circle_atlas(
-            _expr(atlas_sec.get("gauge", "0"), ("x1",), constants, "atlas.gauge"),
+            _expr(atlas_sec.get("gauge", "0"), ("x1",), constants, "atlas.gauge",
+                  lines.get(("atlas", "gauge"), (None, 0))),
             winding=_float(atlas_sec.get("winding", "0"), "atlas.winding"),
         )
     raise ValidationError("atlas type", f"unknown atlas type '{kind}'", float("inf"))
 
 
-def parse_segment(text: str, constants: dict, where: str) -> CurveSegment:
+def parse_segment(text: str, constants: dict, where: str, at=(None, 0)) -> CurveSegment:
     """One piece of a chart schedule, written `chart : t0 : t1 : e1; e2; ...`
     (a config's segment_<k>, the CLI's --curve); `where` names the key or
-    flag in errors."""
-    fields = [p.strip() for p in text.split(":")]
+    flag in errors, and `at` places the text as _expr's `at` does."""
+    fields = text.split(":")
     if len(fields) != 4:
         raise ValidationError("curve segment", f"{where} needs 'chart : t0 : t1 : exprs'",
                               float("inf"))
-    chart, t0, t1, exprs = fields
-    parsed = tuple(_expr(e, ("t",), constants, where) for e in split_top_level(exprs))
+    chart, t0, t1 = (p.strip() for p in fields[:3])
+    line, index = at
+    index += len(text) - len(fields[3])
+    parsed = tuple(_expr(e, ("t",), constants, where, (line, index + i))
+                   for i, e in _top_level_parts(fields[3]))
     return CurveSegment(_float(t0, where), _float(t1, where), chart, parsed)
 
 
@@ -210,25 +229,28 @@ def load_config(path: str) -> SystemConfig:
         k: _float(v, f"constants.{k}") for k, v in sections.get("constants", {}).items()
     }
 
-    atlas = _build_atlas(sections.get("atlas", {}), dim, constants)
+    atlas = _build_atlas(sections.get("atlas", {}), dim, constants, lines)
 
     coords, states = coord_names(dim), lagrangian_varnames(dim)
 
     lag_exprs = {}
     if "lagrangian" in system_sec:
-        ast = _expr(system_sec["lagrangian"], states, constants, "system.lagrangian")
+        ast = _expr(system_sec["lagrangian"], states, constants, "system.lagrangian",
+                    lines["system", "lagrangian"])
         lag_exprs = {c.id: ast for c in atlas.charts}
     for key, value in system_sec.items():
         if key.startswith("lagrangian_"):
-            lag_exprs[key[len("lagrangian_"):]] = _expr(value, states, constants, key)
+            lag_exprs[key[len("lagrangian_"):]] = _expr(value, states, constants, key,
+                                                        lines["system", key])
     lam = GaugeClassLagrangian(atlas, lag_exprs)  # checks that the charts match
     if atlas.transitions:
         lam.validate()
 
     chis = []
-    for value in sections.get("gauge", {}).values():
+    for key, value in sections.get("gauge", {}).items():
         # each must be one function on M
-        ScalarFunction.from_common(atlas, _expr(value, coords, constants, "gauge")).validate()
+        chi = _expr(value, coords, constants, "gauge", lines["gauge", key])
+        ScalarFunction.from_common(atlas, chi).validate()
         chis.append(value)
 
     forcing = None
@@ -237,16 +259,18 @@ def load_config(path: str) -> SystemConfig:
         for key in forcing_sec:
             if int(key[1:]) > dim:
                 raise ConfigSyntaxError(f"{path}: unknown key '{key}' in [forcing] for dim {dim}",
-                                        lines["forcing", key], 1)
+                                        lines["forcing", key][0], 1)
         forcing = tuple(
-            _expr(forcing_sec.get(f"f{j}", "0"), states, constants, f"forcing.f{j}")
+            _expr(forcing_sec.get(f"f{j}", "0"), states, constants, f"forcing.f{j}",
+                  lines.get(("forcing", f"f{j}"), (None, 0)))
             for j in range(1, dim + 1)
         )
 
     curve = None
     if "curve" in sections:
         keys = sorted(sections["curve"], key=lambda k: int(k[len("segment_"):]))
-        curve = CurveSpec(tuple(parse_segment(sections["curve"][k], constants, k) for k in keys))
+        curve = CurveSpec(tuple(parse_segment(sections["curve"][k], constants, k,
+                                              lines["curve", k]) for k in keys))
         curve.validate(atlas)
 
     system = System(

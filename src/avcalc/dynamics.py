@@ -194,13 +194,22 @@ def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:
 # ---------------------------------------------------------------------------
 # Per-chart evaluation engine
 
+# An engine's RK4 steps run in the C rendering of its generated loop
+# (native.compile_step) once it has been asked for NATIVE_STEPS steps
+# in total.  Building it costs the C compiler 80-190 ms, which
+# buys 1.4-2.5e4 steps of the Python loop at 3.8-8.3 us a step (the
+# charged and relativistic particles and their gauge twins), and the C
+# loop takes 0.07-0.19 us a step.
+NATIVE_STEPS = 20_000
+
+
 class _ChartEngine:
     """Compiled evaluation of one chart representative L(x1..xn, v1..vn):
     probe assembly around compile_field's kernels, looked up in its cache
     by each call, for the batched operators; the fused acceleration terms
-    for the numpy RK4 step, and the generated RK4 loop for n <= 3, each
-    compiled at its first use and held, so a caller pays only for the
-    one it needs."""
+    for the numpy RK4 step, and the generated RK4 loop for n <= 3, in
+    Python and, for a hot orbit, in C (step_loop), each compiled at its
+    first use and held, so a caller pays only for the one it needs."""
 
     def __init__(self, ast: ExprAst, dim: int):
         self.n = dim
@@ -208,6 +217,7 @@ class _ChartEngine:
         self.ast = ast
         self.varnames = tuple(lagrangian_varnames(dim))
         check_declared(ast, self.varnames)
+        self.steps_asked = 0  # of the generated loop, by every step_loop call
 
     @cached_property
     def _terms(self):
@@ -218,6 +228,26 @@ class _ChartEngine:
         """The generated RK4 loop, for n <= 3, with the fused terms
         inlined; see kernels.generate_step_source for its contract."""
         return compile_step(self.ast, self.varnames)
+
+    @cached_property
+    def native_rk4(self):
+        """rk4 in C (native.compile_step), or None where it cannot be
+        built: no C compiler, or a failed build.  The native module, and
+        subprocess with it, is imported here, at the first build."""
+        from . import native
+
+        return native.compile_step(self.ast, self.varnames)
+
+    def step_loop(self, steps: int):
+        """The generated RK4 loop for a call of `steps` steps: native_rk4
+        once this engine has been asked for NATIVE_STEPS steps in total,
+        this call's included, and it can be built; rk4 otherwise.  Both
+        take the same arguments and give the same bits, and the C loop
+        hands back wherever the Python one does."""
+        self.steps_asked += steps
+        if self.steps_asked >= NATIVE_STEPS and self.native_rk4 is not None:
+            return self.native_rk4
+        return self.rk4
 
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i]): one unseeded probe per point."""
@@ -381,8 +411,12 @@ def integrate_trajectory(
     For n <= 3 without a callable forcing, the engine's generated loop
     (kernels.generate_step_source) takes the steps, and _rk4_steps takes
     over from the first step it hands back; otherwise _rk4_steps takes
-    them all.  Both give the same bits, and every error comes from
-    _rk4_steps."""
+    them all.  The generated loop runs in C once the engine has been
+    asked for NATIVE_STEPS steps, this call's included, where a C
+    compiler builds it, and in Python otherwise (_ChartEngine.step_loop).
+    All three give the same bits, and every error comes from
+    _rk4_steps.  A callable forcing's value is held to a constant
+    forcing's rule: n finite components, or one number for all."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -402,14 +436,13 @@ def integrate_trajectory(
     if forcing is None:
         force = None
     elif callable(forcing):
-        force = forcing
+        force = lambda x, v: _finite("forcing", forcing(x, v), n, scalar=True)
     else:
         fconst = _finite("forcing", forcing, n, scalar=True)
         force = lambda x, v: fconst
 
     def acc(x, v):
-        f = None if force is None else np.asarray(force(x, v), float)
-        return _accelerations(eng, x, v, f)
+        return _accelerations(eng, x, v, None if force is None else force(x, v))
 
     times = t0 + h * np.arange(steps + 1)
     xs = np.empty((steps + 1, n))
@@ -420,7 +453,8 @@ def integrate_trajectory(
         # x - 0.0 is x, so a zero forcing changes no bit of the solve
         f = [0.0] * n if forcing is None else np.broadcast_to(fconst, (n,)).tolist()
         box = [b for lo, hi in atlas.chart(chart_id).box for b in (lo - _BOX_TOL, hi + _BOX_TOL)]
-        done = eng.rk4(*xs[0].tolist(), *vs[0].tolist(), h, steps, *box, *f, xs, vs)
+        done = eng.step_loop(steps)(*xs[0].tolist(), *vs[0].tolist(), h, steps, *box, *f,
+                                    xs, vs)
     if done < steps:
         _rk4_steps(acc, atlas, chart_id, h, times, xs, vs, done)
     return Trajectory(chart_id, times, xs, vs)

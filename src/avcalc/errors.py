@@ -14,6 +14,7 @@ class ExprSyntaxError(AvcalcError):
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
+        self.reason = message
         self.offset = offset
 
 
@@ -21,8 +22,9 @@ class UnknownFunctionError(AvcalcError):
     """Call to a function that is not a builtin."""
 
     def __init__(self, name, offset=None):
+        self.reason = f"unknown function '{name}'"
         where = f" (at offset {offset})" if offset is not None else ""
-        super().__init__(f"unknown function '{name}'{where}")
+        super().__init__(f"{self.reason}{where}")
         self.name = name
         self.offset = offset
 
@@ -63,13 +65,19 @@ class SingularLagrangianError(AvcalcError):
 
 
 class ConfigSyntaxError(AvcalcError):
-    """Malformed system configuration file."""
+    """Malformed system configuration file, located by its line and
+    column; or malformed config text given outside a file (the CLI's
+    --curve), with line None, located by its offset in that text."""
 
-    def __init__(self, message, line, column=None):
-        where = f"line {line}" + (f", column {column}" if column is not None else "")
+    def __init__(self, message, line, column=None, offset=None):
+        if line is None:
+            where = f"at offset {offset}"
+        else:
+            where = f"line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(f"{message} ({where})")
         self.line = line
         self.column = column
+        self.offset = offset
 
 
 class ValidationError(AvcalcError):

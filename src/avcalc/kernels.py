@@ -19,7 +19,9 @@ code that propagates second-order forward-mode components
     dynamics.integrate_trajectory when the forcing is absent or
     constant, and gives bit-identical trajectories.  On any alarm it
     returns the last good step, and the caller's numpy loop repeats
-    that step and raises the error, if there is one.
+    that step and raises the error, if there is one.  The same loop
+    is written in C too (native.py), from the same records and
+    statements, for orbits long enough to pay for the compiler.
 
 All three turn the emitter's lines into records (name, template,
 operands) by one backward pass (_render): it drops the lines nothing
@@ -83,6 +85,7 @@ import itertools
 import math
 import sys
 from array import array
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -137,6 +140,8 @@ def _num(value: float) -> str:
 
 _ZERO = "0.0"
 _ONE = "1.0"
+# sign on scalars, as np.sign computes it
+_SIGN = "(1.0 if {0} > 0.0 else (-1.0 if {0} < 0.0 else {0} + 0.0))"
 
 
 class _Emitter:
@@ -179,7 +184,7 @@ class _Emitter:
         at NaN (-0.0 + 0.0 is 0.0)."""
         if self.vector:
             return self.tmp("np.sign({})", atom)
-        return self.tmp("(1.0 if {0} > 0.0 else (-1.0 if {0} < 0.0 else {0} + 0.0))", atom)
+        return self.tmp(_SIGN, atom)
 
     # folding arithmetic on atoms (literals or temp names)
 
@@ -434,9 +439,36 @@ def _render(names, results, inputs=()):
     return records, results
 
 
+def _assignments(records, d) -> list:
+    """The statements of the records of _render in the dialect d (see
+    _lines): each record's name assigned its operation, and in a dialect
+    that checks the record's operation (d.checked: C checks every libm
+    call, division and power), the check that hands back unless the
+    value is finite."""
+    statements = []
+    for name, template, args in records:
+        statements.append((name, d.ops.get(template, template).format(*map(d.atom, args))))
+        if template in d.checked:
+            statements.append((None, d.finite.format(name)))
+    return statements
+
+
+def _lines(statements, d) -> list:
+    """The source lines of `statements` in the dialect d: (name, text)
+    assigns text to name, (None, condition) returns k unless the
+    condition holds, and (None, None) returns k."""
+    lines = []
+    for name, text in statements:
+        if name is not None:
+            lines.append(d.assign.format(name, text))
+        else:
+            lines += (d.handback if text is None else d.guard.format(text)).split("\n")
+    return lines
+
+
 def _text(records) -> list:
-    """The source line of each record of _render."""
-    return [f"{name} = {template.format(*args)}" for name, template, args in records]
+    """The Python source line of each record of _render."""
+    return _lines(_assignments(records, _PYTHON), _PYTHON)
 
 
 _ARRAYS = ("vals", "d1", "d2")
@@ -584,17 +616,19 @@ def _adjugate_text(h):
     return adj, f"{a} * j0 + {b} * j3 + {c} * j6"
 
 
-def _norm1_text(h, n):
-    """Source text of _norm1 of the n x n matrix of atoms h."""
-    cols = [" + ".join(f"abs({h[r * n + c]})" for r in range(n)) for c in range(n)]
-    return cols[0] if n == 1 else f"max({', '.join(cols)})"
+def _norm1_text(h, n, d):
+    """Source text of _norm1 of the n x n matrix of atoms h in the
+    dialect d."""
+    cols = [" + ".join(d.abs.format(h[r * n + c]) for r in range(n)) for c in range(n)]
+    return cols[0] if n == 1 else d.max(cols)
 
 
-def _stage_lines(terms, inputs, acc):
-    """Lines solving H a = dL/dx - C.v - f into the names `acc` as
-    dynamics._accelerations does for n <= 3, with `return k` wherever
-    that would raise or take its LU solve instead.  The terms are those
-    of _fused_terms, rendered with the stage's position and velocity
+def _stage(terms, inputs, acc, d):
+    """Statements (see _lines) in the dialect d solving
+    H a = dL/dx - C.v - f into the names `acc` as
+    dynamics._accelerations does for n <= 3, returning k wherever that
+    would raise or take its LU solve instead.  The terms are those of
+    _fused_terms, rendered with the stage's position and velocity
     `inputs` in place of w0..w{2n-1}.
 
     The finiteness of the terms is screened by one sum of their
@@ -608,10 +642,10 @@ def _stage_lines(terms, inputs, acc):
     n = len(inputs) // 2
     # stages reuse the temporaries' names: each reads only its own
     records, results = _render(*terms, inputs)
-    lines = _text(records)
+    statements = _assignments(records, d)
     lits = [_lit(atom) for atom in results]
     if not all(math.isfinite(lit) for lit in lits if lit is not None):
-        return ["return k"]
+        return [(None, None)]
     gx, cv, hess = results[1:n + 1], results[n + 1:2 * n + 1], results[2 * n + 1:]
     hvals = lits[2 * n + 1:]
     literal = None not in hvals
@@ -619,43 +653,95 @@ def _stage_lines(terms, inputs, acc):
         adj, det = _adjugate(hvals, n)
         cond = _condition(hvals, adj, det, n)
         if cond is None or not cond <= MAX_CONDITION:
-            return ["return k"]
+            return [(None, None)]
     screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
     if screen:
-        lines += [f"if not _isfinite({' + '.join(screen)}):", "    return k"]
+        statements.append((None, d.finite.format(" + ".join(screen))))
     for i, (g, c) in enumerate(zip(gx, cv)):
         lg, lc = _lit(g), _lit(c)
         if lg is not None and lc is not None:
-            g = _num(lg - lc)
-        elif c != _ZERO:
-            g = f"{g} - {c}"
-        lines.append(f"r{i} = {g} - f{i}")
+            g = d.num(lg - lc)
+        else:
+            g = d.atom(g) if c == _ZERO else f"{d.atom(g)} - {d.atom(c)}"
+        statements.append((f"r{i}", f"{g} - f{i}"))
     if literal:
         for i in range(n):
-            row = " + ".join(f"r{j}" if adj[i * n + j] == 1.0 else f"{_num(adj[i * n + j])} * r{j}"
+            row = " + ".join(f"r{j}" if adj[i * n + j] == 1.0 else f"{d.num(adj[i * n + j])} * r{j}"
                              for j in range(n))
-            lines.append(f"{acc[i]} = {row}" if det == 1.0 else f"{acc[i]} = ({row}) / {_num(det)}")
-        return lines
+            statements.append((acc[i], row if det == 1.0 else f"({row}) / {d.num(det)}"))
+        return statements
+    hess = [d.atom(atom) for atom in hess]
     adj, det = _adjugate_text(hess)
     names = [f"j{i}" for i in range(n * n)]
-    lines += [f"{name} = {e}" for name, e in zip(names, adj)]
-    lines += [
-        f"det = {det}",
-        "ad = abs(det)",
-        f"if not {_num(sys.float_info.min)} <= ad < _inf:",
-        "    return k",
-        f"if not {n} * {_norm1_text(hess, n)} * {_norm1_text(names, n)} / ad"
-        f" <= {_num(MAX_CONDITION)}:",
-        "    return k",
+    statements += zip(names, adj)
+    statements += [
+        ("det", det),
+        ("ad", d.abs.format("det")),
+        (None, d.chain.format(d.num(sys.float_info.min), "<=", "ad", "<", d.inf)),
+        (None, f"{n} * {_norm1_text(hess, n, d)} * {_norm1_text(names, n, d)} / ad"
+               f" <= {d.num(MAX_CONDITION)}"),
     ]
-    lines += [f"{acc[i]} = ({' + '.join(f'j{i * n + c} * r{c}' for c in range(n))}) / det"
-              for i in range(n)]
-    return lines
+    statements += [(acc[i], f"({' + '.join(f'j{i * n + c} * r{c}' for c in range(n))}) / det")
+                   for i in range(n)]
+    return statements
 
 
-def generate_step_source(ast: ExprAst, varnames) -> str:
+def _python_loop(parameters, local_names, body):
+    """The Python function _run of generate_step_source around the
+    statements `body` of one step."""
+    head = (f"def _run({', '.join(parameters)}, xs, vs):\n"
+            # flat views of the C-contiguous rows: a float stored through
+            # a memoryview costs a third of a numpy item assignment
+            "    xm = memoryview(xs).cast('B').cast('d')\n"
+            "    vm = memoryview(vs).cast('B').cast('d')\n"
+            "    hh = 0.5 * h\n"
+            "    h6 = h / 6.0\n"
+            "    for k in range(steps):\n"
+            "        try:\n")
+    tail = ("        except (ValueError, ArithmeticError):\n"
+            "            return k\n"
+            "    return steps\n")
+    return head + "\n".join(" " * 12 + ln for ln in _lines(body, _PYTHON)) + "\n" + tail
+
+
+class _Dialect(NamedTuple):
+    """How one language writes the scalar renderings: the RK4 loop of
+    generate_step_source, and the Python lines of _text (_PYTHON; C is
+    native.C).  Every operation keeps its operands and their order, so
+    every language computes the same doubles."""
+
+    ops: dict  # record template -> its text here, where it differs from Python's
+    checked: frozenset  # record templates whose value must be finite, else return k
+    num: Callable  # float -> its literal
+    assign: str  # statement assigning {1} to {0}
+    guard: str  # statement returning k unless the condition {} holds
+    handback: str  # statement returning k
+    finite: str  # whether {} is finite
+    abs: str
+    max: Callable  # texts -> their largest, picked as Python's max picks it
+    chain: str  # the comparisons {0} {1} {2} {3} {4}, as Python chains them
+    conj: str  # joins conditions that must all hold
+    inf: str  # +infinity
+    loop: Callable  # (parameters, local names, body) -> the loop's source
+
+    def atom(self, atom: str) -> str:
+        """An atom of _render (a name, or a literal as _num writes it) in
+        this language."""
+        value = _lit(atom)
+        return atom if value is None else self.num(value)
+
+
+_PYTHON = _Dialect(
+    ops={}, checked=frozenset(), num=_num, assign="{} = {}", guard="if not {}:\n    return k",
+    handback="return k", finite="_isfinite({})", abs="abs({})",
+    max=lambda texts: f"max({', '.join(texts)})", chain="{0} {1} {2} {3} {4}", conj=" and ",
+    inf="_inf", loop=_python_loop)
+
+
+def generate_step_source(ast: ExprAst, varnames, dialect: _Dialect = _PYTHON) -> str:
     """Source of the whole classical RK4 loop for a Lagrangian over
-    varnames = (x1..xn, v1..vn) with n <= 3,
+    varnames = (x1..xn, v1..vn) with n <= 3, in Python, or in another
+    language by its `dialect` (native.generate_step_source writes C),
 
         _run(x0, .., v0, .., h, steps, lo0, hi0, .., f0, .., xs, vs)
 
@@ -667,7 +753,8 @@ def generate_step_source(ast: ExprAst, varnames) -> str:
     once) on that stage's position and velocity, then the solve by the
     adjugate, refusing n * cond_1(H) > MAX_CONDITION; a velocity
     Hessian of literals is adjugated and guarded once, here (see
-    _stage_lines).
+    _stage).  Every language is written from the same statements
+    through a table of its differences from Python (_Dialect).
     Every operation is that of dynamics' RK4 step and its acceleration
     solve, in the same order, so the results are bit-identical.  Step k
     writes rows k + 1 of xs and vs once the new position lies in the box.
@@ -677,6 +764,8 @@ def generate_step_source(ast: ExprAst, varnames) -> str:
     raises ValueError or ArithmeticError, when the screen finds a term
     not finite, when det H is zero, subnormal or not finite, when the
     condition guard fails, or when the new position leaves the box.
+    A dialect that checks operations (_Dialect.checked) also returns k
+    wherever one of them gives a value that is not finite.
     The caller repeats step k on its own path, which raises the error
     or takes the solve this loop does not."""
     n = len(varnames) // 2
@@ -693,31 +782,20 @@ def generate_step_source(ast: ExprAst, varnames) -> str:
     for s in range(4):
         if s:
             step = "hh" if s < 3 else "h"
-            body += [f"{stage_x[s][i]} = x{i} + {step} * {stage_v[s - 1][i]}" for i in idx]
-            body += [f"{stage_v[s][i]} = v{i} + {step} * {acc[s - 1][i]}" for i in idx]
-        body += _stage_lines(terms, stage_x[s] + stage_v[s], acc[s])
-    body += [f"x{i} = x{i} + h6 * (v{i} + 2.0 * v{i}_2 + 2.0 * v{i}_3 + v{i}_4)" for i in idx]
-    body += [f"v{i} = v{i} + h6 * (a{i}_1 + 2.0 * a{i}_2 + 2.0 * a{i}_3 + a{i}_4)" for i in idx]
-    inside = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in idx)
-    body += [f"if not ({inside}):", "    return k",
-             "at = k + 1" if n == 1 else f"at = {n} * k + {n}"]
-    body += [f"{rows}[at{f' + {i}' if i else ''}] = {name}{i}"
+            body += [(stage_x[s][i], f"x{i} + {step} * {stage_v[s - 1][i]}") for i in idx]
+            body += [(stage_v[s][i], f"v{i} + {step} * {acc[s - 1][i]}") for i in idx]
+        body += _stage(terms, stage_x[s] + stage_v[s], acc[s], dialect)
+    body += [(f"x{i}", f"x{i} + h6 * (v{i} + 2.0 * v{i}_2 + 2.0 * v{i}_3 + v{i}_4)") for i in idx]
+    body += [(f"v{i}", f"v{i} + h6 * (a{i}_1 + 2.0 * a{i}_2 + 2.0 * a{i}_3 + a{i}_4)") for i in idx]
+    inside = dialect.conj.join(dialect.chain.format(f"lo{i}", "<=", f"x{i}", "<=", f"hi{i}")
+                               for i in idx)
+    body += [(None, f"({inside})"), ("at", "k + 1" if n == 1 else f"{n} * k + {n}")]
+    body += [(f"{rows}[at{f' + {i}' if i else ''}]", f"{name}{i}")
              for rows, name in (("xm", "x"), ("vm", "v")) for i in idx]
-    box = ", ".join(f"lo{i}, hi{i}" for i in idx)
-    forcing = ", ".join(f"f{i}" for i in idx)
-    # flat views of the C-contiguous rows: a float stored through a
-    # memoryview costs a third of a numpy item assignment
-    head = (f"def _run({', '.join(x + v)}, h, steps, {box}, {forcing}, xs, vs):\n"
-            "    xm = memoryview(xs).cast('B').cast('d')\n"
-            "    vm = memoryview(vs).cast('B').cast('d')\n"
-            "    hh = 0.5 * h\n"
-            "    h6 = h / 6.0\n"
-            "    for k in range(steps):\n"
-            "        try:\n")
-    tail = ("        except (ValueError, ArithmeticError):\n"
-            "            return k\n"
-            "    return steps\n")
-    return head + "\n".join(" " * 12 + ln for ln in body) + "\n" + tail
+    parameters = [*x, *v, "h", "steps", *(f"{b}{i}" for i in idx for b in ("lo", "hi")),
+                  *(f"f{i}" for i in idx)]
+    local = [name for names in stage_x[1:] + stage_v[1:] + acc for name in names]
+    return dialect.loop(parameters, local, body)
 
 
 def _build(src: str, name: str, **env):
@@ -908,6 +986,7 @@ def compile_step(ast: ExprAst, varnames):
     over varnames = (x1..xn, v1..vn) with n <= 3."""
     src = generate_step_source(ast, varnames)
     return _build(src, "_run", _isfinite=math.isfinite, _inf=math.inf)
+
 
 
 def eval_batch(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:

@@ -64,6 +64,17 @@ class TestAction:
         assert float(lines["action_quadrature "]) == pytest.approx(0.5, abs=1e-8)
         assert float(lines["action_lift       "]) == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("curve, bad", [
+        ("0 : 0 : 1 : t+; 0", ";"), ("0 : 0 : 1 : t; foo(t)", "foo"), (" 0:0:1:  )t", ")t"),
+    ])
+    def test_bad_curve_expression_names_its_offset(self, curve, bad, capsys):
+        # the --curve text has no line: the error names the offset in it
+        assert main(["action", "--system", "free", "--curve", curve]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad expression in --curve: ")
+        assert err.endswith(f"(at offset {curve.index(bad)})\n")
+        assert "line" not in err and err.count("offset") == 1
+
     def test_config_curve_used_when_flag_missing(self, capsys):
         code = main(["action", "--system", cfg("circle"), "--panels", "400", "--steps", "400"])
         assert code == 0

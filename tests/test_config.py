@@ -144,6 +144,26 @@ class TestSyntaxErrors:
         with pytest.raises(ConfigSyntaxError, match="in system.lagrangian: unknown function 'foo'"):
             load_config(path)
 
+    @pytest.mark.parametrize("line, bad", [
+        ('  lagrangian  =  "0.5*v1^2 + (x1"', "end"),
+        ('lagrangian = "0.5*v1^2 + bar(x1)"', "bar"),
+        ('[curve]\nsegment_1 = "0 : 0 : 1 : t; t +"', "end"),
+        ('[curve]\nsegment_1 = "0 : 0 : 1 : pow(t, 2),  foo(t)"', "foo"),
+        ('[gauge]\nchi = "x1 * * x2"', "* x2"),
+        ('[forcing]\nf2 = "sin(x1) +) 1"', ") 1"),
+    ])
+    def test_bad_expression_names_its_line_and_column(self, tmp_path, line, bad):
+        text = '[system]\nname = "x"\ndim = "2"\n' + (
+            line if line.lstrip().startswith("lagrangian") else f'lagrangian = "v1^2+v2^2"\n{line}')
+        with pytest.raises(ConfigSyntaxError, match="bad expression") as exc:
+            load_config(write(tmp_path, text + "\n"))
+        lines = text.splitlines()
+        assert exc.value.line == len(lines)
+        # the offending character: the first of `bad`, or the closing quote
+        column = lines[-1].rindex('"') if bad == "end" else lines[-1].index(bad)
+        assert exc.value.column == column + 1
+        assert str(exc.value).endswith(f"(line {len(lines)}, column {column + 1})")
+
 
 class TestValidation:
     def test_unbound_variable_named(self, tmp_path):

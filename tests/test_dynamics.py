@@ -544,6 +544,21 @@ class TestWrongLength:
         free = integrate_trajectory(self.LAM, x, v, 0.0, 1.0, 10)
         assert one.positions[-1, 0] != free.positions[-1, 0]  # the forcing acts
 
+    @pytest.mark.parametrize("value, message", [
+        ([1.0], r"forcing must be a vector of dimension 2, got \[1\.0\]$"),
+        ([1.0, 2.0, 3.0], r"forcing must be a vector of dimension 2, got \[1\.0, 2\.0, 3\.0\]$"),
+        ([1.0, math.inf], r"forcing must be finite, got \[ 1\. inf\]$"),
+    ])
+    def test_callable_forcing_held_to_the_constant_rule(self, value, message):
+        # a callable's value was broadcast or reached numpy unchecked
+        with pytest.raises(ValueError, match=message):
+            integrate_trajectory(self.LAM, [0.1, 0.2], [1.0, -0.5], 0.0, 1.0, 4,
+                                 forcing=lambda x, v: value)
+        one = integrate_trajectory(self.LAM, [0.1, 0.2], [1.0, -0.5], 0.0, 1.0, 4,
+                                   forcing=lambda x, v: 0.5)
+        both = integrate_trajectory(self.LAM, [0.1, 0.2], [1.0, -0.5], 0.0, 1.0, 4, forcing=0.5)
+        assert one.positions.tobytes() == both.positions.tobytes()
+
 
 def orbit_cases():
     """(id, Lagrangian, chart, velocity half-width, dim) for every bundled
@@ -657,8 +672,9 @@ class TestGeneratedLoop:
         assert fast.velocities.tobytes() == oracle.velocities.tobytes()
 
     def test_rk4_step_script_finds_bit_identical_trajectories(self):
-        # benchmarks/rk4_step.py exits 1 if the generated and the existing
-        # loop differ in one bit on any of its four orbits
+        # benchmarks/rk4_step.py exits 1 if the generated loop in Python or
+        # in C differs in one bit from the existing loop or from the other
+        # on any of its four orbits
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "rk4_step.py"),
