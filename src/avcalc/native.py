@@ -39,9 +39,9 @@ import tempfile
 
 import numpy as np
 
+from . import kernels
 from .exprlang import ExprAst
 from .kernels import _SIGN, _Dialect, _lines
-from .kernels import generate_step_source as _step_statements
 
 _HELPERS = """\
 #include <math.h>
@@ -163,7 +163,7 @@ def generate_step_source(ast: ExprAst, varnames) -> str:
 
     with the Python loop's arguments in its order (xm and vm the data of
     xs and vs) and its return value."""
-    return _step_statements(ast, varnames, C)
+    return kernels.generate_step_source(ast, varnames, C)
 
 
 def compile_step(ast: ExprAst, varnames):
@@ -187,19 +187,19 @@ def _build(src: str, n: int):
     cc = _compiler()
     if cc is None:
         return None
-    with tempfile.TemporaryDirectory(prefix="avcalc-") as tmp:
-        source, library = os.path.join(tmp, "rk4.c"), os.path.join(tmp, "rk4.so")
-        with open(source, "w", encoding="ascii") as fh:
-            fh.write(src)
-        try:
+    try:
+        with tempfile.TemporaryDirectory(prefix="avcalc-") as tmp:
+            source, library = os.path.join(tmp, "rk4.c"), os.path.join(tmp, "rk4.so")
+            with open(source, "w", encoding="ascii") as fh:
+                fh.write(src)
             built = subprocess.run([cc, *CC_FLAGS, source, "-o", library, "-lm"],
                                    stdin=subprocess.DEVNULL, capture_output=True,
                                    timeout=CC_TIMEOUT_S)
             if built.returncode != 0:
                 return None
             loop = ctypes.CDLL(library).av_run
-        except (OSError, subprocess.SubprocessError):
-            return None
+    except (OSError, subprocess.SubprocessError):  # no temporary directory, a hung cc, ...
+        return None
     rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     loop.argtypes = ([ctypes.c_double] * (2 * n + 1) + [ctypes.c_long]
                      + [ctypes.c_double] * (3 * n) + [rows, rows])

@@ -140,14 +140,16 @@ def test_native_matches_python_on_domain_leaving_trees():
     native_matches_python_on_domain_leaving_trees()
 
 
-@pytest.mark.parametrize("broken", ["no compiler", "failed build"])
+@pytest.mark.parametrize("broken", ["no compiler", "failed build", "no temporary directory"])
 def test_without_a_c_loop_the_python_loop_runs(broken, monkeypatch, tmp_path):
     monkeypatch.setattr(native, "_LOOPS", {})
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     if broken == "no compiler":
         monkeypatch.setattr(native, "_compiler", lambda: None)
-    else:
+    elif broken == "failed build":
         monkeypatch.setattr(native, "CC_FLAGS", (*native.CC_FLAGS, "-fno-such-option"))
+    else:
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     lam = bundled_system("relativistic").lagrangian
 
     def call():
