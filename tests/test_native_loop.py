@@ -5,10 +5,12 @@ differential fuzz's domain-leaving trees the same rows and the same
 error; the Python loop wherever no C loop can be built; and no compiler
 process below the threshold."""
 import math
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,4 +193,5 @@ def test_import_starts_no_compiler_machinery():
              "avcalc.integrate_trajectory(bundled_system('charged').lagrangian, [0, 0, 0],"
              " [1, 0, 0], 0.0, 1.0, 100)\n"
              "sys.exit('subprocess' in sys.modules)\n")
-    assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
