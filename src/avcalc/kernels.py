@@ -447,7 +447,7 @@ def _assignments(records, d) -> list:
     value is finite."""
     statements = []
     for name, template, args in records:
-        statements.append((name, d.ops.get(template, template).format(*map(d.atom, args))))
+        statements.append((name, d.text(template).format(*map(d.atom, args))))
         if template in d.checked:
             statements.append((None, d.finite.format(name)))
     return statements
@@ -619,7 +619,8 @@ def _adjugate_text(h):
 def _norm1_text(h, n, d):
     """Source text of _norm1 of the n x n matrix of atoms h in the
     dialect d."""
-    cols = [" + ".join(d.abs.format(h[r * n + c]) for r in range(n)) for c in range(n)]
+    cols = [" + ".join(d.text("abs({})").format(h[r * n + c]) for r in range(n))
+            for c in range(n)]
     return cols[0] if n == 1 else d.max(cols)
 
 
@@ -676,7 +677,7 @@ def _stage(terms, inputs, acc, d):
     statements += zip(names, adj)
     statements += [
         ("det", det),
-        ("ad", d.abs.format("det")),
+        ("ad", d.text("abs({})").format("det")),
         (None, d.chain.format(d.num(sys.float_info.min), "<=", "ad", "<", d.inf)),
         (None, f"{n} * {_norm1_text(hess, n, d)} * {_norm1_text(names, n, d)} / ad"
                f" <= {d.num(MAX_CONDITION)}"),
@@ -717,12 +718,16 @@ class _Dialect(NamedTuple):
     guard: str  # statement returning k unless the condition {} holds
     handback: str  # statement returning k
     finite: str  # whether {} is finite
-    abs: str
     max: Callable  # texts -> their largest, picked as Python's max picks it
     chain: str  # the comparisons {0} {1} {2} {3} {4}, as Python chains them
     conj: str  # joins conditions that must all hold
     inf: str  # +infinity
     loop: Callable  # (parameters, local names, body) -> the loop's source
+
+    def text(self, template: str) -> str:
+        """A Python template (a record's, or abs({}) of the guards) in
+        this language."""
+        return self.ops.get(template, template)
 
     def atom(self, atom: str) -> str:
         """An atom of _render (a name, or a literal as _num writes it) in
@@ -733,7 +738,7 @@ class _Dialect(NamedTuple):
 
 _PYTHON = _Dialect(
     ops={}, checked=frozenset(), num=_num, assign="{} = {}", guard="if not {}:\n    return k",
-    handback="return k", finite="_isfinite({})", abs="abs({})",
+    handback="return k", finite="_isfinite({})",
     max=lambda texts: f"max({', '.join(texts)})", chain="{0} {1} {2} {3} {4}", conj=" and ",
     inf="_inf", loop=_python_loop)
 

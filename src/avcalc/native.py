@@ -137,7 +137,7 @@ C = _Dialect(
          _SIGN: "({0} > 0.0 ? 1.0 : ({0} < 0.0 ? -1.0 : {0} + 0.0))"},
     checked=frozenset([*_LIBM, *_POWERS, "{} / {}"]), num=_num, assign="{} = {};",
     guard="if (!({})) return k;", handback="return k;", finite="isfinite({})",
-    abs="__builtin_fabs({})", max=lambda texts: functools.reduce("av_max({}, {})".format, texts),
+    max=lambda texts: functools.reduce("av_max({}, {})".format, texts),
     chain="{0} {1} {2} && {2} {3} {4}", conj=" && ", inf="INFINITY", loop=_loop)
 
 # The C compiler's flags, besides those that build a shared object
