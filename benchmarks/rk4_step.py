@@ -6,7 +6,7 @@ shifted by its first configured gauge function chi, one trajectory of
 --steps steps is integrated three times per repeat:
 
   * python: integrate_trajectory without forcing, with the generated
-    scalar loop (kernels.generate_step_source) in Python: each RK4
+    scalar loop (rk4loop.generate_step_source) in Python: each RK4
     stage is the fused terms' straight-line body inlined, and a
     constant velocity Hessian (the charged particle and its twin) is
     adjugated and guarded when the loop is generated;

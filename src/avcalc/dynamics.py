@@ -47,13 +47,13 @@ from .kernels import (
     check_declared,
     compile_field,
     compile_solve,
-    compile_step,
     domain_error,
     eval_chunked,
     require_finite,
     require_numpy_backend,
     unit_seeds,
 )
+from .rk4loop import compile_step
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ class _ChartEngine:
     @cached_property
     def rk4(self):
         """The generated RK4 loop, for n <= 3, with the fused terms
-        inlined; see kernels.generate_step_source for its contract."""
+        inlined; see rk4loop.generate_step_source for its contract."""
         return compile_step(self.ast, self.varnames)
 
     @cached_property
@@ -409,7 +409,7 @@ def integrate_trajectory(
     """Fixed-step classical RK4 on (x' = v, v' = solve_accelerations).
 
     For n <= 3 without a callable forcing, the engine's generated loop
-    (kernels.generate_step_source) takes the steps, and _rk4_steps takes
+    (rk4loop.generate_step_source) takes the steps, and _rk4_steps takes
     over from the first step it hands back; otherwise _rk4_steps takes
     them all.  The generated loop runs in C once the engine has been
     asked for NATIVE_STEPS steps, this call's included, where a C

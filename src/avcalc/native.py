@@ -1,7 +1,7 @@
 """The generated RK4 loop in C, for orbits long enough to pay for the
 compiler.
 
-kernels.generate_step_source writes the loop from one list of
+rk4loop.generate_step_source writes the loop from one list of
 statements through a table of one language's differences from Python
 (kernels._Dialect); C, below, is the table for C.  Besides its syntax
 it differs in three rules that keep every double and every hand-back of
@@ -39,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-from . import kernels
+from . import rk4loop
 from .exprlang import ExprAst
 from .kernels import _SIGN, _Dialect, _lines
 
@@ -157,13 +157,13 @@ def _compiler():
 
 
 def generate_step_source(ast: ExprAst, varnames) -> str:
-    """kernels.generate_step_source in C: the function
+    """rk4loop.generate_step_source in C: the function
 
         long av_run(double x0, .., double h, long steps, .., double *xm, double *vm)
 
     with the Python loop's arguments in its order (xm and vm the data of
     xs and vs) and its return value."""
-    return kernels.generate_step_source(ast, varnames, C)
+    return rk4loop.generate_step_source(ast, varnames, C)
 
 
 def compile_step(ast: ExprAst, varnames):

@@ -1,0 +1,202 @@
+"""The generated RK4 loop: the whole classical RK4 integrator for a
+Lagrangian with n <= 3 as straight-line code, the state in scalar
+locals and the fused terms of kernels._fused_terms inlined into each
+stage.
+
+generate_step_source writes it from one list of statements through a
+dialect (kernels._Dialect): in Python here (PYTHON, compiled by
+compile_step), and in C by native.py.  A velocity Hessian whose entries
+are all literals (a gauge shift adds <d(chi), v>, linear in v, so it
+never changes the Hessian) is adjugated and guarded once, at codegen
+time, and only the solve is rendered.  dynamics.integrate_trajectory
+runs the loop when the forcing is absent or constant, and it gives the
+trajectories of dynamics' numpy RK4 loop bit for bit.  On any alarm it
+returns the last good step, and the caller's numpy loop repeats that
+step and raises the error, if there is one.
+"""
+from __future__ import annotations
+
+import math
+import sys
+
+from . import kernels
+from .exprlang import ExprAst
+from .kernels import (
+    _ONE, _PYTHON, _ZERO, MAX_CONDITION, _adjugate, _assignments, _condition, _Dialect,
+    _fused_terms, _lines, _lit, _render,
+)
+
+
+def _adjugate_text(h):
+    """(adjugate entries, determinant) of _adjugate for the n x n matrix
+    of atoms h, as source text over those atoms and the names j* (the
+    adjugate entries)."""
+    if len(h) == 1:
+        return [_ONE], h[0]
+    if len(h) == 4:
+        return [h[3], f"-{h[1]}", f"-{h[2]}", h[0]], f"{h[0]} * {h[3]} - {h[1]} * {h[2]}"
+    a, b, c, d, e, f, g, k, m = h
+    adj = [f"{e} * {m} - {f} * {k}", f"{c} * {k} - {b} * {m}", f"{b} * {f} - {c} * {e}",
+           f"{f} * {g} - {d} * {m}", f"{a} * {m} - {c} * {g}", f"{c} * {d} - {a} * {f}",
+           f"{d} * {k} - {e} * {g}", f"{b} * {g} - {a} * {k}", f"{a} * {e} - {b} * {d}"]
+    return adj, f"{a} * j0 + {b} * j3 + {c} * j6"
+
+
+def _norm1_text(h, n, d):
+    """Source text of _norm1 of the n x n matrix of atoms h in the
+    dialect d."""
+    cols = [" + ".join(d.text("abs({})").format(h[r * n + c]) for r in range(n))
+            for c in range(n)]
+    return cols[0] if n == 1 else d.max(cols)
+
+
+def _stage(terms, inputs, acc, d):
+    """Statements (see _lines) in the dialect d solving
+    H a = dL/dx - C.v - f into the names `acc` as
+    dynamics._accelerations does for n <= 3, returning k wherever that
+    would raise or take its LU solve instead.  The terms are those of
+    _fused_terms, rendered with the stage's position and velocity
+    `inputs` in place of w0..w{2n-1}.
+
+    The finiteness of the terms is screened by one sum of their
+    non-literal atoms (non-finite whenever one of them is; an
+    overflowing sum is only a false alarm); a non-finite literal term
+    hands back unconditionally.  A velocity Hessian of literals is
+    adjugated and guarded here, at codegen time, and only the solve is
+    rendered, with the folds that are exact for every float: 1.0 * r
+    is r, / 1.0 and - 0.0 are dropped, and literals combine.  0.0 * r
+    stays, as it is -0.0 or NaN for some r."""
+    n = len(inputs) // 2
+    # stages reuse the temporaries' names: each reads only its own
+    records, results = _render(*terms, inputs)
+    statements = _assignments(records, d)
+    lits = [_lit(atom) for atom in results]
+    if not all(math.isfinite(lit) for lit in lits if lit is not None):
+        return [(None, None)]
+    gx, cv, hess = results[1:n + 1], results[n + 1:2 * n + 1], results[2 * n + 1:]
+    hvals = lits[2 * n + 1:]
+    literal = None not in hvals
+    if literal:
+        adj, det = _adjugate(hvals, n)
+        cond = _condition(hvals, adj, det, n)
+        if cond is None or not cond <= MAX_CONDITION:
+            return [(None, None)]
+    screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
+    if screen:
+        statements.append((None, d.finite.format(" + ".join(screen))))
+    for i, (g, c) in enumerate(zip(gx, cv)):
+        lg, lc = _lit(g), _lit(c)
+        if lg is not None and lc is not None:
+            g = d.num(lg - lc)
+        else:
+            g = d.atom(g) if c == _ZERO else f"{d.atom(g)} - {d.atom(c)}"
+        statements.append((f"r{i}", f"{g} - f{i}"))
+    if literal:
+        for i in range(n):
+            row = " + ".join(f"r{j}" if adj[i * n + j] == 1.0 else f"{d.num(adj[i * n + j])} * r{j}"
+                             for j in range(n))
+            statements.append((acc[i], row if det == 1.0 else f"({row}) / {d.num(det)}"))
+        return statements
+    hess = [d.atom(atom) for atom in hess]
+    adj, det = _adjugate_text(hess)
+    names = [f"j{i}" for i in range(n * n)]
+    statements += zip(names, adj)
+    statements += [
+        ("det", det),
+        ("ad", d.text("abs({})").format("det")),
+        (None, d.chain.format(d.num(sys.float_info.min), "<=", "ad", "<", d.inf)),
+        (None, f"{n} * {_norm1_text(hess, n, d)} * {_norm1_text(names, n, d)} / ad"
+               f" <= {d.num(MAX_CONDITION)}"),
+    ]
+    statements += [(acc[i], f"({' + '.join(f'j{i * n + c} * r{c}' for c in range(n))}) / det")
+                   for i in range(n)]
+    return statements
+
+
+def _python_loop(parameters, local_names, body):
+    """The Python function _run of generate_step_source around the
+    statements `body` of one step."""
+    head = (f"def _run({', '.join(parameters)}, xs, vs):\n"
+            # flat views of the C-contiguous rows: a float stored through
+            # a memoryview costs a third of a numpy item assignment
+            "    xm = memoryview(xs).cast('B').cast('d')\n"
+            "    vm = memoryview(vs).cast('B').cast('d')\n"
+            "    hh = 0.5 * h\n"
+            "    h6 = h / 6.0\n"
+            "    for k in range(steps):\n"
+            "        try:\n")
+    tail = ("        except (ValueError, ArithmeticError):\n"
+            "            return k\n"
+            "    return steps\n")
+    return head + "\n".join(" " * 12 + ln for ln in _lines(body, PYTHON)) + "\n" + tail
+
+
+# the Python dialect, with the frame of the loop
+PYTHON = _PYTHON._replace(loop=_python_loop)
+
+
+def generate_step_source(ast: ExprAst, varnames, dialect: _Dialect = PYTHON) -> str:
+    """Source of the whole classical RK4 loop for a Lagrangian over
+    varnames = (x1..xn, v1..vn) with n <= 3, in Python, or in another
+    language by its `dialect` (native.generate_step_source writes C),
+
+        _run(x0, .., v0, .., h, steps, lo0, hi0, .., f0, .., xs, vs)
+
+    from the position x and velocity v, with step size h, the chart box
+    lo_i <= x_i <= hi_i (its tolerance included), the constant forcing
+    f, and C-contiguous (steps + 1, n) float arrays xs and vs whose row 0
+    holds the start.  The state stays in scalar locals.  Each stage is
+    the straight-line body of the fused terms (_fused_terms, walked
+    once) on that stage's position and velocity, then the solve by the
+    adjugate, refusing n * cond_1(H) > MAX_CONDITION; a velocity
+    Hessian of literals is adjugated and guarded once, here (see
+    _stage).  Every language is written from the same statements
+    through a table of its differences from Python (_Dialect).
+    Every operation is that of dynamics' RK4 step and its acceleration
+    solve, in the same order, so the results are bit-identical.  Step k
+    writes rows k + 1 of xs and vs once the new position lies in the box.
+
+    Returns `steps` when every step succeeds.  Otherwise it returns the
+    index k of the step that failed, with rows 0..k good: when a term
+    raises ValueError or ArithmeticError, when the screen finds a term
+    not finite, when det H is zero, subnormal or not finite, when the
+    condition guard fails, or when the new position leaves the box.
+    A dialect that checks operations (_Dialect.checked) also returns k
+    wherever one of them gives a value that is not finite.
+    The caller repeats step k on its own path, which raises the error
+    or takes the solve this loop does not."""
+    n = len(varnames) // 2
+    if not 1 <= n <= 3:
+        raise ValueError(f"the generated RK4 loop needs 1 <= n <= 3, got {n}")
+    idx = range(n)
+    x = [f"x{i}" for i in idx]
+    v = [f"v{i}" for i in idx]
+    stage_x = [x] + [[f"x{i}_{s}" for i in idx] for s in (2, 3, 4)]
+    stage_v = [v] + [[f"v{i}_{s}" for i in idx] for s in (2, 3, 4)]
+    acc = [[f"a{i}_{s}" for i in idx] for s in (1, 2, 3, 4)]
+    terms = _fused_terms(ast, varnames)
+    body = []
+    for s in range(4):
+        if s:
+            step = "hh" if s < 3 else "h"
+            body += [(stage_x[s][i], f"x{i} + {step} * {stage_v[s - 1][i]}") for i in idx]
+            body += [(stage_v[s][i], f"v{i} + {step} * {acc[s - 1][i]}") for i in idx]
+        body += _stage(terms, stage_x[s] + stage_v[s], acc[s], dialect)
+    body += [(f"x{i}", f"x{i} + h6 * (v{i} + 2.0 * v{i}_2 + 2.0 * v{i}_3 + v{i}_4)") for i in idx]
+    body += [(f"v{i}", f"v{i} + h6 * (a{i}_1 + 2.0 * a{i}_2 + 2.0 * a{i}_3 + a{i}_4)") for i in idx]
+    inside = dialect.conj.join(dialect.chain.format(f"lo{i}", "<=", f"x{i}", "<=", f"hi{i}")
+                               for i in idx)
+    body += [(None, f"({inside})"), ("at", "k + 1" if n == 1 else f"{n} * k + {n}")]
+    body += [(f"{rows}[at{f' + {i}' if i else ''}]", f"{name}{i}")
+             for rows, name in (("xm", "x"), ("vm", "v")) for i in idx]
+    parameters = [*x, *v, "h", "steps", *(f"{b}{i}" for i in idx for b in ("lo", "hi")),
+                  *(f"f{i}" for i in idx)]
+    local = [name for names in stage_x[1:] + stage_v[1:] + acc for name in names]
+    return dialect.loop(parameters, local, body)
+
+
+def compile_step(ast: ExprAst, varnames):
+    """Compile the RK4 loop of generate_step_source for a Lagrangian
+    over varnames = (x1..xn, v1..vn) with n <= 3."""
+    src = generate_step_source(ast, varnames)
+    return kernels._build(src, "_run", _isfinite=math.isfinite, _inf=math.inf)

@@ -83,8 +83,8 @@ def test_guard_sees_imports_and_uses(source, filename, expected):
 def test_compile_field_compiles_no_python(monkeypatch):
     """The batched kernel is an op tape: building one for a fresh
     expression neither compiles nor execs source, while the scalar
-    renderings (compile_solve, compile_step) still build theirs."""
-    from avcalc import exprlang, kernels
+    renderings (compile_solve, rk4loop.compile_step) still build theirs."""
+    from avcalc import exprlang, kernels, rk4loop
 
     def refuse(*args, **kwargs):
         raise AssertionError("compile_field compiled or exec'd source")
@@ -109,7 +109,7 @@ def test_compile_field_compiles_no_python(monkeypatch):
 
     monkeypatch.setattr(kernels, "_build", build)
     kernels.compile_solve(ast, names)
-    kernels.compile_step(ast, names)
+    rk4loop.compile_step(ast, names)
     assert built == ["_terms", "_run"]
 
 

@@ -28,8 +28,8 @@ from avcalc.kernels import (
     eval_batch,
     generate_solve_source,
     generate_source,
-    generate_step_source,
 )
+from avcalc.rk4loop import generate_step_source
 from avcalc.systems import bundled_system, bundled_system_names
 
 from helpers_reference import hyperdual_reference, random_cases
