@@ -1,0 +1,79 @@
+"""One sha256 per generated text, so that "the generated code is
+byte-identical" is one diff of this script's output between two trees.
+
+For each Lagrangian below it prints one line per text
+
+  <label> <text> <sha256 of the text>
+
+where <text> is:
+
+  * batched: kernels.generate_source, the batched kernel's text;
+  * solve:   kernels.generate_solve_source, the fused acceleration terms;
+  * python:  rk4loop.generate_step_source, the RK4 loop in Python;
+  * c:       native.generate_step_source, the same loop in C.
+
+The loops are written for n <= 3 only; the Lagrangians here all have
+n <= 3.  The Lagrangians are every bundled system's, in each of its
+charts; its shift by each of its configured gauge functions chi, in its
+default chart; and a fixed list of edge cases (EDGES): literal, mixed
+and full velocity Hessians with n = 1, 2 and 3, powers, sign, abs and a
+general exponent.  Nothing is compiled, so no C compiler is needed.
+
+Run:  PYTHONPATH=src python benchmarks/texts.py
+"""
+import hashlib
+
+from avcalc import kernels, native, rk4loop
+from avcalc.dynamics import gauge_shift, lagrangian_varnames
+from avcalc.exprlang import parse
+from avcalc.systems import bundled_system, bundled_system_names
+
+# (label, Lagrangian over x1..xn, v1..vn, n)
+EDGES = (
+    ("literal-1", "0.5*v1^2 - 0.5*x1^2 + sin(x1)*v1", 1),
+    ("full-1", "0.5*(1 + x1^2)*v1^2 + exp(-x1)*v1", 1),
+    ("literal-2", "0.5*(2*v1^2 + v2^2) + 0.3*v1*v2 + x1*v2 - cos(x2)", 2),
+    ("mixed-2", "0.5*v1^2 + 0.5*exp(x1)*v2^2 + 0.2*v1*v2 - cos(x2)", 2),
+    ("full-2", "0.5*(1 + x2^2)*v1^2 + 0.5*(2 + sin(x1))*v2^2 + 0.1*x1*v1*v2", 2),
+    ("literal-3", "0.5*(v1^2 + 2*v2^2 + 3*v3^2) + 0.3*v1*v2 + 0.5*(x1*v2 - x2*v1)", 3),
+    ("mixed-3", "0.5*v1^2 + 0.5*(1 + x1^2)*v2^2 + 0.5*v3^2 + 0.2*x3*v1*v3", 3),
+    ("full-3", "0.5*(v1^2 + 2*v2^2 + 3*v3^2) + 0.3*v1*v2 + 0.2*x1*v2*v3"
+               " + 0.1*cos(x2)*v1*v3 + 0.5*(x1*v2 - x2*v1)", 3),
+    ("powers", "0.5*v1^2 + 0.25*v1^4 + x1^3*v1 - x1^(-2) + (1 + x1^2)^1.5", 1),
+    ("sign-abs", "0.5*(v1^2 + v2^2) + sign(x1)*v2 + abs(x2)*v1 + abs(v1)*x2 - sign(v2)", 2),
+    ("general-exponent", "0.5*(v1^2 + v2^2) + x1^x2*v2 + (2 + x2^2)^v1 - sqrt(1 + x1^2)", 2),
+    ("tan-log", "0.5*v1^2*(1 + log(1 + x1^2)) + tan(0.1*x1)*v1", 1),
+)
+
+TEXTS = {
+    "batched": kernels.generate_source,
+    "solve": kernels.generate_solve_source,
+    "python": rk4loop.generate_step_source,
+    "c": native.generate_step_source,
+}
+
+
+def lagrangians():
+    """(label, expression, n) of every Lagrangian this script renders."""
+    for name in bundled_system_names():
+        system = bundled_system(name)
+        for chart in system.atlas.charts:
+            yield f"{name}[{chart.id}]", system.lagrangian.expr(chart.id), system.dim
+        for k, chi in enumerate(system.chis):
+            twin = gauge_shift(system.lagrangian, chi)
+            yield f"{name}+chi{k}", twin.expr(system.default_chart()), system.dim
+    for label, text, n in EDGES:
+        yield label, parse(text), n
+
+
+def main() -> int:
+    for label, ast, n in lagrangians():
+        names = lagrangian_varnames(n)
+        for text, generate in TEXTS.items():
+            digest = hashlib.sha256(generate(ast, names).encode()).hexdigest()
+            print(f"{label} {text} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -217,7 +217,7 @@ def load_config(path: str) -> SystemConfig:
 
     system_sec = sections.get("system")
     if not system_sec:
-        raise ConfigSyntaxError(f"{path}: missing [system] section", 0, 1)
+        raise ConfigSyntaxError(f"{path}: missing [system] section")
     try:
         dim = int(system_sec.get("dim", ""))
     except ValueError:

@@ -14,6 +14,7 @@ second-order forward-mode evaluation of the chart representative
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -364,8 +365,8 @@ def _accelerations(eng: _ChartEngine, x, v, f) -> np.ndarray:
         rhs = np.subtract(rhs, f).tolist()
     if n <= 3:
         adj, det = _adjugate(hess, n)
-        cond = _condition(hess, adj, det, n)
-        if cond is not None:
+        if sys.float_info.min <= abs(det) < math.inf:
+            cond = _condition(hess, adj, abs(det), n)
             if not cond <= MAX_CONDITION:
                 raise SingularLagrangianError(
                     f"velocity Hessian is numerically singular (condition estimate {cond:.3g})"

@@ -67,14 +67,15 @@ class SingularLagrangianError(AvcalcError):
 class ConfigSyntaxError(AvcalcError):
     """Malformed system configuration file, located by its line and
     column; or malformed config text given outside a file (the CLI's
-    --curve), with line None, located by its offset in that text."""
+    --curve), with line None, located by its offset in that text; or a
+    fault of no one place, such as a missing section, with neither."""
 
-    def __init__(self, message, line, column=None, offset=None):
-        if line is None:
-            where = f"at offset {offset}"
-        else:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{message} ({where})")
+    def __init__(self, message, line=None, column=None, offset=None):
+        if line is not None:
+            message += f" (line {line}" + (f", column {column})" if column is not None else ")")
+        elif offset is not None:
+            message += f" (at offset {offset})"
+        super().__init__(message)
         self.line = line
         self.column = column
         self.offset = offset

@@ -14,14 +14,21 @@ code that propagates second-order forward-mode components
     straight-line body inlined into each stage (rk4loop.py, in Python
     and, through the same statements, in C by native.py).
 
-All three turn the emitter's lines into records (name, template,
-operands) by one backward pass (_render): it drops the lines nothing
-reads and reuses a temporary's name once its value's last reader has
-run, so the code holds only the values still live, not one per line.
-The scalar renderings format the records as source and compile it.
+The emitter writes one op set, Python on scalars (math.sin(t), abs(t),
+math.pow(t, p)); each rendering writes it through a table of its
+language's differences (_Dialect): numpy for generate_source (_NUMPY),
+Python for the solve terms (_PYTHON) and the loop, and C.  All three
+turn the emitter's lines into records (name, template, operands) by one
+backward pass (_render): it drops the lines nothing reads and reuses a
+temporary's name once its value's last reader has run, so the code
+holds only the values still live, not one per line.  The scalar
+renderings format the records as source and compile it; the
+acceleration solve after the terms is written once (_adjugate,
+_condition, _times), run on floats by dynamics and rendered as text by
+rk4loop.
 The batched kernel runs them as an op tape (Griewank & Walther,
-Evaluating Derivatives, ch. 3): per record, the numpy ufunc its
-template's operator calls, on the same operands in the same order,
+Evaluating Derivatives, ch. 3): per record, the numpy ufunc that its
+template's numpy text calls (_UFUNCS), on the same operands in order,
 writing into the register of its name, f(x, y, reg).  The registers
 are the rows of one (names, probes) array allocated per call, so no
 array is allocated per line, and the literals are 0-d arrays made
@@ -74,7 +81,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from array import array
 from typing import Callable, NamedTuple
 
@@ -133,22 +139,25 @@ _ZERO = "0.0"
 _ONE = "1.0"
 # sign on scalars, as np.sign computes it
 _SIGN = "(1.0 if {0} > 0.0 else (-1.0 if {0} < 0.0 else {0} + 0.0))"
+# the math functions of the rules, called as math.{name}
+_MATH = ("sin", "cos", "tan", "exp", "log", "sqrt")
+_CALLS = {"abs": "abs({})", **{name: f"math.{name}({{}})" for name in _MATH}}
 
 
 class _Emitter:
-    """Straight-line code over atoms (literals or names), rendered on
-    numpy arrays (`vector`) or on scalars.  Line i assigns the
-    temporary t{i} one operation: a `template` filled with the atoms it
-    reads, both kept as the line's key in `names`.  Every line is a
-    pure function of its atoms, so an operation already emitted on the
-    same atoms (the same expression text) is not emitted again: its
-    temporary is reused.  `lits` maps each literal atom the emitter
-    makes (num) to its value, so the folds read it back without parsing
-    the atom."""
+    """Straight-line code over atoms (literals or names), in the one op
+    set of every rendering: Python on scalars, which each target writes
+    through its dialect (_Dialect; the batched kernel runs it as ufuncs,
+    _UFUNCS).  Line i assigns the temporary t{i} one operation: a
+    `template` filled with the atoms it reads, both kept as the line's
+    key in `names`.  Every line is a pure function of its atoms, so an
+    operation already emitted on the same atoms (the same expression
+    text) is not emitted again: its temporary is reused.  `lits` maps
+    each literal atom the emitter makes (num) to its value, so the folds
+    read it back without parsing the atom."""
 
-    def __init__(self, vector: bool):
+    def __init__(self):
         self.names = {}  # (template, atoms) -> temporary, in line order
-        self.vector = vector
         self.lits = {_ZERO: 0.0, _ONE: 1.0, "2.0": 2.0, "0.5": 0.5}
 
     def tmp(self, template: str, *atoms: str) -> str:
@@ -164,18 +173,6 @@ class _Emitter:
         atom = _num(value)
         self.lits[atom] = math.nan if atom == "math.nan" else value
         return atom
-
-    def fn(self, name: str) -> str:
-        if self.vector:
-            return {"abs": "np.abs"}.get(name, f"np.{name}")
-        return {"abs": "abs"}.get(name, f"math.{name}")
-
-    def sign(self, atom: str) -> str:
-        """sign(atom), as np.sign: 1.0, -1.0, 0.0 at either zero, NaN
-        at NaN (-0.0 + 0.0 is 0.0)."""
-        if self.vector:
-            return self.tmp("np.sign({})", atom)
-        return self.tmp(_SIGN, atom)
 
     # folding arithmetic on atoms (literals or temp names)
 
@@ -245,7 +242,7 @@ class _Emitter:
                 return self.num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
         if p == 2.0:
             return self.tmp("{} * {}", x, x)
-        if not self.vector and not p.is_integer():
+        if not p.is_integer():
             # a float ** a non-integer is complex for a negative base;
             # math.pow raises ValueError there
             return self.tmp("math.pow({}, {})", x, self.num(p))
@@ -265,16 +262,16 @@ def _apply_unary(name, u, em: _Emitter):
         except (ValueError, OverflowError):
             pass  # leave the domain error to runtime
     if name == "sign":  # its derivatives vanish, at 0 too
-        return (em.sign(uv), _ZERO, _ZERO, _ZERO)
-    v = em.tmp(em.fn(name) + "({})", uv)
+        return (em.tmp(_SIGN, uv), _ZERO, _ZERO, _ZERO)
+    v = em.tmp(_CALLS[name], uv)
     if _quad_is_const(u):
         return (v, _ZERO, _ZERO, _ZERO)
     need_dd = ua != _ZERO and ub != _ZERO
     if name == "sin":
-        d = em.tmp(em.fn("cos") + "({})", uv)
+        d = em.tmp(_CALLS["cos"], uv)
         dd = em.neg(v) if need_dd else _ZERO
     elif name == "cos":
-        d = em.neg(em.tmp(em.fn("sin") + "({})", uv))
+        d = em.neg(em.tmp(_CALLS["sin"], uv))
         dd = em.neg(v) if need_dd else _ZERO
     elif name == "tan":
         d = em.add(_ONE, em.mul(v, v))
@@ -289,7 +286,7 @@ def _apply_unary(name, u, em: _Emitter):
         d = em.div("0.5", v)
         dd = em.neg(em.div(em.mul("0.5", d), uv)) if need_dd else _ZERO
     elif name == "abs":
-        d = em.sign(uv)
+        d = em.tmp(_SIGN, uv)
         dd = _ZERO
     else:  # pragma: no cover
         raise ValueError(f"no kernel rule for '{name}'")
@@ -431,10 +428,11 @@ def _render(names, results, inputs=()):
 
 
 class _Dialect(NamedTuple):
-    """How one language writes the scalar renderings: the Python lines
-    of _text (_PYTHON), and the RK4 loop of rk4loop.generate_step_source
-    (rk4loop.PYTHON, native.C).  Every operation keeps its operands and
-    their order, so every language computes the same doubles."""
+    """How one language writes the emitter's op set: the Python lines of
+    _text (_PYTHON), their numpy form in generate_source (_NUMPY), and
+    the RK4 loop of rk4loop.generate_step_source (rk4loop.PYTHON,
+    native.C).  Every operation keeps its operands and their order, so
+    every language computes the same doubles."""
 
     ops: dict  # record template -> its text here, where it differs from Python's
     checked: frozenset  # record templates whose value must be finite, else return k
@@ -466,6 +464,10 @@ _PYTHON = _Dialect(
     handback="return k", finite="_isfinite({})",
     max=lambda texts: f"max({', '.join(texts)})", chain="{0} {1} {2} {3} {4}", conj=" and ",
     inf="_inf", loop=None)
+# numpy on arrays: the ufunc that _UFUNCS gives each template, as text
+_NUMPY = _PYTHON._replace(ops={
+    "math.pow({}, {})": "{} ** ({})", "abs({})": "np.abs({})", _SIGN: "np.sign({})",
+    **{f"math.{name}({{}})": f"np.{name}({{}})" for name in _MATH}})
 
 
 def _assignments(records, d) -> list:
@@ -495,9 +497,9 @@ def _lines(statements, d) -> list:
     return lines
 
 
-def _text(records) -> list:
-    """The Python source line of each record of _render."""
-    return _lines(_assignments(records, _PYTHON), _PYTHON)
+def _text(records, d=_PYTHON) -> list:
+    """The source line of each record of _render in the dialect d."""
+    return _lines(_assignments(records, d), d)
 
 
 _ARRAYS = ("vals", "d1", "d2")
@@ -509,7 +511,7 @@ def _batched(ast: ExprAst, varnames):
     d2), in order of variable; the records of the second-order rules its
     outputs read (_render); and its four output atoms."""
     used = check_declared(ast, varnames)
-    em = _Emitter(vector=True)
+    em = _Emitter()
     slots = {}
     inputs = {}
     for j, name in enumerate(varnames):
@@ -528,7 +530,7 @@ def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
     require_numpy_backend(backend)
     inputs, records, results = _batched(ast, varnames)
     preamble = [f"{atom} = {_ARRAYS[k]}[:,{j}]" for atom, (k, j) in inputs.items()]
-    body = preamble + _text(records) + [f"out[:,{k}] = {atom}" for k, atom in enumerate(results)]
+    body = preamble + _text(records, _NUMPY) + [f"out[:,{k}] = {atom}" for k, atom in enumerate(results)]
     inner = "\n".join("    " + ln for ln in body)
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
@@ -550,7 +552,7 @@ def _fused_terms(ast: ExprAst, varnames):
     used = check_declared(ast, varnames)
     m = len(varnames)
     n = m // 2
-    em = _Emitter(vector=False)
+    em = _Emitter()
     unit = [[_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
     zero = [_ZERO] * m
 
@@ -577,45 +579,44 @@ def generate_solve_source(ast: ExprAst, varnames) -> str:
     return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
 
 
-def _adjugate(h, n):
-    """(adjugate, determinant) of the n x n matrix h (row-major
-    sequence), for n <= 3.  dynamics._accelerations solves with this,
-    _condition and _times; rk4loop.generate_step_source evaluates them
-    at codegen time for a literal velocity Hessian and otherwise renders
-    them as source text (rk4loop._adjugate_text, _norm1_text), in the
-    same operation order: change them together."""
+def _adjugate(h, n, bind=tuple):
+    """(bind(adjugate), determinant) of the n x n matrix h (row-major
+    sequence), for n <= 3; bind names the adjugate's entries, and the
+    determinant reads them.  This, _condition and _times are the one
+    acceleration solve: dynamics._accelerations runs them on floats, and
+    rk4loop._stage on floats at codegen time for a literal velocity
+    Hessian, otherwise on atoms that write each operation as text."""
     if n == 1:
-        return (1.0,), h[0]
+        return bind((1.0,)), h[0]
     if n == 2:
         a, b, c, d = h
-        return (d, -b, -c, a), a * d - b * c
+        return bind((d, -b, -c, a)), a * d - b * c
     a, b, c, d, e, f, g, k, m = h
-    adj = (e * m - f * k, c * k - b * m, b * f - c * e,
-           f * g - d * m, a * m - c * g, c * d - a * f,
-           d * k - e * g, b * g - a * k, a * e - b * d)
+    adj = bind((e * m - f * k, c * k - b * m, b * f - c * e,
+                f * g - d * m, a * m - c * g, c * d - a * f,
+                d * k - e * g, b * g - a * k, a * e - b * d))
     return adj, a * adj[0] + b * adj[3] + c * adj[6]
 
 
-def _norm1(h, n):
+def _norm1(h, n, top=max):
     """Largest absolute column sum of the n x n matrix h (row-major
-    sequence), for n <= 3."""
+    sequence), for n <= 3, the largest picked by `top`."""
     h = [*map(abs, h)]
     if n == 1:
         return h[0]
     if n == 2:
-        return max(h[0] + h[2], h[1] + h[3])
-    return max(h[0] + h[3] + h[6], h[1] + h[4] + h[7], h[2] + h[5] + h[8])
+        return top(h[0] + h[2], h[1] + h[3])
+    return top(h[0] + h[3] + h[6], h[1] + h[4] + h[7], h[2] + h[5] + h[8])
 
 
 MAX_CONDITION = 1e12  # the largest velocity-Hessian condition an acceleration solve accepts
 
 
-def _condition(h, adj, det, n):
-    """n * cond_1(h) from h's adjugate and determinant, or None when
-    det is zero, subnormal or not finite (the solve then needs LU)."""
-    if not sys.float_info.min <= abs(det) < math.inf:
-        return None
-    return n * _norm1(h, n) * _norm1(adj, n) / abs(det)
+def _condition(h, adj, ad, n, top=max):
+    """n * cond_1(h) from h's adjugate and ad = |det h|.  The callers
+    take it only for a det that is normal and finite; otherwise the
+    solve needs LU."""
+    return n * _norm1(h, n, top) * _norm1(adj, n, top) / ad
 
 
 def _times(h, r, n):
@@ -638,14 +639,15 @@ def _build(src: str, name: str, **env):
     return ns[name]
 
 
-# The ufunc each template of the batched rendering calls.  An operator
-# on an ndarray calls its ufunc on the operands in their order (2.0 * t
-# is np.multiply(2.0, t)), and t ** (p) is np.power(t, p) bit for bit.
+# The ufunc each template calls on arrays (the text of _NUMPY).  An
+# operator on an ndarray calls its ufunc on the operands in their order
+# (2.0 * t is np.multiply(2.0, t)), and t ** (p) is np.power(t, p) bit
+# for bit.
 _UFUNCS = {
     "-{}": np.negative, "{} + {}": np.add, "{} - {}": np.subtract,
     "{} * {}": np.multiply, "{} / {}": np.divide, "{} ** ({})": np.power,
-    **{f"np.{name}({{}})": getattr(np, name)
-       for name in ("sign", "sin", "cos", "tan", "exp", "log", "sqrt", "abs")},
+    "math.pow({}, {})": np.power, "abs({})": np.abs, _SIGN: np.sign,
+    **{f"math.{name}({{}})": getattr(np, name) for name in _MATH},
 }
 _UNARY = 0xFFFF  # the second operand slot of a one-operand op
 # a tape stores each op's ufunc as its index in _OPS

@@ -3,9 +3,9 @@ compiler.
 
 rk4loop.generate_step_source writes the loop from one list of
 statements through a table of one language's differences from Python
-(kernels._Dialect); C, below, is the table for C.  Besides its syntax
-it differs in three rules that keep every double and every hand-back of
-the Python loop:
+(kernels._Dialect); C, below, is the table for C, for the emitter's
+one op set.  Besides its syntax it differs in three rules that keep
+every double and every hand-back of the Python loop:
 
   * every libm call, division and power is followed by a check that
     returns the step index k unless its value is finite.  Python's
@@ -15,9 +15,10 @@ the Python loop:
     NaN without a raise, and the caller's numpy loop repeats that step
     as it would.  IEEE arithmetic thus never absorbs one of C's
     infinities later (1/exp(1000) would be 0, where math.exp raises);
-  * a power goes through av_pow, which takes the special cases of
-    CPython's float_pow and math.pow first, so a negative base with an
-    integer exponent goes through |x| as in CPython;
+  * both powers, x ** (p) and math.pow(x, p), are libm's pow: its
+    C99 Annex F special cases give Python's value wherever that is
+    finite, and the check above hands back wherever Python raises
+    (tests/test_dynamics.py::TestLibmPow pins this on ctypes' libm);
   * max and sign compare as Python's max and the scalar sign do
     (av_max, not fmax).
 
@@ -41,53 +42,10 @@ import numpy as np
 
 from . import rk4loop
 from .exprlang import ExprAst
-from .kernels import _SIGN, _Dialect, _lines
+from .kernels import _MATH, _SIGN, _Dialect, _lines
 
 _HELPERS = """\
 #include <math.h>
-
-/* x ** y as CPython computes it on floats (float_pow, and math.pow on
-   the exponents the emitter gives it): the special cases first, so a
-   negative base with an integer exponent goes through |x|, and NaN or
-   an infinity wherever CPython raises. */
-static double av_pow(double x, double y)
-{
-    int negate = 0;
-    double r;
-    if (y == 0.0)
-        return 1.0;
-    if (isnan(x))
-        return x;
-    if (isnan(y))
-        return x == 1.0 ? 1.0 : y;
-    if (isinf(y)) {
-        r = fabs(x);
-        if (r == 1.0)
-            return 1.0;
-        return (y > 0.0) == (r > 1.0) ? fabs(y) : 0.0;
-    }
-    if (isinf(x)) {
-        int odd = fmod(fabs(y), 2.0) == 1.0;
-        if (y > 0.0)
-            return odd ? x : fabs(x);
-        return odd ? copysign(0.0, x) : 0.0;
-    }
-    if (x == 0.0) {
-        if (y < 0.0)
-            return INFINITY;
-        return fmod(fabs(y), 2.0) == 1.0 ? x : 0.0;
-    }
-    if (x < 0.0) {
-        if (y != floor(y))
-            return NAN;
-        x = -x;
-        negate = fmod(fabs(y), 2.0) == 1.0;
-    }
-    if (x == 1.0)
-        return negate ? -1.0 : 1.0;
-    r = pow(x, y);
-    return negate ? -r : r;
-}
 
 /* Python's max(a, b): b only if it compares greater than a. */
 static double av_max(double a, double b)
@@ -128,12 +86,13 @@ def _num(value: float) -> str:
     return f"({text})" if text[0] == "-" else text
 
 
-# libm's functions, as the scalar emitter calls them through math
-_LIBM = {f"math.{name}({{}})": f"{name}({{}})"
-         for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
+# libm's functions, as the emitter calls them through math; both its
+# powers are libm's pow, whose C99 Annex F special cases are those of
+# Python's float ** float and math.pow wherever their value is finite
+_LIBM = {f"math.{name}({{}})": f"{name}({{}})" for name in _MATH}
 _POWERS = ("{} ** ({})", "math.pow({}, {})")
 C = _Dialect(
-    ops={**_LIBM, "abs({})": "__builtin_fabs({})", **dict.fromkeys(_POWERS, "av_pow({}, {})"),
+    ops={**_LIBM, "abs({})": "__builtin_fabs({})", **dict.fromkeys(_POWERS, "pow({}, {})"),
          _SIGN: "({0} > 0.0 ? 1.0 : ({0} < 0.0 ? -1.0 : {0} + 0.0))"},
     checked=frozenset([*_LIBM, *_POWERS, "{} / {}"]), num=_num, assign="{} = {};",
     guard="if (!({})) return k;", handback="return k;", finite="isfinite({})",

@@ -5,14 +5,17 @@ stage.
 
 generate_step_source writes it from one list of statements through a
 dialect (kernels._Dialect): in Python here (PYTHON, compiled by
-compile_step), and in C by native.py.  A velocity Hessian whose entries
-are all literals (a gauge shift adds <d(chi), v>, linear in v, so it
-never changes the Hessian) is adjugated and guarded once, at codegen
-time, and only the solve is rendered.  dynamics.integrate_trajectory
-runs the loop when the forcing is absent or constant, and it gives the
-trajectories of dynamics' numpy RK4 loop bit for bit.  On any alarm it
-returns the last good step, and the caller's numpy loop repeats that
-step and raises the error, if there is one.
+compile_step), and in C by native.py.  Each stage's solve is the one
+dynamics runs (kernels._adjugate, _condition, _times), run here on
+atoms that write its operations (_Text).  A velocity Hessian whose
+entries are all literals (a gauge shift adds <d(chi), v>, linear in v,
+so it never changes the Hessian) is adjugated and guarded by it on
+floats once, at codegen time, and only the solve is rendered.
+dynamics.integrate_trajectory runs the loop when the forcing is absent
+or constant, and it gives the trajectories of dynamics' numpy RK4 loop
+bit for bit.  On any alarm it returns the last good step, and the
+caller's numpy loop repeats that step and raises the error, if there is
+one.
 """
 from __future__ import annotations
 
@@ -22,32 +25,50 @@ import sys
 from . import kernels
 from .exprlang import ExprAst
 from .kernels import (
-    _ONE, _PYTHON, _ZERO, MAX_CONDITION, _adjugate, _assignments, _condition, _Dialect,
-    _fused_terms, _lines, _lit, _render,
+    _PYTHON, _ZERO, MAX_CONDITION, _adjugate, _assignments, _condition, _Dialect, _fused_terms,
+    _lines, _lit, _render, _times,
 )
 
 
-def _adjugate_text(h):
-    """(adjugate entries, determinant) of _adjugate for the n x n matrix
-    of atoms h, as source text over those atoms and the names j* (the
-    adjugate entries)."""
-    if len(h) == 1:
-        return [_ONE], h[0]
-    if len(h) == 4:
-        return [h[3], f"-{h[1]}", f"-{h[2]}", h[0]], f"{h[0]} * {h[3]} - {h[1]} * {h[2]}"
-    a, b, c, d, e, f, g, k, m = h
-    adj = [f"{e} * {m} - {f} * {k}", f"{c} * {k} - {b} * {m}", f"{b} * {f} - {c} * {e}",
-           f"{f} * {g} - {d} * {m}", f"{a} * {m} - {c} * {g}", f"{c} * {d} - {a} * {f}",
-           f"{d} * {k} - {e} * {g}", f"{b} * {g} - {a} * {k}", f"{a} * {e} - {b} * {d}"]
-    return adj, f"{a} * j0 + {b} * j3 + {c} * j6"
+class _Text:
+    """A value of the acceleration solve as text in the dialect d, so
+    that kernels' solve (_adjugate, _condition, _times) run on these
+    writes its statements: + - * / and unary minus write the operation,
+    abs the dialect's abs, with no parentheses, as the solve's
+    operations parse as written.  A literal keeps its `value`, and the
+    literal 1.0 times x is x, exact for every float x."""
 
+    __slots__ = ("text", "d", "value")
 
-def _norm1_text(h, n, d):
-    """Source text of _norm1 of the n x n matrix of atoms h in the
-    dialect d."""
-    cols = [" + ".join(d.text("abs({})").format(h[r * n + c]) for r in range(n))
-            for c in range(n)]
-    return cols[0] if n == 1 else d.max(cols)
+    def __init__(self, text: str, d: _Dialect, value: float = None):
+        self.text, self.d, self.value = text, d, value
+
+    def __str__(self):
+        return self.text
+
+    def _write(self, template, *operands):
+        return _Text(template.format(*operands), self.d)
+
+    def __add__(self, other):
+        return self._write("{} + {}", self, other)
+
+    def __sub__(self, other):
+        return self._write("{} - {}", self, other)
+
+    def __mul__(self, other):
+        return other if self.value == 1.0 else self._write("{} * {}", self, other)
+
+    def __rmul__(self, other):  # n * x, for the integer n of _condition
+        return self._write("{} * {}", other, self)
+
+    def __truediv__(self, other):
+        return self._write("{} / {}", self, other)
+
+    def __neg__(self):
+        return self._write("-{}", self)
+
+    def __abs__(self):
+        return self._write(self.d.text("abs({})"), self)
 
 
 def _stage(terms, inputs, acc, d):
@@ -61,11 +82,14 @@ def _stage(terms, inputs, acc, d):
     The finiteness of the terms is screened by one sum of their
     non-literal atoms (non-finite whenever one of them is; an
     overflowing sum is only a false alarm); a non-finite literal term
-    hands back unconditionally.  A velocity Hessian of literals is
-    adjugated and guarded here, at codegen time, and only the solve is
-    rendered, with the folds that are exact for every float: 1.0 * r
-    is r, / 1.0 and - 0.0 are dropped, and literals combine.  0.0 * r
-    stays, as it is -0.0 or NaN for some r."""
+    hands back unconditionally.  The solve is kernels' own.  A velocity
+    Hessian of literals is adjugated and guarded by it on floats, here
+    at codegen time, and only the rows of the solve are rendered, with
+    the folds that are exact for every float: 1.0 * r is r, / 1.0 and
+    - 0.0 are dropped, and literals combine.  0.0 * r stays, as it is
+    -0.0 or NaN for some r.  Any other Hessian runs it on _Text atoms,
+    which write its statements: the adjugate's entries named j0.., det,
+    ad = |det|, and its guards."""
     n = len(inputs) // 2
     # stages reuse the temporaries' names: each reads only its own
     records, results = _render(*terms, inputs)
@@ -78,8 +102,8 @@ def _stage(terms, inputs, acc, d):
     literal = None not in hvals
     if literal:
         adj, det = _adjugate(hvals, n)
-        cond = _condition(hvals, adj, det, n)
-        if cond is None or not cond <= MAX_CONDITION:
+        if not (sys.float_info.min <= abs(det) < math.inf
+                and _condition(hvals, adj, abs(det), n) <= MAX_CONDITION):
             return [(None, None)]
     screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
     if screen:
@@ -92,24 +116,32 @@ def _stage(terms, inputs, acc, d):
             g = d.atom(g) if c == _ZERO else f"{d.atom(g)} - {d.atom(c)}"
         statements.append((f"r{i}", f"{g} - f{i}"))
     if literal:
-        for i in range(n):
-            row = " + ".join(f"r{j}" if adj[i * n + j] == 1.0 else f"{d.num(adj[i * n + j])} * r{j}"
-                             for j in range(n))
-            statements.append((acc[i], row if det == 1.0 else f"({row}) / {d.num(det)}"))
-        return statements
-    hess = [d.atom(atom) for atom in hess]
-    adj, det = _adjugate_text(hess)
-    names = [f"j{i}" for i in range(n * n)]
-    statements += zip(names, adj)
-    statements += [
-        ("det", det),
-        ("ad", d.text("abs({})").format("det")),
-        (None, d.chain.format(d.num(sys.float_info.min), "<=", "ad", "<", d.inf)),
-        (None, f"{n} * {_norm1_text(hess, n, d)} * {_norm1_text(names, n, d)} / ad"
-               f" <= {d.num(MAX_CONDITION)}"),
-    ]
-    statements += [(acc[i], f"({' + '.join(f'j{i * n + c} * r{c}' for c in range(n))}) / det")
-                   for i in range(n)]
+        adj = [_Text(d.num(a), d, a) for a in adj]
+        over = None if det == 1.0 else d.num(det)
+    else:
+        def bind(entries):
+            names = [f"j{i}" for i in range(len(entries))]
+            statements.extend((name, d.num(e) if isinstance(e, float) else e.text)
+                              for name, e in zip(names, entries))
+            return [_Text(name, d) for name in names]
+
+        hess = [_Text(d.atom(atom), d) for atom in hess]
+        adj, det = _adjugate(hess, n, bind)
+        ad = _Text("ad", d)
+
+        def top(*cols):
+            return _Text(d.max([c.text for c in cols]), d)
+
+        statements += [
+            ("det", det.text),
+            ("ad", abs(_Text("det", d)).text),
+            (None, d.chain.format(d.num(sys.float_info.min), "<=", "ad", "<", d.inf)),
+            (None, f"{_condition(hess, adj, ad, n, top)} <= {d.num(MAX_CONDITION)}"),
+        ]
+        over = "det"
+    rows = _times(adj, [_Text(f"r{i}", d) for i in range(n)], n)
+    statements += [(a, row.text if over is None else f"({row}) / {over}")
+                   for a, row in zip(acc, rows)]
     return statements
 
 

@@ -245,6 +245,14 @@ class TestExitCodes:
         code = main(["el", "--system", "no-such.cfg", "--x", "0", "--v", "0", "--a", "0"])
         assert code == 1
 
+    def test_config_without_system_section_names_no_position(self, tmp_path, capsys):
+        path = tmp_path / "nosys.cfg"
+        path.write_text('[constants]\nm = "1.0"\n')
+        code = main(["el", "--system", str(path), "--x", "0", "--v", "0", "--a", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {path}: missing [system] section\n"
+
     def test_invalid_config_is_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text('[system]\nname = "x"\ndim = "2"\nlagrangian = "0.5*v9^2"\n')

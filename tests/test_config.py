@@ -96,6 +96,14 @@ class TestSyntaxErrors:
             load_config(path)
         assert exc.value.line == 4
 
+    def test_missing_system_section_names_no_position(self, tmp_path):
+        # the fault is of no one line: the error names none
+        path = write(tmp_path, '[constants]\nm = "1.0"\n')
+        with pytest.raises(ConfigSyntaxError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: missing [system] section"
+        assert (exc.value.line, exc.value.column, exc.value.offset) == (None, None, None)
+
     def test_key_outside_section(self, tmp_path):
         path = write(tmp_path, 'name = "x"\n')
         with pytest.raises(ConfigSyntaxError):

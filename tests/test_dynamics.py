@@ -1,3 +1,5 @@
+import ctypes
+import ctypes.util
 import math
 import os
 import re
@@ -281,8 +283,11 @@ class TestFiniteCheck:
 
 def solve_cases():
     """(id, Lagrangian, chart, velocity half-width) for every bundled
-    system and its shift by its first configured chi, and a 4-D
-    Lagrangian, which takes the n > 3 solve."""
+    system and its shift by its first configured chi; a 3-D Lagrangian
+    whose velocity Hessian is full and not literal, so that every
+    cofactor of the n = 3 adjugate solve is read (the only bundled 3-D
+    system, charged, has H = I); and a 4-D Lagrangian, which takes the
+    n > 3 solve."""
     cases = []
     for name in bundled_system_names():
         system = bundled_system(name)
@@ -290,6 +295,12 @@ def solve_cases():
         cases.append((name, system.lagrangian, chart, system.v_halfwidth))
         cases.append((f"{name}+chi", gauge_shift(system.lagrangian, system.chis[0]), chart,
                       system.v_halfwidth))
+    full = GaugeClassLagrangian.from_exprs(
+        euclidean_atlas(3),
+        "0.5*(v1^2 + 2*v2^2 + 3*v3^2) + 0.3*v1*v2 + 0.2*x1*v2*v3 + 0.1*cos(x2)*v1*v3"
+        " + 0.5*(x1*v2 - x2*v1)",
+    )
+    cases.append(("full-3x3", full, "0", 1.0))
     four = GaugeClassLagrangian.from_exprs(
         euclidean_atlas(4),
         "0.5*(v1^2 + 2*v2^2 + 3*v3^2 + 4*v4^2) + 0.3*v1*v4 + 0.5*(x1*v2 - x2*v1)"
@@ -561,8 +572,8 @@ class TestWrongLength:
 
 
 def orbit_cases():
-    """(id, Lagrangian, chart, velocity half-width, dim) for every bundled
-    system and its shift by its first configured chi; all have n <= 3."""
+    """(id, Lagrangian, chart, velocity half-width, dim) for every case
+    of solve_cases with n <= 3."""
     return [(*case, case[1].atlas.dim) for case in solve_cases() if case[0] != "four-dim"]
 
 
@@ -705,6 +716,57 @@ class TestGeneratedLoop:
         # RK4 is exact to second order: x(h) = x0 + h v0 + h^2 a0 / 2 + O(h^3)
         h = 0.01
         assert np.allclose(tr.positions[1], x0 + h * v0 + 0.5 * h * h * a0, atol=1e-5)
+
+
+def python_power(x, y):
+    """x ** y as the Python loop computes it: the emitter writes
+    x ** (p) for an integer exponent and math.pow(x, p) otherwise."""
+    return x ** y if y.is_integer() else math.pow(x, y)
+
+
+class TestLibmPow:
+    """The C loop writes both powers as libm's pow (native.C), on the
+    assumption that C99 Annex F's special cases are Python's: on every
+    pair, pow's value has the bits of the Python loop's, or it is not
+    finite (so C's check hands back) where Python's is not finite or
+    raises.  Checked on the libm that ctypes loads, without a compiler."""
+
+    SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 3.0, -3.0, 1.5, -1.5, 0.1,
+               math.inf, -math.inf, math.nan, sys.float_info.min, -sys.float_info.min,
+               5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, 1e300, 1e-300,
+               1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53)
+    RANDOM = 200000
+
+    def pairs(self):
+        rng = np.random.default_rng(31)
+        half = self.RANDOM // 2
+        x = rng.choice([-1.0, 1.0], 2 * half) * 10.0 ** rng.uniform(-8.0, 8.0, 2 * half)
+        y = np.concatenate([rng.integers(-40, 41, half).astype(float),
+                            rng.uniform(-40.0, 40.0, half)])
+        grid = [(a, b) for a in self.SPECIAL for b in self.SPECIAL]
+        return grid + list(zip(x.tolist(), y.tolist()))
+
+    def test_libm_pow_is_the_python_loops_power(self):
+        name = ctypes.util.find_library("m")
+        if name is None:
+            pytest.skip("no libm for ctypes to load")
+        pow_ = ctypes.CDLL(name).pow
+        pow_.argtypes = [ctypes.c_double, ctypes.c_double]
+        pow_.restype = ctypes.c_double
+        bad = []
+        for x, y in self.pairs():
+            c = pow_(x, y)
+            try:
+                py = python_power(x, y)
+            except (ValueError, ArithmeticError):
+                py = None
+            if math.isfinite(c):
+                agree = py is not None and float.hex(py) == float.hex(c)
+            else:
+                agree = py is None or not math.isfinite(py)
+            if not agree:
+                bad.append((x, y, c, py))
+        assert bad == []
 
 
 class TestEnergy:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -585,6 +586,27 @@ class TestKernelBatchScript:
             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout + run.stderr
         assert run.stdout.count(" ok (") == 16  # 2 kernels, 2 sizes, 4 reads
+
+
+class TestTextsScript:
+    def test_one_digest_per_text(self):
+        # benchmarks/texts.py prints "label text sha256" for every
+        # Lagrangian and each of its four generated texts
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "texts.py")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stdout + run.stderr
+        rows = [line.split(" ") for line in run.stdout.splitlines()]
+        labels = list(dict.fromkeys(label for label, _text, _digest in rows))
+        texts = ["batched", "solve", "python", "c"]
+        assert [text for _label, text, _digest in rows] == texts * len(labels)
+        assert all(re.fullmatch("[0-9a-f]{64}", digest) for _label, _text, digest in rows)
+        assert {"charged[0]", "charged+chi0", "circle[1]", "full-3"} <= set(labels)
+        charged = bundled_system("charged").lagrangian.expr("0")
+        digest = hashlib.sha256(generate_step_source(charged, lagrangian_varnames(3)).encode())
+        assert ["charged[0]", "python", digest.hexdigest()] in rows
 
 
 class TestStepSource:
