@@ -6,8 +6,8 @@ older record's interquartile range (IQR): "better" or "WORSE" by the
 metric's direction in BENCHMARK.json, else "-" (within the older runs'
 own spread).  Failed operation counts are printed beside them, and the
 best wall time with its ratio of check-all and, when both records have
-it, of the long orbit, or FAILED when a run of either record exited
-non-zero.  A flag is a move to look at, not a verdict: the gates are
+them, of the long orbit and the forced orbit, or FAILED when a run of
+either record exited non-zero.  A flag is a move to look at, not a verdict: the gates are
 avbench's own bounds and pair counts.
 
 Run:  python benchmarks/compare.py OLD.json NEW.json
@@ -66,7 +66,8 @@ def main(argv) -> int:
         if after is not None:
             print(f"{workload:<12} failed {before['failed']}/{before['attempted']}"
                   f" -> {after['failed']}/{after['attempted']}")
-    for key, label in (("check_all", "check-all"), ("long_orbit", "long orbit")):
+    for key, label in (("check_all", "check-all"), ("long_orbit", "long orbit"),
+                       ("forced_orbit", "forced orbit")):
         a, b = old.get(key), new.get(key)
         if a and b:
             print(command_line(label, a, b))

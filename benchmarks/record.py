@@ -15,11 +15,13 @@ workload:
 With them go the machine (nproc, machine speed of every run), the
 Python and numpy versions, the checkout's git SHA and whether its
 tracked files differ from it, a hash of the measured program files, and
-two end-to-end commands, each the best wall time of 3 runs with each
+three end-to-end commands, each the best wall time of 3 runs with each
 run's exit status and a hash of its output (a failed run leaves no best
-time): `avcalc check-all`, with the number of its PASS lines, and a
-long orbit, `avcalc integrate` of the charged particle over one Lorentz
-period in ORBIT_STEPS steps, hashed by the CSV it writes.
+time): `avcalc check-all`, with the number of its PASS lines; a long
+orbit, `avcalc integrate` of the charged particle over one Lorentz
+period in ORBIT_STEPS steps, hashed by the CSV it writes; and the same
+orbit under the forcing FORCING, whose config is the checkout's
+configs/charged.cfg with that section appended.
 
 Every process starts from the same bytecode state: __pycache__
 directories under the checkout's src/ and avbench/ are removed first
@@ -54,6 +56,8 @@ CLI = "import sys; from avcalc.cli import main; sys.exit(main(sys.argv[1:]))"
 ORBIT_STEPS = 62832  # one period 2*pi at h of about 1e-4, as suites.lorentz_suite takes it
 ORBIT = ["integrate", "--system", "charged", "--x0", "0,0,0", "--v0", "1,0,0",
          "--t1", repr(2.0 * math.pi), "--steps", str(ORBIT_STEPS)]
+# a drag in the plane of the orbit and a push along B
+FORCING = '\n[forcing]\nf1 = "-0.1*v1"\nf2 = "-0.1*v2"\nf3 = "0.01*sin(x1)"\n'
 
 
 def quartiles(values) -> dict:
@@ -145,11 +149,18 @@ def check_all(tree: Path, runs: int) -> dict:
     return {**record, "pass_lines": sum("PASS" in line for line in text.splitlines())}
 
 
-def long_orbit(tree: Path, runs: int) -> dict:
-    """time_cli of the long orbit ORBIT, hashed by the CSV it writes."""
+def long_orbit(tree: Path, runs: int, forcing: str = "") -> dict:
+    """time_cli of the long orbit ORBIT, hashed by the CSV it writes;
+    with a [forcing] section, of the charged config with it appended,
+    written to a temporary file."""
     with tempfile.TemporaryDirectory() as tmp:
+        argv = list(ORBIT)
+        if forcing:
+            config = Path(tmp) / "forced.cfg"
+            config.write_text((tree / "configs" / "charged.cfg").read_text() + forcing)
+            argv[argv.index("charged")] = str(config)
         csv = Path(tmp) / "orbit.csv"
-        return time_cli(tree, [*ORBIT, "--output", str(csv)], runs, csv)[0]
+        return time_cli(tree, [*argv, "--output", str(csv)], runs, csv)[0]
 
 
 def git(tree: Path, *args) -> str:
@@ -190,11 +201,14 @@ def main() -> int:
         print(f"check-all    FAILED, exit status {checks['returncodes']}")
     else:
         print(f"check-all    best {checks['best_s']:.3f} s, {checks['pass_lines']} PASS lines")
-    orbit = long_orbit(tree, 3)
-    if orbit["best_s"] is None:
-        print(f"long orbit   FAILED, exit status {orbit['returncodes']}")
-    else:
-        print(f"long orbit   best {orbit['best_s']:.3f} s, CSV sha256 {orbit['output_sha256'][:12]}")
+    orbits = {"long_orbit": long_orbit(tree, 3), "forced_orbit": long_orbit(tree, 3, FORCING)}
+    for key, orbit in orbits.items():
+        label = key.replace("_", " ")
+        if orbit["best_s"] is None:
+            print(f"{label:<12} FAILED, exit status {orbit['returncodes']}")
+        else:
+            print(f"{label:<12} best {orbit['best_s']:.3f} s, "
+                  f"CSV sha256 {orbit['output_sha256'][:12]}")
     record = {
         "tree": {"sha": git(tree, "rev-parse", "HEAD"),
                  "dirty": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
@@ -205,7 +219,7 @@ def main() -> int:
                      "PYTHONDONTWRITEBYTECODE": "1"},
         "workloads": {w: {**summarize(r), "runs": r} for w, r in runs.items()},
         "check_all": checks,
-        "long_orbit": orbit,
+        **orbits,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

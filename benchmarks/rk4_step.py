@@ -1,22 +1,24 @@
 """Microseconds per RK4 step: the generated loop in Python and in C
 against the existing one.
 
-For the charged and the relativistic particle, and each one's twin
-shifted by its first configured gauge function chi, one trajectory of
---steps steps is integrated three times per repeat:
+For the charged and the relativistic particle, each one's twin shifted
+by its first configured gauge function chi, and the charged particle
+under the forcing FORCING, one trajectory of --steps steps is
+integrated three times per repeat:
 
-  * python: integrate_trajectory without forcing, with the generated
-    scalar loop (rk4loop.generate_step_source) in Python: each RK4
-    stage is the fused terms' straight-line body inlined, and a
-    constant velocity Hessian (the charged particle and its twin) is
-    adjugated and guarded when the loop is generated;
+  * python: integrate_trajectory, with the generated scalar loop
+    (rk4loop.generate_step_source) in Python: each RK4 stage is the
+    fused terms' straight-line body inlined, the forcing's values with
+    them, and a constant velocity Hessian (the charged particle and its
+    twin) is adjugated and guarded when the loop is generated;
   * native: the same call with the same loop in C
     (native.compile_step), which integrate_trajectory takes
     once an engine has been asked for dynamics.NATIVE_STEPS steps; this
     script sets that threshold to 0 for this column and beyond reach
     for the python column;
-  * numpy: the same call with a callable zero forcing, which always
-    takes the existing numpy loop around the fused function: the oracle.
+  * numpy: the same call with a callable forcing, zero or FORCING
+    computed with math (by_hand), which always takes the existing numpy
+    loop around the fused function: the oracle.
 
 The table gives the best of --repeats for each, after one untimed run
 that compiles (the C compiler's time is not in the native column).  The
@@ -36,12 +38,22 @@ import numpy as np
 
 from avcalc import dynamics
 from avcalc.dynamics import gauge_shift, integrate_trajectory
+from avcalc.exprlang import parse
 from avcalc.systems import bundled_system
+
+# a drag in the plane of the orbit and a push along B
+FORCING = tuple(map(parse, ("-0.1*v1", "-0.1*v2", "0.01*sin(x1)")))
+
+
+def by_hand(x, v):
+    """FORCING computed with math, for the numpy loop."""
+    return np.array([-0.1 * v[0], -0.1 * v[1], 0.01 * math.sin(x[0])])
 
 
 def cases():
-    """(label, Lagrangian, x0, v0, t1): one Larmor period of the charged
-    particle (|B| = 1) and one of the relativistic particle at |v0| = 0.4."""
+    """(label, Lagrangian, x0, v0, t1, forcing): one Larmor period of the
+    charged particle (|B| = 1), unforced and under FORCING, and one of
+    the relativistic particle at |v0| = 0.4."""
     charged = bundled_system("charged")
     rel = bundled_system("relativistic")
     k = rel.constants
@@ -53,8 +65,10 @@ def cases():
     }
     for system in (charged, rel):
         x0, v0, t1 = start[system.name]
-        yield system.name, system.lagrangian, x0, v0, t1
-        yield f"{system.name} twin", gauge_shift(system.lagrangian, system.chis[0]), x0, v0, t1
+        twin = gauge_shift(system.lagrangian, system.chis[0])
+        yield system.name, system.lagrangian, x0, v0, t1, None
+        yield f"{system.name} twin", twin, x0, v0, t1, None
+    yield "charged forced", charged.lagrangian, *start["charged"], FORCING
 
 
 def best_us_per_step(run, steps: int, repeats: int):
@@ -78,23 +92,23 @@ def main() -> int:
     print(f"{'system':<20} {'python':>9} {'native':>9} {'numpy':>9} {'py/native':>10}  "
           "trajectories")
     identical = True
-    for label, lam, x0, v0, t1 in cases():
+    for label, lam, x0, v0, t1, forcing in cases():
         n = x0.size
 
         def generated(threshold):
             def run():
                 dynamics.NATIVE_STEPS = threshold
-                return integrate_trajectory(lam, x0, v0, 0.0, t1, args.steps)
+                return integrate_trajectory(lam, x0, v0, 0.0, t1, args.steps, forcing=forcing)
             return run
 
         def existing():
             return integrate_trajectory(lam, x0, v0, 0.0, t1, args.steps,
-                                        forcing=lambda x, v: np.zeros(n))
+                                        forcing=by_hand if forcing else lambda x, v: np.zeros(n))
 
         python_us, python = best_us_per_step(generated(math.inf), args.steps, args.repeats)
         native_us, native = best_us_per_step(generated(0), args.steps, args.repeats)
         numpy_us, oracle = best_us_per_step(existing, args.steps, args.repeats)
-        built = lam.engine(lam.atlas.charts[0].id).native_rk4 is not None
+        built = lam.engine(lam.atlas.charts[0].id, forcing or ()).native_rk4 is not None
         same = built and all(
             tr.positions.tobytes() == oracle.positions.tobytes()
             and tr.velocities.tobytes() == oracle.velocities.tobytes() for tr in (python, native))

@@ -17,7 +17,10 @@ n <= 3.  The Lagrangians are every bundled system's, in each of its
 charts; its shift by each of its configured gauge functions chi, in its
 default chart; and a fixed list of edge cases (EDGES): literal, mixed
 and full velocity Hessians with n = 1, 2 and 3, powers, sign, abs and a
-general exponent.  Nothing is compiled, so no C compiler is needed.
+general exponent.  The last two lines, labelled charged-forced, are the
+python and c loops of the charged particle under the forcing FORCING,
+whose values they inline.  Nothing is compiled, so no C compiler is
+needed.
 
 Run:  PYTHONPATH=src python benchmarks/texts.py
 """
@@ -45,6 +48,9 @@ EDGES = (
     ("tan-log", "0.5*v1^2*(1 + log(1 + x1^2)) + tan(0.1*x1)*v1", 1),
 )
 
+# a drag in the plane of the orbit and a push along B
+FORCING = ("-0.1*v1", "-0.1*v2", "0.01*sin(x1)")
+
 TEXTS = {
     "batched": kernels.generate_source,
     "solve": kernels.generate_solve_source,
@@ -66,12 +72,19 @@ def lagrangians():
         yield label, parse(text), n
 
 
+def show(label: str, text: str, source: str) -> None:
+    print(f"{label} {text} {hashlib.sha256(source.encode()).hexdigest()}")
+
+
 def main() -> int:
     for label, ast, n in lagrangians():
         names = lagrangian_varnames(n)
         for text, generate in TEXTS.items():
-            digest = hashlib.sha256(generate(ast, names).encode()).hexdigest()
-            print(f"{label} {text} {digest}")
+            show(label, text, generate(ast, names))
+    charged = bundled_system("charged").lagrangian.expr("0")
+    forcing = tuple(map(parse, FORCING))
+    for text in ("python", "c"):
+        show("charged-forced", text, TEXTS[text](charged, lagrangian_varnames(3), forcing))
     return 0
 
 

@@ -28,8 +28,7 @@ from .action import (
 from .affine import affine_scalar_diff
 from .config import load_config, parse_segment, split_top_level
 from .dynamics import SecondOrderPoint, euler_lagrange, integrate_trajectory, legendre
-from .errors import AvcalcError, DomainError
-from .exprlang import evaluate, to_text
+from .errors import AvcalcError
 from .geometry import CurveSpec, ScalarFunction
 from .systems import System, bundled_system, bundled_system_names, chi_set
 
@@ -76,30 +75,6 @@ def _curve_from_args(args, system: System) -> CurveSpec:
         raise AvcalcError("no curve: pass --curve or add a [curve] section to the config")
     curve.validate(system.atlas)
     return curve
-
-
-def _forcing_callable(system: System):
-    if system.forcing is None:
-        return None
-    n = system.dim
-    exprs = system.forcing
-
-    def force(x, v):
-        env = {f"x{j + 1}": float(x[j]) for j in range(n)}
-        env.update({f"v{j + 1}": float(v[j]) for j in range(n)})
-        out = []
-        for e in exprs:
-            try:
-                value = float(evaluate(e, env))
-                if not math.isfinite(value):
-                    raise DomainError(f"non-finite forcing value {value}")
-            except DomainError as exc:
-                point = ", ".join(f"{name}={value!r}" for name, value in env.items())
-                raise DomainError(f"{exc} in {to_text(e)} at {point}") from None
-            out.append(value)
-        return np.array(out)
-
-    return force
 
 
 def _print_results(results) -> int:
@@ -149,7 +124,7 @@ def cmd_integrate(args) -> int:
             args.t0,
             args.t1,
             args.steps,
-            forcing=_forcing_callable(system),
+            forcing=system.forcing,
             chart_id=args.chart or system.default_chart(),
         )
     except ValueError as e:  # an input it refuses, e.g. an overflowing step size

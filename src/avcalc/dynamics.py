@@ -30,7 +30,7 @@ from .errors import (
     SingularLagrangianError,
     ValidationError,
 )
-from .exprlang import ExprAst
+from .exprlang import ExprAst, _Node
 from .geometry import (
     _BOX_TOL,
     VALIDATION_SAMPLES,
@@ -154,14 +154,16 @@ class GaugeClassLagrangian:
         xs, vs = _finite("x", x, n)[None], _finite("v", v, n)[None]
         return float(self.engine(chart_id).values(xs, vs)[0])
 
-    def engine(self, chart_id: str) -> "_ChartEngine":
-        """The compiled engine of chart `chart_id`'s representative;
-        ChartDisjointError if the atlas has no such chart."""
-        eng = self._engines.get(chart_id)
+    def engine(self, chart_id: str, forcing: tuple = ()) -> "_ChartEngine":
+        """The compiled engine of chart `chart_id`'s representative under
+        the forcing expressions `forcing` (none: unforced), kept by their
+        texts; ChartDisjointError if the atlas has no such chart."""
+        key = (chart_id, *map(exprlang.to_text, forcing))
+        eng = self._engines.get(key)
         if eng is None:
             self.atlas.chart(chart_id)
-            eng = _ChartEngine(self.chart_exprs[chart_id], self.atlas.dim)
-            self._engines[chart_id] = eng
+            eng = _ChartEngine(self.chart_exprs[chart_id], self.atlas.dim, forcing)
+            self._engines[key] = eng
         return eng
 
     def validate(self):
@@ -205,19 +207,21 @@ NATIVE_STEPS = 20_000
 
 
 class _ChartEngine:
-    """Compiled evaluation of one chart representative L(x1..xn, v1..vn):
-    probe assembly around compile_field's kernels, looked up in its cache
-    by each call, for the batched operators; the fused acceleration terms
-    for the numpy RK4 step, and the generated RK4 loop for n <= 3, in
-    Python and, for a hot orbit, in C (step_loop), each compiled at its
-    first use and held, so a caller pays only for the one it needs."""
+    """Compiled evaluation of one chart representative L(x1..xn, v1..vn)
+    under a forcing (n expressions over the same variables, or none):
+    probe assembly around compile_field's kernels for the batched
+    operators; the forcing's values and, compiled at first use, the
+    fused terms for the numpy RK4 step and the generated RK4 loop for
+    n <= 3, in Python and, for a hot orbit, in C (step_loop)."""
 
-    def __init__(self, ast: ExprAst, dim: int):
+    def __init__(self, ast: ExprAst, dim: int, forcing: tuple = ()):
         self.n = dim
         self.m = 2 * dim
         self.ast = ast
         self.varnames = tuple(lagrangian_varnames(dim))
         check_declared(ast, self.varnames)
+        self.forcing = forcing
+        self._forcing = [(f, compile_solve(None, self.varnames, (f,))) for f in forcing]
         self.steps_asked = 0  # of the generated loop, by every step_loop call
 
     @cached_property
@@ -226,9 +230,9 @@ class _ChartEngine:
 
     @cached_property
     def rk4(self):
-        """The generated RK4 loop, for n <= 3, with the fused terms
-        inlined; see rk4loop.generate_step_source for its contract."""
-        return compile_step(self.ast, self.varnames)
+        """The generated RK4 loop, for n <= 3, with the fused terms and
+        forcing inlined; see rk4loop.generate_step_source."""
+        return compile_step(self.ast, self.varnames, self.forcing)
 
     @cached_property
     def native_rk4(self):
@@ -237,7 +241,7 @@ class _ChartEngine:
         subprocess with it, is imported here, at the first build."""
         from . import native
 
-        return native.compile_step(self.ast, self.varnames)
+        return native.compile_step(self.ast, self.varnames, self.forcing)
 
     def step_loop(self, steps: int):
         """The generated RK4 loop for a call of `steps` steps: native_rk4
@@ -296,16 +300,27 @@ class _ChartEngine:
         function.  L and every term must be finite, else DomainError
         names the reason, the expression and the point."""
         n = self.n
-        point = [*x.tolist(), *v.tolist()]
-        try:
-            terms = self._terms(*point)
-        except (ValueError, ArithmeticError):
-            terms = (math.nan,)
-        if not all(map(math.isfinite, terms)):
-            vals = np.array([point])
-            zero = np.zeros_like(vals)
-            raise domain_error(self.ast, self.varnames, vals, zero, zero)
+        terms = self._scalar(self._terms, self.ast, [*x.tolist(), *v.tolist()])
         return terms[1: n + 1], terms[n + 1: 2 * n + 1], terms[2 * n + 1:]
+
+    def forcing_values(self, x, v) -> np.ndarray:
+        """The forcing at the float arrays (x, v), each expression by the
+        scalar rendering that the loop inlines; DomainError for the first
+        one that raises or is not finite there, naming it."""
+        point = [*x.tolist(), *v.tolist()]
+        return np.array([self._scalar(fn, f, point)[0] for f, fn in self._forcing])
+
+    def _scalar(self, fn, ast: ExprAst, point) -> tuple:
+        """fn(*point) for a function of compile_solve; DomainError naming
+        the reason, `ast` and the point if it raises or is not finite."""
+        try:
+            values = fn(*point)
+        except (ValueError, ArithmeticError):
+            values = (math.nan,)
+        if all(map(math.isfinite, values)):
+            return values
+        vals = np.array([point])
+        raise domain_error(ast, self.varnames, vals, *np.zeros((2, *vals.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +412,19 @@ def solve_accelerations(
 ForcingLike = Optional[Union[np.ndarray, Callable]]
 
 
+def _forcing_expressions(forcing, n: int) -> tuple:
+    """A forcing other than a callable as n expressions over x1..xn,
+    v1..vn: none for None, and a constant as its literals."""
+    if forcing is None:
+        return ()
+    if isinstance(forcing, (list, tuple)) and all(isinstance(f, (str, _Node)) for f in forcing):
+        if len(forcing) != n:
+            raise ValueError(f"forcing must be {n} expressions, got {len(forcing)}")
+        return tuple(exprlang.expression(f, lagrangian_varnames(n)) for f in forcing)
+    f = _finite("forcing", forcing, n, scalar=True)
+    return tuple(map(exprlang.Number, np.broadcast_to(f, (n,)).tolist()))
+
+
 def integrate_trajectory(
     lam: GaugeClassLagrangian,
     x0,
@@ -409,15 +437,16 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Fixed-step classical RK4 on (x' = v, v' = solve_accelerations).
 
-    For n <= 3 without a callable forcing, the engine's generated loop
-    (rk4loop.generate_step_source) takes the steps, and _rk4_steps takes
-    over from the first step it hands back; otherwise _rk4_steps takes
-    them all.  The generated loop runs in C once the engine has been
-    asked for NATIVE_STEPS steps, this call's included, where a C
+    The forcing is n expressions over x1..xn, v1..vn (texts or ASTs, as
+    System.forcing holds them), n finite numbers or one for all, a
+    callable f(x, v), or None.  For n <= 3 without a callable, the
+    generated loop of L's engine under the forcing takes the steps, and
+    _rk4_steps takes over from the first step it hands back; otherwise
+    _rk4_steps takes them all.  The loop runs in C once the engine has
+    been asked for NATIVE_STEPS steps, this call's included, where a C
     compiler builds it, and in Python otherwise (_ChartEngine.step_loop).
-    All three give the same bits, and every error comes from
-    _rk4_steps.  A callable forcing's value is held to a constant
-    forcing's rule: n finite components, or one number for all."""
+    All three give the same bits, and every error comes from _rk4_steps.
+    A callable's value is held to a constant forcing's rule."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -434,13 +463,11 @@ def integrate_trajectory(
     x0 = _chart_point(atlas, chart_id, "x0", x0)
     v0 = _finite("v0", v0, n)
 
-    if forcing is None:
-        force = None
-    elif callable(forcing):
+    if callable(forcing):
         force = lambda x, v: _finite("forcing", forcing(x, v), n, scalar=True)
     else:
-        fconst = _finite("forcing", forcing, n, scalar=True)
-        force = lambda x, v: fconst
+        eng = lam.engine(chart_id, _forcing_expressions(forcing, n))
+        force = eng.forcing_values if eng.forcing else None
 
     def acc(x, v):
         return _accelerations(eng, x, v, None if force is None else force(x, v))
@@ -451,11 +478,8 @@ def integrate_trajectory(
     xs[0], vs[0] = x0, v0
     done = 0
     if n <= 3 and not callable(forcing):
-        # x - 0.0 is x, so a zero forcing changes no bit of the solve
-        f = [0.0] * n if forcing is None else np.broadcast_to(fconst, (n,)).tolist()
         box = [b for lo, hi in atlas.chart(chart_id).box for b in (lo - _BOX_TOL, hi + _BOX_TOL)]
-        done = eng.step_loop(steps)(*xs[0].tolist(), *vs[0].tolist(), h, steps, *box, *f,
-                                    xs, vs)
+        done = eng.step_loop(steps)(*xs[0].tolist(), *vs[0].tolist(), h, steps, *box, xs, vs)
     if done < steps:
         _rk4_steps(acc, atlas, chart_id, h, times, xs, vs, done)
     return Trajectory(chart_id, times, xs, vs)

@@ -18,8 +18,8 @@ as it is abs' with abs'(0) = 0.
 
 `evaluate` is generic over the scalar type: floats use math.*, other
 scalars (autodiff.Hyperdual) provide the functions, sign and arithmetic.
-It serves the CLI's forcing and, as the kernels' oracle, the tests and
-kernels.domain_error; the library evaluates through compiled kernels.
+It serves, as the kernels' oracle, the tests and kernels.domain_error;
+the library evaluates through compiled kernels.
 """
 from __future__ import annotations
 

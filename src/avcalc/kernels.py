@@ -69,8 +69,8 @@ shift adds.  The charged particle's gauge twin retains about 3.3 KB for
 its tape with its cache entry, and 1.5 KB (reads (0,)) to 3.5 KB (FULL)
 per kernel built from it, measured by tracemalloc as that script does.
 
-The library evaluates expressions through these kernels (the CLI's
-forcing aside).  Batched callers run one through eval_chunked, in calls
+The library evaluates expressions through these kernels, forcing
+expressions included.  Batched callers run one through eval_chunked, in calls
 of at most BATCH probes that hold whole points, with unit seeds taken
 from read-only cached blocks (unit_seeds), and turn a non-finite output
 they use into a DomainError (require_finite).  The folds are exact: a
@@ -535,45 +535,46 @@ def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
     return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
 
 
-def _fused_terms(ast: ExprAst, varnames):
+def _fused_terms(ast: ExprAst, varnames, forcing=()):
     """(names, atoms) of the straight-line terms
 
         (L, dL/dx_i for each i, ((d2L/dv_i dx) . v) for each i,
-         d2L/dv_i dv_j row-major)
+         d2L/dv_i dv_j row-major, f for each expression f of `forcing`)
 
-    of a Lagrangian over varnames = (x1..xn, v1..vn) at the point
-    w0..w{2n-1}: the emitter's records and the terms' atoms, for
-    _render.  Each entry is one probe of the second-order rules with its
-    seeds as literals (the velocity seed of the C.v probes is the
-    velocity itself), so zero seeds fold away, and the value chain and
-    every derivative shared between probes are computed once; a probe's
-    unread components (the first-order parts of a velocity-seeded probe,
-    say) are emitted, and _render drops them."""
-    used = check_declared(ast, varnames)
+    of a Lagrangian over varnames = (x1..xn, v1..vn) (None: the f alone)
+    at the point w0..w{2n-1}: the emitter's records and the terms'
+    atoms, for _render.  Each entry is one probe of the second-order
+    rules with its seeds as literals (the velocity seed of the C.v probes
+    is the velocity itself; an f's are zero), so zero seeds fold away,
+    and every value and derivative shared between probes is computed
+    once; a probe's unread components (the first-order parts of a
+    velocity-seeded probe, say) are emitted, and _render drops them."""
+    for expr in forcing if ast is None else (ast, *forcing):
+        check_declared(expr, varnames)
     m = len(varnames)
     n = m // 2
     em = _Emitter()
     unit = [[_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
     zero = [_ZERO] * m
 
-    def probe(d1, d2):
-        slots = {name: (f"w{j}", d1[j], d2[j], _ZERO)
-                 for j, name in enumerate(varnames) if name in used}
-        return _walk(ast, em, slots)
+    def probe(expr, d1, d2):
+        slots = {name: (f"w{j}", d1[j], d2[j], _ZERO) for j, name in enumerate(varnames)}
+        return _walk(expr, em, slots)
 
-    value = probe(zero, zero)[0]
-    gx = [probe(unit[i], zero)[1] for i in range(n)]
-    velocity = [f"w{n + j}" for j in range(n)] + [_ZERO] * n
-    cv = [probe(unit[n + i], velocity)[3] for i in range(n)]
-    hess = [probe(unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]
-    return em.names, [value] + gx + cv + hess
+    terms = []
+    if ast is not None:
+        velocity = [f"w{n + j}" for j in range(n)] + [_ZERO] * n
+        terms = [probe(ast, zero, zero)[0],
+                 *[probe(ast, unit[i], zero)[1] for i in range(n)],
+                 *[probe(ast, unit[n + i], velocity)[3] for i in range(n)],
+                 *[probe(ast, unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]]
+    return em.names, terms + [probe(expr, zero, zero)[0] for expr in forcing]
 
 
-def generate_solve_source(ast: ExprAst, varnames) -> str:
-    """Source of `_terms(w0, .., w{2n-1})` for a Lagrangian over
-    varnames = (x1..xn, v1..vn), returning the tuple of the terms of
-    _fused_terms."""
-    records, results = _render(*_fused_terms(ast, varnames))
+def generate_solve_source(ast: ExprAst, varnames, forcing=()) -> str:
+    """Source of `_terms(w0, .., w{2n-1})` returning the tuple of the
+    terms of _fused_terms."""
+    records, results = _render(*_fused_terms(ast, varnames, forcing))
     args = ", ".join(f"w{j}" for j in range(len(varnames)))
     body = _text(records) + [f"return ({', '.join(results)},)"]
     return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
@@ -806,13 +807,13 @@ def compile_field(ast: ExprAst, varnames, *, reads=FULL):
     return tape.kernel(reads)
 
 
-def compile_solve(ast: ExprAst, varnames):
+def compile_solve(ast: ExprAst, varnames, forcing=()):
     """Compile the function of generate_solve_source: called with the
-    2n coordinates of a point as floats, it returns the tuple of
-    1 + 2n + n*n floats described there.  Outside the real domain it
-    returns non-finite entries or raises ValueError or ArithmeticError
-    (Python's math functions raise where numpy returns NaN)."""
-    return _build(generate_solve_source(ast, varnames), "_terms")
+    2n coordinates of a point as floats, it returns the tuple of floats
+    described there.  Outside the real domain it returns non-finite
+    entries or raises ValueError or ArithmeticError (Python's math
+    functions raise where numpy returns NaN)."""
+    return _build(generate_solve_source(ast, varnames, forcing), "_terms")
 
 
 def eval_batch(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:

@@ -115,23 +115,23 @@ def _compiler():
     return shutil.which("cc")
 
 
-def generate_step_source(ast: ExprAst, varnames) -> str:
+def generate_step_source(ast: ExprAst, varnames, forcing=()) -> str:
     """rk4loop.generate_step_source in C: the function
 
         long av_run(double x0, .., double h, long steps, .., double *xm, double *vm)
 
     with the Python loop's arguments in its order (xm and vm the data of
     xs and vs) and its return value."""
-    return rk4loop.generate_step_source(ast, varnames, C)
+    return rk4loop.generate_step_source(ast, varnames, forcing, C)
 
 
-def compile_step(ast: ExprAst, varnames):
+def compile_step(ast: ExprAst, varnames, forcing=()):
     """The loop of generate_step_source compiled and loaded, called
     with the Python loop's arguments (xs and vs as arrays); None when
     there is no C compiler or the build fails.  Loops are kept by their
-    C text, so a Lagrangian whose text is another's shares its loop, and
-    a loaded loop stays for the life of the process."""
-    src = generate_step_source(ast, varnames)
+    C text, so a Lagrangian and forcing whose text is another's share
+    its loop, and a loaded loop stays for the life of the process."""
+    src = generate_step_source(ast, varnames, forcing)
     loop = _LOOPS.get(src)
     if loop is None:
         loop = _build(src, len(varnames) // 2)
@@ -161,6 +161,6 @@ def _build(src: str, n: int):
         return None
     rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     loop.argtypes = ([ctypes.c_double] * (2 * n + 1) + [ctypes.c_long]
-                     + [ctypes.c_double] * (3 * n) + [rows, rows])
+                     + [ctypes.c_double] * (2 * n) + [rows, rows])
     loop.restype = ctypes.c_long
     return loop

@@ -11,11 +11,11 @@ atoms that write its operations (_Text).  A velocity Hessian whose
 entries are all literals (a gauge shift adds <d(chi), v>, linear in v,
 so it never changes the Hessian) is adjugated and guarded by it on
 floats once, at codegen time, and only the solve is rendered.
-dynamics.integrate_trajectory runs the loop when the forcing is absent
-or constant, and it gives the trajectories of dynamics' numpy RK4 loop
-bit for bit.  On any alarm it returns the last good step, and the
-caller's numpy loop repeats that step and raises the error, if there is
-one.
+A forcing's n expressions are n more value records of the terms.
+dynamics.integrate_trajectory runs the loop unless the forcing is a
+callable, and it gives the trajectories of its numpy RK4 loop bit for
+bit.  On any alarm it returns the last good step, and the caller's
+numpy loop repeats that step and raises the error, if there is one.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import kernels
-from .exprlang import ExprAst
+from .exprlang import ExprAst, Number
 from .kernels import (
     _PYTHON, _ZERO, MAX_CONDITION, _adjugate, _assignments, _condition, _Dialect, _fused_terms,
     _lines, _lit, _render, _times,
@@ -76,8 +76,8 @@ def _stage(terms, inputs, acc, d):
     H a = dL/dx - C.v - f into the names `acc` as
     dynamics._accelerations does for n <= 3, returning k wherever that
     would raise or take its LU solve instead.  The terms are those of
-    _fused_terms, rendered with the stage's position and velocity
-    `inputs` in place of w0..w{2n-1}.
+    _fused_terms with n forcing values, rendered with the stage's
+    position and velocity `inputs` in place of w0..w{2n-1}.
 
     The finiteness of the terms is screened by one sum of their
     non-literal atoms (non-finite whenever one of them is; an
@@ -86,7 +86,7 @@ def _stage(terms, inputs, acc, d):
     Hessian of literals is adjugated and guarded by it on floats, here
     at codegen time, and only the rows of the solve are rendered, with
     the folds that are exact for every float: 1.0 * r is r, / 1.0 and
-    - 0.0 are dropped, and literals combine.  0.0 * r stays, as it is
+    - 0.0 (an unforced loop's) are dropped, and literals combine.  0.0 * r stays, as it is
     -0.0 or NaN for some r.  Any other Hessian runs it on _Text atoms,
     which write its statements: the adjugate's entries named j0.., det,
     ad = |det|, and its guards."""
@@ -97,8 +97,8 @@ def _stage(terms, inputs, acc, d):
     lits = [_lit(atom) for atom in results]
     if not all(math.isfinite(lit) for lit in lits if lit is not None):
         return [(None, None)]
-    gx, cv, hess = results[1:n + 1], results[n + 1:2 * n + 1], results[2 * n + 1:]
-    hvals = lits[2 * n + 1:]
+    hess, fs = results[2 * n + 1:-n], results[-n:]
+    gx, cv, hvals = results[1:n + 1], results[n + 1:2 * n + 1], lits[2 * n + 1:-n]
     literal = None not in hvals
     if literal:
         adj, det = _adjugate(hvals, n)
@@ -108,13 +108,13 @@ def _stage(terms, inputs, acc, d):
     screen = [atom for atom, lit in dict(zip(results, lits)).items() if lit is None]
     if screen:
         statements.append((None, d.finite.format(" + ".join(screen))))
-    for i, (g, c) in enumerate(zip(gx, cv)):
+    for i, (g, c, f) in enumerate(zip(gx, cv, fs)):
         lg, lc = _lit(g), _lit(c)
         if lg is not None and lc is not None:
             g = d.num(lg - lc)
         else:
             g = d.atom(g) if c == _ZERO else f"{d.atom(g)} - {d.atom(c)}"
-        statements.append((f"r{i}", f"{g} - f{i}"))
+        statements.append((f"r{i}", g if f == _ZERO else f"{g} - {d.atom(f)}"))
     if literal:
         adj = [_Text(d.num(a), d, a) for a in adj]
         over = None if det == 1.0 else d.num(det)
@@ -167,36 +167,37 @@ def _python_loop(parameters, local_names, body):
 PYTHON = _PYTHON._replace(loop=_python_loop)
 
 
-def generate_step_source(ast: ExprAst, varnames, dialect: _Dialect = PYTHON) -> str:
+def generate_step_source(ast: ExprAst, varnames, forcing=(), dialect: _Dialect = PYTHON) -> str:
     """Source of the whole classical RK4 loop for a Lagrangian over
-    varnames = (x1..xn, v1..vn) with n <= 3, in Python, or in another
-    language by its `dialect` (native.generate_step_source writes C),
+    varnames = (x1..xn, v1..vn) with n <= 3 forced by the n expressions
+    `forcing` (none: unforced), in Python, or in another language by its
+    `dialect` (native.generate_step_source writes C),
 
-        _run(x0, .., v0, .., h, steps, lo0, hi0, .., f0, .., xs, vs)
+        _run(x0, .., v0, .., h, steps, lo0, hi0, .., xs, vs)
 
     from the position x and velocity v, with step size h, the chart box
-    lo_i <= x_i <= hi_i (its tolerance included), the constant forcing
-    f, and C-contiguous (steps + 1, n) float arrays xs and vs whose row 0
-    holds the start.  The state stays in scalar locals.  Each stage is
-    the straight-line body of the fused terms (_fused_terms, walked
-    once) on that stage's position and velocity, then the solve by the
-    adjugate, refusing n * cond_1(H) > MAX_CONDITION; a velocity
-    Hessian of literals is adjugated and guarded once, here (see
-    _stage).  Every language is written from the same statements
-    through a table of its differences from Python (_Dialect).
-    Every operation is that of dynamics' RK4 step and its acceleration
-    solve, in the same order, so the results are bit-identical.  Step k
-    writes rows k + 1 of xs and vs once the new position lies in the box.
+    lo_i <= x_i <= hi_i (its tolerance included), and C-contiguous
+    (steps + 1, n) float arrays xs and vs whose row 0 holds the start.
+    The state stays in scalar locals.  Each stage is the straight-line
+    body of the fused terms and forcing (_fused_terms, walked once) on
+    that stage's position and velocity, then the solve by the adjugate,
+    refusing n * cond_1(H) > MAX_CONDITION; a velocity Hessian of
+    literals is adjugated and guarded once, here (see _stage).  Every
+    language is written from the same statements through a table of its
+    differences from Python (_Dialect).  Every operation is that of
+    dynamics' RK4 step and its acceleration solve, in the same order, so
+    the results are bit-identical.  Step k writes rows k + 1 of xs and
+    vs once the new position lies in the box.
 
     Returns `steps` when every step succeeds.  Otherwise it returns the
     index k of the step that failed, with rows 0..k good: when a term
-    raises ValueError or ArithmeticError, when the screen finds a term
-    not finite, when det H is zero, subnormal or not finite, when the
-    condition guard fails, or when the new position leaves the box.
-    A dialect that checks operations (_Dialect.checked) also returns k
-    wherever one of them gives a value that is not finite.
-    The caller repeats step k on its own path, which raises the error
-    or takes the solve this loop does not."""
+    (or forcing value) raises ValueError or ArithmeticError, when the
+    screen finds one not finite, when det H is zero, subnormal or not
+    finite, when the condition guard fails, or when the new position
+    leaves the box.  A dialect that checks operations (_Dialect.checked)
+    also returns k wherever one of them gives a value that is not
+    finite.  The caller repeats step k on its own path, which raises the
+    error or takes the solve this loop does not."""
     n = len(varnames) // 2
     if not 1 <= n <= 3:
         raise ValueError(f"the generated RK4 loop needs 1 <= n <= 3, got {n}")
@@ -206,7 +207,7 @@ def generate_step_source(ast: ExprAst, varnames, dialect: _Dialect = PYTHON) -> 
     stage_x = [x] + [[f"x{i}_{s}" for i in idx] for s in (2, 3, 4)]
     stage_v = [v] + [[f"v{i}_{s}" for i in idx] for s in (2, 3, 4)]
     acc = [[f"a{i}_{s}" for i in idx] for s in (1, 2, 3, 4)]
-    terms = _fused_terms(ast, varnames)
+    terms = _fused_terms(ast, varnames, forcing or [Number(0.0)] * n)
     body = []
     for s in range(4):
         if s:
@@ -221,14 +222,13 @@ def generate_step_source(ast: ExprAst, varnames, dialect: _Dialect = PYTHON) -> 
     body += [(None, f"({inside})"), ("at", "k + 1" if n == 1 else f"{n} * k + {n}")]
     body += [(f"{rows}[at{f' + {i}' if i else ''}]", f"{name}{i}")
              for rows, name in (("xm", "x"), ("vm", "v")) for i in idx]
-    parameters = [*x, *v, "h", "steps", *(f"{b}{i}" for i in idx for b in ("lo", "hi")),
-                  *(f"f{i}" for i in idx)]
+    parameters = [*x, *v, "h", "steps", *(f"{b}{i}" for i in idx for b in ("lo", "hi"))]
     local = [name for names in stage_x[1:] + stage_v[1:] + acc for name in names]
     return dialect.loop(parameters, local, body)
 
 
-def compile_step(ast: ExprAst, varnames):
+def compile_step(ast: ExprAst, varnames, forcing=()):
     """Compile the RK4 loop of generate_step_source for a Lagrangian
-    over varnames = (x1..xn, v1..vn) with n <= 3."""
-    src = generate_step_source(ast, varnames)
+    over varnames = (x1..xn, v1..vn) with n <= 3 and its forcing."""
+    src = generate_step_source(ast, varnames, forcing)
     return kernels._build(src, "_run", _isfinite=math.isfinite, _inf=math.inf)

@@ -112,6 +112,26 @@ def test_long_orbit_hashes_its_csv(tmp_path):
     assert "--steps 62832" in text and "--t1 6.283185307179586" in text
 
 
+def test_forced_orbit_appends_its_forcing_to_the_charged_config(tmp_path):
+    # a checkout whose integrate writes the config it is given as the CSV
+    package = tmp_path / "src" / "avcalc"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "def main(argv):\n"
+        "    with open(argv[argv.index('--system') + 1]) as fh:\n"
+        "        text = fh.read()\n"
+        "    with open(argv[argv.index('--output') + 1], 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "    return 0\n")
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "charged.cfg").write_text('[system]\nname = "charged"\n')
+    orbit = record.long_orbit(tmp_path, 2, record.FORCING)
+    text = '[system]\nname = "charged"\n' + record.FORCING
+    assert orbit["returncodes"] == [0, 0] and orbit["best_s"] == min(orbit["wall_s"])
+    assert orbit["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
 def orbit(best_s):
     return {"best_s": best_s, "returncodes": [0, 0, 0], "output_sha256": "y"}
 
@@ -119,15 +139,18 @@ def orbit(best_s):
 def test_long_orbit_ratio_only_when_both_records_have_it(tmp_path):
     paths = {name: tmp_path / f"{name}.json" for name in ("plain", "old", "new")}
     paths["plain"].write_text(json.dumps(OLD))  # as records before the long orbit
-    paths["old"].write_text(json.dumps({**OLD, "long_orbit": orbit(0.8)}))
-    paths["new"].write_text(json.dumps({**NEW, "long_orbit": orbit(0.6)}))
+    paths["old"].write_text(json.dumps({**OLD, "long_orbit": orbit(0.8),
+                                        "forced_orbit": orbit(7.5)}))
+    paths["new"].write_text(json.dumps({**NEW, "long_orbit": orbit(0.6),
+                                        "forced_orbit": orbit(0.75)}))
 
     def out(old, new):
         return subprocess.run([sys.executable, str(BENCHMARKS / "compare.py"), str(paths[old]),
                                str(paths[new])], capture_output=True, text=True, check=True).stdout
 
     assert "long orbit   best 0.800 s -> 0.600 s (0.750), output identical" in out("old", "new")
-    assert "long orbit" not in out("plain", "new")
+    assert "forced orbit best 7.500 s -> 0.750 s (0.100), output identical" in out("old", "new")
+    assert "long orbit" not in out("plain", "new") and "forced orbit" not in out("plain", "new")
     assert "check-all    best 2.000 s -> 2.000 s" in out("plain", "new")
 
 

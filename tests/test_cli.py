@@ -336,12 +336,21 @@ class TestForcedIntegrate:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         # named as the kernel paths name it: the reason, the expression, the point
-        assert captured.err == "error: sqrt: math domain error in sqrt(x1) at x1=-1.0, v1=0.0\n"
+        assert captured.err == "error: sqrt of a negative value in sqrt(x1) at x1=-1.0, v1=0.0\n"
 
     def test_overflowing_forcing_is_blamed_on_the_forcing(self, tmp_path, capsys):
         path = self.write(tmp_path, "1e308*10*x1")
         code = main(["integrate", "--system", path, "--x0", "1", "--v0", "0", "--steps", "3"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == ("error: non-finite forcing value inf in ((1e+308*10.0)*x1) "
+        assert captured.err == ("error: non-finite kernel output in ((1e+308*10.0)*x1) "
+                                "at x1=1.0, v1=0.0\n")
+
+    def test_overflow_that_ieee_would_absorb_is_1(self, tmp_path, capsys):
+        # exp(1000) overflows, and 1/inf would be a silent 0: math.exp raises
+        path = self.write(tmp_path, "1/exp(1000*x1)")
+        code = main(["integrate", "--system", path, "--x0", "1", "--v0", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: exp: math range error in (1.0/exp((1000.0*x1))) "
                                 "at x1=1.0, v1=0.0\n")

@@ -555,6 +555,12 @@ class TestWrongLength:
         free = integrate_trajectory(self.LAM, x, v, 0.0, 1.0, 10)
         assert one.positions[-1, 0] != free.positions[-1, 0]  # the forcing acts
 
+    @pytest.mark.parametrize("forcing", [["x1"], [parse("x1"), parse("v2"), parse("x2")]])
+    def test_wrong_number_of_forcing_expressions(self, forcing):
+        message = rf"^forcing must be 2 expressions, got {len(forcing)}$"
+        with pytest.raises(ValueError, match=message):
+            integrate_trajectory(self.LAM, [0.1, 0.2], [1.0, -0.5], 0.0, 1.0, 4, forcing=forcing)
+
     @pytest.mark.parametrize("value, message", [
         ([1.0], r"forcing must be a vector of dimension 2, got \[1\.0\]$"),
         ([1.0, 2.0, 3.0], r"forcing must be a vector of dimension 2, got \[1\.0, 2\.0, 3\.0\]$"),
@@ -597,6 +603,13 @@ def zero_forcing(x, v):
     return np.zeros(len(x))
 
 
+def drag_and_push(n):
+    """f_i = -0.1 v_i + 0.01 sin(x_i) as expressions, and computed with
+    math by a callable, which takes the existing loop: its oracle."""
+    texts = [f"-0.1*v{i} + 0.01*sin(x{i})" for i in range(1, n + 1)]
+    return texts, lambda x, v: np.array([-0.1 * v[i] + 0.01 * math.sin(x[i]) for i in range(n)])
+
+
 def outcome(call):
     """The trajectory arrays of call(), or its exception's class and text."""
     try:
@@ -612,19 +625,24 @@ class TestGeneratedLoop:
 
     STEPS = 300
 
-    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "constant-forcing"])
+    @pytest.mark.parametrize("forced", ["unforced", "constant-forcing", "expression-forcing"])
     @pytest.mark.parametrize("case", orbit_cases(), ids=lambda c: c[0])
     def test_bit_identical_to_existing_loop(self, case, forced, existing_loop_starts):
         _name, lam, chart, halfwidth, n = case
         rng = np.random.default_rng(23)
         x0 = rng.uniform(-0.5, 0.5, n)
         v0 = rng.uniform(-0.5, 0.5, n) * halfwidth
-        f = rng.uniform(-0.5, 0.5, n) if forced else None
+        if forced == "unforced":
+            f, by_hand = None, zero_forcing
+        elif forced == "constant-forcing":
+            f = rng.uniform(-0.5, 0.5, n)
+            by_hand = lambda x, v: f
+        else:
+            f, by_hand = drag_and_push(n)
         fast = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS, forcing=f,
                                     chart_id=chart)
         assert existing_loop_starts == []  # the generated loop took every step
-        oracle = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS,
-                                      forcing=zero_forcing if f is None else (lambda x, v: f),
+        oracle = integrate_trajectory(lam, x0, v0, 0.0, 1.0, self.STEPS, forcing=by_hand,
                                       chart_id=chart)
         assert existing_loop_starts == [0]
         assert fast.positions.tobytes() == oracle.positions.tobytes()
@@ -682,10 +700,20 @@ class TestGeneratedLoop:
         assert fast.positions.tobytes() == oracle.positions.tobytes()
         assert fast.velocities.tobytes() == oracle.velocities.tobytes()
 
+    def test_forcing_component_leaving_its_domain_is_named(self, existing_loop_starts):
+        # x1 = 0.35 - t crosses 0 in step 3: f2 = sqrt(x1) raises there,
+        # and the error names f2, not L or f1
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2 + v2^2)")
+        with pytest.raises(DomainError, match=r"^sqrt of a negative value in sqrt\(x1\) at "
+                                              r"x1=-[0-9.e-]+, x2=[0-9.e-]+, v1=-1\.0, v2="):
+            integrate_trajectory(lam, [0.35, 0.0], [-1.0, 0.0], 0.0, 1.0, 10,
+                                 forcing=["0", "sqrt(x1)"])
+        assert existing_loop_starts == [3]
+
     def test_rk4_step_script_finds_bit_identical_trajectories(self):
         # benchmarks/rk4_step.py exits 1 if the generated loop in Python or
         # in C differs in one bit from the existing loop or from the other
-        # on any of its four orbits
+        # on any of its five orbits
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "rk4_step.py"),
@@ -693,7 +721,7 @@ class TestGeneratedLoop:
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout + run.stderr
-        assert run.stdout.count("bit-identical") == 4
+        assert run.stdout.count("bit-identical") == 5
 
     def test_subnormal_determinant_takes_the_existing_solve(self, existing_loop_starts):
         # det H = 1e-310 is subnormal: the existing loop solves by LU

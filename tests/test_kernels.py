@@ -591,7 +591,8 @@ class TestKernelBatchScript:
 class TestTextsScript:
     def test_one_digest_per_text(self):
         # benchmarks/texts.py prints "label text sha256" for every
-        # Lagrangian and each of its four generated texts
+        # Lagrangian and each of its four generated texts, and for the
+        # forced charged particle its two loops
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "texts.py")],
@@ -601,7 +602,9 @@ class TestTextsScript:
         rows = [line.split(" ") for line in run.stdout.splitlines()]
         labels = list(dict.fromkeys(label for label, _text, _digest in rows))
         texts = ["batched", "solve", "python", "c"]
-        assert [text for _label, text, _digest in rows] == texts * len(labels)
+        # the forced charged particle has its two loops, the last rows
+        assert [text for _label, text, _digest in rows] == texts * (len(labels) - 1) + texts[2:]
+        assert labels[-1] == "charged-forced"
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for _label, _text, digest in rows)
         assert {"charged[0]", "charged+chi0", "circle[1]", "full-3"} <= set(labels)
         charged = bundled_system("charged").lagrangian.expr("0")

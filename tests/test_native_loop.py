@@ -1,6 +1,7 @@
 """The generated RK4 loop in C (native.compile_step) against the
 same loop in Python, both through integrate_trajectory: the same rows
-bit for bit on the bundled systems and their gauge twins, and on the
+bit for bit on the bundled systems and their gauge twins, unforced and
+under a constant and an expression forcing, and on the
 differential fuzz's domain-leaving trees the same rows and the same
 error; the Python loop wherever no C loop can be built; and no compiler
 process below the threshold."""
@@ -22,7 +23,7 @@ from avcalc.exprlang import Binary, Call, Number, Unary, Var, to_text
 from avcalc.geometry import euclidean_atlas
 from avcalc.systems import bundled_system
 
-from test_dynamics import orbit_cases
+from test_dynamics import drag_and_push, orbit_cases
 from test_engine_fuzz import ROWS, oracle, trees
 
 pytestmark = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -67,7 +68,7 @@ def test_bundled_orbits_bit_identical(case, monkeypatch):
     rng = np.random.default_rng(29)
     x0 = rng.uniform(-0.5, 0.5, n)
     v0 = rng.uniform(-0.5, 0.5, n) * halfwidth
-    for forcing in (None, rng.uniform(-0.5, 0.5, n)):
+    for forcing in (None, rng.uniform(-0.5, 0.5, n), drag_and_push(n)[0]):
         def call():
             return integrate_trajectory(lam, x0, v0, 0.0, 1.0, 300, forcing=forcing,
                                         chart_id=chart)
