@@ -33,22 +33,38 @@ and one of finding it:
                 cache entry, the mean over HITS calls on the kernel's
                 own expression, best of --repeats.
 
+These rows run the op tape (kernels.NATIVE_PROBES is set out of reach).
+The native rows after them run each kernel as its C probe loop
+(native.compile_probes), as a kernel does once it has served
+NATIVE_PROBES probes, called through the same kernel: us/call and
+ns/probe as above, and whether the outputs have the tape's bits.  Their
+header gives each loop's build time:
+
+  * build ms:   milliseconds of native.compile_probes for the kernel of
+                each reads, C compiler included (once: a loop is kept).
+
+Without a C compiler the native rows say so and are left out.
+
 The script exits 1 if a column differs from the Hyperdual interpreter
 (exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by
-more than 1e-12 relative to max(1, |reference|); the test suite runs it
-with --sizes 1 16 --repeats 1 for that check.
+more than 1e-12 relative to max(1, |reference|), or a native row's
+outputs differ from the tape's in a bit or the C loop hands the call
+back; the test suite runs it with --sizes 1 16 --repeats 1 for that
+check.
 
 Run:  PYTHONPATH=src python benchmarks/kernel_batch.py [--sizes N ...] [--repeats N]
 """
 import argparse
+import math
 import re
+import shutil
 import sys
 import time
 import tracemalloc
 
 import numpy as np
 
-from avcalc import exprlang, kernels
+from avcalc import exprlang, kernels, native
 from avcalc.autodiff import Hyperdual
 from avcalc.dynamics import gauge_shift, lagrangian_varnames
 from avcalc.systems import bundled_system
@@ -147,6 +163,41 @@ def traced_peak_bytes(kernel, args) -> int:
         tracemalloc.stop()
 
 
+def native_rows(ast, names, sizes, repeats: int, rng) -> bool:
+    """Print the native rows of the kernels of `ast`; whether every
+    one's outputs have the tape's bits and C served every call."""
+    reference, tape = (kernels._Tape(*kernels._batched(ast, names)) for _ in range(2))
+    build = []
+    for reads in READS:
+        kernel = tape.kernel(reads)
+        t0 = time.perf_counter()
+        kernel.loop = native.compile_probes(kernel)  # the kernel's hand-off at NATIVE_PROBES
+        build.append(time.perf_counter() - t0)
+    print(f"  native: build {' / '.join(f'{1e3 * b:.0f}' for b in build)} ms "
+          f"for reads {' / '.join(map(label, READS))}")
+    print(f"{'probes':>8} {'reads':>6} {'us/call':>10} {'ns/probe':>10}  vs tape")
+    agree = True
+    for size in sizes:
+        vals, d1, d2 = (rng.uniform(-1.0, 1.0, (size, len(names))) for _ in range(3))
+        for reads in READS:
+            kernel = tape.kernel(reads)
+            if not kernel.loop:
+                print(f"{size:8d} {label(reads):>6}  no loop: a record stays on the tape")
+                agree = False
+                continue
+            want = np.empty((size, len(reads)))
+            reference.kernel(reads)(vals, d1, d2, want)
+            out = np.empty((size, len(reads)))
+            served = kernel.loop(vals, d1, d2, out)
+            same = served and out.tobytes() == want.tobytes()
+            agree &= same
+            seconds = best_seconds_per_call(kernel, (vals, d1, d2, out), repeats)
+            verdict = "identical" if same else "DIFFER" if served else "HANDED BACK"
+            print(f"{size:8d} {label(reads):>6} {1e6 * seconds:10.2f} "
+                  f"{1e9 * seconds / size:10.1f}  {verdict}")
+    return agree
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[1, 16, 512, 10_000],
@@ -156,6 +207,7 @@ def main() -> int:
 
     rng = np.random.default_rng(2026)
     agree = True
+    kernels.NATIVE_PROBES = math.inf  # no kernel takes its C loop by itself
     print(f"batched kernel, best of {args.repeats}")
     for name, ast, names, fresh in cases():
         src = kernels.generate_source(ast, names)
@@ -188,6 +240,10 @@ def main() -> int:
                 print(f"{size:8d} {label(reads):>6} {1e6 * seconds:10.2f} "
                       f"{1e9 * seconds / size:10.1f} {peak / size:13.0f}  "
                       f"{'ok' if ok else 'DIFFER'} ({err:.1e})")
+        if shutil.which("cc") is None:
+            print("  native: no C compiler")
+        else:
+            agree &= native_rows(ast, names, args.sizes, args.repeats, rng)
     return 0 if agree else 1
 
 

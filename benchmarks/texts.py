@@ -10,7 +10,11 @@ where <text> is:
   * batched: kernels.generate_source, the batched kernel's text;
   * solve:   kernels.generate_solve_source, the fused acceleration terms;
   * python:  rk4loop.generate_step_source, the RK4 loop in Python;
-  * c:       native.generate_step_source, the same loop in C.
+  * c:       native.generate_step_source, the same loop in C;
+  * probes:  native.generate_probe_source, the batched kernel's probe
+             loop in C, of its full contract (kernels.FULL); only where
+             every record may be written in C (no exp, log, tan or
+             power other than a square).
 
 The loops are written for n <= 3 only; the Lagrangians here all have
 n <= 3.  The Lagrangians are every bundled system's, in each of its
@@ -76,11 +80,19 @@ def show(label: str, text: str, source: str) -> None:
     print(f"{label} {text} {hashlib.sha256(source.encode()).hexdigest()}")
 
 
+def probe_source(ast, names):
+    """The probe loop of the full kernel of `ast`, or None."""
+    return native.generate_probe_source(kernels.compile_field(ast, names))
+
+
 def main() -> int:
     for label, ast, n in lagrangians():
         names = lagrangian_varnames(n)
         for text, generate in TEXTS.items():
             show(label, text, generate(ast, names))
+        probes = probe_source(ast, names)
+        if probes is not None:
+            show(label, "probes", probes)
     charged = bundled_system("charged").lagrangian.expr("0")
     forcing = tuple(map(parse, FORCING))
     for text in ("python", "c"):

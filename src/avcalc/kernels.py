@@ -2,11 +2,14 @@
 
 An expression over named variables is compiled once into straight-line
 code that propagates second-order forward-mode components
-(val, d1, d2, d12).  There are three renderings:
+(val, d1, d2, d12).  There are four renderings:
 
   * the derivative rules vectorized over a batch of seed "probes"
     (compile_field): the body runs on numpy arrays along the probe
     axis, as an op tape (see below), with no Python compile;
+  * the same tape's records as a C loop over probes, which a kernel
+    takes once it has served NATIVE_PROBES probes, where each of them
+    gives numpy's bits in C (native.compile_probes);
   * the same rules as one scalar function (compile_solve) that returns
     everything a Euler-Lagrange acceleration solve needs at one point,
     with the probe seeds written into the source as literals;
@@ -17,7 +20,7 @@ code that propagates second-order forward-mode components
 The emitter writes one op set, Python on scalars (math.sin(t), abs(t),
 math.pow(t, p)); each rendering writes it through a table of its
 language's differences (_Dialect): numpy for generate_source (_NUMPY),
-Python for the solve terms (_PYTHON) and the loop, and C.  All three
+Python for the solve terms (_PYTHON) and the loop, and C.  All of them
 turn the emitter's lines into records (name, template, operands) by one
 backward pass (_render): it drops the lines nothing reads and reuses a
 temporary's name once its value's last reader has run, so the code
@@ -66,7 +69,7 @@ walk.  The key is the text each node renders once and keeps
 (exprlang._Node), so a hit is a dict probe ("hit us" in
 benchmarks/kernel_batch.py) and a gauge twin renders only the nodes the
 shift adds.  The charged particle's gauge twin retains about 3.3 KB for
-its tape with its cache entry, and 1.5 KB (reads (0,)) to 3.5 KB (FULL)
+its tape with its cache entry, and 1.2 KB (reads (0,)) to 2.9 KB (FULL)
 per kernel built from it, measured by tracemalloc as that script does.
 
 The library evaluates expressions through these kernels, forcing
@@ -661,6 +664,15 @@ _CODES = {template: code for code, template in enumerate(_UFUNCS)}
 # r[c]; FULL is every output, the full contract.
 FULL = (0, 1, 2, 3)
 
+# A kernel runs its records as a C loop over probes (native.compile_probes)
+# once it has served NATIVE_PROBES probes, this call's included, where
+# that loop gives the tape's bits and a C compiler builds it.  A build
+# costs 50-120 ms, the time C saves on 0.6-2.3e6 probes of the bundled
+# kernels at 300-800 probes a call: a kernel tiers up once its tape has
+# cost about what the build will.  `check-all` stays below (its hottest
+# kernel serves 199 920 probes), and so do avbench's gauge_scan kernels.
+NATIVE_PROBES = 1_000_000
+
 
 class _Tape:
     """The records of _batched as an op tape, and the kernel of each
@@ -757,25 +769,57 @@ class _Tape:
         sources = array("H", [self.sources[v] for v in views])
         columns = array("H", [self.columns[v] for v in views])
         literals = tuple([self.literals[s - self.registers - nviews] for s in other[len(views):]])
-        arguments = 1 + max(sources, default=-1)  # of vals, d1, d2, those read
         ufuncs = tuple(map(_OPS.__getitem__, itertools.compress(self.codes, kept)))
         first = array("H", map(slot.get, first, first))
         second = array("H", map(slot.get, second, second))
         outputs = tuple(map(slot.get, outputs, outputs))
+        return _Kernel(registers, sources, columns, literals, ufuncs, first, second, dest, outputs)
 
-        def kernel(vals, d1, d2, out):
-            arrays = [a.T for a in (vals, d1, d2)[:arguments]]
-            x = [*np.empty((registers, vals.shape[0])),
-                 *[arrays[k][j] for k, j in zip(sources, columns)], *literals]
-            for f, a, b, r in zip(ufuncs, first, second, dest):
-                if b == _UNARY:
-                    f(x[a], x[r])
-                else:
-                    f(x[a], x[b], x[r])
-            for c, i in enumerate(outputs):
-                out[:, c] = x[i]
 
-        return kernel
+class _Kernel:
+    """kernel(vals, d1, d2, out) of _Tape._build: the records live for its
+    reads as a tape of its own, in the layout of _Tape's (registers
+    t0..t{registers-1}, then the views of vals, d1 and d2 it reads, then
+    its literals), and its `outputs`' slots.
+
+    It counts the probes it serves.  The call that brings them to
+    NATIVE_PROBES asks native for the C loop of these records, once
+    (native is imported then); from then on every call that loop serves
+    skips the tape (the loop returns False for arrays it does not take,
+    and where it hands back).  A kernel holds no reference to its tape."""
+
+    __slots__ = ("registers", "sources", "columns", "literals", "ufuncs", "first", "second",
+                 "dest", "outputs", "arguments", "served", "loop")
+
+    def __init__(self, registers, sources, columns, literals, ufuncs, first, second, dest,
+                 outputs):
+        self.registers, self.sources, self.columns, self.literals = (
+            registers, sources, columns, literals)
+        self.ufuncs, self.first, self.second, self.dest = ufuncs, first, second, dest
+        self.outputs = outputs
+        self.arguments = 1 + max(sources, default=-1)  # of vals, d1, d2, those read
+        self.served = 0
+        self.loop = None  # the C loop once asked for; False where there is none
+
+    def __call__(self, vals, d1, d2, out):
+        if self.loop is None:
+            self.served += vals.shape[0]
+            if self.served >= NATIVE_PROBES:
+                from . import native
+
+                self.loop = native.compile_probes(self) or False
+        if self.loop and self.loop(vals, d1, d2, out):
+            return
+        arrays = [a.T for a in (vals, d1, d2)[:self.arguments]]
+        x = [*np.empty((self.registers, vals.shape[0])),
+             *[arrays[k][j] for k, j in zip(self.sources, self.columns)], *self.literals]
+        for f, a, b, r in zip(self.ufuncs, self.first, self.second, self.dest):
+            if b == _UNARY:
+                f(x[a], x[r])
+            else:
+                f(x[a], x[b], x[r])
+        for c, i in enumerate(self.outputs):
+            out[:, c] = x[i]
 
 
 # compile_field keeps the tapes of at most CACHE_SIZE expressions and

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -577,7 +578,7 @@ class TestKernelBatchScript:
     def test_agrees_with_the_interpreter(self):
         # benchmarks/kernel_batch.py exits 1 if a column of a kernel of
         # any reads differs from the Hyperdual interpreter by more than
-        # 1e-12 relative
+        # 1e-12 relative, or its C probe loop's from the tape in a bit
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "kernel_batch.py"),
@@ -586,13 +587,16 @@ class TestKernelBatchScript:
             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout + run.stderr
         assert run.stdout.count(" ok (") == 16  # 2 kernels, 2 sizes, 4 reads
+        if shutil.which("cc") is not None:
+            assert run.stdout.count("  identical") == 16
 
 
 class TestTextsScript:
     def test_one_digest_per_text(self):
         # benchmarks/texts.py prints "label text sha256" for every
-        # Lagrangian and each of its four generated texts, and for the
-        # forced charged particle its two loops
+        # Lagrangian and each of its four generated texts, then its
+        # probe loop where it has one, and for the forced charged
+        # particle its two loops
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "texts.py")],
@@ -600,6 +604,12 @@ class TestTextsScript:
             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout + run.stderr
         rows = [line.split(" ") for line in run.stdout.splitlines()]
+        probes = [label for label, text, _digest in rows if text == "probes"]
+        assert {"charged[0]", "charged+chi0", "relativistic[0]", "circle[1]",
+                "sign-abs"} <= set(probes)
+        assert not {"charged+chi2", "powers", "general-exponent", "tan-log"} & set(probes)
+        assert all(prev[1] == "c" for prev, row in zip(rows, rows[1:]) if row[1] == "probes")
+        rows = [row for row in rows if row[1] != "probes"]
         labels = list(dict.fromkeys(label for label, _text, _digest in rows))
         texts = ["batched", "solve", "python", "c"]
         # the forced charged particle has its two loops, the last rows

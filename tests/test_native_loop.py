@@ -188,11 +188,16 @@ def test_no_compiler_below_the_threshold(monkeypatch, tmp_path):
 
 
 def test_import_starts_no_compiler_machinery():
-    # subprocess is imported only by the first build (ctypes is numpy's)
-    probe = ("import sys, avcalc\n"
+    # subprocess is imported only by the first build (ctypes is numpy's),
+    # and native by the first tier-up of a loop or a kernel
+    probe = ("import sys, numpy, avcalc\n"
              "from avcalc.systems import bundled_system\n"
-             "avcalc.integrate_trajectory(bundled_system('charged').lagrangian, [0, 0, 0],"
-             " [1, 0, 0], 0.0, 1.0, 100)\n"
-             "sys.exit('subprocess' in sys.modules)\n")
+             "lam = bundled_system('charged').lagrangian\n"
+             "avcalc.integrate_trajectory(lam, [0, 0, 0], [1, 0, 0], 0.0, 1.0, 100)\n"
+             "names = avcalc.dynamics.lagrangian_varnames(3)\n"
+             "kernel = avcalc.kernels.compile_field(lam.expr('0'), names)\n"
+             "vals = numpy.random.default_rng(1).uniform(-1, 1, (10_000, 6))\n"
+             "avcalc.kernels.eval_batch(kernel, vals, vals, vals)\n"
+             "sys.exit(bool({'subprocess', 'avcalc.native'} & set(sys.modules)))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
