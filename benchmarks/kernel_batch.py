@@ -166,7 +166,8 @@ def traced_peak_bytes(kernel, args) -> int:
 def native_rows(ast, names, sizes, repeats: int, rng) -> bool:
     """Print the native rows of the kernels of `ast`; whether every
     one's outputs have the tape's bits and C served every call."""
-    reference, tape = (kernels._Tape(*kernels._batched(ast, names)) for _ in range(2))
+    key = (exprlang.to_text(ast), tuple(names))  # compile_field's, from which C is written
+    reference, tape = (kernels._Tape(key, *kernels._batched(ast, names)) for _ in range(2))
     build = []
     for reads in READS:
         kernel = tape.kernel(reads)
@@ -216,7 +217,7 @@ def main() -> int:
         build = best_build_seconds(asts[:BUILDS], names)
         kept = retained_bytes(asts[BUILDS:], names)
         hit = best_hit_seconds(ast, names, args.repeats)
-        tape = kernels._Tape(*kernels._batched(ast, names))
+        tape = kernels._Tape(None, *kernels._batched(ast, names))
         records = " / ".join(str(sum(tape.live(reads))) for reads in READS)
         print(f"{name}: {len(src.splitlines()) - 1} lines, {temps} temporaries, records "
               f"{records} for reads {' / '.join(map(label, READS))}, "

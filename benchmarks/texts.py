@@ -10,7 +10,8 @@ where <text> is:
   * batched: kernels.generate_source, the batched kernel's text;
   * solve:   kernels.generate_solve_source, the fused acceleration terms;
   * python:  rk4loop.generate_step_source, the RK4 loop in Python;
-  * c:       native.generate_step_source, the same loop in C;
+  * c:       rk4loop.generate_step_source with the dialect lowering.C,
+             the same loop in C;
   * probes:  native.generate_probe_source, the batched kernel's probe
              loop in C, of its full contract (kernels.FULL); only where
              every record may be written in C (no exp, log, tan or
@@ -30,7 +31,7 @@ Run:  PYTHONPATH=src python benchmarks/texts.py
 """
 import hashlib
 
-from avcalc import kernels, native, rk4loop
+from avcalc import kernels, lowering, native, rk4loop
 from avcalc.dynamics import gauge_shift, lagrangian_varnames
 from avcalc.exprlang import parse
 from avcalc.systems import bundled_system, bundled_system_names
@@ -59,7 +60,8 @@ TEXTS = {
     "batched": kernels.generate_source,
     "solve": kernels.generate_solve_source,
     "python": rk4loop.generate_step_source,
-    "c": native.generate_step_source,
+    "c": lambda ast, names, forcing=(): rk4loop.generate_step_source(ast, names, forcing,
+                                                                     lowering.C),
 }
 
 
@@ -80,17 +82,12 @@ def show(label: str, text: str, source: str) -> None:
     print(f"{label} {text} {hashlib.sha256(source.encode()).hexdigest()}")
 
 
-def probe_source(ast, names):
-    """The probe loop of the full kernel of `ast`, or None."""
-    return native.generate_probe_source(kernels.compile_field(ast, names))
-
-
 def main() -> int:
     for label, ast, n in lagrangians():
         names = lagrangian_varnames(n)
         for text, generate in TEXTS.items():
             show(label, text, generate(ast, names))
-        probes = probe_source(ast, names)
+        probes = native.generate_probe_source(ast, names, kernels.FULL)
         if probes is not None:
             show(label, "probes", probes)
     charged = bundled_system("charged").lagrangian.expr("0")

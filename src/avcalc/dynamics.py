@@ -155,16 +155,17 @@ class GaugeClassLagrangian:
         return float(self.engine(chart_id).values(xs, vs)[0])
 
     def engine(self, chart_id: str, forcing: tuple = ()) -> "_ChartEngine":
-        """The compiled engine of chart `chart_id`'s representative under
-        the forcing expressions `forcing` (none: unforced), kept by their
-        texts; ChartDisjointError if the atlas has no such chart."""
-        key = (chart_id, *map(exprlang.to_text, forcing))
-        eng = self._engines.get(key)
-        if eng is None:
+        """Chart `chart_id`'s compiled engine under the forcing expressions
+        `forcing` (none: unforced); a chart keeps its unforced engine and
+        its latest forced one.  ChartDisjointError if there is no such chart."""
+        texts = tuple(map(exprlang.to_text, forcing))
+        key = (chart_id, bool(texts))
+        kept = self._engines.get(key)
+        if kept is None or kept[0] != texts:
             self.atlas.chart(chart_id)
-            eng = _ChartEngine(self.chart_exprs[chart_id], self.atlas.dim, forcing)
-            self._engines[key] = eng
-        return eng
+            kept = self._engines[key] = (
+                texts, _ChartEngine(self.chart_exprs[chart_id], self.atlas.dim, forcing))
+        return kept[1]
 
     def validate(self):
         """Sampled overlap compatibility L_i - L_j = <d g_ij, v> to 1e-10, each

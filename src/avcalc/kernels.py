@@ -15,20 +15,18 @@ code that propagates second-order forward-mode components
     with the probe seeds written into the source as literals;
   * the whole classical RK4 loop for n <= 3, with that function's
     straight-line body inlined into each stage (rk4loop.py, in Python
-    and, through the same statements, in C by native.py).
+    and, through the same statements, in C built by native.py).
 
-The emitter writes one op set, Python on scalars (math.sin(t), abs(t),
-math.pow(t, p)); each rendering writes it through a table of its
-language's differences (_Dialect): numpy for generate_source (_NUMPY),
-Python for the solve terms (_PYTHON) and the loop, and C.  All of them
-turn the emitter's lines into records (name, template, operands) by one
-backward pass (_render): it drops the lines nothing reads and reuses a
-temporary's name once its value's last reader has run, so the code
-holds only the values still live, not one per line.  The scalar
-renderings format the records as source and compile it; the
-acceleration solve after the terms is written once (_adjugate,
-_condition, _times), run on floats by dynamics and rendered as text by
-rk4loop.
+This module knows no language's syntax: the emitter writes one op set,
+Python on scalars (math.sin(t), abs(t), math.pow(t, p): the templates
+of lowering.py), and lowering.py writes each program in its language
+and frame.  Every rendering takes the emitter's lines as records (name,
+template, operands) from one backward pass (_render): it drops the
+lines nothing reads and reuses a temporary's name once its value's last
+reader has run, so the code holds only the values still live, not one
+per line.  The acceleration solve after the terms is written once
+(_adjugate, _condition, _times), run on floats by dynamics and on text
+atoms by rk4loop.
 The batched kernel runs them as an op tape (Griewank & Walther,
 Evaluating Derivatives, ch. 3): per record, the numpy ufunc that its
 template's numpy text calls (_UFUNCS), on the same operands in order,
@@ -85,7 +83,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,6 +91,7 @@ from .errors import DomainError
 from .exprlang import (
     _REAL_UNARY, Binary, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text,
 )
+from .lowering import _CALLS, _MATH, _ONE, _SIGN, _ZERO, _lit, _num, numpy_kernel, solve_function
 
 # There is one kernel backend.  BACKENDS, default_backend and the
 # `backend` parameters checked by require_numpy_backend are kept for the
@@ -116,41 +114,10 @@ def require_numpy_backend(backend: str) -> None:
 # ---------------------------------------------------------------------------
 # Code generation
 
-_NONFINITE = {"math.inf": math.inf, "(-math.inf)": -math.inf, "math.nan": math.nan}
-
-
-def _lit(atom):
-    """The value of a literal atom; None for a temporary or slot name.
-    Finite literals are `repr` of a float, so they start with a digit
-    or a minus sign, and no name does."""
-    if atom[0].isdigit() or atom[0] == "-":
-        return float(atom)
-    return _NONFINITE.get(atom)
-
-
-def _num(value: float) -> str:
-    """Source text of a float literal; `repr` of inf or nan is not a
-    Python expression."""
-    if math.isfinite(value):
-        return repr(value)
-    if math.isnan(value):
-        return "math.nan"
-    return "math.inf" if value > 0 else "(-math.inf)"
-
-
-_ZERO = "0.0"
-_ONE = "1.0"
-# sign on scalars, as np.sign computes it
-_SIGN = "(1.0 if {0} > 0.0 else (-1.0 if {0} < 0.0 else {0} + 0.0))"
-# the math functions of the rules, called as math.{name}
-_MATH = ("sin", "cos", "tan", "exp", "log", "sqrt")
-_CALLS = {"abs": "abs({})", **{name: f"math.{name}({{}})" for name in _MATH}}
-
-
 class _Emitter:
     """Straight-line code over atoms (literals or names), in the one op
     set of every rendering: Python on scalars, which each target writes
-    through its dialect (_Dialect; the batched kernel runs it as ufuncs,
+    through its dialect (lowering.py; the batched kernel runs it as ufuncs,
     _UFUNCS).  Line i assigns the temporary t{i} one operation: a
     `template` filled with the atoms it reads, both kept as the line's
     key in `names`.  Every line is a pure function of its atoms, so an
@@ -391,9 +358,9 @@ def _render(names, results, inputs=()):
     `results` need, read at the end, with every slot atom w{j} replaced
     by inputs[j] if `inputs` are given.  A record (name, template, args)
     assigns to `name` the operation `template` on the atoms `args`
-    (_text renders it as a line of source).  The kept lines, their
-    order and their operands are unchanged, so the values are too, but
-    a line nothing reads is dropped and a temporary's name is reused
+    (lowering writes it as a line of source).  The kept lines,
+    their order and their operands are unchanged, so the values are too,
+    but a line nothing reads is dropped and a temporary's name is reused
     once the last line reading its value has run: the code holds only
     its live temporaries instead of one value per line.
 
@@ -430,84 +397,6 @@ def _render(names, results, inputs=()):
     return records, results
 
 
-class _Dialect(NamedTuple):
-    """How one language writes the emitter's op set: the Python lines of
-    _text (_PYTHON), their numpy form in generate_source (_NUMPY), and
-    the RK4 loop of rk4loop.generate_step_source (rk4loop.PYTHON,
-    native.C).  Every operation keeps its operands and their order, so
-    every language computes the same doubles."""
-
-    ops: dict  # record template -> its text here, where it differs from Python's
-    checked: frozenset  # record templates whose value must be finite, else return k
-    num: Callable  # float -> its literal
-    assign: str  # statement assigning {1} to {0}
-    guard: str  # statement returning k unless the condition {} holds
-    handback: str  # statement returning k
-    finite: str  # whether {} is finite
-    max: Callable  # texts -> their largest, picked as Python's max picks it
-    chain: str  # the comparisons {0} {1} {2} {3} {4}, as Python chains them
-    conj: str  # joins conditions that must all hold
-    inf: str  # +infinity
-    loop: Callable  # (parameters, local names, body) -> the RK4 loop's source (rk4loop.py)
-
-    def text(self, template: str) -> str:
-        """A Python template (a record's, or abs({}) of the guards) in
-        this language."""
-        return self.ops.get(template, template)
-
-    def atom(self, atom: str) -> str:
-        """An atom of _render (a name, or a literal as _num writes it) in
-        this language."""
-        value = _lit(atom)
-        return atom if value is None else self.num(value)
-
-
-_PYTHON = _Dialect(
-    ops={}, checked=frozenset(), num=_num, assign="{} = {}", guard="if not {}:\n    return k",
-    handback="return k", finite="_isfinite({})",
-    max=lambda texts: f"max({', '.join(texts)})", chain="{0} {1} {2} {3} {4}", conj=" and ",
-    inf="_inf", loop=None)
-# numpy on arrays: the ufunc that _UFUNCS gives each template, as text
-_NUMPY = _PYTHON._replace(ops={
-    "math.pow({}, {})": "{} ** ({})", "abs({})": "np.abs({})", _SIGN: "np.sign({})",
-    **{f"math.{name}({{}})": f"np.{name}({{}})" for name in _MATH}})
-
-
-def _assignments(records, d) -> list:
-    """The statements of the records of _render in the dialect d (see
-    _lines): each record's name assigned its operation, and in a dialect
-    that checks the record's operation (d.checked: C checks every libm
-    call, division and power), the check that hands back unless the
-    value is finite."""
-    statements = []
-    for name, template, args in records:
-        statements.append((name, d.text(template).format(*map(d.atom, args))))
-        if template in d.checked:
-            statements.append((None, d.finite.format(name)))
-    return statements
-
-
-def _lines(statements, d) -> list:
-    """The source lines of `statements` in the dialect d: (name, text)
-    assigns text to name, (None, condition) returns k unless the
-    condition holds, and (None, None) returns k."""
-    lines = []
-    for name, text in statements:
-        if name is not None:
-            lines.append(d.assign.format(name, text))
-        else:
-            lines += (d.handback if text is None else d.guard.format(text)).split("\n")
-    return lines
-
-
-def _text(records, d=_PYTHON) -> list:
-    """The source line of each record of _render in the dialect d."""
-    return _lines(_assignments(records, d), d)
-
-
-_ARRAYS = ("vals", "d1", "d2")
-
-
 def _batched(ast: ExprAst, varnames):
     """(inputs, records, results) of the batched kernel: its slot atoms,
     each mapped to (k, j) for column j of the k-th argument (vals, d1,
@@ -531,11 +420,7 @@ def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
     rules that its outputs read, with their temporaries' names reused
     (_render).  `backend` must be "numpy" (see require_numpy_backend)."""
     require_numpy_backend(backend)
-    inputs, records, results = _batched(ast, varnames)
-    preamble = [f"{atom} = {_ARRAYS[k]}[:,{j}]" for atom, (k, j) in inputs.items()]
-    body = preamble + _text(records, _NUMPY) + [f"out[:,{k}] = {atom}" for k, atom in enumerate(results)]
-    inner = "\n".join("    " + ln for ln in body)
-    return "def _kernel(vals, d1, d2, out):\n" + inner + "\n"
+    return numpy_kernel(*_batched(ast, varnames))
 
 
 def _fused_terms(ast: ExprAst, varnames, forcing=()):
@@ -577,10 +462,7 @@ def _fused_terms(ast: ExprAst, varnames, forcing=()):
 def generate_solve_source(ast: ExprAst, varnames, forcing=()) -> str:
     """Source of `_terms(w0, .., w{2n-1})` returning the tuple of the
     terms of _fused_terms."""
-    records, results = _render(*_fused_terms(ast, varnames, forcing))
-    args = ", ".join(f"w{j}" for j in range(len(varnames)))
-    body = _text(records) + [f"return ({', '.join(results)},)"]
-    return f"def _terms({args}):\n" + "\n".join("    " + ln for ln in body) + "\n"
+    return solve_function(len(varnames), *_render(*_fused_terms(ast, varnames, forcing)))
 
 
 def _adjugate(h, n, bind=tuple):
@@ -643,10 +525,10 @@ def _build(src: str, name: str, **env):
     return ns[name]
 
 
-# The ufunc each template calls on arrays (the text of _NUMPY).  An
-# operator on an ndarray calls its ufunc on the operands in their order
-# (2.0 * t is np.multiply(2.0, t)), and t ** (p) is np.power(t, p) bit
-# for bit.
+# The ufunc each template calls on arrays (the text of lowering._NUMPY).
+# An operator on an ndarray calls its ufunc on the operands in their
+# order (2.0 * t is np.multiply(2.0, t)), and t ** (p) is np.power(t, p)
+# bit for bit.
 _UFUNCS = {
     "-{}": np.negative, "{} + {}": np.add, "{} - {}": np.subtract,
     "{} * {}": np.multiply, "{} / {}": np.divide, "{} ** ({})": np.power,
@@ -691,10 +573,11 @@ class _Tape:
     the tape keeps the ufuncs as one byte each (their index in _OPS).
     The outputs are written as the text writes them, out[:, c] = slot."""
 
-    __slots__ = ("registers", "sources", "columns", "literals", "outputs", "masks", "codes",
-                 "first", "second", "dest", "kernels")
+    __slots__ = ("key", "registers", "sources", "columns", "literals", "outputs", "masks",
+                 "codes", "first", "second", "dest", "kernels")
 
-    def __init__(self, inputs, records, results):
+    def __init__(self, key, inputs, records, results):
+        self.key = key  # (text, variables) of compile_field's cache
         registers = self.registers = len({name for name, _template, _args in records})
         slot = {f"t{r}": r for r in range(registers)}
         atoms = dict.fromkeys(itertools.chain.from_iterable(args for _n, _t, args in records))
@@ -773,7 +656,8 @@ class _Tape:
         first = array("H", map(slot.get, first, first))
         second = array("H", map(slot.get, second, second))
         outputs = tuple(map(slot.get, outputs, outputs))
-        return _Kernel(registers, sources, columns, literals, ufuncs, first, second, dest, outputs)
+        return _Kernel(self.key, reads, registers, sources, columns, literals, ufuncs, first,
+                       second, dest, outputs)
 
 
 class _Kernel:
@@ -786,13 +670,16 @@ class _Kernel:
     NATIVE_PROBES asks native for the C loop of these records, once
     (native is imported then); from then on every call that loop serves
     skips the tape (the loop returns False for arrays it does not take,
-    and where it hands back).  A kernel holds no reference to its tape."""
+    and where it hands back).  A kernel holds no reference to its tape or
+    its expression, only to its tape's `key` and its `reads`, from which
+    native writes the loop."""
 
-    __slots__ = ("registers", "sources", "columns", "literals", "ufuncs", "first", "second",
-                 "dest", "outputs", "arguments", "served", "loop")
+    __slots__ = ("key", "reads", "registers", "sources", "columns", "literals", "ufuncs", "first",
+                 "second", "dest", "outputs", "arguments", "served", "loop")
 
-    def __init__(self, registers, sources, columns, literals, ufuncs, first, second, dest,
-                 outputs):
+    def __init__(self, key, reads, registers, sources, columns, literals, ufuncs, first, second,
+                 dest, outputs):
+        self.key, self.reads = key, reads
         self.registers, self.sources, self.columns, self.literals = (
             registers, sources, columns, literals)
         self.ufuncs, self.first, self.second, self.dest = ufuncs, first, second, dest
@@ -844,7 +731,7 @@ def compile_field(ast: ExprAst, varnames, *, reads=FULL):
     key = (to_text(ast), tuple(varnames))
     tape = _CACHE.pop(key, None)
     if tape is None:
-        tape = _Tape(*_batched(ast, varnames))
+        tape = _Tape(key, *_batched(ast, varnames))
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]  # the least recently used
     _CACHE[key] = tape  # now the most recently used

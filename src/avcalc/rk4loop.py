@@ -3,18 +3,18 @@ Lagrangian with n <= 3 as straight-line code, the state in scalar
 locals and the fused terms of kernels._fused_terms inlined into each
 stage.
 
-generate_step_source writes it from one list of statements through a
-dialect (kernels._Dialect): in Python here (PYTHON, compiled by
-compile_step), and in C by native.py.  Each stage's solve is the one
-dynamics runs (kernels._adjugate, _condition, _times), run here on
-atoms that write its operations (_Text).  A velocity Hessian whose
-entries are all literals (a gauge shift adds <d(chi), v>, linear in v,
-so it never changes the Hessian) is adjugated and guarded by it on
-floats once, at codegen time, and only the solve is rendered.
-A forcing's n expressions are n more value records of the terms.
-dynamics.integrate_trajectory runs the loop unless the forcing is a
-callable, and it gives the trajectories of its numpy RK4 loop bit for
-bit.  On any alarm it returns the last good step, and the caller's
+generate_step_source writes it as one list of statements, which
+lowering.step_loop frames in Python (lowering.PYTHON, compiled here by
+compile_step) or in C (lowering.C, built by native.compile_step).  Each
+stage's solve is the one dynamics runs (kernels._adjugate, _condition,
+_times), run here on atoms that write its operations (_Text).  A
+velocity Hessian whose entries are all literals (a gauge shift adds
+<d(chi), v>, linear in v, so it never changes the Hessian) is adjugated
+and guarded by it on floats once, at codegen time, and only the solve
+is rendered.  A forcing's n expressions are n more value records of the
+terms.  dynamics.integrate_trajectory runs the loop unless the forcing
+is a callable, and it gives the trajectories of its numpy RK4 loop bit
+for bit.  On any alarm it returns the last good step, and the caller's
 numpy loop repeats that step and raises the error, if there is one.
 """
 from __future__ import annotations
@@ -24,10 +24,8 @@ import sys
 
 from . import kernels
 from .exprlang import ExprAst, Number
-from .kernels import (
-    _PYTHON, _ZERO, MAX_CONDITION, _adjugate, _assignments, _condition, _Dialect, _fused_terms,
-    _lines, _lit, _render, _times,
-)
+from .kernels import MAX_CONDITION, _adjugate, _condition, _fused_terms, _render, _times
+from .lowering import _ZERO, PYTHON, _assignments, _Dialect, _lit, step_loop
 
 
 class _Text:
@@ -145,39 +143,19 @@ def _stage(terms, inputs, acc, d):
     return statements
 
 
-def _python_loop(parameters, local_names, body):
-    """The Python function _run of generate_step_source around the
-    statements `body` of one step."""
-    head = (f"def _run({', '.join(parameters)}, xs, vs):\n"
-            # flat views of the C-contiguous rows: a float stored through
-            # a memoryview costs a third of a numpy item assignment
-            "    xm = memoryview(xs).cast('B').cast('d')\n"
-            "    vm = memoryview(vs).cast('B').cast('d')\n"
-            "    hh = 0.5 * h\n"
-            "    h6 = h / 6.0\n"
-            "    for k in range(steps):\n"
-            "        try:\n")
-    tail = ("        except (ValueError, ArithmeticError):\n"
-            "            return k\n"
-            "    return steps\n")
-    return head + "\n".join(" " * 12 + ln for ln in _lines(body, PYTHON)) + "\n" + tail
-
-
-# the Python dialect, with the frame of the loop
-PYTHON = _PYTHON._replace(loop=_python_loop)
-
-
 def generate_step_source(ast: ExprAst, varnames, forcing=(), dialect: _Dialect = PYTHON) -> str:
     """Source of the whole classical RK4 loop for a Lagrangian over
     varnames = (x1..xn, v1..vn) with n <= 3 forced by the n expressions
-    `forcing` (none: unforced), in Python, or in another language by its
-    `dialect` (native.generate_step_source writes C),
+    `forcing` (none: unforced), in Python, or in C for the dialect
+    lowering.C (native.compile_step),
 
         _run(x0, .., v0, .., h, steps, lo0, hi0, .., xs, vs)
+        long av_run(double x0, .., double h, long steps, .., double *xm, double *vm)
 
     from the position x and velocity v, with step size h, the chart box
     lo_i <= x_i <= hi_i (its tolerance included), and C-contiguous
-    (steps + 1, n) float arrays xs and vs whose row 0 holds the start.
+    (steps + 1, n) float arrays xs and vs whose row 0 holds the start
+    (in C, the addresses xm and vm of their data).
     The state stays in scalar locals.  Each stage is the straight-line
     body of the fused terms and forcing (_fused_terms, walked once) on
     that stage's position and velocity, then the solve by the adjugate,
@@ -224,7 +202,7 @@ def generate_step_source(ast: ExprAst, varnames, forcing=(), dialect: _Dialect =
              for rows, name in (("xm", "x"), ("vm", "v")) for i in idx]
     parameters = [*x, *v, "h", "steps", *(f"{b}{i}" for i in idx for b in ("lo", "hi"))]
     local = [name for names in stage_x[1:] + stage_v[1:] + acc for name in names]
-    return dialect.loop(parameters, local, body)
+    return step_loop(parameters, local, body, dialect)
 
 
 def compile_step(ast: ExprAst, varnames, forcing=()):

@@ -151,3 +151,62 @@ def test_checks_run_at_fixed_sizes_and_tolerances():
     for argv, flags in expected.items():
         args = vars(parser.parse_args([*argv, "--system", "free"]))
         assert {flag: args[flag] for flag in flags} == flags
+
+
+# Source-text syntax lives in lowering.py: every language is one of its
+# dialect tables, and native.py only compiles, loads and calls.
+NATIVE_NEVER_IMPORTS = {"_Dialect", "_assignments", "_lines", "_UFUNCS", "_UNARY", "_num"}
+
+
+def dialect_builds(source: str) -> list:
+    """(line, text) of every call in `source` that makes a dialect:
+    _Dialect(...), or ._replace(...) on one of lowering's dialects, by
+    its name, an alias imported from lowering, or lowering.<name>."""
+    from avcalc import lowering
+
+    dialects = {name for name, value in vars(lowering).items()
+                if isinstance(value, lowering._Dialect)}
+    tree = ast.parse(source)
+    local = set(dialects)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lowering"):
+            local.update(a.asname or a.name for a in node.names if a.name in dialects)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "_Dialect":
+            found.append((node.lineno, "_Dialect("))
+        elif name == "_replace":
+            receiver = func.value
+            if ((isinstance(receiver, ast.Name) and receiver.id in local)
+                    or (isinstance(receiver, ast.Attribute) and receiver.attr in dialects)):
+                found.append((node.lineno, f"{ast.unparse(receiver)}._replace("))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                         if p.name != "lowering.py"))
+def test_only_lowering_makes_dialects(path):
+    assert dialect_builds((SRC / path).read_text()) == []
+
+
+def test_native_writes_no_source():
+    tree = ast.parse((SRC / "native.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert (imported | used) & NATIVE_NEVER_IMPORTS == set()
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .lowering import PYTHON as _PYTHON\nPY = _PYTHON._replace(ops={})\n",
+     [(2, "_PYTHON._replace(")]),
+    ("from . import lowering\nPY = lowering.C._replace(inf='x')\n", [(2, "lowering.C._replace(")]),
+    ("from .lowering import _Dialect\nD = _Dialect(*range(11))\n", [(2, "_Dialect(")]),
+    ("point = point._replace(x=1)\n", []),
+])
+def test_dialect_guard_sees_builds(source, expected):
+    assert dialect_builds(source) == expected

@@ -450,6 +450,24 @@ class TestTrajectories:
         )
         assert tr.positions[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_forcing_sweep_keeps_two_engines(self):
+        # a sweep over constant forcings, the unforced orbit among them,
+        # keeps the chart's unforced engine and its latest forced one,
+        # and every orbit is a fresh Lagrangian's
+        text = "0.5*(v1^2 + v2^2) - 0.5*(x1^2 + x2^2) + 0.1*x1*v2"
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), text)
+        sweep = [0.001 * k for k in range(50)] + [None, 0.002, None, 0.003]
+        for forcing in sweep:
+            args = ([0.1, 0.2], [0.0, 0.1], 0.0, 1.0, 100, forcing)
+            tr = integrate_trajectory(lam, *args)
+            fresh = integrate_trajectory(GaugeClassLagrangian.from_exprs(euclidean_atlas(2), text),
+                                         *args)
+            assert tr.positions.tobytes() == fresh.positions.tobytes(), forcing
+            assert tr.velocities.tobytes() == fresh.velocities.tobytes(), forcing
+            assert len(lam._engines) <= 2
+        assert {key: kept[0] for key, kept in lam._engines.items()} == {
+            ("0", False): (), ("0", True): ("0.003", "0.003")}
+
 
     def test_overflowing_step_size_rejected(self):
         lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2")
@@ -753,7 +771,7 @@ def python_power(x, y):
 
 
 class TestLibmPow:
-    """The C loop writes both powers as libm's pow (native.C), on the
+    """The C loop writes both powers as libm's pow (lowering.C), on the
     assumption that C99 Annex F's special cases are Python's: on every
     pair, pow's value has the bits of the Python loop's, or it is not
     finite (so C's check hands back) where Python's is not finite or

@@ -498,7 +498,7 @@ class TestReads:
         lam = system.lagrangian if chi is None else gauge_shift(system.lagrangian, chi)
         ast = lam.expr(system.default_chart())
         names = lagrangian_varnames(system.dim)
-        tape = kernels._Tape(*kernels._batched(ast, names))
+        tape = kernels._Tape(None, *kernels._batched(ast, names))
         all_reads = [kernels.FULL, (0, 1, 3), (0, 1), (0,)]
         assert [sum(tape.live(reads)) for reads in all_reads] == counts
         # the same counts from prune on the emitter's lines, one name each
@@ -603,6 +603,9 @@ class TestTextsScript:
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stdout + run.stderr
+        # every generated text is byte-identical to the committed record
+        expected = (root / "benchmarks" / "texts.expected").read_text().splitlines()
+        assert run.stdout.splitlines() == expected
         rows = [line.split(" ") for line in run.stdout.splitlines()]
         probes = [label for label, text, _digest in rows if text == "probes"]
         assert {"charged[0]", "charged+chi0", "relativistic[0]", "circle[1]",
