@@ -37,8 +37,19 @@ These rows run the op tape (kernels.NATIVE_PROBES is set out of reach).
 The native rows after them run each kernel as its C probe loop
 (native.compile_probes), as a kernel does once it has served
 NATIVE_PROBES probes, called through the same kernel: us/call and
-ns/probe as above, and whether the outputs have the tape's bits.  Their
-header gives each loop's build time:
+ns/probe as above, and whether the outputs have the tape's bits.  They
+come in two layouts of the probes (the "rows" column):
+
+  * uniform: every probe's vals, d1 and d2 uniform in [-1, 1], as above,
+    so no vals row repeats the one before it;
+  * el:      the layout of _ChartEngine.el_covectors, each point's vals
+             row (uniform in [-1, 1]) repeated 2n times, d1 = e_j and
+             d2 = (v, a) on the last n, a uniform in [-1, 1].
+
+The loop runs a point's records that read vals alone once per run of
+equal rows (lowering.probe_loop), so the el rows show what that saves
+per probe, and the uniform rows what comparing the rows costs where
+they never repeat.  Their header gives each loop's build time:
 
   * build ms:   milliseconds of native.compile_probes for the kernel of
                 each reads, C compiler included (once: a loop is kept).
@@ -163,6 +174,19 @@ def traced_peak_bytes(kernel, args) -> int:
         tracemalloc.stop()
 
 
+def layouts(rng, size, m):
+    """(label, vals, d1, d2) of `size` probes over m = 2n variables in
+    each layout of the native rows."""
+    yield ("uniform", *(rng.uniform(-1.0, 1.0, (size, m)) for _ in range(3)))
+    n = m // 2
+    points = -(-size // m)
+    rows = rng.uniform(-1.0, 1.0, (points, m))
+    d2 = np.zeros((points, m, m))
+    d2[:, n:] = np.hstack([rows[:, n:], rng.uniform(-1.0, 1.0, (points, n))])[:, None]
+    yield ("el", rows.repeat(m, axis=0)[:size], np.tile(np.eye(m), (points, 1))[:size],
+           d2.reshape(-1, m)[:size])
+
+
 def native_rows(ast, names, sizes, repeats: int, rng) -> bool:
     """Print the native rows of the kernels of `ast`; whether every
     one's outputs have the tape's bits and C served every call."""
@@ -176,26 +200,26 @@ def native_rows(ast, names, sizes, repeats: int, rng) -> bool:
         build.append(time.perf_counter() - t0)
     print(f"  native: build {' / '.join(f'{1e3 * b:.0f}' for b in build)} ms "
           f"for reads {' / '.join(map(label, READS))}")
-    print(f"{'probes':>8} {'reads':>6} {'us/call':>10} {'ns/probe':>10}  vs tape")
+    print(f"{'probes':>8} {'reads':>6} {'rows':>8} {'us/call':>10} {'ns/probe':>10}  vs tape")
     agree = True
     for size in sizes:
-        vals, d1, d2 = (rng.uniform(-1.0, 1.0, (size, len(names))) for _ in range(3))
-        for reads in READS:
-            kernel = tape.kernel(reads)
-            if not kernel.loop:
-                print(f"{size:8d} {label(reads):>6}  no loop: a record stays on the tape")
-                agree = False
-                continue
-            want = np.empty((size, len(reads)))
-            reference.kernel(reads)(vals, d1, d2, want)
-            out = np.empty((size, len(reads)))
-            served = kernel.loop(vals, d1, d2, out)
-            same = served and out.tobytes() == want.tobytes()
-            agree &= same
-            seconds = best_seconds_per_call(kernel, (vals, d1, d2, out), repeats)
-            verdict = "identical" if same else "DIFFER" if served else "HANDED BACK"
-            print(f"{size:8d} {label(reads):>6} {1e6 * seconds:10.2f} "
-                  f"{1e9 * seconds / size:10.1f}  {verdict}")
+        for rows, vals, d1, d2 in layouts(rng, size, len(names)):
+            for reads in READS:
+                kernel = tape.kernel(reads)
+                if not kernel.loop:
+                    print(f"{size:8d} {label(reads):>6} {rows:>8}  no loop: a record stays on the tape")
+                    agree = False
+                    continue
+                want = np.empty((size, len(reads)))
+                reference.kernel(reads)(vals, d1, d2, want)
+                out = np.empty((size, len(reads)))
+                served = kernel.loop(vals, d1, d2, out)
+                same = served and out.tobytes() == want.tobytes()
+                agree &= same
+                seconds = best_seconds_per_call(kernel, (vals, d1, d2, out), repeats)
+                verdict = "identical" if same else "DIFFER" if served else "HANDED BACK"
+                print(f"{size:8d} {label(reads):>6} {rows:>8} {1e6 * seconds:10.2f} "
+                      f"{1e9 * seconds / size:10.1f}  {verdict}")
     return agree
 
 

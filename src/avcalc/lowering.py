@@ -200,13 +200,48 @@ static double av_max(double a, double b)
 _RAISED = "FE_DIVBYZERO | FE_INVALID | FE_OVERFLOW | FE_UNDERFLOW"
 
 
-def _c_function(head: str, signature: str, declarations, count: str, body, result: str) -> str:
+def _c_function(head: str, signature: str, declarations, count: str, lines, result: str) -> str:
     """C source: `head`, then the function `signature` that runs its
-    `declarations`, then the statements `body` for k = 0 .. count - 1,
-    and returns `result`."""
+    `declarations`, then the C `lines` for k = 0 .. count - 1, and
+    returns `result`."""
     return (f"{head}\n{signature}\n{{\n" + _indented(declarations, 4)
-            + f"    for (long k = 0; k < {count}; k++) {{\n" + _indented(_lines(body, C), 8)
+            + f"    for (long k = 0; k < {count}; k++) {{\n" + _indented(lines, 8)
             + f"    }}\n    return {result};\n}}\n")
+
+
+_DIFFER = """\
+
+/* Whether the doubles at a and b differ in a bit (-0.0 and 0.0 do),
+   without a library call. */
+static int av_differ(const double *a, const double *b)
+{
+    unsigned long long x, y;
+    __builtin_memcpy(&x, a, sizeof x);
+    __builtin_memcpy(&y, b, sizeof y);
+    return x != y;
+}
+"""
+
+
+def _point_records(loads, records):
+    """(point, rest, rename): the records of probe_loop split into the
+    point records, whose operands are only atoms of vals, literals or
+    earlier point records, each renamed p{i} so that no later record
+    that reuses its register overwrites it; and the other records, in
+    their order, reading the point records by those names.  rename maps
+    an atom that holds a point value after the last record to its name."""
+    rename = {atom: atom for atom, (a, _j) in loads.items() if a == 0}
+    point, rest = [], []
+    for name, template, args in records:
+        held = all(arg in rename or _lit(arg) is not None for arg in args)
+        args = [rename.get(arg, arg) for arg in args]
+        if held:
+            rename[name] = f"p{len(point)}"
+            point.append((rename[name], template, args))
+        else:
+            rename.pop(name, None)
+            rest.append((name, template, args))
+    return point, rest, rename
 
 
 def probe_loop(loads, records, outputs) -> str:
@@ -224,19 +259,56 @@ def probe_loop(loads, records, outputs) -> str:
     0..k-1 written; otherwise 0 if the call raised one of the IEEE
     exceptions numpy reports (tested once, after the last probe: a test
     per probe made the charged particle's loop half as slow again),
-    else `probes`."""
-    names = [*loads, *dict.fromkeys(name for name, _template, _args in records)]
-    body = [*[(atom, f"{_ARRAYS[k]}[k * {_ARRAYS[k]}_n + {j}]") for atom, (k, j) in loads.items()],
-            *_assignments(records, C),
-            (None, C.conj.join(C.finite.format(C.atom(a)) for a in outputs)),
-            *[(f"out[k * out_n + {c}]", C.atom(a)) for c, a in enumerate(outputs)]]
+    else `probes`.
+
+    The library sends a point's derivatives in several directions as
+    probes that repeat its vals row (2n for an Euler-Lagrange covector,
+    n for a momentum), so the loads of vals and the point records
+    (_point_records), which read nothing else, run once per run of
+    equal rows: at k = 0 and wherever row k differs from row k - 1 in a
+    bit of a column loaded (-0.0 is not 0.0: sin keeps the sign).  The
+    vector forward mode of Griewank & Walther, Evaluating Derivatives,
+    ch. 3: avbench cloud's twin of the charged particle runs 36 of its
+    174 records there, its four libm calls among them, and its loop
+    takes 26 ns a probe on cloud_large's rows against 54-56 when every
+    probe ran every record (shared 2-vCPU Xeon, best of 30 calls).
+    Equal operands compute equal doubles and raise equal IEEE flags, and
+    a point record's check fails first on the first probe of its run,
+    so the loop returns what it returned with every record run per
+    probe.  A kernel with no point record, or none that is not one (a
+    kernel of the value alone), runs every record per probe."""
+    point, rest, rename = _point_records(loads, records)
+    if not (point and rest):
+        point, rest, rename = [], records, {}
+    names = [*loads, *[name for name, _template, _args in point],
+             *dict.fromkeys(name for name, _template, _args in rest)]
+    outputs = [rename.get(a, a) for a in outputs]
+
+    def load(atom):
+        k, j = loads[atom]
+        return atom, f"{_ARRAYS[k]}[k * {_ARRAYS[k]}_n + {j}]"
+
+    hoisted = [atom for atom, (k, _j) in loads.items() if point and k == 0]
+    lines = []
+    if point:
+        lines = ["if (k == 0", *[f"    || av_differ(&vals[k * vals_n + {j}], "
+                                 f"&vals[(k - 1) * vals_n + {j}])"
+                                 for j in (loads[atom][1] for atom in hoisted)]]
+        lines[-1] += ") {"
+        lines += ["    " + line for line in _lines([*map(load, hoisted),
+                                                     *_assignments(point, C)], C)]
+        lines.append("}")
+    lines += _lines([*[load(atom) for atom in loads if atom not in hoisted],
+                     *_assignments(rest, C),
+                     (None, C.conj.join(C.finite.format(C.atom(a)) for a in outputs)),
+                     *[(f"out[k * out_n + {c}]", C.atom(a)) for c, a in enumerate(outputs)]], C)
     return _c_function(
-        "#include <fenv.h>\n#include <math.h>\n",
+        "#include <fenv.h>\n#include <math.h>\n" + (_DIFFER if point else ""),
         "long av_probes(long probes, const double *vals, long vals_n,\n"
         "               const double *d1, long d1_n, const double *d2, long d2_n,\n"
         "               double *out, long out_n)",
         ([f"double {', '.join(names)};"] if names else []) + [f"feclearexcept({_RAISED});"],
-        "probes", body, f"fetestexcept({_RAISED}) ? 0 : probes")
+        "probes", lines, f"fetestexcept({_RAISED}) ? 0 : probes")
 
 
 def step_loop(parameters, local_names, body, d) -> str:
@@ -251,7 +323,7 @@ def step_loop(parameters, local_names, body, d) -> str:
         return _c_function(
             _HELPERS, f"long av_run({typed}, double *xm, double *vm)",
             ["double hh = 0.5 * h;", "double h6 = h / 6.0;", f"double {', '.join(local)};",
-             "long at;"], "steps", body, "steps")
+             "long at;"], "steps", _lines(body, C), "steps")
     return _def(f"_run({', '.join(parameters)}, xs, vs)", [
         # flat views of the C-contiguous rows: a float stored through
         # a memoryview costs a third of a numpy item assignment

@@ -14,6 +14,10 @@ them stays on its tape.  Besides C's checks, the probe loop checks each
 output, and hands back if the call raised an IEEE exception that numpy
 reports (divide, invalid, overflow, underflow), so that the tape, run
 again on the whole call, gives every NaN, infinity, warning and error.
+The records that read only vals (a point's value, its libm calls among
+them) run once per run of bit-identical vals rows, as the library lays
+out a point's 2n or n seeded probes (lowering.probe_loop); the others
+run for every probe.
 
 A loop is compiled by `cc` with CC_FLAGS in a temporary directory,
 loaded by ctypes, and the directory is deleted: nothing stays on disk,

@@ -588,7 +588,7 @@ class TestKernelBatchScript:
         assert run.returncode == 0, run.stdout + run.stderr
         assert run.stdout.count(" ok (") == 16  # 2 kernels, 2 sizes, 4 reads
         if shutil.which("cc") is not None:
-            assert run.stdout.count("  identical") == 16
+            assert run.stdout.count("  identical") == 32  # and 2 layouts
 
 
 class TestTextsScript:

@@ -1,12 +1,14 @@
 """The batched kernels' C probe loop (native.compile_probes) against
 the op tape it replaces once a kernel has served kernels.NATIVE_PROBES
 probes: the same outputs bit for bit on every bundled Lagrangian and
-configured twin, for every reads the library asks for; the tape's
-outputs, errors and warnings wherever a call leaves the real domain; the
-tape alone, after one attempt, wherever no loop can be built; no build
-below the threshold, in `check-all` or for a tape numpy's bits keep on
-the tape; and numpy's sin, cos and sqrt equal to libm's, the
-assumption all of this rests on, checked without a compiler."""
+configured twin, for every reads the library asks for, on random rows
+and on the rows the library repeats for a point's seeded probes; the
+tape's outputs, errors and warnings wherever a call leaves the real
+domain, in a record that reads only vals too; the tape alone, after
+one attempt, wherever no loop can be built; no build below the
+threshold, in `check-all` or for a tape numpy's bits keep on the tape;
+and numpy's sin, cos and sqrt equal to libm's, the assumption all of
+this rests on, checked without a compiler."""
 import concurrent.futures
 import ctypes
 import ctypes.util
@@ -74,6 +76,40 @@ def arguments(rng, size, n, halfwidth, reads):
     return (*arrays, *[None] * (2 - len(seeds)))
 
 
+def repeated(rng, size, n, halfwidth, layout, reads):
+    """vals, d1 and d2 of `size` probes laid out as the library lays out
+    a point's probes, each point's vals row repeated: 2n times with
+    d1 = e_j and d2 = (v, a) on the last n (_ChartEngine.el_covectors),
+    or n times with d1 = e_{n+i} (momenta, whose d2, read by the kernels
+    that read one, is uniform in [-1, 1] here).  A third of the
+    coordinates are zeros, and every second point is the one before it
+    with the sign of one of its zeros flipped (-0.0 against 0.0)."""
+    m = 2 * n
+    first = 0 if layout == "el_covectors" else n
+    period = m - first
+    points = -(-size // period)
+    rows = np.hstack([rng.uniform(-0.5, 0.5, (points, n)),
+                      rng.uniform(-0.5, 0.5, (points, n)) * halfwidth])
+    rows[rng.random(rows.shape) < 1 / 3] = 0.0
+    for i in range(1, points, 2):
+        j = rng.integers(m)
+        rows[i - 1, j] = math.copysign(0.0, rng.choice([-1.0, 1.0]))
+        rows[i] = rows[i - 1]
+        rows[i, j] = -rows[i - 1, j]
+    vals = rows.repeat(period, axis=0)[:size]
+    d1 = np.tile(np.eye(m)[first:], (points, 1))[:size]
+    if layout == "el_covectors":
+        d2 = np.zeros((points, period, m))
+        d2[:, n:] = np.hstack([rows[:, n:], rng.uniform(-1.0, 1.0, (points, n))])[:, None]
+        d2 = d2.reshape(-1, m)[:size]
+    else:
+        d2 = rng.uniform(-1.0, 1.0, (size, m))
+    seeds = [d1, d2][:seeds_read(reads)]
+    for a in seeds:
+        a.flags.writeable = False
+    return (vals, *seeds, *[None] * (2 - len(seeds)))
+
+
 def on_tape(kernel, vals, d1, d2, width):
     """The outputs of a kernel that has not taken its C loop, computed
     by its tape whatever it has served."""
@@ -121,6 +157,42 @@ class TestBitIdentity:
                 out = np.full((size, len(reads)), np.nan)
                 assert run(vals, d1, d2, out), (reads, size)  # C served the whole call
                 assert out.tobytes() == want.tobytes(), (reads, size)
+
+    @needs_cc
+    @pytest.mark.parametrize("layout", ["el_covectors", "momenta"])
+    @pytest.mark.parametrize("label", [label for label, _ast, _system in lagrangians()])
+    def test_repeated_rows_match_the_tape(self, label, layout, probe_loops):
+        # the loop runs a point's value-only records once per run of
+        # bit-identical vals rows: every probe of the run reads them
+        _ast, system, loops = probe_loops[label]
+        rng = np.random.default_rng(43)
+        for reads, (kernel, run) in loops.items():
+            if run is None:
+                continue
+            for size in SIZES:
+                vals, d1, d2 = repeated(rng, size, system.dim, system.v_halfwidth, layout, reads)
+                want = on_tape(kernel, vals, d1, d2, len(reads))
+                out = np.full((size, len(reads)), np.nan)
+                assert run(vals, d1, d2, out), (reads, size)
+                assert out.tobytes() == want.tobytes(), (reads, size)
+
+    def test_the_sign_of_a_zero_reaches_the_outputs(self):
+        # the repeated layouts above can tell -0.0 from 0.0: on the
+        # charged particle's L and its twins some adjacent points differ
+        # only in the sign of a zero and in the tape's outputs
+        differ = 0
+        for label, ast, system in lagrangians():
+            if not label.startswith("charged"):
+                continue
+            rng = np.random.default_rng(43)
+            n = system.dim
+            size = 4096 - 4096 % (4 * n)  # whole pairs of points
+            vals, d1, d2 = repeated(rng, size, n, system.v_halfwidth, "el_covectors", kernels.FULL)
+            out = on_tape(kernel_of(ast, lagrangian_varnames(n)), vals, d1, d2, 4)
+            pairs = out.reshape(-1, 2, 2 * n * 4)
+            differ += int(np.sum(np.any(pairs[:, 0].view(np.uint64) != pairs[:, 1].view(np.uint64),
+                                        axis=1)))
+        assert differ
 
     @needs_cc
     def test_a_kernel_hands_off_to_its_loop(self, monkeypatch):
@@ -215,6 +287,22 @@ class TestHandBacks:
         assert raw_loop("sign(sqrt(x1)) + 1/x1 + 2*x1*x2")(*column(1.0, 2.0, 3.0)) == 3
 
 
+def tape_or_loop(monkeypatch, threshold, ast, vals, d1, d2, rows=1):
+    """Outputs, warnings and require_finite's error of a fresh full
+    kernel of `ast` over NAMES that tiers up once it has served
+    `threshold` probes, called on probes of `rows` per point."""
+    monkeypatch.setattr(kernels, "NATIVE_PROBES", threshold)
+    out = np.empty((len(vals), 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernel_of(ast, NAMES)(vals, d1, d2, out)
+    try:
+        kernels.require_finite([out.reshape(-1, 4 * rows)], ast, NAMES, vals, d1, d2, rows)
+    except DomainError as exc:
+        return out.tobytes(), [str(w.message) for w in caught], str(exc)
+    return out.tobytes(), [str(w.message) for w in caught], None
+
+
 @needs_cc
 @pytest.mark.parametrize("text", ["sqrt(x1)", "x1/(x1 - x1)", "1e308*10*x1", "sign(x1*x1)*v1",
                                   "sqrt(x1)*sin(1/x2)"])
@@ -223,25 +311,29 @@ def test_domain_leaving_calls_give_the_tapes_outputs(text, monkeypatch):
     vals = np.array([[0.5, 1.0, 0.25, 0.0], [-1.0, 0.0, 1.0, 2.0], [1e200, 1.0, 0.0, 0.0],
                      [0.0, -0.0, 1.0, 1.0], [4.0, 2.0, -1.0, 0.5]])
     d1, d2 = np.ones((5, 4)), np.full((5, 4), 0.5)
-
-    def outputs(threshold):
-        """Outputs, warnings and require_finite's error of a fresh kernel
-        that tiers up once it has served `threshold` probes."""
-        monkeypatch.setattr(kernels, "NATIVE_PROBES", threshold)
-        out = np.empty((5, 4))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            kernel_of(ast, NAMES)(vals, d1, d2, out)
-        try:
-            kernels.require_finite([out], ast, NAMES, vals, d1, d2)
-        except DomainError as exc:
-            return out.tobytes(), [str(w.message) for w in caught], str(exc)
-        return out.tobytes(), [str(w.message) for w in caught], None
-
-    want = outputs(math.inf)
+    want = tape_or_loop(monkeypatch, math.inf, ast, vals, d1, d2)
     assert want[1]  # every case warns; all but the sign's absorbed overflow raise
     assert (want[2] is None) == text.startswith("sign")
-    assert outputs(0) == want
+    assert tape_or_loop(monkeypatch, 0, ast, vals, d1, d2) == want
+
+
+@needs_cc
+def test_a_point_record_leaving_the_domain_hands_back_at_its_points_first_probe(monkeypatch):
+    # the relativistic L's sqrt(1 - v1^2 - v2^2) reads vals alone, so it
+    # runs once per point of the Euler-Lagrange layout: at the third
+    # point |v| > 1, and its check fails on that point's first probe
+    ast = bundled_system("relativistic").lagrangian.expr("0")
+    vals, d1, d2 = repeated(np.random.default_rng(19), 20, 2, 0.5, "el_covectors", kernels.FULL)
+    vals[8:12, 2:] = (0.9, 0.8)
+    out = np.full((20, 4), np.nan)
+    assert raw_loop(to_text(ast))(vals, d1, d2, out) == 8
+    with np.errstate(invalid="ignore"):
+        want = on_tape(kernel_of(ast, NAMES), vals, d1, d2, 4)
+    assert out[:8].tobytes() == want[:8].tobytes()  # the earlier points' rows are written
+    assert np.isnan(out[8:]).all()
+    tape = tape_or_loop(monkeypatch, math.inf, ast, vals, d1, d2, 4)
+    assert tape[1] and "sqrt" in tape[2] and "v1=0.9" in tape[2]
+    assert tape_or_loop(monkeypatch, 0, ast, vals, d1, d2, 4) == tape
 
 
 def spy_popen(monkeypatch):
