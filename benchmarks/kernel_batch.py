@@ -1,5 +1,5 @@
 """Batched kernel cost per probe at batch sizes 1, 16, 512 and 10^4,
-and the cost of building one.
+the cost of building one, and the library's kernels' cost per point.
 
 For the charged particle's Lagrangian and its twin shifted by its first
 configured gauge function chi, the batched kernels of
@@ -55,6 +55,22 @@ they never repeat.  Their header gives each loop's build time:
                 each reads, C compiler included (once: a loop is kept).
 
 Without a C compiler the native rows say so and are left out.
+
+The per-point rows after them run the library's own kernels, those of
+the Lagrangian table (kernels._lagrangian), on one row (x, v, a) per
+point, uniform in [-1, 1]: "el" reads L, dL/dx and d/dt dL/dv
+(_ChartEngine.el_covectors), "p" reads L and dL/dv (momenta).  Beside
+each, the same operator in the layout of compile_field's kernel that
+the library used before the tables: the point's row repeated 2n times
+(el) or n times (p), seeded as the el rows above.  Per batch of points:
+
+  * tape ns/pt:   nanoseconds per point of the table's kernel on its tape;
+  * layout ns/pt: the same for compile_field's kernel on its layout;
+  * C ns/pt:      the table's kernel as its C loop, where it has one;
+  * layout C:     compile_field's kernel on its layout as its C loop;
+
+and whether the operator's outputs agree (E or p equal, a zero's sign
+aside, and the C loop's outputs the tape's bits).
 
 The script exits 1 if a column differs from the Hyperdual interpreter
 (exprlang.evaluate on autodiff.Hyperdual scalars, probe by probe) by
@@ -190,7 +206,7 @@ def layouts(rng, size, m):
 def native_rows(ast, names, sizes, repeats: int, rng) -> bool:
     """Print the native rows of the kernels of `ast`; whether every
     one's outputs have the tape's bits and C served every call."""
-    key = (exprlang.to_text(ast), tuple(names))  # compile_field's, from which C is written
+    key = ("_batched", exprlang.to_text(ast), tuple(names))  # compile_field's, from which C is written
     reference, tape = (kernels._Tape(key, *kernels._batched(ast, names)) for _ in range(2))
     build = []
     for reads in READS:
@@ -220,6 +236,63 @@ def native_rows(ast, names, sizes, repeats: int, rng) -> bool:
                 verdict = "identical" if same else "DIFFER" if served else "HANDED BACK"
                 print(f"{size:8d} {label(reads):>6} {rows:>8} {1e6 * seconds:10.2f} "
                       f"{1e9 * seconds / size:10.1f}  {verdict}")
+    return agree
+
+
+def layout(rows, n, op):
+    """vals, d1, d2 of compile_field's kernel for the points rows (x, v,
+    a): the el layout of the native rows, or n probes per point seeded
+    d1 = e_{n+i} for the momenta (op "p")."""
+    m = 2 * n
+    if op == "p":
+        return rows[:, :m].repeat(n, axis=0), np.tile(np.eye(m)[n:], (len(rows), 1)), None
+    d2 = np.zeros((len(rows), m, m))
+    d2[:, n:] = rows[:, n:][:, None]
+    return rows[:, :m].repeat(m, axis=0), np.tile(np.eye(m), (len(rows), 1)), d2.reshape(-1, m)
+
+
+def point_rows(ast, names, sizes, repeats: int, rng) -> bool:
+    """Print the per-point rows of the Lagrangian table's el and p
+    kernels of `ast`; whether each agrees with its layout."""
+    n = len(names) // 2
+    ops = {"el": ((0, *range(1, n + 1), *range(2 * n + 1, 3 * n + 1)), (0, 1, 3)),
+           "p": ((0, *range(n + 1, 2 * n + 1)), (0, 1))}
+    cc = shutil.which("cc") is not None
+    text = exprlang.to_text(ast)
+    table = kernels._Tape(("_lagrangian", text, tuple(names)), *kernels._lagrangian(ast, names))
+    field = kernels._Tape(("_batched", text, tuple(names)), *kernels._batched(ast, names))
+    print(f"  per point: {' / '.join(f'{sum(table.live(r))}' for r, _f in ops.values())} "
+          f"records for el / p, against {' / '.join(f'{sum(field.live(f))}' for _r, f in ops.values())}"
+          f" per probe in the layout")
+    print(f"{'points':>8} {'op':>6} {'tape ns/pt':>11} {'layout ns/pt':>13} {'C ns/pt':>9} "
+          f"{'layout C':>9}  vs layout")
+    agree = True
+    for size in sizes:
+        rows = rng.uniform(-1.0, 1.0, (size, 3 * n))
+        for op, (reads, field_reads) in ops.items():
+            kernel, other = table.kernel(reads), field.kernel(field_reads)
+            out = np.empty((size, len(reads)))
+            kernel(rows, None, None, out)
+            args = (*layout(rows, n, op), np.empty((size * (2 * n if op == "el" else n), len(field_reads))))
+            other(*args)
+            got = out[:, 1:n + 1] - out[:, n + 1:] if op == "el" else out[:, 1:]
+            each = args[3].reshape(size, -1, len(field_reads))
+            want = each[:, :n, 1] - each[:, n:, 2] if op == "el" else each[:, :, 1]
+            same = np.array_equal(got, want)
+            timed = [best_seconds_per_call(kernel, (rows, None, None, out), repeats),
+                     best_seconds_per_call(other, args, repeats)]
+            for k in (kernel, other) if cc else ():
+                k.loop = native.compile_probes(k)  # the hand-off at NATIVE_PROBES
+            if kernel.loop and other.loop:
+                c_out = np.empty_like(out)
+                same &= kernel.loop(rows, None, None, c_out) and c_out.tobytes() == out.tobytes()
+                timed += [best_seconds_per_call(kernel, (rows, None, None, c_out), repeats),
+                          best_seconds_per_call(other, args, repeats)]
+            kernel.loop = other.loop = None
+            agree &= same
+            cells = [f"{'-':>{w}}" if t is None else f"{1e9 * t / size:{w}.1f}"
+                     for t, w in zip([*timed, None, None], (11, 13, 9, 9))]
+            print(f"{size:8d} {op:>6} {' '.join(cells)}  {'equal' if same else 'DIFFER'}")
     return agree
 
 
@@ -269,6 +342,7 @@ def main() -> int:
             print("  native: no C compiler")
         else:
             agree &= native_rows(ast, names, args.sizes, args.repeats, rng)
+        agree &= point_rows(ast, names, args.sizes, args.repeats, rng)
     return 0 if agree else 1
 
 

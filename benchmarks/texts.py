@@ -22,10 +22,21 @@ n <= 3.  The Lagrangians are every bundled system's, in each of its
 charts; its shift by each of its configured gauge functions chi, in its
 default chart; and a fixed list of edge cases (EDGES): literal, mixed
 and full velocity Hessians with n = 1, 2 and 3, powers, sign, abs and a
-general exponent.  The last two lines, labelled charged-forced, are the
+general exponent.  Then two lines, labelled charged-forced, are the
 python and c loops of the charged particle under the forcing FORCING,
-whose values they inline.  Nothing is compiled, so no C compiler is
-needed.
+whose values they inline.
+
+The library's tables of literal seeds follow, each as the text of its
+batched kernel (lowering.numpy_kernel of the table's records) and, where
+every record may be written in C, its probe loop of all its outputs:
+
+  * lagrangian, lagrangian-probes: kernels._lagrangian of every
+    Lagrangian above, in the same order;
+  * gradient, gradient-probes: kernels._gradient of the same;
+  * jet, jet-probes: kernels._jet of each coordinate of every bundled
+    system's curve, labelled <system>-curve<segment>.<coordinate>.
+
+Nothing is compiled, so no C compiler is needed.
 
 Run:  PYTHONPATH=src python benchmarks/texts.py
 """
@@ -94,7 +105,24 @@ def main() -> int:
     forcing = tuple(map(parse, FORCING))
     for text in ("python", "c"):
         show("charged-forced", text, TEXTS[text](charged, lagrangian_varnames(3), forcing))
+    for label, ast, n in lagrangians():
+        for table in ("lagrangian", "gradient"):
+            show_table(label, table, ast, lagrangian_varnames(n))
+    for name in bundled_system_names():
+        for i, segment in enumerate(bundled_system(name).curve.segments):
+            for j, coordinate in enumerate(segment.exprs):
+                show_table(f"{name}-curve{i}.{j}", "jet", coordinate, ("t",))
     return 0
+
+
+def show_table(label: str, table: str, ast, names) -> None:
+    """The lines of the kernels table _<table> of ast: its batched
+    kernel's text, then its probe loop of every output where it has one."""
+    inputs, records, results = getattr(kernels, f"_{table}")(ast, names)
+    show(label, table, lowering.numpy_kernel(inputs, records, results))
+    found = native._probe_loop(f"_{table}", ast, names, tuple(range(len(results))))
+    if found is not None:
+        show(label, f"{table}-probes", found[0])
 
 
 if __name__ == "__main__":

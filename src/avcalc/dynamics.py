@@ -52,7 +52,6 @@ from .kernels import (
     eval_chunked,
     require_finite,
     require_numpy_backend,
-    unit_seeds,
 )
 from .rk4loop import compile_step
 
@@ -210,10 +209,10 @@ NATIVE_STEPS = 20_000
 class _ChartEngine:
     """Compiled evaluation of one chart representative L(x1..xn, v1..vn)
     under a forcing (n expressions over the same variables, or none):
-    probe assembly around compile_field's kernels for the batched
-    operators; the forcing's values and, compiled at first use, the
-    fused terms for the numpy RK4 step and the generated RK4 loop for
-    n <= 3, in Python and, for a hot orbit, in C (step_loop)."""
+    its Lagrangian table's kernels, one row per point, for the batched
+    operators; the forcing's values and, compiled at first use, the fused
+    terms for the numpy RK4 step and the generated RK4 loop for n <= 3,
+    in Python and, for a hot orbit, in C (step_loop)."""
 
     def __init__(self, ast: ExprAst, dim: int, forcing: tuple = ()):
         self.n = dim
@@ -255,44 +254,36 @@ class _ChartEngine:
             return self.native_rk4
         return self.rk4
 
+    def _table(self, reads, *columns):
+        """(vals, out): the columns side by side, one row per point, and
+        the outputs `reads` there of kernels._lagrangian."""
+        vals = np.concatenate(columns, axis=1)
+        kernel = compile_field(self.ast, self.varnames, reads=reads, _table="_lagrangian")
+        return vals, eval_chunked(kernel, vals, None, None, len(reads))
+
     def values(self, xs, vs) -> np.ndarray:
-        """L at every point (xs[i], vs[i]): one unseeded probe per point."""
-        vals = np.concatenate((xs, vs), axis=1)
-        kernel = compile_field(self.ast, self.varnames, reads=(0,))
-        out = eval_chunked(kernel, vals, None, None, 1)[:, 0]
+        """L at every point (xs[i], vs[i])."""
+        vals, out = self._table((0,), xs, vs)
         require_finite((out,), self.ast, self.varnames, vals)
-        return out
+        return out[:, 0]
 
     def el_covectors(self, xs, vs, accs) -> np.ndarray:
         """E_i = dL/dx_i - d/dt(dL/dv_i) at every point (xs[i], vs[i],
-        accs[i]): 2n probes per point, seeded d1 = e_j for j < 2n and,
-        on the last n, d2 = (v, a).  L itself must be finite there."""
-        n, m, k = self.n, self.m, 2 * self.n
-        points = xs.shape[0]
-        vals = np.concatenate((xs, vs), axis=1).repeat(k, axis=0)
-        d1 = unit_seeds(m, points * k)
-        d2 = np.zeros((points, k, m))
-        d2[:, n:] = np.concatenate((vs, accs), axis=1)[:, None]
-        d2 = d2.reshape(points * k, m)
-        kernel = compile_field(self.ast, self.varnames, reads=(0, 1, 3))
-        out = eval_chunked(kernel, vals, d1, d2, 3, k).reshape(points, k, 3)
+        accs[i]).  L itself must be finite there."""
+        n = self.n
+        vals, out = self._table((0, *range(1, n + 1), *range(2 * n + 1, 3 * n + 1)), xs, vs, accs)
         with np.errstate(invalid="ignore"):  # inf - inf; reported below
-            e = out[:, :n, 1] - out[:, n:, 2]
-        require_finite((out[:, 0, 0], e), self.ast, self.varnames, vals, d1, d2, k)
+            e = out[:, 1:n + 1] - out[:, n + 1:]
+        require_finite((out[:, 0], e), self.ast, self.varnames, vals)
         return e
 
     def momenta(self, xs, vs) -> np.ndarray:
-        """p_i = dL/dv_i at every point (xs[i], vs[i]): n probes per
-        point, seeded d1 = e_{n+i}.  L itself must be finite there."""
+        """p_i = dL/dv_i at every point (xs[i], vs[i]).  L itself must be
+        finite there."""
         n = self.n
-        points = xs.shape[0]
-        vals = np.concatenate((xs, vs), axis=1).repeat(n, axis=0)
-        d1 = unit_seeds(self.m, points * n, n)
-        kernel = compile_field(self.ast, self.varnames, reads=(0, 1))
-        out = eval_chunked(kernel, vals, d1, None, 2, n).reshape(points, n, 2)
-        p = out[:, :, 1]
-        require_finite((out[:, 0, 0], p), self.ast, self.varnames, vals, d1, None, n)
-        return p
+        vals, out = self._table((0, *range(n + 1, 2 * n + 1)), xs, vs)
+        require_finite((out,), self.ast, self.varnames, vals)
+        return out[:, 1:]
 
     def solve_terms(self, x, v):
         """(dL/dx, (d2L/dv dx) . v, velocity Hessian) at the float arrays
@@ -320,8 +311,7 @@ class _ChartEngine:
             values = (math.nan,)
         if all(map(math.isfinite, values)):
             return values
-        vals = np.array([point])
-        raise domain_error(ast, self.varnames, vals, *np.zeros((2, *vals.shape)))
+        raise domain_error(ast, self.varnames, point)
 
 
 # ---------------------------------------------------------------------------

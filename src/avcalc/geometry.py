@@ -24,7 +24,7 @@ from . import exprlang
 from .affine import AffineScalar, FiberPoint
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
-from .kernels import compile_field, eval_chunked, require_finite, unit_seeds
+from .kernels import compile_field, eval_chunked, require_finite
 
 _BOX_TOL = 1e-9
 # The structural checks (validate) sample VALIDATION_SAMPLES points per
@@ -39,15 +39,15 @@ def coord_names(dim: int) -> list:
     return [f"x{j}" for j in range(1, dim + 1)]
 
 
-def _probe(exprs, names, vals, d1, d2, reads, rows=1) -> np.ndarray:
-    """The outputs `reads` of the expressions' kernels (compile_field's
-    of those reads) at the probes, of shape (reads, probes, exprs); a
-    non-finite one raises DomainError for its point (`rows` probes).
-    Seeds are given as eval_chunked takes them."""
+def _probe(table: str, exprs, names, vals, reads) -> np.ndarray:
+    """The outputs `reads` of the expressions' kernels of the table
+    `table` (compile_field's _table) at the rows of vals, of shape
+    (reads, rows, exprs); a non-finite one raises DomainError."""
     out = np.empty((len(reads), vals.shape[0], len(exprs)))
     for k, e in enumerate(exprs):
-        res = eval_chunked(compile_field(e, names, reads=reads), vals, d1, d2, len(reads), rows)
-        require_finite((res.reshape(-1, rows * len(reads)),), e, names, vals, d1, d2, rows)
+        kernel = compile_field(e, names, reads=reads, _table=table)
+        res = eval_chunked(kernel, vals, None, None, len(reads))
+        require_finite((res,), e, names, vals)
         out[:, :, k] = res.T
     return out
 
@@ -55,15 +55,13 @@ def _probe(exprs, names, vals, d1, d2, reads, rows=1) -> np.ndarray:
 def eval_rows(exprs, names, xs, grad=False) -> np.ndarray:
     """The expressions over the variables `names` at every row of xs, of
     shape (rows, exprs), or with grad their gradients, (rows, exprs,
-    names), through their kernels of reads (0,), or with grad (1,).
-    With jets_in_t, geometry's one route to expression values."""
+    names), through their gradient tables (kernels._gradient): the
+    value, or with grad the derivatives.  With jets_in_t, geometry's one
+    route to expression values."""
     xs = np.asarray(xs, dtype=float)
     if not grad:
-        return _probe(exprs, names, xs, None, None, (0,))[0]
-    m = len(names)
-    vals = np.repeat(xs, m, axis=0)
-    out = _probe(exprs, names, vals, unit_seeds(m, len(vals)), None, (1,), m)[0]
-    return out.reshape(len(xs), m, len(exprs)).transpose(0, 2, 1)
+        return _probe("_gradient", exprs, names, xs, (0,))[0]
+    return _probe("_gradient", exprs, names, xs, tuple(range(1, len(names) + 1))).transpose(1, 2, 0)
 
 
 def eval_vector(exprs, env) -> np.ndarray:
@@ -403,19 +401,13 @@ def affine_differential(phi: AVSection, atlas: Atlas) -> AffineOneForm:
 _T = ("t",)
 
 
-# The kernel outputs jets_in_t reads: value, d1 and d12.
-JET_READS = (0, 1, 3)
-
-
 def jets_in_t(exprs, t):
     """Values, first and second t-derivatives of per-coordinate
     expressions in the parameter t at every node of the array t, each
-    of shape (nodes, coordinates).  One kernel call per coordinate (of
-    reads JET_READS), seeded d1 = d2 = 1, so a probe returns
-    (x, x', x', x'') and the kernel reads (x, x', x'')."""
+    of shape (nodes, coordinates): one kernel call per coordinate, of
+    its jet table (kernels._jet), one row per node."""
     t = np.asarray(t, dtype=float).reshape(-1, 1)
-    ones = unit_seeds(1, len(t))
-    return _probe(exprs, _T, t, ones, ones, JET_READS)
+    return _probe("_jet", exprs, _T, t, (0, 1, 2))
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 
 An expression over named variables is compiled once into straight-line
 code that propagates second-order forward-mode components
-(val, d1, d2, d12).  There are four renderings:
+(val, d1, d2, d12).  Every rendering comes from one seeded walk
+(_seeded) of a table of probes, each seeding every variable with a
+literal 0 or 1, which folds, or an input atom.  There are four:
 
-  * the derivative rules vectorized over a batch of seed "probes"
-    (compile_field): the body runs on numpy arrays along the probe
-    axis, as an op tape (see below), with no Python compile;
-  * the same tape's records as a C loop over probes, which a kernel
-    takes once it has served NATIVE_PROBES probes, where each of them
+  * a table's records as an op tape over a batch of rows (see below),
+    with no Python compile: compile_field's one probe whose seeds are
+    the columns of d1 and d2 (_batched), one row per probe, or the
+    library's tables of literal seeds, one row per point;
+  * the same tape's records as a C loop over rows, which a kernel
+    takes once it has served NATIVE_PROBES rows, where each of them
     gives numpy's bits in C (native.compile_probes);
-  * the same rules as one scalar function (compile_solve) that returns
-    everything a Euler-Lagrange acceleration solve needs at one point,
-    with the probe seeds written into the source as literals;
+  * the same walk as one scalar function (compile_solve) that returns
+    everything a Euler-Lagrange acceleration solve needs at one point
+    (_fused_terms);
   * the whole classical RK4 loop for n <= 3, with that function's
     straight-line body inlined into each stage (rk4loop.py, in Python
     and, through the same statements, in C built by native.py).
@@ -31,52 +34,58 @@ The batched kernel runs them as an op tape (Griewank & Walther,
 Evaluating Derivatives, ch. 3): per record, the numpy ufunc that its
 template's numpy text calls (_UFUNCS), on the same operands in order,
 writing into the register of its name, f(x, y, reg).  The registers
-are the rows of one (names, probes) array allocated per call, so no
+are the rows of one (names, rows) array allocated per call, so no
 array is allocated per line, and the literals are 0-d arrays made
 once; generate_source is the text of the same operations.  The outputs
 equal those of that text run by exec bit for bit, with one exception
-numpy makes: on a single probe, an add whose output register is its
+numpy makes: on a single row, an add whose output register is its
 first operand runs numpy's reduction loop, which can return the other
 operand's NaN, with the other sign bit.
 
 Kernel signature: kernel(vals, d1, d2, out) with vals/d1/d2 of shape
-(probes, nvars) and out of shape (probes, 4).  Row p evaluates the
-expression at point vals[p] with first-order seeds d1[p], d2[p];
-out[p] = (value, directional derivative 1, directional derivative 2,
-mixed second derivative).
+(rows, nvars) and out of shape (rows, outputs).  For compile_field,
+row p evaluates the expression at point vals[p] with first-order seeds
+d1[p], d2[p]; out[p] = (value, directional derivative 1, directional
+derivative 2, mixed second derivative).  A table's kernel reads vals
+alone, one row per point, and the library passes None for d1 and d2:
+
+  * _lagrangian, over the columns (x, v, a): L, dL/dx_i, dL/dv_i and
+    d/dt dL/dv_i, for values, momenta and Euler-Lagrange covectors;
+  * _gradient: the value and d/dw_j, for geometry's eval_rows;
+  * _jet, over t: x, x' and x'', for jets_in_t.
 
 A caller that reads only some of these outputs asks for them when it
 compiles: compile_field(ast, varnames, reads=r), for increasing columns
-r of FULL = (0, 1, 2, 3), gives a kernel with the same signature whose
-out has len(r) columns, column c holding output r[c].  It runs only the
-records those outputs depend on (one backward liveness pass, _Tape),
-in the same order on the same registers and operands, so each column
-is the full kernel's bit for bit; it reads only the arguments they
-need (a kernel of (0,) reads neither d1 nor d2, one of (0, 1) no d2,
-and the caller may pass None for them).  The library asks for (0,)
-for values, (0, 1) for momenta, (0, 1, 3) for Euler-Lagrange
-covectors and curve jets, and (0,) or (1,) for values or gradients of
-geometry's expressions.
+r of FULL = (0, 1, 2, 3) or of a table's outputs, gives a kernel with
+the same signature whose out has len(r) columns, column c holding
+output r[c].  It runs only the records those outputs depend on (one
+backward liveness pass, _Tape.live), in the same order on the same
+registers and operands, so each column is the full kernel's bit for
+bit; it reads only the arguments they need (a kernel of
+compile_field's (0,) reads neither d1 nor d2, one of (0, 1) no d2, and
+the caller may pass None for them).
 
 compile_field's cache is the one place that keeps kernels and decides
 their reuse and memory: no library object holds one, each caller asks
 compile_field where it runs it.  The cache holds one walk of the
-expression per text and variable layout (its tape), and that tape's
-kernel per reads: a second reads costs one tape filter, not a second
-walk.  The key is the text each node renders once and keeps
-(exprlang._Node), so a hit is a dict probe ("hit us" in
+expression per table, text and variable layout (its tape), and that
+tape's kernel per reads: a second reads costs one tape filter, not
+a second walk.  The key holds the text each node renders once and
+keeps (exprlang._Node), so a hit is a dict probe ("hit us" in
 benchmarks/kernel_batch.py) and a gauge twin renders only the nodes the
-shift adds.  The charged particle's gauge twin retains about 3.3 KB for
-its tape with its cache entry, and 1.2 KB (reads (0,)) to 2.9 KB (FULL)
-per kernel built from it, measured by tracemalloc as that script does.
+shift adds.  The charged particle's gauge twin retains about 3.2 KB for
+its tape of compile_field with its cache entry, and 1.2 KB (reads (0,))
+to 2.9 KB (FULL) per kernel built from it, measured by tracemalloc as
+that script does.
 
 The library evaluates expressions through these kernels, forcing
-expressions included.  Batched callers run one through eval_chunked, in calls
-of at most BATCH probes that hold whole points, with unit seeds taken
-from read-only cached blocks (unit_seeds), and turn a non-finite output
-they use into a DomainError (require_finite).  The folds are exact: a
-literal 0 times or over u is 0, and u^0 is 1, for any u; so 1^u,
-exp(u * log 1), is 1 too.
+expressions included.  Batched callers run one through eval_chunked, in
+calls of at most BATCH rows, and turn a non-finite output they use into
+a DomainError (require_finite).  The folds are exact: a literal 0 times
+or over u is 0, and u^0 is 1, for any u; so 1^u, exp(u * log 1), is 1
+too.  A table's literal zero seeds fold the same way, as they do in the
+RK4 loop: a derivative no output needs is never computed, so its 0 *
+inf makes no NaN.
 """
 from __future__ import annotations
 
@@ -397,21 +406,80 @@ def _render(names, results, inputs=()):
     return records, results
 
 
+def _seeds(m: int, i=None) -> list:
+    """The seeds e_i of m variables as literal atoms; all 0 for i None."""
+    return [_ONE if j == i else _ZERO for j in range(m)]
+
+
+def _seeded(probes, varnames, picks):
+    """(names, results) of one seeded walk: one _Emitter walks each probe
+    (expr, d1, d2) in order, variable j of varnames carrying (w{j},
+    d1[j], d2[j], 0), and results are component c of probe p for each
+    (p, c) of picks.  A seed is an atom: a literal 0 or 1, which folds,
+    or an input column's.  Every value and derivative the probes share is
+    emitted once (the vector forward mode of Griewank & Walther,
+    Evaluating Derivatives, ch. 3); a component nothing picks is emitted,
+    and _render drops it."""
+    em = _Emitter()
+    quads = [_walk(expr, em, {name: (f"w{j}", d1[j], d2[j], _ZERO)
+                              for j, name in enumerate(varnames)})
+             for expr, d1, d2 in probes]
+    return em.names, [quads[p][c] for p, c in picks]
+
+
 def _batched(ast: ExprAst, varnames):
     """(inputs, records, results) of the batched kernel: its slot atoms,
     each mapped to (k, j) for column j of the k-th argument (vals, d1,
     d2), in order of variable; the records of the second-order rules its
-    outputs read (_render); and its four output atoms."""
+    outputs read (_render); and its four output atoms.  Its one probe's
+    seeds are the columns of d1 and d2."""
     used = check_declared(ast, varnames)
-    em = _Emitter()
-    slots = {}
-    inputs = {}
-    for j, name in enumerate(varnames):
-        if name in used:
-            slot = (f"w{j}", f"w{j}a", f"w{j}b")
-            inputs.update((atom, (k, j)) for k, atom in enumerate(slot))
-            slots[name] = (*slot, _ZERO)
-    return (inputs, *_render(em.names, _walk(ast, em, slots)))
+    inputs = {f"w{j}{s}": (k, j) for j, name in enumerate(varnames) if name in used
+              for k, s in enumerate(("", "a", "b"))}
+    m = len(varnames)
+    probe = (ast, [f"w{j}a" for j in range(m)], [f"w{j}b" for j in range(m)])
+    return (inputs, *_render(*_seeded([probe], varnames, [(0, c) for c in FULL])))
+
+
+def _table(ast: ExprAst, varnames, width: int, probes, picks):
+    """(inputs, records, results) of a kernel of one row per point: the
+    seeded walk of `probes` of ast, whose seeds are literals or columns
+    of vals, which has `width` columns."""
+    check_declared(ast, varnames)
+    return ({f"w{j}": (0, j) for j in range(width)}, *_render(*_seeded(probes, varnames, picks)))
+
+
+def _unit_probes(ast: ExprAst, m: int, n: int, velocity=None) -> list:
+    """The probes of ast over m variables (e_i, 0) for i < n and
+    (e_i, velocity) for n <= i < m."""
+    zero = _seeds(m)
+    return [(ast, _seeds(m, i), zero if i < n else velocity) for i in range(m)]
+
+
+def _gradient(ast: ExprAst, varnames):
+    """The gradient table: the value and d/dw_j for each of the m >= 1
+    variables, the value read from the first probe."""
+    m = len(varnames)
+    return _table(ast, varnames, m, _unit_probes(ast, m, m), [(0, 0), *[(j, 1) for j in range(m)]])
+
+
+def _lagrangian(ast: ExprAst, varnames):
+    """The Lagrangian table over the 3n columns (x, v, a) of vals, for
+    varnames (x1..xn, v1..vn): L, dL/dx_i, p_i = dL/dv_i and
+    d/dt p_i = (d2L/dv_i dx) . v + (d2L/dv_i dv) . a: the gradient
+    table's probes, but (e_{n+i}, (v, a)) for the velocities, whose
+    first component is p_i and whose mixed one is d/dt p_i."""
+    m = len(varnames)
+    n = m // 2
+    return _table(ast, varnames, 3 * n, _unit_probes(ast, m, n, [f"w{j}" for j in range(n, 3 * n)]),
+                  [(0, 0), *[(i, 1) for i in range(m)], *[(n + i, 3) for i in range(n)]])
+
+
+def _jet(ast: ExprAst, varnames):
+    """The jet table of a curve coordinate in t: (x, x', x''), the
+    probe seeded 1 and 1."""
+    ones = [_ONE] * len(varnames)
+    return _table(ast, varnames, len(varnames), [(ast, ones, ones)], [(0, 0), (0, 1), (0, 3)])
 
 
 def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
@@ -430,33 +498,22 @@ def _fused_terms(ast: ExprAst, varnames, forcing=()):
          d2L/dv_i dv_j row-major, f for each expression f of `forcing`)
 
     of a Lagrangian over varnames = (x1..xn, v1..vn) (None: the f alone)
-    at the point w0..w{2n-1}: the emitter's records and the terms'
-    atoms, for _render.  Each entry is one probe of the second-order
-    rules with its seeds as literals (the velocity seed of the C.v probes
-    is the velocity itself; an f's are zero), so zero seeds fold away,
-    and every value and derivative shared between probes is computed
-    once; a probe's unread components (the first-order parts of a
-    velocity-seeded probe, say) are emitted, and _render drops them."""
+    at the point w0..w{2n-1}: the seeded walk (_seeded) of one probe per
+    term, for _render.  The seeds are literals (the velocity seed of the
+    C.v probes is the velocity itself; an f's are zero), so zero seeds
+    fold away."""
     for expr in forcing if ast is None else (ast, *forcing):
         check_declared(expr, varnames)
     m = len(varnames)
     n = m // 2
-    em = _Emitter()
-    unit = [[_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
-    zero = [_ZERO] * m
-
-    def probe(expr, d1, d2):
-        slots = {name: (f"w{j}", d1[j], d2[j], _ZERO) for j, name in enumerate(varnames)}
-        return _walk(expr, em, slots)
-
-    terms = []
+    zero = _seeds(m)
+    probes, components = [], []
     if ast is not None:
-        velocity = [f"w{n + j}" for j in range(n)] + [_ZERO] * n
-        terms = [probe(ast, zero, zero)[0],
-                 *[probe(ast, unit[i], zero)[1] for i in range(n)],
-                 *[probe(ast, unit[n + i], velocity)[3] for i in range(n)],
-                 *[probe(ast, unit[n + i], unit[n + j])[3] for i in range(n) for j in range(n)]]
-    return em.names, terms + [probe(expr, zero, zero)[0] for expr in forcing]
+        probes = [(ast, zero, zero), *_unit_probes(ast, m, n, [f"w{n + j}" for j in range(n)] + zero[n:]),
+                  *[(ast, _seeds(m, n + i), _seeds(m, n + j)) for i in range(n) for j in range(n)]]
+        components = [0, *[1] * n, *[3] * (n + n * n)]
+    probes += [(f, zero, zero) for f in forcing]
+    return _seeded(probes, varnames, [*enumerate(components + [0] * len(forcing))])
 
 
 def generate_solve_source(ast: ExprAst, varnames, forcing=()) -> str:
@@ -541,9 +598,9 @@ _OPS = tuple(_UFUNCS.values())
 _CODES = {template: code for code, template in enumerate(_UFUNCS)}
 
 
-# The output columns of a kernel: value, d1, d2, d12.  A kernel of
-# compile_field(..., reads=r) writes column c of its `out` from output
-# r[c]; FULL is every output, the full contract.
+# The output columns of a kernel of compile_field: value, d1, d2, d12.
+# A kernel of compile_field(..., reads=r) writes column c of its `out`
+# from output r[c]; FULL is every output, the full contract.
 FULL = (0, 1, 2, 3)
 
 # A kernel runs its records as a C loop over probes (native.compile_probes)
@@ -557,8 +614,9 @@ NATIVE_PROBES = 1_000_000
 
 
 class _Tape:
-    """The records of _batched as an op tape, and the kernel of each
-    tuple of output columns asked of it (kernel).
+    """The records of a table (_batched, _lagrangian, _gradient, _jet) as
+    an op tape, and the kernel of each tuple of output columns asked of
+    it (kernel).
 
     Per record a kernel runs its ufunc on its operands' slots into its
     name's register, f(x, y, reg), in the records' order.  A call's
@@ -573,11 +631,11 @@ class _Tape:
     the tape keeps the ufuncs as one byte each (their index in _OPS).
     The outputs are written as the text writes them, out[:, c] = slot."""
 
-    __slots__ = ("key", "registers", "sources", "columns", "literals", "outputs", "masks",
+    __slots__ = ("key", "registers", "sources", "columns", "literals", "outputs",
                  "codes", "first", "second", "dest", "kernels")
 
     def __init__(self, key, inputs, records, results):
-        self.key = key  # (text, variables) of compile_field's cache
+        self.key = key  # (table, text, variables) of the kernel cache
         registers = self.registers = len({name for name, _template, _args in records})
         slot = {f"t{r}": r for r in range(registers)}
         atoms = dict.fromkeys(itertools.chain.from_iterable(args for _n, _t, args in records))
@@ -597,38 +655,34 @@ class _Tape:
         second = [slot[args[1] if len(args) > 1 else None] for _name, _template, args in records]
         dest = [slot[name] for name, _template, _args in records]
         self.outputs = tuple([slot[a] for a in results])
-        # one backward liveness pass: bit c of masks[i] is set when
-        # output c depends on record i (a later record that depends on
-        # it reads its register before the register is written again)
-        pending = {}
-        for c, s in enumerate(self.outputs):
-            pending[s] = pending.get(s, 0) | 1 << c
-        masks = []
-        for r, a, b in zip(reversed(dest), reversed(first), reversed(second)):
-            m = pending.pop(r, 0)
-            masks.append(m)
-            pending[a] = pending.get(a, 0) | m
-            pending[b] = pending.get(b, 0) | m
-        self.masks = bytes(reversed(masks))
         self.codes = bytes([_CODES[template] for _name, template, _args in records])
         self.first, self.second, self.dest = (array("H", a) for a in (first, second, dest))
         self.kernels = {}  # reads -> kernel
 
     def kernel(self, reads):
         """kernel(vals, d1, d2, out) writing out[:, c] = output reads[c],
-        for increasing columns `reads` of FULL, built at its first use."""
+        for increasing columns `reads` of the table's outputs, built at
+        its first use."""
         fn = self.kernels.get(reads)
         if fn is None:
-            if not reads or list(reads) != sorted(set(reads)) or not set(reads) <= set(FULL):
-                raise ValueError(f"reads must be increasing columns of {FULL}, got {reads!r}")
+            if not reads or list(reads) != sorted(set(reads).intersection(range(len(self.outputs)))):
+                raise ValueError(f"reads must be increasing columns of the {len(self.outputs)} "
+                                 f"outputs, got {reads!r}")
             fn = self.kernels[reads] = self._build(reads)
         return fn
 
     def live(self, reads) -> list:
         """Per record, whether the outputs `reads` depend on it (activity
-        analysis, Griewank & Walther, Evaluating Derivatives, ch. 6)."""
-        mask = sum(1 << c for c in reads)
-        return [m & mask != 0 for m in self.masks]
+        analysis, Griewank & Walther, Evaluating Derivatives, ch. 6): one
+        backward pass, a record being live if an output or a later live
+        record reads its register before it is written again."""
+        pending = {self.outputs[c] for c in reads}
+        kept = []
+        for r, a, b in zip(*map(reversed, (self.dest, self.first, self.second))):
+            kept.append(r in pending)
+            if kept[-1]:
+                pending = pending - {r} | {a, b}
+        return kept[::-1]
 
     def _build(self, reads):
         """The kernel of the records live for `reads`, with their order,
@@ -671,8 +725,9 @@ class _Kernel:
     (native is imported then); from then on every call that loop serves
     skips the tape (the loop returns False for arrays it does not take,
     and where it hands back).  A kernel holds no reference to its tape or
-    its expression, only to its tape's `key` and its `reads`, from which
-    native writes the loop."""
+    its expression, only to its tape's `key` (table, text, variables) and
+    its `reads`, from which native walks the table again and writes the
+    loop."""
 
     __slots__ = ("key", "reads", "registers", "sources", "columns", "literals", "ufuncs", "first",
                  "second", "dest", "outputs", "arguments", "served", "loop")
@@ -709,29 +764,32 @@ class _Kernel:
             out[:, c] = x[i]
 
 
-# compile_field keeps the tapes of at most CACHE_SIZE expressions and
-# evicts the least recently used.  Measured on the avbench workloads, a
-# pass adds 12 entries (action's fresh variation fields) or 6
-# (gauge_scan's fresh twins), orbit and cloud none after set-up, and
+# The cache keeps the tapes of at most CACHE_SIZE (table, expression)
+# pairs and evicts the least recently used.  Measured on the avbench
+# workloads, a pass adds 12 entries (action's fresh variation fields) or
+# 6 (gauge_scan's fresh twins), orbit and cloud none after set-up, and
 # every pass uses each entry used again: no eviction takes a tape in use.
 CACHE_SIZE = 256
-_CACHE = {}  # (text, variables) -> _Tape, in order of last use
+_CACHE = {}  # (table, text, variables) -> _Tape, in order of last use
 
 
-def compile_field(ast: ExprAst, varnames, *, reads=FULL):
+def compile_field(ast: ExprAst, varnames, *, reads=FULL, _table="_batched"):
     """Compile an expression into a batched second-order evaluator.
 
     Returns kernel(vals, d1, d2, out) writing out[:, c] = output
     reads[c] of the module docstring's contract, so `out` has
     len(reads) columns; it runs only the records those outputs depend
-    on.  The cache holds one walk of the expression per (text, variable
-    layout), at most CACHE_SIZE of them, with its kernel per `reads`;
-    the text is the node's kept one, so a hit renders nothing.
+    on.  The library passes _table, the name of a table's function in
+    this module (_lagrangian, _gradient, _jet), looked up at each walk,
+    for the kernel of that table's outputs `reads`.  The cache holds one
+    walk per (table, text, variable layout), at most CACHE_SIZE of them,
+    with its kernel per `reads`; the text is the node's kept one, so a
+    hit renders nothing.
     """
-    key = (to_text(ast), tuple(varnames))
+    key = (_table, to_text(ast), tuple(varnames))
     tape = _CACHE.pop(key, None)
     if tape is None:
-        tape = _Tape(key, *_batched(ast, varnames))
+        tape = _Tape(key, *globals()[_table](ast, varnames))
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]  # the least recently used
     _CACHE[key] = tape  # now the most recently used
@@ -757,103 +815,56 @@ def eval_batch(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:
     return out
 
 
-# Probes per kernel call on the batched paths.  A kernel holds one array
-# per live temporary (at most 20 for the bundled systems and their gauge
-# twins), so a call's working set grows with its batch; this caps it, at
-# about 0.7 MB for the charged twin.  4096 probes are the Euler-Lagrange
-# covectors of one 512-node chunk of a schedule integral (geometry.CHUNK)
-# in one call for n <= 4; benchmarks/kernel_batch.py measures the cost
-# per probe against the batch size.
+# Rows per kernel call on the batched paths.  A kernel holds one array
+# per live temporary, so a call's working set grows with its batch; this
+# caps it.  A 512-node chunk of a schedule integral (geometry.CHUNK) is
+# one call; benchmarks/kernel_batch.py measures the cost per row against
+# the batch size.
 BATCH = 4096
 
 
-def _call_probes(rows: int) -> int:
-    """Probes per eval_chunked call for points of `rows` probes: the
-    most whole points in BATCH probes, at least one."""
-    return max(rows, BATCH - BATCH % rows)
-
-
-_UNIT = {}  # (width, first) -> read-only block of unit seeds
-
-
-def unit_seeds(width: int, probes: int, first: int = 0) -> np.ndarray:
-    """The seeds np.tile(np.eye(width)[first:], (points, 1)) of `probes`
-    probes, width - first per point, as a read-only view of a cached
-    block: all of them, or the rows of one eval_chunked call if there
-    are more, which repeat (eval_chunked's `rows` is width - first).
-    The block grows to the most rows asked for, at most BATCH."""
-    period = width - first
-    rows = min(probes, _call_probes(period))
-    block = _UNIT.get((width, first))
-    if block is None or len(block) < rows:
-        block = np.tile(np.eye(width)[first:], (-(-rows // period), 1))
-        block.flags.writeable = False
-        _UNIT[width, first] = block
-    return block[:rows]
-
-
-def _seed_rows(seed, probes: int, lo: int, hi: int):
-    """Probes lo..hi-1 of a seed argument of eval_chunked: its rows
-    lo..hi-1, or the first hi - lo rows of a repeating block (lo is a
-    whole number of points); None stays None."""
-    if seed is None:
-        return None
-    return seed[lo:hi] if len(seed) == probes else seed[:hi - lo]
-
-
-def eval_chunked(kernel, vals, d1, d2, width: int = 4, rows: int = 1) -> np.ndarray:
-    """eval_batch in calls of at most BATCH probes, each call whole
-    points of `rows` probes.  A seed argument is an array with a row per
-    probe, a block whose rows repeat every call (unit_seeds), or None
-    where the kernel reads no seed.  Floating-point warnings are
-    silenced: callers check the outputs they use and raise DomainError
-    for a non-finite one (see require_finite)."""
-    probes = vals.shape[0]
-    out = np.empty((probes, width))
-    step = _call_probes(rows)
+def eval_chunked(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:
+    """eval_batch in calls of at most BATCH rows.  A seed argument is an
+    array with a row per row of vals, or None where the kernel reads no
+    seed.  Floating-point warnings are silenced: callers check the
+    outputs they use and raise DomainError for a non-finite one (see
+    require_finite)."""
+    rows = vals.shape[0]
+    out = np.empty((rows, width))
     with np.errstate(all="ignore"):
-        for lo in range(0, probes, step):
-            hi = min(lo + step, probes)
-            kernel(vals[lo:hi], _seed_rows(d1, probes, lo, hi), _seed_rows(d2, probes, lo, hi),
-                   out[lo:hi])
+        for lo in range(0, rows, BATCH):
+            part = slice(lo, lo + BATCH)
+            kernel(vals[part], *[None if s is None else s[part] for s in (d1, d2)], out[part])
     return out
 
 
-def require_finite(results, ast: ExprAst, varnames, vals, d1=None, d2=None, rows: int = 1):
+def require_finite(results, ast: ExprAst, varnames, vals):
     """Raise DomainError for the first point with a non-finite entry in
-    one of `results` (arrays with one row or block of rows per point),
-    whose kernel probes are rows rows*i .. rows*(i+1)-1 of vals, d1 and
-    d2, given as eval_chunked takes them (None: zero seeds).  One flat
-    check passes finite results; only a failure looks for the point."""
+    one of `results` (arrays with one row per point, the rows of vals).
+    One flat check passes finite results; only a failure looks for the
+    point."""
     if all(np.isfinite(r).all() for r in results):
         return
     finite = np.logical_and.reduce([np.isfinite(r.reshape(len(r), -1)).all(axis=1)
                                     for r in results])
-    lo = int(np.argmin(finite)) * rows
-    probes = vals.shape[0]
-    seeds = [np.zeros((rows, vals.shape[1])) if s is None else _seed_rows(s, probes, lo, lo + rows)
-             for s in (d1, d2)]
-    raise domain_error(ast, varnames, vals[lo:lo + rows], *seeds)
+    raise domain_error(ast, varnames, vals[int(np.argmin(finite))])
 
 
-def domain_error(ast: ExprAst, varnames, vals, d1, d2) -> DomainError:
+def domain_error(ast: ExprAst, varnames, point) -> DomainError:
     """The DomainError for one point whose kernel outputs are not all
-    finite; vals, d1 and d2 hold that point's probes, one per row.
+    finite; point holds the values of varnames (and may hold more, such
+    as a Lagrangian table's accelerations, which are not named).
 
-    The probes are evaluated again by the interpreter on hyper-dual
-    scalars carrying their seeds; the first domain error it meets is
-    the reason, else the kernel output is reported as non-finite.  The
-    message names the expression and the point."""
+    The interpreter evaluates ast again there on hyper-dual scalars; the
+    first domain error it meets is the reason, else the kernel output is
+    reported as non-finite.  Whether and where Hyperdual raises depends
+    on the values alone, never on the seeds, so one unseeded evaluation
+    finds the reason of every probe of the point.  The message names the
+    expression and the point."""
     reason = "non-finite kernel output"
-    for p in range(vals.shape[0]):
-        env = {
-            name: Hyperdual(float(vals[p, j]), float(d1[p, j]), float(d2[p, j]))
-            for j, name in enumerate(varnames)
-        }
-        try:
-            evaluate(ast, env)
-        except (DomainError, ArithmeticError) as exc:
-            reason = str(exc)
-            break
-    point = ", ".join(f"{name}={float(vals[0, j])!r}" for j, name in enumerate(varnames))
+    try:
+        evaluate(ast, {name: Hyperdual(float(x)) for name, x in zip(varnames, point)})
+    except (DomainError, ArithmeticError) as exc:
+        reason = str(exc)
+    point = ", ".join(f"{name}={float(x)!r}" for name, x in zip(varnames, point))
     return DomainError(f"{reason} in {to_text(ast)} at {point}")

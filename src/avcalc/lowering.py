@@ -261,12 +261,13 @@ def probe_loop(loads, records, outputs) -> str:
     per probe made the charged particle's loop half as slow again),
     else `probes`.
 
-    The library sends a point's derivatives in several directions as
-    probes that repeat its vals row (2n for an Euler-Lagrange covector,
-    n for a momentum), so the loads of vals and the point records
-    (_point_records), which read nothing else, run once per run of
-    equal rows: at k = 0 and wherever row k differs from row k - 1 in a
-    bit of a column loaded (-0.0 is not 0.0: sin keeps the sign).  The
+    A raw caller of compile_field's kernel may send a point's
+    derivatives in several directions as probes that repeat its vals row
+    (avbench's cloud sends 2n per Euler-Lagrange covector), so the loads
+    of vals and the point records (_point_records), which read nothing
+    else, run once per run of equal rows: at k = 0 and wherever row k
+    differs from row k - 1 in a bit of a column loaded (-0.0 is not 0.0:
+    sin keeps the sign).  The
     vector forward mode of Griewank & Walther, Evaluating Derivatives,
     ch. 3: avbench cloud's twin of the charged particle runs 36 of its
     174 records there, its four libm calls among them, and its loop
@@ -276,7 +277,9 @@ def probe_loop(loads, records, outputs) -> str:
     a point record's check fails first on the first probe of its run,
     so the loop returns what it returned with every record run per
     probe.  A kernel with no point record, or none that is not one (a
-    kernel of the value alone), runs every record per probe."""
+    kernel of the value alone, or any kernel of the library's tables,
+    which send one row per point and read vals alone), runs every record
+    per probe."""
     point, rest, rename = _point_records(loads, records)
     if not (point and rest):
         point, rest, rename = [], records, {}

@@ -5,7 +5,7 @@ served enough probes (compile_probes).  lowering.py writes both.
 
 The probe loop runs a kernel's live records (kernels._Tape.live): the
 same operations on the same operands in the same order, on the doubles
-of one probe at a time.  Only a kernel whose every record gives libm's
+of one row at a time.  Only a kernel whose every record gives libm's
 bits in numpy may be written (_EXACT): IEEE's + - * / and sqrt, abs and
 sign, and numpy's sin and cos, which equal libm's on every argument
 (tests/test_native_kernels.py pins this).  numpy's exp, log, tan and
@@ -15,9 +15,10 @@ output, and hands back if the call raised an IEEE exception that numpy
 reports (divide, invalid, overflow, underflow), so that the tape, run
 again on the whole call, gives every NaN, infinity, warning and error.
 The records that read only vals (a point's value, its libm calls among
-them) run once per run of bit-identical vals rows, as the library lays
-out a point's 2n or n seeded probes (lowering.probe_loop); the others
-run for every probe.
+them) run once per run of bit-identical vals rows (lowering.probe_loop)
+for a raw caller of compile_field whose rows repeat a point for several
+seeds, such as avbench's cloud.  The library's tables send one row per
+point and read only vals, so their loops run every record per row.
 
 A loop is compiled by `cc` with CC_FLAGS in a temporary directory,
 loaded by ctypes, and the directory is deleted: nothing stays on disk,
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import rk4loop
 from .exprlang import ExprAst, parse
-from .kernels import _batched, _Tape
+from . import kernels
 from .lowering import _SIGN, C, probe_loop
 
 # The C compiler's flags, besides those that build a shared object
@@ -113,11 +114,13 @@ _EXACT = {"-{}", "{} + {}", "{} - {}", "{} * {}", "{} / {}", "abs({})", _SIGN, "
           "math.sin({})", "math.cos({})"}
 
 
-def _probe_loop(ast: ExprAst, varnames, reads):
-    """(generate_probe_source's text, the least number of columns of
-    vals, d1, d2 and out it reads), or None."""
-    inputs, records, results = _batched(ast, varnames)
-    records = [*itertools.compress(records, _Tape(None, inputs, records, results).live(reads))]
+def _probe_loop(table: str, ast: ExprAst, varnames, reads):
+    """(the probe loop's text of the outputs `reads` of kernels' table
+    `table` for ast, the least number of columns of vals, d1, d2 and
+    out it reads), or None."""
+    inputs, records, results = getattr(kernels, table)(ast, varnames)
+    live = kernels._Tape(None, inputs, records, results).live(reads)
+    records = [*itertools.compress(records, live)]
     if any(template not in _EXACT for _name, template, _args in records):
         return None
     outputs = [results[c] for c in reads]
@@ -132,7 +135,7 @@ def generate_probe_source(ast: ExprAst, varnames, reads):
     compile_field(ast, varnames, reads=reads), which reads and writes
     that kernel's columns; None when a live record's ufunc does not give
     libm's bits (_EXACT)."""
-    found = _probe_loop(ast, varnames, reads)
+    found = _probe_loop("_batched", ast, varnames, reads)
     return None if found is None else found[0]
 
 
@@ -155,20 +158,20 @@ def _fits(a, probes, width):
 
 
 def compile_probes(kernel):
-    """The probe loop of generate_probe_source for a kernel of
-    compile_field compiled and loaded, as run(vals, d1, d2, out) ->
-    whether it served that kernel call.  The kernel keeps only its
-    expression's text and variables (kernels._Kernel.key) and its
-    reads: its records are walked again from the text, which parses to
-    the same expression (exprlang.to_text), in 0.5-0.8 ms for the
-    charged particle's L and its twin against a build's 50-120.  run
+    """The probe loop of a kernel of the kernel cache compiled and
+    loaded, as run(vals, d1, d2, out) -> whether it served that kernel
+    call.  The kernel keeps only its table, its expression's text and
+    variables (kernels._Kernel.key) and its reads: its records are
+    walked again by the same table from the text, which parses to the
+    same expression (exprlang.to_text), in 0.5-0.8 ms for the charged
+    particle's L and its twin against a build's 50-120.  run
     returns False with nothing written unless each array the kernel
     reads is a C-contiguous float64 ndarray of the call's probes and
     enough columns, and out also writeable; and False where the loop
     hands back.  None when a live record's ufunc does not give libm's
     bits, or there is no C compiler, or the build fails."""
-    text, varnames = kernel.key
-    found = _probe_loop(parse(text), varnames, kernel.reads)
+    table, text, varnames = kernel.key
+    found = _probe_loop(table, parse(text), varnames, kernel.reads)
     if found is None:
         return None
     src, widths = found

@@ -250,11 +250,12 @@ class TestNodePlan:
     @staticmethod
     def count_evaluations(monkeypatch):
         """The expressions handed to geometry.jets_in_t, and the
-        (expression, variables) of each kernel walk (kernels._batched,
-        one per expression a cache miss compiles), from here on, with
-        the kernel cache emptied."""
+        (expression, variables) of each kernel walk (each table's,
+        kernels._batched, _lagrangian, _gradient and _jet, one per
+        expression a cache miss compiles), from here on, with the
+        kernel cache emptied."""
         seen, walks = [], []
-        real_jets, real_walk = geometry.jets_in_t, kernels._batched
+        real_jets = geometry.jets_in_t
 
         def jets(exprs, t):
             seen.append(exprs)
@@ -262,7 +263,10 @@ class TestNodePlan:
 
         monkeypatch.setattr(geometry, "jets_in_t", jets)
         monkeypatch.setattr(kernels, "_CACHE", {})
-        monkeypatch.setattr(kernels, "_batched", lambda *a: walks.append(a) or real_walk(*a))
+        for table in ("_batched", "_lagrangian", "_gradient", "_jet"):
+            real_walk = getattr(kernels, table)
+            monkeypatch.setattr(kernels, table,
+                                lambda *a, walk=real_walk: walks.append(a) or walk(*a))
         return seen, walks
 
     def test_second_quadrature_evaluates_no_curve_jets(self, circle, monkeypatch):

@@ -595,8 +595,8 @@ class TestTextsScript:
     def test_one_digest_per_text(self):
         # benchmarks/texts.py prints "label text sha256" for every
         # Lagrangian and each of its four generated texts, then its
-        # probe loop where it has one, and for the forced charged
-        # particle its two loops
+        # probe loop where it has one, for the forced charged particle
+        # its two loops, and then the library's tables
         root = Path(__file__).resolve().parents[1]
         run = subprocess.run(
             [sys.executable, str(root / "benchmarks" / "texts.py")],
@@ -607,6 +607,18 @@ class TestTextsScript:
         expected = (root / "benchmarks" / "texts.expected").read_text().splitlines()
         assert run.stdout.splitlines() == expected
         rows = [line.split(" ") for line in run.stdout.splitlines()]
+        # the library's tables follow: every Lagrangian's two tables, then
+        # the jets of the curves, each with its probe loop where it has one
+        first = next(k for k, row in enumerate(rows) if row[1] == "lagrangian")
+        rows, tables = rows[:first], rows[first:]
+        assert all(prev[:2] == [row[0], row[1][:-len("-probes")]] for prev, row in zip(tables, tables[1:])
+                   if row[1].endswith("-probes"))
+        assert {"charged[0]", "circle[1]", "charged-curve0.0"} <= {
+            label for label, text, _digest in tables if text.endswith("-probes")}
+        tables = [row for row in tables if not row[1].endswith("-probes")]
+        pairs = [row for row in tables if row[1] != "jet"]
+        assert [text for _label, text, _digest in pairs] == ["lagrangian", "gradient"] * (len(pairs) // 2)
+        assert {"jet"} == {text for _label, text, _digest in tables[len(pairs):]}
         probes = [label for label, text, _digest in rows if text == "probes"]
         assert {"charged[0]", "charged+chi0", "relativistic[0]", "circle[1]",
                 "sign-abs"} <= set(probes)
@@ -618,6 +630,7 @@ class TestTextsScript:
         # the forced charged particle has its two loops, the last rows
         assert [text for _label, text, _digest in rows] == texts * (len(labels) - 1) + texts[2:]
         assert labels[-1] == "charged-forced"
+        assert [label for label, _text, _digest in pairs[::2]] == labels[:-1]
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for _label, _text, digest in rows)
         assert {"charged[0]", "charged+chi0", "circle[1]", "full-3"} <= set(labels)
         charged = bundled_system("charged").lagrangian.expr("0")
@@ -679,8 +692,8 @@ class TestCacheBound:
         # the expression again, once for all their reads, and give the
         # same bytes
         walks = []
-        real = kernels._batched
-        monkeypatch.setattr(kernels, "_batched", lambda *a: walks.append(a) or real(*a))
+        real = kernels._lagrangian
+        monkeypatch.setattr(kernels, "_lagrangian", lambda *a: walks.append(a) or real(*a))
         system = bundled_system("charged")
         eng = gauge_shift(system.lagrangian, system.chis[0]).engine(system.default_chart())
         rng = np.random.default_rng(17)

@@ -54,7 +54,7 @@ def lagrangians():
 def kernel_of(ast, names, reads=kernels.FULL):
     """A fresh kernel of `ast`, which has served no probe, with
     compile_field's key."""
-    key = (to_text(ast), tuple(names))
+    key = ("_batched", to_text(ast), tuple(names))
     return kernels._Tape(key, *kernels._batched(ast, names)).kernel(reads)
 
 
@@ -287,17 +287,17 @@ class TestHandBacks:
         assert raw_loop("sign(sqrt(x1)) + 1/x1 + 2*x1*x2")(*column(1.0, 2.0, 3.0)) == 3
 
 
-def tape_or_loop(monkeypatch, threshold, ast, vals, d1, d2, rows=1):
+def tape_or_loop(monkeypatch, threshold, ast, vals, d1, d2):
     """Outputs, warnings and require_finite's error of a fresh full
     kernel of `ast` over NAMES that tiers up once it has served
-    `threshold` probes, called on probes of `rows` per point."""
+    `threshold` probes."""
     monkeypatch.setattr(kernels, "NATIVE_PROBES", threshold)
     out = np.empty((len(vals), 4))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         kernel_of(ast, NAMES)(vals, d1, d2, out)
     try:
-        kernels.require_finite([out.reshape(-1, 4 * rows)], ast, NAMES, vals, d1, d2, rows)
+        kernels.require_finite([out], ast, NAMES, vals)
     except DomainError as exc:
         return out.tobytes(), [str(w.message) for w in caught], str(exc)
     return out.tobytes(), [str(w.message) for w in caught], None
@@ -331,9 +331,9 @@ def test_a_point_record_leaving_the_domain_hands_back_at_its_points_first_probe(
         want = on_tape(kernel_of(ast, NAMES), vals, d1, d2, 4)
     assert out[:8].tobytes() == want[:8].tobytes()  # the earlier points' rows are written
     assert np.isnan(out[8:]).all()
-    tape = tape_or_loop(monkeypatch, math.inf, ast, vals, d1, d2, 4)
+    tape = tape_or_loop(monkeypatch, math.inf, ast, vals, d1, d2)
     assert tape[1] and "sqrt" in tape[2] and "v1=0.9" in tape[2]
-    assert tape_or_loop(monkeypatch, 0, ast, vals, d1, d2, 4) == tape
+    assert tape_or_loop(monkeypatch, 0, ast, vals, d1, d2) == tape
 
 
 def spy_popen(monkeypatch):
