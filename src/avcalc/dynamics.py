@@ -46,10 +46,9 @@ from .kernels import (
     _condition,
     _times,
     check_declared,
-    compile_field,
     compile_solve,
     domain_error,
-    eval_chunked,
+    read_table,
     require_finite,
     require_numpy_backend,
 )
@@ -209,24 +208,26 @@ NATIVE_STEPS = 20_000
 class _ChartEngine:
     """Compiled evaluation of one chart representative L(x1..xn, v1..vn)
     under a forcing (n expressions over the same variables, or none):
-    its Lagrangian table's kernels, one row per point, for the batched
-    operators; the forcing's values and, compiled at first use, the fused
-    terms for the numpy RK4 step and the generated RK4 loop for n <= 3,
-    in Python and, for a hot orbit, in C (step_loop)."""
+    its Lagrangian table, one row per point, for the batched operators;
+    and, compiled at first use, the forcing's values and the fused terms
+    for the numpy RK4 step and the generated RK4 loop for n <= 3, in
+    Python and, for a hot orbit, in C (step_loop)."""
 
     def __init__(self, ast: ExprAst, dim: int, forcing: tuple = ()):
         self.n = dim
-        self.m = 2 * dim
         self.ast = ast
         self.varnames = tuple(lagrangian_varnames(dim))
         check_declared(ast, self.varnames)
         self.forcing = forcing
-        self._forcing = [(f, compile_solve(None, self.varnames, (f,))) for f in forcing]
         self.steps_asked = 0  # of the generated loop, by every step_loop call
 
     @cached_property
     def _terms(self):
         return compile_solve(self.ast, self.varnames)
+
+    @cached_property
+    def _forcing(self):
+        return [(f, compile_solve(None, self.varnames, (f,))) for f in self.forcing]
 
     @cached_property
     def rk4(self):
@@ -256,34 +257,30 @@ class _ChartEngine:
 
     def _table(self, reads, *columns):
         """(vals, out): the columns side by side, one row per point, and
-        the outputs `reads` there of kernels._lagrangian."""
+        the outputs `reads` there of kernels._lagrangian (read_table)."""
         vals = np.concatenate(columns, axis=1)
-        kernel = compile_field(self.ast, self.varnames, reads=reads, _table="_lagrangian")
-        return vals, eval_chunked(kernel, vals, None, None, len(reads))
+        return vals, read_table("_lagrangian", self.ast, self.varnames, vals, reads)
 
     def values(self, xs, vs) -> np.ndarray:
         """L at every point (xs[i], vs[i])."""
-        vals, out = self._table((0,), xs, vs)
-        require_finite((out,), self.ast, self.varnames, vals)
-        return out[:, 0]
+        return self._table((0,), xs, vs)[1][:, 0]
 
     def el_covectors(self, xs, vs, accs) -> np.ndarray:
         """E_i = dL/dx_i - d/dt(dL/dv_i) at every point (xs[i], vs[i],
-        accs[i]).  L itself must be finite there."""
+        accs[i]).  L and both terms must be finite there, and so must E,
+        which can overflow from finite terms."""
         n = self.n
         vals, out = self._table((0, *range(1, n + 1), *range(2 * n + 1, 3 * n + 1)), xs, vs, accs)
-        with np.errstate(invalid="ignore"):  # inf - inf; reported below
+        with np.errstate(over="ignore"):  # finite terms can overflow; reported below
             e = out[:, 1:n + 1] - out[:, n + 1:]
-        require_finite((out[:, 0], e), self.ast, self.varnames, vals)
+        require_finite((e,), self.ast, self.varnames, vals)
         return e
 
     def momenta(self, xs, vs) -> np.ndarray:
         """p_i = dL/dv_i at every point (xs[i], vs[i]).  L itself must be
         finite there."""
         n = self.n
-        vals, out = self._table((0, *range(n + 1, 2 * n + 1)), xs, vs)
-        require_finite((out,), self.ast, self.varnames, vals)
-        return out[:, 1:]
+        return self._table((0, *range(n + 1, 2 * n + 1)), xs, vs)[1][:, 1:]
 
     def solve_terms(self, x, v):
         """(dL/dx, (d2L/dv dx) . v, velocity Hessian) at the float arrays

@@ -24,7 +24,7 @@ from . import exprlang
 from .affine import AffineScalar, FiberPoint
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
-from .kernels import compile_field, eval_chunked, require_finite
+from .kernels import read_table
 
 _BOX_TOL = 1e-9
 # The structural checks (validate) sample VALIDATION_SAMPLES points per
@@ -40,15 +40,11 @@ def coord_names(dim: int) -> list:
 
 
 def _probe(table: str, exprs, names, vals, reads) -> np.ndarray:
-    """The outputs `reads` of the expressions' kernels of the table
-    `table` (compile_field's _table) at the rows of vals, of shape
-    (reads, rows, exprs); a non-finite one raises DomainError."""
+    """The outputs `reads` of the expressions' tables `table` at the rows
+    of vals, of shape (reads, rows, exprs), each checked by read_table."""
     out = np.empty((len(reads), vals.shape[0], len(exprs)))
     for k, e in enumerate(exprs):
-        kernel = compile_field(e, names, reads=reads, _table=table)
-        res = eval_chunked(kernel, vals, None, None, len(reads))
-        require_finite((res,), e, names, vals)
-        out[:, :, k] = res.T
+        out[:, :, k] = read_table(table, e, names, vals, reads).T
     return out
 
 

@@ -79,13 +79,13 @@ to 2.9 KB (FULL) per kernel built from it, measured by tracemalloc as
 that script does.
 
 The library evaluates expressions through these kernels, forcing
-expressions included.  Batched callers run one through eval_chunked, in
-calls of at most BATCH rows, and turn a non-finite output they use into
-a DomainError (require_finite).  The folds are exact: a literal 0 times
-or over u is 0, and u^0 is 1, for any u; so 1^u, exp(u * log 1), is 1
-too.  A table's literal zero seeds fold the same way, as they do in the
-RK4 loop: a derivative no output needs is never computed, so its 0 *
-inf makes no NaN.
+expressions included; its batched callers read a table only through
+read_table, which runs its kernel in calls of at most BATCH rows
+(eval_chunked) and raises DomainError for a non-finite output.  The
+folds are exact: a literal 0 times or over u is 0, and u^0 is 1, for
+any u; so 1^u, exp(u * log 1), is 1 too.  A table's literal zero seeds
+fold the same way, as they do in the RK4 loop: a derivative no output
+needs is never computed, so its 0 * inf makes no NaN.
 """
 from __future__ import annotations
 
@@ -221,11 +221,8 @@ class _Emitter:
                 return self.num(-math.inf if lx < 0.0 and p % 2.0 == 1.0 else math.inf)
         if p == 2.0:
             return self.tmp("{} * {}", x, x)
-        if not p.is_integer():
-            # a float ** a non-integer is complex for a negative base;
-            # math.pow raises ValueError there
-            return self.tmp("math.pow({}, {})", x, self.num(p))
-        return self.tmp("{} ** ({})", x, self.num(p))
+        # every other power is math.pow, which raises ValueError where x ** p is complex
+        return self.tmp("math.pow({}, {})", x, self.num(p))
 
 
 def _quad_is_const(q):
@@ -588,8 +585,8 @@ def _build(src: str, name: str, **env):
 # bit for bit.
 _UFUNCS = {
     "-{}": np.negative, "{} + {}": np.add, "{} - {}": np.subtract,
-    "{} * {}": np.multiply, "{} / {}": np.divide, "{} ** ({})": np.power,
-    "math.pow({}, {})": np.power, "abs({})": np.abs, _SIGN: np.sign,
+    "{} * {}": np.multiply, "{} / {}": np.divide, "math.pow({}, {})": np.power,
+    "abs({})": np.abs, _SIGN: np.sign,
     **{f"math.{name}({{}})": getattr(np, name) for name in _MATH},
 }
 _UNARY = 0xFFFF  # the second operand slot of a one-operand op
@@ -826,8 +823,8 @@ BATCH = 4096
 def eval_chunked(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:
     """eval_batch in calls of at most BATCH rows.  A seed argument is an
     array with a row per row of vals, or None where the kernel reads no
-    seed.  Floating-point warnings are silenced: callers check the
-    outputs they use and raise DomainError for a non-finite one (see
+    seed.  Floating-point warnings are silenced: read_table checks the
+    outputs and raises DomainError for a non-finite one (see
     require_finite)."""
     rows = vals.shape[0]
     out = np.empty((rows, width))
@@ -848,6 +845,16 @@ def require_finite(results, ast: ExprAst, varnames, vals):
     finite = np.logical_and.reduce([np.isfinite(r.reshape(len(r), -1)).all(axis=1)
                                     for r in results])
     raise domain_error(ast, varnames, vals[int(np.argmin(finite))])
+
+
+def read_table(table: str, ast: ExprAst, varnames, vals, reads) -> np.ndarray:
+    """The outputs `reads` of the table `table` (compile_field's _table)
+    of ast at the rows of vals, one row per point; DomainError for the
+    first point where one is not finite (require_finite)."""
+    kernel = compile_field(ast, varnames, reads=reads, _table=table)
+    out = eval_chunked(kernel, vals, None, None, len(reads))
+    require_finite((out,), ast, varnames, vals)
+    return out
 
 
 def domain_error(ast: ExprAst, varnames, point) -> DomainError:

@@ -17,15 +17,15 @@ every double and every hand-back of the Python or numpy rendering:
 
   * every libm call, division and power is followed by a check that
     returns the step or probe index k unless its value is finite.
-    Python's math functions, / and ** raise only where their value
+    Python's math functions and / raise only where their value
     would not be finite, so the C loop hands back wherever the Python
     loop does; it also hands back where such an operation passes on an
     infinity or a NaN without a raise, and the caller repeats that step
     or call on its own path.  IEEE arithmetic thus never absorbs one of
     C's infinities later (1/exp(1000) would be 0, where math.exp raises);
-  * both powers, x ** (p) and math.pow(x, p), are libm's pow: its
-    C99 Annex F special cases give Python's value wherever that is
-    finite, and the check above hands back wherever Python raises
+  * the one power, math.pow(x, p), is libm's pow: its C99 Annex F
+    special cases give Python's value wherever that is finite, and the
+    check above hands back wherever Python raises
     (tests/test_dynamics.py::TestLibmPow pins this on ctypes' libm);
   * max and sign compare as Python's max and the scalar sign do
     (av_max, not fmax).
@@ -115,15 +115,14 @@ PYTHON = _Dialect(
 _NUMPY = PYTHON._replace(ops={
     "math.pow({}, {})": "{} ** ({})", "abs({})": "np.abs({})", _SIGN: "np.sign({})",
     **{f"math.{name}({{}})": f"np.{name}({{}})" for name in _MATH}})
-# libm's functions, as the emitter calls them through math; both its
-# powers are libm's pow, whose C99 Annex F special cases are those of
-# Python's float ** float and math.pow wherever their value is finite
-_LIBM = {f"math.{name}({{}})": f"{name}({{}})" for name in _MATH}
-_POWERS = ("{} ** ({})", "math.pow({}, {})")
+# libm's functions as the emitter calls them through math; pow's C99
+# Annex F special cases are math.pow's wherever its value is finite
+_LIBM = {**{f"math.{name}({{}})": f"{name}({{}})" for name in _MATH},
+         "math.pow({}, {})": "pow({}, {})"}
 C = _Dialect(
-    ops={**_LIBM, "abs({})": "__builtin_fabs({})", **dict.fromkeys(_POWERS, "pow({}, {})"),
+    ops={**_LIBM, "abs({})": "__builtin_fabs({})",
          _SIGN: "({0} > 0.0 ? 1.0 : ({0} < 0.0 ? -1.0 : {0} + 0.0))"},
-    checked=frozenset([*_LIBM, *_POWERS, "{} / {}"]), num=_c_num, assign="{} = {};",
+    checked=frozenset([*_LIBM, "{} / {}"]), num=_c_num, assign="{} = {};",
     guard="if (!({})) return k;", handback="return k;", finite="isfinite({})",
     max=lambda texts: functools.reduce("av_max({}, {})".format, texts),
     chain="{0} {1} {2} && {2} {3} {4}", conj=" && ", inf="INFINITY")

@@ -12,6 +12,7 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "avcalc"
@@ -210,3 +211,69 @@ def test_native_writes_no_source():
 ])
 def test_dialect_guard_sees_builds(source, expected):
     assert dialect_builds(source) == expected
+
+
+# kernels.py alone calls compile_field and eval_chunked: every other
+# module reads a table through kernels.read_table, which checks what it
+# returns.
+KERNEL_RUNNERS = {"compile_field", "eval_chunked"}
+
+
+def kernel_runs(source: str) -> list:
+    """(line, name) of every import or use in `source` of a function of
+    KERNEL_RUNNERS: imported by name (under any alias), read as an
+    attribute, or named by a string such as getattr's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in KERNEL_RUNNERS]
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_RUNNERS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in KERNEL_RUNNERS:
+            found.append((node.lineno, node.value))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "kernels.py"))
+def test_only_kernels_runs_kernels(path):
+    assert kernel_runs((SRC / path).read_text()) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .kernels import compile_field as cf\n", [(1, "compile_field")]),
+    ("from . import kernels\ndef f(k, v):\n    return kernels.eval_chunked(k, v, None, None)\n",
+     [(3, "eval_chunked")]),
+    ("from . import kernels\nrun = getattr(kernels, 'compile_field')\n", [(2, "compile_field")]),
+    ("from .kernels import read_table\n'''compile_field's kernel'''\n", []),
+])
+def test_kernel_guard_sees_runs(source, expected):
+    assert kernel_runs(source) == expected
+
+
+def other_powers(ufuncs) -> list:
+    """The templates of `ufuncs` (template -> ufunc, as kernels._UFUNCS)
+    other than math.pow({}, {}) that the tape runs as np.power."""
+    return [t for t, f in ufuncs.items() if f is np.power and t != "math.pow({}, {})"]
+
+
+def test_one_constant_power():
+    """The emitter writes every constant power other than 0, 1 and 2 as
+    math.pow, the one template of np.power; the numpy and C texts write
+    it as their one power."""
+    from avcalc import kernels, lowering
+
+    assert other_powers(kernels._UFUNCS) == []
+    em = kernels._Emitter()
+    for p in (3.0, -2.0, 0.5, 1.5, 40.0):
+        em.powc("w0", p)
+    assert {template for template, _atoms in em.names} == {"math.pow({}, {})"}
+    assert [t for t, text in lowering._NUMPY.ops.items() if "**" in text] == ["math.pow({}, {})"]
+    assert [t for t, text in lowering.C.ops.items() if "pow(" in text] == ["math.pow({}, {})"]
+
+
+@pytest.mark.parametrize("ufuncs, expected", [
+    ({"math.pow({}, {})": np.power, "{} * {}": np.multiply}, []),
+    ({"{} ** ({})": np.power, "math.pow({}, {})": np.power}, ["{} ** ({})"]),
+])
+def test_power_guard_sees_a_second_template(ufuncs, expected):
+    assert other_powers(ufuncs) == expected

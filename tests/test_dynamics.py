@@ -124,11 +124,10 @@ class TestLegendre:
 
 
 class TestBatchedOperators:
-    """el_covectors and momenta over a seeded cloud.  The cloud needs
-    more than kernels.BATCH probes in each layout, also at n = 1, so
-    each call crosses a boundary between two kernel calls; a call holds
-    whole points, so at n = 3 one holds fewer than BATCH probes.  Every
-    output equals, bit for bit, the same operator
+    """el_covectors and momenta over a seeded cloud.  A kernel call
+    holds kernels.BATCH rows, one row per point, and the cloud has more
+    than BATCH points, so each call crosses a boundary between two
+    kernel calls.  Every output equals, bit for bit, the same operator
     called on blocks of points that fit one kernel call each, and equals
     a point-by-point evaluation of the same derivatives by the
     interpreter on Hyperdual scalars at every STRIDE-th point and at the
@@ -144,22 +143,19 @@ class TestBatchedOperators:
         return np.concatenate([op(*(arr[lo:lo + size] for arr in arrays))
                                for lo in range(0, points, size)])
 
-    def reference_points(self, n):
-        """Every STRIDE-th point, and the points beside each boundary
-        between two kernel calls in the EL (2n probes per point) and the
-        momentum (n per point) layouts."""
+    def reference_points(self):
+        """Every STRIDE-th point, the last, and the points beside each
+        boundary between two kernel calls, at every BATCH-th point."""
         rows = set(range(0, self.POINTS, self.STRIDE)) | {self.POINTS - 1}
-        for probes in (2 * n, n):
-            step = kernels.BATCH - kernels.BATCH % probes
-            for edge in range(step, probes * self.POINTS, step):
-                rows |= {(edge - 1) // probes, edge // probes}
+        for edge in range(kernels.BATCH, self.POINTS, kernels.BATCH):
+            rows |= {edge - 1, edge}
         return sorted(rows)
 
     @pytest.mark.parametrize("name", bundled_system_names())
     def test_match_hyperdual_reference(self, name):
         system = bundled_system(name)
         n, chart = system.dim, system.default_chart()
-        assert n * self.POINTS > kernels.BATCH
+        assert self.POINTS > kernels.BATCH
         ast = system.lagrangian.expr(chart)
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, (self.POINTS, n))
@@ -171,7 +167,7 @@ class TestBatchedOperators:
         p_blocks = self.blockwise(eng.momenta, kernels.BATCH // n, x, v)
         assert e.tobytes() == e_blocks.tobytes()
         assert p.tobytes() == p_blocks.tobytes()
-        rows = self.reference_points(n)
+        rows = self.reference_points()
         ref_e, ref_p = [], []
         for xi, vi, ai in zip(x[rows], v[rows], a[rows]):
             # E_i: d/dx_i, minus the mixed derivative along (v, a) of d/dv_i
@@ -212,6 +208,25 @@ class TestDomainContract:
             DomainError, match=r"sqrt of a negative value in .* at x1=0\.0, x2=0\.0, v1=1\.2, v2=0\.0"
         ):
             solve_accelerations(lam, [0.0, 0.0], [1.2, 0.0])
+
+
+    @pytest.mark.parametrize("operator", ["el_covectors", "euler_lagrange"])
+    def test_e_that_overflows_from_finite_terms(self, operator):
+        # L, dL/dx_1 = 1e308 and d/dt p_1 = a_1 = -8e307 are finite;
+        # E_1 = 1.8e308 is not
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(1), "0.5*v1^2 + 1e308*x1")
+        x, v, a = [0.5], [0.5], [-8e307]
+        terms = kernels.read_table("_lagrangian", lam.expr("0"), lagrangian_varnames(1),
+                                   np.array([x + v + a]), (0, 1, 3))
+        assert terms[0, 1:].tolist() == [1e308, -8e307]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^non-finite kernel output in .* "
+                                                  r"at x1=0\.5, v1=0\.5$"):
+                if operator == "el_covectors":
+                    lam.engine("0").el_covectors(np.array([x]), np.array([v]), np.array([a]))
+                else:
+                    euler_lagrange(lam, q_of(x, v, a), "0")
 
 
 class TestDomainContractValue:
@@ -718,6 +733,16 @@ class TestGeneratedLoop:
         assert fast.positions.tobytes() == oracle.positions.tobytes()
         assert fast.velocities.tobytes() == oracle.velocities.tobytes()
 
+    def test_a_forced_orbit_the_loop_serves_compiles_no_forcing_function(
+            self, existing_loop_starts):
+        # the forcing's scalar functions serve the existing loop alone
+        lam = GaugeClassLagrangian.from_exprs(euclidean_atlas(2), "0.5*(v1^2 + v2^2)")
+        texts, _by_hand = drag_and_push(2)
+        integrate_trajectory(lam, [0.1, 0.2], [0.3, -0.4], 0.0, 1.0, 10, forcing=texts)
+        assert existing_loop_starts == []
+        eng = lam.engine("0", dynamics._forcing_expressions(texts, 2))
+        assert eng.forcing and "_forcing" not in vars(eng)
+
     def test_forcing_component_leaving_its_domain_is_named(self, existing_loop_starts):
         # x1 = 0.35 - t crosses 0 in step 3: f2 = sqrt(x1) raises there,
         # and the error names f2, not L or f1
@@ -765,13 +790,13 @@ class TestGeneratedLoop:
 
 
 def python_power(x, y):
-    """x ** y as the Python loop computes it: the emitter writes
-    x ** (p) for an integer exponent and math.pow(x, p) otherwise."""
-    return x ** y if y.is_integer() else math.pow(x, y)
+    """x ** y as the Python loop computes it: the emitter writes every
+    constant power other than a square as math.pow(x, p)."""
+    return math.pow(x, y)
 
 
 class TestLibmPow:
-    """The C loop writes both powers as libm's pow (lowering.C), on the
+    """The C loop writes the power as libm's pow (lowering.C), on the
     assumption that C99 Annex F's special cases are Python's: on every
     pair, pow's value has the bits of the Python loop's, or it is not
     finite (so C's check hands back) where Python's is not finite or
