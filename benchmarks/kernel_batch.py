@@ -17,11 +17,11 @@ kernel (reads "all") and those of the columns the library reads, (0, 1,
 The header line of each kernel gives its generated lines and the
 distinct temporaries they use (names are reused once a value's last
 reader has run, see kernels._render), the records each kernel of the
-rows runs, two figures of building the full kernel,
-each over fresh expressions of its shape (compile_field misses its
-cache on each): the Lagrangian plus a seeded constant, and the
-Lagrangian shifted by c times the configured chi for a seeded c,
-and one of finding it:
+rows runs, two figures of building the full kernel and one of
+building the Lagrangian table, each over fresh expressions of its
+shape (compile_field misses its cache on each): the Lagrangian plus a
+seeded constant, and the Lagrangian shifted by c times the configured
+chi for a seeded c; and one of finding the full kernel:
 
   * build us:   microseconds of one compile_field call, best of
                 BUILDS;
@@ -31,7 +31,12 @@ and one of finding it:
                 expression's nodes render for the key and keep;
   * hit us:     microseconds of one compile_field call that finds its
                 cache entry, the mean over HITS calls on the kernel's
-                own expression, best of --repeats.
+                own expression, best of --repeats;
+  * table us:   microseconds of one Lagrangian table build
+                (kernels._lagrangian, reads (0, 1, 3), as
+                _ChartEngine.el_covectors asks for it) that misses the
+                cache, best of BUILDS further fresh expressions: what a
+                fresh gauge twin costs before its first kernel call.
 
 These rows run the op tape (kernels.NATIVE_PROBES is set out of reach).
 The native rows after them run each kernel as its C probe loop
@@ -150,6 +155,17 @@ def best_build_seconds(asts, names) -> float:
     for ast in asts:
         t0 = time.perf_counter()
         kernels.compile_field(ast, names)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def best_table_seconds(asts, names) -> float:
+    """Best time of one compile_field call for the Lagrangian table's
+    (0, 1, 3) kernel over the fresh `asts`."""
+    best = float("inf")
+    for ast in asts:
+        t0 = time.perf_counter()
+        kernels.compile_field(ast, names, reads=(0, 1, 3), _table="_lagrangian")
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -310,15 +326,17 @@ def main() -> int:
     for name, ast, names, fresh in cases():
         src = kernels.generate_source(ast, names)
         temps = len(set(re.findall(r"\bt\d+\b", src)))
-        asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, BUILDS + 20)]
+        asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, 2 * BUILDS + 20)]
         build = best_build_seconds(asts[:BUILDS], names)
-        kept = retained_bytes(asts[BUILDS:], names)
+        kept = retained_bytes(asts[BUILDS:BUILDS + 20], names)
+        table = best_table_seconds(asts[BUILDS + 20:], names)
         hit = best_hit_seconds(ast, names, args.repeats)
         tape = kernels._Tape(None, *kernels._batched(ast, names))
         records = " / ".join(str(sum(tape.live(reads))) for reads in READS)
         print(f"{name}: {len(src.splitlines()) - 1} lines, {temps} temporaries, records "
               f"{records} for reads {' / '.join(map(label, READS))}, "
-              f"build {1e6 * build:.0f} us, retained {kept:.0f} B, hit {1e6 * hit:.2f} us")
+              f"build {1e6 * build:.0f} us, retained {kept:.0f} B, hit {1e6 * hit:.2f} us, "
+              f"table {1e6 * table:.0f} us")
         print(f"{'probes':>8} {'reads':>6} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
               f"vs interpreter")
         compiled = [(reads, kernels.compile_field(ast, names, reads=reads)) for reads in READS]

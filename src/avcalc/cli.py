@@ -29,7 +29,7 @@ from .affine import affine_scalar_diff
 from .config import load_config, parse_segment, split_top_level
 from .dynamics import SecondOrderPoint, euler_lagrange, integrate_trajectory, legendre
 from .errors import AvcalcError
-from .geometry import CurveSpec, ScalarFunction
+from .geometry import CurveSpec
 from .systems import System, bundled_system, bundled_system_names, chi_set
 
 
@@ -174,9 +174,9 @@ def cmd_variation(args) -> int:
 def cmd_check_gauge(args) -> int:
     system = _load_system(args.system)
     chis = (args.chi,) if args.chi else (system.chis or tuple(chi_set(system.dim)))
-    for chi in chis:  # each must be one function on M
-        ScalarFunction.from_common(system.atlas, chi, system.constants).validate()
     probe = dataclasses.replace(system, chis=tuple(chis))
+    for chi in chis:  # each must be one function on M; the suites reuse its parse
+        probe.chi_function(chi).validate()
     results = suites.gauge_el_suite(probe) + suites.legendre_suite(probe)
     code = _print_results(results)  # shown even if the trajectory suite raises
     traj = suites.trajectory_gauge_suite(probe)

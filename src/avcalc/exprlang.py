@@ -24,6 +24,7 @@ the library evaluates through compiled kernels.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -378,13 +379,18 @@ def _render(ast: ExprAst) -> str:
 
 
 def substitute(ast: ExprAst, mapping: dict) -> ExprAst:
-    """Replace Var nodes by expression trees (name -> ExprAst)."""
+    """Replace Var nodes by expression trees (name -> ExprAst).  A node
+    under which nothing is replaced is returned itself, with the text
+    it keeps."""
     if isinstance(ast, Var):
         return mapping.get(ast.name, ast)
     if isinstance(ast, Unary):
-        return Unary(ast.op, substitute(ast.child, mapping))
+        child = substitute(ast.child, mapping)
+        return ast if child is ast.child else Unary(ast.op, child)
     if isinstance(ast, Binary):
-        return Binary(ast.op, substitute(ast.left, mapping), substitute(ast.right, mapping))
+        left, right = substitute(ast.left, mapping), substitute(ast.right, mapping)
+        return ast if left is ast.left and right is ast.right else Binary(ast.op, left, right)
     if isinstance(ast, Call):
-        return Call(ast.func, tuple(substitute(a, mapping) for a in ast.args))
+        args = tuple(substitute(a, mapping) for a in ast.args)
+        return ast if all(map(operator.is_, args, ast.args)) else Call(ast.func, args)
     return ast

@@ -85,7 +85,9 @@ read_table, which runs its kernel in calls of at most BATCH rows
 folds are exact: a literal 0 times or over u is 0, and u^0 is 1, for
 any u; so 1^u, exp(u * log 1), is 1 too.  A table's literal zero seeds
 fold the same way, as they do in the RK4 loop: a derivative no output
-needs is never computed, so its 0 * inf makes no NaN.
+needs is never computed, so its 0 * inf makes no NaN.  The emitter's
+add and mul fold the seed atom _ZERO itself, most of a walk's calls,
+before any lookup; another zero literal folds by its value, the same way.
 """
 from __future__ import annotations
 
@@ -162,6 +164,8 @@ class _Emitter:
         return self.tmp("-{}", x)
 
     def add(self, x, y):
+        if x is _ZERO:  # the walk's most common folds, before the lookups
+            return y
         lx, ly = self.lits.get(x), self.lits.get(y)
         if lx == 0.0:
             return y
@@ -182,6 +186,8 @@ class _Emitter:
         return self.tmp("{} - {}", x, y)
 
     def mul(self, x, y):
+        if x is _ZERO or y is _ZERO:
+            return _ZERO
         lx, ly = self.lits.get(x), self.lits.get(y)
         if lx == 0.0 or ly == 0.0:
             return _ZERO

@@ -3,7 +3,11 @@
 Each suite function takes a System and returns CheckResults carrying
 the measured worst defect and the tolerance it was held to.  Sweep
 suites draw all their samples first and make one batched chart-engine
-call per Lagrangian.
+call per Lagrangian.  The gauge suites take each gauge function and
+the Lagrangian's twin by it from the System (chi_function,
+gauge_twin), which parses and shifts each chi once however many
+suites check it; a suite reports a failure to parse or evaluate as it
+meets it, and the System keeps nothing of a failed one.
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ from .dynamics import (
 from .errors import ChartExitError, DomainError, SingularLagrangianError, ValidationError
 from .geometry import (
     VALIDATION_TOL,
-    ScalarFunction,
     affine_differential,
     coord_names,
     euclidean_atlas,
@@ -108,14 +111,6 @@ def _trajectory_gap(tr0, tr1) -> float:
                             _worst(tr0.velocities - tr1.velocities)))
 
 
-def _shifted(system: System, chi: str) -> GaugeClassLagrangian:
-    return gauge_shift(system.lagrangian, _chi_fn(system, chi))
-
-
-def _chi_fn(system: System, chi: str) -> ScalarFunction:
-    return ScalarFunction.from_common(system.atlas, chi, system.constants)
-
-
 def _section_change(system: System):
     """box_minus of the system's section over its curve's end and start."""
     curve, phi = system.curve, system.section
@@ -160,7 +155,7 @@ def gauge_el_suite(system: System):
         x, v, a = _random_points(system, rng, POINTS)
         try:
             e0 = system.lagrangian.engine(chart).el_covectors(x, v, a)
-            e1 = _shifted(system, chi).engine(chart).el_covectors(x, v, a)
+            e1 = system.gauge_twin(chi).engine(chart).el_covectors(x, v, a)
         except DomainError as exc:
             results.append(CheckResult(name, math.nan, GAUGE_TOL, str(exc)))
             continue
@@ -184,10 +179,10 @@ def legendre_suite(system: System):
         x, *v = _uniform_rows(rng, points, (1.0,) + (system.v_halfwidth,) * vels, n)
         xs = np.repeat(x, vels, axis=0)
         vs = np.stack(v, axis=1).reshape(points * vels, n)
-        fn = _chi_fn(system, chi)
+        fn = system.chi_function(chi)
         try:
             p0 = system.lagrangian.engine(chart).momenta(xs, vs)
-            p1 = gauge_shift(system.lagrangian, fn).engine(chart).momenta(xs, vs)
+            p1 = system.gauge_twin(chi).engine(chart).momenta(xs, vs)
             # the reference is chi's own kernel, not the <d chi, v> under test
             dchi = eval_rows((fn.chart_exprs[chart],), coord_names(n), x, grad=True)
         except DomainError as exc:
@@ -273,8 +268,8 @@ def action_gauge_suite(system: System):
     variations does not shift at all."""
     if system.curve is None or not system.chis:
         return []
-    fn = _chi_fn(system, system.chis[0])
-    shifted = gauge_shift(system.lagrangian, fn)
+    fn = system.chi_function(system.chis[0])
+    shifted = system.gauge_twin(system.chis[0])
     curve = system.curve
     s0 = gauge_fixed_value(action_quadrature(system.lagrangian, curve, PANELS))
     s1 = gauge_fixed_value(action_quadrature(shifted, curve, PANELS))
@@ -315,7 +310,7 @@ def trajectory_gauge_suite(system: System):
     try:
         tr0, tr1 = (
             integrate_trajectory(lam, x0, v0, 0.0, 1.0, STEPS, chart_id=chart)
-            for lam in (system.lagrangian, _shifted(system, chi))
+            for lam in (system.lagrangian, system.gauge_twin(chi))
         )
     except (DomainError, ChartExitError, SingularLagrangianError) as exc:
         return [CheckResult(name, math.nan, GAUGE_TOL, str(exc))]

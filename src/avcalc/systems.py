@@ -3,7 +3,9 @@
 Each system packages an atlas, a Lagrangian, a default curve for the
 action and variation checks, and gauge test functions appropriate to
 its dimension.  configs/ holds a config file for each; those give one
-gauge function and no section.
+gauge function and no section.  A System parses each gauge function
+it is asked for once and builds its Lagrangian's gauge twin by it once
+(chi_function, gauge_twin).
 """
 from __future__ import annotations
 
@@ -12,12 +14,13 @@ from typing import Optional
 
 from . import exprlang
 from ._symdiff import velocity_coupling
-from .dynamics import GaugeClassLagrangian
+from .dynamics import GaugeClassLagrangian, gauge_shift
 from .geometry import (
     Atlas,
     AVSection,
     CurveSegment,
     CurveSpec,
+    ScalarFunction,
     circle_atlas,
     euclidean_atlas,
 )
@@ -43,6 +46,12 @@ class System:
     v_halfwidth: float = 1.0  # sampling width for random velocities
     section: Optional[AVSection] = None
     forcing: Optional[tuple] = None
+    # chi text -> its ScalarFunction, and -> the Lagrangian's twin by it,
+    # each made at its first use and kept; a parse or shift that raises
+    # keeps nothing.  Change the Lagrangian or the constants through
+    # dataclasses.replace, whose copy starts with neither kept.
+    _chi_fns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _twins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -50,6 +59,20 @@ class System:
 
     def default_chart(self) -> str:
         return self.atlas.charts[0].id
+
+    def chi_function(self, chi: str) -> ScalarFunction:
+        """The gauge function chi (text) on the atlas, the system's
+        constants folded in, parsed once per System."""
+        if chi not in self._chi_fns:
+            self._chi_fns[chi] = ScalarFunction.from_common(self.atlas, chi, self.constants)
+        return self._chi_fns[chi]
+
+    def gauge_twin(self, chi: str) -> GaugeClassLagrangian:
+        """L + <d chi, v>: the Lagrangian shifted by chi_function(chi)
+        (gauge_shift), built once per System."""
+        if chi not in self._twins:
+            self._twins[chi] = gauge_shift(self.lagrangian, self.chi_function(chi))
+        return self._twins[chi]
 
 
 def exact_lagrangian(section: AVSection) -> GaugeClassLagrangian:

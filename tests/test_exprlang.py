@@ -122,6 +122,19 @@ class TestIntrospection:
         swapped = exprlang.substitute(ast, {"x1": exprlang.parse("t-1")})
         assert exprlang.evaluate(swapped, {"t": 3.0}) == pytest.approx(2.0 + 4.0)
 
+    def test_substitute_shares_what_it_does_not_replace(self):
+        ast = exprlang.parse("-sin(x1)*pow(x2, 3) + exp(-x1)")
+        assert exprlang.substitute(ast, {}) is ast
+        assert exprlang.substitute(ast, {"k": Number(2.0)}) is ast
+        # a replaced leaf rebuilds only the nodes above it
+        swapped = exprlang.substitute(ast, {"x2": Number(2.0)})
+        assert swapped == exprlang.parse("-sin(x1)*pow(2.0, 3) + exp(-x1)")
+        assert swapped.right is ast.right
+        product = swapped.left
+        assert product is not ast.left and product.left is ast.left.left
+        assert product.right is not ast.left.right
+        assert product.right.args[1] is ast.left.right.args[1]
+
 
 class TestRoundTrip:
     def test_canonical_text_parses_back_to_same_tree(self):

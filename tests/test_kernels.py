@@ -31,6 +31,7 @@ from avcalc.kernels import (
     generate_solve_source,
     generate_source,
 )
+from avcalc.lowering import _ZERO
 from avcalc.rk4loop import generate_step_source
 from avcalc.systems import bundled_system, bundled_system_names
 
@@ -572,6 +573,29 @@ class TestSign:
         assert "sign" not in generate_source(ast, ["x1"])
         out = eval_batch(compile_field(ast, ["x1"]), [[2.0]], [[1.0]], [[0.0]])
         assert out[0].tolist() == [-2.0, -1.0, 0.0, 0.0]
+
+
+class TestZeroFolds:
+    """The emitter folds the _ZERO atom itself before it looks up any
+    literal; every other atom of value zero folds as before, through
+    its value in `lits`, so the shortcut changes no line."""
+
+    def test_other_zero_atoms_fold_by_value(self):
+        em = kernels._Emitter()
+        zero = em.num(0.0)
+        assert zero == _ZERO and zero is not _ZERO  # not the shortcut's atom
+        assert em.mul(zero, "t0") == _ZERO and em.mul("t0", em.num(-0.0)) == _ZERO
+        assert em.add("t0", em.num(-0.0)) == "t0" and em.add(zero, "t0") == "t0"
+        assert em.names == {}
+
+    def test_the_shortcut_keeps_the_first_fold(self):
+        em = kernels._Emitter()
+        assert em.mul(_ZERO, "math.nan") is _ZERO and em.mul(em.num(math.nan), _ZERO) is _ZERO
+        negative = em.num(-0.0)
+        assert em.add(_ZERO, negative) == "-0.0"
+        assert em.add(negative, _ZERO) is _ZERO  # the first fold returns the second operand
+        assert em.add("t0", _ZERO) == "t0"
+        assert em.names == {}
 
 
 class TestKernelBatchScript:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from avcalc import suites
+from avcalc import exprlang, suites, systems
+from avcalc.dynamics import GaugeClassLagrangian, gauge_shift
+from avcalc.errors import ExprSyntaxError
 from avcalc.systems import bundled_system, bundled_system_names
 
 
@@ -65,6 +68,51 @@ class TestIndividualSuites:
         system.curve = None
         assert suites.action_equality_suite(system) == []
         assert suites.variation_suite(system) == []
+
+
+class TestGaugeFunctionsOfASystem:
+    CHIS = ("x1*x2", "sin(x1)*cos(x2)")
+
+    def test_each_chi_is_parsed_and_shifted_once(self, monkeypatch):
+        system = dataclasses.replace(bundled_system("free"), chis=self.CHIS)
+        parsed, shifted = [], []
+        parse = exprlang.parse
+        monkeypatch.setattr(exprlang, "parse", lambda text: parsed.append(text) or parse(text))
+
+        def shift(lam, chi):
+            shifted.append((lam, chi))
+            return gauge_shift(lam, chi)
+
+        for module in (systems, suites):  # the names a suite could shift through
+            monkeypatch.setattr(module, "gauge_shift", shift)
+        results = []
+        for suite in (suites.gauge_el_suite, suites.legendre_suite, suites.action_gauge_suite,
+                      suites.trajectory_gauge_suite):
+            results += suite(system)
+        assert len(results) == 2 + 4 + 2 + 1 and all(r.passed for r in results)
+        assert [text for text in parsed if text in self.CHIS] == list(self.CHIS)
+        assert [lam for lam, _chi in shifted] == [system.lagrangian] * 2
+        assert [chi for _lam, chi in shifted] == [*map(system.chi_function, self.CHIS)]
+
+    def test_a_replaced_system_shifts_its_own_lagrangian(self):
+        system = bundled_system("free")
+        chi, chart = self.CHIS[0], system.default_chart()
+        twin = system.gauge_twin(chi)
+        other = GaugeClassLagrangian.from_exprs(system.atlas, "0.5*v1^2 + v2^2")
+        copy = dataclasses.replace(system, lagrangian=other)
+        assert copy.gauge_twin(chi).expr(chart) == gauge_shift(other, chi).expr(chart)
+        assert copy.gauge_twin(chi).expr(chart) != twin.expr(chart)
+        assert system.gauge_twin(chi) is twin  # the original keeps its own
+
+    def test_a_failed_parse_is_not_kept(self, monkeypatch):
+        system = bundled_system("free")
+        calls = []
+        parse = exprlang.parse
+        monkeypatch.setattr(exprlang, "parse", lambda text: calls.append(text) or parse(text))
+        for _ in range(2):
+            with pytest.raises(ExprSyntaxError):
+                system.chi_function("x1 $ x2")
+        assert calls == ["x1 $ x2"] * 2
 
 
 def test_bundled_names_stable():
