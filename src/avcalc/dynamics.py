@@ -22,15 +22,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import exprlang
-from ._symdiff import add as _ast_add
-from ._symdiff import velocity_coupling
 from .errors import (
     ChartDisjointError,
     ChartExitError,
     SingularLagrangianError,
     ValidationError,
 )
-from .exprlang import ExprAst, _Node
+from .exprlang import Binary, ExprAst, Number, Var, _Node
 from .geometry import (
     _BOX_TOL,
     VALIDATION_SAMPLES,
@@ -38,6 +36,7 @@ from .geometry import (
     ScalarFunction,
     _overlap_samples,
     _require_within,
+    coord_names,
     low_discrepancy_points,
 )
 from .kernels import (
@@ -48,6 +47,7 @@ from .kernels import (
     check_declared,
     compile_solve,
     domain_error,
+    gradient_exprs,
     read_table,
     require_finite,
     require_numpy_backend,
@@ -180,16 +180,41 @@ class GaugeClassLagrangian:
                             1e-10, lambda r: f"charts ({i},{j}) at x={x_i[r // nv]}, v={v[r % nv]}")
 
 
+def _is_num(ast: ExprAst, value: float) -> bool:
+    return isinstance(ast, Number) and ast.value == value
+
+
+def _plus(a: ExprAst, b: ExprAst) -> ExprAst:
+    """a + b as a node, a zero literal term dropped."""
+    return a if _is_num(b, 0.0) else b if _is_num(a, 0.0) else Binary("+", a, b)
+
+
+def velocity_coupling(chi: ExprAst, dim: int) -> ExprAst:
+    """The term <d(chi), v> = sum_j d(chi)/dx_j * v_j as an AST, each
+    d(chi)/dx_j read back from chi's gradient table (kernels.gradient_exprs):
+    a zero term is dropped and 1 * v_j is v_j."""
+    out = Number(0.0)
+    for j, g in enumerate(gradient_exprs(chi, coord_names(dim)), 1):
+        v = Var(f"v{j}")
+        out = _plus(out, g if _is_num(g, 0.0) else v if _is_num(g, 1.0) else Binary("*", g, v))
+    return out
+
+
 def gauge_shift(lam: GaugeClassLagrangian, chi) -> GaugeClassLagrangian:
     """Representative change L -> L + <d(chi), v> for a gauge function
-    chi (an expression, or a ScalarFunction on multi-chart atlases)."""
+    chi (an expression, or a ScalarFunction on multi-chart atlases).
+    Charts whose chi is one expression (from_common's) share one
+    coupling, built once."""
     atlas = lam.atlas
     if not isinstance(chi, ScalarFunction):
         chi = ScalarFunction.from_common(atlas, chi)
-    exprs = {
-        cid: _ast_add(e, velocity_coupling(chi.chart_exprs[cid], atlas.dim))
-        for cid, e in lam.chart_exprs.items()
-    }
+    couplings = {}  # id of a chart's chi -> its coupling
+    exprs = {}
+    for cid, e in lam.chart_exprs.items():
+        c = chi.chart_exprs[cid]
+        if id(c) not in couplings:
+            couplings[id(c)] = velocity_coupling(c, atlas.dim)
+        exprs[cid] = _plus(e, couplings[id(c)])
     return GaugeClassLagrangian(atlas, exprs)
 
 

@@ -51,7 +51,10 @@ alone, one row per point, and the library passes None for d1 and d2:
 
   * _lagrangian, over the columns (x, v, a): L, dL/dx_i, dL/dv_i and
     d/dt dL/dv_i, for values, momenta and Euler-Lagrange covectors;
-  * _gradient: the value and d/dw_j, for geometry's eval_rows;
+  * _gradient: the value and d/dw_j, for geometry's eval_rows, and
+    read back as expression trees by gradient_exprs for the couplings
+    <d(chi), v> of dynamics.velocity_coupling: the emitter's rules are
+    the library's one set of derivative rules;
   * _jet, over t: x, x' and x'', for jets_in_t.
 
 A caller that reads only some of these outputs asks for them when it
@@ -91,6 +94,7 @@ before any lookup; another zero literal folds by its value, the same way.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -100,7 +104,7 @@ import numpy as np
 from .autodiff import Hyperdual
 from .errors import DomainError
 from .exprlang import (
-    _REAL_UNARY, Binary, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text,
+    _REAL_UNARY, Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text,
 )
 from .lowering import _CALLS, _MATH, _ONE, _SIGN, _ZERO, _lit, _num, numpy_kernel, solve_function
 
@@ -286,8 +290,8 @@ def _apply_pow_const(u, p: float, em: _Emitter):
     d = em.mul(em.num(p), em.powc(uv, p - 1.0))
     a = em.mul(d, ua)
     b = em.mul(d, ub)
-    # p*(p-1) vanishes for p = 1 (the x^1.0 that _symdiff makes of x^2):
-    # emitting x**(p-2) there would compute a dead, possibly infinite value
+    # p*(p-1) vanishes for p = 1 (a user's x^1): emitting x**(p-2)
+    # there would compute a dead, possibly infinite value
     if ua != _ZERO and ub != _ZERO and p != 1.0:
         dd = em.mul(em.num(p * (p - 1.0)), em.powc(uv, p - 2.0))
         c = em.add(em.mul(d, uc), em.mul(em.mul(dd, ua), ub))
@@ -776,6 +780,22 @@ CACHE_SIZE = 256
 _CACHE = {}  # (table, text, variables) -> _Tape, in order of last use
 
 
+def _tape(table: str, ast: ExprAst, varnames) -> _Tape:
+    """The cached tape of the table `table` (the name of a table's
+    function in this module, looked up at each walk) of ast over
+    varnames.  The cache holds one walk per (table, text, variable
+    layout), at most CACHE_SIZE of them; the text is the node's kept
+    one, so a hit renders nothing."""
+    key = (table, to_text(ast), tuple(varnames))
+    tape = _CACHE.pop(key, None)
+    if tape is None:
+        tape = _Tape(key, *globals()[table](ast, varnames))
+        if len(_CACHE) >= CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]  # the least recently used
+    _CACHE[key] = tape  # now the most recently used
+    return tape
+
+
 def compile_field(ast: ExprAst, varnames, *, reads=FULL, _table="_batched"):
     """Compile an expression into a batched second-order evaluator.
 
@@ -783,20 +803,54 @@ def compile_field(ast: ExprAst, varnames, *, reads=FULL, _table="_batched"):
     reads[c] of the module docstring's contract, so `out` has
     len(reads) columns; it runs only the records those outputs depend
     on.  The library passes _table, the name of a table's function in
-    this module (_lagrangian, _gradient, _jet), looked up at each walk,
-    for the kernel of that table's outputs `reads`.  The cache holds one
-    walk per (table, text, variable layout), at most CACHE_SIZE of them,
-    with its kernel per `reads`; the text is the node's kept one, so a
-    hit renders nothing.
+    this module (_lagrangian, _gradient, _jet), for the kernel of that
+    table's outputs `reads`.  The tape comes from the cache (_tape), with
+    its kernel per `reads`.
     """
-    key = (_table, to_text(ast), tuple(varnames))
-    tape = _CACHE.pop(key, None)
-    if tape is None:
-        tape = _Tape(key, *globals()[_table](ast, varnames))
-        if len(_CACHE) >= CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]  # the least recently used
-    _CACHE[key] = tape  # now the most recently used
-    return tape.kernel(reads)
+    return _tape(_table, ast, varnames).kernel(reads)
+
+
+# The expression node each template's record reads back as (gradient_exprs)
+_NODES = {
+    "-{}": functools.partial(Unary, "-"),
+    **{f"{{}} {op} {{}}": functools.partial(Binary, op) for op in "+-*/"},
+    "math.pow({}, {})": functools.partial(Binary, "^"),
+    **{template: lambda a, f=name: Call(f, (a,))
+       for name, template in {**_CALLS, "sign": _SIGN}.items()},
+}
+_READBACK = tuple(map(_NODES.__getitem__, _UFUNCS))  # by op code
+
+
+def _literal(value: float) -> ExprAst:
+    """The node of a literal that the emitter folds back to `value`.  A
+    non-finite Number's text (inf, nan) would re-parse as a variable, so
+    +-inf is +-1/0, and NaN is (-1)^0.5, since the emitter folds 0/u to 0."""
+    if math.isnan(value):
+        return Binary("^", Number(-1.0), Number(0.5))
+    if math.isinf(value):
+        return Binary("/", Number(math.copysign(1.0, value)), Number(0.0))
+    return Number(value)
+
+
+def gradient_exprs(ast: ExprAst, varnames) -> list:
+    """d(ast)/d(x_j) for each name x_j of varnames, as expression trees:
+    the records of ast's gradient table (_gradient), from the cache
+    (_tape), each read back as the node of its template (_NODES) on its
+    operands' nodes.  A register's node is that of the record that last
+    wrote it, a column's is its variable and a literal's is _literal.
+    A record t * t, the emitter's x^2, reads back as t^2.0, so that a
+    walk of the tree emits it as the same one record."""
+    tape = _tape("_gradient", ast, varnames)
+    nodes = [None] * tape.registers + [Var(varnames[j]) for j in tape.columns]
+    nodes += [_literal(float(value)) for value in tape.literals]
+    for code, a, b, r in zip(tape.codes, tape.first, tape.second, tape.dest):
+        if b == _UNARY:
+            nodes[r] = _READBACK[code](nodes[a])
+        elif a == b and code == _CODES["{} * {}"]:
+            nodes[r] = Binary("^", nodes[a], Number(2.0))
+        else:
+            nodes[r] = _READBACK[code](nodes[a], nodes[b])
+    return [nodes[s] for s in tape.outputs[1:]]
 
 
 def compile_solve(ast: ExprAst, varnames, forcing=()):

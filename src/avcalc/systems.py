@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exprlang
-from ._symdiff import velocity_coupling
-from .dynamics import GaugeClassLagrangian, gauge_shift
+from .dynamics import GaugeClassLagrangian, gauge_shift, velocity_coupling
 from .geometry import (
     Atlas,
     AVSection,

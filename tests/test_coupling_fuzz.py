@@ -1,17 +1,23 @@
-"""Differential fuzz of the gauge couplings, the library's derivative
-code outside the kernels: _symdiff.partial builds <d(chi), v> for
-gauge_shift and <d(phi), v> for systems.exact_lagrangian as expression
-trees, which the kernels then only evaluate.  Their values are held to
-v . grad(chi), the gradient computed by the kernels' own derivative rules
+"""Differential fuzz of the gauge couplings.  gauge_shift's <d(chi), v>
+and systems.exact_lagrangian's <d(phi), v> are built from chi's gradient
+table: kernels.gradient_exprs reads its records back as expression
+trees, which the twin's kernels then walk and evaluate.  Their values
+are held to v . grad(chi), the table's own gradient
 (geometry.eval_rows(grad=True)), for chi drawn from test_engine_fuzz's
-trees over x1..x3 (McKeeman, "Differential Testing for Software", 1998).
+trees over x1..x3 (McKeeman, "Differential Testing for Software",
+1998).  So this test guards the read-back and the twin's evaluation;
+the emitter's derivative rules are guarded against the Hyperdual oracle
+(test_engine_fuzz, test_kernels).
 
 Contract, at every point: the free particle's twin L1 - L0 and the exact
 Lagrangian <d(phi), v> of the section phi = chi both equal
 v . grad(chi) within 1e-9 of max(1, |v . grad(chi)|); where one side
-raises DomainError, so does the other.  One example per rule of
-_symdiff.partial pins every rule; each of them, made wrong, fails this
-test (see CHANGES.md for the size that kills all five known faults).
+raises DomainError, so does the other.  Each gradient tree re-parses
+from its text to an equal tree, as native.compile_probes re-parses a
+kernel's key text.  The examples give one tree per construct of the
+language, so every record template is read back, and one per non-finite
+literal a fold makes, which the read-back writes so that the emitter
+folds it back to its value: NaN as (-1)^0.5, not 0/0, which folds to 0.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +28,7 @@ from avcalc.dynamics import GaugeClassLagrangian, gauge_shift
 from avcalc.errors import DomainError
 from avcalc.exprlang import Binary, Call, Number, Unary, Var
 from avcalc.geometry import AVSection, eval_rows, euclidean_atlas
+from avcalc.kernels import gradient_exprs
 from avcalc.systems import exact_lagrangian
 from test_engine_fuzz import _extend
 
@@ -58,9 +65,9 @@ def _agree(got, want, what):
 
 @settings(max_examples=300, database=None, derandomize=True, deadline=None)
 @given(trees)
-# one per rule of _symdiff.partial: a number, a variable, a negation,
-# + - * /, a power of a number, of a constant expression, and of a
-# varying exponent (as ^ and as pow), then each function
+# a number, a variable, a negation, + - * /, a power of a number, of a
+# constant expression, and of a varying exponent (as ^ and as pow), each
+# function, and the non-finite literals NaN, inf and an overflow
 @example(Binary("+", Number(2.0), Var("x1")))
 @example(Unary("-", Var("x2")))
 @example(Binary("+", Var("x1"), Var("x2")))
@@ -79,8 +86,13 @@ def _agree(got, want, what):
 @example(Call("sqrt", (Var("x2"),)))
 @example(Call("abs", (Var("x1"),)))
 @example(Call("sign", (Var("x1"),)))
+@example(Binary("*", Binary("^", Number(-2.0), Number(0.5)), Var("x1")))
+@example(Binary("*", Binary("/", Number(1.0), Number(0.0)), Var("x1")))
+@example(Binary("*", Binary("^", Number(10.0), Number(400.0)), Var("x1")))
 def couplings_match_the_kernels_gradient(chi):
     text = exprlang.to_text(chi)
+    for g in gradient_exprs(chi, COORDS):
+        assert exprlang.parse(exprlang.to_text(g)) == g, (text, exprlang.to_text(g))
     twin = gauge_shift(FREE, chi).engine("0")
     exact = exact_lagrangian(AVSection(ATLAS, {"0": chi})).engine("0")
     free = FREE.engine("0")

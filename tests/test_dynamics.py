@@ -30,7 +30,7 @@ from avcalc.errors import (
     UnboundVariableError,
     ValidationError,
 )
-from avcalc.exprlang import parse
+from avcalc.exprlang import parse, to_text
 from avcalc.geometry import Atlas, Chart, ScalarFunction, circle_atlas, euclidean_atlas
 from avcalc.systems import bundled_system, bundled_system_names, charged_particle
 
@@ -70,6 +70,17 @@ class TestEulerLagrange:
         e0 = euler_lagrange(lam, q, "0")
         e1 = euler_lagrange(shifted, q, "0")
         assert np.allclose(e0.p, e1.p, atol=1e-14)
+
+    def test_charts_sharing_chi_share_one_coupling(self, monkeypatch):
+        # the circle's two charts take one chi AST (from_common): its
+        # gradient is read back once, and both twins add the same node
+        read = []
+        spy = lambda ast, names: read.append(ast) or kernels.gradient_exprs(ast, names)
+        monkeypatch.setattr(dynamics, "gradient_exprs", spy)
+        twin = bundled_system("circle").gauge_twin("sin(x1)")
+        assert len(read) == 1
+        first, second = (twin.expr(c) for c in ("0", "1"))
+        assert first.right is second.right and to_text(first.right) == "(cos(x1)*v1)"
 
 
 class TestLegendre:

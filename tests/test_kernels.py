@@ -79,8 +79,8 @@ class TestCompilation:
         assert k1 is k2
 
     def test_unit_exponent_emits_no_power(self):
-        # _symdiff differentiates x1^2 into 2*x1^1.0; p*(p-1) = 0 there,
-        # so no x1**(p-2) may be computed (it is infinite at x1 = 0)
+        # a user's x1^1.0: p*(p-1) = 0 there, so no x1**(p-2) may be
+        # computed (it is infinite at x1 = 0)
         ast = exprlang.parse("x1^1.0*v1")
         assert "**" not in generate_source(ast, ["x1", "v1"])
         vals = np.array([[0.0, 2.0]])
@@ -596,6 +596,47 @@ class TestZeroFolds:
         assert em.add(negative, _ZERO) is _ZERO  # the first fold returns the second operand
         assert em.add("t0", _ZERO) == "t0"
         assert em.names == {}
+
+
+class TestGradientExprs:
+    """gradient_exprs reads a gradient table's records back as trees:
+    each tree's text re-parses to it (native re-parses a kernel's key
+    text), and its value is the table's gradient column bit for bit."""
+
+    CASES = ("sin(x1)*cos(x2)", "x1^x2 - x2/x1", "exp(-x1^2)*x2", "tan(x1) + sqrt(x2)",
+             "abs(x1)*sign(x2) + log(x1)", "x1^3.5 + pow(x2, -0.5)", "3*x1", "x2", "(-2)^0.5*x1",
+             "(1/0)*x1", "10^400*x1", "-(1/0)*x2", "x1*x1", "2.5")
+
+    def test_every_template_reads_back(self):
+        assert set(kernels._NODES) == set(kernels._UFUNCS)
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_trees_reparse_and_give_the_table_bits(self, text):
+        names = ["x1", "x2"]
+        ast = exprlang.parse(text)
+        vals = np.array([[0.5, 1.5], [2.0, 0.25], [-1.0, 3.0], [0.0, -2.0]])
+        table = compile_field(ast, names, reads=(1, 2), _table="_gradient")
+        with np.errstate(all="ignore"):
+            want = kernels.eval_chunked(table, vals, None, None, 2)
+            for j, g in enumerate(kernels.gradient_exprs(ast, names)):
+                assert exprlang.parse(exprlang.to_text(g)) == g
+                got = kernels.eval_chunked(compile_field(g, names, reads=(0,), _table="_gradient"),
+                                           vals, None, None, 1)
+                assert np.array_equal(got[:, 0], want[:, j], equal_nan=True), (text, j)
+
+    @pytest.mark.parametrize("text, want", [
+        ("(-2)^0.5*x1", "((-1.0)^0.5)"),  # NaN, not 0/0, which folds to 0
+        ("(1/0)*x1", "(1.0/0.0)"),
+        ("-(1/0)*x1", "((-1.0)/0.0)"),
+        ("10^400*x1", "(1.0/0.0)"),
+        ("x1^2", "(2.0*x1)"),
+        ("exp(-x1^2)", "(exp((-(x1^2.0)))*(-(2.0*x1)))"),  # the square x*x reads back as x^2.0
+        ("x1/3", "0.3333333333333333"),  # folded, a literal
+        ("1/x1", "((-(1.0/x1))/x1)"),
+        ("x1^3 - sin(x1)", "((3.0*(x1^2.0))-cos(x1))"),
+    ])
+    def test_read_back_texts(self, text, want):
+        assert exprlang.to_text(kernels.gradient_exprs(exprlang.parse(text), ["x1"])[0]) == want
 
 
 class TestKernelBatchScript:
