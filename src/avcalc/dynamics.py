@@ -293,7 +293,9 @@ class _ChartEngine:
     def el_covectors(self, xs, vs, accs) -> np.ndarray:
         """E_i = dL/dx_i - d/dt(dL/dv_i) at every point (xs[i], vs[i],
         accs[i]).  L and both terms must be finite there, and so must E,
-        which can overflow from finite terms."""
+        which can overflow from finite terms.  The terms are checked at
+        every point first, then E: where both fail, the error names the
+        first point with a term that is not finite."""
         n = self.n
         vals, out = self._table((0, *range(1, n + 1), *range(2 * n + 1, 3 * n + 1)), xs, vs, accs)
         with np.errstate(over="ignore"):  # finite terms can overflow; reported below

@@ -366,9 +366,12 @@ def to_text(ast: ExprAst) -> str:
 def _render(ast: ExprAst) -> str:
     """The text of one node, from its children's kept texts."""
     if isinstance(ast, Number):
-        text = repr(ast.value)
+        value = ast.value
+        # repr(inf) is "inf", which would re-parse as a variable; 1e999
+        # parses back to inf
+        text = ("-1e999" if value < 0 else "1e999") if math.isinf(value) else repr(value)
         # parenthesize so a negative base binds correctly under '^'
-        return f"({text})" if ast.value < 0 else text
+        return f"({text})" if value < 0 else text
     if isinstance(ast, Var):
         return ast.name
     if isinstance(ast, Unary):

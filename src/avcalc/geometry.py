@@ -24,7 +24,7 @@ from . import exprlang
 from .affine import AffineScalar, FiberPoint
 from .errors import ChartDisjointError, ChartScheduleError, ValidationError
 from .exprlang import Binary, ExprAst, Number, Unary, Var
-from .kernels import read_table
+from .kernels import BATCH, read_table
 
 _BOX_TOL = 1e-9
 # The structural checks (validate) sample VALIDATION_SAMPLES points per
@@ -520,10 +520,24 @@ class SegmentNodes:
     weights: np.ndarray
     jets: np.ndarray
     ends: np.ndarray
+    # first_outside's memo, per chart box; a replace()d copy, such as a
+    # shifted plan's segment, starts without it
+    _outside: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chart_id(self) -> str:
         return self.segment.chart_id
+
+    def first_outside(self, box) -> int:
+        """The index of the first node whose position lies outside the
+        chart box ((lo, hi), ...) by more than _BOX_TOL, or the number of
+        nodes if none does; computed once per box."""
+        first = self._outside.get(box)
+        if first is None:
+            x, bounds = self.jets[0], np.asarray(box, dtype=float)
+            inside = ((x >= bounds[:, 0] - _BOX_TOL) & (x <= bounds[:, 1] + _BOX_TOL)).all(axis=1)
+            first = self._outside[box] = int(np.argmin(inside)) if not inside.all() else inside.size
+        return first
 
 
 def _jets_and_ends(exprs, seg: CurveSegment, t):
@@ -573,7 +587,9 @@ class NodePlan:
 
 # Nodes per summed chunk of a segment.  Each chunk adds weights @ f to
 # the segment's sum, so this fixes the order of summation and with it
-# the last bits of every schedule integral.
+# the last bits of every schedule integral.  The integrand is called on
+# spans of up to kernels.BATCH nodes, a whole number of chunks, so how
+# the nodes are cut into calls does not change the sum.
 CHUNK = 512
 
 
@@ -582,24 +598,27 @@ def _segment_integrals(plan: NodePlan, atlas: Atlas, integrand):
     the plan, one value per segment.  The integrand gets the plan's
     segment (its chart_id; its nodes seg.t[sl]) and the curve's
     positions, velocities and accelerations at those nodes, and returns
-    its values there.  Nodes go through in chunks of CHUNK.  A chunk
-    holding a node outside the segment's chart raises ChartScheduleError
-    at the first such node, before the integrand sees the chunk."""
+    its values there.  It is called once per span of at most BATCH
+    nodes, a whole number of CHUNKs: once for a segment of up to BATCH
+    nodes.  The values are summed CHUNK nodes at a time, in order.  If
+    the curve leaves the segment's chart, the integrand sees only the
+    nodes before the chunk holding the first node outside it, and then
+    ChartScheduleError names that node."""
     parts = []
     for seg in plan.segments:
-        box = np.asarray(atlas.chart(seg.chart_id).box, dtype=float)
-        x = seg.jets[0]
-        inside = (x >= box[:, 0] - _BOX_TOL) & (x <= box[:, 1] + _BOX_TOL)
-        # the first node outside the chart, if there is one
-        leaves = math.inf if inside.all() else int(np.argmin(inside.all(axis=1)))
+        size = seg.t.size
+        leaves = seg.first_outside(atlas.chart(seg.chart_id).box)
+        stop = size if leaves == size else leaves - leaves % CHUNK
         part = 0.0
-        for lo in range(0, seg.t.size, CHUNK):
-            if leaves < lo + CHUNK:
-                raise ChartScheduleError(
-                    f"curve leaves chart {seg.chart_id} at t={seg.t[leaves]} (x={x[leaves]})"
-                )
-            sl = slice(lo, lo + CHUNK)
-            part += float(seg.weights[sl] @ integrand(seg, sl, *seg.jets[:, sl]))
+        for lo in range(0, stop, BATCH):
+            sl = slice(lo, min(lo + BATCH, stop))
+            f, weights = integrand(seg, sl, *seg.jets[:, sl]), seg.weights[sl]
+            for c in range(0, weights.size, CHUNK):
+                part += float(weights[c:c + CHUNK] @ f[c:c + CHUNK])
+        if stop < size:
+            raise ChartScheduleError(
+                f"curve leaves chart {seg.chart_id} at t={seg.t[leaves]} (x={seg.jets[0, leaves]})"
+            )
         parts.append(part)
     return parts
 

@@ -678,18 +678,23 @@ class _Tape:
             fn = self.kernels[reads] = self._build(reads)
         return fn
 
-    def live(self, reads) -> list:
-        """Per record, whether the outputs `reads` depend on it (activity
-        analysis, Griewank & Walther, Evaluating Derivatives, ch. 6): one
-        backward pass, a record being live if an output or a later live
-        record reads its register before it is written again."""
-        pending = {self.outputs[c] for c in reads}
-        kept = []
-        for r, a, b in zip(*map(reversed, (self.dest, self.first, self.second))):
-            kept.append(r in pending)
-            if kept[-1]:
-                pending = pending - {r} | {a, b}
-        return kept[::-1]
+    def live(self, reads) -> bytearray:
+        """Per record, 1 if the outputs `reads` depend on it, else 0
+        (activity analysis, Griewank & Walther, Evaluating Derivatives,
+        ch. 6): one backward pass, a record being live if an output or a
+        later live record reads its register before it is written again.
+        A byte per slot says whether one of them reads it next."""
+        pending = bytearray(_UNARY + 1)
+        for c in reads:
+            pending[self.outputs[c]] = 1
+        kept = bytearray(len(self.dest))
+        for i, r, a, b in zip(range(len(kept) - 1, -1, -1),
+                              *map(reversed, (self.dest, self.first, self.second))):
+            if pending[r]:
+                kept[i] = 1
+                pending[r] = 0
+                pending[a] = pending[b] = 1
+        return kept
 
     def _build(self, reads):
         """The kernel of the records live for `reads`, with their order,
@@ -874,9 +879,10 @@ def eval_batch(kernel, vals, d1, d2, width: int = 4) -> np.ndarray:
 
 # Rows per kernel call on the batched paths.  A kernel holds one array
 # per live temporary, so a call's working set grows with its batch; this
-# caps it.  A 512-node chunk of a schedule integral (geometry.CHUNK) is
-# one call; benchmarks/kernel_batch.py measures the cost per row against
-# the batch size.
+# caps it.  A schedule integral calls its integrand on spans of at most
+# BATCH nodes, a whole number of its 512-node chunks (geometry.CHUNK), so
+# a span is one call; benchmarks/kernel_batch.py measures the cost per
+# row against the batch size.
 BATCH = 4096
 
 

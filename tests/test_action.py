@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcalc import geometry, kernels
+from avcalc import action, geometry, kernels
 from avcalc.action import (
     VariationField,
+    _lagrangian_integrand,
     _rk4_nodes,
     action_lift,
     action_quadrature,
@@ -18,7 +19,7 @@ from avcalc.action import (
     variation_pairing,
 )
 from avcalc.affine import affine_scalar_diff
-from avcalc.dynamics import GaugeClassLagrangian, gauge_shift
+from avcalc.dynamics import GaugeClassLagrangian, _ChartEngine, gauge_shift
 from avcalc.errors import ChartScheduleError, DomainError
 from avcalc.geometry import CurveSpec, circle_atlas, euclidean_atlas, jets_in_t, simpson_nodes
 from avcalc.systems import bundled_system, bundled_system_names
@@ -353,3 +354,189 @@ class TestNodePlan:
         assert seg.jets.tobytes() == np.concatenate(chunks, axis=1).tobytes()
         ends = jets_in_t(curve.segments[0].exprs, [0.0, 2.0])
         assert seg.ends.tobytes() == ends.tobytes()
+
+
+def per_chunk_integrals(plan, atlas, integrand):
+    """The schedule integrals one integrand call per geometry.CHUNK of
+    nodes, each chunk compared with the chart's box before its call: the
+    reference for the spans of geometry._segment_integrals."""
+    parts = []
+    for seg in plan.segments:
+        box = np.asarray(atlas.chart(seg.chart_id).box, dtype=float)
+        part = 0.0
+        for lo in range(0, seg.t.size, geometry.CHUNK):
+            sl = slice(lo, lo + geometry.CHUNK)
+            x = seg.jets[0, sl]
+            tol = geometry._BOX_TOL
+            if not ((x >= box[:, 0] - tol) & (x <= box[:, 1] + tol)).all():
+                raise ChartScheduleError(f"curve leaves chart {seg.chart_id}")
+            part += float(seg.weights[sl] @ integrand(seg, sl, *seg.jets[:, sl]))
+        parts.append(part)
+    return parts
+
+
+class TestSpans:
+    """geometry._segment_integrals calls the integrand once per span of at
+    most kernels.BATCH nodes, a whole number of geometry.CHUNKs, and sums
+    its values chunk by chunk: every integral keeps the bits of one call
+    per chunk."""
+
+    @staticmethod
+    def spy_engines(monkeypatch):
+        """The rows of every values and el_covectors call of a chart
+        engine, from here on, as (method, rows)."""
+        calls = []
+        for method in ("values", "el_covectors"):
+            real = getattr(_ChartEngine, method)
+
+            def spy(self, xs, *rest, method=method, real=real):
+                calls.append((method, len(xs)))
+                return real(self, xs, *rest)
+
+            monkeypatch.setattr(_ChartEngine, method, spy)
+        return calls
+
+    def test_whole_chunks_fit_a_batch(self):
+        assert kernels.BATCH % geometry.CHUNK == 0
+
+    @pytest.mark.parametrize("name", ["circle", "charged"])
+    def test_one_integrand_call_per_segment(self, name, monkeypatch):
+        system = bundled_system(name)
+        lam, curve = system.lagrangian, CurveSpec(system.curve.segments)
+        w = TestAgainstScalarOracle.fields(system)[0]
+        sizes = [seg.t.size for seg in curve.plan(1000, simpson_nodes).segments]
+        assert all(geometry.CHUNK < size <= kernels.BATCH for size in sizes)
+        lift_sizes = [seg.t.size for seg in curve.plan(1000, _rk4_nodes).segments]
+        calls = self.spy_engines(monkeypatch)
+        action_quadrature(lam, curve, 1000)
+        assert calls == [("values", size) for size in sizes]
+        calls.clear()
+        action_lift(lam, curve, 1000)
+        assert calls == [("values", size) for size in lift_sizes]
+        calls.clear()
+        variation_derivative(lam, curve, w, 1e-5, 1000)
+        assert calls == [("values", size) for size in sizes] * 2
+        calls.clear()
+        variation_pairing(lam, curve, w, 1000)
+        assert calls == [("el_covectors", size) for size in sizes]
+
+    def test_a_segment_longer_than_a_batch_goes_in_spans(self):
+        atlas = euclidean_atlas(2)
+        lam = GaugeClassLagrangian.from_exprs(atlas, "0.5*(v1^2 + v2^2) + sin(x1)*v2")
+        curve = CurveSpec.single("0", ["sin(3*t)", "t^3 - t"], 0.0, 2.0)
+        panels = (2 * kernels.BATCH + 300) // 3
+        size = curve.plan(panels, simpson_nodes).segments[0].t.size
+        assert size > 2 * kernels.BATCH
+        spans = []
+        engine = _lagrangian_integrand(lam)
+
+        def integrand(seg, sl, x, v, a):
+            spans.append((sl.start, sl.stop))
+            assert len(x) == sl.stop - sl.start
+            return engine(seg, sl, x, v, a)
+
+        got = geometry.schedule_integral(curve, atlas, panels, integrand)
+        assert spans == [(0, kernels.BATCH), (kernels.BATCH, 2 * kernels.BATCH),
+                         (2 * kernels.BATCH, size)]
+        assert all(lo % geometry.CHUNK == 0 for lo, _hi in spans)
+        want = per_chunk_integrals(curve.plan(panels, simpson_nodes), atlas, engine)
+        assert got.plus.value.hex() == want[0].hex()
+
+    @pytest.mark.parametrize("name", bundled_system_names())
+    def test_every_integral_equals_one_call_per_chunk(self, name, monkeypatch):
+        system = bundled_system(name)
+        lam, curve = gauge_shift(system.lagrangian, system.chis[0]), system.curve
+        w = TestAgainstScalarOracle.fields(system)[0]
+
+        def results():
+            out = []
+            for p in (300, 1500):
+                out += [gauge_fixed_value(action_quadrature(lam, curve, p)),
+                        gauge_fixed_value(action_lift(lam, curve, p)),
+                        variation_derivative(lam, curve, w, 1e-5, p),
+                        variation_pairing(lam, curve, w, p)]
+            return [value.hex() for value in out]
+
+        spans = results()
+        monkeypatch.setattr(geometry, "_segment_integrals", per_chunk_integrals)
+        monkeypatch.setattr(action, "_segment_integrals", per_chunk_integrals)
+        assert spans == results()
+
+    @staticmethod
+    def leaving(t0, t1, panels):
+        """The circle's chart "0", (-pi, pi), with the curve t on [t0, t1],
+        which leaves it; the plan's segment, and the index of its first
+        node outside the chart."""
+        circle = circle_atlas("sin(x1)", winding=1.0)
+        lam = GaugeClassLagrangian.from_exprs(circle, "0.5*v1^2")
+        curve = CurveSpec.single("0", ["t"], t0, t1)
+        seg = curve.plan(panels, simpson_nodes).segments[0]
+        leaves = int(np.argmax(seg.t > np.pi + geometry._BOX_TOL))
+        return circle, lam, curve, seg, leaves
+
+    def test_a_curve_leaving_its_chart_in_its_first_chunk(self):
+        circle, _lam, curve, seg, leaves = self.leaving(2.9, 3.2, 100)
+        assert 0 < leaves < geometry.CHUNK
+        seen = []
+        with pytest.raises(ChartScheduleError, match=f"curve leaves chart 0 at t={seg.t[leaves]}"):
+            geometry.schedule_integral(curve, circle, 100, lambda *args: seen.append(args))
+        assert seen == []
+
+    def test_a_curve_leaving_its_chart_later(self):
+        circle, lam, curve, seg, leaves = self.leaving(0.0, 4.0, 1000)
+        assert leaves > 2 * geometry.CHUNK and leaves % geometry.CHUNK
+        seen = []
+        engine = _lagrangian_integrand(lam)
+
+        def integrand(seg, sl, x, v, a):
+            seen.append(x)
+            return engine(seg, sl, x, v, a)
+
+        with pytest.raises(ChartScheduleError) as expected:
+            reference_quadrature(lam, curve, 1000)
+        with pytest.raises(ChartScheduleError) as got:
+            geometry.schedule_integral(curve, circle, 1000, integrand)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"curve leaves chart 0 at t={seg.t[leaves]} ")
+        seen = np.concatenate(seen)
+        assert seen.tobytes() == seg.jets[0, :leaves - leaves % geometry.CHUNK].tobytes()
+
+    def test_the_chart_check_runs_once_per_plan(self, monkeypatch):
+        system = bundled_system("circle")
+        lam, curve = system.lagrangian, CurveSpec(system.curve.segments)
+        action_quadrature(lam, curve, 200)
+        for seg in curve.plan(200, simpson_nodes).segments:
+            assert seg._outside == {lam.atlas.chart(seg.chart_id).box: seg.t.size}
+        system = bundled_system("charged")
+        lam, curve = system.lagrangian, CurveSpec(system.curve.segments)
+        w = TestAgainstScalarOracle.fields(system)[0]
+        first, lift = action_quadrature(lam, curve, 200), action_lift(lam, curve, 200)
+        # a tolerance that puts every node outside every box: a cached
+        # plan's segment does not compare its nodes again ...
+        monkeypatch.setattr(geometry, "_BOX_TOL", -np.inf)
+        assert action_quadrature(lam, curve, 200) == first
+        assert action_lift(lam, curve, 200) == lift
+        # ... and a shifted plan's starts without the memo, so it does
+        plan = curve.plan(200, simpson_nodes)
+        shifted = plan.shifted(plan.field_jets(w.exprs), 1e-5)
+        assert [seg._outside for seg in shifted.segments] == [{}]
+        with pytest.raises(ChartScheduleError, match="curve leaves chart 0 at t=0.0 "):
+            variation_derivative(lam, curve, w, 1e-5, 200)
+
+    def test_output_check_comes_before_the_covector_check(self):
+        # one segment of 900 nodes: E = dL/dx - d/dt(dL/dv) overflows from
+        # finite terms near t = 0, in the first chunk, and sqrt's
+        # derivative is not finite from t = 0.9 on, in the second.  The
+        # outputs are checked over the whole call first, then E, so the
+        # error names the second point
+        atlas = euclidean_atlas(1)
+        curve = CurveSpec.single("0", ["0.5*t^2"], 0.0, 1.0)
+        w = VariationField.from_strings(["t*(1-t)"])
+        overflow = "-0.5e308*v1^2 - 1e306*exp(-100*x1)"
+        lam = GaugeClassLagrangian.from_exprs(atlas, overflow)
+        with pytest.raises(DomainError, match=r"non-finite kernel output .* at x1=0\.0, v1=0\.0"):
+            variation_pairing(lam, curve, w, 300)
+        lam = GaugeClassLagrangian.from_exprs(atlas, overflow + " + sqrt(0.405 - x1)")
+        assert curve.plan(300, simpson_nodes).segments[0].t.size > geometry.CHUNK
+        with pytest.raises(DomainError, match=r"sqrt derivative singular .* at x1=0\.405, v1=0\.9"):
+            variation_pairing(lam, curve, w, 300)

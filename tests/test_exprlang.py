@@ -148,6 +148,18 @@ class TestRoundTrip:
         reparsed = exprlang.parse(text)
         assert reparsed == ast
 
+    @pytest.mark.parametrize("text, canonical", [
+        ("x1/1e400 + x1*x1", "((x1/1e999)+(x1*x1))"),
+        ("(-1e400)^x1 - 2", "(((-1e999)^x1)-2.0)"),
+    ])
+    def test_literal_that_overflows_to_inf(self, text, canonical):
+        # repr(inf) is "inf", which re-parses as a variable
+        ast = exprlang.parse(text)
+        assert exprlang.to_text(ast) == canonical
+        assert exprlang.parse(canonical) == ast
+        for value in (math.inf, -math.inf):
+            assert exprlang.parse(exprlang.to_text(Number(value))) == Number(value)
+
 
 class TestReferenceAgreement:
     def test_matches_independent_evaluator(self):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -516,6 +517,35 @@ class TestReads:
             kernels._batched(ast, names)
         assert [len(prune(lines["records"], [lines["results"][c] for c in reads]))
                 for reads in all_reads] == counts
+
+    @staticmethod
+    def live_by_sets(tape, reads):
+        """_Tape.live with a set of pending slots, rebuilt per record."""
+        pending = {tape.outputs[c] for c in reads}
+        kept = []
+        for r, a, b in zip(*map(reversed, (tape.dest, tape.first, tape.second))):
+            kept.append(r in pending)
+            if kept[-1]:
+                pending = pending - {r} | {a, b}
+        return kept[::-1]
+
+    @pytest.mark.parametrize("name", bundled_system_names())
+    def test_live_equals_a_pass_over_sets(self, name):
+        # every reads of the three tables of every Lagrangian of the
+        # system, in each chart, and of its twin under each configured chi
+        system = bundled_system(name)
+        names = lagrangian_varnames(system.dim)
+        lams = [system.lagrangian, *(gauge_shift(system.lagrangian, chi) for chi in system.chis)]
+        cases = 0
+        for ast in {lam.expr(chart.id) for lam in lams for chart in system.atlas.charts}:
+            for table in ("_lagrangian", "_gradient", "_batched"):
+                tape = kernels._tape(table, ast, names)
+                columns = range(len(tape.outputs))
+                for k in range(1, len(columns) + 1):
+                    for reads in itertools.combinations(columns, k):
+                        assert list(tape.live(reads)) == self.live_by_sets(tape, reads), reads
+                        cases += 1
+        assert cases
 
     def test_value_kernel_reads_no_seed(self):
         # a kernel of the value reads neither seed argument, and one of

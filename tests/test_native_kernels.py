@@ -214,6 +214,31 @@ class TestBitIdentity:
         assert served == [True]
         assert out.tobytes() == on_tape(reference, vals, d1, d2, 4).tobytes()
 
+    @needs_cc
+    def test_a_literal_that_overflows_to_inf(self, monkeypatch):
+        # native re-parses the kernel's key text, where an inf literal
+        # must not read as a variable (exprlang writes it 1e999)
+        monkeypatch.setattr(kernels, "NATIVE_PROBES", 1)
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        ast = parse("x1/1e400 + x1*x1")
+        kernel = kernels.compile_field(ast, ["x1"])
+        reference = kernel_of(ast, ["x1"])
+        served = []
+        real = native.compile_probes
+
+        def spy(kernel):
+            run = real(kernel)
+            return lambda *args: served.append(run(*args)) or served[-1]
+
+        monkeypatch.setattr(native, "compile_probes", spy)
+        rng = np.random.default_rng(7)
+        vals, d1, d2 = (rng.uniform(-2.0, 2.0, (64, 1)) for _ in range(3))
+        for _ in range(2):
+            out = np.empty((64, 4))
+            kernel(vals, d1, d2, out)
+            assert out.tobytes() == on_tape(reference, vals, d1, d2, 4).tobytes()
+        assert served == [True, True]
+
 
 @needs_cc
 @pytest.mark.parametrize("layout", ["fortran", "float32", "strided out", "broadcast seed"])
