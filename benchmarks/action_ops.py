@@ -1,7 +1,7 @@
 """Milliseconds per action call: warm (the curve's node plan cached) and cold.
 
 For the charged particle, the relativistic particle and the two-chart
-circle, each on its configured curve at --panels panels, four calls are
+circle, each on its configured curve at --panels panels, five rows are
 timed:
 
   * quadrature: action_quadrature, composite Simpson;
@@ -9,14 +9,28 @@ timed:
   * derivative: variation_derivative, the central difference of two
                 quadratures along gamma +- eps*w;
   * pairing:    variation_pairing, boundary terms plus the bulk <E, w>;
+  * sequence:   the derivative, then the pairing, then the pairing of L
+                shifted by the system's first gauge function, all on one
+                field: the calls of an avbench action pass and of
+                suites.variation_suite for one field;
 
-with w an endpoint-vanishing variation field.  A warm call runs on the
-system's curve, whose node plan (geometry.NodePlan: nodes, weights and
-the curve's jets) an untimed first call has built and cached.  A cold
-call runs on a fresh CurveSpec of the same segments, so it builds the
-plan again.  The table gives the best of --repeats for each.  The
-script exits 1 if a warm and a cold call differ in a single bit of
-their result; the test suite runs it with --repeats 1 for that check.
+with w an endpoint-vanishing variation field.  A field keeps its jets
+on the last plan it was evaluated on (VariationField.jets), so each
+timed call gets a fresh VariationField of the same expressions: its
+kernels are cached, but its jets are evaluated.  Within the sequence
+row the pairings read the jets the derivative evaluated.  A warm call
+runs on the system's curve, whose node plan (geometry.NodePlan: nodes,
+weights and the curve's jets) an untimed first call has built and
+cached.  A cold call runs on a fresh CurveSpec of the same segments, so
+it builds the plan again.  The table gives the best of --repeats for
+each.
+
+The last column checks bits.  A row reads "bit-identical" when its warm
+call, its cold call and the same call on a field that already keeps its
+jets on the warm plan all give the same bits.  The sequence row reads
+"kept = fresh" when they also have the bits of its three calls each
+made on a fresh field.  The script exits 1 if any check finds a single
+bit different; the test suite runs it with --repeats 1 for that check.
 
 Run:  PYTHONPATH=src python benchmarks/action_ops.py [--panels N] [--repeats N]
 """
@@ -46,13 +60,21 @@ def anchored(s):
     return (s.plus.value, s.minus.value, *s.plus.base, *s.minus.base)
 
 
-def operations(lam, w, panels):
-    """(name, call(curve) -> floats) of the four timed calls."""
+def operations(lam, shifted, panels):
+    """(name, call(curve, w) -> floats) of the five timed rows; shifted
+    is L shifted by a gauge function."""
+
+    def sequence(c, w):
+        return (variation_derivative(lam, c, w, EPS, panels),
+                variation_pairing(lam, c, w, panels),
+                variation_pairing(shifted, c, w, panels))
+
     return [
-        ("quadrature", lambda c: anchored(action_quadrature(lam, c, panels))),
-        ("lift", lambda c: anchored(action_lift(lam, c, panels))),
-        ("derivative", lambda c: (variation_derivative(lam, c, w, EPS, panels),)),
-        ("pairing", lambda c: (variation_pairing(lam, c, w, panels),)),
+        ("quadrature", lambda c, w: anchored(action_quadrature(lam, c, panels))),
+        ("lift", lambda c, w: anchored(action_lift(lam, c, panels))),
+        ("derivative", lambda c, w: (variation_derivative(lam, c, w, EPS, panels),)),
+        ("pairing", lambda c, w: (variation_pairing(lam, c, w, panels),)),
+        ("sequence", sequence),
     ]
 
 
@@ -74,6 +96,11 @@ def best_ms(call, repeats: int):
     return 1e3 * best, out
 
 
+def same_bits(*results) -> bool:
+    first = np.array(results[0]).tobytes()
+    return all(np.array(r).tobytes() == first for r in results[1:])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--panels", type=int, default=1000, help="panels (and lift steps) per call")
@@ -81,20 +108,32 @@ def main() -> int:
     args = ap.parse_args()
 
     print(f"action calls, {args.panels} panels, best of {args.repeats} (ms per call)")
-    print(f"{'system':<14} {'call':<11} {'warm':>8} {'cold':>8} {'ratio':>7}  warm vs cold")
+    print(f"{'system':<14} {'call':<11} {'warm':>8} {'cold':>8} {'ratio':>7}  bits")
     identical = True
     for name in SYSTEMS:
         system = bundled_system(name)
-        curve = system.curve
+        lam, curve, p = system.lagrangian, system.curve, args.panels
         w = vanishing_field(curve, system.dim)
-        for label, op in operations(system.lagrangian, w, args.panels):
-            op(curve)  # compiles and caches the plan
-            warm_ms, warm = best_ms(lambda: op(curve), args.repeats)
-            cold_ms, cold = best_ms(lambda: op(CurveSpec(curve.segments)), args.repeats)
-            same = np.array(warm).tobytes() == np.array(cold).tobytes()
+
+        def fresh():
+            return VariationField(w.exprs)
+
+        shifted = system.gauge_twin(system.chis[0])
+        for label, op in operations(lam, shifted, p):
+            kept = fresh()
+            op(curve, kept)  # compiles, caches the plan and keeps kept's jets on it
+            warm_ms, warm = best_ms(lambda: op(curve, fresh()), args.repeats)
+            cold_ms, cold = best_ms(lambda: op(CurveSpec(curve.segments), fresh()), args.repeats)
+            results, verdict = [warm, cold, op(curve, kept)], "bit-identical"
+            if label == "sequence":  # against each call on a field of its own
+                results.append((variation_derivative(lam, curve, fresh(), EPS, p),
+                                variation_pairing(lam, curve, fresh(), p),
+                                variation_pairing(shifted, curve, fresh(), p)))
+                verdict = "kept = fresh"
+            same = same_bits(*results)
             identical &= same
             print(f"{name:<14} {label:<11} {warm_ms:8.2f} {cold_ms:8.2f} {cold_ms / warm_ms:6.2f}x  "
-                  f"{'bit-identical' if same else 'DIFFER'}")
+                  f"{verdict if same else 'DIFFER'}")
     return 0 if identical else 1
 
 

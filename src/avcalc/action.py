@@ -13,7 +13,7 @@ shifts by chi(end) - chi(start) under a gauge change of the Lagrangian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .affine import AffineScalar
 from .dynamics import GaugeClassLagrangian, legendre
 from .geometry import (
     CurveSpec,
+    NodePlan,
     SegmentNodes,
     _affine_integral,
     _segment_integrals,
@@ -35,9 +36,15 @@ from .geometry import (
 class VariationField:
     """Variation vector field along a curve: per-coordinate expressions
     of the parameter t (components in the scheduled chart).  Frozen: a
-    field is a value, like the curve it varies."""
+    field is a value, like the curve it varies.  It keeps its jets on
+    the last node plan it was evaluated on (see jets), so the
+    derivative and every pairing along one plan evaluate it once."""
 
     exprs: tuple
+    # the last plan's jets, {plan: plan.field_jets(exprs)}, at most one
+    # entry, stored when the evaluation returns; not compared, hashed or
+    # shown, and a replace()d copy starts without it
+    _jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_strings(cls, exprs, constants=None):
@@ -45,6 +52,16 @@ class VariationField:
 
     def __call__(self, t: float) -> np.ndarray:
         return eval_vector(self.exprs, {"t": t})
+
+    def jets(self, plan: NodePlan) -> tuple:
+        """plan.field_jets of the field, evaluated once per plan: the
+        field keeps the jets of the last plan it was asked for."""
+        jets = self._jets.get(plan)
+        if jets is None:
+            jets = plan.field_jets(self.exprs)
+            self._jets.clear()
+            self._jets[plan] = jets
+        return jets
 
 
 def gauge_fixed_value(s: AffineScalar) -> float:
@@ -110,12 +127,13 @@ def variation_derivative(
     """Central finite difference of the gauge-fixed action along the
     one-parameter family gamma + s*w.  The jets of gamma + s*w are those
     of gamma, from the curve's Simpson plan, plus s times those of w,
-    evaluated once for both signs; no kernel is compiled for the
-    perturbed curves."""
+    evaluated once per plan and kept by the field (VariationField.jets)
+    for both signs and for any pairing on the same plan; no kernel is
+    compiled for the perturbed curves."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     plan = curve.plan(panels, simpson_nodes)
-    w_jets = plan.field_jets(w.exprs)
+    w_jets = w.jets(plan)
     integrand = _lagrangian_integrand(lam)
 
     def action(s):
@@ -141,10 +159,13 @@ def variation_pairing(
     E = 0 with endpoint-vanishing variations the whole expression
     vanishes.  Curve accelerations come from differentiating the curve
     expressions, not from any trajectory discretization.  The curve's
-    jets come from its Simpson plan, the field's from one evaluation.
+    jets come from its Simpson plan and the field's from
+    VariationField.jets on that plan, so the pairings of several
+    Lagrangians with one field, and the derivative along it, share one
+    evaluation of the field.
     """
     plan = curve.plan(panels, simpson_nodes)
-    w_jets = dict(zip(plan.segments, plan.field_jets(w.exprs)))
+    w_jets = dict(zip(plan.segments, w.jets(plan)))
 
     def integrand(seg, sl, x, v, a):
         e = lam.engine(seg.chart_id).el_covectors(x, v, a)

@@ -52,12 +52,18 @@ BUILTIN_ARITY = {
 
 class _Node:
     """An AST node renders its canonical text (to_text) at its first use,
-    from its children's kept texts, and keeps it.  The text is not a
-    field, so == and hash are unchanged."""
+    from its children's kept texts, and keeps it; so too the names of its
+    free variables (free_variables), from its children's kept sets.  So
+    a tree whose nodes share subtrees costs one visit per distinct node.
+    Neither is a field, so == and hash are unchanged."""
 
     @cached_property
     def text(self) -> str:
         return _render(self)
+
+    @cached_property
+    def variables(self) -> frozenset:
+        return _variables(self)
 
 
 @dataclass(frozen=True)
@@ -342,18 +348,26 @@ def evaluate(ast: ExprAst, env: dict):
 
 
 def free_variables(ast: ExprAst) -> set:
-    """Names of all Var nodes in the tree."""
+    """Names of all Var nodes in the tree, as a new set.  Collected once
+    per node (_Node)."""
+    return set(ast.variables)
+
+
+def _variables(ast: ExprAst) -> frozenset:
+    """The free variables of one node, from its children's kept sets; a
+    child's own set where it holds the others'."""
     if isinstance(ast, Number):
-        return set()
+        return frozenset()
     if isinstance(ast, Var):
-        return {ast.name}
+        return frozenset((ast.name,))
     if isinstance(ast, Unary):
-        return free_variables(ast.child)
-    if isinstance(ast, Binary):
-        return free_variables(ast.left) | free_variables(ast.right)
-    out = set()
-    for arg in ast.args:
-        out |= free_variables(arg)
+        return ast.child.variables
+    out = frozenset()
+    children = (ast.left, ast.right) if isinstance(ast, Binary) else ast.args
+    for child in children:
+        more = child.variables
+        if not more <= out:
+            out = more if out <= more else out | more
     return out
 
 

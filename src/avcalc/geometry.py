@@ -570,11 +570,12 @@ class NodePlan:
             segments.append(SegmentNodes(seg, t, weights, *_jets_and_ends(seg.exprs, seg, t)))
         return cls(count, tuple(segments))
 
-    def field_jets(self, exprs) -> list:
+    def field_jets(self, exprs) -> tuple:
         """Per segment, the (node jets, end jets) of other per-coordinate
         expressions in t, such as a variation field, on this plan (see
-        jets_in_t)."""
-        return [_jets_and_ends(exprs, s.segment, s.t) for s in self.segments]
+        jets_in_t), read-only.  Each call evaluates them again; a
+        VariationField keeps those of its last plan (its jets)."""
+        return tuple(_jets_and_ends(exprs, s.segment, s.t) for s in self.segments)
 
     def shifted(self, w_jets, s: float) -> "NodePlan":
         """The plan of the curve gamma + s*w, given w_jets = field_jets

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -288,8 +288,9 @@ class TestNodePlan:
         seen, _walks = self.count_evaluations(monkeypatch)
         variation_derivative(lam, curve, w, 1e-5, 200)
         variation_pairing(lam, curve, w, 200)
-        # one evaluation of the field per segment and call
-        assert seen == [w.exprs] * (2 * len(curve.segments))
+        # one evaluation of the field per segment, kept by the field for
+        # both calls on the curve's one plan
+        assert seen == [w.exprs] * len(curve.segments)
 
     def test_field_compiles_once(self, circle, monkeypatch):
         lam, curve = circle
@@ -354,6 +355,92 @@ class TestNodePlan:
         assert seg.jets.tobytes() == np.concatenate(chunks, axis=1).tobytes()
         ends = jets_in_t(curve.segments[0].exprs, [0.0, 2.0])
         assert seg.ends.tobytes() == ends.tobytes()
+
+
+class TestKeptFieldJets:
+    """A VariationField keeps its jets on the last plan it was evaluated
+    on, so the derivative and every pairing along that plan share one
+    evaluation, with the bits of a fresh field's."""
+
+    circle = TestNodePlan.circle
+    count_evaluations = staticmethod(TestNodePlan.count_evaluations)
+    FIELD = ["(t+1)*(2.5-t)"]
+
+    def test_derivative_and_both_pairings_evaluate_the_field_once(self, circle, monkeypatch):
+        lam, curve = circle
+        shifted = gauge_shift(lam, bundled_system("circle").chis[0])
+        w = VariationField.from_strings(self.FIELD)
+        action_quadrature(lam, curve, 200)
+        seen, _walks = self.count_evaluations(monkeypatch)
+        variation_derivative(lam, curve, w, 1e-5, 200)
+        variation_pairing(lam, curve, w, 200)
+        variation_pairing(shifted, curve, w, 200)
+        assert seen == [w.exprs] * len(curve.segments)
+
+    def test_another_plan_evaluates_the_field_again(self, circle, monkeypatch):
+        lam, curve = circle
+        w = VariationField.from_strings(self.FIELD)
+        seen, _walks = self.count_evaluations(monkeypatch)
+        first = variation_pairing(lam, curve, w, 200)
+        assert list(w._jets) == [curve.plan(200, simpson_nodes)]
+        # a fresh curve of the same segments has a plan of its own (and
+        # evaluates its own jets for it)
+        fresh = CurveSpec(curve.segments)
+        seen.clear()
+        assert variation_pairing(lam, fresh, w, 200) == first
+        assert seen.count(w.exprs) == len(curve.segments)
+        assert list(w._jets) == [fresh.plan(200, simpson_nodes)]
+        # so has another panel count, on the first curve too
+        for panels in (300, 200):
+            seen.clear()
+            variation_derivative(lam, curve, w, 1e-5, panels)
+            assert seen.count(w.exprs) == len(curve.segments)
+            assert list(w._jets) == [curve.plan(panels, simpson_nodes)]
+        assert variation_pairing(lam, curve, w, 200) == first
+
+    def test_a_field_that_raises_keeps_nothing(self, free):
+        _atlas, lam, curve = free
+        w = VariationField.from_strings(["log(t - 10)"])
+        texts = set()
+        for call in (lambda: variation_derivative(lam, curve, w, 1e-5, 50),
+                     lambda: variation_pairing(lam, curve, w, 50),
+                     lambda: variation_pairing(lam, curve, w, 50)):
+            with pytest.raises(DomainError, match=r"log .* at t=0\.0") as got:
+                call()
+            texts.add(str(got.value))
+            assert w._jets == {}
+        assert len(texts) == 1
+
+    def test_equality_hash_and_repr_ignore_the_kept_jets(self, free):
+        _atlas, lam, curve = free
+        w = VariationField.from_strings(["t*(1-t)"])
+        before = (hash(w), repr(w))
+        variation_pairing(lam, curve, w, 50)
+        assert w._jets
+        fresh = VariationField.from_strings(["t*(1-t)"])
+        assert w == fresh and (hash(w), repr(w)) == before == (hash(fresh), repr(fresh))
+        assert "_jets" not in repr(w)
+        copy = replace(w)
+        assert copy == w and copy._jets == {}
+        copy = replace(w, exprs=VariationField.from_strings(["t"]).exprs)
+        assert copy._jets == {}
+
+    @pytest.mark.parametrize("name", bundled_system_names())
+    def test_kept_jets_give_a_fresh_fields_bits(self, name):
+        system = bundled_system(name)
+        lam, curve = system.lagrangian, CurveSpec(system.curve.segments)
+        shifted = system.gauge_twin(system.chis[0])
+        kept = TestAgainstScalarOracle.fields(system)[0]
+        for panels in (300, 1000):
+            def calls(field):
+                return [variation_derivative(lam, curve, field(), 1e-5, panels),
+                        variation_pairing(lam, curve, field(), panels),
+                        variation_pairing(shifted, curve, field(), panels)]
+
+            got = calls(lambda: kept)
+            assert list(kept._jets) == [curve.plan(panels, simpson_nodes)]
+            want = calls(lambda: TestAgainstScalarOracle.fields(system)[0])
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def per_chunk_integrals(plan, atlas, integrand):

@@ -157,3 +157,64 @@ def test_long_orbit_ratio_only_when_both_records_have_it(tmp_path):
 @pytest.mark.parametrize("args", [[], ["only-one.json"], ["missing.json", "missing.json"]])
 def test_bad_arguments(args):
     assert compare.main(args) == 2
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    """benchmarks/pairs.py, which imports record and compare as siblings."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return load("pairs")
+
+
+def stub_runner(calls, work):
+    """A runner that records its calls and reads norm_work_per_s from
+    work[(tree, seed)], with one failed operation for tree "B"."""
+    def runner(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed, seconds))
+        return {"seed": seed, **run(work[(tree, seed)], 43.0, 0.2, failed=int(tree == "B"))}
+    return runner
+
+
+def test_pairs_alternate_which_checkout_runs_first(pairs):
+    calls, seen = [], []
+    work = {(t, s): 100.0 for t in "AB" for s in (1, 2, 3)}
+    got = pairs.run_pairs(("A", "B"), "action", [1, 2, 3], 8.0, stub_runner(calls, work),
+                          report=lambda i, pair: seen.append(i))
+    assert [(c[0], c[2]) for c in calls] == [("A", 1), ("B", 1), ("B", 2), ("A", 2),
+                                             ("A", 3), ("B", 3)]
+    assert {(c[1], c[3]) for c in calls} == {("action", 8.0)}
+    assert [(a["seed"], b["seed"]) for a, b in got] == [(1, 1), (2, 2), (3, 3)]
+    assert seen == [0, 1, 2]
+
+
+def test_pairs_summary_counts_better_pairs(pairs):
+    work = {("A", 1): 100.0, ("B", 1): 110.0, ("A", 2): 100.0, ("B", 2): 100.0,
+            ("A", 3): 100.0, ("B", 3): 90.0, ("A", 4): 100.0, ("B", 4): 120.0}
+    got = pairs.run_pairs(("A", "B"), "action", [1, 2, 3, 4], 8.0, stub_runner([], work))
+    summary = pairs.summarize(got, compare.directions())
+    work_s = summary["metrics"]["norm_work_per_s"]
+    assert work_s["ratios"] == [1.1, 1.0, 0.9, 1.2]
+    assert work_s["better"] == 2 and work_s["median"] == pytest.approx(1.05)
+    # equal memory and setup: no pair is better
+    assert summary["metrics"]["peak_rss_mb"]["better"] == 0
+    assert summary["failed"] == [0, 4] and summary["attempted"] == [400, 400]
+    lines = pairs.summary_lines(summary)
+    assert lines[0] == ("norm_work_per_s  B better in 2/4 pairs, median ratio 1.050 "
+                        "(range 0.900-1.200)")
+    assert lines[-1] == "failed A 0/400  B 4/400"
+    assert pairs.pair_line(1, got[1]).startswith("pair 2 seed 2 BA  norm_work_per_s 100 -> 100 ")
+
+
+def test_pairs_of_one_checkout_is_an_a_a_run(pairs, tmp_path, monkeypatch, capsys):
+    # the same checkout twice: every ratio is the run-to-run noise, here none
+    calls = []
+    (tmp_path / "src").mkdir()
+    (tmp_path / "avbench").mkdir()
+    monkeypatch.setattr(pairs.record, "run_workload",
+                        stub_runner(calls, {(tmp_path, s): 50.0 + s for s in (1, 2, 3)}))
+    assert pairs.main([str(tmp_path), str(tmp_path), "--workload", "orbit",
+                       "--seeds", "1", "2", "3", "--seconds", "2"]) == 0
+    assert [c[0] for c in calls] == [tmp_path] * 6
+    out = capsys.readouterr().out
+    assert "norm_work_per_s  B better in 0/3 pairs, median ratio 1.000" in out
+    assert "failed A 0/300  B 0/300" in out

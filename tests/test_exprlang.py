@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from avcalc import exprlang
 from avcalc.autodiff import Hyperdual
+from avcalc.dynamics import velocity_coupling
 from avcalc.errors import (
     DomainError,
     ExprSyntaxError,
@@ -13,10 +15,48 @@ from avcalc.errors import (
 from avcalc.exprlang import Binary, Call, Number, Unary, Var
 
 from helpers_reference import random_cases, reference_eval
+from test_engine_fuzz import trees
 
 
 def ev(text, **env):
     return exprlang.evaluate(exprlang.parse(text), env)
+
+
+def reference_free_variables(ast) -> set:
+    """Names of all Var nodes, by a walk of every path of the tree."""
+    if isinstance(ast, Number):
+        return set()
+    if isinstance(ast, Var):
+        return {ast.name}
+    if isinstance(ast, Unary):
+        return reference_free_variables(ast.child)
+    children = (ast.left, ast.right) if isinstance(ast, Binary) else ast.args
+    return set().union(*map(reference_free_variables, children))
+
+
+@settings(max_examples=200, database=None, derandomize=True, deadline=None)
+@given(trees)
+def free_variables_equal_a_recursive_walk(tree):
+    got = exprlang.free_variables(tree)
+    assert got == reference_free_variables(tree) and type(got) is set
+    got.add("not a variable")  # a new set each call: the kept one is unchanged
+    assert exprlang.free_variables(tree) == reference_free_variables(tree)
+
+
+def distinct_nodes(ast):
+    """(the distinct node objects of a tree, the number of its paths)."""
+    seen, paths, stack = {}, 0, [ast]
+    while stack:
+        node = stack.pop()
+        paths += 1
+        seen[id(node)] = node
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack += [node.left, node.right]
+        elif isinstance(node, Call):
+            stack += node.args
+    return list(seen.values()), paths
 
 
 class TestParsing:
@@ -97,6 +137,29 @@ class TestIntrospection:
     def test_free_variables(self):
         ast = exprlang.parse("sin(x1)*v2 + pow(q, 2)")
         assert exprlang.free_variables(ast) == {"x1", "v2", "q"}
+
+    def test_free_variables_equal_a_recursive_walk(self):
+        # run from a plain test function, as test_engine_fuzz does
+        free_variables_equal_a_recursive_walk()
+
+    # chi whose gradients share subtrees, such as exp(sin(x1*x2)) and cos(x1*x2)
+    CHIS = ("exp(sin(x1*x2))*x3", "sqrt(1 + x1^2 + x2^2)*log(2 + x3^2)", "x1^x2/(1 + x3^2)")
+
+    @pytest.mark.parametrize("chi", CHIS + ("sin(x1)*cos(x2)", "x1*x2*x3"))
+    def test_free_variables_of_read_back_couplings(self, chi, monkeypatch):
+        # the coupling <d(chi), v> read back from chi's gradient table is a
+        # DAG: the variables of each distinct node are collected once,
+        # from its children's, however many paths lead to it
+        coupling = velocity_coupling(exprlang.parse(chi), 3)
+        nodes, paths = distinct_nodes(coupling)
+        fresh = [n for n in nodes if "variables" not in vars(n)]
+        calls = []
+        real = exprlang._variables
+        monkeypatch.setattr(exprlang, "_variables", lambda ast: calls.append(ast) or real(ast))
+        assert exprlang.free_variables(coupling) == reference_free_variables(coupling)
+        assert sorted(map(id, calls)) == sorted(map(id, fresh))
+        if chi in self.CHIS:
+            assert paths > len(nodes)
 
     def test_substitute_constants(self):
         folded = exprlang.expression("m*v1^2 + g", ("v1",), {"m": 2.0, "g": 9.8})
