@@ -36,7 +36,12 @@ chi for a seeded c; and one of finding the full kernel:
                 (kernels._lagrangian, reads (0, 1, 3), as
                 _ChartEngine.el_covectors asks for it) that misses the
                 cache, best of BUILDS further fresh expressions: what a
-                fresh gauge twin costs before its first kernel call.
+                fresh gauge twin costs before its first kernel call;
+  * solve us:   microseconds of one kernels.compile_solve call (the
+                seeded walk of _fused_terms' 1 + 2n + n^2 probes, its
+                source and Python's compile of it; there is no cache),
+                best of BUILDS further fresh expressions: the codegen
+                of a fresh engine's acceleration terms.
 
 These rows run the op tape (kernels.NATIVE_PROBES is set out of reach).
 The native rows after them run each kernel as its C probe loop
@@ -166,6 +171,16 @@ def best_table_seconds(asts, names) -> float:
     for ast in asts:
         t0 = time.perf_counter()
         kernels.compile_field(ast, names, reads=(0, 1, 3), _table="_lagrangian")
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def best_solve_seconds(asts, names) -> float:
+    """Best time of one kernels.compile_solve call over the fresh `asts`."""
+    best = float("inf")
+    for ast in asts:
+        t0 = time.perf_counter()
+        kernels.compile_solve(ast, names)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -326,17 +341,18 @@ def main() -> int:
     for name, ast, names, fresh in cases():
         src = kernels.generate_source(ast, names)
         temps = len(set(re.findall(r"\bt\d+\b", src)))
-        asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, 2 * BUILDS + 20)]
+        asts = [fresh(float(c)) for c in rng.uniform(0.5, 1.5, 3 * BUILDS + 20)]
         build = best_build_seconds(asts[:BUILDS], names)
         kept = retained_bytes(asts[BUILDS:BUILDS + 20], names)
-        table = best_table_seconds(asts[BUILDS + 20:], names)
+        table = best_table_seconds(asts[BUILDS + 20:2 * BUILDS + 20], names)
+        solve = best_solve_seconds(asts[2 * BUILDS + 20:], names)
         hit = best_hit_seconds(ast, names, args.repeats)
         tape = kernels._Tape(None, *kernels._batched(ast, names))
         records = " / ".join(str(sum(tape.live(reads))) for reads in READS)
         print(f"{name}: {len(src.splitlines()) - 1} lines, {temps} temporaries, records "
               f"{records} for reads {' / '.join(map(label, READS))}, "
               f"build {1e6 * build:.0f} us, retained {kept:.0f} B, hit {1e6 * hit:.2f} us, "
-              f"table {1e6 * table:.0f} us")
+              f"table {1e6 * table:.0f} us, solve {1e6 * solve:.0f} us")
         print(f"{'probes':>8} {'reads':>6} {'us/call':>10} {'ns/probe':>10} {'peak B/probe':>13}  "
               f"vs interpreter")
         compiled = [(reads, kernels.compile_field(ast, names, reads=reads)) for reads in READS]

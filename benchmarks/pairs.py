@@ -1,6 +1,7 @@
 """Alternating pairs of avbench runs on two checkouts.
 
-For each seed, runs one workload on checkout A and on checkout B, each
+For each workload asked, one after the other, and each seed, runs the
+workload on checkout A and on checkout B, each
 run as record.py runs it (record.run_workload: its own process, untraced,
 PYTHONDONTWRITEBYTECODE=1, after the __pycache__ directories of both
 checkouts are removed).  The first pair runs A first, the next B first,
@@ -9,12 +10,14 @@ pair the gated metrics of both runs and their ratio B / A, then per
 metric the number of pairs in which B is better (by BENCHMARK.json's
 direction; an equal value is not better), the median ratio and the
 ratios' range, and the failed and attempted operations of each
-checkout.
+checkout: one summary block per workload, printed once its pairs are
+done, so that one command gives a claimed workload and those that must
+not move.
 
 Passing the same checkout as A and B gives an A/A run: its ratios show
 the workload's noise band, against which an A/B median is read.
 
-Run:  python benchmarks/pairs.py A B --workload action [--seeds 1 2 3] [--seconds 18]
+Run:  python benchmarks/pairs.py A B --workload gauge_scan [orbit ...] [--seeds 1 2 3] [--seconds 18]
 """
 import argparse
 import json
@@ -85,8 +88,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", type=Path, help="checkout A, the baseline")
     ap.add_argument("b", type=Path, help="checkout B; the ratios are B / A")
-    ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--workload", required=True, nargs="+",
+                    choices=[w["name"] for w in spec["workloads"]], help="one or more workloads")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6],
                     help="one pair per seed")
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
@@ -95,11 +98,13 @@ def main(argv=None) -> int:
     trees = (args.a.resolve(), args.b.resolve())
     for tree in set(trees):
         record.remove_bytecode(tree)
-    print(f"A {trees[0]}\nB {trees[1]}\n{args.workload}, {args.seconds:g} s per run")
-    pairs = run_pairs(trees, args.workload, args.seeds, args.seconds,
-                      report=lambda i, pair: print(pair_line(i, pair), flush=True))
-    for line in summary_lines(summarize(pairs, compare.directions())):
-        print(line)
+    print(f"A {trees[0]}\nB {trees[1]}\n{args.seconds:g} s per run")
+    for workload in args.workload:
+        print(f"\n{workload}", flush=True)
+        pairs = run_pairs(trees, workload, args.seeds, args.seconds,
+                          report=lambda i, pair: print(pair_line(i, pair), flush=True))
+        for line in summary_lines(summarize(pairs, compare.directions())):
+            print(line, flush=True)
     return 0
 
 

@@ -344,11 +344,14 @@ class _ChartEngine:
 def _finite(name: str, value, n: int, scalar=False) -> np.ndarray:
     """`value` as a float array of n entries (or, with `scalar`, a single
     number); ValueError naming `name` if it has another shape or an
-    entry is not finite."""
+    entry is not finite.  The entries are checked as Python floats
+    (math.isfinite), which for a few entries is cheaper than a numpy
+    reduction."""
     arr = np.asarray(value, float)
     if arr.shape != (n,) and not (scalar and arr.ndim == 0):
         raise ValueError(f"{name} must be a vector of dimension {n}, got {arr.tolist()}")
-    if not np.all(np.isfinite(arr)):
+    entries = arr.tolist()
+    if not all(map(math.isfinite, entries if arr.ndim else (entries,))):
         raise ValueError(f"{name} must be finite, got {arr}")
     return arr
 
@@ -357,9 +360,14 @@ def _chart_point(atlas: Atlas, chart_id: str, name: str, x) -> np.ndarray:
     """_finite(name, x, n), which must lie in chart `chart_id` (to within
     _BOX_TOL): ChartDisjointError naming the point and the chart if not."""
     x = _finite(name, x, atlas.dim)
-    if not atlas.contains(chart_id, x):
+    if not atlas.contains(chart_id, x.tolist()):
         raise ChartDisjointError(f"{name}={x} is outside chart {chart_id}")
     return x
+
+
+def _is_finite(t):
+    """np.isfinite(t) of a scalar t, by math.isfinite for a float."""
+    return math.isfinite(t) if isinstance(t, float) else np.isfinite(t)
 
 
 def euler_lagrange(
@@ -464,7 +472,7 @@ def integrate_trajectory(
     A callable's value is held to a constant forcing's rule."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not (np.isfinite(t0) and np.isfinite(t1)):
+    if not (_is_finite(t0) and _is_finite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}")
     h = (t1 - t0) / steps
     if not math.isfinite(h):
@@ -478,16 +486,17 @@ def integrate_trajectory(
     x0 = _chart_point(atlas, chart_id, "x0", x0)
     v0 = _finite("v0", v0, n)
 
+    force = None
     if callable(forcing):
         force = lambda x, v: _finite("forcing", forcing(x, v), n, scalar=True)
-    else:
+    elif forcing is not None:
         eng = lam.engine(chart_id, _forcing_expressions(forcing, n))
         force = eng.forcing_values if eng.forcing else None
 
     def acc(x, v):
         return _accelerations(eng, x, v, None if force is None else force(x, v))
 
-    times = t0 + h * np.arange(steps + 1)
+    times = t0 + h * np.arange(steps + 1, dtype=float)  # as an int arange, which h casts
     xs = np.empty((steps + 1, n))
     vs = np.empty((steps + 1, n))
     xs[0], vs[0] = x0, v0

@@ -27,7 +27,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -50,6 +49,23 @@ BUILTIN_ARITY = {
 }
 
 
+class _kept:
+    """A value a node computes at its first use and keeps in its
+    __dict__, which shadows this non-data descriptor from then on:
+    functools.cached_property without the lock that Python 3.11 takes
+    at every first use.  Two threads may both compute it, with equal
+    results."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.compute(node)
+        return value
+
+
 class _Node:
     """An AST node renders its canonical text (to_text) at its first use,
     from its children's kept texts, and keeps it; so too the names of its
@@ -57,11 +73,11 @@ class _Node:
     a tree whose nodes share subtrees costs one visit per distinct node.
     Neither is a field, so == and hash are unchanged."""
 
-    @cached_property
+    @_kept
     def text(self) -> str:
         return _render(self)
 
-    @cached_property
+    @_kept
     def variables(self) -> frozenset:
         return _variables(self)
 

@@ -91,6 +91,15 @@ fold the same way, as they do in the RK4 loop: a derivative no output
 needs is never computed, so its 0 * inf makes no NaN.  The emitter's
 add and mul fold the seed atom _ZERO itself, most of a walk's calls,
 before any lookup; another zero literal folds by its value, the same way.
+The product and sum rules skip those calls on _ZERO operands, with the
+same folds.
+
+The walk of a table's probes visits a subtree whose variables all have
+a zero d1 seed in a probe (passive in its direction) once per d2 seed
+list, not once per probe (_seeded's memo).  Such a walk makes only calls
+the first one made, so it emits no line: the records, their order and
+every rendering stay those of a walk without the memo, while a gauge
+twin's coupling in x costs one walk for all of its velocity probes.
 """
 from __future__ import annotations
 
@@ -300,16 +309,31 @@ def _apply_pow_const(u, p: float, em: _Emitter):
     return (v, a, b, c)
 
 
+def _plus(em: _Emitter, x, y):
+    """em.add(x, y), with no call where x or y is _ZERO: add's folds
+    return y for x _ZERO, and for y _ZERO return y where x is another
+    zero literal and x otherwise."""
+    if x is _ZERO:
+        return y
+    if y is _ZERO:
+        return y if em.lits.get(x) == 0.0 else x
+    return em.add(x, y)
+
+
 def _combine_mul(u, w, em: _Emitter):
+    """The product rule.  A term with a _ZERO factor is the _ZERO that
+    mul folds it to, and a sum with a _ZERO term folds as add does
+    (_plus), so neither calls the emitter; every line is mul and add's."""
     uv, ua, ub, uc = u
     wv, wa, wb, wc = w
-    v = em.mul(uv, wv)
-    a = em.add(em.mul(uv, wa), em.mul(ua, wv))
-    b = em.add(em.mul(uv, wb), em.mul(ub, wv))
-    c = em.add(
-        em.add(em.mul(uv, wc), em.mul(ua, wb)),
-        em.add(em.mul(ub, wa), em.mul(uc, wv)),
-    )
+    mul = em.mul
+    v = mul(uv, wv)
+    a = _plus(em, _ZERO if wa is _ZERO else mul(uv, wa), _ZERO if ua is _ZERO else mul(ua, wv))
+    b = _plus(em, _ZERO if wb is _ZERO else mul(uv, wb), _ZERO if ub is _ZERO else mul(ub, wv))
+    c = _plus(em, _plus(em, _ZERO if wc is _ZERO else mul(uv, wc),
+                        _ZERO if ua is _ZERO or wb is _ZERO else mul(ua, wb)),
+              _plus(em, _ZERO if ub is _ZERO or wa is _ZERO else mul(ub, wa),
+                    _ZERO if uc is _ZERO else mul(uc, wv)))
     return (v, a, b, c)
 
 
@@ -326,38 +350,59 @@ def _combine_div(u, w, em: _Emitter):
     return (qv, qa, qb, qc)
 
 
-def _walk(ast: ExprAst, em: _Emitter, slots: dict):
-    if isinstance(ast, Number):
-        return (em.num(float(ast.value)), _ZERO, _ZERO, _ZERO)
-    if isinstance(ast, Var):
+def _power(left, right, em: _Emitter, slots: dict, reuse):
+    """The quad of left^right (a Binary ^ or a Call of pow)."""
+    u = _walk(left, em, slots, reuse)
+    if isinstance(right, Number):
+        return _apply_pow_const(u, float(right.value), em)
+    w = _walk(right, em, slots, reuse)
+    if _quad_is_const(w) and w[0] in em.lits:
+        return _apply_pow_const(u, em.lits[w[0]], em)
+    # general exponent: exp(w * log(u))
+    return _apply_unary("exp", _combine_mul(w, _apply_unary("log", u, em), em), em)
+
+
+def _walk(ast: ExprAst, em: _Emitter, slots: dict, reuse):
+    """The quad (val, d1, d2, d12) of ast, each variable's taken from
+    `slots`, its lines emitted through em.  `reuse` is (memo, active),
+    or None where every variable is active: a node none of whose
+    variables is in `active`, those with a d1 seed other than _ZERO, is
+    passive; it is looked up in `memo`, id(node) -> (node, quad) for
+    the probe's d2 seed list, and stored there once walked (_seeded)."""
+    kind = type(ast)
+    if kind is Var:
         return slots[ast.name]
-    if isinstance(ast, Unary):
-        u = _walk(ast.child, em, slots)
-        return tuple(em.neg(c) if c != _ZERO else _ZERO for c in u)
-    if isinstance(ast, Binary):
-        if ast.op == "^":
-            u = _walk(ast.left, em, slots)
-            if isinstance(ast.right, Number):
-                return _apply_pow_const(u, float(ast.right.value), em)
-            w = _walk(ast.right, em, slots)
-            if _quad_is_const(w) and w[0] in em.lits:
-                return _apply_pow_const(u, em.lits[w[0]], em)
-            # general exponent: exp(w * log(u))
-            lg = _apply_unary("log", u, em)
-            return _apply_unary("exp", _combine_mul(w, lg, em), em)
-        u = _walk(ast.left, em, slots)
-        w = _walk(ast.right, em, slots)
+    if kind is Number:
+        return (em.num(float(ast.value)), _ZERO, _ZERO, _ZERO)
+    passive = reuse is not None and ast.variables.isdisjoint(reuse[1])
+    if passive:
+        kept = reuse[0].get(id(ast))
+        if kept is not None:
+            return kept[1]
+    if kind is Unary:
+        quad = tuple([em.neg(c) if c != _ZERO else _ZERO
+                      for c in _walk(ast.child, em, slots, reuse)])
+    elif kind is Call:
+        if ast.func == "pow":
+            quad = _power(*ast.args, em, slots, reuse)
+        else:
+            quad = _apply_unary(ast.func, _walk(ast.args[0], em, slots, reuse), em)
+    elif ast.op == "^":
+        quad = _power(ast.left, ast.right, em, slots, reuse)
+    else:
+        u = _walk(ast.left, em, slots, reuse)
+        w = _walk(ast.right, em, slots, reuse)
         if ast.op == "+":
-            return tuple(em.add(a, b) for a, b in zip(u, w))
-        if ast.op == "-":
-            return tuple(em.sub(a, b) for a, b in zip(u, w))
-        if ast.op == "*":
-            return _combine_mul(u, w, em)
-        return _combine_div(u, w, em)
-    # Call
-    if ast.func == "pow":
-        return _walk(Binary("^", ast.args[0], ast.args[1]), em, slots)
-    return _apply_unary(ast.func, _walk(ast.args[0], em, slots), em)
+            quad = tuple([_plus(em, a, b) for a, b in zip(u, w)])
+        elif ast.op == "-":
+            quad = tuple([a if b is _ZERO else em.sub(a, b) for a, b in zip(u, w)])
+        elif ast.op == "*":
+            quad = _combine_mul(u, w, em)
+        else:
+            quad = _combine_div(u, w, em)
+    if passive:
+        reuse[0][id(ast)] = (ast, quad)  # the node is kept, so its id is not reused
+    return quad
 
 
 def check_declared(ast: ExprAst, varnames) -> set:
@@ -413,9 +458,11 @@ def _render(names, results, inputs=()):
     return records, results
 
 
-def _seeds(m: int, i=None) -> list:
-    """The seeds e_i of m variables as literal atoms; all 0 for i None."""
-    return [_ONE if j == i else _ZERO for j in range(m)]
+def _unit_seeds(m: int) -> list:
+    """The seeds e_0..e_{m-1} of m variables as literal atoms and then
+    0, one list each, so that the probes that share a seed vector share
+    its list (the key of _seeded's memo)."""
+    return [[_ONE if j == i else _ZERO for j in range(m)] for i in (*range(m), None)]
 
 
 def _seeded(probes, varnames, picks):
@@ -426,11 +473,28 @@ def _seeded(probes, varnames, picks):
     or an input column's.  Every value and derivative the probes share is
     emitted once (the vector forward mode of Griewank & Walther,
     Evaluating Derivatives, ch. 3); a component nothing picks is emitted,
-    and _render drops it."""
+    and _render drops it.
+
+    A subtree none of whose variables has a d1 seed other than _ZERO is
+    passive in the probe's direction (ibid., ch. 6): its walk reads only
+    the values and d2 seeds.  So a walk of it in a later probe with the
+    same d2 seed list makes the same emitter calls on the same atoms,
+    emits no line and returns the same quad.  One memo per call, keyed
+    by the id of the node and of the probe's d2 list, keeps that quad
+    (with the node and, through probes, the list, so neither id is
+    reused), and the walk returns it instead: every line, its order and
+    so every rendering are those of the walk without the memo.  A gauge
+    twin's coupling in x is walked once for all velocity probes."""
     em = _Emitter()
-    quads = [_walk(expr, em, {name: (f"w{j}", d1[j], d2[j], _ZERO)
-                              for j, name in enumerate(varnames)})
-             for expr, d1, d2 in probes]
+    memos = {}  # id of a d2 seed list -> its memo (_walk)
+    quads = []
+    for expr, d1, d2 in probes:
+        slots = {name: (f"w{j}", d1[j], d2[j], _ZERO) for j, name in enumerate(varnames)}
+        active = {name for name, seed in zip(varnames, d1) if seed != _ZERO}
+        # where every variable is active only constants would be passive,
+        # and their walk folds at once (a single probe's case: _batched, _jet)
+        quads.append(_walk(expr, em, slots, (memos.setdefault(id(d2), {}), active)
+                           if len(active) < len(varnames) else None))
     return em.names, [quads[p][c] for p, c in picks]
 
 
@@ -456,18 +520,18 @@ def _table(ast: ExprAst, varnames, width: int, probes, picks):
     return ({f"w{j}": (0, j) for j in range(width)}, *_render(*_seeded(probes, varnames, picks)))
 
 
-def _unit_probes(ast: ExprAst, m: int, n: int, velocity=None) -> list:
+def _unit_probes(ast: ExprAst, seeds: list, n: int, velocity=None) -> list:
     """The probes of ast over m variables (e_i, 0) for i < n and
-    (e_i, velocity) for n <= i < m."""
-    zero = _seeds(m)
-    return [(ast, _seeds(m, i), zero if i < n else velocity) for i in range(m)]
+    (e_i, velocity) for n <= i < m, from seeds = _unit_seeds(m)."""
+    return [(ast, e, seeds[-1] if i < n else velocity) for i, e in enumerate(seeds[:-1])]
 
 
 def _gradient(ast: ExprAst, varnames):
     """The gradient table: the value and d/dw_j for each of the m >= 1
     variables, the value read from the first probe."""
     m = len(varnames)
-    return _table(ast, varnames, m, _unit_probes(ast, m, m), [(0, 0), *[(j, 1) for j in range(m)]])
+    return _table(ast, varnames, m, _unit_probes(ast, _unit_seeds(m), m),
+                  [(0, 0), *[(j, 1) for j in range(m)]])
 
 
 def _lagrangian(ast: ExprAst, varnames):
@@ -478,7 +542,8 @@ def _lagrangian(ast: ExprAst, varnames):
     first component is p_i and whose mixed one is d/dt p_i."""
     m = len(varnames)
     n = m // 2
-    return _table(ast, varnames, 3 * n, _unit_probes(ast, m, n, [f"w{j}" for j in range(n, 3 * n)]),
+    velocity = [f"w{j}" for j in range(n, 3 * n)]
+    return _table(ast, varnames, 3 * n, _unit_probes(ast, _unit_seeds(m), n, velocity),
                   [(0, 0), *[(i, 1) for i in range(m)], *[(n + i, 3) for i in range(n)]])
 
 
@@ -513,11 +578,13 @@ def _fused_terms(ast: ExprAst, varnames, forcing=()):
         check_declared(expr, varnames)
     m = len(varnames)
     n = m // 2
-    zero = _seeds(m)
+    seeds = _unit_seeds(m)
+    zero = seeds[-1]
     probes, components = [], []
     if ast is not None:
-        probes = [(ast, zero, zero), *_unit_probes(ast, m, n, [f"w{n + j}" for j in range(n)] + zero[n:]),
-                  *[(ast, _seeds(m, n + i), _seeds(m, n + j)) for i in range(n) for j in range(n)]]
+        velocity = [f"w{n + j}" for j in range(n)] + zero[n:]
+        probes = [(ast, zero, zero), *_unit_probes(ast, seeds, n, velocity),
+                  *[(ast, seeds[n + i], seeds[n + j]) for i in range(n) for j in range(n)]]
         components = [0, *[1] * n, *[3] * (n + n * n)]
     probes += [(f, zero, zero) for f in forcing]
     return _seeded(probes, varnames, [*enumerate(components + [0] * len(forcing))])

@@ -218,3 +218,29 @@ def test_pairs_of_one_checkout_is_an_a_a_run(pairs, tmp_path, monkeypatch, capsy
     out = capsys.readouterr().out
     assert "norm_work_per_s  B better in 0/3 pairs, median ratio 1.000" in out
     assert "failed A 0/300  B 0/300" in out
+
+
+def test_pairs_of_several_workloads_print_a_block_each(pairs, tmp_path, monkeypatch, capsys):
+    # one command runs every workload's pairs in turn and prints each
+    # workload's summary once its pairs are done
+    calls = []
+    a, b = tmp_path / "a", tmp_path / "b"
+    for tree in (a, b):
+        (tree / "src").mkdir(parents=True)
+        (tree / "avbench").mkdir()
+    work = {(tree, s): 100.0 if tree == a else 100.0 + s for tree in (a, b) for s in (1, 2)}
+    monkeypatch.setattr(pairs.record, "run_workload", stub_runner(calls, work))
+    assert pairs.main([str(a), str(b), "--workload", "gauge_scan", "orbit",
+                       "--seeds", "1", "2", "--seconds", "3"]) == 0
+    assert [(c[1], c[0], c[2]) for c in calls] == [
+        ("gauge_scan", a, 1), ("gauge_scan", b, 1), ("gauge_scan", b, 2), ("gauge_scan", a, 2),
+        ("orbit", a, 1), ("orbit", b, 1), ("orbit", b, 2), ("orbit", a, 2)]
+    out = capsys.readouterr().out.splitlines()
+    blocks = [i for i, line in enumerate(out) if line in ("gauge_scan", "orbit")]
+    assert [out[i] for i in blocks] == ["gauge_scan", "orbit"]
+    for start in blocks:
+        block = out[start:start + 7]
+        assert block[1].startswith("pair 1 seed 1 AB") and block[2].startswith("pair 2 seed 2 BA")
+        assert block[3] == ("norm_work_per_s  B better in 2/2 pairs, median ratio 1.015 "
+                            "(range 1.010-1.020)")
+        assert block[6] == "failed A 0/200  B 0/200"

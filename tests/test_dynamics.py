@@ -621,6 +621,78 @@ class TestWrongLength:
         assert one.positions.tobytes() == both.positions.tobytes()
 
 
+class TestOneStepErrors:
+    """Every error of a 1-step integrate_trajectory call, class and text
+    pinned: its argument checks run on Python floats (math.isfinite),
+    and give the texts they gave through numpy."""
+
+    LAM = TestNonFiniteInputs.LAM  # n = 2, chart "0"
+    CIRCLE = bundled_system("circle").lagrangian  # chart "0" covers (-pi, pi)
+    X, V = [0.1, 0.2], [1.0, -0.5]
+    CASES = {
+        "steps": (dict(steps=0), ValueError, "steps must be >= 1"),
+        "t1 nan": (dict(t1=math.nan), ValueError, "t0 and t1 must be finite, got t0=0.0, t1=nan"),
+        "t0 -inf": (dict(t0=-math.inf), ValueError,
+                    "t0 and t1 must be finite, got t0=-inf, t1=1.0"),
+        "t0 float64": (dict(t0=np.float64(math.inf)), ValueError,
+                       "t0 and t1 must be finite, got t0=inf, t1=1.0"),
+        "t0 float32": (dict(t0=np.float32(math.inf)), ValueError,
+                       "t0 and t1 must be finite, got t0=inf, t1=1.0"),
+        "step size": (dict(t0=-1e308, t1=1e308), ValueError,
+                      "step size (t1 - t0)/steps must be finite, got inf for t0=-1e+308, "
+                      "t1=1e+308, steps=1"),
+        "chart": (dict(chart_id="9"), ChartDisjointError, "no chart '9' in atlas"),
+        "x0 length": (dict(x0=[0.1]), ValueError, "x0 must be a vector of dimension 2, got [0.1]"),
+        "x0 nested": (dict(x0=[[0.1, 0.2]]), ValueError,
+                      "x0 must be a vector of dimension 2, got [[0.1, 0.2]]"),
+        "x0 nan": (dict(x0=[0.1, math.nan]), ValueError, "x0 must be finite, got [0.1 nan]"),
+        "x0 text": (dict(x0=["a", 0.0]), ValueError, "could not convert string to float: 'a'"),
+        "x0 outside": (dict(lam=CIRCLE, x0=[3.5], v0=[1.0]), ChartDisjointError,
+                       "x0=[3.5] is outside chart 0"),
+        "v0 length": (dict(v0=[1.0, 2.0, 3.0]), ValueError,
+                      "v0 must be a vector of dimension 2, got [1.0, 2.0, 3.0]"),
+        "v0 scalar": (dict(v0=1.0), ValueError, "v0 must be a vector of dimension 2, got 1.0"),
+        "v0 inf": (dict(v0=[math.inf, 0.0]), ValueError, "v0 must be finite, got [inf  0.]"),
+        "forcing count": (dict(forcing=["x1"]), ValueError, "forcing must be 2 expressions, got 1"),
+        "forcing nan": (dict(forcing=math.nan), ValueError, "forcing must be finite, got nan"),
+        "forcing length": (dict(forcing=[1.0, 2.0, 3.0]), ValueError,
+                           "forcing must be a vector of dimension 2, got [1.0, 2.0, 3.0]"),
+        "forcing callable inf": (dict(forcing=lambda x, v: [0.0, -math.inf]), ValueError,
+                                 "forcing must be finite, got [  0. -inf]"),
+        "forcing callable length": (dict(forcing=lambda x, v: [0.0]), ValueError,
+                                    "forcing must be a vector of dimension 2, got [0.0]"),
+        "chart exit": (dict(lam=CIRCLE, x0=[3.1], v0=[100.0]), ChartExitError,
+                       "trajectory left chart 0 at t=1 (x=[103.1])"),
+    }
+
+    def call(self, lam=None, x0=None, v0=None, t0=0.0, t1=1.0, steps=1, **kw):
+        return integrate_trajectory(lam or self.LAM, self.X if x0 is None else x0,
+                                    self.V if v0 is None else v0, t0, t1, steps, **kw)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_text(self, case):
+        kwargs, cls, text = self.CASES[case]
+        with pytest.raises(cls) as info:
+            self.call(**kwargs)
+        assert type(info.value) is cls and str(info.value) == text
+
+    @pytest.mark.parametrize("t0", ["0", None, 10**300])
+    def test_a_time_numpy_cannot_check_raises_numpy_s_error(self, t0):
+        with pytest.raises(TypeError) as want:
+            np.isfinite(t0)
+        with pytest.raises(TypeError) as info:
+            self.call(t0=t0)
+        assert str(info.value) == str(want.value)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (0, 3), (np.float32(0.1), np.float32(0.7)),
+                                        (-2.5, np.float64(1e-3)), (1e15, 1e15 + 7.0)])
+    def test_times_are_those_of_an_int_arange(self, t0, t1):
+        steps = 3
+        times = self.call(t0=t0, t1=t1, steps=steps).times
+        h = (t1 - t0) / steps
+        assert times.tobytes() == (t0 + h * np.arange(steps + 1)).tobytes()
+
+
 def orbit_cases():
     """(id, Lagrangian, chart, velocity half-width, dim) for every case
     of solve_cases with n <= 3."""

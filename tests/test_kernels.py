@@ -9,9 +9,12 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avcalc import exprlang, kernels
 from avcalc.autodiff import Hyperdual
@@ -37,6 +40,7 @@ from avcalc.rk4loop import generate_step_source
 from avcalc.systems import bundled_system, bundled_system_names
 
 from helpers_reference import hyperdual_reference, random_cases
+from test_engine_fuzz import trees
 
 VARNAMES = ["x1", "x2", "x3"]
 AGREE_EXPR = "sin(x1)*cos(x2) + exp(-x3^2)*x1 + sqrt(x2)/x3"
@@ -608,7 +612,9 @@ class TestSign:
 class TestZeroFolds:
     """The emitter folds the _ZERO atom itself before it looks up any
     literal; every other atom of value zero folds as before, through
-    its value in `lits`, so the shortcut changes no line."""
+    its value in `lits`, so the shortcut changes no line.  The walk's
+    sum and product rules skip the emitter on _ZERO operands with the
+    same folds (kernels._plus, kernels._combine_mul)."""
 
     def test_other_zero_atoms_fold_by_value(self):
         em = kernels._Emitter()
@@ -626,6 +632,209 @@ class TestZeroFolds:
         assert em.add(negative, _ZERO) is _ZERO  # the first fold returns the second operand
         assert em.add("t0", _ZERO) == "t0"
         assert em.names == {}
+
+    # atoms of the walk: _ZERO, other zero literals (a product of
+    # literals can underflow to either zero), literals, temporaries
+    ATOMS = (_ZERO, "0.0", "-0.0", "1e-200", "-1e-200", "1.0", "2.0", "math.nan", "t0", "t1")
+
+    def emitter(self):
+        em = kernels._Emitter()
+        for atom in self.ATOMS:
+            if atom[0] != "t":
+                em.num(float(atom) if atom != "math.nan" else math.nan)
+        return em
+
+    def test_the_sum_rule_folds_as_add(self):
+        for x, y in itertools.product(self.ATOMS, repeat=2):
+            em, ref = self.emitter(), self.emitter()
+            got, want = kernels._plus(em, x, y), ref.add(x, y)
+            assert got == want and (got is _ZERO) == (want is _ZERO), (x, y)
+            assert list(em.names.items()) == list(ref.names.items()), (x, y)
+
+    def test_the_product_rule_emits_the_reference_lines(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            u, w = (tuple(self.ATOMS[k] for k in rng.integers(0, len(self.ATOMS), 4))
+                    for _ in range(2))
+            em, ref = self.emitter(), self.emitter()
+            got, want = kernels._combine_mul(u, w, em), reference_combine_mul(u, w, ref)
+            assert got == want and [a is _ZERO for a in got] == [a is _ZERO for a in want], (u, w)
+            assert list(em.names.items()) == list(ref.names.items()), (u, w)
+
+
+def reference_combine_mul(u, w, em):
+    """The product rule with every emitter call made, as before the
+    memo: kernels._combine_mul skips the calls on _ZERO operands."""
+    uv, ua, ub, uc = u
+    wv, wa, wb, wc = w
+    v = em.mul(uv, wv)
+    a = em.add(em.mul(uv, wa), em.mul(ua, wv))
+    b = em.add(em.mul(uv, wb), em.mul(ub, wv))
+    c = em.add(em.add(em.mul(uv, wc), em.mul(ua, wb)), em.add(em.mul(ub, wa), em.mul(uc, wv)))
+    return (v, a, b, c)
+
+
+def reference_walk(ast, em, slots):
+    """The seeded walk without a memo: every node of every probe walked,
+    every rule through the emitter.  Kept as the oracle of kernels._walk,
+    as Hyperdual is of the emitter's rules."""
+    if isinstance(ast, exprlang.Number):
+        return (em.num(float(ast.value)), _ZERO, _ZERO, _ZERO)
+    if isinstance(ast, exprlang.Var):
+        return slots[ast.name]
+    if isinstance(ast, exprlang.Unary):
+        return tuple(em.neg(c) if c != _ZERO else _ZERO for c in reference_walk(ast.child, em, slots))
+    if isinstance(ast, exprlang.Binary):
+        if ast.op == "^":
+            u = reference_walk(ast.left, em, slots)
+            if isinstance(ast.right, exprlang.Number):
+                return kernels._apply_pow_const(u, float(ast.right.value), em)
+            w = reference_walk(ast.right, em, slots)
+            if kernels._quad_is_const(w) and w[0] in em.lits:
+                return kernels._apply_pow_const(u, em.lits[w[0]], em)
+            lg = kernels._apply_unary("log", u, em)
+            return kernels._apply_unary("exp", reference_combine_mul(w, lg, em), em)
+        u = reference_walk(ast.left, em, slots)
+        w = reference_walk(ast.right, em, slots)
+        if ast.op == "+":
+            return tuple(em.add(a, b) for a, b in zip(u, w))
+        if ast.op == "-":
+            return tuple(em.sub(a, b) for a, b in zip(u, w))
+        if ast.op == "*":
+            return reference_combine_mul(u, w, em)
+        return kernels._combine_div(u, w, em)
+    if ast.func == "pow":
+        return reference_walk(exprlang.Binary("^", ast.args[0], ast.args[1]), em, slots)
+    return kernels._apply_unary(ast.func, reference_walk(ast.args[0], em, slots), em)
+
+
+def reference_seeded(probes, varnames, picks):
+    """kernels._seeded's (names, results) by reference_walk."""
+    em = kernels._Emitter()
+    quads = [reference_walk(expr, em, {name: (f"w{j}", d1[j], d2[j], _ZERO)
+                                       for j, name in enumerate(varnames)})
+             for expr, d1, d2 in probes]
+    return em.names, [quads[p][c] for p, c in picks]
+
+
+# the tables of one seeded walk each; _fused_terms reads varnames as
+# (x1..xn, v1..vn), and so do _lagrangian's columns
+WALKS = ("_lagrangian", "_gradient", "_batched", "_jet", "_fused_terms")
+
+
+def assert_walks_equal_the_reference(ast, varnames):
+    """Every table's seeded walk of ast emits the reference walk's lines,
+    in its order, and picks the same atoms."""
+    calls = []
+    real = kernels._seeded
+
+    def spy(probes, names, picks):
+        got = real(probes, names, picks)
+        calls.append((probes, names, picks, got))
+        return got
+
+    with mock.patch.object(kernels, "_seeded", spy):
+        for table in WALKS:
+            getattr(kernels, table)(ast, varnames)
+    assert len(calls) == len(WALKS)
+    for probes, names, picks, (lines, results) in calls:
+        want_lines, want_results = reference_seeded(probes, names, picks)
+        assert list(lines.items()) == list(want_lines.items()), exprlang.to_text(ast)
+        assert results == want_results, exprlang.to_text(ast)
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(trees)
+# the trap of keying a temporary node by its id: pow(a, b) walked as a
+# Binary built for the walk, whose id a later one reused
+@example(exprlang.parse("pow(2.0,1.0)-pow(0.0,2.0)"))
+@example(exprlang.parse("pow(x2,1.0)+pow(x2,2.0)"))
+def walks_of_trees_equal_the_reference(ast):
+    # over (x1, x2): as a Lagrangian's, n = 1 with x = x1 and v = x2
+    assert_walks_equal_the_reference(ast, ["x1", "x2"])
+
+
+TWIN_SYSTEMS = {name: bundled_system(name) for name in ("charged", "relativistic", "circle")}
+
+
+@settings(max_examples=40, database=None, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(TWIN_SYSTEMS)), trees)
+def walks_of_twins_equal_the_reference(name, chi):
+    system = TWIN_SYSTEMS[name]
+    if system.dim == 1:
+        chi = exprlang.substitute(chi, {"x2": exprlang.Var("x1")})
+    twin = gauge_shift(system.lagrangian, chi).expr(system.default_chart())
+    assert_walks_equal_the_reference(twin, lagrangian_varnames(system.dim))
+
+
+class TestPassiveMemo:
+    """The seeded walk returns a passive subtree's kept quad (one whose
+    variables all have a zero d1 seed in the probe), once walked for the
+    probe's d2 seed list: the lines, their order and the picked atoms
+    are those of the walk without the memo (reference_walk)."""
+
+    def test_walks_of_trees_equal_the_reference(self):
+        # run from a plain test function, as test_engine_fuzz does
+        walks_of_trees_equal_the_reference()
+
+    def test_walks_of_twins_equal_the_reference(self):
+        walks_of_twins_equal_the_reference()
+
+    @pytest.mark.parametrize("case", gauge_cases(), ids=lambda c: c[0])
+    def test_bundled_walks_equal_the_reference(self, case):
+        _label, ast, system = case
+        assert_walks_equal_the_reference(ast, lagrangian_varnames(system.dim))
+
+    @pytest.mark.parametrize("text", ["pow(2.0,1.0)-pow(0.0,2.0)", "pow(x2,1.0)+pow(x2,2.0)"])
+    def test_pow_calls_keep_the_nodes_of_their_entries(self, text, monkeypatch):
+        # a first memo keyed the Binary that the walk built for pow(a, b)
+        # by its id; once freed, a later one took its id and its entry, and
+        # the tables of these two texts differed from the interpreter's.
+        # Each entry now holds its node, which is a node of the tree
+        ast = exprlang.parse(text)
+        tree = {id(node) for node in nodes(ast)}
+        memos = []
+        real = kernels._walk
+
+        def spy(node, em, slots, reuse):
+            if reuse is not None and all(reuse[0] is not m for m in memos):
+                memos.append(reuse[0])
+            return real(node, em, slots, reuse)
+
+        monkeypatch.setattr(kernels, "_walk", spy)
+        assert_walks_equal_the_reference(ast, ["x1", "x2"])
+        entries = [(key, kept) for memo in memos for key, kept in memo.items()]
+        assert entries and all(key == id(kept[0]) and key in tree for key, kept in entries)
+
+    def test_charged_twin_walks_few_of_its_nodes(self, monkeypatch):
+        # the 2n probes of a walk without the memo visit every node of the
+        # tree 2n times; the memo walks each passive subtree once per d2
+        # seed list. The first probe of each of the two d2 lists walks the
+        # whole tree (a third of those visits), and a later x-probe also
+        # walks the subtrees that hold an earlier x-variable: 57 % of them
+        # here, so the bound is 60 %. chi has the shape of avbench gauge_scan's
+        system = bundled_system("charged")
+        chi = "(-0.83)*sin((0.60)*x1)*exp((0.44)*x2) + (0.39)*cos((-0.99)*x3)*(0.57 + 0.2*x1 - 0.3*x1^2)"
+        twin = gauge_shift(system.lagrangian, chi).expr(system.default_chart())
+        visits = []
+        real = kernels._walk
+        monkeypatch.setattr(kernels, "_walk", lambda node, *rest: visits.append(node) or real(node, *rest))
+        kernels._lagrangian(twin, lagrangian_varnames(3))
+        assert len(visits) < 0.6 * 2 * 3 * len(list(nodes(twin)))
+
+    def test_probes_of_one_seed_vector_share_its_list(self):
+        # the memo's key holds the id of a probe's d2 list, so the probes
+        # that share a d2 seed vector must share one list object
+        ast = exprlang.parse("x1*v1 + sin(x2)*v1*v2^2")
+        probes = []
+        real = kernels._seeded
+        with mock.patch.object(kernels, "_seeded",
+                               lambda p, *rest: probes.extend(p) or real(p, *rest)):
+            kernels._fused_terms(ast, ["x1", "x2", "v1", "v2"])
+        d2 = [id(d2) for _ast, _d1, d2 in probes]
+        # (0, 0), (e_x1, 0), (e_x2, 0), (e_v1, v), (e_v2, v), then
+        # (e_vi, e_vj) for i, j in 1, 2: the first probe's list per vector
+        assert [d2.index(k) for k in d2] == [0, 0, 0, 3, 3, 5, 6, 5, 6]
 
 
 class TestGradientExprs:
