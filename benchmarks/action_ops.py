@@ -1,7 +1,7 @@
 """Milliseconds per action call: warm (the curve's node plan cached) and cold.
 
 For the charged particle, the relativistic particle and the two-chart
-circle, each on its configured curve at --panels panels, five rows are
+circle, each on its configured curve at --panels panels, six rows are
 timed:
 
   * quadrature: action_quadrature, composite Simpson;
@@ -13,6 +13,10 @@ timed:
                 shifted by the system's first gauge function, all on one
                 field: the calls of an avbench action pass and of
                 suites.variation_suite for one field;
+  * fresh-coeffs: the derivative, then the pairing, on a field of w's
+                shape with fresh coefficients, as avbench's action
+                workload draws them: its jets run on the tape (or C loop)
+                of w's shape (kernels.read_table), which no call walks;
 
 with w an endpoint-vanishing variation field.  A field keeps its jets
 on the last plan it was evaluated on (VariationField.jets), so each
@@ -29,12 +33,16 @@ The last column checks bits.  A row reads "bit-identical" when its warm
 call, its cold call and the same call on a field that already keeps its
 jets on the warm plan all give the same bits.  The sequence row reads
 "kept = fresh" when they also have the bits of its three calls each
-made on a fresh field.  The script exits 1 if any check finds a single
-bit different; the test suite runs it with --repeats 1 for that check.
+made on a fresh field.  The fresh-coeffs row reads "= literal" when
+the jets of its last fields, warm and cold, have the bits of each
+coordinate's own kernel, keyed by its text (compile_field's jet table).
+The script exits 1 if any check finds a single bit different; the test
+suite runs it with --repeats 1 for that check.
 
 Run:  PYTHONPATH=src python benchmarks/action_ops.py [--panels N] [--repeats N]
 """
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -48,7 +56,8 @@ from avcalc.action import (
     variation_derivative,
     variation_pairing,
 )
-from avcalc.geometry import CurveSpec
+from avcalc.geometry import CurveSpec, simpson_nodes
+from avcalc.kernels import compile_field, eval_chunked
 from avcalc.systems import bundled_system
 
 SYSTEMS = ("charged", "relativistic", "circle")
@@ -78,12 +87,25 @@ def operations(lam, shifted, panels):
     ]
 
 
-def vanishing_field(curve, dim: int) -> VariationField:
-    """(t - a)(b - t) times a linear polynomial per coordinate."""
+def vanishing_field(curve, dim: int, c: float = 0.2) -> VariationField:
+    """(t - a)(b - t) times a linear polynomial per coordinate, whose
+    constant term is c."""
     a, b = curve.t_start, curve.t_end
     return VariationField.from_strings(
-        [f"(t-({a!r}))*(({b!r})-t)*(0.2-{0.1 * (k + 1)!r}*t)" for k in range(dim)]
+        [f"(t-({a!r}))*(({b!r})-t)*({c!r}-{0.1 * (k + 1)!r}*t)" for k in range(dim)]
     )
+
+
+def literal_jets(w: VariationField, plan) -> list:
+    """The bytes of plan.field_jets(w.exprs) computed by each
+    coordinate's own kernel, keyed by its text."""
+    out = []
+    for s in plan.segments:
+        t = np.append(s.t, (s.segment.t0, s.segment.t1)).reshape(-1, 1)
+        jets = np.stack([eval_chunked(compile_field(e, ("t",), reads=(0, 1, 2), _table="_jet"),
+                                      t, None, None, 3).T for e in w.exprs], axis=-1)
+        out.append((jets[:, :-2].tobytes(), jets[:, -2:].tobytes()))
+    return out
 
 
 def best_ms(call, repeats: int):
@@ -108,7 +130,7 @@ def main() -> int:
     args = ap.parse_args()
 
     print(f"action calls, {args.panels} panels, best of {args.repeats} (ms per call)")
-    print(f"{'system':<14} {'call':<11} {'warm':>8} {'cold':>8} {'ratio':>7}  bits")
+    print(f"{'system':<14} {'call':<12} {'warm':>8} {'cold':>8} {'ratio':>7}  bits")
     identical = True
     for name in SYSTEMS:
         system = bundled_system(name)
@@ -132,10 +154,30 @@ def main() -> int:
                 verdict = "kept = fresh"
             same = same_bits(*results)
             identical &= same
-            print(f"{name:<14} {label:<11} {warm_ms:8.2f} {cold_ms:8.2f} {cold_ms / warm_ms:6.2f}x  "
+            print(f"{name:<14} {label:<12} {warm_ms:8.2f} {cold_ms:8.2f} {cold_ms / warm_ms:6.2f}x  "
                   f"{verdict if same else 'DIFFER'}")
-    return 0 if identical else 1
+        coefficients = itertools.count(1)
+        last = []
 
+        def fresh_coeffs(c):
+            """The derivative and the pairing on a field of w's shape whose
+            constant terms are fresh."""
+            f = vanishing_field(curve, system.dim, 0.2 + 1e-3 * next(coefficients))
+            last[:] = [c, f]
+            return variation_derivative(lam, c, f, EPS, p), variation_pairing(lam, c, f, p)
+
+        warm_ms, _ = best_ms(lambda: fresh_coeffs(curve), args.repeats)
+        checked = [tuple(last)]
+        cold_ms, _ = best_ms(lambda: fresh_coeffs(CurveSpec(curve.segments)), args.repeats)
+        checked.append(tuple(last))
+        same = True
+        for c, f in checked:
+            plan = c.plan(p, simpson_nodes)
+            same &= [(j.tobytes(), e.tobytes()) for j, e in f.jets(plan)] == literal_jets(f, plan)
+        identical &= same
+        print(f"{name:<14} {'fresh-coeffs':<12} {warm_ms:8.2f} {cold_ms:8.2f} "
+              f"{cold_ms / warm_ms:6.2f}x  {'= literal' if same else 'DIFFER'}")
+    return 0 if identical else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -34,7 +34,12 @@ every record may be written in C, its probe loop of all its outputs:
     Lagrangian above, in the same order;
   * gradient, gradient-probes: kernels._gradient of the same;
   * jet, jet-probes: kernels._jet of each coordinate of every bundled
-    system's curve, labelled <system>-curve<segment>.<coordinate>.
+    system's curve, labelled <system>-curve<segment>.<coordinate>;
+  * jet, jet-probes again: the jet table of the shape (the tape that
+    kernels.read_table runs, its literals lifted to parameter columns)
+    of a coordinate of the variation fields VANISHING and GENERAL along
+    every bundled system's curve, labelled <system>-vanishing and
+    <system>-general.
 
 Nothing is compiled, so no C compiler is needed.
 
@@ -63,6 +68,11 @@ EDGES = (
     ("general-exponent", "0.5*(v1^2 + v2^2) + x1^x2*v2 + (2 + x2^2)^v1 - sqrt(1 + x1^2)", 2),
     ("tan-log", "0.5*v1^2*(1 + log(1 + x1^2)) + tan(0.1*x1)*v1", 1),
 )
+
+# a variation field's coordinate along a curve from a to b, vanishing at
+# both ends, and a general one, as avbench's action workload draws them
+VANISHING = "(t-({a!r}))*(({b!r})-t)*((0.1)+(-0.2)*t+(0.25)*t^2)"
+GENERAL = "(0.1)+(-0.2)*t+(0.25)*t^2"
 
 # a drag in the plane of the orbit and a push along B
 FORCING = ("-0.1*v1", "-0.1*v2", "0.01*sin(x1)")
@@ -112,6 +122,12 @@ def main() -> int:
         for i, segment in enumerate(bundled_system(name).curve.segments):
             for j, coordinate in enumerate(segment.exprs):
                 show_table(f"{name}-curve{i}.{j}", "jet", coordinate, ("t",))
+    for name in bundled_system_names():
+        curve = bundled_system(name).curve
+        for label, field in (("vanishing", VANISHING), ("general", GENERAL)):
+            text = field.format(a=curve.t_start, b=curve.t_end)
+            shape, layout, _params = kernels._jet_binding(parse(text), ("t",))
+            show_table(f"{name}-{label}", "jet", parse(shape), layout)
     return 0
 
 

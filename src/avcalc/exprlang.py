@@ -389,7 +389,8 @@ def _variables(ast: ExprAst) -> frozenset:
 
 def to_text(ast: ExprAst) -> str:
     """Canonical, fully parenthesized rendering; re-parsing it yields a
-    structurally identical AST.  Rendered once per node (_Node)."""
+    structurally identical AST, but for a NaN literal, which re-parses
+    as 1e999-1e999 (_render).  Rendered once per node (_Node)."""
     return ast.text
 
 
@@ -397,11 +398,14 @@ def _render(ast: ExprAst) -> str:
     """The text of one node, from its children's kept texts."""
     if isinstance(ast, Number):
         value = ast.value
-        # repr(inf) is "inf", which would re-parse as a variable; 1e999
-        # parses back to inf
+        # repr(inf) and repr(nan) would re-parse as variables; 1e999
+        # parses back to inf, and 1e999-1e999, a NaN to every evaluator
+        # and the kernel emitter, stands for nan
+        if math.isnan(value):
+            return "(1e999-1e999)"
         text = ("-1e999" if value < 0 else "1e999") if math.isinf(value) else repr(value)
-        # parenthesize so a negative base binds correctly under '^'
-        return f"({text})" if value < 0 else text
+        # parenthesize so a negative base (-0.0 too) binds correctly under '^'
+        return f"({text})" if math.copysign(1.0, value) < 0 else text
     if isinstance(ast, Var):
         return ast.name
     if isinstance(ast, Unary):

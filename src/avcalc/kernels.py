@@ -71,9 +71,10 @@ the caller may pass None for them).
 compile_field's cache is the one place that keeps kernels and decides
 their reuse and memory: no library object holds one, each caller asks
 compile_field where it runs it.  The cache holds one walk of the
-expression per table, text and variable layout (its tape), and that
-tape's kernel per reads: a second reads costs one tape filter, not
-a second walk.  The key holds the text each node renders once and
+expression per table, text and variable layout (its tape; a jet
+table's text is its shape's, see the end), and that tape's kernel per
+reads: a second reads costs one tape filter, not a second walk.  The
+key holds the text each node renders once and
 keeps (exprlang._Node), so a hit is a dict probe ("hit us" in
 benchmarks/kernel_batch.py) and a gauge twin renders only the nodes the
 shift adds.  The charged particle's gauge twin retains about 3.2 KB for
@@ -100,12 +101,26 @@ list, not once per probe (_seeded's memo).  Such a walk makes only calls
 the first one made, so it emits no line: the records, their order and
 every rendering stay those of a walk without the memo, while a gauge
 twin's coupling in x costs one walk for all of its velocity probes.
+
+A jet table is keyed by its coordinate's shape, not its text
+(read_table): each literal operand of + - * / beside a subtree holding
+t, outside exponents and call arguments and other than 0, 1 and a
+non-finite one, is a parameter _k, seeded 0, whose column of vals
+holds its value (_shape).  The coordinates of one shape share one tape,
+its kernels and its C loop.  The walk of the literals folds where the
+shape's tape computes from parameters and literals alone; a binding
+that makes such a record 0, 1 or non-finite, the values the emitter
+folds on, takes the text key instead (_folds), so outputs and
+DomainErrors, which name the coordinate's text, are the literal
+kernel's.  The Lagrangian and gradient tables keep their text keys: a
+gauge function's shape recurs too seldom to pay (ROADMAP, direction 6).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from array import array
 
 import numpy as np
@@ -113,7 +128,8 @@ import numpy as np
 from .autodiff import Hyperdual
 from .errors import DomainError
 from .exprlang import (
-    _REAL_UNARY, Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, to_text,
+    _REAL_UNARY, Binary, Call, ExprAst, Number, Unary, Var, evaluate, free_variables, parse,
+    to_text,
 )
 from .lowering import _CALLS, _MATH, _ONE, _SIGN, _ZERO, _lit, _num, numpy_kernel, solve_function
 
@@ -548,10 +564,11 @@ def _lagrangian(ast: ExprAst, varnames):
 
 
 def _jet(ast: ExprAst, varnames):
-    """The jet table of a curve coordinate in t: (x, x', x''), the
-    probe seeded 1 and 1."""
-    ones = [_ONE] * len(varnames)
-    return _table(ast, varnames, len(varnames), [(ast, ones, ones)], [(0, 0), (0, 1), (0, 3)])
+    """The jet table of a curve coordinate in t: (x, x', x''), the probe
+    seeding each variable 1 and 1, but a shape's parameters _0, _1, ..
+    (read_table) 0."""
+    seeds = [_ZERO if name[0] == "_" else _ONE for name in varnames]
+    return _table(ast, varnames, len(varnames), [(ast, seeds, seeds)], [(0, 0), (0, 1), (0, 3)])
 
 
 def generate_source(ast: ExprAst, varnames, backend: str = "numpy") -> str:
@@ -845,23 +862,26 @@ class _Kernel:
 
 # The cache keeps the tapes of at most CACHE_SIZE (table, expression)
 # pairs and evicts the least recently used.  Measured on the avbench
-# workloads, a pass adds 12 entries (action's fresh variation fields) or
-# 6 (gauge_scan's fresh twins), orbit and cloud none after set-up, and
-# every pass uses each entry used again: no eviction takes a tape in use.
+# workloads, a pass adds 6 entries (gauge_scan's fresh twins), action
+# none after its first (its fresh variation fields share their shapes'
+# jet tapes, read_table), orbit and cloud none after set-up, and every
+# pass uses each entry used again: no eviction takes a tape in use.
 CACHE_SIZE = 256
 _CACHE = {}  # (table, text, variables) -> _Tape, in order of last use
 
 
-def _tape(table: str, ast: ExprAst, varnames) -> _Tape:
+def _tape(table: str, ast, varnames) -> _Tape:
     """The cached tape of the table `table` (the name of a table's
     function in this module, looked up at each walk) of ast over
     varnames.  The cache holds one walk per (table, text, variable
     layout), at most CACHE_SIZE of them; the text is the node's kept
-    one, so a hit renders nothing."""
-    key = (table, to_text(ast), tuple(varnames))
+    one, so a hit renders nothing.  ast may be given as its text (a jet
+    shape's, read_table), parsed only on a miss."""
+    text = ast if type(ast) is str else to_text(ast)
+    key = (table, text, tuple(varnames))
     tape = _CACHE.pop(key, None)
     if tape is None:
-        tape = _Tape(key, *globals()[table](ast, varnames))
+        tape = _Tape(key, *globals()[table](parse(ast) if type(ast) is str else ast, varnames))
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]  # the least recently used
     _CACHE[key] = tape  # now the most recently used
@@ -980,12 +1000,103 @@ def require_finite(results, ast: ExprAst, varnames, vals):
     raise domain_error(ast, varnames, vals[int(np.argmin(finite))])
 
 
+def _shape(ast: ExprAst, params: list) -> str:
+    """The text of ast with each literal operand of + - * / beside a
+    subtree holding a variable, other than 0, 1 and a non-finite one,
+    written as the parameter _k, k its index in `params`, to which its
+    value is appended.  A literal in an exponent or a call's argument
+    stays: a subtree with no variable, a call and an exponent are their
+    kept texts, and the rest is written as exprlang renders it."""
+    kind = type(ast)
+    if kind is Var or kind is Call or not ast.variables:
+        return ast.text
+    if kind is Unary:
+        return f"(-{_shape(ast.child, params)})"
+    if ast.op == "^":
+        return f"({_shape(ast.left, params)}^{ast.right.text})"
+    sides = []
+    for side, other in ((ast.left, ast.right), (ast.right, ast.left)):
+        if (type(side) is Number and other.variables and side.value != 0.0
+                and side.value != 1.0 and math.isfinite(side.value)):
+            sides.append(f"_{len(params)}")
+            params.append(side.value)
+        else:
+            sides.append(_shape(side, params))
+    return f"({sides[0]}{ast.op}{sides[1]})"
+
+
+# The operator of each op whose parameter-only records _folds evaluates
+_ARITH = {_CODES[template]: f for template, f in (
+    ("-{}", operator.neg), ("{} + {}", operator.add), ("{} - {}", operator.sub),
+    ("{} * {}", operator.mul), ("{} / {}", operator.truediv))}
+
+
+def _folds(tape: _Tape, params) -> bool:
+    """Whether the walk of a jet shape's literals, bound to `params` (the
+    last columns of vals), folds where the shape's tape computes: at a
+    record whose operands are all parameters or literals, run here in
+    order, that is 0, 1 or non-finite (the emitter folds on its
+    literal), or a square, a power or a call (math computes the literal
+    where the tape runs x * x or numpy).  Its + - * / and negation give
+    the tape's bits, so where none folds both tapes compute the same
+    values."""
+    nviews = len(tape.sources)
+    first = len(tape.key[2]) - len(params)  # the column of params[0]
+    value = {tape.registers + i: params[j - first]
+             for i, j in enumerate(tape.columns) if j >= first}
+    value.update({tape.registers + nviews + i: float(v) for i, v in enumerate(tape.literals)})
+    for code, a, b, r in zip(tape.codes, tape.first, tape.second, tape.dest):
+        if a not in value or b != _UNARY and b not in value:
+            value.pop(r, None)  # r now holds a value of t
+            continue
+        f = _ARITH.get(code)
+        if f is None or a == b and f is operator.mul:
+            return True
+        try:
+            v = f(value[a]) if b == _UNARY else f(value[a], value[b])
+        except ZeroDivisionError:
+            return True
+        if v == 0.0 or v == 1.0 or not math.isfinite(v):
+            return True
+        value[r] = v
+    return False
+
+
+def _jet_binding(ast: ExprAst, varnames) -> tuple:
+    """(shape text, variables, parameter values) of ast's jet table over
+    varnames: its _shape, varnames and then the parameters _0.._{k-1},
+    and their values; or () where ast's own text keys the table, as no
+    literal lifts or the binding folds (_folds).  Kept on the node, as
+    its text is: the library reads a jet table over ("t",) alone."""
+    binding = ast.__dict__.get("jet_binding")
+    if binding is None:
+        params = []
+        text = _shape(ast, params)
+        layout = (*varnames, *[f"_{k}" for k in range(len(params))])
+        binding = ()
+        if params and not _folds(_tape("_jet", text, layout), params):
+            binding = (text, layout, params)
+        ast.__dict__["jet_binding"] = binding
+    return binding
+
+
 def read_table(table: str, ast: ExprAst, varnames, vals, reads) -> np.ndarray:
     """The outputs `reads` of the table `table` (compile_field's _table)
     of ast at the rows of vals, one row per point; DomainError for the
-    first point where one is not finite (require_finite)."""
-    kernel = compile_field(ast, varnames, reads=reads, _table=table)
-    out = eval_chunked(kernel, vals, None, None, len(reads))
+    first point where one is not finite (require_finite).  A jet table
+    runs its shape's kernel (_jet_binding) on vals with a column per
+    parameter, or, where nothing lifts or the binding folds, the kernel
+    of ast's text: the same bits and the same DomainError."""
+    binding = _jet_binding(ast, varnames) if table == "_jet" else ()
+    if binding:
+        text, layout, params = binding
+        kernel = _tape(table, text, layout).kernel(reads)
+        bound = np.empty((vals.shape[0], len(layout)))
+        bound[:, :len(varnames)] = vals
+        bound[:, len(varnames):] = params
+    else:
+        kernel, bound = compile_field(ast, varnames, reads=reads, _table=table), vals
+    out = eval_chunked(kernel, bound, None, None, len(reads))
     require_finite((out,), ast, varnames, vals)
     return out
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avcalc import action, geometry, kernels
+from avcalc import action, geometry, kernels, native
 from avcalc.action import (
     VariationField,
     _lagrangian_integrand,
@@ -21,7 +22,9 @@ from avcalc.action import (
 from avcalc.affine import affine_scalar_diff
 from avcalc.dynamics import GaugeClassLagrangian, _ChartEngine, gauge_shift
 from avcalc.errors import ChartScheduleError, DomainError
+from avcalc.exprlang import to_text
 from avcalc.geometry import CurveSpec, circle_atlas, euclidean_atlas, jets_in_t, simpson_nodes
+from avcalc.kernels import compile_field
 from avcalc.systems import bundled_system, bundled_system_names
 
 from helpers_reference import (
@@ -300,7 +303,11 @@ class TestNodePlan:
         _seen, walks = self.count_evaluations(monkeypatch)
         first = variation_derivative(lam, curve, w, 1e-5, 200)
         pairing = variation_pairing(lam, curve, w, 200)
-        assert [a for a in walks if a[0] in w.exprs] == [(w.exprs[0], ("t",))]
+        # the field's jet table is walked once, as its shape, 2.5 lifted
+        # to the parameter _0 (kernels.read_table)
+        assert [(to_text(a[0]), a[1]) for a in walks if "_0" in a[1]] == [
+            ("((t+1.0)*(_0-t))", ("t", "_0"))]
+        assert [a for a in walks if a[0] in w.exprs] == []
         walks.clear()
         assert variation_derivative(lam, curve, w, 1e-5, 200) == first
         assert variation_pairing(lam, curve, w, 200) == pairing
@@ -309,6 +316,53 @@ class TestNodePlan:
         again = VariationField.from_strings(["(t+1)*(2.5-t)"])
         assert variation_pairing(lam, curve, again, 200) == pairing
         assert walks == []
+        # nor does one of the same shape with a fresh coefficient
+        other = VariationField.from_strings(["(t+1)*(3.5-t)"])
+        variation_derivative(lam, curve, other, 1e-5, 200)
+        variation_pairing(lam, curve, other, 200)
+        assert walks == []
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_fields_of_one_shape_share_a_tape_and_a_loop(self, circle, monkeypatch):
+        lam, curve = circle
+        _seen, walks = self.count_evaluations(monkeypatch)
+        monkeypatch.setattr(native, "_LOOPS", {})
+        loops = []
+        real = native.compile_probes
+        monkeypatch.setattr(native, "compile_probes", lambda k: loops.append(k.key) or real(k))
+        rng = np.random.default_rng(11)
+
+        def field():
+            a, b, c = rng.uniform(-0.3, 0.3, 3).tolist()
+            return VariationField.from_strings([f"(t+1)*(2.5-t)*({a!r}+{b!r}*t+{c!r}*t^2)"])
+
+        variation_pairing(lam, curve, field(), 200)
+        jets = {key for key in kernels._CACHE if key[0] == "_jet"}
+        plan = curve.plan(200, simpson_nodes)
+        nodes = sum(len(s.t) + 2 for s in plan.segments)
+        # the field's kernel takes its C loop at the 100th field
+        monkeypatch.setattr(kernels, "NATIVE_PROBES", 100 * nodes)
+        fields = [field() for _ in range(199)]
+        for w in fields:
+            variation_pairing(lam, curve, w, 200)
+        assert {key for key in kernels._CACHE if key[0] == "_jet"} == jets
+        shape = "(((t+1.0)*(_0-t))*((_1+(_2*t))+(_3*(t^2.0))))"
+        assert [key for key in jets if "_0" in key[2]] == [("_jet", shape, ("t", "_0", "_1", "_2", "_3"))]
+        assert [key for key in loops if key[0] == "_jet"] == [("_jet", shape, ("t", "_0", "_1", "_2", "_3"))]
+        # walked once for the tape and once more by native for the loop
+        assert [to_text(a[0]) for a in walks].count(shape) == 2
+        # each field's jets are its literal kernel's, on the tape or the loop
+        for w in (fields[0], fields[-1]):
+            t = np.concatenate([np.append(s.t, (s.segment.t0, s.segment.t1)) for s in plan.segments])
+            literal = compile_field(w.exprs[0], ("t",), reads=(0, 1, 2), _table="_jet")
+            want = kernels.eval_chunked(literal, t.reshape(-1, 1), None, None, 3)
+            jets_of_w = np.concatenate([np.concatenate([j[:, :, 0], e[:, :, 0]], axis=1)
+                                        for j, e in w.jets(plan)], axis=1)
+            assert jets_of_w.T.tobytes() == want.tobytes()
+        # a field of a new shape compiles once
+        walks.clear()
+        variation_pairing(lam, curve, VariationField.from_strings(["(t+1)*(2.5-t)*t"]), 200)
+        assert [to_text(a[0]) for a in walks] == ["(((t+1.0)*(_0-t))*t)"]
 
     def test_one_plan_per_rule(self, circle):
         lam, curve = circle

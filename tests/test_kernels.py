@@ -40,7 +40,7 @@ from avcalc.rk4loop import generate_step_source
 from avcalc.systems import bundled_system, bundled_system_names
 
 from helpers_reference import hyperdual_reference, random_cases
-from test_engine_fuzz import trees
+from test_engine_fuzz import _extend, trees
 
 VARNAMES = ["x1", "x2", "x3"]
 AGREE_EXPR = "sin(x1)*cos(x2) + exp(-x3^2)*x1 + sqrt(x2)/x3"
@@ -912,12 +912,14 @@ class TestTextsScript:
         assert run.stdout.splitlines() == expected
         rows = [line.split(" ") for line in run.stdout.splitlines()]
         # the library's tables follow: every Lagrangian's two tables, then
-        # the jets of the curves, each with its probe loop where it has one
+        # the jets, each with its probe loop where it has one
         first = next(k for k, row in enumerate(rows) if row[1] == "lagrangian")
         rows, tables = rows[:first], rows[first:]
         assert all(prev[:2] == [row[0], row[1][:-len("-probes")]] for prev, row in zip(tables, tables[1:])
                    if row[1].endswith("-probes"))
-        assert {"charged[0]", "circle[1]", "charged-curve0.0"} <= {
+        # the curves' jets, then the jet shapes of two variation fields
+        assert {"charged[0]", "circle[1]", "charged-curve0.0", "circle-vanishing",
+                "charged-general"} <= {
             label for label, text, _digest in tables if text.endswith("-probes")}
         tables = [row for row in tables if not row[1].endswith("-probes")]
         pairs = [row for row in tables if row[1] != "jet"]
@@ -1056,6 +1058,128 @@ class TestCacheKey:
         assert "text" in vars(ast) and "text" not in vars(fresh)
         assert ast == fresh and hash(ast) == hash(fresh) and repr(ast) == repr(fresh)
         assert exprlang.to_text(fresh) == exprlang.to_text(ast) == "((sin(x1)*x2)-2.0)"
+
+
+# The jet table keyed by shape (kernels.read_table): t-trees of
+# test_engine_fuzz's grammar, half of them a literal beside a tree
+# holding t under + - * /, so that many have literals to lift.  The
+# literals include the values the emitter folds on, the extremes and
+# random floats
+T = ("t",)
+JET_T = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 7.5]).reshape(-1, 1)
+literals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e308, math.inf,
+                                      math.nan]), st.floats(), st.floats(-10.0, 10.0)
+                     ).map(exprlang.Number)
+arithmetic = st.sampled_from("+-*/")
+t_trees = st.recursive(st.one_of(st.just(exprlang.Var("t")), literals), _extend, max_leaves=8)
+t_trees = st.one_of(t_trees, st.builds(
+    lambda op, n, tree, left: exprlang.Binary(op, n, tree) if left else exprlang.Binary(op, tree, n),
+    arithmetic, literals, t_trees.filter(lambda tree: tree.variables), st.booleans()))
+
+
+def jet_outcome(read):
+    """The bytes of read(), or the text of the error it raises."""
+    try:
+        return read().tobytes()
+    except (DomainError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def literal_jets(ast):
+    """read_table's jets of ast keyed by its text: the kernel of
+    compile_field's jet table, checked as read_table checks."""
+    out = kernels.eval_chunked(compile_field(ast, T, reads=(0, 1, 2), _table="_jet"),
+                               JET_T, None, None, 3)
+    kernels.require_finite((out,), ast, T, JET_T)
+    return out
+
+
+def assert_shape_jets_are_literal(ast, native_probes, monkeypatch):
+    """read_table's jets of ast equal its text-keyed kernel's byte for
+    byte, or raise the same error, on the tape and with NATIVE_PROBES at
+    native_probes (1: on the C loops of both)."""
+    for probes in (math.inf, native_probes):
+        monkeypatch.setattr(kernels, "NATIVE_PROBES", probes)
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        want = jet_outcome(lambda: literal_jets(ast))
+        got = jet_outcome(lambda: kernels.read_table("_jet", ast, T, JET_T, (0, 1, 2)))
+        assert got == want, (exprlang.to_text(ast), probes)
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(t_trees)
+@example(exprlang.parse("(2.0*t)*(0.5*t)"))
+@example(exprlang.parse("3.0*t - 3.0*t"))
+def shape_jets_are_literal(ast):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_shape_jets_are_literal(ast, 1 if shutil.which("cc") else math.inf, monkeypatch)
+
+
+class TestJetShapes:
+    """read_table keys a jet table by its expression's shape: a literal
+    operand of + - * / beside a subtree holding t is a parameter column
+    of vals, so coordinates of one shape share a tape, its kernels and
+    its C loop, with the bits and errors of the text-keyed kernel."""
+
+    def test_shape_jets_are_literal(self):
+        # run from a plain test function, as test_engine_fuzz does
+        shape_jets_are_literal()
+
+    @pytest.mark.parametrize("text, shape", [
+        ("(t-(0.5))*((2.5)-t)*((0.1)+(-0.2)*t+(0.25)*t^2)",
+         "(((t-_0)*(_1-t))*((_2+(_3*t))+(_4*(t^2.0))))"),
+        ("(t+1)*(0-t)*2.5 + sin(3*t)/7", "((((t+1.0)*(0.0-t))*_0)+(sin((3.0*t))/_1))"),
+        ("-(3.0*t)^2 - 1e999*t + (2*3)*t", "(((-((_0*t)^2.0))-(1e999*t))+((2.0*3.0)*t))"),
+        ("4.0 + 2.0", None), ("t", None), ("sin(2.0*t)", None),
+    ])
+    def test_shape_text(self, text, shape):
+        params = []
+        got = kernels._shape(exprlang.parse(text), params)
+        assert (got if params else None) == shape
+        assert len(params) == (0 if shape is None else shape.count("_"))
+
+    @pytest.mark.parametrize("text", [
+        "(2.0*t)*(0.5*t)",  # d12 folds 2 * 0.5 = 1
+        "3.0*t - 3.0*t",  # d1 folds 3 - 3 = 0
+        "(0.0*t + 3.0)^2",  # the square of a parameter folds by math.pow
+        "(0.0*t + 3.0)^1.5",
+        "(3.0*t)/0.0",
+        "(5e-324*t)*(0.5*t)",  # a parameter-only product that underflows to 0
+        "(1e308*t)*(10.0*t)",  # and one that overflows
+    ])
+    def test_a_binding_that_folds_keeps_the_text_key(self, text, monkeypatch):
+        ast = exprlang.parse(text)
+        assert_shape_jets_are_literal(ast, 1 if shutil.which("cc") else math.inf, monkeypatch)
+        assert ast.jet_binding == ()
+
+    @pytest.mark.parametrize("text", [
+        "log(t - 10.0)", "sqrt(2.0*t - 5.0)", "2.0*log(t - 10.0)", "sqrt(2.0*t - 5.0)/3.0",
+        "t/(t - 0.5*t - 1.0*t + 0.5*t)", "(t + 1e308)*(t + 1e308)*3.0",
+    ])
+    def test_errors_name_the_text(self, text, monkeypatch):
+        ast = exprlang.parse(text)
+        assert_shape_jets_are_literal(ast, math.inf, monkeypatch)
+        with pytest.raises(DomainError) as got:
+            kernels.read_table("_jet", ast, T, JET_T, (0, 1, 2))
+        assert f" in {exprlang.to_text(ast)} at t=" in str(got.value)
+        assert "_0" not in str(got.value)
+
+    def test_one_tape_per_shape(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        walks = []
+        real = kernels._jet
+        monkeypatch.setattr(kernels, "_jet", lambda *a: walks.append(a) or real(*a))
+        asts = [exprlang.parse(f"({a!r}-t)*({b!r}+{c!r}*t^2)")
+                for a, b, c in np.random.default_rng(3).uniform(-2.0, 2.0, (20, 3)).tolist()]
+        jets = [kernels.read_table("_jet", ast, T, JET_T, (0, 1, 2)) for ast in asts]
+        assert [exprlang.to_text(ast) for ast, _names in walks] == ["((_0-t)*(_1+(_2*(t^2.0))))"]
+        assert walks[0][1] == ("t", "_0", "_1", "_2") and len(kernels._CACHE) == 1
+        for ast, jet in zip(asts, jets):
+            assert jet.tobytes() == literal_jets(ast).tobytes()
+        # the binding is kept on the node, as its text is
+        assert asts[0].jet_binding == ("((_0-t)*(_1+(_2*(t^2.0))))", walks[0][1],
+                                       [asts[0].left.left.value, asts[0].right.left.value,
+                                        asts[0].right.right.left.value])
 
 
 class TestAvbenchSurface:
